@@ -1,7 +1,6 @@
 // E14 — partition-tolerant sync: goodput and availability under injected
-// network faults, clean-path overhead of the retry engine, byte-identical
-// convergence of weakly connected cells, and time-to-converge after a
-// provider outage.
+// network faults, byte-identical convergence of weakly connected cells, and
+// time-to-converge after a provider outage.
 //
 // The paper's cells are "weakly connected" by design (Section: secure
 // communication / durability against a provider that can fail): a cell must
@@ -10,11 +9,9 @@
 // tc::fleet workload through tc::net resilient channels against a
 // NetworkFaultInjector and reports:
 //
-//   * retry-path overhead on the fault-free path (direct PutBlobBatch vs
-//     ResilientChannel::PutBatch with idempotency tokens) — the <5% bar,
 //   * goodput / first-try availability vs message-fault rate (0–50%),
-//   * byte-identical final cloud state: lossy resilient run vs clean
-//     direct run over the same workload stream,
+//   * byte-identical final cloud state: lossy run vs clean run over the
+//     same workload stream,
 //   * time from a forced provider outage healing (default 10 s, override
 //     with --outage_ms=N) to the whole fleet drained and converged.
 //
@@ -81,24 +78,6 @@ RunOutcome RunOnce(CloudInfrastructure* cloud, const FleetOptions& options) {
   return outcome;
 }
 
-// Best ops/s over `reps` runs on a fresh cloud each time (the clean-path
-// overhead question is about the fastest the path can go, not scheduler
-// noise).
-double BestOpsPerSecond(const FleetOptions& options,
-                        const CloudInfrastructure::Options& cloud_options,
-                        int reps) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    CloudInfrastructure cloud(cloud::AdversaryConfig::Honest(), cloud_options);
-    RunOutcome outcome = RunOnce(&cloud, options);
-    if (!outcome.ok) return 0;
-    if (outcome.report.put_get_per_second > best) {
-      best = outcome.report.put_get_per_second;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,72 +90,6 @@ int main(int argc, char** argv) {
 
   std::printf("=== E14: partition-tolerant cell<->cloud sync ===\n");
 
-  // ---- Clean-path overhead: direct vs resilient channel, zero faults ----
-  // The budget bar is set on the WAN regime (200 us simulated provider
-  // round-trip — the regime a real cloud lives in, same as E12): that is
-  // the fault-free fleet path the retry engine must not slow down. The
-  // in-process zero-latency regime is also reported as the primitive-cost
-  // ceiling — there a whole get costs ~0.2 us, so the channel's per-message
-  // bookkeeping (token mint + server-side dedupe table + deadline budget)
-  // is visible in relative terms, exactly like bench_obs_overhead's
-  // few-ns primitives against an empty loop.
-  std::printf("\nretry-engine overhead, fault-free path (64 cells, 8 "
-              "threads, no injector; best of 3):\n");
-  {
-    FleetOptions direct = BaseOptions();
-    FleetOptions resilient = direct;
-    resilient.resilient = true;
-
-    // Interleaved paired runs (the bench_obs_overhead methodology): the
-    // WAN regime is sleep-dominated, and scheduler jitter on a shared
-    // host swings any single run far more than the effect under test.
-    // Alternating the modes, flipping the order each pair and comparing
-    // summed wall time over identical op counts makes the ambient noise
-    // common-mode.
-    CloudInfrastructure::Options wan;
-    wan.op_latency_us = 200;
-    FleetOptions wan_direct = direct;
-    wan_direct.rounds_per_cell = 8;
-    FleetOptions wan_resilient = wan_direct;
-    wan_resilient.resilient = true;
-    double direct_s = 0, resilient_s = 0;
-    bool wan_ok = true;
-    for (int pair = 0; pair < 6 && wan_ok; ++pair) {
-      for (int leg = 0; leg < 2 && wan_ok; ++leg) {
-        const bool resilient_leg = (pair + leg) % 2 != 0;
-        CloudInfrastructure cloud(cloud::AdversaryConfig::Honest(), wan);
-        RunOutcome outcome =
-            RunOnce(&cloud, resilient_leg ? wan_resilient : wan_direct);
-        if (!outcome.ok) {
-          wan_ok = false;
-          break;
-        }
-        (resilient_leg ? resilient_s : direct_s) +=
-            outcome.report.wall_seconds;
-      }
-    }
-    if (wan_ok && direct_s > 0) {
-      std::printf("  WAN regime (200 us RTT):  direct %8.3f s  resilient "
-                  "%8.3f s for identical op counts (6 interleaved pairs)   "
-                  "overhead %+.1f%%  (budget: <5%%)\n",
-                  direct_s, resilient_s,
-                  (resilient_s / direct_s - 1.0) * 100.0);
-    }
-
-    direct.rounds_per_cell = 64;  // Long enough to measure stably.
-    resilient.rounds_per_cell = 64;
-    CloudInfrastructure::Options in_process;
-    const double direct_ops = BestOpsPerSecond(direct, in_process, 3);
-    const double resilient_ops = BestOpsPerSecond(resilient, in_process, 3);
-    if (direct_ops > 0 && resilient_ops > 0) {
-      std::printf("  in-process (0 us RTT):    direct %8.0f  resilient "
-                  "%8.0f putget/s   overhead %+.1f%%  (informational: "
-                  "per-message bookkeeping vs ~0.2 us ops)\n",
-                  direct_ops, resilient_ops,
-                  (direct_ops / resilient_ops - 1.0) * 100.0);
-    }
-  }
-
   // ---- Goodput / availability vs fault rate ----
   std::printf("\ngoodput and availability vs message-fault rate (64 cells, "
               "8 threads, Lossy schedule; avail = ops answered within "
@@ -185,7 +98,6 @@ int main(int argc, char** argv) {
               "get-unav   goodput/s  avail%%  converged\n");
   for (double rate : {0.0, 0.01, 0.05, 0.10, 0.25, 0.50}) {
     FleetOptions options = BaseOptions();
-    options.resilient = true;
     CloudInfrastructure cloud;
     NetworkFaultConfig config = NetworkFaultConfig::Lossy(rate, 14);
     config.delay_prob = rate;
@@ -212,17 +124,16 @@ int main(int argc, char** argv) {
                 r.cells_converged, options.cells);
   }
 
-  // ---- Byte-identical convergence: lossy resilient vs clean direct ----
-  std::printf("\nconvergence check: 25%%-lossy resilient run vs clean "
-              "direct run, same workload stream — final cloud state must "
-              "be byte-identical:\n");
+  // ---- Byte-identical convergence: lossy vs clean ----
+  std::printf("\nconvergence check: 25%%-lossy run vs clean run, same "
+              "workload stream — final cloud state must be "
+              "byte-identical:\n");
   {
     FleetOptions options = BaseOptions();
 
     CloudInfrastructure clean_cloud;
     RunOutcome clean = RunOnce(&clean_cloud, options);
 
-    options.resilient = true;
     CloudInfrastructure lossy_cloud;
     NetworkFaultConfig config = NetworkFaultConfig::Lossy(0.25, 14);
     NetworkFaultInjector injector(config);
@@ -236,8 +147,8 @@ int main(int argc, char** argv) {
         for (size_t doc = 0; doc < options.docs_per_cell; ++doc) {
           std::string blob_id = "fleet/cell" + std::to_string(cell) +
                                 "/doc" + std::to_string(doc);
-          auto a = clean_cloud.GetBlob(blob_id);
-          auto b = lossy_cloud.GetBlob(blob_id);
+          auto a = clean_cloud.blob_store().Get(blob_id);
+          auto b = lossy_cloud.blob_store().Get(blob_id);
           ++compared;
           if (!a.ok() || !b.ok() || *a != *b) ++mismatched;
         }
@@ -259,7 +170,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(outage_ms));
   {
     FleetOptions options = BaseOptions();
-    options.resilient = true;
     options.cells = 8;  // One worker per cell: post-heal time is pure drain.
     options.threads = 8;
     options.rounds_per_cell = 12;

@@ -265,12 +265,13 @@ StormResult RunRetryStorm(bool budget_on) {
   constexpr size_t kChannels = 8;
   constexpr size_t kOpsPerChannel = 25;
   StormResult result;
+  net::InProcessTransport transport(&cloud);
   for (size_t c = 0; c < kChannels; ++c) {
     net::ChannelOptions options;
     options.seed = 100 + c;
     options.retry_budget.enabled = budget_on;
     options.breaker.failure_threshold = 1u << 30;
-    net::ResilientChannel channel(&cloud, "storm" + std::to_string(c),
+    net::ResilientChannel channel(&transport, "storm" + std::to_string(c),
                                  options);
     for (size_t i = 0; i < kOpsPerChannel; ++i) {
       (void)channel.Put("storm/doc", Bytes{1});

@@ -37,7 +37,7 @@ std::unique_ptr<cell::TrustedCell> MakeCell(
 
 bool CloudContains(cloud::CloudInfrastructure& cloud, const std::string& id,
                    const std::string& needle) {
-  auto blob = cloud.GetBlob(id);
+  auto blob = cloud.blob_store().Get(id);
   if (!blob.ok()) return false;
   std::string s(blob->begin(), blob->end());
   return s.find(needle) != std::string::npos;

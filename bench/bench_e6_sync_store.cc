@@ -147,7 +147,7 @@ int main() {
 
   // Ciphertext expansion.
   auto meta = *cell->GetDocumentMeta(cell_ids[0]);
-  auto blob = *cloud.GetBlob(meta.blob_id);
+  auto blob = *cloud.blob_store().Get(meta.blob_id);
   std::printf(
       "\nciphertext expansion: %zu B plaintext -> %zu B sealed (+%zu B "
       "nonce+tag)\n",

@@ -127,7 +127,7 @@ int main() {
     // Try the whole derivation path with the WRONG master.
     std::string other_doc = blobs[0].substr(blobs[0].rfind('/') + 1);
     Bytes wrong_key = crypto::DeriveKey(master, "doc/" + other_doc);
-    Bytes blob = *cloud.GetBlob(blobs[0]);
+    Bytes blob = *cloud.blob_store().Get(blobs[0]);
     Bytes nonce(blob.begin(), blob.begin() + crypto::kAeadNonceSize);
     Bytes body(blob.begin() + crypto::kAeadNonceSize, blob.end());
     BinaryWriter aad;

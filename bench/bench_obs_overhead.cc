@@ -253,7 +253,8 @@ std::string RunOverloadExerciseJson() {
     net::ChannelOptions channel_options;
     channel_options.retry_budget.capacity = 2;
     channel_options.breaker.failure_threshold = 1u << 30;
-    net::ResilientChannel channel(&cloud, "ov-export", channel_options);
+    net::InProcessTransport transport(&cloud);
+    net::ResilientChannel channel(&transport, "ov-export", channel_options);
     for (int i = 0; i < 4; ++i) (void)channel.Put("ov/doc", Bytes{1});
     TC_CHECK(channel.stats().retry_budget_denied > 0);
     cloud.set_fault_injector(nullptr);

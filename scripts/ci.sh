@@ -2,31 +2,22 @@
 # The tier-1 verify, end to end (cited by ROADMAP.md):
 #
 #   1. configure + build the default tree;
-#   2. run the full ctest suite (the fast "unit" lane: every suite at its
-#      cheap default sweep depth);
-#   3. wire lane: rpc_test plus the chaos/txn suites rerun with
-#      TC_TRANSPORT=socket (real loopback TCP under the same fault
-#      injection and serializability checks). Every wire test carries an
-#      explicit ctest TIMEOUT; where loopback sockets are unavailable the
-#      tests GTEST_SKIP with a printed reason and the lane stays green;
-#   4. lockfree lane: the lock-free hot-path suite (epoch reclamation,
-#      bump-allocated append log, LogStore/BlobStore reader-vs-GC stress)
-#      rerun on its own so a hang or flake is attributable at a glance;
-#   4b. telemetry lane: the fleet telemetry plane (delta merge property,
-#      shipper/hub dedup protocol, chaos exactness, SLO burn rates) rerun
-#      on its own — the label also covers the socket-transport leg;
-#   4c. overload lane: the overload control plane (deadline propagation +
-#      shed-before-execute, gradient admission, CoDel queue aging, retry
-#      budgets) and its metastable-failure chaos suite — the label also
-#      covers the socket-transport leg proving pushback over real TCP;
-#   5. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
+#   2. run the full ctest suite once: every registration, including the
+#      wire legs (the chaos/txn/telemetry/overload suites rerun with
+#      TC_TRANSPORT=socket over real loopback TCP; where loopback sockets
+#      are unavailable they GTEST_SKIP with a printed reason) and the
+#      lockfree, telemetry and overload suites. Each test runs exactly
+#      once here; the ctest labels (wire, lockfree, telemetry, overload,
+#      chaos, txn) stay for running one lane by hand, e.g.
+#      `ctest --test-dir build -L overload`;
+#   3. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
 #      seed sweeps, re-running only the suites labeled chaos/txn — CI keeps
 #      the cheap default, nightly jobs export TC_CHAOS_SEEDS=25;
-#   6. chaos determinism gate: every chaos seed must replay exactly from
+#   4. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   7. check no generated build*/ tree is tracked or staged;
-#   8. run the obs export validator (quick bench run + trace JSON checks).
+#   5. check no generated build*/ tree is tracked or staged;
+#   6. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -36,14 +27,6 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
-echo "ci: wire lane (loopback-socket legs; skips print their reason)"
-(cd build && ctest --output-on-failure -L wire)
-echo "ci: lockfree lane (epoch reclamation + reader-vs-GC stress)"
-(cd build && ctest --output-on-failure -L lockfree)
-echo "ci: telemetry lane (mergeable deltas, hub dedup, SLO burn rates)"
-(cd build && ctest --output-on-failure -L telemetry)
-echo "ci: overload lane (deadline shedding, admission, CoDel, retry budgets)"
-(cd build && ctest --output-on-failure -L overload)
 if [ -n "${TC_CHAOS_SEEDS:-}" ]; then
   echo "ci: deep chaos/txn lane (TC_CHAOS_SEEDS=${TC_CHAOS_SEEDS})"
   (cd build && ctest --output-on-failure -L 'chaos|txn')

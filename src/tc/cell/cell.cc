@@ -1,6 +1,7 @@
 #include "tc/cell/cell.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "tc/cloud/txn.h"
@@ -166,7 +167,11 @@ TrustedCell::Metrics::Metrics()
 TrustedCell::TrustedCell(const Config& config,
                          cloud::CloudInfrastructure* cloud,
                          CellDirectory* directory, const Clock* clock)
-    : config_(config), cloud_(cloud), directory_(directory), clock_(clock) {}
+    : config_(config),
+      cloud_(cloud),
+      directory_(directory),
+      clock_(clock),
+      in_process_(cloud) {}
 
 Result<std::unique_ptr<TrustedCell>> TrustedCell::Create(
     const Config& config, cloud::CloudInfrastructure* cloud,
@@ -246,25 +251,30 @@ Status TrustedCell::Init() {
   }
   TC_ASSIGN_OR_RETURN(db_, db::Database::Open(store_.get()));
 
+  net::ChannelOptions channel_options = config_.channel;
+  if (channel_options.seed == net::ChannelOptions{}.seed) {
+    // Per-cell jitter stream by default, so a fleet of cells does not
+    // retry in lockstep.
+    BinaryWriter sw;
+    sw.PutString("tc.net-seed." + config_.cell_id);
+    Bytes digest = crypto::Sha256Hash(sw.Take());
+    uint64_t seed = 0;
+    for (int i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
+    channel_options.seed = seed;
+  }
+  if (!config_.resilient_sync) {
+    // An open circuit has nothing to send such a cell to (no outbox), and
+    // only CatchUp's drain waits one out, so it would never close again:
+    // the breaker stays closed and each call probes the provider within
+    // its own deadline and retry budget.
+    channel_options.breaker.failure_threshold =
+        std::numeric_limits<uint32_t>::max();
+  }
+  net::CloudTransport* transport =
+      config_.transport != nullptr ? config_.transport : &in_process_;
+  channel_ = std::make_unique<net::ResilientChannel>(transport, config_.owner,
+                                                     channel_options);
   if (config_.resilient_sync) {
-    net::ChannelOptions channel_options = config_.channel;
-    if (channel_options.seed == net::ChannelOptions{}.seed) {
-      // Per-cell jitter stream by default, so a fleet of cells does not
-      // retry in lockstep.
-      BinaryWriter sw;
-      sw.PutString("tc.net-seed." + config_.cell_id);
-      Bytes digest = crypto::Sha256Hash(sw.Take());
-      uint64_t seed = 0;
-      for (int i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
-      channel_options.seed = seed;
-    }
-    if (config_.transport != nullptr) {
-      channel_ = std::make_unique<net::ResilientChannel>(
-          config_.transport, config_.owner, channel_options);
-    } else {
-      channel_ = std::make_unique<net::ResilientChannel>(cloud_, config_.owner,
-                                                         channel_options);
-    }
     outbox_ = std::make_unique<net::Outbox>(store_.get());
     TC_RETURN_IF_ERROR(outbox_->Load());
     if (!outbox_->empty()) {
@@ -310,8 +320,17 @@ std::string TrustedCell::ManifestBlobId() const {
 // ---- Disconnected operation ----
 
 std::string TrustedCell::PushToken(const std::string& blob_id,
-                                   uint64_t version) const {
-  return config_.cell_id + "|" + blob_id + "|v" + std::to_string(version);
+                                   uint64_t version,
+                                   const Bytes& sealed) const {
+  // (blob, version) alone does not name one write: a call that fails after
+  // its push landed keeps the saved version, so the next call re-seals new
+  // content under the same version. Every pushed blob ends in the AEAD tag
+  // of its seal (a manifest wraps its sealed body last) — a keyed digest of
+  // nonce, AAD and content — so its tail tells such writes apart, while
+  // each retry and outbox drain of one write re-sends the same token.
+  const size_t tail = std::min<size_t>(sealed.size(), 8);
+  return config_.cell_id + "|" + blob_id + "|v" + std::to_string(version) +
+         "|" + HexEncode(Bytes(sealed.end() - tail, sealed.end()));
 }
 
 void TrustedCell::EnterDegraded() {
@@ -332,18 +351,14 @@ void TrustedCell::ExitDegraded() {
 
 Status TrustedCell::PushBlob(const std::string& blob_id, uint64_t version,
                              const Bytes& sealed) {
-  if (!channel_) {
-    cloud_->PutBlob(blob_id, sealed);
-    return Status::OK();
-  }
-  std::string token = PushToken(blob_id, version);
+  std::string token = PushToken(blob_id, version, sealed);
   // A queued older push of the same blob must never overtake this one:
   // supersede it in the outbox instead of racing it to the provider.
-  if (outbox_->FindByBlobId(blob_id) == nullptr) {
+  if (outbox_ == nullptr || outbox_->FindByBlobId(blob_id) == nullptr) {
     auto pushed = channel_->Put(blob_id, sealed, &token);
     if (pushed.ok()) return Status::OK();
-    if (!pushed.status().IsTransient() &&
-        !pushed.status().IsDeadlineExceeded()) {
+    if (outbox_ == nullptr || (!pushed.status().IsTransient() &&
+                               !pushed.status().IsDeadlineExceeded())) {
       return pushed.status();
     }
   }
@@ -368,12 +383,11 @@ Result<Bytes> TrustedCell::PullBlob(const std::string& blob_id) {
       return *queued_payload;
     }
   }
-  if (!channel_) return cloud_->GetBlob(blob_id);
   return channel_->Get(blob_id);
 }
 
 Status TrustedCell::CatchUp() {
-  if (!channel_ || outbox_->empty()) {
+  if (outbox_ == nullptr || outbox_->empty()) {
     ExitDegraded();
     return Status::OK();
   }
@@ -699,7 +713,8 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
 
   // Stable across every retry AND the outbox fallback: the provider's
   // txn-token table makes this logical update exactly-once.
-  const std::string token = PushToken("txn/" + meta.blob_id, meta.version);
+  const std::string token =
+      PushToken("txn/" + meta.blob_id, meta.version, sealed);
 
   // Degraded fallback: journal the whole transaction and succeed locally.
   // Used both when the provider is unreachable and when a commit's fate is
@@ -735,23 +750,18 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
     cloud::SnapshotDescriptor snap;
     uint64_t doc_base = 0;
     uint64_t manifest_base = 0;
-    if (channel_) {
-      auto got = channel_->GetSnapshot();
-      if (got.ok()) {
-        snap = std::move(*got);
-      } else if (got.status().IsTransient() ||
-                 got.status().IsDeadlineExceeded()) {
-        reachable = false;
-      } else {
-        return got.status();
-      }
+    auto got = channel_->GetSnapshot();
+    if (got.ok()) {
+      snap = std::move(*got);
+    } else if (got.status().IsTransient() ||
+               got.status().IsDeadlineExceeded()) {
+      reachable = false;
     } else {
-      snap = cloud_->GetSnapshot();
+      return got.status();
     }
     auto observe = [&](const std::string& id, uint64_t* base) -> Status {
       if (!reachable) return Status::OK();
-      auto read = channel_ ? channel_->GetAtSnapshot(id, snap)
-                           : cloud_->GetBlobAtSnapshot(id, snap);
+      auto read = channel_->GetAtSnapshot(id, snap);
       if (read.ok()) {
         *base = read->version;
         return Status::OK();
@@ -782,8 +792,7 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
     req.writes.push_back({meta.blob_id, sealed, doc_base});
     req.writes.push_back(
         {ManifestBlobId(), std::move(manifest_blob), manifest_base});
-    cloud::TxnOutcome outcome =
-        channel_ ? channel_->CommitTxn(req) : cloud_->CommitTxn(req);
+    cloud::TxnOutcome outcome = channel_->CommitTxn(req);
     if (outcome.committed) {
       TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
       while (tee_->CounterValue("manifest-seen") < manifest_version) {

@@ -142,17 +142,20 @@ class TrustedCell {
     /// use the same value to share a personal space; a cell created with
     /// the wrong value needs guardian recovery (CompleteRecovery).
     std::string enrollment_secret;
-    /// Route cloud traffic through a ResilientChannel (retry/backoff,
-    /// circuit breaker) backed by a LogStore-journaled outbox: a push the
-    /// provider cannot take goes to the outbox and the cell keeps working
-    /// in degraded local-only mode until CatchUp drains it. Off by
-    /// default — the direct path has zero added cost.
+    /// Every cell reaches the provider's blobs and transactions through a
+    /// ResilientChannel (retry/backoff, idempotent tokens). This decides
+    /// what happens when the provider stays unreachable: with it, the
+    /// write goes to a LogStore-journaled outbox, the channel's circuit
+    /// breaker may open, and the cell keeps working in degraded local-only
+    /// mode until CatchUp drains it; without it, the call fails and the
+    /// breaker never opens (there is no degraded mode to fall back to, so
+    /// every call probes the provider).
     bool resilient_sync = false;
     net::ChannelOptions channel;
-    /// When set (with resilient_sync), the cell's channel crosses this
-    /// transport (e.g. an rpc::SocketTransport to a provider in another
-    /// process) instead of calling the CloudInfrastructure in-process.
-    /// Not owned; must outlive the cell.
+    /// The transport the cell's channel crosses (e.g. an
+    /// rpc::SocketTransport to a provider in another process). Not owned;
+    /// must outlive the cell. Null = an InProcessTransport over the
+    /// `cloud` passed to Create, owned by the cell.
     net::CloudTransport* transport = nullptr;
   };
 
@@ -214,7 +217,8 @@ class TrustedCell {
   /// (bounded; the final abort is returned if contention never clears).
   /// With resilient_sync, an unreachable provider (or an unresolved
   /// commit) journals the whole transaction to the outbox — it drains
-  /// atomically in CatchUp under its original token.
+  /// atomically in CatchUp under its original token; without it, the
+  /// update fails kUnavailable.
   Status UpdateDocumentAtomic(const std::string& doc_id, const Bytes& content,
                               const policy::Policy* new_policy = nullptr);
 
@@ -260,8 +264,8 @@ class TrustedCell {
   /// the remainder and the cell stays degraded.
   Status CatchUp();
 
-  /// The resilient channel, when configured (tests and the fleet harness
-  /// inspect its stats and virtual clock).
+  /// The cell's channel to the provider (tests and harnesses inspect its
+  /// stats and virtual clock).
   net::ResilientChannel* net_channel() { return channel_.get(); }
 
   // ---- Secure sharing ----
@@ -426,13 +430,15 @@ class TrustedCell {
   void RecordIncident(IncidentType type, const std::string& object_id,
                       const std::string& detail);
   Result<Bytes> FetchAndOpen(const DocumentMeta& meta);
-  /// Idempotency token of a (blob, version) push — stable across retries,
-  /// restarts and outbox drains, so the provider applies it at most once.
-  std::string PushToken(const std::string& blob_id, uint64_t version) const;
-  /// Pushes a sealed blob: direct PutBlob without resilient_sync,
-  /// otherwise through the channel with fallback to the outbox (returns
-  /// OK and marks the cell degraded when the provider is unreachable —
-  /// the write is locally durable and will drain).
+  /// Idempotency token of one push of `sealed` as (blob, version) — stable
+  /// across retries, restarts and outbox drains, so the provider applies it
+  /// at most once; a re-seal of the same version gets a fresh token.
+  std::string PushToken(const std::string& blob_id, uint64_t version,
+                        const Bytes& sealed) const;
+  /// Pushes a sealed blob through the channel under its PushToken. With
+  /// resilient_sync, an unreachable provider sends it to the outbox
+  /// instead (returns OK and marks the cell degraded — the write is
+  /// locally durable and will drain).
   Status PushBlob(const std::string& blob_id, uint64_t version,
                   const Bytes& sealed);
   /// Fetches a blob, serving queued-but-unpushed blobs from the outbox
@@ -452,8 +458,9 @@ class TrustedCell {
   std::unique_ptr<storage::LogStore> store_;
   std::unique_ptr<db::Database> db_;
   std::unique_ptr<policy::AuditLog> audit_;
-  std::unique_ptr<net::ResilientChannel> channel_;  // resilient_sync only.
-  std::unique_ptr<net::Outbox> outbox_;             // resilient_sync only.
+  net::InProcessTransport in_process_;  // Used when Config.transport is null.
+  std::unique_ptr<net::ResilientChannel> channel_;
+  std::unique_ptr<net::Outbox> outbox_;  // resilient_sync only.
   bool degraded_ = false;
   obs::Stopwatch degraded_timer_;
   policy::DecisionPoint pdp_;

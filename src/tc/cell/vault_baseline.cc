@@ -7,8 +7,10 @@ Result<std::string> CentralizedVault::StoreDocument(
     const policy::Policy& policy) {
   std::string doc_id = "vault-" + std::to_string(next_id_++);
   std::string blob_id = "vault/" + owner + "/" + doc_id;
-  // Plaintext at the provider — that is the point of the baseline.
-  cloud_->PutBlob(blob_id, content);
+  // Plaintext at the provider — that is the point of the baseline. The
+  // vault IS a provider-side service: it uses the store directly, with no
+  // network between it and the data.
+  cloud_->blob_store().Put(blob_id, content);
   docs_[doc_id] = VaultDoc{owner, title, blob_id, policy};
   return doc_id;
 }
@@ -27,14 +29,14 @@ Result<Bytes> CentralizedVault::ReadDocument(
       return Status::PermissionDenied(decision.reason);
     }
   }
-  return cloud_->GetBlob(it->second.blob_id);
+  return cloud_->blob_store().Get(it->second.blob_id);
 }
 
 std::vector<std::tuple<std::string, std::string, Bytes>>
 CentralizedVault::BreachAll() const {
   std::vector<std::tuple<std::string, std::string, Bytes>> loot;
   for (const auto& [doc_id, doc] : docs_) {
-    auto content = cloud_->GetBlob(doc.blob_id);
+    auto content = cloud_->blob_store().Get(doc.blob_id);
     if (content.ok()) {
       loot.emplace_back(doc.owner, doc_id, *content);
     }

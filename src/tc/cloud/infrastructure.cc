@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "tc/obs/trace.h"
 
@@ -42,10 +43,6 @@ OverloadMetrics& GetOverloadMetrics() {
 }
 
 }  // namespace
-
-OverloadGate::OverloadGate(AdmissionController* controller) {
-  Enter(controller, CurrentOverloadContext().criticality);
-}
 
 OverloadGate::OverloadGate(AdmissionController* controller,
                            Criticality criticality) {
@@ -89,8 +86,7 @@ OverloadGate::~OverloadGate() {
 }
 
 CloudInfrastructure::Metrics::Metrics()
-    : put_us(obs::MetricRegistry::Global().GetHistogram("cloud.put_us")),
-      put_batch_us(
+    : put_batch_us(
           obs::MetricRegistry::Global().GetHistogram("cloud.put_batch_us")),
       get_us(obs::MetricRegistry::Global().GetHistogram("cloud.get_us")),
       send_us(obs::MetricRegistry::Global().GetHistogram("cloud.send_us")),
@@ -172,30 +168,44 @@ void CloudInfrastructure::ChargeLatency() const {
   std::this_thread::sleep_for(std::chrono::microseconds(options_.op_latency_us));
 }
 
-uint64_t CloudInfrastructure::PutBlob(const std::string& id,
-                                      const Bytes& data) {
-  // Child-only timed spans on the provider API: a traced operation above
-  // (cell op, fleet task) sees every cloud hop; un-traced hot-path use is
-  // trace-inert but still feeds the latency histogram, and span + timer
-  // share one pair of clock reads.
-  obs::TraceSpan span(obs::kChildOnly, "cloud", "put", id, &metrics_.put_us);
-  ChargeLatency();
-  stats_.blob_puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_in.fetch_add(data.size(), std::memory_order_relaxed);
-  return blobs_.Put(id, data);
-}
-
-std::vector<uint64_t> CloudInfrastructure::PutBlobBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items) {
-  obs::TraceSpan span(obs::kChildOnly, "cloud", "put_batch",
-                      std::to_string(items.size()) + " blobs",
-                      &metrics_.put_batch_us);
-  ChargeLatency();  // One round-trip for the whole batch.
-  uint64_t bytes = 0;
-  for (const auto& [id, data] : items) bytes += data.size();
-  stats_.blob_puts.fetch_add(items.size(), std::memory_order_relaxed);
-  stats_.bytes_in.fetch_add(bytes, std::memory_order_relaxed);
-  return blobs_.PutBatch(items);
+template <typename Apply>
+auto CloudInfrastructure::Serve(const RpcRoute& route, FaultDecision* decision,
+                                Apply&& apply) -> decltype(apply()) {
+  using Outcome = decltype(apply());
+  auto refuse = [](Status status) -> Outcome {
+    if constexpr (std::is_convertible_v<Status, Outcome>) {
+      return status;  // Result<T>.
+    } else {
+      Outcome outcome;
+      outcome.status = std::move(status);
+      return outcome;
+    }
+  };
+  if (NetworkFaultInjector* injector = fault_injector()) {
+    *decision = injector->Next(route.op);
+    if (!decision->clean()) metrics_.net_faults.Increment();
+  }
+  if (decision->outage || decision->throttled) {
+    metrics_.net_outages.Increment();
+    return refuse(Status::Unavailable(decision->outage ? "provider outage"
+                                                       : "provider throttled"));
+  }
+  const bool lost =
+      decision->drop_request ||
+      (route.loss == RpcLoss::kRead && decision->drop_ack) ||
+      (route.loss == RpcLoss::kAtomic && decision->item_seed != 0);
+  if (lost) {
+    return refuse(
+        Status::Unavailable(std::string(route.what) + " lost in flight"));
+  }
+  OverloadGate gate(admission_controller(),
+                    route.health ? Criticality::kCritical
+                                 : CurrentOverloadContext().criticality);
+  if (gate.shed()) return refuse(gate.status());
+  if (decision->cpu_burn_us != 0 && !route.health) {
+    BurnCpuUs(decision->cpu_burn_us);
+  }
+  return apply();
 }
 
 CloudInfrastructure::BatchPutOutcome CloudInfrastructure::PutBlobBatchRpc(
@@ -206,41 +216,29 @@ CloudInfrastructure::BatchPutOutcome CloudInfrastructure::PutBlobBatchRpc(
                       &metrics_.put_batch_us);
   ChargeLatency();  // One round-trip for the whole batch.
   BatchPutOutcome outcome;
-  outcome.versions.assign(items.size(), 0);
-  outcome.acked.assign(items.size(), 0);
   if (items.size() != tokens.size()) {
     outcome.status =
         Status::InvalidArgument("put batch: one token per item required");
-    return outcome;
+  } else {
+    FaultDecision decision;
+    outcome = Serve({NetOp::kPutBatch, RpcLoss::kBatch, "put batch"},
+                    &decision,
+                    [&] { return ApplyPutBatch(items, tokens, decision); });
+    outcome.delay_us = decision.delay_us;
+    outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
   }
+  // One (unacked) slot per item on the paths that never reached the store.
+  outcome.versions.resize(items.size());
+  outcome.acked.resize(items.size());
+  return outcome;
+}
 
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kPutBatch);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-  }
-  outcome.delay_us = decision.delay_us;
-  outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
-
-  if (decision.outage || decision.throttled) {
-    metrics_.net_outages.Increment();
-    outcome.status = Status::Unavailable(
-        decision.outage ? "provider outage" : "provider throttled the batch");
-    return outcome;
-  }
-  if (decision.drop_request) {
-    outcome.status = Status::Unavailable("batch lost before the provider");
-    return outcome;
-  }
-
-  // Overload plane: gate after the fault draw (so the injector's ordinal
-  // stream is identical plane on/off) and before any store work.
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) {
-    outcome.status = gate.status();
-    return outcome;
-  }
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
+CloudInfrastructure::BatchPutOutcome CloudInfrastructure::ApplyPutBatch(
+    const std::vector<std::pair<std::string, Bytes>>& items,
+    const std::vector<std::string>& tokens, const FaultDecision& decision) {
+  BatchPutOutcome outcome;
+  outcome.versions.assign(items.size(), 0);
+  outcome.acked.assign(items.size(), 0);
 
   // The batch (or the surviving part of a torn one) reaches the provider.
   // `keep` stays empty (meaning keep-all) on the clean path: no per-call
@@ -311,135 +309,109 @@ CloudInfrastructure::BatchPutOutcome CloudInfrastructure::PutBlobBatchRpc(
 
 Result<Bytes> CloudInfrastructure::GetBlobRpc(const std::string& id,
                                               uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
   FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kGet);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    // For a read, a lost request and a lost reply are indistinguishable to
-    // the caller and side-effect-free for the provider.
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("get lost in flight: " + id);
-    }
-  }
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) return gate.status();
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  return GetBlob(id);
+  Result<Bytes> read = Serve({NetOp::kGet, RpcLoss::kRead, "get"},
+                             &decision, [&] { return ReadLatest(id); });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return read;
 }
-
-namespace {
-
-// Shared fault envelope for telemetry delivery. The wire path delivers
-// encoded bytes and the in-process path delivers the frame itself; both see
-// the identical outage/loss/duplicate/ack-drop model, so `deliver` is the
-// only difference between the two overloads below. Telemetry *reports* run
-// at the submitter's criticality (normal by default — scrapes, not reports,
-// are the health-critical leg).
-template <typename Deliver>
-obs::TelemetryHub::ReportOutcome DeliverTelemetry(NetworkFaultInjector* injector,
-                                                  AdmissionController* admission,
-                                                  obs::Counter& net_faults,
-                                                  obs::Counter& net_outages,
-                                                  const Deliver& deliver,
-                                                  uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  obs::TelemetryHub::ReportOutcome outcome;
-  FaultDecision decision;
-  if (injector != nullptr) {
-    decision = injector->Next(NetOp::kTelemetry);
-    if (!decision.clean()) net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      net_outages.Increment();
-      outcome.status = Status::Unavailable(
-          decision.outage ? "provider outage" : "provider throttled");
-      return outcome;
-    }
-    // A frame is atomic: a torn-batch decision degrades to a lost request.
-    if (decision.drop_request || decision.item_seed != 0) {
-      outcome.status = Status::Unavailable("telemetry frame lost in flight");
-      return outcome;
-    }
-  }
-  OverloadGate gate(admission);
-  if (gate.shed()) {
-    outcome.status = gate.status();
-    return outcome;
-  }
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  outcome = deliver();
-  if (decision.duplicate) {
-    // Network-level retransmission: the hub sees the frame twice; the
-    // dedup table makes the second delivery a no-op.
-    deliver();
-  }
-  if (decision.drop_ack && outcome.status.ok()) {
-    // Applied, but the caller never learns it: the byte-identical retry
-    // will be answered from the dedup table.
-    outcome = obs::TelemetryHub::ReportOutcome{};
-    outcome.status = Status::Unavailable("telemetry ack lost in flight");
-    return outcome;
-  }
-  return outcome;
-}
-
-}  // namespace
 
 obs::TelemetryHub::ReportOutcome CloudInfrastructure::ReportTelemetryRpc(
     const Bytes& frame, uint32_t* delay_us) {
-  return DeliverTelemetry(
-      fault_injector(), admission_controller(), metrics_.net_faults,
-      metrics_.net_outages,
-      [&] { return telemetry_hub_.ReportEncoded(frame); }, delay_us);
-}
-
-obs::TelemetryHub::ReportOutcome CloudInfrastructure::ReportTelemetryRpc(
-    const obs::TelemetryFrame& frame, uint32_t* delay_us) {
-  return DeliverTelemetry(
-      fault_injector(), admission_controller(), metrics_.net_faults,
-      metrics_.net_outages, [&] { return telemetry_hub_.Report(frame); },
-      delay_us);
+  // Telemetry *reports* run at the submitter's criticality (normal by
+  // default — scrapes, not reports, are the health-critical leg).
+  FaultDecision decision;
+  obs::TelemetryHub::ReportOutcome outcome = Serve(
+      {NetOp::kTelemetry, RpcLoss::kAtomic, "telemetry frame"},
+      &decision, [&] {
+        obs::TelemetryHub::ReportOutcome applied =
+            telemetry_hub_.ReportEncoded(frame);
+        if (decision.duplicate) {
+          // Network-level retransmission: the hub sees the frame twice;
+          // the dedup table makes the second delivery a no-op.
+          telemetry_hub_.ReportEncoded(frame);
+        }
+        if (decision.drop_ack && applied.status.ok()) {
+          // Applied, but the caller never learns it: the byte-identical
+          // retry will be answered from the dedup table.
+          applied = obs::TelemetryHub::ReportOutcome{};
+          applied.status = Status::Unavailable("telemetry ack lost in flight");
+        }
+        return applied;
+      });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return outcome;
 }
 
 Result<std::string> CloudInfrastructure::ScrapeTelemetryRpc(
     uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    FaultDecision decision = injector->Next(NetOp::kTelemetry);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    // For a read, a lost request and a lost reply are indistinguishable to
-    // the caller and side-effect-free for the provider.
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("telemetry scrape lost in flight");
-    }
-  }
   // Health/telemetry scrapes are admission-critical: the operator must be
   // able to see an overloaded provider, so a scrape is never turned away
   // by the very controller it is observing (the deadline shed still
   // applies — a dead scrape is dead).
-  OverloadGate gate(admission_controller(), Criticality::kCritical);
-  if (gate.shed()) return gate.status();
-  return telemetry_hub_.ScrapeJson();
+  FaultDecision decision;
+  Result<std::string> json = Serve(
+      {NetOp::kTelemetry, RpcLoss::kRead, "telemetry scrape",
+       /*health=*/true},
+      &decision,
+      [&]() -> Result<std::string> { return telemetry_hub_.ScrapeJson(); });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return json;
 }
 
-SnapshotDescriptor CloudInfrastructure::GetSnapshot() const {
-  return blobs_.Snapshot();
+TxnOutcome CloudInfrastructure::CommitTxnRpc(const TxnRequest& req) {
+  // A shed txn returns before ApplyTxn, so the token table never records
+  // it — the client's retry under the same token executes fresh
+  // (replayed == false), which is what keeps shedding replay-safe.
+  FaultDecision decision;
+  TxnOutcome outcome = Serve(
+      {NetOp::kTxnCommit, RpcLoss::kAtomic, "txn"}, &decision, [&] {
+        TxnOutcome applied = ApplyTxn(req);
+        if (decision.duplicate && applied.committed) {
+          // Network retransmission: the provider sees the commit again and
+          // the txn-token table answers the copy with the original
+          // outcome. An aborted first delivery leaves no token record and
+          // no state change, so re-running its copy would abort
+          // identically — skip it.
+          ApplyTxn(req);
+        }
+        if (decision.drop_ack) {
+          // Applied (committed or aborted), but the caller never learns
+          // which. The retry under the same token is answered from the
+          // token table if it committed, and re-validated if it aborted.
+          applied = TxnOutcome{};
+          applied.status = Status::Unavailable("txn ack lost");
+        }
+        return applied;
+      });
+  outcome.delay_us = decision.delay_us;
+  outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
+  return outcome;
 }
 
-Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshot(
+Result<SnapshotDescriptor> CloudInfrastructure::GetSnapshotRpc(
+    uint32_t* delay_us) {
+  FaultDecision decision;
+  Result<SnapshotDescriptor> snap =
+      Serve({NetOp::kGet, RpcLoss::kRead, "snapshot request"},
+            &decision,
+            [&]() -> Result<SnapshotDescriptor> { return blobs_.Snapshot(); });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return snap;
+}
+
+Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshotRpc(
+    const std::string& id, const SnapshotDescriptor& snap,
+    uint32_t* delay_us) {
+  FaultDecision decision;
+  Result<SnapshotRead> read =
+      Serve({NetOp::kGet, RpcLoss::kRead, "snapshot get"}, &decision,
+            [&] { return ReadAtSnapshot(id, snap); });
+  if (delay_us != nullptr) *delay_us = decision.delay_us;
+  return read;
+}
+
+Result<SnapshotRead> CloudInfrastructure::ReadAtSnapshot(
     const std::string& id, const SnapshotDescriptor& snap) {
   obs::ScopedTimer timer(&metrics_.get_us);
   ChargeLatency();
@@ -449,7 +421,7 @@ Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshot(
   return read;
 }
 
-TxnOutcome CloudInfrastructure::CommitTxn(const TxnRequest& req) {
+TxnOutcome CloudInfrastructure::ApplyTxn(const TxnRequest& req) {
   obs::TraceSpan span(obs::kChildOnly, "cloud", "txn_commit", req.token,
                       &metrics_.txn_us);
   ChargeLatency();
@@ -470,112 +442,7 @@ TxnOutcome CloudInfrastructure::CommitTxn(const TxnRequest& req) {
   return outcome;
 }
 
-TxnOutcome CloudInfrastructure::CommitTxnRpc(const TxnRequest& req) {
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kTxnCommit);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-  }
-  TxnOutcome outcome;
-  outcome.delay_us = decision.delay_us;
-  outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
-
-  if (decision.outage || decision.throttled) {
-    metrics_.net_outages.Increment();
-    outcome.status = Status::Unavailable(
-        decision.outage ? "provider outage" : "provider throttled the txn");
-    return outcome;
-  }
-  // A transaction is atomic by construction: the "torn batch" fault class
-  // cannot partially apply it, so it degrades to a lost request.
-  if (decision.drop_request || decision.item_seed != 0) {
-    outcome.status = Status::Unavailable("txn lost before the provider");
-    return outcome;
-  }
-
-  // Overload plane: a shed txn returns before CommitTxn, so the token
-  // table never records it — the client's retry under the same token
-  // executes fresh (replayed == false), which is what keeps shedding
-  // replay-safe.
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) {
-    outcome.status = gate.status();
-    return outcome;
-  }
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-
-  TxnOutcome applied = CommitTxn(req);
-  if (decision.duplicate && applied.committed) {
-    // Network retransmission: the provider sees the commit again and the
-    // txn-token table answers the copy with the original outcome. An
-    // aborted first delivery leaves no token record and no state change,
-    // so re-running its copy would abort identically — skip it.
-    CommitTxn(req);
-  }
-  applied.delay_us = outcome.delay_us;
-  applied.fault_ordinal = outcome.fault_ordinal;
-
-  if (decision.drop_ack) {
-    // Applied (committed or aborted), but the caller never learns which.
-    // The retry under the same token is answered from the token table if
-    // it committed, and re-validated if it aborted.
-    TxnOutcome lost;
-    lost.delay_us = outcome.delay_us;
-    lost.fault_ordinal = outcome.fault_ordinal;
-    lost.status = Status::Unavailable("txn ack lost");
-    return lost;
-  }
-  return applied;
-}
-
-Result<SnapshotDescriptor> CloudInfrastructure::GetSnapshotRpc(
-    uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kGet);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("snapshot request lost in flight");
-    }
-  }
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) return gate.status();
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  return blobs_.Snapshot();
-}
-
-Result<SnapshotRead> CloudInfrastructure::GetBlobAtSnapshotRpc(
-    const std::string& id, const SnapshotDescriptor& snap,
-    uint32_t* delay_us) {
-  if (delay_us != nullptr) *delay_us = 0;
-  FaultDecision decision;
-  if (NetworkFaultInjector* injector = fault_injector()) {
-    decision = injector->Next(NetOp::kGet);
-    if (!decision.clean()) metrics_.net_faults.Increment();
-    if (delay_us != nullptr) *delay_us = decision.delay_us;
-    if (decision.outage || decision.throttled) {
-      metrics_.net_outages.Increment();
-      return Status::Unavailable(decision.outage ? "provider outage"
-                                                 : "provider throttled");
-    }
-    if (decision.drop_request || decision.drop_ack) {
-      return Status::Unavailable("snapshot get lost in flight: " + id);
-    }
-  }
-  OverloadGate gate(admission_controller());
-  if (gate.shed()) return gate.status();
-  if (decision.cpu_burn_us != 0) BurnCpuUs(decision.cpu_burn_us);
-  return GetBlobAtSnapshot(id, snap);
-}
-
-Result<Bytes> CloudInfrastructure::GetBlob(const std::string& id) {
+Result<Bytes> CloudInfrastructure::ReadLatest(const std::string& id) {
   obs::TraceSpan span(obs::kChildOnly, "cloud", "get", id, &metrics_.get_us);
   ChargeLatency();
   stats_.blob_gets.fetch_add(1, std::memory_order_relaxed);

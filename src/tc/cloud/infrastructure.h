@@ -46,10 +46,9 @@ namespace tc::cloud {
 /// schedules stay replayable across configurations).
 class OverloadGate {
  public:
-  /// Criticality read from the calling thread's OverloadContext.
-  explicit OverloadGate(AdmissionController* controller);
-  /// Criticality forced by the endpoint (health/scrape paths pass
-  /// kCritical regardless of what the client marked).
+  /// `criticality` is the request's class: the calling thread's
+  /// OverloadContext, or kCritical forced by a health/scrape endpoint
+  /// whatever the client marked.
   OverloadGate(AdmissionController* controller, Criticality criticality);
   ~OverloadGate();
 
@@ -123,6 +122,11 @@ struct CloudStats {
 /// this layer (it IS the provider); the E8 experiment measures how reliably
 /// the cells' cryptographic checks convict it.
 ///
+/// Cells reach the blob store, the transaction engine and the telemetry hub
+/// only through the RPC-suffixed endpoints, which net::CloudTransport wraps
+/// (in-process or over a socket). The plain blob reads below are oracle
+/// reads of provider state for harnesses and audits, not cell traffic.
+///
 /// Thread safety: every public method may be called concurrently. Blobs and
 /// message queues are sharded across lock-striped partitions (hash of blob
 /// id / recipient), counters are atomics snapshotted on read, and the
@@ -132,8 +136,9 @@ struct CloudStats {
 /// interleaving never perturbs another shard's stream).
 ///
 /// Observability (tc::obs global registry):
-///   cloud.put_us / cloud.put_batch_us / cloud.get_us /
-///   cloud.send_us / cloud.receive_us        histograms, per-op latency
+///   cloud.put_batch_us / cloud.get_us /
+///   cloud.txn_us / cloud.send_us /
+///   cloud.receive_us                        histograms, per-op latency
 ///                                           (includes simulated RTT)
 ///   cloud.adversary.*                       counters, ground-truth events
 ///   cloud.blob_lock_contention /
@@ -144,7 +149,7 @@ class CloudInfrastructure {
     size_t blob_shards = BlobStore::kDefaultShards;
     size_t queue_shards = BlobStore::kDefaultShards;
     /// Simulated provider round-trip charged to each blob/messaging
-    /// operation (once per *batch* for PutBlobBatch — the whole point of
+    /// operation (once per *batch* for PutBlobBatchRpc — the whole point of
     /// client-side batching). 0 = in-process, no delay. Slept outside all
     /// locks, so concurrent callers overlap their waits exactly as real
     /// cells overlap WAN round-trips.
@@ -171,9 +176,7 @@ class CloudInfrastructure {
   };
 
   /// Attaches (or detaches, with nullptr) the network fault injector the
-  /// RPC-suffixed endpoints consult. Not owned; must outlive its use. The
-  /// plain endpoints below never consult it — only traffic that opts into
-  /// the RPC surface experiences network faults.
+  /// RPC-suffixed endpoints consult. Not owned; must outlive its use.
   void set_fault_injector(NetworkFaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
@@ -203,28 +206,31 @@ class CloudInfrastructure {
   BatchPutOutcome PutBlobBatchRpc(
       const std::vector<std::pair<std::string, Bytes>>& items,
       const std::vector<std::string>& tokens);
-  /// Latest blob over the faulty network; `delay_us`, when non-null,
-  /// receives the injected delay to charge to the caller's virtual clock.
+  /// Latest blob over the faulty network — possibly tampered or rolled
+  /// back by the adversary; `delay_us`, when non-null, receives the
+  /// injected delay to charge to the caller's virtual clock.
   Result<Bytes> GetBlobRpc(const std::string& id, uint32_t* delay_us = nullptr);
 
   // ---- Provider transactions (MVCC) ----
   // Multi-key atomic commit with snapshot-validated read/write sets; see
-  // BlobStore::CommitTxn for semantics. The Rpc variants consult the fault
-  // injector: a txn is atomic by construction, so a "torn batch" decision
-  // degrades to a lost request (no partial application is possible), a
-  // lost ack leaves the commit applied and the retry is answered from the
-  // txn-token table, and a network duplicate is delivered twice — the
-  // second copy replays the first's outcome when it committed, and
-  // re-validates (against the store state the first left untouched) when
-  // it aborted.
+  // BlobStore::CommitTxn for semantics. A txn is atomic by construction, so
+  // a "torn batch" decision degrades to a lost request (no partial
+  // application is possible), a lost ack leaves the commit applied and the
+  // retry is answered from the txn-token table, and a network duplicate is
+  // delivered twice — the second copy replays the first's outcome when it
+  // committed, and is skipped when it aborted (re-validating against the
+  // untouched store would abort identically).
 
-  /// Snapshot of the committed horizon (direct provider call).
-  SnapshotDescriptor GetSnapshot() const;
-  /// Direct commit, no network between caller and provider.
-  TxnOutcome CommitTxn(const TxnRequest& req);
-  /// Newest version of `id` visible in `snap` (direct provider call).
-  Result<SnapshotRead> GetBlobAtSnapshot(const std::string& id,
-                                         const SnapshotDescriptor& snap);
+  /// Commit over the faulty network; outcome.delay_us carries the injected
+  /// delay to charge to the caller's virtual clock.
+  TxnOutcome CommitTxnRpc(const TxnRequest& req);
+  /// Snapshot acquisition over the faulty network (read-class faults).
+  Result<SnapshotDescriptor> GetSnapshotRpc(uint32_t* delay_us = nullptr);
+  /// Snapshot read over the faulty network (read-class faults).
+  Result<SnapshotRead> GetBlobAtSnapshotRpc(const std::string& id,
+                                            const SnapshotDescriptor& snap,
+                                            uint32_t* delay_us = nullptr);
+
   // ---- Fleet telemetry (RPC surface) ----
   // Cells ship sequence-numbered obs::TelemetryFrame deltas; the hub's
   // per-source dedup table (same idempotency pattern as the blob token
@@ -238,36 +244,16 @@ class CloudInfrastructure {
   /// delay_us, when non-null, receives the injected delay.
   obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
       const Bytes& frame, uint32_t* delay_us = nullptr);
-  /// In-process locality fast path: same fault model, no codec round-trip.
-  /// Cells colocated with the hub report the frame itself; only real wire
-  /// transports pay encode/decode.
-  obs::TelemetryHub::ReportOutcome ReportTelemetryRpc(
-      const obs::TelemetryFrame& frame, uint32_t* delay_us = nullptr);
   /// Scrapes the fleet telemetry JSON over the faulty network
   /// (read-class faults).
   Result<std::string> ScrapeTelemetryRpc(uint32_t* delay_us = nullptr);
-  /// The provider-side aggregation point (direct access for harnesses and
-  /// the in-process transport's report/scrape fast paths).
+  /// The provider-side aggregation point (direct access for harnesses).
   obs::TelemetryHub& telemetry_hub() { return telemetry_hub_; }
 
-  /// Commit over the faulty network; outcome.delay_us carries the injected
-  /// delay to charge to the caller's virtual clock.
-  TxnOutcome CommitTxnRpc(const TxnRequest& req);
-  /// Snapshot acquisition over the faulty network (read-class faults).
-  Result<SnapshotDescriptor> GetSnapshotRpc(uint32_t* delay_us = nullptr);
-  /// Snapshot read over the faulty network (read-class faults).
-  Result<SnapshotRead> GetBlobAtSnapshotRpc(const std::string& id,
-                                            const SnapshotDescriptor& snap,
-                                            uint32_t* delay_us = nullptr);
-
-  // ---- Blob storage ----
-  uint64_t PutBlob(const std::string& id, const Bytes& data);
-  /// Stores a batch of blobs in one round-trip; returns versions in input
-  /// order. Shard locks are taken at most once per batch.
-  std::vector<uint64_t> PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items);
-  /// Latest blob — possibly tampered or rolled back by the adversary.
-  Result<Bytes> GetBlob(const std::string& id);
+  // ---- Direct reads of provider state ----
+  // No injector, no gate, no adversary: oracle reads for audits and tests
+  // (and TrustedCell's catch-up read-back and manifest-version probe, which
+  // have no CloudTransport operation yet).
   Result<Bytes> GetBlobVersion(const std::string& id, uint64_t version);
   Result<uint64_t> LatestBlobVersion(const std::string& id) const;
   std::vector<std::string> ListBlobs(const std::string& prefix) const;
@@ -290,6 +276,8 @@ class CloudInfrastructure {
   /// flipping probabilities mid-run keeps the run reproducible.
   void set_adversary(const AdversaryConfig& config);
 
+  /// The store itself: ground truth for audits, oracles and services
+  /// modelled as running inside the provider.
   BlobStore& blob_store() { return blobs_; }
 
   /// Contended lock acquisitions on blob shards / queue shards since
@@ -337,7 +325,6 @@ class CloudInfrastructure {
   /// registry; the hot path only touches their relaxed atomics.
   struct Metrics {
     Metrics();
-    obs::Histogram& put_us;
     obs::Histogram& put_batch_us;
     obs::Histogram& get_us;
     obs::Histogram& send_us;
@@ -355,6 +342,50 @@ class CloudInfrastructure {
     obs::Gauge& blob_lock_contention;
     obs::Gauge& queue_lock_contention;
   };
+
+  /// How the network can lose an endpoint's request or its reply.
+  enum class RpcLoss : uint8_t {
+    /// Side-effect free: a lost reply is a lost request; nothing to tear.
+    kRead,
+    /// Applied whole: a lost ack still applies, a torn batch is lost.
+    kAtomic,
+    /// Applied per item: a lost ack still applies, a torn batch applies
+    /// the items that survived.
+    kBatch,
+  };
+  /// What differs between the endpoints' shared front half (see Serve).
+  struct RpcRoute {
+    NetOp op;
+    RpcLoss loss;
+    const char* what;  ///< Request noun for the kUnavailable messages.
+    /// Health scrape: admitted at kCritical whatever the caller marked, and
+    /// never charged slow-op CPU.
+    bool health = false;
+  };
+
+  /// The front half every *Rpc endpoint runs before touching the store:
+  /// draws `route`'s network fault decision into `*decision`, answers an
+  /// outage, a throttle or a request lost in flight with kUnavailable, then
+  /// opens the OverloadGate (after the draw, so the injector's ordinal
+  /// stream is identical plane on/off) and burns the slow-op CPU. Only an
+  /// admitted request reaches `apply`, whose outcome is returned; the gate
+  /// stays open until `apply` returns. Duplicates, lost acks and torn
+  /// batches past the gate are `apply`'s to model.
+  template <typename Apply>
+  auto Serve(const RpcRoute& route, FaultDecision* decision, Apply&& apply)
+      -> decltype(apply());
+
+  /// One delivery of a (possibly torn) batch to the token tables.
+  BatchPutOutcome ApplyPutBatch(
+      const std::vector<std::pair<std::string, Bytes>>& items,
+      const std::vector<std::string>& tokens, const FaultDecision& decision);
+  /// Latest blob — possibly tampered or rolled back by the adversary.
+  Result<Bytes> ReadLatest(const std::string& id);
+  /// Newest version of `id` visible in `snap`.
+  Result<SnapshotRead> ReadAtSnapshot(const std::string& id,
+                                      const SnapshotDescriptor& snap);
+  /// One delivery of `req` to the transaction engine.
+  TxnOutcome ApplyTxn(const TxnRequest& req);
 
   size_t QueueShardIndex(const std::string& recipient) const;
   std::unique_lock<std::mutex> LockQueueShard(const QueueShard& shard) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
-#include <optional>
 #include <thread>
 
 #include "tc/cloud/txn.h"
@@ -51,9 +49,9 @@ Result<uint64_t> DecodeCounter(const Bytes& data) {
 // process, so the global registry would fold every cell into a single
 // stream and the shipped deltas would double-count — mirrors counters and
 // histograms into the optional shared ground-truth registry, and ships
-// sequence-numbered delta frames through whichever leg the runner passes to
-// Ship(). All records bypass the global obs switch: the shipped frame is
-// this harness's product and must not change shape with the obs mode.
+// sequence-numbered encoded delta frames through the cell's channel. All
+// records bypass the global obs switch: the shipped frame is this harness's
+// product and must not change shape with the obs mode.
 class CellTelemetry {
  public:
   enum class ShipResult {
@@ -62,10 +60,6 @@ class CellTelemetry {
     kPending,  ///< Transient loss; the identical frame reships later.
     kFailed,   ///< Definitive failure (see last_error()).
   };
-  using SendFn =
-      std::function<obs::TelemetryHub::ReportOutcome(const Bytes&)>;
-  using SendFrameFn = std::function<obs::TelemetryHub::ReportOutcome(
-      const obs::TelemetryFrame&)>;
 
   CellTelemetry(const FleetOptions& options, const std::string& source)
       : enabled_(options.telemetry),
@@ -135,23 +129,15 @@ class CellTelemetry {
     registry_.GetGauge(name).SetAlways(v);
   }
 
-  /// One ship attempt: build (or re-take the pending) frame, encode, send.
-  /// An applied or duplicate answer acknowledges the frame; a transient
-  /// loss leaves it pending for a byte-identical retry.
-  ShipResult Ship(const SendFn& send) {
+  /// One ship attempt: build (or re-take the pending) frame, encode, send
+  /// through the channel's retry engine. An applied or duplicate answer
+  /// acknowledges the frame; a transient loss leaves it pending for a
+  /// byte-identical retry.
+  ShipResult Ship(net::ResilientChannel& channel) {
     uint64_t seq = 0;
     const Bytes* encoded = shipper_.BuildEncoded(&seq);
     if (encoded == nullptr) return ShipResult::kNothing;
-    return Resolve(send(*encoded), seq);
-  }
-
-  /// In-process leg: same protocol, but the frame crosses as an object —
-  /// no codec round-trip for a cell colocated with the hub.
-  ShipResult Ship(const SendFrameFn& send) {
-    const obs::TelemetryFrame* frame = shipper_.BuildPending();
-    if (frame == nullptr) return ShipResult::kNothing;
-    uint64_t seq = frame->seq;
-    return Resolve(send(*frame), seq);
+    return Resolve(channel.ReportTelemetry(*encoded), seq);
   }
 
   void Finish(FleetCellResult* result) const {
@@ -204,129 +190,12 @@ FleetRunner::FleetRunner(cloud::CloudInfrastructure* cloud,
                          const FleetOptions& options)
     : cloud_(cloud),
       options_(options),
+      in_process_(cloud),
+      transport_(options.transport != nullptr ? options.transport
+                                              : &in_process_),
       put_batch_us_(
           obs::MetricRegistry::Global().GetHistogram("fleet.put_batch_us")),
       get_us_(obs::MetricRegistry::Global().GetHistogram("fleet.get_us")) {}
-
-void FleetRunner::RunCell(size_t cell_index, FleetCellResult* result) {
-  Rng rng(MixSeed(options_.seed, cell_index));
-  result->cell_id = CellId(cell_index);
-
-  CellTelemetry telemetry(options_, result->cell_id);
-  const CellTelemetry::Timing t_put_us = telemetry.timing("tcell.put_batch_us");
-  const CellTelemetry::Timing t_get_us = telemetry.timing("tcell.get_us");
-  const CellTelemetry::Flow t_puts = telemetry.flow("tcell.puts");
-  const CellTelemetry::Flow t_gets = telemetry.flow("tcell.gets");
-  const CellTelemetry::Flow t_gets_ok = telemetry.flow("tcell.gets_ok");
-  const CellTelemetry::Flow t_sends = telemetry.flow("tcell.sends");
-  const CellTelemetry::Flow t_received = telemetry.flow("tcell.msgs_received");
-  // Direct-path telemetry leg: the provider's RPC surface, in-process. The
-  // frame crosses as an object — only real wire transports pay the codec.
-  CellTelemetry::SendFrameFn telemetry_leg =
-      [this](const obs::TelemetryFrame& frame) {
-        return cloud_->ReportTelemetryRpc(frame);
-      };
-
-  // The cell's view of its own acknowledged writes: latest version and
-  // payload per document. Only this cell writes its blob-id range, so an
-  // honest provider must reflect exactly this state back.
-  std::vector<uint64_t> acked_version(options_.docs_per_cell, 0);
-  std::vector<Bytes> acked_payload(options_.docs_per_cell);
-
-  std::vector<std::pair<std::string, Bytes>> batch;
-  for (size_t round = 0; round < options_.rounds_per_cell; ++round) {
-    // --- Batched sealed-blob push (one provider round-trip). ---
-    batch.clear();
-    for (size_t j = 0; j < options_.put_batch; ++j) {
-      size_t doc = (round * options_.put_batch + j) % options_.docs_per_cell;
-      batch.emplace_back(result->cell_id + "/doc" + std::to_string(doc),
-                         rng.NextBytes(options_.payload_bytes));
-    }
-    // Report latencies record unconditionally: the FleetReport is this
-    // harness's product and must not change shape with the obs switch.
-    obs::Stopwatch put_timer;
-    std::vector<uint64_t> versions = cloud_->PutBlobBatch(batch);
-    const uint64_t put_elapsed_us = put_timer.ElapsedUs();
-    put_batch_us_.RecordAlways(put_elapsed_us);
-    t_put_us.Record(put_elapsed_us);
-    result->puts += batch.size();
-    t_puts.Add(batch.size());
-    for (size_t j = 0; j < batch.size(); ++j) {
-      size_t doc = (round * options_.put_batch + j) % options_.docs_per_cell;
-      if (versions[j] != acked_version[doc] + 1) {
-        result->status = Status::Internal(
-            result->cell_id + ": non-monotonic version for doc" +
-            std::to_string(doc) + ": got " + std::to_string(versions[j]) +
-            " after " + std::to_string(acked_version[doc]));
-        return;
-      }
-      acked_version[doc] = versions[j];
-      acked_payload[doc] = batch[j].second;
-    }
-
-    // --- Metadata-first pulls over the already-written range. ---
-    size_t written = std::min((round + 1) * options_.put_batch,
-                              options_.docs_per_cell);
-    for (size_t g = 0; g < options_.gets_per_round; ++g) {
-      size_t doc = rng.NextBelow(written);
-      std::string blob_id = result->cell_id + "/doc" + std::to_string(doc);
-      obs::Stopwatch get_timer;
-      auto data = cloud_->GetBlob(blob_id);
-      const uint64_t get_elapsed_us = get_timer.ElapsedUs();
-      get_us_.RecordAlways(get_elapsed_us);
-      t_get_us.Record(get_elapsed_us);
-      ++result->gets;
-      t_gets.Add();
-      if (!data.ok()) {
-        result->status = data.status();
-        return;
-      }
-      t_gets_ok.Add();
-      if (options_.verify_reads && *data != acked_payload[doc]) {
-        result->status = Status::IntegrityViolation(
-            result->cell_id + ": read of doc" + std::to_string(doc) +
-            " does not match the acknowledged write");
-        return;
-      }
-    }
-
-    // --- Bus traffic: occasional aggregate to a peer, drain own inbox. ---
-    if (options_.cells > 1 && rng.NextBernoulli(options_.send_prob)) {
-      size_t peer = rng.NextBelow(options_.cells - 1);
-      if (peer >= cell_index) ++peer;  // Never self.
-      cloud_->Send(result->cell_id, CellId(peer), "aggregate",
-                   rng.NextBytes(32));
-      ++result->sends;
-      t_sends.Add();
-    }
-    const size_t received = cloud_->Receive(result->cell_id).size();
-    result->messages_received += received;
-    t_received.Add(received);
-
-    if (telemetry.Due(round) &&
-        telemetry.Ship(telemetry_leg) == CellTelemetry::ShipResult::kFailed) {
-      result->status = telemetry.last_error();
-      return;
-    }
-  }
-
-  // --- Telemetry flush: ship until the hub acknowledged everything. The
-  // direct path has no channel to tag, so the flush arms the thread-local
-  // OverloadContext itself: background class, shed first under overload.
-  OverloadContext flush_ctx;
-  flush_ctx.criticality = Criticality::kBackground;
-  ScopedOverloadContext flush_scope(flush_ctx);
-  for (size_t i = 0; telemetry.enabled() && i < options_.drain_attempts;
-       ++i) {
-    CellTelemetry::ShipResult shipped = telemetry.Ship(telemetry_leg);
-    if (shipped == CellTelemetry::ShipResult::kNothing) break;
-    if (shipped == CellTelemetry::ShipResult::kFailed) {
-      result->status = telemetry.last_error();
-      return;
-    }
-  }
-  telemetry.Finish(result);
-}
 
 void FleetRunner::HealOutage() {
   if (auto* injector = cloud_->fault_injector()) injector->ForceOutage(false);
@@ -338,7 +207,7 @@ void FleetRunner::HealOutage() {
       std::memory_order_release);
 }
 
-void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
+void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
   Rng rng(MixSeed(options_.seed, cell_index));
   result->cell_id = CellId(cell_index);
 
@@ -346,16 +215,7 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
   // Decorrelated jitter stream per cell, so retries do not synchronize.
   channel_options.seed = MixSeed(options_.seed ^ 0x6e65742d6a697474ULL,
                                  cell_index);
-  // Transport-explicit when the fleet was pointed at a wire (socket leg);
-  // the historical direct in-process path otherwise.
-  std::optional<net::ResilientChannel> channel_storage;
-  if (options_.transport != nullptr) {
-    channel_storage.emplace(options_.transport, result->cell_id,
-                            channel_options);
-  } else {
-    channel_storage.emplace(cloud_, result->cell_id, channel_options);
-  }
-  net::ResilientChannel& channel = *channel_storage;
+  net::ResilientChannel channel(transport_, result->cell_id, channel_options);
 
   CellTelemetry telemetry(options_, result->cell_id);
   const CellTelemetry::Timing t_put_us = telemetry.timing("tcell.put_batch_us");
@@ -367,12 +227,6 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
       telemetry.flow("tcell.gets_unavailable");
   const CellTelemetry::Flow t_sends = telemetry.flow("tcell.sends");
   const CellTelemetry::Flow t_received = telemetry.flow("tcell.msgs_received");
-  // Resilient telemetry leg: frames ride the channel's retry engine, so a
-  // lost ack reships the identical bytes and the hub dedups.
-  auto telemetry_leg = [&channel](const Bytes& frame) {
-    return channel.ReportTelemetry(frame);
-  };
-
   const size_t docs = options_.docs_per_cell;
   auto blob_of = [&](size_t doc) {
     return result->cell_id + "/doc" + std::to_string(doc);
@@ -389,6 +243,8 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
   std::vector<Bytes> pending_payload(docs);
   std::vector<std::string> pending_token(docs);
   uint64_t write_seq = 0;
+  // Set once any write of this cell goes unacked (see apply_acks).
+  bool lost_a_write = false;
 
   std::vector<std::pair<std::string, Bytes>> batch;
   std::vector<std::string> tokens;
@@ -408,15 +264,19 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
   };
 
   // Applies one PutBatch outcome to the per-doc slots. Returns false (and
-  // sets the cell status) on a version anomaly — an acked version must be
-  // strictly above the previous ack (not exactly +1: writes whose ack was
-  // lost legitimately consume versions).
+  // sets the cell status) on a version anomaly. Only this cell writes its
+  // blob-id range, and the channel re-sends a write under its own token,
+  // so while every write of the cell has been acked each ack must be
+  // exactly the previous ack + 1 — the check every clean run gets. Once a
+  // write went unacked it may still have landed and consumed a version,
+  // so from then on an ack only has to be strictly above the previous one.
   auto apply_acks =
       [&](const net::ResilientChannel::PutBatchResult& outcome) -> bool {
     for (size_t j = 0; j < batch.size(); ++j) {
       const size_t doc = doc_of[j];
       if (outcome.acked[j]) {
-        if (outcome.versions[j] <= acked_version[doc]) {
+        if (lost_a_write ? outcome.versions[j] <= acked_version[doc]
+                         : outcome.versions[j] != acked_version[doc] + 1) {
           result->status = Status::Internal(
               result->cell_id + ": non-monotonic version for doc" +
               std::to_string(doc) + ": got " +
@@ -430,6 +290,7 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
         // superseded it, the doc's newest write is now acked.
         has_pending[doc] = 0;
       } else {
+        lost_a_write = true;
         has_pending[doc] = 1;
         pending_payload[doc] = batch[j].second;
         pending_token[doc] = tokens[j];
@@ -532,7 +393,7 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
       }
     }
 
-    // --- Bus traffic: same pattern as the direct path. ---
+    // --- Bus traffic: occasional aggregate to a peer, drain own inbox. ---
     if (options_.cells > 1 && rng.NextBernoulli(options_.send_prob)) {
       size_t peer = rng.NextBelow(options_.cells - 1);
       if (peer >= cell_index) ++peer;  // Never self.
@@ -547,8 +408,7 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
 
     if (telemetry.Due(round)) {
       publish_gauges();
-      if (telemetry.Ship(telemetry_leg) ==
-          CellTelemetry::ShipResult::kFailed) {
+      if (telemetry.Ship(channel) == CellTelemetry::ShipResult::kFailed) {
         result->status = telemetry.last_error();
         return;
       }
@@ -610,18 +470,18 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
     }
   }
 
-  // --- Convergence: ground-truth read-back against the store itself
-  // (direct surface — the invariant is about provider *state*, and the
-  // network may still be lossy). Every acked write must be the latest.
-  // Skipped on a provably clean run (no injector, nothing ever deferred):
-  // there every round's verify already checked every read, and the audit
-  // would bill one provider RTT per doc to re-prove it. ---
+  // --- Convergence: ground-truth read-back against the store itself (an
+  // oracle read — the invariant is about provider *state*, not about what
+  // a possibly lossy or tampering network serves). Every acked write must
+  // be the latest. Skipped on a provably clean run (no injector, nothing
+  // ever deferred): there every round's verify already checked every
+  // read. ---
   if (pending_count() > 0) result->converged = false;
   const bool audit = cloud_->fault_injector() != nullptr ||
                      result->deferred > 0 || pending_count() > 0;
   for (size_t doc = 0; audit && doc < docs; ++doc) {
     if (acked_version[doc] == 0) continue;
-    auto data = cloud_->GetBlob(blob_of(doc));
+    auto data = cloud_->blob_store().Get(blob_of(doc));
     if (!data.ok()) {
       result->converged = false;
       result->status = Status::IntegrityViolation(
@@ -649,7 +509,7 @@ void FleetRunner::RunCellResilient(size_t cell_index, FleetCellResult* result) {
       channel.AdvanceVirtualTime(channel_options.breaker.open_cooldown_us);
     }
     publish_gauges();
-    CellTelemetry::ShipResult shipped = telemetry.Ship(telemetry_leg);
+    CellTelemetry::ShipResult shipped = telemetry.Ship(channel);
     if (shipped == CellTelemetry::ShipResult::kNothing) break;
     if (shipped == CellTelemetry::ShipResult::kFailed) {
       result->status = telemetry.last_error();
@@ -669,16 +529,7 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   net::ChannelOptions channel_options = options_.channel;
   channel_options.seed = MixSeed(options_.seed ^ 0x6e65742d6a697474ULL,
                                  cell_index);
-  std::optional<net::ResilientChannel> channel;
-  // A wire transport implies channel mode even when resilience was not
-  // asked for: the socket leg has no direct in-process shortcut.
-  if (options_.resilient || options_.transport != nullptr) {
-    if (options_.transport != nullptr) {
-      channel.emplace(options_.transport, result->cell_id, channel_options);
-    } else {
-      channel.emplace(cloud_, result->cell_id, channel_options);
-    }
-  }
+  net::ResilientChannel channel(transport_, result->cell_id, channel_options);
   cloud::TxnHistorySink* history = options_.history;
 
   // Builds one read-modify-write attempt from a fresh snapshot and reports
@@ -687,24 +538,17 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   auto build = [&](const std::vector<size_t>& keys, const std::string& token,
                    const std::string& attempt_id,
                    cloud::TxnRequest* req) -> Status {
-    cloud::SnapshotDescriptor snap;
-    if (channel) {
-      auto got = channel->GetSnapshot();
-      if (!got.ok()) return got.status();
-      snap = std::move(*got);
-    } else {
-      snap = cloud_->GetSnapshot();
-    }
+    auto snap = channel.GetSnapshot();
+    if (!snap.ok()) return snap.status();
     req->token = token;
-    req->snapshot = std::move(snap);
+    req->snapshot = std::move(*snap);
     req->reads.clear();
     req->writes.clear();
     for (size_t k : keys) {
       std::string id = SharedTxnKey(k);
       uint64_t version = 0;
       uint64_t value = 0;
-      auto read = channel ? channel->GetAtSnapshot(id, req->snapshot)
-                          : cloud_->GetBlobAtSnapshot(id, req->snapshot);
+      auto read = channel.GetAtSnapshot(id, req->snapshot);
       if (read.ok()) {
         version = read->version;
         auto decoded = DecodeCounter(read->data);
@@ -728,8 +572,7 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   enum class Fate { kCommitted, kAborted, kUnresolved, kFailed };
   auto send = [&](const cloud::TxnRequest& req,
                   const std::string& attempt_id) -> Fate {
-    cloud::TxnOutcome outcome =
-        channel ? channel->CommitTxn(req) : cloud_->CommitTxn(req);
+    cloud::TxnOutcome outcome = channel.CommitTxn(req);
     if (outcome.committed) {
       if (history != nullptr) {
         std::vector<std::pair<std::string, uint64_t>> writes;
@@ -756,8 +599,8 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   };
 
   auto wait_out_breaker = [&] {
-    if (channel && channel->degraded()) {
-      channel->AdvanceVirtualTime(channel_options.breaker.open_cooldown_us);
+    if (channel.degraded()) {
+      channel.AdvanceVirtualTime(channel_options.breaker.open_cooldown_us);
     }
   };
 
@@ -838,16 +681,16 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
   // terminates — bounded hard by drain_attempts regardless. Drain legs are
   // background class: under overload the provider sheds them before any
   // cell's foreground commits. ---
-  if (channel) channel->set_criticality(Criticality::kBackground);
+  channel.set_criticality(Criticality::kBackground);
   size_t drain_tries = 0;
   while (!carried.empty() && drain_tries < options_.drain_attempts) {
     ++drain_tries;
-    if (channel && drain_tries == options_.drain_attempts / 2) {
+    if (drain_tries == options_.drain_attempts / 2) {
       // Anti-starvation escalation: background sheds first by design, but
       // a drain that has burned half its budget on admission rejections is
       // being starved by its own fleet's foreground — promote the rest so
       // starvation stays bounded and every transaction still resolves.
-      channel->set_criticality(Criticality::kNormal);
+      channel.set_criticality(Criticality::kNormal);
     }
     TxnState& state = carried.back();
     Fate fate = step(state);
@@ -864,10 +707,8 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
         " transactions never committed after the drain");
     return;
   }
-  if (channel) {
-    result->retries = channel->stats().retries;
-    result->breaker_opens = channel->stats().breaker_opens;
-  }
+  result->retries = channel.stats().retries;
+  result->breaker_opens = channel.stats().breaker_opens;
 }
 
 Result<FleetReport> FleetRunner::Run() {
@@ -900,10 +741,9 @@ Result<FleetReport> FleetRunner::Run() {
     }
   }
   if (options_.outage_first_rounds > 0 &&
-      (!options_.resilient || cloud_->fault_injector() == nullptr)) {
+      cloud_->fault_injector() == nullptr) {
     return Status::InvalidArgument(
-        "fleet: a forced outage needs resilient mode and an attached "
-        "fault injector");
+        "fleet: a forced outage needs an attached fault injector");
   }
   if (options_.outage_first_rounds > 0 && options_.cells > options_.threads) {
     // The heal fires when the LAST cell passes its outage rounds, so every
@@ -936,10 +776,8 @@ Result<FleetReport> FleetRunner::Run() {
     bool accepted = pool.Submit([this, i, &report] {
       if (options_.txn_workload) {
         RunCellTxn(i, &report.cells[i]);
-      } else if (options_.resilient) {
-        RunCellResilient(i, &report.cells[i]);
       } else {
-        RunCell(i, &report.cells[i]);
+        RunCellBlobs(i, &report.cells[i]);
       }
     });
     if (!accepted) {
@@ -956,7 +794,7 @@ Result<FleetReport> FleetRunner::Run() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   pool.Shutdown();
-  // A task that threw bypassed RunCell's per-cell status capture entirely;
+  // A task that threw bypassed the per-cell status capture entirely;
   // surface it as a run-level failure rather than report corrupt totals.
   TC_RETURN_IF_ERROR(pool.first_error());
 
@@ -986,7 +824,7 @@ Result<FleetReport> FleetRunner::Run() {
       report.converged = false;
     }
   }
-  // Commit-exactness audit (ground truth, direct surface): every commit
+  // Commit-exactness audit (ground truth, read from the store): every commit
   // advanced each of its keys' counters by exactly 1 at exactly the next
   // version, so per key counter == version, and summed over keys the
   // version total equals commits * keys-per-txn. A duplicate application
@@ -998,7 +836,7 @@ Result<FleetReport> FleetRunner::Run() {
       auto latest = cloud_->LatestBlobVersion(id);
       if (!latest.ok()) continue;  // Never written: contributes 0.
       version_total += *latest;
-      auto blob = cloud_->GetBlob(id);
+      auto blob = cloud_->blob_store().Get(id);
       auto counter = blob.ok() ? DecodeCounter(*blob)
                                : Result<uint64_t>(blob.status());
       if (!counter.ok() || *counter != *latest) {

@@ -20,7 +20,13 @@ namespace tc::fleet {
 /// Each simulated cell reproduces the *traffic pattern* of a TrustedCell's
 /// outsourcing path (sealed-blob pushes, metadata-first pulls, bus
 /// messages) without the per-cell TEE/flash machinery, which is what lets a
-/// single host drive Linky-scale fleets against the provider.
+/// single host drive Linky-scale fleets against the provider. Like a
+/// TrustedCell, each talks to the provider through its own
+/// ResilientChannel over a net::CloudTransport (retry/backoff, idempotent
+/// tokens, circuit breaker), so the fleet survives an attached
+/// NetworkFaultInjector: a write the channel could not get acked stays in
+/// the cell's pending slot and is retried in later rounds and in an
+/// end-of-run drain; unavailable reads are counted, not failed.
 struct FleetOptions {
   size_t cells = 64;           ///< Simulated cells (one task each).
   size_t threads = 4;          ///< Worker threads sharing the cells.
@@ -36,27 +42,20 @@ struct FleetOptions {
   /// and fails the cell on mismatch — the per-cell error-propagation path.
   /// Leave off when running against a tampering adversary.
   bool verify_reads = true;
-  /// Resilient mode: each cell talks to the provider through its own
-  /// ResilientChannel over the RPC surface (retry/backoff, idempotent
-  /// tokens, circuit breaker), so the fleet survives an attached
-  /// NetworkFaultInjector. A write the channel could not get acked stays
-  /// in the cell's pending slot and is retried in later rounds and in an
-  /// end-of-run drain; unavailable reads are counted, not failed.
-  bool resilient = false;
   net::ChannelOptions channel;
-  /// When set (resilient/txn modes), every cell's channel speaks through
-  /// this transport instead of calling the shared CloudInfrastructure
-  /// in-process — e.g. an rpc::SocketTransport crossing real TCP to an
-  /// RpcServer. Not owned; must outlive the run. Implementations must be
-  /// thread-safe (every cell task calls concurrently). Bus traffic and
-  /// the ground-truth convergence audit intentionally stay on the direct
-  /// in-process path: they are the test's omniscient oracle, not cell
-  /// traffic.
+  /// The transport every cell's channel speaks through — e.g. an
+  /// rpc::SocketTransport crossing real TCP to an RpcServer. Not owned;
+  /// must outlive the run. Implementations must be thread-safe (every cell
+  /// task calls concurrently). Null = one InProcessTransport over the
+  /// runner's cloud, shared by all cells of the run. Bus traffic stays on
+  /// the CloudInfrastructure itself (it has no transport operation yet),
+  /// and the convergence and commit-exactness audits read the BlobStore:
+  /// they are the run's omniscient oracle, not cell traffic.
   net::CloudTransport* transport = nullptr;
-  /// With resilient mode and an attached injector: force a full provider
-  /// outage until every cell has completed this many rounds (the E14
-  /// partition-heals-and-converges phase). The heal is an all-cells
-  /// barrier, so this requires cells <= threads. 0 = no forced outage.
+  /// With an attached injector: force a full provider outage until every
+  /// cell has completed this many rounds (the E14 partition-heals-and-
+  /// converges phase). The heal is an all-cells barrier, so this requires
+  /// cells <= threads. 0 = no forced outage.
   size_t outage_first_rounds = 0;
   /// End-of-run drain: bounded attempts per cell to push its pending
   /// writes after the workload rounds.
@@ -68,12 +67,12 @@ struct FleetOptions {
   /// PRIVATE MetricRegistry — the simulated cells share one process, so
   /// recording into the global registry would fold every cell into a
   /// single stream and the shipped deltas would double-count — and ships
-  /// sequence-numbered delta frames to the provider's TelemetryHub:
-  /// through the cell's ResilientChannel in resilient mode (byte-identical
-  /// retries ride the breaker/backoff engine), directly over the RPC
-  /// surface otherwise. An end-of-run flush pushes until acked, so at
-  /// quiescence the hub aggregate equals the sum of what the cells
-  /// recorded. Blob workloads only; ignored by the txn workload.
+  /// sequence-numbered, encoded delta frames to the provider's
+  /// TelemetryHub through the cell's ResilientChannel (byte-identical
+  /// retries ride the breaker/backoff engine). An end-of-run flush pushes
+  /// until acked, so at quiescence the hub aggregate equals the sum of
+  /// what the cells recorded. Blob workloads only; ignored by the txn
+  /// workload.
   bool telemetry = false;
   /// Ship one frame every N rounds (and once more at the flush). 0 ships
   /// at the flush only.
@@ -112,7 +111,7 @@ struct FleetCellResult {
   uint64_t gets = 0;
   uint64_t sends = 0;
   uint64_t messages_received = 0;
-  // Resilient-mode outcome (all zero / true on the direct path).
+  // Channel outcome (all zero / true on a clean run).
   uint64_t retries = 0;           ///< Channel retry attempts.
   uint64_t deferred = 0;          ///< Writes left unacked by their round.
   uint64_t drained = 0;           ///< Pending writes acked by the drain.
@@ -160,7 +159,7 @@ struct FleetReport {
   FleetLatency get_latency;
   uint64_t blob_lock_contention = 0;   // Delta over the run.
   uint64_t queue_lock_contention = 0;  // Delta over the run.
-  // Resilient-mode aggregates.
+  // Channel aggregates.
   uint64_t retries = 0;
   uint64_t deferred = 0;
   uint64_t drained = 0;
@@ -194,8 +193,7 @@ class FleetRunner {
   Result<FleetReport> Run();
 
  private:
-  void RunCell(size_t cell_index, FleetCellResult* result);
-  void RunCellResilient(size_t cell_index, FleetCellResult* result);
+  void RunCellBlobs(size_t cell_index, FleetCellResult* result);
   void RunCellTxn(size_t cell_index, FleetCellResult* result);
   /// Called by the cell that completes the outage phase last: lifts the
   /// forced outage and stamps the heal time.
@@ -203,6 +201,8 @@ class FleetRunner {
 
   cloud::CloudInfrastructure* cloud_;
   FleetOptions options_;
+  net::InProcessTransport in_process_;
+  net::CloudTransport* transport_;  // options_.transport or &in_process_.
   obs::Histogram& put_batch_us_;
   obs::Histogram& get_us_;
   std::atomic<size_t> outage_passed_{0};

@@ -16,23 +16,10 @@ ResilientChannel::Metrics::Metrics()
           "net.retry_budget_denied")),
       pushbacks(obs::MetricRegistry::Global().GetCounter("net.pushbacks")) {}
 
-ResilientChannel::ResilientChannel(cloud::CloudInfrastructure* cloud,
-                                   std::string peer_id,
-                                   const ChannelOptions& options)
-    : cloud_(cloud),
-      owned_transport_(std::make_unique<InProcessTransport>(cloud)),
-      transport_(owned_transport_.get()),
-      peer_(std::move(peer_id)),
-      options_(options),
-      backoff_(options.backoff, options.seed),
-      breaker_(options.breaker),
-      retry_budget_(options.retry_budget) {}
-
 ResilientChannel::ResilientChannel(CloudTransport* transport,
                                    std::string peer_id,
                                    const ChannelOptions& options)
-    : cloud_(nullptr),
-      transport_(transport),
+    : transport_(transport),
       peer_(std::move(peer_id)),
       options_(options),
       backoff_(options.backoff, options.seed),

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include <memory>
-
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/overload.h"
 #include "tc/common/result.h"
@@ -85,15 +83,10 @@ class ResilientChannel {
     uint32_t attempts = 0;
   };
 
-  /// In-process channel (the historical default): wraps `cloud` in an
-  /// owned InProcessTransport.
-  ResilientChannel(cloud::CloudInfrastructure* cloud, std::string peer_id,
-                   const ChannelOptions& options);
-
-  /// Transport-explicit channel: every attempt goes through `transport`
-  /// (not owned; must outlive the channel). This is how a cell speaks to a
-  /// provider living in another process over TCP — same retry engine, same
-  /// token semantics, different wire.
+  /// Every attempt goes through `transport` (not owned; must outlive the
+  /// channel): an InProcessTransport for a provider in this process, a
+  /// socket transport for one in another — same retry engine, same token
+  /// semantics, different wire.
   ResilientChannel(CloudTransport* transport, std::string peer_id,
                    const ChannelOptions& options);
 
@@ -170,10 +163,6 @@ class ResilientChannel {
 
   const ChannelStats& stats() const { return stats_; }
   const std::string& peer() const { return peer_; }
-  /// The underlying cloud when reachable in-process; nullptr when the
-  /// channel speaks through a socket transport (the provider may be in
-  /// another process entirely).
-  cloud::CloudInfrastructure* cloud() { return cloud_; }
   CloudTransport* transport() { return transport_; }
 
  private:
@@ -201,8 +190,6 @@ class ResilientChannel {
   bool AllowRetry(uint32_t hint_us, const char* what, uint64_t* delay_us,
                   Status* denied);
 
-  cloud::CloudInfrastructure* cloud_;  // nullptr on the socket path.
-  std::unique_ptr<CloudTransport> owned_transport_;
   CloudTransport* transport_;
   std::string peer_;
   ChannelOptions options_;

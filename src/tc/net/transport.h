@@ -81,10 +81,10 @@ class CloudTransport {
   virtual std::string name() const = 0;
 };
 
-/// The historical fast path: every "RPC" is a direct call into the shared
-/// CloudInfrastructure object (which consults the attached
-/// NetworkFaultInjector on this surface). Deterministic, allocation-free,
-/// and the default for unit tests.
+/// The in-process transport: every "RPC" is a direct call into the shared
+/// CloudInfrastructure's RPC surface (which consults the attached
+/// NetworkFaultInjector and admission controller). Deterministic,
+/// allocation-free, and what a cell gets when no transport is configured.
 class InProcessTransport final : public CloudTransport {
  public:
   explicit InProcessTransport(cloud::CloudInfrastructure* cloud)
@@ -117,8 +117,6 @@ class InProcessTransport final : public CloudTransport {
     return cloud_->ScrapeTelemetryRpc(delay_us);
   }
   std::string name() const override { return "in-process"; }
-
-  cloud::CloudInfrastructure* cloud() { return cloud_; }
 
  private:
   cloud::CloudInfrastructure* cloud_;

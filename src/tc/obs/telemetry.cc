@@ -329,11 +329,6 @@ bool TelemetryShipper::BuildFrame(TelemetryFrame* frame) {
   return true;
 }
 
-const TelemetryFrame* TelemetryShipper::BuildPending() {
-  if (!EnsurePending()) return nullptr;
-  return &pending_frame_;
-}
-
 const Bytes* TelemetryShipper::BuildEncoded(uint64_t* seq_out) {
   if (!EnsurePending()) return nullptr;
   if (pending_encoded_.empty()) {

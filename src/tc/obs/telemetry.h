@@ -123,20 +123,13 @@ class TelemetryShipper {
   /// ship — no pending frame and an empty delta.
   bool BuildFrame(TelemetryFrame* frame);
 
-  /// Wire fast path: the pending frame's encoded bytes, cut once at build
-  /// time and returned verbatim until Acked — retries are byte-identical
+  /// The pending frame's encoded bytes, cut once at build time and
+  /// returned verbatim until Acked — retries are byte-identical
   /// without re-encoding (or copying the frame). Returns nullptr when
   /// there is nothing to ship; the pointer stays valid until the next
   /// BuildFrame/BuildEncoded/Acked call. `seq_out`, when non-null,
   /// receives the pending sequence number (what Acked expects).
   const Bytes* BuildEncoded(uint64_t* seq_out);
-
-  /// In-process fast path: the pending frame itself (cut if necessary), or
-  /// nullptr when there is nothing to ship. Reporters in the hub's own
-  /// process hand this straight to TelemetryHub::Report — no codec
-  /// round-trip, same retry-the-identical-frame contract. Valid until the
-  /// next BuildFrame/BuildEncoded/Acked call.
-  const TelemetryFrame* BuildPending();
 
   /// The hub acknowledged `seq` (applied or deduplicated — both advance).
   /// Acks for any other seq are ignored.

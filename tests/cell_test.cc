@@ -4,6 +4,7 @@
 
 #include "tc/cell/cell.h"
 #include "tc/cell/vault_baseline.h"
+#include "tc/net/transport.h"
 
 namespace tc::cell {
 namespace {
@@ -92,7 +93,7 @@ TEST_F(CellTest, PayloadInCloudIsCiphertext) {
   ASSERT_TRUE(doc_id.ok());
   auto meta = alice_gateway_->GetDocumentMeta(*doc_id);
   ASSERT_TRUE(meta.ok());
-  Bytes blob = *cloud_.GetBlob(meta->blob_id);
+  Bytes blob = *cloud_.blob_store().Get(meta->blob_id);
   std::string blob_str(blob.begin(), blob.end());
   EXPECT_EQ(blob_str.find("secret"), std::string::npos);
   EXPECT_EQ(blob_str.find("medical"), std::string::npos);
@@ -409,6 +410,98 @@ TEST_F(CellTest, CentralizedVaultBaselineContrasts) {
   auto loot = vault.BreachAll();
   ASSERT_EQ(loot.size(), 1u);
   EXPECT_EQ(ToString(std::get<2>(loot[0])), "dear diary");
+}
+
+/// Counts every call that crosses it, then hands the call to the provider
+/// in-process.
+class CountingTransport final : public net::CloudTransport {
+ public:
+  explicit CountingTransport(cloud::CloudInfrastructure* cloud)
+      : inner_(cloud) {}
+
+  BatchPutOutcome PutBlobBatch(
+      const std::vector<std::pair<std::string, Bytes>>& items,
+      const std::vector<std::string>& tokens) override {
+    ++put_batches;
+    put_items += items.size();
+    return inner_.PutBlobBatch(items, tokens);
+  }
+  Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override {
+    ++gets;
+    return inner_.GetBlob(id, delay_us);
+  }
+  Result<cloud::SnapshotDescriptor> GetSnapshot(uint32_t* delay_us) override {
+    ++snapshots;
+    return inner_.GetSnapshot(delay_us);
+  }
+  Result<cloud::SnapshotRead> GetAtSnapshot(
+      const std::string& id, const cloud::SnapshotDescriptor& snap,
+      uint32_t* delay_us) override {
+    ++snapshot_gets;
+    return inner_.GetAtSnapshot(id, snap, delay_us);
+  }
+  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req) override {
+    ++commits;
+    return inner_.CommitTxn(req);
+  }
+  obs::TelemetryHub::ReportOutcome ReportTelemetry(
+      const Bytes& frame, uint32_t* delay_us) override {
+    return inner_.ReportTelemetry(frame, delay_us);
+  }
+  Result<std::string> ScrapeTelemetry(uint32_t* delay_us) override {
+    return inner_.ScrapeTelemetry(delay_us);
+  }
+  std::string name() const override { return "counting"; }
+
+  uint64_t put_batches = 0;
+  uint64_t put_items = 0;
+  uint64_t gets = 0;
+  uint64_t snapshots = 0;
+  uint64_t snapshot_gets = 0;
+  uint64_t commits = 0;
+
+ private:
+  net::InProcessTransport inner_;
+};
+
+TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
+  // resilient_sync only decides what happens when the provider stays
+  // unreachable; a cell without it still speaks to the provider through
+  // its channel over Config.transport.
+  SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  CellDirectory directory;
+  CountingTransport transport(&cloud);
+  TrustedCell::Config config;
+  config.cell_id = "alice-gateway";
+  config.owner = "alice";
+  config.use_default_flash = false;
+  config.flash.page_size = 2048;
+  config.flash.pages_per_block = 16;
+  config.flash.block_count = 256;
+  config.resilient_sync = false;
+  config.transport = &transport;
+  auto created = TrustedCell::Create(config, &cloud, &directory, &clock);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TrustedCell& cell = **created;
+
+  auto doc_id = cell.StoreDocument("note", "memo", ToBytes("first"),
+                                   MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(cell.SyncPush().ok());
+  EXPECT_EQ(*cell.FetchDocument(*doc_id), ToBytes("first"));
+  ASSERT_TRUE(cell.UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
+  ASSERT_TRUE(cell.SyncPull().ok());
+
+  EXPECT_EQ(transport.put_batches, 2u);    // Document + manifest push.
+  EXPECT_EQ(transport.gets, 2u);           // Fetch + manifest pull.
+  EXPECT_EQ(transport.snapshots, 1u);      // The atomic update's snapshot,
+  EXPECT_EQ(transport.snapshot_gets, 2u);  // its two base reads
+  EXPECT_EQ(transport.commits, 1u);        // and its commit.
+  // Every blob the provider stored or served crossed the transport.
+  const cloud::CloudStats stats = cloud.stats();
+  EXPECT_EQ(stats.blob_puts, transport.put_items + 2);  // + 2 txn writes.
+  EXPECT_EQ(stats.blob_gets, transport.gets + transport.snapshot_gets);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tc/cell/cell.h"
 #include "tc/cloud/fault_injector.h"
@@ -55,7 +56,6 @@ FleetOptions ChaosFleet() {
   options.gets_per_round = 4;
   options.docs_per_cell = 16;
   options.payload_bytes = 64;
-  options.resilient = true;
   return options;
 }
 
@@ -400,6 +400,107 @@ TEST_F(CellChaosTest, OutboxSurvivesLossyNetwork) {
   EXPECT_EQ(cloud_.blob_store().versions_created(),
             cloud_.blob_store().tokens_applied() +
                 cloud_.blob_store().txn_writes_applied());
+}
+
+// Ordinal `lost` reaches the provider and applies, but its ack is lost;
+// every later attempt meets a dead provider. The op that draws `lost`
+// therefore fails on its deadline after its write landed.
+std::unique_ptr<NetworkFaultInjector> AckLostThenOutage(uint64_t lost) {
+  std::vector<cloud::FaultDecision> schedule;
+  cloud::FaultDecision ack_lost;
+  ack_lost.ordinal = lost;
+  ack_lost.drop_ack = true;
+  schedule.push_back(ack_lost);
+  for (uint64_t ordinal = lost + 1; ordinal < lost + 1000; ++ordinal) {
+    cloud::FaultDecision down;
+    down.ordinal = ordinal;
+    down.outage = true;
+    schedule.push_back(down);
+  }
+  return NetworkFaultInjector::FromSchedule(schedule);
+}
+
+TEST_F(CellChaosTest, UpdateAfterAnUnackedPushStoresTheNewContent) {
+  // A cell without an outbox fails an update whose push landed with its
+  // ack lost, so its saved version does not move and the next update
+  // re-seals that same version. Its push must store the new bytes, not be
+  // answered from the provider's dedupe table with the old ones.
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = phone->StoreDocument("note", "memo", ToBytes("first"),
+                                     cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  const std::string blob_id = phone->GetDocumentMeta(*doc_id)->blob_id;
+  const uint64_t before = *cloud_.LatestBlobVersion(blob_id);
+
+  auto faults = AckLostThenOutage(1);  // The update's only RPC: its put.
+  cloud_.set_fault_injector(faults.get());
+  EXPECT_FALSE(phone->UpdateDocument(*doc_id, ToBytes("acked late")).ok());
+  cloud_.set_fault_injector(&injector_);
+  EXPECT_EQ(faults->stats().drops_ack, 1u);
+  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), before + 1);  // It landed.
+
+  ASSERT_TRUE(phone->UpdateDocument(*doc_id, ToBytes("second")).ok());
+  EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
+  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), before + 2);
+  EXPECT_EQ(cloud_.blob_store().versions_created(),
+            cloud_.blob_store().tokens_applied() +
+                cloud_.blob_store().txn_writes_applied());
+}
+
+TEST_F(CellChaosTest, AtomicUpdateAfterAnUnresolvedCommitStoresTheNewContent) {
+  // The transaction form of the case above: the commit applied, its ack
+  // was lost and the retries ran into an outage, so the update failed and
+  // the next one reuses the version. Its commit must apply, not be
+  // answered from the provider's txn-token table.
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = phone->StoreDocument("note", "memo", ToBytes("first"),
+                                     cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  const std::string blob_id = phone->GetDocumentMeta(*doc_id)->blob_id;
+  const uint64_t before = *cloud_.LatestBlobVersion(blob_id);
+
+  // Ordinals 1-3 are the snapshot and its two base reads; 4 is the commit.
+  auto faults = AckLostThenOutage(4);
+  cloud_.set_fault_injector(faults.get());
+  EXPECT_FALSE(
+      phone->UpdateDocumentAtomic(*doc_id, ToBytes("acked late")).ok());
+  cloud_.set_fault_injector(&injector_);
+  EXPECT_EQ(faults->stats().drops_ack, 1u);
+  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), before + 1);  // Committed.
+
+  ASSERT_TRUE(phone->UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
+  EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
+  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), before + 2);
+  // The sibling follows the manifest the second commit published.
+  auto tablet = MakeCell("alice-tablet", /*resilient=*/false);
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  EXPECT_EQ(*tablet->FetchDocument(*doc_id), ToBytes("second"));
+  EXPECT_EQ(cloud_.blob_store().versions_created(),
+            cloud_.blob_store().tokens_applied() +
+                cloud_.blob_store().txn_writes_applied());
+}
+
+TEST_F(CellChaosTest, CellWithoutOutboxServesAgainOnceTheProviderIsBack) {
+  // Failing the call is the whole outage contract of a cell without an
+  // outbox: nothing may keep failing its calls once the provider is back.
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = phone->StoreDocument("note", "memo", ToBytes("first"),
+                                     cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+
+  injector_.ForceOutage(true);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(phone->FetchDocument(*doc_id).ok());
+  }
+  EXPECT_FALSE(phone->UpdateDocument(*doc_id, ToBytes("lost")).ok());
+  injector_.ForceOutage(false);
+
+  EXPECT_FALSE(phone->net_channel()->degraded());
+  auto fetched = phone->FetchDocument(*doc_id);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(*fetched, ToBytes("first"));
+  ASSERT_TRUE(phone->UpdateDocument(*doc_id, ToBytes("second")).ok());
+  EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
 }
 
 }  // namespace

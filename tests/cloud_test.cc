@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "tc/cloud/infrastructure.h"
+#include "tc/common/overload.h"
+#include "tc/obs/telemetry.h"
 
 namespace tc::cloud {
 namespace {
@@ -172,8 +176,8 @@ TEST(CloudTest, HonestMessaging) {
 TEST(CloudTest, HonestBlobsAreFaithful) {
   CloudInfrastructure cloud;
   Bytes data = ToBytes("sealed payload");
-  cloud.PutBlob("x", data);
-  EXPECT_EQ(*cloud.GetBlob("x"), data);
+  cloud.blob_store().Put("x", data);
+  EXPECT_EQ(*cloud.GetBlobRpc("x"), data);
   EXPECT_TRUE(cloud.BlobExists("x"));
   EXPECT_EQ(cloud.adversary_stats().reads_tampered, 0u);
 }
@@ -183,29 +187,29 @@ TEST(CloudTest, TamperingAdversaryCorruptsReads) {
   adversary.tamper_read_prob = 1.0;
   CloudInfrastructure cloud(adversary);
   Bytes data(100, 0x55);
-  cloud.PutBlob("x", data);
-  Bytes read = *cloud.GetBlob("x");
+  cloud.blob_store().Put("x", data);
+  Bytes read = *cloud.GetBlobRpc("x");
   EXPECT_NE(read, data);
   EXPECT_EQ(cloud.adversary_stats().reads_tampered, 1u);
   // The stored blob itself is intact; only reads are corrupted.
   adversary.tamper_read_prob = 0;
   cloud.set_adversary(adversary);
-  EXPECT_EQ(*cloud.GetBlob("x"), data);
+  EXPECT_EQ(*cloud.GetBlobRpc("x"), data);
 }
 
 TEST(CloudTest, RollbackAdversaryServesStaleVersions) {
   AdversaryConfig adversary;
   adversary.rollback_read_prob = 1.0;
   CloudInfrastructure cloud(adversary);
-  cloud.PutBlob("x", ToBytes("v1"));
-  cloud.PutBlob("x", ToBytes("v2"));
-  cloud.PutBlob("x", ToBytes("v3"));
-  Bytes read = *cloud.GetBlob("x");
+  cloud.blob_store().Put("x", ToBytes("v1"));
+  cloud.blob_store().Put("x", ToBytes("v2"));
+  cloud.blob_store().Put("x", ToBytes("v3"));
+  Bytes read = *cloud.GetBlobRpc("x");
   EXPECT_NE(read, ToBytes("v3"));
   EXPECT_GE(cloud.adversary_stats().reads_rolled_back, 1u);
   // Single-version blobs cannot be rolled back.
-  cloud.PutBlob("y", ToBytes("only"));
-  EXPECT_EQ(*cloud.GetBlob("y"), ToBytes("only"));
+  cloud.blob_store().Put("y", ToBytes("only"));
+  EXPECT_EQ(*cloud.GetBlobRpc("y"), ToBytes("only"));
 }
 
 TEST(CloudTest, DroppingAdversaryLosesMessages) {
@@ -249,8 +253,8 @@ TEST(CloudTest, AdversaryIsDeterministicForAFixedSeed) {
     Rng workload(5);
     for (int i = 0; i < 500; ++i) {
       std::string key = "k" + std::to_string(workload.NextBelow(8));
-      cloud.PutBlob(key, workload.NextBytes(24));
-      (void)cloud.GetBlob(key);
+      cloud.blob_store().Put(key, workload.NextBytes(24));
+      (void)cloud.GetBlobRpc(key);
       std::string to = "cell" + std::to_string(workload.NextBelow(4));
       cloud.Send("sender", to, "t", workload.NextBytes(8));
       (void)cloud.Receive(to);
@@ -274,12 +278,196 @@ TEST(CloudTest, ProbabilisticAdversaryRatesRoughlyMatch) {
   adversary.tamper_read_prob = 0.2;
   adversary.seed = 11;
   CloudInfrastructure cloud(adversary);
-  cloud.PutBlob("x", Bytes(64, 1));
+  cloud.blob_store().Put("x", Bytes(64, 1));
   const int n = 2000;
-  for (int i = 0; i < n; ++i) (void)cloud.GetBlob("x");
+  for (int i = 0; i < n; ++i) (void)cloud.GetBlobRpc("x");
   double rate =
       static_cast<double>(cloud.adversary_stats().reads_tampered) / n;
   EXPECT_NEAR(rate, 0.2, 0.04);
+}
+
+// ---------------------------------------------------------------------------
+// The RPC endpoints' shared front half: one table pins, per endpoint and per
+// fault class, the status returned, the provider-side effect and the single
+// injector draw. A refused request never reaches the store; a lost ack on a
+// write still applies; a duplicate applies once; a torn decision tears a
+// batch, loses an atomic write and is ignored by a read.
+// ---------------------------------------------------------------------------
+
+enum class Fault {
+  kClean,
+  kOutage,
+  kThrottle,
+  kDropRequest,
+  kDropAck,
+  kDuplicate,
+  kTorn,
+};
+constexpr Fault kFaults[] = {Fault::kClean,       Fault::kOutage,
+                             Fault::kThrottle,    Fault::kDropRequest,
+                             Fault::kDropAck,     Fault::kDuplicate,
+                             Fault::kTorn};
+
+FaultDecision MakeFault(Fault fault) {
+  FaultDecision d;
+  d.ordinal = 1;
+  switch (fault) {
+    case Fault::kClean:
+      break;
+    case Fault::kOutage:
+      d.outage = true;
+      break;
+    case Fault::kThrottle:
+      d.throttled = true;
+      break;
+    case Fault::kDropRequest:
+      d.drop_request = true;
+      break;
+    case Fault::kDropAck:
+      d.drop_ack = true;
+      break;
+    case Fault::kDuplicate:
+      d.duplicate = true;
+      break;
+    case Fault::kTorn:
+      d.item_seed = 7;
+      d.item_loss = 1.0;  // Every item of a batch is lost.
+      break;
+  }
+  return d;
+}
+
+struct EndpointCase {
+  const char* name;
+  /// One call of the endpoint against `cloud`; returns its status.
+  std::function<Status(CloudInfrastructure&)> call;
+  /// The provider-side effect the call left behind.
+  std::function<uint64_t(CloudInfrastructure&)> effect;
+  /// Per Fault (kFaults order): expected OK-ness and effect.
+  bool ok[7];
+  uint64_t effects[7];
+};
+
+Bytes TelemetryFrameBytes() {
+  obs::TelemetryFrame frame;
+  frame.source = "cell-a";
+  frame.seq = 1;
+  frame.delta.counters["tcell.puts"] = 3;
+  return obs::EncodeTelemetryFrame(frame);
+}
+
+std::vector<EndpointCase> EndpointCases() {
+  auto blob_gets = [](CloudInfrastructure& c) { return c.stats().blob_gets; };
+  auto none = [](CloudInfrastructure&) { return uint64_t{0}; };
+  return {
+      {"put_batch",
+       [](CloudInfrastructure& c) {
+         return c
+             .PutBlobBatchRpc({{"p/a", ToBytes("a")}, {"p/b", ToBytes("b")}},
+                              {"tok/a", "tok/b"})
+             .status;
+       },
+       [](CloudInfrastructure& c) {
+         // Minus the blob every case seeds directly into the store.
+         const uint64_t stored = c.blob_store().versions_created() - 1;
+         EXPECT_EQ(c.stats().blob_puts, stored);
+         return stored;
+       },
+       {true, false, false, false, false, true, false},
+       {2, 0, 0, 0, 2, 2, 0}},
+      {"get",
+       [](CloudInfrastructure& c) { return c.GetBlobRpc("g/x").status(); },
+       blob_gets,
+       {true, false, false, false, false, true, true},
+       {1, 0, 0, 0, 0, 1, 1}},
+      {"snapshot",
+       [](CloudInfrastructure& c) { return c.GetSnapshotRpc().status(); }, none,
+       {true, false, false, false, false, true, true},
+       {0, 0, 0, 0, 0, 0, 0}},
+      {"snapshot_get",
+       [](CloudInfrastructure& c) {
+         return c.GetBlobAtSnapshotRpc("g/x", c.blob_store().Snapshot())
+             .status();
+       },
+       blob_gets,
+       {true, false, false, false, false, true, true},
+       {1, 0, 0, 0, 0, 1, 1}},
+      {"txn_commit",
+       [](CloudInfrastructure& c) {
+         TxnRequest req;
+         req.token = "txn/1";
+         req.writes.push_back({"t/x", ToBytes("v"), kBaseVersionAny});
+         return c.CommitTxnRpc(req).status;
+       },
+       [](CloudInfrastructure& c) {
+         EXPECT_EQ(c.stats().txn_commits, c.blob_store().txns_committed());
+         return c.blob_store().txn_writes_applied();
+       },
+       {true, false, false, false, false, true, false},
+       {1, 0, 0, 0, 1, 1, 0}},
+      {"telemetry_report",
+       [](CloudInfrastructure& c) {
+         return c.ReportTelemetryRpc(TelemetryFrameBytes()).status;
+       },
+       [](CloudInfrastructure& c) {
+         return c.telemetry_hub().stats().applied;
+       },
+       {true, false, false, false, false, true, false},
+       {1, 0, 0, 0, 1, 1, 0}},
+      {"telemetry_scrape",
+       [](CloudInfrastructure& c) { return c.ScrapeTelemetryRpc().status(); },
+       none,
+       {true, false, false, false, false, true, true},
+       {0, 0, 0, 0, 0, 0, 0}},
+  };
+}
+
+TEST(CloudRpcTest, EveryEndpointMapsEachFaultClass) {
+  for (const EndpointCase& endpoint : EndpointCases()) {
+    for (size_t f = 0; f < std::size(kFaults); ++f) {
+      SCOPED_TRACE(std::string(endpoint.name) + " fault #" +
+                   std::to_string(f));
+      CloudInfrastructure cloud;
+      cloud.blob_store().Put("g/x", ToBytes("seeded"));
+      std::vector<FaultDecision> schedule;
+      if (kFaults[f] != Fault::kClean) {
+        schedule.push_back(MakeFault(kFaults[f]));
+      }
+      auto injector = NetworkFaultInjector::FromSchedule(schedule);
+      cloud.set_fault_injector(injector.get());
+
+      Status status = endpoint.call(cloud);
+      EXPECT_EQ(status.ok(), endpoint.ok[f]) << status.ToString();
+      if (!status.ok()) {
+        EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+      }
+      EXPECT_EQ(endpoint.effect(cloud), endpoint.effects[f]);
+      EXPECT_EQ(injector->ordinals_issued(), 1u);  // One draw per attempt.
+    }
+  }
+}
+
+TEST(CloudRpcTest, DeadlineShedFollowsTheFaultDraw) {
+  // The overload gate opens after the fault draw: an expired deadline is
+  // shed kDeadlineExceeded (scrapes included — a dead scrape is dead), yet
+  // the injector's ordinal stream advanced exactly as without the shed.
+  OverloadContext expired;
+  expired.budget_us = 1;
+  expired.armed_at_us = 1;
+  for (const EndpointCase& endpoint : EndpointCases()) {
+    SCOPED_TRACE(endpoint.name);
+    CloudInfrastructure cloud;
+    auto injector = NetworkFaultInjector::FromSchedule({});
+    cloud.set_fault_injector(injector.get());
+    Status status;
+    {
+      ScopedOverloadContext scope(expired);
+      status = endpoint.call(cloud);
+    }
+    EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+    EXPECT_EQ(injector->ordinals_issued(), 1u);
+    EXPECT_EQ(cloud.blob_store().versions_created(), 0u);
+  }
 }
 
 }  // namespace

@@ -165,9 +165,12 @@ TEST(CloudConcurrencyTest, MixedOpsKeepVersionsMonotonicAndStatsExact) {
         if (dice < 0.40) {
           // Payload is unique per (thread, op): lost or misfiled writes are
           // detectable by exact content comparison afterwards.
-          Bytes payload = ToBytes("t" + std::to_string(t) + "/op" +
-                                  std::to_string(op));
-          uint64_t version = cloud.PutBlob(key, payload);
+          const std::string write_id =
+              "t" + std::to_string(t) + "/op" + std::to_string(op);
+          Bytes payload = ToBytes(write_id);
+          auto put = cloud.PutBlobBatchRpc({{key, payload}}, {write_id});
+          ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+          uint64_t version = put.versions[0];
           // Per-key monotonicity, observed from one thread: every ack this
           // thread receives for a key must exceed its previous ack.
           auto [it, inserted] = my_latest.try_emplace(key, version);
@@ -178,7 +181,7 @@ TEST(CloudConcurrencyTest, MixedOpsKeepVersionsMonotonicAndStatsExact) {
           trace.bytes_in += payload.size();
           trace.puts.push_back({key, version, std::move(payload)});
         } else if (dice < 0.70) {
-          auto data = cloud.GetBlob(key);  // May be NotFound early on.
+          auto data = cloud.GetBlobRpc(key);  // May be NotFound early on.
           ++trace.gets;
           if (!data.ok()) {
             ASSERT_EQ(data.status().code(), StatusCode::kNotFound);
@@ -257,13 +260,15 @@ TEST(CloudConcurrencyTest, PutBlobBatchMatchesSequentialPuts) {
   std::vector<std::pair<std::string, Bytes>> batch = {
       {"a", ToBytes("a1")}, {"b", ToBytes("b1")}, {"a", ToBytes("a2")},
       {"c", ToBytes("c1")}};
-  std::vector<uint64_t> versions = cloud.PutBlobBatch(batch);
+  auto outcome = cloud.PutBlobBatchRpc(batch, {"t1", "t2", "t3", "t4"});
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  const std::vector<uint64_t>& versions = outcome.versions;
   ASSERT_EQ(versions.size(), 4u);
   EXPECT_EQ(versions[0], 1u);
   EXPECT_EQ(versions[1], 1u);
   EXPECT_EQ(versions[2], 2u);  // Same-id entries get consecutive versions.
   EXPECT_EQ(versions[3], 1u);
-  EXPECT_EQ(*cloud.GetBlob("a"), ToBytes("a2"));
+  EXPECT_EQ(*cloud.GetBlobRpc("a"), ToBytes("a2"));
   EXPECT_EQ(cloud.stats().blob_puts, 4u);
   EXPECT_EQ(cloud.stats().bytes_in, 8u);
 }
@@ -411,6 +416,54 @@ TEST(FleetRunnerTest, TamperingAdversaryPropagatesPerCellErrors) {
     EXPECT_EQ(cell.status.code(), StatusCode::kIntegrityViolation)
         << cell.cell_id;
   }
+}
+
+TEST(FleetRunnerTest, CleanRunAcksMustBeExactlyTheNextVersion) {
+  // Only a cell writes its own blob-id range, so on a run where every
+  // write is acked each ack is exactly the previous ack + 1. A foreign
+  // version slipped into one cell's range must convict that cell alone.
+  CloudInfrastructure cloud;
+  cloud.blob_store().Put("fleet/cell1/doc0", ToBytes("not from cell1"));
+  FleetOptions options;
+  options.cells = 4;
+  options.threads = 2;
+  options.rounds_per_cell = 2;
+  auto report = FleetRunner(&cloud, options).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->cells_failed, 1u);
+  for (const FleetCellResult& cell : report->cells) {
+    if (cell.cell_id == "fleet/cell1") {
+      EXPECT_EQ(cell.status.code(), StatusCode::kInternal);
+      EXPECT_NE(cell.status.message().find("non-monotonic version for doc0"),
+                std::string::npos)
+          << cell.status.ToString();
+    } else {
+      EXPECT_TRUE(cell.status.ok())
+          << cell.cell_id << ": " << cell.status.ToString();
+    }
+  }
+}
+
+TEST(FleetRunnerTest, TxnAuditReadsTheStoreNotTheAdversary) {
+  // The cells' snapshot reads are never tampered and the stored counters
+  // are honest, so the commit-exactness audit must pass even when every
+  // latest-blob read the provider serves is corrupted in flight.
+  cloud::AdversaryConfig adversary;
+  adversary.tamper_read_prob = 1.0;
+  CloudInfrastructure cloud(adversary);
+  FleetOptions options;
+  options.cells = 4;
+  options.threads = 2;
+  options.rounds_per_cell = 4;
+  options.txn_workload = true;
+  options.txn_shared_docs = 4;
+  options.txn_keys = 2;
+  auto report = FleetRunner(&cloud, options).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->cells_failed, 0u);
+  EXPECT_EQ(report->txns_committed, options.cells * options.rounds_per_cell);
+  EXPECT_TRUE(report->converged);
+  EXPECT_EQ(cloud.adversary_stats().reads_tampered, 0u);
 }
 
 }  // namespace

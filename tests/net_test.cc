@@ -224,13 +224,14 @@ TEST(ChannelTest, RetriesThroughDroppedRequests) {
   auto injector = ReplayOf({drop1, drop2});
   cloud.set_fault_injector(injector.get());
 
-  ResilientChannel channel(&cloud, "alice", ChannelOptions{});
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", ChannelOptions{});
   auto version = channel.Put("blob", ToBytes("payload"));
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, 1u);
   EXPECT_EQ(channel.stats().attempts, 3u);
   EXPECT_EQ(channel.stats().retries, 2u);
-  EXPECT_EQ(*cloud.GetBlob("blob"), ToBytes("payload"));
+  EXPECT_EQ(*cloud.blob_store().Get("blob"), ToBytes("payload"));
 }
 
 TEST(ChannelTest, LostAckRetriesDedupeUnderTheSameToken) {
@@ -240,7 +241,8 @@ TEST(ChannelTest, LostAckRetriesDedupeUnderTheSameToken) {
   auto injector = ReplayOf({lost_ack});
   cloud.set_fault_injector(injector.get());
 
-  ResilientChannel channel(&cloud, "alice", ChannelOptions{});
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", ChannelOptions{});
   std::string token = "alice|blob|v1";
   auto version = channel.Put("blob", ToBytes("once"), &token);
   ASSERT_TRUE(version.ok());
@@ -260,7 +262,8 @@ TEST(ChannelTest, NetworkDuplicateAppliesOnce) {
   auto injector = ReplayOf({duplicate});
   cloud.set_fault_injector(injector.get());
 
-  ResilientChannel channel(&cloud, "alice", ChannelOptions{});
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", ChannelOptions{});
   auto version = channel.Put("blob", ToBytes("payload"));
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, 1u);
@@ -282,7 +285,8 @@ TEST(ChannelTest, TornBatchIsCompletedItemByItem) {
   auto injector = ReplayOf(torn);
   cloud.set_fault_injector(injector.get());
 
-  ResilientChannel channel(&cloud, "alice", ChannelOptions{});
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", ChannelOptions{});
   std::vector<std::pair<std::string, Bytes>> items;
   for (int i = 0; i < 8; ++i) {
     items.emplace_back("doc" + std::to_string(i),
@@ -292,7 +296,7 @@ TEST(ChannelTest, TornBatchIsCompletedItemByItem) {
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(outcome.acked[i]);
-    EXPECT_EQ(*cloud.GetBlob("doc" + std::to_string(i)),
+    EXPECT_EQ(*cloud.blob_store().Get("doc" + std::to_string(i)),
               ToBytes("payload" + std::to_string(i)));
     // Retries of an acked item never re-apply: one version per item.
     EXPECT_EQ(*cloud.LatestBlobVersion("doc" + std::to_string(i)), 1u);
@@ -303,7 +307,8 @@ TEST(ChannelTest, TornBatchIsCompletedItemByItem) {
 
 TEST(ChannelTest, NonTransientErrorsAreAnswersNotNetworkFailures) {
   CloudInfrastructure cloud;
-  ResilientChannel channel(&cloud, "alice", ChannelOptions{});
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", ChannelOptions{});
   auto missing = channel.Get("never-stored");
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(channel.stats().attempts, 1u);  // No retry on kNotFound.
@@ -319,7 +324,8 @@ TEST(ChannelTest, DeadGoesDegradedThenRecovers) {
 
   ChannelOptions options;
   options.op_deadline_us = 20000;
-  ResilientChannel channel(&cloud, "alice", options);
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", options);
 
   // Every operation burns its deadline budget until the breaker trips
   // (3 consecutive op failures by default), then ops fail FAST.
@@ -345,7 +351,7 @@ TEST(ChannelTest, DeadGoesDegradedThenRecovers) {
   auto recovered = channel.Put("blob", ToBytes("back"));
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(channel.degraded());
-  EXPECT_EQ(*cloud.GetBlob("blob"), ToBytes("back"));
+  EXPECT_EQ(*cloud.blob_store().Get("blob"), ToBytes("back"));
 }
 
 TEST(ChannelTest, PartialBatchReportsPerItemTruth) {
@@ -360,7 +366,8 @@ TEST(ChannelTest, PartialBatchReportsPerItemTruth) {
 
   ChannelOptions options;
   options.op_deadline_us = 30000;
-  ResilientChannel channel(&cloud, "alice", options);
+  InProcessTransport transport(&cloud);
+  ResilientChannel channel(&transport, "alice", options);
 
   std::vector<std::pair<std::string, Bytes>> items;
   for (int i = 0; i < 8; ++i) {

@@ -252,7 +252,8 @@ TEST(RetryBudgetTest, ChannelCapsOutageAmplification) {
   options.retry_budget.capacity = 3.0;
   options.retry_budget.refill_per_success = 0.1;
   options.breaker.failure_threshold = 1000;  // Isolate the budget's effect.
-  net::ResilientChannel channel(&cloud, "budget-cell", options);
+  net::InProcessTransport transport(&cloud);
+  net::ResilientChannel channel(&transport, "budget-cell", options);
 
   const size_t kOps = 20;
   for (size_t i = 0; i < kOps; ++i) {
@@ -502,7 +503,7 @@ TEST(ShedBeforeExecuteTest, ExpiredPutNeverTouchesBlobStore) {
         << outcome.status.ToString();
   }
   // The shed happened BEFORE the store: no blob, no version, no token.
-  EXPECT_TRUE(cloud.GetBlob("dead/doc").status().IsNotFound());
+  EXPECT_TRUE(cloud.blob_store().Get("dead/doc").status().IsNotFound());
   EXPECT_EQ(cloud.blob_store().versions_created(), 0u);
   // The same token later executes fresh — nothing was recorded for it.
   auto retry = cloud.PutBlobBatchRpc({{"dead/doc", Bytes{1, 2, 3}}},
@@ -556,7 +557,7 @@ TEST(ShedBeforeExecuteTest, AdmissionRejectionCarriesHintAndSparesScrapes) {
       << outcome.status.ToString();
   EXPECT_TRUE(outcome.status.IsTransient());  // Retryable upstream.
   EXPECT_GT(TakeRetryAfterHint(), 0u);        // Backoff guidance rode along.
-  EXPECT_TRUE(cloud.GetBlob("full/doc").status().IsNotFound());
+  EXPECT_TRUE(cloud.blob_store().Get("full/doc").status().IsNotFound());
 
   // The telemetry scrape is critical-class: the controller it reports on
   // can never turn it away.
@@ -676,7 +677,7 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   hog.join();
   EXPECT_GE(server.stats().shed_expired, 1u);
   // Shed before execute: the victim's write never reached the store.
-  EXPECT_TRUE(cloud.GetBlob("victim/doc").status().IsNotFound());
+  EXPECT_TRUE(cloud.blob_store().Get("victim/doc").status().IsNotFound());
   server.Shutdown();
 }
 
@@ -710,7 +711,6 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   options.gets_per_round = 2;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
-  options.resilient = true;
   options.seed = 42;
   // 25% faults on top of admission shedding: the end-of-run drain needs
   // real headroom (it is background class until escalation kicks in).
@@ -737,7 +737,9 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   // Bounded recovery: the spike is over; a fresh client's first op clears
   // immediately (no metastable retry storm keeps the provider pinned).
   cloud.set_fault_injector(nullptr);
-  net::ResilientChannel after(&cloud, "after-spike", net::ChannelOptions{});
+  net::InProcessTransport after_transport(&cloud);
+  net::ResilientChannel after(&after_transport, "after-spike",
+                              net::ChannelOptions{});
   auto put = after.Put("recovery/doc", Bytes{1, 2, 3});
   EXPECT_TRUE(put.ok()) << put.status().ToString();
   EXPECT_EQ(after.stats().retries, 0u);
@@ -776,7 +778,6 @@ TEST(OverloadChaosTest, ShedTxnsStayExactlyOnceUnderAdmissionPressure) {
   options.cells = 8;
   options.threads = 8;
   options.rounds_per_cell = 6;
-  options.resilient = true;
   options.txn_workload = true;
   options.txn_shared_docs = 4;
   options.txn_keys = 2;
@@ -811,7 +812,9 @@ TEST(OverloadChaosTest, ShedTxnsStayExactlyOnceUnderAdmissionPressure) {
   // Bounded recovery: pressure off, a fresh commit clears on the first
   // attempt — shedding left no retry storm or poisoned limiter behind.
   cloud.set_fault_injector(nullptr);
-  net::ResilientChannel after(&cloud, "after-pressure", net::ChannelOptions{});
+  net::InProcessTransport after_transport(&cloud);
+  net::ResilientChannel after(&after_transport, "after-pressure",
+                              net::ChannelOptions{});
   cloud::TxnRequest req;
   req.token = "after-pressure/txn";
   req.writes.push_back({"after/key", Bytes{1}, cloud::kBaseVersionAny});

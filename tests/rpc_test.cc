@@ -472,7 +472,6 @@ TEST_F(RpcSocketTest, ResilientChannelSpeaksSocketTransport) {
   SocketTransport transport("127.0.0.1", server->port());
   net::ChannelOptions channel_options;
   net::ResilientChannel channel(&transport, "cellA", channel_options);
-  EXPECT_EQ(channel.cloud(), nullptr);  // Provider is "another process".
 
   std::string token = "cellA|doc|v1";
   auto v1 = channel.Put("cellA/doc", Bytes{1}, &token);
@@ -807,7 +806,6 @@ TEST_F(RpcSocketTest, FleetChaosSweepOverRealSocketsLosesNoAckedWrite) {
   options.gets_per_round = 2;
   options.payload_bytes = 64;
   options.send_prob = 0.0;
-  options.resilient = true;
   options.transport = &transport;
   options.seed = 99;
 

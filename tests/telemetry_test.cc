@@ -584,7 +584,6 @@ void RunTelemetryChaos(size_t cells, double rate, uint64_t seed) {
   options.gets_per_round = 2;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
-  options.resilient = true;
   options.seed = seed;
   options.transport = wire.transport();
   options.telemetry = true;
@@ -678,7 +677,6 @@ TEST(TelemetryChaosTest, CleanWireShipsEverythingOnce) {
   options.threads = 4;
   options.rounds_per_cell = 6;
   options.docs_per_cell = 8;
-  options.resilient = true;
   options.transport = wire.transport();
   options.telemetry = true;
   options.telemetry_every_rounds = 3;

@@ -54,17 +54,18 @@ TxnRequest MakeTxn(const std::string& token, const SnapshotDescriptor& snap) {
     }                                                           \
   } while (false)
 
-/// Builds a channel on the harness's socket transport when the wire leg is
-/// active, on the direct in-process path otherwise.
-std::unique_ptr<net::ResilientChannel> MakeChannel(
-    cloud::CloudInfrastructure* cloud, rpc::WireHarness& wire,
-    const std::string& peer, const net::ChannelOptions& options = {}) {
-  if (wire.transport() != nullptr) {
-    return std::make_unique<net::ResilientChannel>(wire.transport(), peer,
-                                                   options);
-  }
-  return std::make_unique<net::ResilientChannel>(cloud, peer, options);
-}
+/// A channel on the harness's socket transport when the wire leg is
+/// active, on an in-process transport otherwise.
+struct TestChannel {
+  TestChannel(cloud::CloudInfrastructure* cloud, rpc::WireHarness& wire,
+              const std::string& peer,
+              const net::ChannelOptions& options = {})
+      : in_process(cloud),
+        channel(wire.transport() != nullptr ? wire.transport() : &in_process,
+                peer, options) {}
+  net::InProcessTransport in_process;
+  net::ResilientChannel channel;
+};
 
 // ---------------------------------------------------------------------------
 // BlobStore MVCC unit tests.
@@ -410,8 +411,8 @@ TEST(ChannelTxnTest, LossyNetworkCommitsExactlyOncePerToken) {
 
   net::ChannelOptions options;
   options.op_deadline_us = 2000000;  // Generous: resolve every commit.
-  auto channel_ptr = MakeChannel(&cloud, wire, "cell-1", options);
-  net::ResilientChannel& channel = *channel_ptr;
+  TestChannel test_channel(&cloud, wire, "cell-1", options);
+  net::ResilientChannel& channel = test_channel.channel;
 
   const int kRounds = 20;
   int committed = 0;
@@ -465,14 +466,14 @@ TEST(ChannelTxnTest, LossyNetworkCommitsExactlyOncePerToken) {
 TEST(ChannelTxnTest, AbortIsDefinitiveAndDoesNotTripBreaker) {
   SKIP_IF_WIRE_LEG_IMPOSSIBLE();
   cloud::CloudInfrastructure cloud;
-  cloud.PutBlob("k", ToBytes("v1"));
+  cloud.blob_store().Put("k", ToBytes("v1"));
   rpc::WireHarness wire(&cloud);
-  auto channel_ptr = MakeChannel(&cloud, wire, "cell-1");
-  net::ResilientChannel& channel = *channel_ptr;
+  TestChannel test_channel(&cloud, wire, "cell-1");
+  net::ResilientChannel& channel = test_channel.channel;
 
   auto snap = channel.GetSnapshot();
   ASSERT_TRUE(snap.ok());
-  cloud.PutBlob("k", ToBytes("v2"));  // Concurrent writer wins.
+  cloud.blob_store().Put("k", ToBytes("v2"));  // Concurrent writer wins.
 
   TxnRequest req = MakeTxn("stale-txn", *snap);
   req.reads.push_back({"k", 1});
@@ -520,8 +521,8 @@ class CellTxnTest : public ::testing::Test {
     return std::move(*cell);
   }
 
-  /// Token-accounting invariant — valid only when every put in the run
-  /// was idempotent (resilient cells); direct PutBlob is tokenless.
+  /// Token-accounting invariant: every cell push carries an idempotency
+  /// token and every transaction write is counted by the txn engine.
   void ExpectStoreInvariant() {
     const BlobStore& store = cloud_.blob_store();
     EXPECT_EQ(store.versions_created(),
@@ -562,6 +563,7 @@ TEST_F(CellTxnTest, AtomicUpdatePublishesDataAndManifestTogether) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(*fetched, ToBytes("second draft"));
   EXPECT_EQ(tablet->GetDocumentMeta(*doc_id)->version, 2u);
+  ExpectStoreInvariant();
 }
 
 TEST_F(CellTxnTest, AtomicUpdateCanRebindThePolicy) {
@@ -579,6 +581,7 @@ TEST_F(CellTxnTest, AtomicUpdateCanRebindThePolicy) {
   // The rebound sticky policy still verifies: the owner read path checks
   // the policy MAC before unsealing.
   EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("jpeg bytes v2"));
+  ExpectStoreInvariant();
 }
 
 TEST_F(CellTxnTest, PartitionedAtomicUpdateJournalsWholeTxnAndDrains) {
@@ -762,14 +765,15 @@ TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
       ++saw_present;
 
       // Drain it: both writes land atomically under the original token.
-      TxnRequest req = MakeTxn(record.token, cloud.GetSnapshot());
+      TxnRequest req = MakeTxn(record.token, cloud.blob_store().Snapshot());
       for (const auto& write : record.txn_writes) {
         req.writes.push_back({write.blob_id, write.payload, kBaseVersionAny});
       }
-      TxnOutcome outcome = cloud.CommitTxn(req);
+      TxnOutcome outcome = cloud.CommitTxnRpc(req);
       ASSERT_TRUE(outcome.committed) << outcome.status.ToString();
-      EXPECT_EQ(*cloud.GetBlob("space/alice/doc/1"), doc_payload);
-      EXPECT_EQ(*cloud.GetBlob("space/alice/manifest"), manifest_payload);
+      EXPECT_EQ(*cloud.blob_store().Get("space/alice/doc/1"), doc_payload);
+      EXPECT_EQ(*cloud.blob_store().Get("space/alice/manifest"),
+                manifest_payload);
     }
     if (outbox.empty()) {
       // Nothing journaled → nothing drains → the provider never sees a
@@ -802,11 +806,11 @@ TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
   // First drain reaches the provider and commits...
   cloud::CloudInfrastructure cloud;
   const net::OutboxRecord& record = outbox.pending().begin()->second;
-  TxnRequest req = MakeTxn(record.token, cloud.GetSnapshot());
+  TxnRequest req = MakeTxn(record.token, cloud.blob_store().Snapshot());
   for (const auto& write : record.txn_writes) {
     req.writes.push_back({write.blob_id, write.payload, kBaseVersionAny});
   }
-  TxnOutcome first = cloud.CommitTxn(req);
+  TxnOutcome first = cloud.CommitTxnRpc(req);
   ASSERT_TRUE(first.committed);
   EXPECT_FALSE(first.replayed);
 
@@ -818,7 +822,7 @@ TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
 
   // The re-drain re-sends the identical request under the original token:
   // the provider replays the original outcome instead of re-applying.
-  TxnOutcome second = cloud.CommitTxn(req);
+  TxnOutcome second = cloud.CommitTxnRpc(req);
   ASSERT_TRUE(second.committed);
   EXPECT_TRUE(second.replayed);
   EXPECT_EQ(second.commit_seq, first.commit_seq);
