@@ -16,8 +16,12 @@
 #   4. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   5. check no generated build*/ tree is tracked or staged;
-#   6. run the obs export validator (quick bench run + trace JSON checks).
+#   5. build the benchmark (cellbench/) from this tree into build-cellbench/
+#      and run its output check, cellbench_flip_test: cellbench implements
+#      CloudTransport and reads ChannelStats, so a src/ change can break
+#      the benchmark while the main build still passes;
+#   6. check no generated build*/ tree is tracked or staged;
+#   7. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -36,6 +40,9 @@ build/tests/chaos_test \
   echo "ci: chaos schedule replay is NOT deterministic" >&2
   exit 1
 }
+cmake -S cellbench -B build-cellbench
+cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_test
+(cd build-cellbench && ctest --output-on-failure)
 scripts/check_tree_clean.sh
 scripts/validate_obs_export.sh
 echo "ci: all tier-1 checks passed"

@@ -264,9 +264,9 @@ Status TrustedCell::Init() {
   }
   if (!config_.resilient_sync) {
     // An open circuit has nothing to send such a cell to (no outbox), and
-    // only CatchUp's drain waits one out, so it would never close again:
-    // the breaker stays closed and each call probes the provider within
-    // its own deadline and retry budget.
+    // only CatchUp waits one out, so it would never close again: the
+    // breaker stays closed and each call probes the provider within its
+    // own deadline and retry budget.
     channel_options.breaker.failure_threshold =
         std::numeric_limits<uint32_t>::max();
   }
@@ -388,6 +388,9 @@ Result<Bytes> TrustedCell::PullBlob(const std::string& blob_id) {
 
 Status TrustedCell::CatchUp() {
   if (outbox_ == nullptr || outbox_->empty()) {
+    // Nothing to drain, but the circuit may have opened on reads: catch-up
+    // is the reconnection attempt, so the next call may probe.
+    channel_->WaitOutBreaker();
     ExitDegraded();
     return Status::OK();
   }
@@ -403,11 +406,8 @@ Status TrustedCell::CatchUp() {
   channel_->set_criticality(Criticality::kBackground);
   uint64_t drained = 0;
   while (!outbox_->empty()) {
-    if (channel_->degraded()) {
-      // Wait out the breaker cooldown on the virtual clock — catch-up is
-      // the reconnection attempt, it must be allowed to probe.
-      channel_->AdvanceVirtualTime(config_.channel.breaker.open_cooldown_us);
-    }
+    // Catch-up is the reconnection attempt: it must be allowed to probe.
+    channel_->WaitOutBreaker();
     const net::OutboxRecord& record = outbox_->pending().begin()->second;
     if (record.is_txn) {
       // A journaled whole-transaction drains through CommitTxn under its

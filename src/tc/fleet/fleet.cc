@@ -384,8 +384,8 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
       // Only a doc with no write in flight has a predictable latest
       // payload; a pending (or just-superseded) write may or may not have
       // landed yet.
-      if (options_.verify_reads && !has_pending[doc] &&
-          acked_version[doc] > 0 && *data != acked_payload[doc]) {
+      if (!has_pending[doc] && acked_version[doc] > 0 &&
+          *data != acked_payload[doc]) {
         result->status = Status::IntegrityViolation(
             result->cell_id + ": read of doc" + std::to_string(doc) +
             " does not match the acknowledged write");
@@ -446,10 +446,7 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
       // promote so the drain completes instead of starving out.
       channel.set_criticality(Criticality::kNormal);
     }
-    if (channel.degraded()) {
-      // Wait out the breaker cooldown on the virtual clock.
-      channel.AdvanceVirtualTime(channel_options.breaker.open_cooldown_us);
-    }
+    channel.WaitOutBreaker();
     batch.clear();
     tokens.clear();
     doc_of.clear();
@@ -489,8 +486,7 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
           " lost: " + data.status().ToString());
       return;
     }
-    if (options_.verify_reads && !has_pending[doc] &&
-        *data != acked_payload[doc]) {
+    if (!has_pending[doc] && *data != acked_payload[doc]) {
       result->converged = false;
       result->status = Status::IntegrityViolation(
           result->cell_id + ": final state of doc" + std::to_string(doc) +
@@ -505,9 +501,7 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
   // delta empties and the loop exits on kNothing. ---
   for (size_t i = 0; telemetry.enabled() && i < options_.drain_attempts;
        ++i) {
-    if (channel.degraded()) {
-      channel.AdvanceVirtualTime(channel_options.breaker.open_cooldown_us);
-    }
+    channel.WaitOutBreaker();
     publish_gauges();
     CellTelemetry::ShipResult shipped = telemetry.Ship(channel);
     if (shipped == CellTelemetry::ShipResult::kNothing) break;
@@ -598,12 +592,6 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
     return Fate::kFailed;
   };
 
-  auto wait_out_breaker = [&] {
-    if (channel.degraded()) {
-      channel.AdvanceVirtualTime(channel_options.breaker.open_cooldown_us);
-    }
-  };
-
   // One logical transaction's retry state. An abort rebuilds (fresh
   // snapshot, next attempt id, SAME token); an unresolved answer re-sends
   // the identical request; only a commit retires it.
@@ -617,7 +605,7 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
     std::string attempt_id;
   };
   auto step = [&](TxnState& state) -> Fate {
-    wait_out_breaker();
+    channel.WaitOutBreaker();
     if (!state.built) {
       state.attempt_id = result->cell_id + "/t" +
                          std::to_string(state.round) + "/a" +

@@ -26,7 +26,9 @@ namespace tc::fleet {
 /// tokens, circuit breaker), so the fleet survives an attached
 /// NetworkFaultInjector: a write the channel could not get acked stays in
 /// the cell's pending slot and is retried in later rounds and in an
-/// end-of-run drain; unavailable reads are counted, not failed.
+/// end-of-run drain; unavailable reads are counted, not failed. A fetched
+/// blob that differs from the cell's own acknowledged write fails the cell
+/// (the per-cell error-propagation path).
 struct FleetOptions {
   size_t cells = 64;           ///< Simulated cells (one task each).
   size_t threads = 4;          ///< Worker threads sharing the cells.
@@ -38,10 +40,6 @@ struct FleetOptions {
   size_t payload_bytes = 256;  ///< Sealed-payload size.
   double send_prob = 0.25;     ///< P(round also sends one bus message).
   uint64_t seed = 1;           ///< Per-cell streams derive from this.
-  /// Re-reads each fetched blob against the cell's own acknowledged writes
-  /// and fails the cell on mismatch — the per-cell error-propagation path.
-  /// Leave off when running against a tampering adversary.
-  bool verify_reads = true;
   net::ChannelOptions channel;
   /// The transport every cell's channel speaks through — e.g. an
   /// rpc::SocketTransport crossing real TCP to an RpcServer. Not owned;

@@ -75,7 +75,8 @@ class DeadlineBudget {
 };
 
 /// Client-side retry budget (the gRPC/SRE token bucket): every retry costs
-/// one token, every *successful operation* refills a fraction of one. In
+/// one token, every operation that reaches the provider (a success or a
+/// definitive answer) refills a fraction of one. In
 /// steady state retries are free; during a full provider outage the bucket
 /// drains and stays dry (no successes to refill it), capping the fleet's
 /// retry amplification at (initial + ops·refill)/ops ≈ 1× instead of the

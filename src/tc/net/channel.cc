@@ -30,20 +30,16 @@ std::string ResilientChannel::MintToken() {
   return peer_ + "/op" + std::to_string(next_token_seq_++);
 }
 
-OverloadContext ResilientChannel::AttemptContext(
-    const DeadlineBudget& budget) const {
-  OverloadContext ctx;
-  ctx.criticality = options_.criticality;
-  if (options_.propagate_deadline) ctx.budget_us = budget.remaining_us();
-  return ctx;
+void ResilientChannel::WaitOutBreaker() {
+  if (breaker_.state() != CircuitBreaker::State::kOpen) return;
+  const uint64_t probe_at_us =
+      breaker_.opened_at_us() + options_.breaker.open_cooldown_us;
+  if (virtual_now_us_ < probe_at_us) virtual_now_us_ = probe_at_us;
 }
 
 bool ResilientChannel::AllowRetry(uint32_t hint_us, const char* what,
                                   uint64_t* delay_us, Status* denied) {
-  if (hint_us != 0) {
-    ++stats_.pushbacks;
-    metrics_.pushbacks.Increment();
-  }
+  if (hint_us != 0) metrics_.pushbacks.Increment();
   if (!retry_budget_.TryRetry()) {
     ++stats_.retry_budget_denied;
     metrics_.retry_budget_denied.Increment();
@@ -65,18 +61,17 @@ bool ResilientChannel::AllowRetry(uint32_t hint_us, const char* what,
 }
 
 void ResilientChannel::RecordOpFailure(const Status& status,
-                                       const std::string& what) {
-  ++stats_.ops_failed;
+                                       const char* what) {
   const bool was_open = breaker_.open();
   breaker_.RecordFailure(virtual_now_us_);
-  if (!was_open && breaker_.open()) {
+  const bool opened = !was_open && breaker_.open();
+  if (opened) {
     ++stats_.breaker_opens;
     metrics_.breaker_opens.Increment();
   }
   if (status.IsDeadlineExceeded()) {
-    ++stats_.deadline_exceeded;
     metrics_.deadline_exceeded.Increment();
-    if (!was_open && breaker_.open()) {
+    if (opened) {
       // The channel just gave up on the provider entirely: deadline burnt
       // AND the circuit flipped open. Capture the moment (the active trace
       // context ties the dump to the cell operation that was abandoned).
@@ -85,6 +80,67 @@ void ResilientChannel::RecordOpFailure(const Status& status,
           "net:sync_giveup",
           peer_ + " " + what + ": " + status.ToString() + " after " +
               std::to_string(virtual_now_us_) + "us virtual");
+    }
+  }
+}
+
+template <typename AttemptFn>
+Status ResilientChannel::Retry(const char* what, AttemptFn&& attempt) {
+  if (!breaker_.AllowRequest(virtual_now_us_)) {
+    ++stats_.breaker_rejections;
+    return Status::Unavailable("circuit open to " + peer_ +
+                               "'s provider (degraded mode)");
+  }
+  DeadlineBudget budget(options_.op_deadline_us);
+  backoff_.Reset();
+  for (bool first = true;; first = false) {
+    ++stats_.attempts;
+    if (!first) {
+      ++stats_.retries;
+      metrics_.retries.Increment();
+    }
+    uint32_t delay_us = 0;
+    Status status;
+    {
+      // The provider (in-process gate or wire header) sheds the attempt
+      // once the op's remaining budget is gone.
+      ScopedOverloadContext attempt_scope(
+          OverloadContext{.budget_us = budget.remaining_us(),
+                          .criticality = options_.criticality});
+      status = attempt(&delay_us);
+    }
+    const uint32_t hint_us = TakeRetryAfterHint();
+    const uint64_t charged = options_.attempt_cost_us + delay_us;
+    virtual_now_us_ += charged;
+    bool in_budget = budget.Charge(charged);
+
+    if (status.IsDeadlineExceeded()) {
+      RecordOpFailure(status, what);
+      return status;
+    }
+    if (!status.IsTransient()) {
+      // Success, or the provider's answer (kNotFound, kAborted, ...):
+      // either way the provider was reachable.
+      breaker_.RecordSuccess(virtual_now_us_);
+      retry_budget_.RecordSuccess();
+      return status;
+    }
+    uint64_t delay = 0;
+    Status denied;
+    if (!AllowRetry(hint_us, what, &delay, &denied)) {
+      RecordOpFailure(denied, what);
+      return denied;
+    }
+    virtual_now_us_ += delay;
+    in_budget = budget.Charge(delay) && in_budget;
+    if (!in_budget) {
+      Status deadline = Status::DeadlineExceeded(
+          std::string(what) + " to " + peer_ +
+          "'s provider: still failing after " +
+          std::to_string(budget.spent_us()) + "us (last: " +
+          status.ToString() + ")");
+      RecordOpFailure(deadline, what);
+      return deadline;
     }
   }
 }
@@ -106,97 +162,54 @@ ResilientChannel::PutBatchResult ResilientChannel::PutBatch(
     return result;
   }
 
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    result.status = Status::Unavailable("circuit open to " + peer_ +
-                                        "'s provider (degraded mode)");
-    return result;
-  }
-
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
   size_t unacked = items.size();
-  // First attempt sends the caller's vectors untouched; retry attempts
-  // materialize the still-unacked subset.
+  // The first attempt sends the caller's vectors untouched; a retry sends
+  // the still-unacked subset.
   std::vector<std::pair<std::string, Bytes>> sub_items;
   std::vector<std::string> sub_tokens;
   std::vector<size_t> sub_index;
-  bool first = true;
-  Status last_error;
-
-  for (;;) {
-    ++stats_.attempts;
-    ++result.attempts;
+  result.status = Retry("put_batch", [&](uint32_t* delay_us) {
+    const bool first = result.attempts++ == 0;
     if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    cloud::CloudInfrastructure::BatchPutOutcome outcome;
-    {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      outcome = first ? transport_->PutBlobBatch(items, tokens)
-                      : transport_->PutBlobBatch(sub_items, sub_tokens);
-    }
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + outcome.delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-
-    // Merge acked items back into caller coordinates.
-    for (size_t j = 0; j < outcome.acked.size(); ++j) {
-      if (!outcome.acked[j]) continue;
-      size_t i = first ? j : sub_index[j];
-      if (!result.acked[i]) {
-        result.acked[i] = 1;
-        result.versions[i] = outcome.versions[j];
-        --unacked;
+      sub_items.clear();
+      sub_tokens.clear();
+      sub_index.clear();
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (result.acked[i]) continue;
+        sub_items.push_back(items[i]);
+        sub_tokens.push_back(tokens[i]);
+        sub_index.push_back(i);
       }
     }
-    if (unacked == 0) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      result.status = Status::OK();
-      return result;
+    CloudTransport::BatchPutOutcome outcome =
+        first ? transport_->PutBlobBatch(items, tokens)
+              : transport_->PutBlobBatch(sub_items, sub_tokens);
+    *delay_us = outcome.delay_us;
+    // Merge acked items back into caller coordinates. A reply without one
+    // slot per sent item is malformed (the provider is untrusted) and
+    // acks nothing.
+    const size_t sent = first ? items.size() : sub_items.size();
+    if (outcome.acked.size() == sent && outcome.versions.size() == sent) {
+      for (size_t j = 0; j < sent; ++j) {
+        if (!outcome.acked[j]) continue;
+        const size_t i = first ? j : sub_index[j];
+        if (!result.acked[i]) {
+          result.acked[i] = 1;
+          result.versions[i] = outcome.versions[j];
+          --unacked;
+        }
+      }
     }
-    if (!outcome.status.ok() && !outcome.status.IsTransient()) {
-      result.status = outcome.status;
-      RecordOpFailure(result.status, "put_batch");
-      return result;
-    }
-    last_error = outcome.status;
-
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "put_batch", &delay, &denied)) {
-      result.status = denied;
-      RecordOpFailure(result.status, "put_batch");
-      return result;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      result.status = Status::DeadlineExceeded(
-          "put batch to " + peer_ + "'s space: " +
-          std::to_string(unacked) + " of " + std::to_string(items.size()) +
-          " items unacked after " + std::to_string(budget.spent_us()) +
-          "us (last: " + last_error.ToString() + ")");
-      RecordOpFailure(result.status, "put_batch");
-      return result;
-    }
-
-    // Rebuild the unacked subset for the retry.
-    sub_items.clear();
-    sub_tokens.clear();
-    sub_index.clear();
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (result.acked[i]) continue;
-      sub_items.push_back(items[i]);
-      sub_tokens.push_back(tokens[i]);
-      sub_index.push_back(i);
-    }
-    first = false;
-  }
+    if (unacked == 0) return Status::OK();
+    // Items still unacked under an OK status: the batch did not fully
+    // land, so it is retried like a torn one.
+    return outcome.status.ok()
+               ? Status::Unavailable(std::to_string(unacked) + " of " +
+                                     std::to_string(items.size()) +
+                                     " items unacked")
+               : outcome.status;
+  });
+  return result;
 }
 
 Result<uint64_t> ResilientChannel::Put(const std::string& id,
@@ -211,301 +224,64 @@ Result<uint64_t> ResilientChannel::Put(const std::string& id,
   return result.versions[0];
 }
 
+Result<Bytes> ResilientChannel::Get(const std::string& id) {
+  Result<Bytes> data = Bytes();
+  Status status = Retry("get", [&](uint32_t* delay_us) {
+    data = transport_->GetBlob(id, delay_us);
+    return data.status();
+  });
+  if (!status.ok()) return status;
+  return data;
+}
+
 Result<cloud::SnapshotDescriptor> ResilientChannel::GetSnapshot() {
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    return Status::Unavailable("circuit open to " + peer_ +
-                               "'s provider (degraded mode)");
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    Result<cloud::SnapshotDescriptor> snap = [&] {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      return transport_->GetSnapshot(&delay_us);
-    }();
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (snap.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return snap;
-    }
-    if (!snap.status().IsTransient()) {
-      ++stats_.ops_failed;
-      return snap.status();
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "snapshot", &delay, &denied)) {
-      RecordOpFailure(denied, "snapshot");
-      return denied;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "snapshot: still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          snap.status().ToString() + ")");
-      RecordOpFailure(deadline, "snapshot");
-      return deadline;
-    }
-  }
+  Result<cloud::SnapshotDescriptor> snap = cloud::SnapshotDescriptor();
+  Status status = Retry("snapshot", [&](uint32_t* delay_us) {
+    snap = transport_->GetSnapshot(delay_us);
+    return snap.status();
+  });
+  if (!status.ok()) return status;
+  return snap;
 }
 
 Result<cloud::SnapshotRead> ResilientChannel::GetAtSnapshot(
     const std::string& id, const cloud::SnapshotDescriptor& snap) {
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    return Status::Unavailable("circuit open to " + peer_ +
-                               "'s provider (degraded mode)");
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    Result<cloud::SnapshotRead> read = [&] {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      return transport_->GetAtSnapshot(id, snap, &delay_us);
-    }();
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (read.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return read;
-    }
-    if (!read.status().IsTransient()) {
-      // kNotFound is an answer: the blob has no visible version.
-      ++stats_.ops_failed;
-      return read.status();
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "snapshot_get", &delay, &denied)) {
-      RecordOpFailure(denied, "snapshot_get");
-      return denied;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "snapshot get " + id + ": still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          read.status().ToString() + ")");
-      RecordOpFailure(deadline, "snapshot_get");
-      return deadline;
-    }
-  }
+  Result<cloud::SnapshotRead> read = cloud::SnapshotRead();
+  Status status = Retry("snapshot_get", [&](uint32_t* delay_us) {
+    read = transport_->GetAtSnapshot(id, snap, delay_us);
+    return read.status();
+  });
+  if (!status.ok()) return status;
+  return read;
 }
 
 cloud::TxnOutcome ResilientChannel::CommitTxn(const cloud::TxnRequest& req) {
-  cloud::TxnOutcome out;
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    out.status = Status::Unavailable("circuit open to " + peer_ +
-                                     "'s provider (degraded mode)");
-    return out;
+  cloud::TxnOutcome outcome;
+  Status status = Retry("txn_commit", [&](uint32_t* delay_us) {
+    outcome = transport_->CommitTxn(req);
+    *delay_us = outcome.delay_us;
+    return outcome.committed ? Status::OK() : outcome.status;
+  });
+  if (outcome.committed) {
+    ++stats_.txns_committed;
+  } else {
+    // An abort is a definitive provider answer, not a network failure: the
+    // caller refreshes its snapshot and rebuilds under the same token.
+    if (status.IsAborted()) ++stats_.txns_aborted;
+    outcome.status = std::move(status);
   }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  Status last_error;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    cloud::TxnOutcome outcome;
-    {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      outcome = transport_->CommitTxn(req);
-    }
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + outcome.delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (outcome.committed) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      ++stats_.txns_committed;
-      return outcome;
-    }
-    if (outcome.status.IsAborted()) {
-      // A definitive provider answer, not a network failure: the caller
-      // refreshes its snapshot and rebuilds under the same token.
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.txns_aborted;
-      return outcome;
-    }
-    if (!outcome.status.IsTransient()) {
-      RecordOpFailure(outcome.status, "txn_commit");
-      return outcome;
-    }
-    last_error = outcome.status;
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "txn_commit", &delay, &denied)) {
-      out.status = denied;
-      RecordOpFailure(out.status, "txn_commit");
-      return out;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      out.status = Status::DeadlineExceeded(
-          "txn " + req.token + ": unresolved after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          last_error.ToString() + ")");
-      RecordOpFailure(out.status, "txn_commit");
-      return out;
-    }
-  }
+  return outcome;
 }
 
 obs::TelemetryHub::ReportOutcome ResilientChannel::ReportTelemetry(
     const Bytes& frame) {
   obs::TelemetryHub::ReportOutcome outcome;
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    outcome.status = Status::Unavailable("circuit open to " + peer_ +
-                                         "'s provider (degraded mode)");
-    return outcome;
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      outcome = transport_->ReportTelemetry(frame, &delay_us);
-    }
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (outcome.status.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return outcome;
-    }
-    if (!outcome.status.IsTransient()) {
-      // A frame the hub rejects (corrupt, missing source) is an answer:
-      // resending identical bytes cannot change it.
-      ++stats_.ops_failed;
-      return outcome;
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "telemetry", &delay, &denied)) {
-      RecordOpFailure(denied, "telemetry");
-      outcome = obs::TelemetryHub::ReportOutcome{};
-      outcome.status = denied;
-      return outcome;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "telemetry report: still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          outcome.status.ToString() + ")");
-      RecordOpFailure(deadline, "telemetry");
-      outcome = obs::TelemetryHub::ReportOutcome{};
-      outcome.status = deadline;
-      return outcome;
-    }
-  }
-}
-
-Result<Bytes> ResilientChannel::Get(const std::string& id) {
-  if (!breaker_.AllowRequest(virtual_now_us_)) {
-    ++stats_.breaker_rejections;
-    return Status::Unavailable("circuit open to " + peer_ +
-                               "'s provider (degraded mode)");
-  }
-  DeadlineBudget budget(options_.op_deadline_us);
-  backoff_.Reset();
-  bool first = true;
-  for (;;) {
-    ++stats_.attempts;
-    if (!first) {
-      ++stats_.retries;
-      metrics_.retries.Increment();
-    }
-    first = false;
-    uint32_t delay_us = 0;
-    Result<Bytes> data = [&] {
-      ScopedOverloadContext attempt_scope(AttemptContext(budget));
-      return transport_->GetBlob(id, &delay_us);
-    }();
-    const uint32_t hint_us = TakeRetryAfterHint();
-    const uint64_t charged = options_.attempt_cost_us + delay_us;
-    virtual_now_us_ += charged;
-    bool in_budget = budget.Charge(charged);
-    if (data.ok()) {
-      breaker_.RecordSuccess(virtual_now_us_);
-      retry_budget_.RecordSuccess();
-      ++stats_.ops_ok;
-      return data;
-    }
-    if (!data.status().IsTransient()) {
-      // kNotFound, kIntegrityViolation, ... are answers, not network
-      // failures: they do not trip the breaker.
-      ++stats_.ops_failed;
-      return data.status();
-    }
-    uint64_t delay = 0;
-    Status denied;
-    if (!AllowRetry(hint_us, "get", &delay, &denied)) {
-      RecordOpFailure(denied, "get");
-      return denied;
-    }
-    virtual_now_us_ += delay;
-    in_budget = budget.Charge(delay) && in_budget;
-    if (!in_budget) {
-      Status deadline = Status::DeadlineExceeded(
-          "get " + id + ": still unavailable after " +
-          std::to_string(budget.spent_us()) + "us (last: " +
-          data.status().ToString() + ")");
-      RecordOpFailure(deadline, "get");
-      return deadline;
-    }
-  }
+  Status status = Retry("telemetry", [&](uint32_t* delay_us) {
+    outcome = transport_->ReportTelemetry(frame, delay_us);
+    return outcome.status;
+  });
+  outcome.status = std::move(status);
+  return outcome;
 }
 
 }  // namespace tc::net

@@ -34,25 +34,17 @@ struct ChannelOptions {
   /// and decides the provider's shed order). Mutable per-leg via
   /// set_criticality: fleet drains mark themselves kBackground.
   Criticality criticality = Criticality::kNormal;
-  /// Arm each attempt's thread-local OverloadContext with the operation's
-  /// remaining deadline budget, so the provider (in-process gate or wire
-  /// header) can shed the request once that budget is gone.
-  bool propagate_deadline = true;
 };
 
 struct ChannelStats {
   uint64_t attempts = 0;       ///< Network attempts sent.
   uint64_t retries = 0;        ///< Attempts beyond the first of each op.
-  uint64_t ops_ok = 0;
-  uint64_t ops_failed = 0;     ///< Non-OK results returned to the caller.
-  uint64_t deadline_exceeded = 0;
   uint64_t breaker_rejections = 0;  ///< Ops answered kUnavailable in O(1).
   uint64_t breaker_opens = 0;
-  uint64_t give_ups = 0;  ///< Deadline exhaustions that opened the circuit.
+  uint64_t give_ups = 0;  ///< kDeadlineExceeded give-ups that opened it.
   uint64_t txns_committed = 0;  ///< Commit answers (incl. replayed).
   uint64_t txns_aborted = 0;    ///< Definitive abort answers.
   uint64_t retry_budget_denied = 0;  ///< Retries refused by the dry bucket.
-  uint64_t pushbacks = 0;  ///< Attempts answered with a retry-after hint.
 };
 
 /// Client-side resilient channel to the untrusted provider: exponential
@@ -61,19 +53,34 @@ struct ChannelStats {
 /// into fast-failing kUnavailable (degraded mode) instead of a deadline
 /// burn per call.
 ///
+/// Every operation runs through one retry engine (the private Retry loop,
+/// the client twin of the provider's CloudInfrastructure::Serve), which
+/// classifies each attempt by one rule for all six operations:
+///   - OK (a batch with every item acked, a committed transaction):
+///     success;
+///   - kUnavailable / kResourceExhausted: retried within the retry budget
+///     and the deadline budget;
+///   - kDeadlineExceeded from the transport or the provider (socket
+///     request timeout, deadline shed): the op gives up, charged to the
+///     breaker exactly like an exhausted budget;
+///   - any other code (kNotFound, kAborted, kIntegrityViolation, ...): the
+///     provider's answer, returned at once and counted as a reachable
+///     provider by both the breaker and the retry budget.
+///
 /// All timing is virtual: a channel-private microsecond clock advanced by
-/// attempt costs, injected delays and backoff waits. Nothing sleeps, so
-/// retry storms run at CPU speed and replay deterministically.
+/// attempt costs, injected delays, backoff waits and WaitOutBreaker.
+/// Nothing sleeps, so retry storms run at CPU speed and replay
+/// deterministically.
 ///
 /// One channel per cell, used from one thread at a time (a cell's
 /// operations are serial); the class is not thread-safe.
 ///
 /// Observability: `cloud.retries` counts retry attempts fleet-wide;
 /// `net.breaker_opens` / `net.deadline_exceeded` count give-up events.
-/// When an operation exhausts its deadline budget *and* that failure flips
-/// the breaker open, the flight recorder captures a "net:sync_giveup" dump
-/// with the active trace context — the moment a cell abandons the sync
-/// path and falls back to its outbox.
+/// When an operation gives up with kDeadlineExceeded *and* that failure
+/// flips the breaker open, the flight recorder captures a
+/// "net:sync_giveup" dump with the active trace context — the moment a
+/// cell abandons the sync path and falls back to its outbox.
 class ResilientChannel {
  public:
   struct PutBatchResult {
@@ -123,10 +130,11 @@ class ResilientChannel {
   /// always learns the transaction's true fate. An abort is a definitive
   /// answer, NOT a network failure: it is returned to the caller, who
   /// refreshes its snapshot and rebuilds the transaction under the same
-  /// token. A deadline exhaustion leaves the outcome unresolved
-  /// (`status` = kDeadlineExceeded, `committed` false): the commit may or
-  /// may not have applied, and only a later re-send of the identical
-  /// request can resolve it.
+  /// token. Giving up (the deadline or retry budget ran out, or the
+  /// transport timed out) leaves the outcome unresolved (`status` =
+  /// kDeadlineExceeded, `committed` false): the commit may or may not have
+  /// applied, and only a later re-send of the identical request can
+  /// resolve it.
   cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req);
 
   // ---- Fleet telemetry ----
@@ -151,19 +159,14 @@ class ResilientChannel {
   }
   Criticality criticality() const { return options_.criticality; }
 
-  /// Tokens left in the retry budget (capacity when budgeting is off).
-  double retry_tokens() const { return retry_budget_.tokens(); }
-
-  /// Channel-virtual microseconds since construction.
-  uint64_t virtual_now_us() const { return virtual_now_us_; }
-
-  /// Advances virtual time without traffic — how a caller "waits out" the
-  /// breaker cooldown during catch-up instead of wall-sleeping.
-  void AdvanceVirtualTime(uint64_t us) { virtual_now_us_ += us; }
+  /// Waits out an open circuit's cooldown on the virtual clock (never on
+  /// the wall clock), so the next operation goes out as the half-open
+  /// probe. No-op while the circuit is closed or already half-open. An
+  /// open circuit closes only after someone calls this: TrustedCell's
+  /// catch-up and the fleet's drain and txn loops do.
+  void WaitOutBreaker();
 
   const ChannelStats& stats() const { return stats_; }
-  const std::string& peer() const { return peer_; }
-  CloudTransport* transport() { return transport_; }
 
  private:
   struct Metrics {
@@ -176,17 +179,25 @@ class ResilientChannel {
   };
 
   std::string MintToken();
+  /// The one retry loop behind every operation. `attempt(&delay_us)` makes
+  /// one transport call, keeps its outcome in the caller's frame, stores
+  /// the attempt's injected delay and returns the status the loop
+  /// classifies (see the class comment). The loop owns the breaker gate,
+  /// the deadline budget, the armed OverloadContext, the retry-after hint,
+  /// the virtual-time charge and the retry budget. Returns OK on success,
+  /// the provider's status for a definitive answer, or the status the op
+  /// gave up with (circuit open, budget dry, deadline). Defined in
+  /// channel.cc, the only place it is instantiated.
+  template <typename AttemptFn>
+  Status Retry(const char* what, AttemptFn&& attempt);
   /// Charges an op-level failure to the breaker; fires the give-up dump if
-  /// this failure is a deadline exhaustion that opened the circuit.
-  void RecordOpFailure(const Status& status, const std::string& what);
-  /// The OverloadContext to arm around one attempt: remaining op budget
-  /// (when propagation is on) + the channel's criticality class.
-  OverloadContext AttemptContext(const DeadlineBudget& budget) const;
-  /// Retry gate shared by every op loop: counts the attempt's pushback
-  /// hint, spends one retry-budget token and computes the next delay
-  /// (backoff stretched to honor the server's retry-after). Returns false
-  /// when the bucket is dry — the op must fail with `*denied` instead of
-  /// retrying (this is what caps fleet-wide retry amplification).
+  /// this failure is a kDeadlineExceeded give-up that opened the circuit.
+  void RecordOpFailure(const Status& status, const char* what);
+  /// Counts the attempt's pushback hint, spends one retry-budget token and
+  /// computes the next delay (backoff stretched to honor the server's
+  /// retry-after). Returns false when the bucket is dry — the op must fail
+  /// with `*denied` instead of retrying (this is what caps fleet-wide
+  /// retry amplification).
   bool AllowRetry(uint32_t hint_us, const char* what, uint64_t* delay_us,
                   Status* denied);
 

@@ -14,8 +14,6 @@ struct CircuitBreakerPolicy {
   /// what puts a cell into degraded local-only mode instead of burning its
   /// deadline budget against a dead provider on every operation.
   uint64_t open_cooldown_us = 1000000;
-  /// Successful half-open probes required to close again.
-  uint32_t successes_to_close = 1;
 };
 
 /// Classic three-state circuit breaker on a caller-supplied virtual clock.
@@ -37,7 +35,6 @@ class CircuitBreaker {
       case State::kOpen:
         if (now_us - opened_at_us_ >= policy_.open_cooldown_us) {
           state_ = State::kHalfOpen;
-          half_open_successes_ = 0;
           return true;
         }
         ++rejections_;
@@ -51,12 +48,9 @@ class CircuitBreaker {
     return true;
   }
 
+  /// One successful half-open probe closes the circuit.
   void RecordSuccess(uint64_t /*now_us*/) {
-    if (state_ == State::kHalfOpen) {
-      if (++half_open_successes_ >= policy_.successes_to_close) {
-        state_ = State::kClosed;
-      }
-    }
+    if (state_ == State::kHalfOpen) state_ = State::kClosed;
     consecutive_failures_ = 0;
   }
 
@@ -88,7 +82,6 @@ class CircuitBreaker {
   CircuitBreakerPolicy policy_;
   State state_ = State::kClosed;
   uint32_t consecutive_failures_ = 0;
-  uint32_t half_open_successes_ = 0;
   uint64_t opened_at_us_ = 0;
   uint64_t opens_ = 0;
   uint64_t rejections_ = 0;

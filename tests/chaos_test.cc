@@ -503,5 +503,29 @@ TEST_F(CellChaosTest, CellWithoutOutboxServesAgainOnceTheProviderIsBack) {
   EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
 }
 
+TEST_F(CellChaosTest, ReadOnlyCellRecoversOnceTheProviderIsBack) {
+  // Fetches that fail during an outage open the circuit but queue nothing.
+  // Catch-up with an empty outbox must still wait the open circuit out, or
+  // every later fetch fails fast against a provider that is back.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+
+  injector_.ForceOutage(true);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(gateway->FetchDocument(*doc_id).ok());
+  }
+  EXPECT_TRUE(gateway->net_channel()->degraded());
+  injector_.ForceOutage(false);
+
+  EXPECT_EQ(gateway->outbox_pending(), 0u);
+  ASSERT_TRUE(gateway->CatchUp().ok());
+  auto fetched = gateway->FetchDocument(*doc_id);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(*fetched, ToBytes("first"));
+  EXPECT_FALSE(gateway->net_channel()->degraded());
+}
+
 }  // namespace
 }  // namespace tc

@@ -407,7 +407,6 @@ TEST(FleetRunnerTest, TamperingAdversaryPropagatesPerCellErrors) {
   options.cells = 4;
   options.threads = 2;
   options.rounds_per_cell = 2;
-  options.verify_reads = true;
   FleetRunner runner(&cloud, options);
   auto report = runner.Run();
   ASSERT_TRUE(report.ok());  // Run() itself succeeds...

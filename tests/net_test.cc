@@ -347,7 +347,7 @@ TEST(ChannelTest, DeadGoesDegradedThenRecovers) {
   // Network heals; waiting out the cooldown on the virtual clock admits a
   // half-open probe, which succeeds and closes the circuit.
   injector.ForceOutage(false);
-  channel.AdvanceVirtualTime(ChannelOptions{}.breaker.open_cooldown_us);
+  channel.WaitOutBreaker();
   auto recovered = channel.Put("blob", ToBytes("back"));
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(channel.degraded());
@@ -385,6 +385,183 @@ TEST(ChannelTest, PartialBatchReportsPerItemTruth) {
   EXPECT_FALSE(failed.status.ok());
   // Nothing could land during a full outage — per-item truth agrees.
   for (int i = 0; i < 4; ++i) EXPECT_FALSE(failed.acked[i]);
+}
+
+// ---- One retry engine: every op against every attempt outcome ----
+
+// Answers each call with the next scripted status code (the last one
+// repeats), shaped as the calling op's outcome; OK is a full success.
+// While `down`, every call answers kUnavailable without consuming the
+// script.
+class ScriptedTransport final : public CloudTransport {
+ public:
+  explicit ScriptedTransport(std::vector<StatusCode> script)
+      : script_(std::move(script)) {}
+
+  bool down = false;
+  /// Ack slots a batch reply carries beyond one per item (a malformed
+  /// reply when non-zero).
+  size_t extra_ack_slots = 0;
+
+  BatchPutOutcome PutBlobBatch(
+      const std::vector<std::pair<std::string, Bytes>>& items,
+      const std::vector<std::string>& /*tokens*/) override {
+    BatchPutOutcome out;
+    out.status = Next();
+    const size_t slots = items.size() + extra_ack_slots;
+    out.versions.assign(slots, out.status.ok() ? 1 : 0);
+    out.acked.assign(slots, out.status.ok() ? 1 : 0);
+    return out;
+  }
+  Result<Bytes> GetBlob(const std::string& /*id*/,
+                        uint32_t* /*delay_us*/) override {
+    return Answer(Bytes{1});
+  }
+  Result<cloud::SnapshotDescriptor> GetSnapshot(
+      uint32_t* /*delay_us*/) override {
+    return Answer(cloud::SnapshotDescriptor());
+  }
+  Result<cloud::SnapshotRead> GetAtSnapshot(
+      const std::string& /*id*/, const cloud::SnapshotDescriptor& /*snap*/,
+      uint32_t* /*delay_us*/) override {
+    return Answer(cloud::SnapshotRead());
+  }
+  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& /*req*/) override {
+    cloud::TxnOutcome out;
+    out.status = Next();
+    out.committed = out.status.ok();
+    return out;
+  }
+  obs::TelemetryHub::ReportOutcome ReportTelemetry(
+      const Bytes& /*frame*/, uint32_t* /*delay_us*/) override {
+    obs::TelemetryHub::ReportOutcome out;
+    out.status = Next();
+    out.applied = out.status.ok();
+    return out;
+  }
+  Result<std::string> ScrapeTelemetry(uint32_t* /*delay_us*/) override {
+    return Answer(std::string());
+  }
+  std::string name() const override { return "scripted"; }
+
+ private:
+  Status Next() {
+    if (down) return Status::Unavailable("down");
+    const StatusCode code = script_[std::min(calls_++, script_.size() - 1)];
+    return code == StatusCode::kOk ? Status::OK() : Status(code, "scripted");
+  }
+  template <typename T>
+  Result<T> Answer(T value) {
+    Status status = Next();
+    if (!status.ok()) return status;
+    return value;
+  }
+
+  std::vector<StatusCode> script_;
+  size_t calls_ = 0;
+};
+
+TEST(ChannelTest, OneClassificationRuleForEveryOp) {
+  struct Op {
+    const char* name;
+    Status (*run)(ResilientChannel& channel);
+  };
+  const Op kOps[] = {
+      {"PutBatch",
+       [](ResilientChannel& c) { return c.PutBatch({{"b", Bytes{1}}}).status; }},
+      {"Get", [](ResilientChannel& c) { return c.Get("b").status(); }},
+      {"GetSnapshot",
+       [](ResilientChannel& c) { return c.GetSnapshot().status(); }},
+      {"GetAtSnapshot",
+       [](ResilientChannel& c) {
+         return c.GetAtSnapshot("b", cloud::SnapshotDescriptor()).status();
+       }},
+      {"CommitTxn",
+       [](ResilientChannel& c) {
+         return c.CommitTxn(cloud::TxnRequest()).status;
+       }},
+      {"ReportTelemetry",
+       [](ResilientChannel& c) { return c.ReportTelemetry(Bytes{1}).status; }},
+  };
+
+  enum class Breaker { kClosed, kOpen, kHalfOpen };
+  struct Row {
+    const char* outcome;
+    Breaker start;
+    double retry_capacity;
+    std::vector<StatusCode> script;
+    // Pinned over the op alone.
+    uint64_t attempts;
+    uint64_t retries;
+    StatusCode code;
+    bool degraded;
+    uint64_t denied;
+  };
+  using C = StatusCode;
+  const Row kRows[] = {
+      {"clean", Breaker::kClosed, 10, {C::kOk}, 1, 0, C::kOk, false, 0},
+      {"transient, then OK", Breaker::kClosed, 10,
+       {C::kResourceExhausted, C::kOk}, 2, 1, C::kOk, false, 0},
+      {"transient until the deadline", Breaker::kClosed, 10,
+       {C::kUnavailable}, 3, 2, C::kDeadlineExceeded, true, 0},
+      {"retry budget dry", Breaker::kClosed, 0, {C::kUnavailable}, 1, 0,
+       C::kDeadlineExceeded, true, 1},
+      {"transport deadline", Breaker::kClosed, 10, {C::kDeadlineExceeded}, 1,
+       0, C::kDeadlineExceeded, true, 0},
+      {"definitive answer", Breaker::kClosed, 10, {C::kInvalidArgument}, 1, 0,
+       C::kInvalidArgument, false, 0},
+      {"circuit open", Breaker::kOpen, 10, {C::kOk}, 0, 0, C::kUnavailable,
+       true, 0},
+      {"definitive answer to the half-open probe", Breaker::kHalfOpen, 10,
+       {C::kNotFound}, 1, 0, C::kNotFound, false, 0},
+  };
+
+  for (const Row& row : kRows) {
+    for (const Op& op : kOps) {
+      SCOPED_TRACE(std::string(row.outcome) + " / " + op.name);
+      ChannelOptions options;
+      options.breaker.failure_threshold = 1;  // Each op failure shows.
+      options.attempt_cost_us = 1000;
+      options.backoff.initial_us = 1000;      // Every backoff is 1000us.
+      options.backoff.max_us = 1000;
+      options.op_deadline_us = 5500;          // Room for three attempts.
+      options.retry_budget.capacity = row.retry_capacity;
+      ScriptedTransport transport(row.script);
+      ResilientChannel channel(&transport, "alice", options);
+      if (row.start != Breaker::kClosed) {
+        transport.down = true;
+        EXPECT_FALSE(op.run(channel).ok());
+        transport.down = false;
+        ASSERT_TRUE(channel.degraded());
+        if (row.start == Breaker::kHalfOpen) channel.WaitOutBreaker();
+      }
+
+      const ChannelStats before = channel.stats();
+      const Status status = op.run(channel);
+      const ChannelStats& after = channel.stats();
+      EXPECT_EQ(after.attempts - before.attempts, row.attempts);
+      EXPECT_EQ(after.retries - before.retries, row.retries);
+      EXPECT_EQ(status.code(), row.code) << status.ToString();
+      EXPECT_EQ(channel.degraded(), row.degraded);
+      EXPECT_EQ(after.retry_budget_denied - before.retry_budget_denied,
+                row.denied);
+    }
+  }
+}
+
+TEST(ChannelTest, MalformedBatchReplyAcksNothing) {
+  // An untrusted provider answers OK with more ack slots than items: none
+  // of them is taken as an ack, and the batch retries to its deadline.
+  ScriptedTransport transport({StatusCode::kOk});
+  transport.extra_ack_slots = 1;
+  ChannelOptions options;
+  options.op_deadline_us = 20000;
+  ResilientChannel channel(&transport, "alice", options);
+  auto outcome = channel.PutBatch({{"a", Bytes{1}}, {"b", Bytes{2}}});
+  EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded)
+      << outcome.status.ToString();
+  EXPECT_EQ(outcome.acked, (std::vector<uint8_t>{0, 0}));
+  EXPECT_GT(channel.stats().retries, 0u);
 }
 
 // ---- Exactly-once property: 0–3 deliveries in any order ----

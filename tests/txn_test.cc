@@ -420,9 +420,7 @@ TEST(ChannelTxnTest, LossyNetworkCommitsExactlyOncePerToken) {
     const std::string token = "cell-1/txn" + std::to_string(round);
     bool done = false;
     for (int attempt = 0; attempt < 64 && !done; ++attempt) {
-      if (channel.degraded()) {
-        channel.AdvanceVirtualTime(options.breaker.open_cooldown_us);
-      }
+      channel.WaitOutBreaker();
       auto snap = channel.GetSnapshot();
       if (!snap.ok()) continue;
       uint64_t version = 0;
