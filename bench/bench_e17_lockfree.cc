@@ -1,28 +1,24 @@
-// E17 — lock-free hot path: mutex-serialized vs lock-free put/get scaling
-// for the two stores the PR 8 rewrite touched.
+// E17 — lock-free hot path: put/get scaling of LogStore's append path
+// and BlobStore's read path, the two lock-free store paths.
 //
-//   Part 1  LogStore puts. serialize_ops=true funnels every Put through a
-//           store-wide mutex (the pre-PR-8 shape); serialize_ops=false is
-//           the bump-allocated append log + lock-free index. Thread sweep
-//           1/2/4/8; p50/p95/p99 come from the obs storage.append_us
-//           histogram, scoped to each run by snapshot deltas.
+//   Part 1  LogStore puts: the bump-allocated append log + lock-free index.
+//           Thread sweep 1/2/4/8; p50/p95/p99 come from the obs
+//           storage.append_us histogram, scoped to each run by snapshot
+//           deltas.
 //
-//   Part 2  BlobStore gets under write load. lock_free_reads=false makes
-//           readers take the shard stripe lock (pre-PR-8); true gives them
-//           the epoch-protected lock-free path. Same thread sweep; the
-//           read-latency histograms are local obs::Histogram instances
+//   Part 2  BlobStore gets under write load: epoch-protected lock-free
+//           readers while one writer churns every key. Same thread sweep;
+//           the read-latency histograms are local obs::Histogram instances
 //           (BlobStore itself is deliberately uninstrumented — it sits
 //           under CloudInfrastructure's cloud.* timers).
 //
 //   Part 3  Epoch Enter/Exit micro-overhead: the fixed per-read cost the
 //           lock-free paths pay instead of a mutex acquire.
 //
-// Honest framing: this container is effectively single-core, so these
-// numbers measure CONTENTION AVOIDANCE (no convoying, no lock hand-off
-// stalls, readers never blocking behind writers), not parallel speedup.
-// On real multicore hardware the scaling gap widens; here the signal is
-// that lock-free put throughput holds (or improves) as threads grow while
-// the mutex baseline's tail latency inflates with the convoy.
+// The mutex-serialized baselines these paths replaced are gone from the
+// library; their rows, measured side by side with these, are frozen in
+// EXPERIMENTS.md (E17) at commit bd60c31. Compare this harness's rows
+// against the lock-free rows there.
 //
 // Ops counts are deterministic per seed; wall-clock and percentile columns
 // are host measurements.
@@ -56,23 +52,21 @@ struct RunStats {
   double p50 = 0, p95 = 0, p99 = 0;
 };
 
-void PrintRow(const char* mode, int threads, const RunStats& s) {
-  std::printf("  %-10s %7d %12.0f %8.0f %8.0f %8.0f\n", mode, threads,
-              s.ops_per_sec, s.p50, s.p95, s.p99);
+void PrintRow(int threads, const RunStats& s) {
+  std::printf("  %7d %12.0f %8.0f %8.0f %8.0f\n", threads, s.ops_per_sec,
+              s.p50, s.p95, s.p99);
 }
 
 // ---- Part 1: LogStore put scaling --------------------------------------
 
-RunStats RunLogStorePuts(bool serialize, int threads, int puts_per_thread) {
+RunStats RunLogStorePuts(int threads, int puts_per_thread) {
   FlashGeometry geo;
   geo.page_size = 4096;
   geo.pages_per_block = 16;
   geo.block_count = 256;
   FlashDevice device(geo);
   storage::PlainPageTransform plain;
-  LogStoreOptions options;
-  options.serialize_ops = serialize;
-  auto opened = LogStore::Open(&device, &plain, options);
+  auto opened = LogStore::Open(&device, &plain, LogStoreOptions{});
   if (!opened.ok()) {
     std::printf("  OPEN FAILED: %s\n", opened.status().ToString().c_str());
     return {};
@@ -118,16 +112,15 @@ RunStats RunLogStorePuts(bool serialize, int threads, int puts_per_thread) {
 
 // ---- Part 2: BlobStore get scaling under write load --------------------
 
-RunStats RunBlobGets(bool lock_free, int reader_threads,
-                     int gets_per_thread) {
-  BlobStore store(/*shard_count=*/16, /*token_history=*/1 << 16, lock_free);
+RunStats RunBlobGets(int reader_threads, int gets_per_thread) {
+  BlobStore store(/*shard_count=*/16, /*token_history=*/1 << 16);
   constexpr int kKeys = 64;
   for (int k = 0; k < kKeys; ++k) {
     store.Put("doc/" + std::to_string(k), Bytes(128, 0x5a));
   }
 
-  // One writer churns all keys for the whole run: with stripe-locked reads
-  // every Get on a hot shard queues behind it; lock-free reads never do.
+  // One writer churns all keys for the whole run; lock-free reads never
+  // queue behind its stripe lock.
   std::atomic<bool> stop{false};
   std::thread writer([&store, &stop] {
     Rng rng(9917);
@@ -186,35 +179,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== E17: lock-free hot path — mutex vs lock-free put/get "
-              "scaling ===\n");
-  std::printf("(single-core container: read as contention avoidance, not "
-              "parallel speedup)\n");
+  std::printf("=== E17: lock-free hot path — put/get scaling ===\n");
+  std::printf("(mutex baselines: frozen rows in EXPERIMENTS.md, E17)\n");
 
   const int kThreadSweep[] = {1, 2, 4, 8};
 
   // ---- Part 1 ----
   const int kPuts = quick ? 2000 : 20000;
-  std::printf("\nLogStore put path (%d puts/thread, 32-128 B values; "
+  std::printf("\nLogStore lock-free put path (%d puts/thread, 32-128 B values; "
               "p50/p95/p99 from storage.append_us, microseconds):\n",
               kPuts);
-  std::printf("  %-10s %7s %12s %8s %8s %8s\n", "mode", "threads", "puts/s",
-              "p50", "p95", "p99");
+  std::printf("  %7s %12s %8s %8s %8s\n", "threads", "puts/s", "p50",
+              "p95", "p99");
   for (int threads : kThreadSweep) {
-    PrintRow("mutex", threads, RunLogStorePuts(true, threads, kPuts));
-    PrintRow("lock-free", threads, RunLogStorePuts(false, threads, kPuts));
+    PrintRow(threads, RunLogStorePuts(threads, kPuts));
   }
 
   // ---- Part 2 ----
   const int kGets = quick ? 5000 : 50000;
-  std::printf("\nBlobStore get path under one-writer churn (%d gets/thread "
+  std::printf("\nBlobStore lock-free get path under one-writer churn (%d gets/thread "
               "over 64 keys; p50/p95/p99 in microseconds):\n",
               kGets);
-  std::printf("  %-10s %7s %12s %8s %8s %8s\n", "mode", "threads", "gets/s",
-              "p50", "p95", "p99");
+  std::printf("  %7s %12s %8s %8s %8s\n", "threads", "gets/s", "p50",
+              "p95", "p99");
   for (int threads : kThreadSweep) {
-    PrintRow("striped", threads, RunBlobGets(false, threads, kGets));
-    PrintRow("lock-free", threads, RunBlobGets(true, threads, kGets));
+    PrintRow(threads, RunBlobGets(threads, kGets));
   }
 
   // ---- Part 3 ----

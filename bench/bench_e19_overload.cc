@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -269,7 +270,10 @@ StormResult RunRetryStorm(bool budget_on) {
   for (size_t c = 0; c < kChannels; ++c) {
     net::ChannelOptions options;
     options.seed = 100 + c;
-    options.retry_budget.enabled = budget_on;
+    // Budgets off = a bucket that never runs dry.
+    if (!budget_on) {
+      options.retry_budget.capacity = std::numeric_limits<double>::infinity();
+    }
     options.breaker.failure_threshold = 1u << 30;
     net::ResilientChannel channel(&transport, "storm" + std::to_string(c),
                                  options);

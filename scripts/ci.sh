@@ -10,18 +10,20 @@
 #      once here; the ctest labels (wire, lockfree, telemetry, overload,
 #      chaos, txn) stay for running one lane by hand, e.g.
 #      `ctest --test-dir build -L overload`;
-#   3. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
+#   3. run the lock-free report harness once (bench_e17_lockfree --quick,
+#      a fraction of a second), so E17 is executed and not only built;
+#   4. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
 #      seed sweeps, re-running only the suites labeled chaos/txn — CI keeps
 #      the cheap default, nightly jobs export TC_CHAOS_SEEDS=25;
-#   4. chaos determinism gate: every chaos seed must replay exactly from
+#   5. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   5. build the benchmark (cellbench/) from this tree into build-cellbench/
+#   6. build the benchmark (cellbench/) from this tree into build-cellbench/
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   6. check no generated build*/ tree is tracked or staged;
-#   7. run the obs export validator (quick bench run + trace JSON checks).
+#   7. check no generated build*/ tree is tracked or staged;
+#   8. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -31,6 +33,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
+build/bench/bench_e17_lockfree --quick > /dev/null
 if [ -n "${TC_CHAOS_SEEDS:-}" ]; then
   echo "ci: deep chaos/txn lane (TC_CHAOS_SEEDS=${TC_CHAOS_SEEDS})"
   (cd build && ctest --output-on-failure -L 'chaos|txn')

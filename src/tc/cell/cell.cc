@@ -432,9 +432,6 @@ Status TrustedCell::CatchUp() {
         }
         return outcome.status;  // Blind writes never abort; a real error.
       }
-      if (outcome.versions.size() != record.txn_writes.size()) {
-        return Status::Internal("txn outcome/write-set size mismatch");
-      }
       for (size_t i = 0; i < record.txn_writes.size(); ++i) {
         auto echo = cloud_->GetBlobVersion(record.txn_writes[i].blob_id,
                                            outcome.versions[i]);

@@ -4,10 +4,8 @@
 
 namespace tc::cloud {
 
-BlobStore::BlobStore(size_t shard_count, size_t token_history,
-                     bool lock_free_reads)
-    : token_history_(token_history == 0 ? 1 : token_history),
-      lock_free_reads_(lock_free_reads) {
+BlobStore::BlobStore(size_t shard_count, size_t token_history)
+    : token_history_(token_history == 0 ? 1 : token_history) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
@@ -57,11 +55,6 @@ std::unique_lock<std::mutex> BlobStore::LockShard(const Shard& shard) const {
     lock.lock();
   }
   return lock;
-}
-
-std::unique_lock<std::mutex> BlobStore::ReadLock(const Shard& shard) const {
-  if (lock_free_reads_) return std::unique_lock<std::mutex>();
-  return LockShard(shard);
 }
 
 BlobStore::BlobRec* BlobStore::FindRec(const Shard& shard,
@@ -244,7 +237,6 @@ SnapshotDescriptor BlobStore::Snapshot() const {
 Result<SnapshotRead> BlobStore::GetAtSnapshot(
     const std::string& id, const SnapshotDescriptor& snap) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
   const BlobRec* rec = FindRec(shard, id);
   if (rec != nullptr) {
@@ -385,7 +377,6 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
 
 Result<Bytes> BlobStore::Get(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
   const BlobRec* rec = FindRec(shard, id);
   const VersionNode* node =
@@ -402,7 +393,6 @@ Result<Bytes> BlobStore::Get(const std::string& id) const {
 Result<Bytes> BlobStore::GetVersion(const std::string& id,
                                     uint64_t version) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
   const BlobRec* rec = FindRec(shard, id);
   const VersionNode* node =
@@ -419,7 +409,6 @@ Result<Bytes> BlobStore::GetVersion(const std::string& id,
 
 Result<uint64_t> BlobStore::LatestVersion(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
   const BlobRec* rec = FindRec(shard, id);
   const VersionNode* node =
@@ -433,7 +422,6 @@ Result<uint64_t> BlobStore::LatestVersion(const std::string& id) const {
 
 bool BlobStore::Exists(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  auto lock = ReadLock(shard);
   sync::EpochGuard guard(epochs_);
   const BlobRec* rec = FindRec(shard, id);
   const VersionNode* node =
@@ -467,7 +455,6 @@ std::vector<std::string> BlobStore::List(const std::string& prefix) const {
   std::vector<std::string> out;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    auto lock = ReadLock(shard);
     sync::EpochGuard guard(epochs_);
     for (const std::atomic<BlobRec*>& bucket : shard.buckets) {
       for (const BlobRec* rec = bucket.load(std::memory_order_acquire);
@@ -489,7 +476,6 @@ std::vector<std::string> BlobStore::List(const std::string& prefix) const {
 size_t BlobStore::blob_count() const {
   size_t count = 0;
   for (const auto& shard_ptr : shards_) {
-    auto lock = ReadLock(*shard_ptr);
     count += shard_ptr->blob_count.load(std::memory_order_relaxed);
   }
   return count;
@@ -498,7 +484,6 @@ size_t BlobStore::blob_count() const {
 uint64_t BlobStore::total_bytes() const {
   uint64_t bytes = 0;
   for (const auto& shard_ptr : shards_) {
-    auto lock = ReadLock(*shard_ptr);
     bytes += shard_ptr->total_bytes.load(std::memory_order_relaxed);
   }
   return bytes;
@@ -508,7 +493,6 @@ uint64_t BlobStore::AuditTotalBytes() const {
   uint64_t bytes = 0;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    auto lock = ReadLock(shard);
     sync::EpochGuard guard(epochs_);
     for (const std::atomic<BlobRec*>& bucket : shard.buckets) {
       for (const BlobRec* rec = bucket.load(std::memory_order_acquire);

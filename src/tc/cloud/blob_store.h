@@ -36,8 +36,6 @@ namespace tc::cloud {
 /// without ever touching a stripe. Retired nodes (Delete, MutateLatest)
 /// are reclaimed through tc::sync::EpochManager once no reader can hold
 /// them. Byte/blob accounting is per-shard atomics, merged on read.
-/// Construct with `lock_free_reads = false` to restore stripe-locked reads
-/// (the bench_e17 baseline).
 ///
 /// MVCC: every version carries the sequence number of the commit that
 /// created it (plain puts are single-write auto-commits). Snapshot() hands
@@ -79,8 +77,7 @@ class BlobStore {
   static constexpr size_t kBucketsPerShard = 512;
 
   explicit BlobStore(size_t shard_count = kDefaultShards,
-                     size_t token_history = kTokenHistory,
-                     bool lock_free_reads = true);
+                     size_t token_history = kTokenHistory);
   ~BlobStore();
 
   BlobStore(const BlobStore&) = delete;
@@ -284,10 +281,6 @@ class BlobStore {
   /// Locks `shard.mu`, counting the acquisition as contended if it blocks.
   std::unique_lock<std::mutex> LockShard(const Shard& shard) const;
 
-  /// Stripe lock for a read path: no-op (empty lock) in lock-free mode,
-  /// LockShard in the mutex-baseline mode.
-  std::unique_lock<std::mutex> ReadLock(const Shard& shard) const;
-
   /// Makes `seqs` visible to future Snapshot() calls. Must be called
   /// exactly once for every sequence drawn from next_commit_seq_ (the
   /// contiguous base can only advance if no sequence is abandoned), after
@@ -319,7 +312,6 @@ class BlobStore {
   mutable sync::EpochManager epochs_;
   std::vector<std::unique_ptr<Shard>> shards_;
   const size_t token_history_;
-  const bool lock_free_reads_;
   std::atomic<uint64_t> tokens_applied_{0};
   std::atomic<uint64_t> token_dedupe_hits_{0};
   std::atomic<uint64_t> versions_created_{0};

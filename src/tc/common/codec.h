@@ -71,6 +71,13 @@ class BinaryReader {
   size_t pos_ = 0;
 };
 
+/// Checks an element count decoded from `r` against the bytes still left
+/// in it: each counted element costs at least `min_bytes_per` bytes (0 is
+/// taken as 1), so a larger count is corrupt (`kCorruption`). Call it
+/// BEFORE reserving memory for the elements: a count read from untrusted
+/// or damaged bytes must never size an allocation.
+Status CheckCount(const BinaryReader& r, uint64_t count, size_t min_bytes_per);
+
 }  // namespace tc
 
 #endif  // TC_COMMON_CODEC_H_

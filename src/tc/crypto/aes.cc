@@ -20,7 +20,6 @@ uint8_t GfMul(uint8_t a, uint8_t b) {
 
 struct SboxTables {
   uint8_t sbox[256];
-  uint8_t inv_sbox[256];
 };
 
 // Builds the S-box from first principles: multiplicative inverse in
@@ -48,7 +47,6 @@ SboxTables BuildSbox() {
     uint8_t s = inv ^ rotl8(inv, 1) ^ rotl8(inv, 2) ^ rotl8(inv, 3) ^
                 rotl8(inv, 4) ^ 0x63;
     t.sbox[i] = s;
-    t.inv_sbox[s] = static_cast<uint8_t>(i);
   }
   return t;
 }
@@ -139,50 +137,6 @@ void Aes::EncryptBlock(const uint8_t in[kAesBlockSize],
       }
     }
     add_round_key(round);
-  }
-  std::memcpy(out, state, 16);
-}
-
-void Aes::DecryptBlock(const uint8_t in[kAesBlockSize],
-                       uint8_t out[kAesBlockSize]) const {
-  const SboxTables& t = Tables();
-  uint8_t state[16];
-  std::memcpy(state, in, 16);
-
-  auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      uint32_t w = round_keys_[4 * round + c];
-      state[4 * c] ^= static_cast<uint8_t>(w >> 24);
-      state[4 * c + 1] ^= static_cast<uint8_t>(w >> 16);
-      state[4 * c + 2] ^= static_cast<uint8_t>(w >> 8);
-      state[4 * c + 3] ^= static_cast<uint8_t>(w);
-    }
-  };
-
-  add_round_key(rounds_);
-  for (int round = rounds_ - 1; round >= 0; --round) {
-    // InvShiftRows: row r rotates right by r.
-    uint8_t tmp[16];
-    for (int c = 0; c < 4; ++c) {
-      for (int r = 0; r < 4; ++r) {
-        tmp[4 * ((c + r) % 4) + r] = state[4 * c + r];
-      }
-    }
-    std::memcpy(state, tmp, 16);
-    // InvSubBytes.
-    for (auto& b : state) b = t.inv_sbox[b];
-    add_round_key(round);
-    // InvMixColumns (skipped after the final AddRoundKey).
-    if (round != 0) {
-      for (int c = 0; c < 4; ++c) {
-        uint8_t* col = state + 4 * c;
-        uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = GfMul(a0, 14) ^ GfMul(a1, 11) ^ GfMul(a2, 13) ^ GfMul(a3, 9);
-        col[1] = GfMul(a0, 9) ^ GfMul(a1, 14) ^ GfMul(a2, 11) ^ GfMul(a3, 13);
-        col[2] = GfMul(a0, 13) ^ GfMul(a1, 9) ^ GfMul(a2, 14) ^ GfMul(a3, 11);
-        col[3] = GfMul(a0, 11) ^ GfMul(a1, 13) ^ GfMul(a2, 9) ^ GfMul(a3, 14);
-      }
-    }
   }
   std::memcpy(out, state, 16);
 }

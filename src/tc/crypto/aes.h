@@ -10,7 +10,9 @@ namespace tc::crypto {
 
 inline constexpr size_t kAesBlockSize = 16;
 
-/// AES block cipher (FIPS 197), supporting 128- and 256-bit keys.
+/// AES block cipher (FIPS 197), supporting 128- and 256-bit keys. Encrypt
+/// direction only: CTR mode, the one mode built on it, never decrypts a
+/// block.
 ///
 /// The S-box is derived at start-up from the GF(2^8) inverse + affine
 /// transform instead of being transcribed, and the implementation is pinned
@@ -24,10 +26,6 @@ class Aes {
 
   /// Encrypts exactly one 16-byte block, `out` may alias `in`.
   void EncryptBlock(const uint8_t in[kAesBlockSize],
-                    uint8_t out[kAesBlockSize]) const;
-
-  /// Decrypts exactly one 16-byte block.
-  void DecryptBlock(const uint8_t in[kAesBlockSize],
                     uint8_t out[kAesBlockSize]) const;
 
   int rounds() const { return rounds_; }

@@ -45,6 +45,7 @@ Bytes KeywordIndex::EncodePostings(const std::vector<uint64_t>& ids) {
 Result<std::vector<uint64_t>> KeywordIndex::DecodePostings(const Bytes& data) {
   BinaryReader r(data);
   TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  TC_RETURN_IF_ERROR(CheckCount(r, n, 1));  // One varint delta per id.
   std::vector<uint64_t> ids;
   ids.reserve(n);
   uint64_t prev = 0;

@@ -64,6 +64,8 @@ void Schema::Encode(BinaryWriter& w) const {
 
 Result<Schema> Schema::Decode(BinaryReader& r) {
   TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  // Name length prefix, type byte and nullable flag: 3 bytes at least.
+  TC_RETURN_IF_ERROR(CheckCount(r, n, 3));
   std::vector<Column> columns;
   columns.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -50,6 +50,7 @@ Bytes Table::EncodeRowValues(const std::vector<Value>& values) {
 Result<std::vector<Value>> Table::DecodeRowValues(const Bytes& data) {
   BinaryReader r(data);
   TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  TC_RETURN_IF_ERROR(CheckCount(r, n, 1));  // At least a type byte each.
   std::vector<Value> values;
   values.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

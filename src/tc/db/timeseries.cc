@@ -49,6 +49,8 @@ Bytes TimeSeriesStore::EncodeChunk(const std::vector<Reading>& readings) {
 Result<std::vector<Reading>> TimeSeriesStore::DecodeChunk(const Bytes& data) {
   BinaryReader r(data);
   TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  // The first reading takes 16 bytes, each later one two varints.
+  TC_RETURN_IF_ERROR(CheckCount(r, n, 2));
   std::vector<Reading> readings;
   readings.reserve(n);
   if (n == 0) return readings;

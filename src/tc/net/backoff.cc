@@ -1,33 +1,19 @@
 #include "tc/net/backoff.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tc::net {
 
 Backoff::Backoff(const BackoffPolicy& policy, uint64_t seed)
     : policy_(policy), rng_(seed), prev_us_(policy.initial_us) {}
 
-void Backoff::Reset() {
-  prev_us_ = policy_.initial_us;
-  attempt_ = 0;
-}
+void Backoff::Reset() { prev_us_ = policy_.initial_us; }
 
 uint64_t Backoff::NextDelayUs() {
-  uint64_t delay;
-  if (policy_.decorrelated) {
-    uint64_t lo = policy_.initial_us;
-    uint64_t hi = std::max<uint64_t>(lo + 1, prev_us_ * 3);
-    delay = std::min(policy_.max_us, lo + rng_.NextBelow(hi - lo));
-  } else {
-    double ceiling = static_cast<double>(policy_.initial_us) *
-                     std::pow(policy_.multiplier, attempt_);
-    ceiling = std::min(ceiling, static_cast<double>(policy_.max_us));
-    uint64_t bound = std::max<uint64_t>(1, static_cast<uint64_t>(ceiling));
-    delay = rng_.NextBelow(bound + 1);
-  }
+  const uint64_t lo = policy_.initial_us;
+  const uint64_t hi = std::max<uint64_t>(lo + 1, prev_us_ * 3);
+  const uint64_t delay = std::min(policy_.max_us, lo + rng_.NextBelow(hi - lo));
   prev_us_ = std::max<uint64_t>(delay, policy_.initial_us);
-  ++attempt_;
   return delay;
 }
 

@@ -11,17 +11,14 @@ namespace tc::net {
 /// charges them to its simulated clock and its deadline budget — nothing
 /// in tc::net ever sleeps on the wall clock, which is what lets the whole
 /// retry engine run (and be unit-tested) deterministically.
+///
+/// Delays use decorrelated jitter (the AWS architecture-blog variant):
+///   delay_n = min(max_us, uniform(initial_us, 3 * delay_{n-1}))
+/// which spreads a thundering herd of reconnecting cells across the whole
+/// window instead of synchronizing them on powers of two.
 struct BackoffPolicy {
   uint64_t initial_us = 500;
   uint64_t max_us = 200000;
-  /// Exponential base used when `decorrelated` is off.
-  double multiplier = 2.0;
-  /// Decorrelated jitter (the AWS architecture-blog variant):
-  ///   delay_n = min(max_us, uniform(initial_us, 3 * delay_{n-1}))
-  /// which spreads a thundering herd of reconnecting cells across the
-  /// whole window instead of synchronizing them on powers of two. When
-  /// off: full-jitter exponential, uniform(0, min(max, initial * m^n)).
-  bool decorrelated = true;
 };
 
 /// One retry sequence. Deterministic for a given (policy, seed); Reset()
@@ -37,14 +34,10 @@ class Backoff {
   /// Starts a new retry sequence (new operation).
   void Reset();
 
-  /// Delays handed out since the last Reset.
-  uint32_t attempt() const { return attempt_; }
-
  private:
   BackoffPolicy policy_;
   Rng rng_;
   uint64_t prev_us_;
-  uint32_t attempt_ = 0;
 };
 
 /// Virtual-time budget of one operation: every attempt and every backoff
@@ -82,8 +75,9 @@ class DeadlineBudget {
 /// retry amplification at (initial + ops·refill)/ops ≈ 1× instead of the
 /// deadline-bounded storm an unbudgeted retry loop produces — a brownout
 /// cannot be amplified into a metastable outage by the clients themselves.
+///
+/// An infinite `capacity` never runs dry: every retry is allowed.
 struct RetryBudgetPolicy {
-  bool enabled = true;
   double capacity = 10.0;            ///< Bucket size (and initial fill).
   double refill_per_success = 0.1;   ///< Tokens returned by one op success.
 };
@@ -96,7 +90,6 @@ class RetryBudget {
   /// Spends one token; false = budget dry, the caller must give up instead
   /// of retrying.
   bool TryRetry() {
-    if (!policy_.enabled) return true;
     if (tokens_ < 1.0) {
       ++denied_;
       return false;

@@ -260,14 +260,28 @@ cloud::TxnOutcome ResilientChannel::CommitTxn(const cloud::TxnRequest& req) {
   Status status = Retry("txn_commit", [&](uint32_t* delay_us) {
     outcome = transport_->CommitTxn(req);
     *delay_us = outcome.delay_us;
-    return outcome.committed ? Status::OK() : outcome.status;
+    // A reply that says OK without committing, or commits without one
+    // version per write, is malformed (the provider is untrusted): it
+    // commits nothing and is retried under the same token.
+    if (!outcome.committed) {
+      return outcome.status.ok()
+                 ? Status::Unavailable("txn reply OK but not committed")
+                 : outcome.status;
+    }
+    if (outcome.versions.size() != req.writes.size()) {
+      return Status::Unavailable(
+          "txn reply with " + std::to_string(outcome.versions.size()) +
+          " versions for " + std::to_string(req.writes.size()) + " writes");
+    }
+    return Status::OK();
   });
-  if (outcome.committed) {
+  if (status.ok()) {
     ++stats_.txns_committed;
   } else {
     // An abort is a definitive provider answer, not a network failure: the
     // caller refreshes its snapshot and rebuilds under the same token.
     if (status.IsAborted()) ++stats_.txns_aborted;
+    outcome.committed = false;
     outcome.status = std::move(status);
   }
   return outcome;

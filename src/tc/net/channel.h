@@ -134,7 +134,7 @@ class ResilientChannel {
   /// transport timed out) leaves the outcome unresolved (`status` =
   /// kDeadlineExceeded, `committed` false): the commit may or may not have
   /// applied, and only a later re-send of the identical request can
-  /// resolve it.
+  /// resolve it. `committed` true guarantees one version per write.
   cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req);
 
   // ---- Fleet telemetry ----

@@ -49,6 +49,8 @@ Result<OutboxRecord> OutboxRecord::Deserialize(const Bytes& data) {
     TC_ASSIGN_OR_RETURN(record.token, r.GetString());
     record.blob_id = "txn/" + record.token;
     TC_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+    // Two length prefixes per write: blob id and payload.
+    TC_RETURN_IF_ERROR(CheckCount(r, count, 2));
     record.txn_writes.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       OutboxTxnWrite write;

@@ -12,15 +12,6 @@ namespace {
 
 constexpr uint8_t kTelemetryFrameVersion = 1;
 
-Status CheckCount(const BinaryReader& r, uint64_t count,
-                  size_t min_bytes_per) {
-  if (min_bytes_per == 0) min_bytes_per = 1;
-  if (count > r.remaining() / min_bytes_per) {
-    return Status::Corruption("element count exceeds payload bytes");
-  }
-  return Status::OK();
-}
-
 Status CheckExhausted(const BinaryReader& r) {
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after telemetry frame");

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -15,6 +14,10 @@
 namespace tc::rpc {
 
 namespace {
+
+/// Requests a server may hold queued before its readers block (per-
+/// connection backpressure).
+constexpr size_t kQueueCapacity = 256;
 
 bool WriteFull(int fd, const uint8_t* buf, size_t n) {
   size_t sent = 0;
@@ -89,13 +92,8 @@ Status RpcServer::Start() {
   port_ = ntohs(bound.sin_port);
   listen_fd_.store(fd, std::memory_order_release);
   shutting_down_.store(false, std::memory_order_release);
-  if (options_.admission && admission_ == nullptr) {
-    admission_ = std::make_unique<AdmissionController>(
-        options_.admission_config);
-  }
   pool_ = std::make_unique<fleet::WorkerPool>(fleet::WorkerPool::Options{
-      options_.worker_threads, options_.queue_capacity, options_.codel,
-      options_.codel_target_us, options_.codel_interval_us});
+      options_.worker_threads, kQueueCapacity});
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -148,9 +146,7 @@ RpcServer::Stats RpcServer::stats() const {
   s.requests = requests_.load(std::memory_order_relaxed);
   s.malformed = malformed_.load(std::memory_order_relaxed);
   s.version_mismatch = version_mismatch_.load(std::memory_order_relaxed);
-  s.admission_rejected = admission_rejected_.load(std::memory_order_relaxed);
   s.shed_expired = shed_expired_.load(std::memory_order_relaxed);
-  s.shed_codel = shed_codel_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -191,10 +187,6 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       obs::MetricRegistry::Global().GetCounter("rpc.server.malformed");
   auto& bytes_in =
       obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_in");
-  auto& admission_rejected_metric = obs::MetricRegistry::Global().GetCounter(
-      "rpc.server.admission_rejected");
-  auto& admission_limit_gauge =
-      obs::MetricRegistry::Global().GetGauge("rpc.server.admission_limit");
   // Buffered stream parser: one recv can deliver many pipelined frames, so
   // the syscall (and reader wake-up) cost amortizes across every request a
   // burst carries — the difference between pricing the wire per frame and
@@ -218,8 +210,7 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
         stop = true;
         break;
       }
-      if (header->response() ||
-          header->payload_size > options_.max_frame_bytes) {
+      if (header->response()) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
         malformed_metric.Increment();
         stop = true;
@@ -242,28 +233,6 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
         crit = Criticality::kCritical;
       }
       const uint64_t arrival_us = OverloadNowUs();
-      uint32_t retry_after_us = 0;
-      if (admission_ != nullptr &&
-          !admission_->TryAcquire(crit, &retry_after_us)) {
-        // Rejected at the socket edge: answer inline from the reader with
-        // explicit pushback — no pool slot, no provider work, and the
-        // client's retry loop gets a load-scaled retry-after hint instead
-        // of a silent drop it would hammer against.
-        admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-        admission_rejected_metric.Increment();
-        admission_limit_gauge.Set(static_cast<int64_t>(admission_->limit()));
-        FrameHeader rh = h;
-        rh.flags |= kFlagResponse | kFlagPushback;
-        rh.budget_us = retry_after_us;
-        Bytes body = EncodeStatusOnlyResponse(
-            h.op,
-            Status::ResourceExhausted("server admission limit reached"));
-        rh.payload_size = static_cast<uint32_t>(body.size());
-        Bytes frame = EncodeFrameHeader(rh);
-        frame.insert(frame.end(), body.begin(), body.end());
-        WriteFrames(*conn, frame);
-        continue;
-      }
       {
         std::lock_guard<std::mutex> lock(conn->write_mu);
         ++conn->in_flight;
@@ -279,9 +248,7 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       fleet::WorkerPool::TaskClass cls;
       cls.criticality = crit;
       cls.deadline_us = h.budget_us != 0 ? arrival_us + h.budget_us : 0;
-      cls.on_shed = [this, conn, h, arrival_us] {
-        RespondShed(conn, h, arrival_us);
-      };
+      cls.on_shed = [this, conn, h] { RespondShed(conn, h); };
       bool submitted = pool_->Submit(
           [this, conn, h, crit, arrival_us,
            payload = std::move(payload)]() mutable {
@@ -289,7 +256,6 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
           },
           std::move(cls));
       if (!submitted) {
-        if (admission_ != nullptr) admission_->Release(0);
         std::lock_guard<std::mutex> lock(conn->write_mu);
         --conn->in_flight;
         conn->drained.notify_all();
@@ -389,17 +355,6 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
   dispatch_us.Record(elapsed);
   op_us.Record(elapsed);
   in_flight.Add(-1);
-  if (admission_ != nullptr) {
-    // The limiter's latency sample spans acquire (reader framing) to done,
-    // so queue wait is inside it — queueing inflates the EWMA, the
-    // gradient drops, the limit tightens: that feedback IS the controller.
-    // Critical probes release without sampling (their near-zero latencies
-    // would drag the estimates down).
-    admission_->Release(criticality == Criticality::kCritical
-                            ? 0
-                            : std::max<uint64_t>(
-                                  1, OverloadNowUs() - arrival_us));
-  }
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     --conn->in_flight;
@@ -408,43 +363,22 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
 }
 
 void RpcServer::RespondShed(const std::shared_ptr<Connection>& conn,
-                            FrameHeader header, uint64_t arrival_us) {
-  auto& registry = obs::MetricRegistry::Global();
-  // Two ways the pool sheds: the request's own deadline ran out in the
-  // queue (kDeadlineExceeded — retrying is pointless, the caller's budget
-  // is gone), or CoDel aged out a background request (kResourceExhausted
-  // with pushback — retry later, the queue is standing).
-  const bool expired = header.budget_us != 0 &&
-                       OverloadNowUs() >= arrival_us + header.budget_us;
-  Status status;
+                            FrameHeader header) {
+  // The pool sheds only a request whose own deadline ran out in the queue:
+  // retrying is pointless, the caller's budget is gone.
+  shed_expired_.fetch_add(1, std::memory_order_relaxed);
+  obs::MetricRegistry::Global()
+      .GetCounter("rpc.server.shed_expired")
+      .Increment();
   FrameHeader rh = header;
   rh.flags |= kFlagResponse;
   rh.budget_us = 0;
-  if (expired) {
-    shed_expired_.fetch_add(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.server.shed_expired").Increment();
-    status = Status::DeadlineExceeded("deadline expired in server queue");
-  } else {
-    shed_codel_.fetch_add(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.server.shed_codel").Increment();
-    status = Status::ResourceExhausted("server queue overloaded (shed)");
-    rh.flags |= kFlagPushback;
-    rh.budget_us = options_.admission_config.min_retry_after_us;
-    if (admission_ != nullptr) {
-      const uint64_t ewma = admission_->stats().ewma_latency_us;
-      rh.budget_us = static_cast<uint32_t>(std::min<uint64_t>(
-          options_.admission_config.max_retry_after_us,
-          std::max<uint64_t>(rh.budget_us, ewma)));
-    }
-  }
-  Bytes body = EncodeStatusOnlyResponse(header.op, status);
+  Bytes body = EncodeStatusOnlyResponse(
+      header.op, Status::DeadlineExceeded("deadline expired in server queue"));
   rh.payload_size = static_cast<uint32_t>(body.size());
   Bytes frame = EncodeFrameHeader(rh);
   frame.insert(frame.end(), body.begin(), body.end());
   WriteFrames(*conn, frame);
-  // The slot was acquired at the reader edge; a shed request contributes
-  // no latency sample (its sojourn measures the queue, not the service).
-  if (admission_ != nullptr) admission_->Release(0);
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     --conn->in_flight;

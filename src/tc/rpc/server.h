@@ -45,18 +45,20 @@ namespace tc::rpc {
 /// Every request that was fully read is answered or the connection is
 /// gone; none are silently dropped mid-dispatch.
 ///
-/// Overload control (PR 10): with `admission` enabled the server runs a
-/// gradient AdmissionController at the socket edge — a request the limiter
-/// turns away is answered *inline from the reader thread* with a
-/// kResourceExhausted status-only response whose header carries the
-/// pushback flag and a retry-after hint, so rejection costs no pool slot.
-/// kPing and kScrapeTelemetry are forced kCritical (always admitted):
-/// client pools keep probing and operators keep observing a saturated
-/// server. Admitted requests enter the WorkerPool with their wire
-/// criticality band and an absolute deadline derived from the frame's
-/// budget_us; a request that dies in the queue (or is CoDel-shed as
-/// background) is answered cheaply by the pool's on_shed hook without ever
-/// touching the provider.
+/// Overload control: the server is not an admission point. The one
+/// admission point is the provider's OverloadGate, inside
+/// CloudInfrastructure; a request it turns away comes back with
+/// kResourceExhausted, and Dispatch forwards the gate's retry-after hint
+/// in the response header as explicit pushback. kPing and
+/// kScrapeTelemetry are forced kCritical: they are served first from the
+/// pool's queue, kPing never reaches the provider and the gate never turns
+/// a scrape away, so client pools keep probing and operators keep
+/// observing a saturated server. A request enters the WorkerPool with its
+/// wire criticality band and an absolute deadline derived from the frame's
+/// budget_us; the pool re-checks that deadline at dequeue (it runs no
+/// CoDel aging here), and a request that died in the queue is answered
+/// kDeadlineExceeded by the on_shed hook without ever touching the
+/// provider.
 ///
 /// Metrics (tc::obs global registry):
 ///   rpc.server.accepted        counter  connections accepted
@@ -65,26 +67,12 @@ namespace tc::rpc {
 ///   rpc.server.bytes_in/out    counter  payload+header bytes
 ///   rpc.server.in_flight       gauge    requests inside the pool
 ///   rpc.server.dispatch_us     histogram  read-to-response-written
-///   rpc.server.admission_rejected counter  requests refused at the edge
-///   rpc.server.admission_limit gauge    current concurrency limit
 ///   rpc.server.shed_expired    counter  answered dead from the queue
-///   rpc.server.shed_codel      counter  background shed by queue aging
 class RpcServer {
  public:
   struct Options {
     uint16_t port = 0;  ///< 0 = OS-assigned ephemeral port.
     size_t worker_threads = 4;
-    size_t queue_capacity = 256;
-    uint32_t max_frame_bytes = kMaxPayloadBytes;
-    /// Adaptive admission at the socket edge (off = accept everything,
-    /// the pre-overload-plane behavior).
-    bool admission = false;
-    AdmissionConfig admission_config{};
-    /// CoDel queue aging in the worker pool (sheds background work while
-    /// queue sojourn stays above target).
-    bool codel = false;
-    uint64_t codel_target_us = 5000;
-    uint64_t codel_interval_us = 100000;
   };
 
   struct Stats {
@@ -92,9 +80,7 @@ class RpcServer {
     uint64_t requests = 0;
     uint64_t malformed = 0;   ///< Bad frames (each closed its connection).
     uint64_t version_mismatch = 0;
-    uint64_t admission_rejected = 0;  ///< Refused at the socket edge.
     uint64_t shed_expired = 0;  ///< Answered dead (deadline passed in queue).
-    uint64_t shed_codel = 0;    ///< Background shed by CoDel aging.
   };
 
   RpcServer(cloud::CloudInfrastructure* cloud, const Options& options);
@@ -119,10 +105,6 @@ class RpcServer {
   /// (some sandboxes forbid AF_INET entirely). Probed once per process.
   static bool LoopbackAvailable();
 
-  /// The edge admission controller (nullptr when Options.admission is off
-  /// or the server has not started). Outlives Shutdown for post-run stats.
-  AdmissionController* admission_controller() { return admission_.get(); }
-
  private:
   struct Connection {
     int fd = -1;
@@ -140,13 +122,13 @@ class RpcServer {
   /// same connection still execute in parallel across the pool.
   /// `criticality` is the effective class (wire bits, ping/scrape forced
   /// critical); `arrival_us` is when the reader framed the request (the
-  /// origin of its absolute deadline and of its admission latency sample).
+  /// origin of its absolute deadline).
   void Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
                 Criticality criticality, uint64_t arrival_us, Bytes payload);
-  /// Answers a request the pool shed (expired deadline or CoDel aging)
-  /// without executing it, and returns its admission slot.
+  /// Answers kDeadlineExceeded for a request whose deadline ran out in the
+  /// pool's queue, without executing it.
   void RespondShed(const std::shared_ptr<Connection>& conn,
-                   FrameHeader header, uint64_t arrival_us);
+                   FrameHeader header);
   /// Decodes + executes one request, returning the encoded response
   /// payload. Sets `*decode_ok` to the decode failure when the payload
   /// behind a well-formed header is garbage (caller drops the connection).
@@ -172,15 +154,11 @@ class RpcServer {
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
 
-  std::unique_ptr<AdmissionController> admission_;
-
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> malformed_{0};
   std::atomic<uint64_t> version_mismatch_{0};
-  std::atomic<uint64_t> admission_rejected_{0};
   std::atomic<uint64_t> shed_expired_{0};
-  std::atomic<uint64_t> shed_codel_{0};
 };
 
 }  // namespace tc::rpc

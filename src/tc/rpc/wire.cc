@@ -9,19 +9,6 @@ namespace {
 constexpr uint8_t kMaxKnownOp = static_cast<uint8_t>(RpcOp::kScrapeTelemetry);
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kAborted);
 
-/// Checks a decoded element count against the bytes actually left in the
-/// reader: each counted element costs at least `min_bytes_per` bytes, so a
-/// count larger than remaining/min is corrupt — reject it BEFORE reserving
-/// memory for it (a fuzzed count must never drive an allocation).
-Status CheckCount(const BinaryReader& r, uint64_t count,
-                  size_t min_bytes_per) {
-  if (min_bytes_per == 0) min_bytes_per = 1;
-  if (count > r.remaining() / min_bytes_per) {
-    return Status::Corruption("element count exceeds payload bytes");
-  }
-  return Status::OK();
-}
-
 Status CheckExhausted(const BinaryReader& r) {
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after payload");

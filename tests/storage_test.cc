@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "tc/common/codec.h"
 #include "tc/storage/flash_device.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
@@ -296,6 +297,33 @@ TEST(EncryptedStoreTest, FlashImageIsCiphertextAndTamperEvident) {
   auto reopened = LogStore::Open(&device, &transform, LogStoreOptions{});
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(*(*reopened)->Get("reading"), secret);
+}
+
+TEST(LogStoreHostileFlashTest, PageRecordCountBeyondThePageIsCorruption) {
+  // A page whose checksum is valid but whose record count claims 2^40
+  // records: recovery refuses the count before it sizes an allocation,
+  // and Open fails with the decode error.
+  const FlashGeometry geo = SmallGeometry();
+  BinaryWriter body;
+  body.PutVarint(uint64_t{1} << 40);
+  Bytes body_bytes = body.Take();
+  body_bytes.resize(geo.page_size - 8, 0);
+  uint32_t checksum = 2166136261u;  // FNV-1a over the body, as LogStore.
+  for (uint8_t b : body_bytes) {
+    checksum ^= b;
+    checksum *= 16777619u;
+  }
+  BinaryWriter page;
+  page.PutU32(0x54434c47);  // LogStore page magic "TCLG".
+  page.PutU32(checksum);
+  page.PutRaw(body_bytes);
+  FlashDevice device(geo);
+  ASSERT_TRUE(device.ProgramPage(0, page.Take()).ok());
+  PlainPageTransform plain;
+  auto opened = LogStore::Open(&device, &plain, LogStoreOptions{});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
 }
 
 TEST(EncryptedStoreTest, WrongKeyCannotOpen) {
