@@ -2,14 +2,15 @@
 # The tier-1 verify, end to end (cited by ROADMAP.md):
 #
 #   1. configure + build the default tree;
-#   2. run the full ctest suite once: every registration, including the
+#   2. run the full ctest suite once: all 37 registrations, including the
 #      wire legs (the chaos/txn/telemetry/overload suites rerun with
 #      TC_TRANSPORT=socket over real loopback TCP; where loopback sockets
-#      are unavailable they GTEST_SKIP with a printed reason) and the
-#      lockfree, telemetry and overload suites. Each test runs exactly
-#      once here; the ctest labels (wire, lockfree, telemetry, overload,
-#      chaos, txn) stay for running one lane by hand, e.g.
-#      `ctest --test-dir build -L overload`;
+#      are unavailable they GTEST_SKIP with a printed reason), the
+#      lockfree, telemetry and overload suites, and the four example
+#      binaries, which TC_CHECK every step of their end-to-end flows. Each
+#      test runs exactly once here; the ctest labels (wire, lockfree,
+#      telemetry, overload, chaos, txn, example) stay for running one lane
+#      by hand, e.g. `ctest --test-dir build -L overload`;
 #   3. run the lock-free report harness once (bench_e17_lockfree --quick,
 #      a fraction of a second), so E17 is executed and not only built;
 #   4. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x

@@ -55,6 +55,10 @@ Result<std::pair<DocumentMeta, uint64_t>> DecodeMeta(const Bytes& data) {
 
 std::string MetaKey(const std::string& doc_id) { return "x/doc/" + doc_id; }
 
+/// Schnorr/DH group size of every cell's TEE (and of the signatures the
+/// cells check).
+constexpr size_t kGroupBits = 512;
+
 storage::FlashGeometry DefaultGeometry(const tee::DeviceProfile& profile) {
   storage::FlashGeometry geo;
   geo.page_size = 2048;
@@ -187,7 +191,7 @@ Result<std::unique_ptr<TrustedCell>> TrustedCell::Create(
 
 Status TrustedCell::Init() {
   tee_ = std::make_unique<tee::TrustedExecutionEnvironment>(
-      config_.cell_id, config_.device_class, config_.group_bits);
+      config_.cell_id, config_.device_class, kGroupBits);
 
   // Owner master key: identical on every cell of the owner (models the
   // user enrolling each device with her passphrase-derived secret).
@@ -218,8 +222,8 @@ Status TrustedCell::Init() {
   }
 
   const tee::DeviceProfile& profile = tee_->profile();
-  storage::FlashGeometry geo =
-      config_.use_default_flash ? DefaultGeometry(profile) : config_.flash;
+  const storage::FlashGeometry geo =
+      config_.flash.value_or(DefaultGeometry(profile));
   flash_ = std::make_unique<storage::FlashDevice>(geo);
   transform_ = std::make_unique<storage::EncryptedPageTransform>(
       tee_.get(), "storage-root");
@@ -278,8 +282,9 @@ Status TrustedCell::Init() {
     outbox_ = std::make_unique<net::Outbox>(store_.get());
     TC_RETURN_IF_ERROR(outbox_->Load());
     if (!outbox_->empty()) {
-      // Crashed (or was shut down) while partitioned: the queued pushes
+      // Crashed (or was shut down) while partitioned: the queued writes
       // survived in the encrypted store. Resume degraded until CatchUp.
+      metrics_.outbox_depth.Add(static_cast<int64_t>(outbox_->size()));
       EnterDegraded();
     }
   }
@@ -349,39 +354,50 @@ void TrustedCell::ExitDegraded() {
   metrics_.degraded_ms.Increment(degraded_timer_.ElapsedUs() / 1000);
 }
 
-Status TrustedCell::PushBlob(const std::string& blob_id, uint64_t version,
-                             const Bytes& sealed) {
-  std::string token = PushToken(blob_id, version, sealed);
-  // A queued older push of the same blob must never overtake this one:
-  // supersede it in the outbox instead of racing it to the provider.
-  if (outbox_ == nullptr || outbox_->FindByBlobId(blob_id) == nullptr) {
-    auto pushed = channel_->Put(blob_id, sealed, &token);
-    if (pushed.ok()) return Status::OK();
-    if (outbox_ == nullptr || (!pushed.status().IsTransient() &&
-                               !pushed.status().IsDeadlineExceeded())) {
-      return pushed.status();
-    }
+Status TrustedCell::CommitOrJournal(const cloud::TxnRequest& req,
+                                    const Status& observed) {
+  // An older queued write must reach the provider first: committing this
+  // one now could land it under that one.
+  const bool queued = outbox_ != nullptr && !outbox_->empty();
+  Status failure = observed;
+  if (failure.ok() && !queued) {
+    cloud::TxnOutcome outcome = channel_->CommitTxn(req);
+    if (outcome.committed) return Status::OK();
+    failure = outcome.status;
   }
-  // Provider unreachable (or an older push is queued): the sealed bytes
-  // are journaled in the encrypted store and the write succeeds locally.
-  // Note the push may have reached the provider with only the ack lost —
-  // draining re-sends under the same token, so it applies at most once.
-  TC_RETURN_IF_ERROR(outbox_->Enqueue(blob_id, token, sealed));
-  metrics_.outbox_depth.Add(1);
-  ++stats_.pushes_deferred;
+  const bool unreachable =
+      failure.IsTransient() || failure.IsDeadlineExceeded();
+  if (!failure.ok() && (!unreachable || outbox_ == nullptr)) return failure;
+  // The sealed bytes are journaled in the encrypted store and the write
+  // succeeds locally. An unresolved commit may have applied with only its
+  // ack lost: the drain re-sends under the same token, so it applies at
+  // most once.
+  std::vector<net::OutboxWrite> writes;
+  writes.reserve(req.writes.size());
+  for (const cloud::TxnWrite& write : req.writes) {
+    writes.push_back({write.id, write.data});
+  }
+  const size_t depth = outbox_->size();
+  TC_RETURN_IF_ERROR(outbox_->Enqueue(req.token, std::move(writes)));
+  metrics_.outbox_depth.Add(static_cast<int64_t>(outbox_->size()) -
+                            static_cast<int64_t>(depth));
+  ++stats_.writes_deferred;
   EnterDegraded();
   return Status::OK();
 }
 
+Status TrustedCell::WriteBlind(const std::string& blob_id, uint64_t version,
+                               const Bytes& sealed) {
+  cloud::TxnRequest req;
+  req.token = PushToken(blob_id, version, sealed);
+  req.writes.push_back({blob_id, sealed, cloud::kBaseVersionAny});
+  return CommitOrJournal(req);
+}
+
 Result<Bytes> TrustedCell::PullBlob(const std::string& blob_id) {
   if (outbox_ != nullptr) {
-    // Read-your-writes while partitioned; a pending transaction's write of
-    // this blob is served through the out-param (the txn record's own
-    // payload field is empty).
-    const Bytes* queued_payload = nullptr;
-    if (outbox_->FindByBlobId(blob_id, &queued_payload) != nullptr) {
-      return *queued_payload;
-    }
+    // Read-your-writes while the write is queued.
+    if (const Bytes* queued = outbox_->FindPayload(blob_id)) return *queued;
   }
   return channel_->Get(blob_id);
 }
@@ -397,95 +413,64 @@ Status TrustedCell::CatchUp() {
   obs::TraceSpan span("cell", "catch_up", config_.cell_id);
   // Catch-up is anti-entropy traffic: tag the channel kBackground for the
   // duration so an overloaded provider sheds this drain before any cell's
-  // foreground puts/commits. Restored on every exit path.
+  // foreground commits. Restored on every exit path.
   struct CriticalityGuard {
     net::ResilientChannel* ch;
     Criticality prev;
     ~CriticalityGuard() { ch->set_criticality(prev); }
   } criticality_guard{channel_.get(), channel_->criticality()};
   channel_->set_criticality(Criticality::kBackground);
-  uint64_t drained = 0;
   while (!outbox_->empty()) {
     // Catch-up is the reconnection attempt: it must be allowed to probe.
     channel_->WaitOutBreaker();
     const net::OutboxRecord& record = outbox_->pending().begin()->second;
-    if (record.is_txn) {
-      // A journaled whole-transaction drains through CommitTxn under its
-      // original token: blind last-writer-wins writes (the partition aged
-      // the read set past any meaningful validation), answered from the
-      // provider's token table if the pre-crash commit already applied —
-      // either way all writes land atomically, exactly once.
-      cloud::TxnRequest req;
-      req.token = record.token;
-      for (const net::OutboxTxnWrite& write : record.txn_writes) {
-        req.writes.push_back(
-            {write.blob_id, write.payload, cloud::kBaseVersionAny});
-      }
-      cloud::TxnOutcome outcome = channel_->CommitTxn(req);
-      if (!outcome.committed) {
-        if (outcome.status.IsTransient() ||
-            outcome.status.IsDeadlineExceeded()) {
-          stats_.catchup_drained += drained;
-          return Status::Unavailable(
-              "catch-up stalled with " + std::to_string(outbox_->size()) +
-              " pushes pending: " + outcome.status.ToString());
-        }
-        return outcome.status;  // Blind writes never abort; a real error.
-      }
-      for (size_t i = 0; i < record.txn_writes.size(); ++i) {
-        auto echo = cloud_->GetBlobVersion(record.txn_writes[i].blob_id,
-                                           outcome.versions[i]);
-        if (!echo.ok() || *echo != record.txn_writes[i].payload) {
-          RecordIncident(IncidentType::kPayloadTampered,
-                         record.txn_writes[i].blob_id,
-                         "catch-up txn read-back mismatch at version " +
-                             std::to_string(outcome.versions[i]));
-          return Status::IntegrityViolation(
-              "catch-up read-back mismatch on " +
-              record.txn_writes[i].blob_id);
-        }
-      }
-      TC_RETURN_IF_ERROR(outbox_->MarkDone(record.seq));
-      metrics_.outbox_depth.Add(-1);
-      ++drained;
-      continue;
+    // Blind last-writer-wins writes under the record's original token
+    // (the partition aged any read set past meaningful validation),
+    // answered from the provider's token table if the commit already
+    // applied before a crash or a lost ack — either way all of the
+    // record's writes land atomically, exactly once.
+    cloud::TxnRequest req;
+    req.token = record.token;
+    for (const net::OutboxWrite& write : record.writes) {
+      req.writes.push_back(
+          {write.blob_id, write.payload, cloud::kBaseVersionAny});
     }
-    auto pushed = channel_->Put(record.blob_id, record.payload,
-                                &record.token);
-    if (!pushed.ok()) {
-      if (pushed.status().IsTransient() ||
-          pushed.status().IsDeadlineExceeded()) {
-        stats_.catchup_drained += drained;
+    cloud::TxnOutcome outcome = channel_->CommitTxn(req);
+    if (!outcome.committed) {
+      if (outcome.status.IsTransient() ||
+          outcome.status.IsDeadlineExceeded()) {
         return Status::Unavailable(
             "catch-up stalled with " + std::to_string(outbox_->size()) +
-            " pushes pending: " + pushed.status().ToString());
+            " records pending: " + outcome.status.ToString());
       }
-      return pushed.status();
+      return outcome.status;  // Blind writes never abort; a real error.
     }
-    // Read-back verification: the acked version must hold exactly the
+    // Read-back verification: each acked version must hold exactly the
     // bytes we sealed — a provider that acked without storing (or stored
     // something else) is caught here, not at some future fetch.
-    auto echo = cloud_->GetBlobVersion(record.blob_id, *pushed);
-    if (!echo.ok() || *echo != record.payload) {
-      RecordIncident(IncidentType::kPayloadTampered, record.blob_id,
-                     "catch-up read-back mismatch at version " +
-                         std::to_string(*pushed));
-      return Status::IntegrityViolation("catch-up read-back mismatch on " +
-                                        record.blob_id);
+    for (size_t i = 0; i < record.writes.size(); ++i) {
+      const net::OutboxWrite& write = record.writes[i];
+      auto echo = cloud_->GetBlobVersion(write.blob_id, outcome.versions[i]);
+      if (!echo.ok() || *echo != write.payload) {
+        RecordIncident(IncidentType::kPayloadTampered, write.blob_id,
+                       "catch-up read-back mismatch at version " +
+                           std::to_string(outcome.versions[i]));
+        return Status::IntegrityViolation("catch-up read-back mismatch on " +
+                                          write.blob_id);
+      }
     }
     TC_RETURN_IF_ERROR(outbox_->MarkDone(record.seq));
     metrics_.outbox_depth.Add(-1);
-    ++drained;
+    ++stats_.catchup_drained;
   }
-  stats_.catchup_drained += drained;
   ExitDegraded();
   // Everything queued is durable; publish a fresh manifest so sibling
   // cells see the post-partition state.
   return SyncPush();
 }
 
-Bytes TrustedCell::DocumentAad(const std::string& doc_id, uint64_t version,
-                               const Bytes& /*unused*/) const {
+Bytes TrustedCell::DocumentAad(const std::string& doc_id,
+                               uint64_t version) const {
   BinaryWriter w;
   w.PutString("tc.doc");
   w.PutString(doc_id);
@@ -507,8 +492,7 @@ policy::StickyPolicy::MacFn TrustedCell::StickyMac(
   };
 }
 
-Status TrustedCell::EnsureDocKey(const std::string& /*doc_id*/,
-                                 const std::string& key_name) {
+Status TrustedCell::EnsureDocKey(const std::string& key_name) {
   if (tee_->keystore().HasKey(key_name)) return Status::OK();
   // The derivation label is the key name itself, so any cell of the owner
   // reconstructs the same key from metadata alone — including rotated
@@ -639,7 +623,7 @@ Result<std::string> TrustedCell::StoreDocument(const std::string& title,
   std::string doc_id = HexEncode(crypto::Sha256Hash(idw.Take())).substr(0, 16);
 
   std::string key_name = "dk/" + doc_id;
-  TC_RETURN_IF_ERROR(EnsureDocKey(doc_id, key_name));
+  TC_RETURN_IF_ERROR(EnsureDocKey(key_name));
 
   DocumentMeta meta;
   meta.doc_id = doc_id;
@@ -658,9 +642,9 @@ Result<std::string> TrustedCell::StoreDocument(const std::string& title,
   obs::Stopwatch seal_timer;
   TC_ASSIGN_OR_RETURN(
       Bytes sealed,
-      tee_->Seal(key_name, DocumentAad(doc_id, meta.version, {}), content));
+      tee_->Seal(key_name, DocumentAad(doc_id, meta.version), content));
   metrics_.seal_us.Record(seal_timer.ElapsedUs());
-  TC_RETURN_IF_ERROR(PushBlob(meta.blob_id, meta.version, sealed));
+  TC_RETURN_IF_ERROR(WriteBlind(meta.blob_id, meta.version, sealed));
   TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/true));
   ++stats_.documents_stored;
   return doc_id;
@@ -679,10 +663,9 @@ Status TrustedCell::UpdateDocument(const std::string& doc_id,
   obs::Stopwatch seal_timer;
   TC_ASSIGN_OR_RETURN(
       Bytes sealed,
-      tee_->Seal(meta.key_name, DocumentAad(doc_id, meta.version, {}),
-                 content));
+      tee_->Seal(meta.key_name, DocumentAad(doc_id, meta.version), content));
   metrics_.seal_us.Record(seal_timer.ElapsedUs());
-  TC_RETURN_IF_ERROR(PushBlob(meta.blob_id, meta.version, sealed));
+  TC_RETURN_IF_ERROR(WriteBlind(meta.blob_id, meta.version, sealed));
   return SaveMeta(meta, /*is_new=*/false);
 }
 
@@ -704,132 +687,25 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
   obs::Stopwatch seal_timer;
   TC_ASSIGN_OR_RETURN(
       Bytes sealed,
-      tee_->Seal(meta.key_name, DocumentAad(doc_id, meta.version, {}),
-                 content));
+      tee_->Seal(meta.key_name, DocumentAad(doc_id, meta.version), content));
   metrics_.seal_us.Record(seal_timer.ElapsedUs());
-
-  // Stable across every retry AND the outbox fallback: the provider's
-  // txn-token table makes this logical update exactly-once.
-  const std::string token =
-      PushToken("txn/" + meta.blob_id, meta.version, sealed);
-
-  // Degraded fallback: journal the whole transaction and succeed locally.
-  // Used both when the provider is unreachable and when a commit's fate is
-  // unresolved — the drain re-sends under the same token, so the update
-  // applies at most once either way.
-  auto defer = [&](uint64_t manifest_version, Bytes manifest_blob) -> Status {
-    if (outbox_ == nullptr) {
-      return Status::Unavailable(
-          "provider unreachable and no outbox configured");
-    }
-    std::vector<net::OutboxTxnWrite> writes;
-    writes.push_back({meta.blob_id, sealed});
-    writes.push_back({ManifestBlobId(), std::move(manifest_blob)});
-    TC_RETURN_IF_ERROR(outbox_->EnqueueTxn(token, std::move(writes)));
-    metrics_.outbox_depth.Add(1);
-    ++stats_.txns_deferred;
-    EnterDegraded();
-    TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
-    while (tee_->CounterValue("manifest-seen") < manifest_version) {
-      tee_->IncrementCounter("manifest-seen");
-    }
-    ++stats_.atomic_updates;
-    return Status::OK();
-  };
-
-  Status last_abort = Status::Aborted("atomic update: contention");
-  constexpr int kMaxAttempts = 8;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    // Observe the provider under one snapshot. First-committer-wins
-    // validation re-checks both versions at commit, so a stale observation
-    // costs one abort, never correctness.
-    bool reachable = true;
-    cloud::SnapshotDescriptor snap;
-    uint64_t doc_base = 0;
-    uint64_t manifest_base = 0;
-    auto got = channel_->GetSnapshot();
-    if (got.ok()) {
-      snap = std::move(*got);
-    } else if (got.status().IsTransient() ||
-               got.status().IsDeadlineExceeded()) {
-      reachable = false;
-    } else {
-      return got.status();
-    }
-    auto observe = [&](const std::string& id, uint64_t* base) -> Status {
-      if (!reachable) return Status::OK();
-      auto read = channel_->GetAtSnapshot(id, snap);
-      if (read.ok()) {
-        *base = read->version;
-        return Status::OK();
-      }
-      if (read.status().IsNotFound()) return Status::OK();
-      if (read.status().IsTransient() ||
-          read.status().IsDeadlineExceeded()) {
-        reachable = false;
-        return Status::OK();
-      }
-      return read.status();
-    };
-    TC_RETURN_IF_ERROR(observe(meta.blob_id, &doc_base));
-    TC_RETURN_IF_ERROR(observe(ManifestBlobId(), &manifest_base));
-
-    // The manifest must advance past both the TEE floor and whatever the
-    // provider holds.
-    uint64_t manifest_version =
-        std::max(tee_->CounterValue("manifest-seen"), manifest_base) + 1;
-    TC_ASSIGN_OR_RETURN(Bytes manifest_blob,
-                        BuildManifestBlob(manifest_version, &meta));
-
-    if (!reachable) return defer(manifest_version, std::move(manifest_blob));
-
-    cloud::TxnRequest req;
-    req.token = token;
-    req.snapshot = snap;
-    req.writes.push_back({meta.blob_id, sealed, doc_base});
-    req.writes.push_back(
-        {ManifestBlobId(), std::move(manifest_blob), manifest_base});
-    cloud::TxnOutcome outcome = channel_->CommitTxn(req);
-    if (outcome.committed) {
-      TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
-      while (tee_->CounterValue("manifest-seen") < manifest_version) {
-        tee_->IncrementCounter("manifest-seen");
-      }
-      ++stats_.atomic_updates;
-      ++stats_.sync_pushes;  // The commit published a fresh manifest.
-      return Status::OK();
-    }
-    if (outcome.status.IsAborted()) {
-      // First committer won — refresh the snapshot, rebuild the manifest
-      // against the new base, retry under the SAME token.
-      ++stats_.atomic_update_aborts;
-      last_abort = outcome.status;
-      continue;
-    }
-    if (outcome.status.IsTransient() ||
-        outcome.status.IsDeadlineExceeded()) {
-      // Unresolved fate; the token table resolves it at drain time.
-      return defer(manifest_version, std::move(req.writes[1].data));
-    }
-    return outcome.status;
-  }
-  return last_abort;
+  TC_RETURN_IF_ERROR(PublishManifest(&meta, sealed));
+  ++stats_.atomic_updates;
+  return Status::OK();
 }
 
 Result<Bytes> TrustedCell::FetchAndOpen(const DocumentMeta& meta) {
   TC_ASSIGN_OR_RETURN(Bytes blob, PullBlob(meta.blob_id));
   obs::Stopwatch unseal_timer;
   auto payload =
-      tee_->Open(meta.key_name, DocumentAad(meta.doc_id, meta.version, {}),
-                 blob);
+      tee_->Open(meta.key_name, DocumentAad(meta.doc_id, meta.version), blob);
   metrics_.unseal_us.Record(unseal_timer.ElapsedUs());
   if (payload.ok()) return payload;
   if (payload.status().IsIntegrityViolation()) {
     // Distinguish rollback (an older version served as latest) from blind
     // tampering: an old version still opens under its own AAD.
     for (uint64_t v = meta.version; v-- > 1;) {
-      auto old = tee_->Open(meta.key_name, DocumentAad(meta.doc_id, v, {}),
-                            blob);
+      auto old = tee_->Open(meta.key_name, DocumentAad(meta.doc_id, v), blob);
       if (old.ok()) {
         RecordIncident(IncidentType::kRollbackDetected, meta.doc_id,
                        "cloud served version " + std::to_string(v) +
@@ -948,21 +824,72 @@ Result<Bytes> TrustedCell::BuildManifestBlob(
   return blob.Take();
 }
 
+Status TrustedCell::PublishManifest(const DocumentMeta* meta,
+                                    const Bytes& sealed) {
+  Status last_abort = Status::Aborted("manifest publish: contention");
+  constexpr int kMaxAttempts = 8;
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    // Observe the provider under one snapshot. First-committer-wins
+    // validation re-checks every base at commit, so a stale observation
+    // costs one abort, never correctness. A failed observation leaves the
+    // bases at 0 and CommitOrJournal decides what it means.
+    cloud::TxnRequest req;
+    Status observed;
+    auto snap = channel_->GetSnapshot();
+    if (snap.ok()) {
+      req.snapshot = std::move(*snap);
+    } else {
+      observed = snap.status();
+    }
+    auto observe = [&](const std::string& id) -> uint64_t {
+      if (!observed.ok()) return 0;
+      auto read = channel_->GetAtSnapshot(id, req.snapshot);
+      if (read.ok()) return read->version;
+      if (!read.status().IsNotFound()) observed = read.status();
+      return 0;
+    };
+    const uint64_t doc_base = meta != nullptr ? observe(meta->blob_id) : 0;
+    const uint64_t manifest_base = observe(ManifestBlobId());
+
+    // The manifest must advance past both the TEE floor and whatever the
+    // provider holds.
+    const uint64_t version =
+        std::max(tee_->CounterValue("manifest-seen"), manifest_base) + 1;
+    TC_ASSIGN_OR_RETURN(Bytes manifest, BuildManifestBlob(version, meta));
+    if (meta != nullptr) {
+      // Stable across every rebuild and the outbox fallback: the
+      // provider's txn-token table makes this update exactly-once.
+      req.token = PushToken("txn/" + meta->blob_id, meta->version, sealed);
+      req.writes.push_back({meta->blob_id, sealed, doc_base});
+    } else {
+      req.token = PushToken(ManifestBlobId(), version, manifest);
+    }
+    req.writes.push_back(
+        {ManifestBlobId(), std::move(manifest), manifest_base});
+    Status written = CommitOrJournal(req, observed);
+    if (written.IsAborted()) {
+      // First committer won — refresh the snapshot, rebuild the manifest
+      // against the new base, retry (an update under the SAME token).
+      ++stats_.atomic_update_aborts;
+      last_abort = written;
+      continue;
+    }
+    TC_RETURN_IF_ERROR(written);
+    if (meta != nullptr) {
+      TC_RETURN_IF_ERROR(SaveMeta(*meta, /*is_new=*/false));
+    }
+    while (tee_->CounterValue("manifest-seen") < version) {
+      tee_->IncrementCounter("manifest-seen");
+    }
+    ++stats_.sync_pushes;
+    return Status::OK();
+  }
+  return last_abort;
+}
+
 Status TrustedCell::SyncPush() {
   obs::TraceSpan span("cell", "sync_push", config_.cell_id);
-  // Manifest version: strictly above both our floor and whatever the
-  // cloud currently advertises (so concurrent cells don't collide).
-  uint64_t floor = tee_->CounterValue("manifest-seen");
-  auto cloud_version = cloud_->LatestBlobVersion(ManifestBlobId());
-  uint64_t version = std::max<uint64_t>(
-      floor, cloud_version.ok() ? *cloud_version : 0) + 1;
-  while (tee_->CounterValue("manifest-seen") < version) {
-    tee_->IncrementCounter("manifest-seen");
-  }
-  TC_ASSIGN_OR_RETURN(Bytes blob, BuildManifestBlob(version, nullptr));
-  TC_RETURN_IF_ERROR(PushBlob(ManifestBlobId(), version, blob));
-  ++stats_.sync_pushes;
-  return Status::OK();
+  return PublishManifest(nullptr, {});
 }
 
 Status TrustedCell::SyncPull() {
@@ -1005,7 +932,7 @@ Status TrustedCell::SyncPull() {
     DocumentMeta& incoming = decoded.first;
     auto existing = LoadMeta(incoming.doc_id);
     if (existing.ok() && existing->version >= incoming.version) continue;
-    TC_RETURN_IF_ERROR(EnsureDocKey(incoming.doc_id, incoming.key_name));
+    TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
     TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
   }
   while (tee_->CounterValue("manifest-seen") < version) {
@@ -1114,7 +1041,7 @@ Result<int> TrustedCell::ProcessInbox() {
     if (!sender.ok() ||
         !tee::TrustedExecutionEnvironment::VerifySignature(
             sender->signing_public_key, grant->SignedPayload(),
-            grant->signature, config_.group_bits)) {
+            grant->signature, kGroupBits)) {
       RecordIncident(IncidentType::kForgedGrant, grant->doc_id,
                      "signature check failed for grant from " +
                          grant->sender_cell);
@@ -1309,8 +1236,7 @@ Result<TrustedCell::SpaceProof> TrustedCell::ProveDocumentInSpace(
 }
 
 bool TrustedCell::VerifySpaceProof(const SpaceProof& proof,
-                                   const CellDirectory& directory,
-                                   size_t group_bits) {
+                                   const CellDirectory& directory) {
   auto identity = directory.Lookup(proof.cell_id);
   if (!identity.ok()) return false;
   // The leaf must commit to the claimed document id/version.
@@ -1329,7 +1255,7 @@ bool TrustedCell::VerifySpaceProof(const SpaceProof& proof,
   return tee::TrustedExecutionEnvironment::VerifySignature(
       identity->signing_public_key,
       SpaceRootPayload(proof.cell_id, proof.root), proof.root_signature,
-      group_bits);
+      kGroupBits);
 }
 
 Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
@@ -1347,7 +1273,7 @@ Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
   std::string old_key = meta.key_name;
   std::string new_key =
       "dk/" + doc_id + "/r" + std::to_string(meta.version + 1);
-  TC_RETURN_IF_ERROR(EnsureDocKey(doc_id, new_key));
+  TC_RETURN_IF_ERROR(EnsureDocKey(new_key));
 
   meta.version += 1;
   meta.key_name = new_key;
@@ -1355,8 +1281,8 @@ Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
       policy::StickyPolicy::BindWithMac(policy, doc_id, StickyMac(new_key));
   TC_ASSIGN_OR_RETURN(
       Bytes sealed,
-      tee_->Seal(new_key, DocumentAad(doc_id, meta.version, {}), payload));
-  TC_RETURN_IF_ERROR(PushBlob(meta.blob_id, meta.version, sealed));
+      tee_->Seal(new_key, DocumentAad(doc_id, meta.version), payload));
+  TC_RETURN_IF_ERROR(WriteBlind(meta.blob_id, meta.version, sealed));
   TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
   (void)tee_->keystore().DestroyKey(old_key);
   (void)tee_->keystore().DestroyKey(old_key + ".sticky");

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -97,13 +98,14 @@ struct CellStats {
   uint64_t reads_denied = 0;
   uint64_t readings_ingested = 0;
   uint64_t aggregates_published = 0;
-  uint64_t sync_pushes = 0;
+  uint64_t sync_pushes = 0;  ///< Manifests committed or journaled.
   uint64_t sync_pulls = 0;
-  uint64_t pushes_deferred = 0;   ///< Cloud pushes queued to the outbox.
+  uint64_t writes_deferred = 0;   ///< Writes journaled to the outbox.
   uint64_t catchup_drained = 0;   ///< Outbox records drained by CatchUp.
   uint64_t atomic_updates = 0;        ///< UpdateDocumentAtomic completions.
-  uint64_t atomic_update_aborts = 0;  ///< FCW aborts retried (same token).
-  uint64_t txns_deferred = 0;     ///< Whole transactions queued to the outbox.
+  /// First-committer-wins aborts retried by UpdateDocumentAtomic (same
+  /// token) or SyncPush.
+  uint64_t atomic_update_aborts = 0;
 };
 
 /// A trusted cell: the paper's "personal data server running on secure
@@ -121,6 +123,14 @@ struct CellStats {
 /// usage & accountability (sticky policies + audit log + notifications),
 /// and shared commons (ProvideAggregateValue feeding tc::compute).
 ///
+/// Every write to the provider is one provider transaction through one
+/// private step, CommitOrJournal: StoreDocument, UpdateDocument and
+/// RotateDocumentKey commit one blind write; UpdateDocumentAtomic and
+/// SyncPush commit a manifest validated against a snapshot. With
+/// resilient_sync, a write the provider cannot take — or any write while
+/// an older one is queued — goes to the durable outbox, which CatchUp
+/// drains in order: no write overtakes a queued one.
+///
 /// Observability (tc::obs global registry, aggregated across cells):
 ///   cell.seal_us / cell.unseal_us    histograms, TEE AEAD cost per doc
 ///   cell.policy.reads_allowed /
@@ -133,10 +143,8 @@ class TrustedCell {
     std::string cell_id;
     std::string owner;
     tee::DeviceClass device_class = tee::DeviceClass::kHomeGateway;
-    /// Flash geometry; default sized by device class when page_size == 0.
-    storage::FlashGeometry flash{};
-    size_t group_bits = 512;
-    bool use_default_flash = true;
+    /// Flash geometry; unset = sized by device class.
+    std::optional<storage::FlashGeometry> flash;
     /// User enrollment secret mixed into the owner master key (models the
     /// passphrase entered when adding a device). Cells of one owner must
     /// use the same value to share a personal space; a cell created with
@@ -215,10 +223,10 @@ class TrustedCell {
   /// (a sibling moved the manifest or the document first) are transient:
   /// the cell refreshes its snapshot and retries under the SAME txn token
   /// (bounded; the final abort is returned if contention never clears).
-  /// With resilient_sync, an unreachable provider (or an unresolved
-  /// commit) journals the whole transaction to the outbox — it drains
-  /// atomically in CatchUp under its original token; without it, the
-  /// update fails kUnavailable.
+  /// With resilient_sync, an unreachable provider, an unresolved commit
+  /// or an older queued write journals the whole transaction to the
+  /// outbox — it drains atomically in CatchUp under its original token;
+  /// without it, an unreachable provider fails the update.
   Status UpdateDocumentAtomic(const std::string& doc_id, const Bytes& content,
                               const policy::Policy* new_policy = nullptr);
 
@@ -238,7 +246,9 @@ class TrustedCell {
   // ---- Multi-device sync (one owner, several cells) ----
 
   /// Publishes the manifest of own documents to the owner's personal
-  /// space (sealed, version = TEE monotonic counter).
+  /// space (sealed, version above both the TEE monotonic counter and the
+  /// provider's manifest), committed against a snapshot like
+  /// UpdateDocumentAtomic's manifest.
   Status SyncPush();
 
   /// Pulls the owner's manifest from the cloud, detects rollback via the
@@ -248,20 +258,21 @@ class TrustedCell {
 
   // ---- Disconnected operation (resilient_sync mode) ----
 
-  /// True while the cell is partitioned from the provider: local writes
-  /// succeed and queue in the durable outbox, reads of queued blobs are
-  /// served locally (read-your-writes).
+  /// True while the outbox holds writes: local writes succeed and queue
+  /// behind them, reads of queued blobs are served locally
+  /// (read-your-writes).
   bool degraded() const { return degraded_; }
 
-  /// Pushes still queued for the provider.
+  /// Outbox records (whole transactions) still queued for the provider.
   size_t outbox_pending() const { return outbox_ ? outbox_->size() : 0; }
 
   /// Anti-entropy catch-up: drains the outbox in order (each record
-  /// re-pushed under its original idempotency token, so a push whose ack
-  /// was lost is deduped server-side), read-back-verifies every drained
-  /// blob against the provider, then republishes the manifest. Returns
-  /// kUnavailable if the provider is still unreachable — the outbox keeps
-  /// the remainder and the cell stays degraded.
+  /// committed as blind writes under its original idempotency token, so a
+  /// commit whose ack was lost is answered from the provider's token
+  /// table), read-back-verifies every drained write against the provider,
+  /// then republishes the manifest. Returns kUnavailable if the provider
+  /// is still unreachable — the outbox keeps the remainder and the cell
+  /// stays degraded.
   Status CatchUp();
 
   /// The cell's channel to the provider (tests and harnesses inspect its
@@ -316,8 +327,7 @@ class TrustedCell {
   /// Verifier side (any party): checks the Merkle path and the signature
   /// of the claimed cell (public key from the directory).
   static bool VerifySpaceProof(const SpaceProof& proof,
-                               const CellDirectory& directory,
-                               size_t group_bits = 512);
+                               const CellDirectory& directory);
 
   /// Rotates the document key: derives a fresh key, re-seals the payload
   /// (version bump) and re-binds the sticky policy. Previously shared
@@ -414,11 +424,10 @@ class TrustedCell {
 
   std::string SpaceBlobId(const std::string& doc_id) const;
   std::string ManifestBlobId() const;
-  Bytes DocumentAad(const std::string& doc_id, uint64_t version,
-                    const Bytes& policy_hash) const;
+  Bytes DocumentAad(const std::string& doc_id, uint64_t version) const;
   /// Sticky-policy MAC oracle bound to a document key inside the TEE.
   policy::StickyPolicy::MacFn StickyMac(const std::string& key_name);
-  Status EnsureDocKey(const std::string& doc_id, const std::string& key_name);
+  Status EnsureDocKey(const std::string& key_name);
   Result<DocumentMeta> LoadMeta(const std::string& doc_id);
   Status SaveMeta(const DocumentMeta& meta, bool is_new);
   /// Serializes + seals the manifest of own documents at `version`,
@@ -430,18 +439,36 @@ class TrustedCell {
   void RecordIncident(IncidentType type, const std::string& object_id,
                       const std::string& detail);
   Result<Bytes> FetchAndOpen(const DocumentMeta& meta);
-  /// Idempotency token of one push of `sealed` as (blob, version) — stable
-  /// across retries, restarts and outbox drains, so the provider applies it
-  /// at most once; a re-seal of the same version gets a fresh token.
+  /// Idempotency token of one write of `sealed` as (blob, version) —
+  /// stable across retries, restarts and outbox drains, so the provider
+  /// applies it at most once; a re-seal of the same version gets a fresh
+  /// token.
   std::string PushToken(const std::string& blob_id, uint64_t version,
                         const Bytes& sealed) const;
-  /// Pushes a sealed blob through the channel under its PushToken. With
-  /// resilient_sync, an unreachable provider sends it to the outbox
-  /// instead (returns OK and marks the cell degraded — the write is
-  /// locally durable and will drain).
-  Status PushBlob(const std::string& blob_id, uint64_t version,
-                  const Bytes& sealed);
-  /// Fetches a blob, serving queued-but-unpushed blobs from the outbox
+  /// The cell's one write step: commits `req` through the channel, or
+  /// journals its writes to the outbox under its token and marks the cell
+  /// degraded. It journals when the outbox already holds a write (so writes
+  /// reach the provider in the order the cell made them, and only CatchUp
+  /// drains), when `observed` — the caller's observation of the provider —
+  /// failed transiently or on its deadline, and when the commit's fate is
+  /// unresolved. Returns OK once `req` is committed or journaled; otherwise
+  /// the commit's abort, a definitive error, or, without an outbox, the
+  /// failure that would have journaled.
+  Status CommitOrJournal(const cloud::TxnRequest& req,
+                         const Status& observed = Status::OK());
+  /// One blind write (kBaseVersionAny) of `sealed` as (blob, version)
+  /// under its PushToken: StoreDocument, UpdateDocument and
+  /// RotateDocumentKey.
+  Status WriteBlind(const std::string& blob_id, uint64_t version,
+                    const Bytes& sealed);
+  /// UpdateDocumentAtomic's and SyncPush's loop: observes the manifest
+  /// (and `meta`'s blob, when non-null) under one snapshot, seals a
+  /// manifest above both the TEE floor and the provider's version, and
+  /// commits it (with `sealed` as `meta`'s new payload) validated against
+  /// what it observed; an abort rebuilds from a fresh snapshot (bounded).
+  /// On success saves `meta` and raises the manifest floor.
+  Status PublishManifest(const DocumentMeta* meta, const Bytes& sealed);
+  /// Fetches a blob, serving the newest queued payload from the outbox
   /// first (read-your-writes while partitioned).
   Result<Bytes> PullBlob(const std::string& blob_id);
   void EnterDegraded();

@@ -252,8 +252,8 @@ class CloudInfrastructure {
 
   // ---- Direct reads of provider state ----
   // No injector, no gate, no adversary: oracle reads for audits and tests
-  // (and TrustedCell's catch-up read-back and manifest-version probe, which
-  // have no CloudTransport operation yet).
+  // (and TrustedCell's catch-up read-back, which has no CloudTransport
+  // operation yet).
   Result<Bytes> GetBlobVersion(const std::string& id, uint64_t version);
   Result<uint64_t> LatestBlobVersion(const std::string& id) const;
   std::vector<std::string> ListBlobs(const std::string& prefix) const;

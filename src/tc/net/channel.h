@@ -106,8 +106,7 @@ class ResilientChannel {
       std::vector<std::string> tokens = {});
 
   /// Single idempotent put. A caller-supplied stable token (e.g.
-  /// "cell|blob|v3") makes the put exactly-once across process restarts —
-  /// the outbox drain path relies on this.
+  /// "cell|blob|v3") makes the put exactly-once across process restarts.
   Result<uint64_t> Put(const std::string& id, const Bytes& data,
                        const std::string* token = nullptr);
 

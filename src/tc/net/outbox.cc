@@ -9,23 +9,17 @@ namespace tc::net {
 namespace {
 constexpr char kPrefix[] = "outbox/";
 constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
+// Every record is one provider transaction.
+constexpr char kMagic[] = "tc.outbox.txn.v1";
 }  // namespace
 
 Bytes OutboxRecord::Serialize() const {
   BinaryWriter w;
-  if (!is_txn) {
-    w.PutString("tc.outbox.v1");
-    w.PutU64(seq);
-    w.PutString(blob_id);
-    w.PutString(token);
-    w.PutBytes(payload);
-    return w.Take();
-  }
-  w.PutString("tc.outbox.txn.v1");
+  w.PutString(kMagic);
   w.PutU64(seq);
   w.PutString(token);
-  w.PutVarint(txn_writes.size());
-  for (const OutboxTxnWrite& write : txn_writes) {
+  w.PutVarint(writes.size());
+  for (const OutboxWrite& write : writes) {
     w.PutString(write.blob_id);
     w.PutBytes(write.payload);
   }
@@ -35,32 +29,21 @@ Bytes OutboxRecord::Serialize() const {
 Result<OutboxRecord> OutboxRecord::Deserialize(const Bytes& data) {
   BinaryReader r(data);
   TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
+  if (magic != kMagic) return Status::Corruption("bad outbox record magic");
   OutboxRecord record;
-  if (magic == "tc.outbox.v1") {
-    TC_ASSIGN_OR_RETURN(record.seq, r.GetU64());
-    TC_ASSIGN_OR_RETURN(record.blob_id, r.GetString());
-    TC_ASSIGN_OR_RETURN(record.token, r.GetString());
-    TC_ASSIGN_OR_RETURN(record.payload, r.GetBytes());
-    return record;
+  TC_ASSIGN_OR_RETURN(record.seq, r.GetU64());
+  TC_ASSIGN_OR_RETURN(record.token, r.GetString());
+  TC_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+  // Two length prefixes per write: blob id and payload.
+  TC_RETURN_IF_ERROR(CheckCount(r, count, 2));
+  record.writes.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    OutboxWrite write;
+    TC_ASSIGN_OR_RETURN(write.blob_id, r.GetString());
+    TC_ASSIGN_OR_RETURN(write.payload, r.GetBytes());
+    record.writes.push_back(std::move(write));
   }
-  if (magic == "tc.outbox.txn.v1") {
-    record.is_txn = true;
-    TC_ASSIGN_OR_RETURN(record.seq, r.GetU64());
-    TC_ASSIGN_OR_RETURN(record.token, r.GetString());
-    record.blob_id = "txn/" + record.token;
-    TC_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
-    // Two length prefixes per write: blob id and payload.
-    TC_RETURN_IF_ERROR(CheckCount(r, count, 2));
-    record.txn_writes.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      OutboxTxnWrite write;
-      TC_ASSIGN_OR_RETURN(write.blob_id, r.GetString());
-      TC_ASSIGN_OR_RETURN(write.payload, r.GetBytes());
-      record.txn_writes.push_back(std::move(write));
-    }
-    return record;
-  }
-  return Status::Corruption("bad outbox record magic");
+  return record;
 }
 
 Outbox::Outbox(storage::LogStore* store) : store_(store) {}
@@ -79,7 +62,7 @@ std::string Outbox::Key(uint64_t seq) {
 
 Status Outbox::Load() {
   pending_.clear();
-  by_blob_.clear();
+  newest_.clear();
   Status decode_status;
   TC_RETURN_IF_ERROR(
       store_->ScanAll([&](const std::string& key, const Bytes& value) {
@@ -93,73 +76,57 @@ Status Outbox::Load() {
           return;
         }
         next_seq_ = std::max(next_seq_, record->seq + 1);
-        by_blob_[record->blob_id] = record->seq;
         pending_.emplace(record->seq, std::move(*record));
       }));
   TC_RETURN_IF_ERROR(decode_status);
-  // Drop superseded duplicates (an Enqueue's tombstone may have been lost
-  // to a crash between the Put and the Delete): keep only the seq each
-  // blob id maps to.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (by_blob_[it->second.blob_id] != it->first) {
-      (void)store_->Delete(Key(it->first));
-      it = pending_.erase(it);
-    } else {
-      ++it;
+  // In seq order, so each blob ends up mapped to its newest writer.
+  std::vector<uint64_t> seqs;
+  for (const auto& [seq, record] : pending_) {
+    for (const OutboxWrite& write : record.writes) {
+      newest_[write.blob_id] = seq;
     }
+    seqs.push_back(seq);
   }
+  // An Enqueue's tombstones may have been lost to a crash after its Put.
+  for (uint64_t seq : seqs) DropIfSuperseded(seq);
   return Status::OK();
 }
 
-Status Outbox::Enqueue(const std::string& blob_id, const std::string& token,
-                       Bytes payload) {
+Status Outbox::Enqueue(const std::string& token,
+                       std::vector<OutboxWrite> writes) {
+  if (token.empty() || writes.empty()) {
+    return Status::InvalidArgument("outbox record needs a token and writes");
+  }
   OutboxRecord record;
   record.seq = next_seq_++;
-  record.blob_id = blob_id;
   record.token = token;
-  record.payload = std::move(payload);
+  record.writes = std::move(writes);
   TC_RETURN_IF_ERROR(store_->Put(Key(record.seq), record.Serialize()));
   // The journal's whole point is surviving a reboot: force the buffered
   // page out before acknowledging the enqueue.
   TC_RETURN_IF_ERROR(store_->Flush());
-  // Supersede an older pending push of the same blob: last writer wins.
-  auto old = by_blob_.find(blob_id);
-  if (old != by_blob_.end()) {
-    (void)store_->Delete(Key(old->second));
-    pending_.erase(old->second);
+  std::vector<uint64_t> rewritten;
+  for (const OutboxWrite& write : record.writes) {
+    auto [it, inserted] = newest_.try_emplace(write.blob_id, record.seq);
+    if (!inserted) {
+      rewritten.push_back(it->second);
+      it->second = record.seq;
+    }
   }
-  by_blob_[blob_id] = record.seq;
-  ++enqueued_total_;
   pending_.emplace(record.seq, std::move(record));
+  for (uint64_t seq : rewritten) DropIfSuperseded(seq);
   return Status::OK();
 }
 
-Status Outbox::EnqueueTxn(const std::string& token,
-                          std::vector<OutboxTxnWrite> writes) {
-  if (token.empty() || writes.empty()) {
-    return Status::InvalidArgument("outbox txn needs a token and writes");
+void Outbox::DropIfSuperseded(uint64_t seq) {
+  auto it = pending_.find(seq);
+  if (it == pending_.end()) return;
+  for (const OutboxWrite& write : it->second.writes) {
+    auto newest = newest_.find(write.blob_id);
+    if (newest == newest_.end() || newest->second == seq) return;
   }
-  OutboxRecord record;
-  record.seq = next_seq_++;
-  record.is_txn = true;
-  record.token = token;
-  record.blob_id = "txn/" + token;
-  record.txn_writes = std::move(writes);
-  TC_RETURN_IF_ERROR(store_->Put(Key(record.seq), record.Serialize()));
-  // Durable before acknowledged, like Enqueue: the one-record journal
-  // entry is all-or-nothing on flash only once the page is programmed.
-  TC_RETURN_IF_ERROR(store_->Flush());
-  // Same token re-journaled (shouldn't happen — the cell journals a
-  // transaction at most once) would supersede like a blob push.
-  auto old = by_blob_.find(record.blob_id);
-  if (old != by_blob_.end()) {
-    (void)store_->Delete(Key(old->second));
-    pending_.erase(old->second);
-  }
-  by_blob_[record.blob_id] = record.seq;
-  ++enqueued_total_;
-  pending_.emplace(record.seq, std::move(record));
-  return Status::OK();
+  (void)store_->Delete(Key(seq));
+  pending_.erase(it);
 }
 
 Status Outbox::MarkDone(uint64_t seq) {
@@ -168,33 +135,21 @@ Status Outbox::MarkDone(uint64_t seq) {
     return Status::NotFound("no pending outbox record " + std::to_string(seq));
   }
   TC_RETURN_IF_ERROR(store_->Delete(Key(seq)));
-  by_blob_.erase(it->second.blob_id);
+  for (const OutboxWrite& write : it->second.writes) {
+    auto newest = newest_.find(write.blob_id);
+    if (newest != newest_.end() && newest->second == seq) {
+      newest_.erase(newest);
+    }
+  }
   pending_.erase(it);
-  ++drained_total_;
   return Status::OK();
 }
 
-const OutboxRecord* Outbox::FindByBlobId(const std::string& blob_id,
-                                         const Bytes** txn_payload) const {
-  if (txn_payload != nullptr) *txn_payload = nullptr;
-  auto it = by_blob_.find(blob_id);
-  if (it != by_blob_.end()) {
-    auto record = pending_.find(it->second);
-    if (record != pending_.end()) {
-      if (txn_payload != nullptr) *txn_payload = &record->second.payload;
-      return &record->second;
-    }
-    return nullptr;
-  }
-  // Read-your-writes through pending transactions: newest record wins.
-  for (auto rit = pending_.rbegin(); rit != pending_.rend(); ++rit) {
-    if (!rit->second.is_txn) continue;
-    for (const OutboxTxnWrite& write : rit->second.txn_writes) {
-      if (write.blob_id == blob_id) {
-        if (txn_payload != nullptr) *txn_payload = &write.payload;
-        return &rit->second;
-      }
-    }
+const Bytes* Outbox::FindPayload(const std::string& blob_id) const {
+  auto newest = newest_.find(blob_id);
+  if (newest == newest_.end()) return nullptr;
+  for (const OutboxWrite& write : pending_.at(newest->second).writes) {
+    if (write.blob_id == blob_id) return &write.payload;
   }
   return nullptr;
 }

@@ -12,43 +12,38 @@
 
 namespace tc::net {
 
-/// One write of a journaled whole-transaction record.
-struct OutboxTxnWrite {
+/// One write of a journaled record: a blob and its sealed payload (safe at
+/// rest — it is exactly the ciphertext that would have gone over the wire).
+struct OutboxWrite {
   std::string blob_id;
   Bytes payload;
 };
 
-/// One queued cloud push: the sealed payload (safe at rest — it is exactly
-/// the ciphertext that would have gone over the wire) plus the idempotency
-/// token minted for the *first* attempt. Replaying the record after a
-/// crash reuses the token, so a push that actually reached the provider
-/// before the ack was lost is deduped server-side, never duplicated.
-///
-/// A record is either a single blob push (`is_txn` false: blob_id/payload)
-/// or a whole journaled transaction (`is_txn` true: `txn_writes`, with
-/// `blob_id` holding the synthetic "txn/<token>" index key). A journaled
-/// transaction drains through CommitTxn under its original token: all of
-/// its writes land atomically or, if the commit already applied before a
-/// crash, the token table replays the original outcome — never a partial
-/// application.
+/// One queued provider transaction: its writes plus the idempotency token
+/// minted for the *first* attempt. A record drains through CommitTxn under
+/// that token as blind writes, so all of its writes land atomically, and a
+/// commit that reached the provider before a crash or a lost ack is
+/// answered from the provider's txn-token table — never applied twice,
+/// never partially.
 struct OutboxRecord {
   uint64_t seq = 0;
-  std::string blob_id;
   std::string token;
-  Bytes payload;
-  bool is_txn = false;
-  std::vector<OutboxTxnWrite> txn_writes;
+  std::vector<OutboxWrite> writes;
 
   Bytes Serialize() const;
   static Result<OutboxRecord> Deserialize(const Bytes& data);
 };
 
 /// Durable outbox journaled through the cell's encrypted LogStore under
-/// "outbox/<seq>" keys: a write the channel could not push survives
-/// reboots and drains on reconnect (anti-entropy catch-up). Only the
-/// *latest* record per blob id is kept — superseded pushes never need to
-/// reach the provider, the catch-up converges straight to the newest
-/// state (last-writer-wins, exactly the manifest semantics).
+/// "outbox/<seq>" keys: a write the cell could not commit survives reboots
+/// and drains in seq order on reconnect (anti-entropy catch-up).
+///
+/// Supersede rule (last-writer-wins per blob, extended to multi-write
+/// records): a pending record is dropped once newer pending records
+/// rewrite every blob it writes — none of its bytes could still be the
+/// provider's final state. Enqueue applies the rule to the records the new
+/// one rewrites; Load applies it to the whole journal, so a crash between
+/// an Enqueue's Put and its tombstones leaves the same pending set.
 ///
 /// Not thread-safe (per-cell, like the LogStore underneath).
 class Outbox {
@@ -58,18 +53,10 @@ class Outbox {
   /// Rebuilds the pending set from the store (call once after Open).
   Status Load();
 
-  /// Journals a push; a pending record for the same blob id is superseded
-  /// (tombstoned) in the same call.
-  Status Enqueue(const std::string& blob_id, const std::string& token,
-                 Bytes payload);
-
-  /// Journals a whole transaction as one record (one LogStore Put, so the
-  /// journal entry itself is atomic: after a crash either the whole
-  /// transaction is pending or none of it is). Transactions are never
-  /// superseded — they drain in seq order with last-writer-wins semantics
-  /// at the provider.
-  Status EnqueueTxn(const std::string& token,
-                    std::vector<OutboxTxnWrite> writes);
+  /// Journals one transaction as one record — one LogStore Put, flushed
+  /// before returning, so after a crash either the whole record is pending
+  /// or none of it is — then drops the records it supersedes.
+  Status Enqueue(const std::string& token, std::vector<OutboxWrite> writes);
 
   /// Drops a drained record.
   Status MarkDone(uint64_t seq);
@@ -77,28 +64,24 @@ class Outbox {
   /// Pending records by seq (drain in this order).
   const std::map<uint64_t, OutboxRecord>& pending() const { return pending_; }
 
-  /// The pending push for `blob_id`, if any — degraded-mode reads are
-  /// served from here (read-your-writes while partitioned). Falls back to
-  /// scanning pending transaction records (newest first) for a write of
-  /// `blob_id`; `txn_payload`, when non-null, receives that write's
-  /// payload (the returned record's own `payload` is empty for txns).
-  const OutboxRecord* FindByBlobId(const std::string& blob_id,
-                                   const Bytes** txn_payload = nullptr) const;
+  /// The newest queued payload for `blob_id` across pending records, or
+  /// null — reads are served from here while the write is queued
+  /// (read-your-writes while partitioned).
+  const Bytes* FindPayload(const std::string& blob_id) const;
 
   size_t size() const { return pending_.size(); }
   bool empty() const { return pending_.empty(); }
-  uint64_t enqueued_total() const { return enqueued_total_; }
-  uint64_t drained_total() const { return drained_total_; }
 
  private:
   static std::string Key(uint64_t seq);
+  /// Tombstones and forgets `seq` if newer records rewrite all its blobs.
+  void DropIfSuperseded(uint64_t seq);
 
   storage::LogStore* store_;
   std::map<uint64_t, OutboxRecord> pending_;
-  std::map<std::string, uint64_t> by_blob_;  // blob_id -> pending seq.
+  /// blob_id -> seq of the newest pending record that writes it.
+  std::map<std::string, uint64_t> newest_;
   uint64_t next_seq_ = 1;
-  uint64_t enqueued_total_ = 0;
-  uint64_t drained_total_ = 0;
 };
 
 }  // namespace tc::net

@@ -33,10 +33,10 @@ class CellTest : public ::testing::Test {
     config.owner = owner;
     config.device_class = device_class;
     // Small flash keeps tests fast.
-    config.use_default_flash = false;
-    config.flash.page_size = 2048;
-    config.flash.pages_per_block = 16;
-    config.flash.block_count = 256;
+    config.flash.emplace();
+    config.flash->page_size = 2048;
+    config.flash->pages_per_block = 16;
+    config.flash->block_count = 256;
     auto cell = TrustedCell::Create(config, &cloud_, &directory_, &clock_);
     TC_CHECK(cell.ok());
     return std::move(*cell);
@@ -475,10 +475,10 @@ TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
   TrustedCell::Config config;
   config.cell_id = "alice-gateway";
   config.owner = "alice";
-  config.use_default_flash = false;
-  config.flash.page_size = 2048;
-  config.flash.pages_per_block = 16;
-  config.flash.block_count = 256;
+  config.flash.emplace();
+  config.flash->page_size = 2048;
+  config.flash->pages_per_block = 16;
+  config.flash->block_count = 256;
   config.resilient_sync = false;
   config.transport = &transport;
   auto created = TrustedCell::Create(config, &cloud, &directory, &clock);
@@ -493,14 +493,17 @@ TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
   ASSERT_TRUE(cell.UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
   ASSERT_TRUE(cell.SyncPull().ok());
 
-  EXPECT_EQ(transport.put_batches, 2u);    // Document + manifest push.
-  EXPECT_EQ(transport.gets, 2u);           // Fetch + manifest pull.
-  EXPECT_EQ(transport.snapshots, 1u);      // The atomic update's snapshot,
-  EXPECT_EQ(transport.snapshot_gets, 2u);  // its two base reads
-  EXPECT_EQ(transport.commits, 1u);        // and its commit.
+  // Every write is a commit: the store's blind one, then the push's and
+  // the atomic update's, each after a snapshot and its base reads (the
+  // manifest; the document and the manifest).
+  EXPECT_EQ(transport.put_batches, 0u);
+  EXPECT_EQ(transport.commits, 3u);
+  EXPECT_EQ(transport.snapshots, 2u);
+  EXPECT_EQ(transport.snapshot_gets, 3u);
+  EXPECT_EQ(transport.gets, 2u);  // Fetch + manifest pull.
   // Every blob the provider stored or served crossed the transport.
   const cloud::CloudStats stats = cloud.stats();
-  EXPECT_EQ(stats.blob_puts, transport.put_items + 2);  // + 2 txn writes.
+  EXPECT_EQ(stats.blob_puts, 4u);  // 1 + 1 + 2 txn writes.
   EXPECT_EQ(stats.blob_gets, transport.gets + transport.snapshot_gets);
 }
 

@@ -288,10 +288,10 @@ class CellChaosTest : public ::testing::Test {
     cell::TrustedCell::Config config;
     config.cell_id = id;
     config.owner = "alice";
-    config.use_default_flash = false;
-    config.flash.page_size = 2048;
-    config.flash.pages_per_block = 16;
-    config.flash.block_count = 256;
+    config.flash.emplace();
+    config.flash->page_size = 2048;
+    config.flash->pages_per_block = 16;
+    config.flash->block_count = 256;
     config.resilient_sync = resilient;
     config.channel.op_deadline_us = 30000;  // Fail over to the outbox fast.
     config.transport = wire_->transport();  // nullptr => in-process.
@@ -299,6 +299,57 @@ class CellChaosTest : public ::testing::Test {
                                           &clock_);
     TC_CHECK(cell.ok());
     return std::move(*cell);
+  }
+
+  /// Runs `write` with the provider down for its whole deadline, then
+  /// heals. The write is journaled but one give-up leaves the circuit
+  /// closed, so only the outbox tells the cell's next write that an older
+  /// write is still queued.
+  template <typename WriteFn>
+  void DeferOneWrite(cell::TrustedCell& cell, WriteFn write) {
+    injector_.ForceOutage(true);
+    Status deferred = write();
+    injector_.ForceOutage(false);
+    ASSERT_TRUE(deferred.ok()) << deferred.ToString();
+    ASSERT_EQ(cell.outbox_pending(), 1u);
+    ASSERT_FALSE(cell.net_channel()->degraded());
+  }
+
+  /// An honest provider must never be convicted.
+  static void ExpectNoIncidents(const cell::TrustedCell& cell) {
+    for (const cell::SecurityIncident& incident : cell.incidents()) {
+      ADD_FAILURE() << cell.id() << " recorded an incident on "
+                    << incident.object_id << ": " << incident.detail;
+    }
+  }
+
+  /// Reads `doc_id` on `cell` and expects `bytes`.
+  static void ExpectReads(cell::TrustedCell& cell, const std::string& doc_id,
+                          const std::string& bytes) {
+    auto fetched = cell.FetchDocument(doc_id);
+    ASSERT_TRUE(fetched.ok())
+        << cell.id() << ": " << fetched.status().ToString();
+    EXPECT_EQ(*fetched, ToBytes(bytes)) << cell.id();
+  }
+
+  /// The writer reads its newest bytes before and after CatchUp, and a
+  /// sibling that syncs after it reads them too; nobody records an
+  /// incident and no write applied twice.
+  void ExpectCatchUpConverges(cell::TrustedCell& writer,
+                              const std::string& doc_id,
+                              const std::string& newest) {
+    ExpectReads(writer, doc_id, newest);
+    ASSERT_TRUE(writer.CatchUp().ok());
+    EXPECT_EQ(writer.outbox_pending(), 0u);
+    ExpectReads(writer, doc_id, newest);
+    auto tablet = MakeCell("alice-tablet", /*resilient=*/false);
+    ASSERT_TRUE(tablet->SyncPull().ok());
+    ExpectReads(*tablet, doc_id, newest);
+    ExpectNoIncidents(writer);
+    ExpectNoIncidents(*tablet);
+    EXPECT_EQ(cloud_.blob_store().versions_created(),
+              cloud_.blob_store().tokens_applied() +
+                  cloud_.blob_store().txn_writes_applied());
   }
 
   SimulatedClock clock_;
@@ -321,7 +372,7 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
   ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
   EXPECT_TRUE(gateway->degraded());
   EXPECT_GE(gateway->outbox_pending(), 1u);
-  EXPECT_GE(gateway->stats().pushes_deferred, 1u);
+  EXPECT_GE(gateway->stats().writes_deferred, 1u);
 
   // Degraded reads: the queued sealed payload serves read-your-writes.
   auto fetched = gateway->FetchDocument(*doc_id);
@@ -478,6 +529,65 @@ TEST_F(CellChaosTest, AtomicUpdateAfterAnUnresolvedCommitStoresTheNewContent) {
   EXPECT_EQ(cloud_.blob_store().versions_created(),
             cloud_.blob_store().tokens_applied() +
                 cloud_.blob_store().txn_writes_applied());
+}
+
+// No write overtakes a queued one. Each case defers one write and heals
+// the provider before the circuit opens, so the next write finds it
+// reachable. Committed directly, that write would sit under the older
+// queued one — served from the outbox now, drained on top later — and the
+// cells would read the older bytes as a rollback.
+
+TEST_F(CellChaosTest, AtomicUpdateQueuesBehindADeferredUpdate) {
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_NO_FATAL_FAILURE(DeferOneWrite(*gateway, [&] {
+    return gateway->UpdateDocument(*doc_id, ToBytes("second"));
+  }));
+
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("third")).ok());
+  ExpectCatchUpConverges(*gateway, *doc_id, "third");
+}
+
+TEST_F(CellChaosTest, AtomicUpdateQueuesBehindAJournaledAtomicUpdate) {
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_NO_FATAL_FAILURE(DeferOneWrite(*gateway, [&] {
+    return gateway->UpdateDocumentAtomic(*doc_id, ToBytes("second"));
+  }));
+
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("third")).ok());
+  ExpectCatchUpConverges(*gateway, *doc_id, "third");
+}
+
+TEST_F(CellChaosTest, SyncPushQueuesBehindADeferredUpdate) {
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ASSERT_NO_FATAL_FAILURE(DeferOneWrite(*gateway, [&] {
+    return gateway->UpdateDocument(*doc_id, ToBytes("second"));
+  }));
+
+  // A manifest naming the queued version must not reach the provider
+  // before that version does: the sibling still reads the newest bytes
+  // the provider holds.
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ExpectReads(*phone, *doc_id, "first");
+
+  ExpectCatchUpConverges(*gateway, *doc_id, "second");
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ExpectReads(*phone, *doc_id, "second");
+  ExpectNoIncidents(*phone);
 }
 
 TEST_F(CellChaosTest, CellWithoutOutboxServesAgainOnceTheProviderIsBack) {

@@ -655,14 +655,35 @@ storage::FlashGeometry OutboxGeometry() {
   return geo;
 }
 
-TEST(OutboxTest, TxnRecordRejectsWriteCountBeyondBytes) {
-  // A journaled txn record claiming 2^40 writes over a few bytes.
+/// Pending tokens in drain order.
+std::vector<std::string> Tokens(const Outbox& outbox) {
+  std::vector<std::string> tokens;
+  for (const auto& [seq, record] : outbox.pending()) {
+    tokens.push_back(record.token);
+  }
+  return tokens;
+}
+
+TEST(OutboxTest, RecordRejectsWriteCountBeyondBytes) {
+  // A journaled record claiming 2^40 writes over a few bytes.
   BinaryWriter w;
   w.PutString("tc.outbox.txn.v1");
   w.PutU64(7);
   w.PutString("tok");
   w.PutVarint(uint64_t{1} << 40);
   w.PutString("blob");
+  EXPECT_EQ(OutboxRecord::Deserialize(w.Take()).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(OutboxTest, UnknownMagicIsCorruption) {
+  // The single-blob form is not a record kind any more.
+  BinaryWriter w;
+  w.PutString("tc.outbox.v1");
+  w.PutU64(7);
+  w.PutString("blob");
+  w.PutString("tok");
+  w.PutBytes(ToBytes("payload"));
   EXPECT_EQ(OutboxRecord::Deserialize(w.Take()).status().code(),
             StatusCode::kCorruption);
 }
@@ -678,20 +699,19 @@ TEST(OutboxTest, EnqueueSupersedesAndSurvivesReopen) {
   ASSERT_TRUE(outbox.Load().ok());
   EXPECT_TRUE(outbox.empty());
 
-  ASSERT_TRUE(outbox.Enqueue("blob-a", "a|v1", ToBytes("a1")).ok());
-  ASSERT_TRUE(outbox.Enqueue("blob-b", "b|v1", ToBytes("b1")).ok());
-  ASSERT_TRUE(outbox.Enqueue("blob-a", "a|v2", ToBytes("a2")).ok());
-  // blob-a's first push was superseded: two pending, newest payload wins.
-  EXPECT_EQ(outbox.size(), 2u);
-  ASSERT_NE(outbox.FindByBlobId("blob-a"), nullptr);
-  EXPECT_EQ(outbox.FindByBlobId("blob-a")->payload, ToBytes("a2"));
-  EXPECT_EQ(outbox.FindByBlobId("blob-a")->token, "a|v2");
+  ASSERT_TRUE(outbox.Enqueue("a|v1", {{"blob-a", ToBytes("a1")}}).ok());
+  ASSERT_TRUE(outbox.Enqueue("b|v1", {{"blob-b", ToBytes("b1")}}).ok());
+  ASSERT_TRUE(outbox.Enqueue("a|v2", {{"blob-a", ToBytes("a2")}}).ok());
+  // blob-a's first write was superseded: two pending, newest payload wins,
+  // and the survivors drain in the order they were made.
+  EXPECT_EQ(Tokens(outbox), (std::vector<std::string>{"b|v1", "a|v2"}));
+  ASSERT_NE(outbox.FindPayload("blob-a"), nullptr);
+  EXPECT_EQ(*outbox.FindPayload("blob-a"), ToBytes("a2"));
 
   // Drain one record.
-  uint64_t b_seq = outbox.FindByBlobId("blob-b")->seq;
-  ASSERT_TRUE(outbox.MarkDone(b_seq).ok());
+  ASSERT_TRUE(outbox.MarkDone(outbox.pending().begin()->first).ok());
   EXPECT_EQ(outbox.size(), 1u);
-  EXPECT_EQ(outbox.FindByBlobId("blob-b"), nullptr);
+  EXPECT_EQ(outbox.FindPayload("blob-b"), nullptr);
 
   // Power-cycle: the queue is journaled through the store.
   ASSERT_TRUE((*store)->Flush().ok());
@@ -701,14 +721,109 @@ TEST(OutboxTest, EnqueueSupersedesAndSurvivesReopen) {
   ASSERT_TRUE(reopened.ok());
   Outbox revived(reopened->get());
   ASSERT_TRUE(revived.Load().ok());
-  EXPECT_EQ(revived.size(), 1u);
-  ASSERT_NE(revived.FindByBlobId("blob-a"), nullptr);
-  EXPECT_EQ(revived.FindByBlobId("blob-a")->payload, ToBytes("a2"));
-  EXPECT_EQ(revived.FindByBlobId("blob-a")->token, "a|v2");
+  EXPECT_EQ(Tokens(revived), std::vector<std::string>{"a|v2"});
+  ASSERT_NE(revived.FindPayload("blob-a"), nullptr);
+  EXPECT_EQ(*revived.FindPayload("blob-a"), ToBytes("a2"));
   // New sequence numbers continue above the revived ones.
-  ASSERT_TRUE(revived.Enqueue("blob-c", "c|v1", ToBytes("c1")).ok());
-  EXPECT_GT(revived.FindByBlobId("blob-c")->seq,
-            revived.FindByBlobId("blob-a")->seq);
+  const uint64_t a_seq = revived.pending().begin()->first;
+  ASSERT_TRUE(revived.Enqueue("c|v1", {{"blob-c", ToBytes("c1")}}).ok());
+  EXPECT_GT(revived.pending().rbegin()->first, a_seq);
+  EXPECT_EQ(revived.pending().rbegin()->second.token, "c|v1");
+}
+
+TEST(OutboxTest, TwoWriteRecordIsSupersededOnlyWhenBothBlobsAreRewritten) {
+  storage::FlashDevice device(OutboxGeometry());
+  storage::PlainPageTransform plain;
+  auto store =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(store.ok());
+  Outbox outbox(store->get());
+  ASSERT_TRUE(outbox.Load().ok());
+
+  ASSERT_TRUE(outbox
+                  .Enqueue("update", {{"doc", ToBytes("d1")},
+                                      {"manifest", ToBytes("m1")}})
+                  .ok());
+  // A manifest-only record leaves the update's document write the newest:
+  // the update must still drain.
+  ASSERT_TRUE(outbox.Enqueue("push", {{"manifest", ToBytes("m2")}}).ok());
+  EXPECT_EQ(Tokens(outbox), (std::vector<std::string>{"update", "push"}));
+
+  // A record rewriting both of its blobs supersedes it (and the push).
+  ASSERT_TRUE(outbox
+                  .Enqueue("update2", {{"doc", ToBytes("d3")},
+                                       {"manifest", ToBytes("m3")}})
+                  .ok());
+  EXPECT_EQ(Tokens(outbox), std::vector<std::string>{"update2"});
+  EXPECT_EQ(*outbox.FindPayload("doc"), ToBytes("d3"));
+  EXPECT_EQ(*outbox.FindPayload("manifest"), ToBytes("m3"));
+}
+
+TEST(OutboxTest, LoadAfterALostTombstoneKeepsWhatEnqueueKept) {
+  storage::FlashDevice device(OutboxGeometry());
+  storage::PlainPageTransform plain;
+  auto store =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(store.ok());
+  std::vector<std::string> kept;
+  {
+    Outbox outbox(store->get());
+    ASSERT_TRUE(outbox.Load().ok());
+    ASSERT_TRUE(outbox
+                    .Enqueue("update", {{"doc", ToBytes("d1")},
+                                        {"manifest", ToBytes("m1")}})
+                    .ok());
+    ASSERT_TRUE(outbox.Enqueue("push", {{"manifest", ToBytes("m2")}}).ok());
+    // Rewrites the one blob of the update no newer record wrote: Enqueue
+    // flushes this record, then appends the update's tombstone to the
+    // page buffer.
+    ASSERT_TRUE(outbox.Enqueue("store", {{"doc", ToBytes("d3")}}).ok());
+    kept = Tokens(outbox);
+  }
+  EXPECT_EQ(kept, (std::vector<std::string>{"push", "store"}));
+
+  // Power loss before the buffered tombstone reached flash.
+  store->reset();
+  auto reopened =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(reopened.ok());
+  size_t journaled = 0;
+  ASSERT_TRUE((*reopened)
+                  ->ScanAll([&](const std::string& key, const Bytes&) {
+                    if (key.rfind("outbox/", 0) == 0) ++journaled;
+                  })
+                  .ok());
+  EXPECT_EQ(journaled, 3u);  // The superseded update survived the crash.
+
+  Outbox revived(reopened->get());
+  ASSERT_TRUE(revived.Load().ok());
+  EXPECT_EQ(Tokens(revived), kept);
+  EXPECT_EQ(*revived.FindPayload("doc"), ToBytes("d3"));
+  EXPECT_EQ(*revived.FindPayload("manifest"), ToBytes("m2"));
+}
+
+TEST(OutboxTest, FindPayloadReturnsTheNewestQueuedPayloadAcrossRecords) {
+  storage::FlashDevice device(OutboxGeometry());
+  storage::PlainPageTransform plain;
+  auto store =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(store.ok());
+  Outbox outbox(store->get());
+  ASSERT_TRUE(outbox.Load().ok());
+
+  ASSERT_TRUE(outbox
+                  .Enqueue("update", {{"doc", ToBytes("d1")},
+                                      {"manifest", ToBytes("m1")}})
+                  .ok());
+  ASSERT_TRUE(outbox.Enqueue("push", {{"manifest", ToBytes("m2")}}).ok());
+  EXPECT_EQ(*outbox.FindPayload("doc"), ToBytes("d1"));
+  EXPECT_EQ(*outbox.FindPayload("manifest"), ToBytes("m2"));
+  EXPECT_EQ(outbox.FindPayload("other"), nullptr);
+
+  // Draining the older record leaves the newer manifest queued.
+  ASSERT_TRUE(outbox.MarkDone(outbox.pending().begin()->first).ok());
+  EXPECT_EQ(outbox.FindPayload("doc"), nullptr);
+  EXPECT_EQ(*outbox.FindPayload("manifest"), ToBytes("m2"));
 }
 
 }  // namespace

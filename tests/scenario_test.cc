@@ -25,10 +25,10 @@ class ScenarioTest : public ::testing::Test {
     config.cell_id = id;
     config.owner = owner;
     config.device_class = tee::DeviceClass::kHomeGateway;
-    config.use_default_flash = false;
-    config.flash.page_size = 2048;
-    config.flash.pages_per_block = 16;
-    config.flash.block_count = 512;
+    config.flash.emplace();
+    config.flash->page_size = 2048;
+    config.flash->pages_per_block = 16;
+    config.flash->block_count = 512;
     auto cell =
         cell::TrustedCell::Create(config, &cloud_, &directory_, &clock_);
     TC_CHECK(cell.ok());

@@ -506,10 +506,10 @@ class CellTxnTest : public ::testing::Test {
     cell::TrustedCell::Config config;
     config.cell_id = id;
     config.owner = "alice";
-    config.use_default_flash = false;
-    config.flash.page_size = 2048;
-    config.flash.pages_per_block = 16;
-    config.flash.block_count = 256;
+    config.flash.emplace();
+    config.flash->page_size = 2048;
+    config.flash->pages_per_block = 16;
+    config.flash->block_count = 256;
     config.resilient_sync = resilient;
     config.channel.op_deadline_us = 30000;  // Fail over to the outbox fast.
     config.transport = wire_->transport();  // nullptr => in-process.
@@ -599,7 +599,7 @@ TEST_F(CellTxnTest, PartitionedAtomicUpdateJournalsWholeTxnAndDrains) {
   ASSERT_TRUE(
       gateway->UpdateDocumentAtomic(*doc_id, ToBytes("amended balance")).ok());
   EXPECT_TRUE(gateway->degraded());
-  EXPECT_EQ(gateway->stats().txns_deferred, 1u);
+  EXPECT_EQ(gateway->stats().writes_deferred, 1u);
   EXPECT_GE(gateway->outbox_pending(), 1u);
 
   // Read-your-writes while partitioned: the queued txn payload serves the
@@ -722,7 +722,7 @@ TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
       if (store.ok()) {
         net::Outbox outbox(store->get());
         ASSERT_TRUE(outbox.Load().ok());
-        Status enq = outbox.EnqueueTxn(
+        Status enq = outbox.Enqueue(
             token, {{"space/alice/doc/1", doc_payload},
                     {"space/alice/manifest", manifest_payload}});
         crashed = dev->powered_off();
@@ -753,18 +753,17 @@ TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
     } else {
       ASSERT_EQ(outbox.size(), 1u) << "crash_at=" << crash_at;
       const net::OutboxRecord& record = outbox.pending().begin()->second;
-      ASSERT_TRUE(record.is_txn);
       EXPECT_EQ(record.token, token);
-      ASSERT_EQ(record.txn_writes.size(), 2u);
-      EXPECT_EQ(record.txn_writes[0].blob_id, "space/alice/doc/1");
-      EXPECT_EQ(record.txn_writes[0].payload, doc_payload);
-      EXPECT_EQ(record.txn_writes[1].blob_id, "space/alice/manifest");
-      EXPECT_EQ(record.txn_writes[1].payload, manifest_payload);
+      ASSERT_EQ(record.writes.size(), 2u);
+      EXPECT_EQ(record.writes[0].blob_id, "space/alice/doc/1");
+      EXPECT_EQ(record.writes[0].payload, doc_payload);
+      EXPECT_EQ(record.writes[1].blob_id, "space/alice/manifest");
+      EXPECT_EQ(record.writes[1].payload, manifest_payload);
       ++saw_present;
 
       // Drain it: both writes land atomically under the original token.
       TxnRequest req = MakeTxn(record.token, cloud.blob_store().Snapshot());
-      for (const auto& write : record.txn_writes) {
+      for (const auto& write : record.writes) {
         req.writes.push_back({write.blob_id, write.payload, kBaseVersionAny});
       }
       TxnOutcome outcome = cloud.CommitTxnRpc(req);
@@ -797,15 +796,15 @@ TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
   net::Outbox outbox(store->get());
   ASSERT_TRUE(outbox.Load().ok());
   ASSERT_TRUE(outbox
-                  .EnqueueTxn(token, {{"doc", ToBytes("payload")},
-                                      {"manifest", ToBytes("manifest")}})
+                  .Enqueue(token, {{"doc", ToBytes("payload")},
+                                   {"manifest", ToBytes("manifest")}})
                   .ok());
 
   // First drain reaches the provider and commits...
   cloud::CloudInfrastructure cloud;
   const net::OutboxRecord& record = outbox.pending().begin()->second;
   TxnRequest req = MakeTxn(record.token, cloud.blob_store().Snapshot());
-  for (const auto& write : record.txn_writes) {
+  for (const auto& write : record.writes) {
     req.writes.push_back({write.blob_id, write.payload, kBaseVersionAny});
   }
   TxnOutcome first = cloud.CommitTxnRpc(req);
