@@ -6,6 +6,9 @@
 //   2. Class-break resistance: breach k trusted cells physically and
 //      report the blast radius (fraction of all users' documents exposed),
 //      against the centralized vault where one breach exposes everything.
+//
+// Exits non-zero unless every attack row reads detected == injected and
+// stolen keys cannot decrypt another user's blob (a tier-1 gate).
 
 #include <cstdio>
 
@@ -20,6 +23,7 @@ int main() {
   std::printf("=== E8: threat model — detection & blast radius ===\n");
 
   // ---- Part 1: detection of infrastructure misbehaviour ----
+  bool all_convicted = true;
   std::printf("\n%-10s %10s %12s %12s %12s\n", "attack", "rate",
               "injected*", "detected", "rate");
   for (double rate : {0.05, 0.2, 0.5}) {
@@ -38,7 +42,7 @@ int main() {
         auto id = *cell->StoreDocument("d" + std::to_string(i), "tag",
                                        Bytes(256, static_cast<uint8_t>(i)),
                                        cell::MakeOwnerPolicy("victim"));
-        TC_CHECK(cell->UpdateDocument(id, Bytes(256, 0xAA)).ok());
+        TC_CHECK(cell->UpdateDocumentAtomic(id, Bytes(256, 0xAA)).ok());
         docs.push_back(id);
       }
       cloud::AdversaryConfig adversary;
@@ -60,6 +64,7 @@ int main() {
                               ? cloud.adversary_stats().reads_tampered
                               : cloud.adversary_stats().reads_rolled_back;
       size_t detected = cell->incidents().size();
+      all_convicted = all_convicted && detected == injected;
       std::printf("%-10s %9.0f%% %12llu %12zu %11.0f%%\n",
                   mode == 0 ? "tamper" : "rollback", rate * 100,
                   static_cast<unsigned long long>(injected), detected,
@@ -116,6 +121,7 @@ int main() {
                 100.0 * exposed / total_docs);
   }
   // Cross-check: the loot of cell 0 cannot open cell 1's blobs.
+  bool cross_decrypt = false;
   {
     auto loot = cells[0]->tee().keystore().ExtractAllForPhysicalBreach();
     Bytes master;
@@ -134,8 +140,7 @@ int main() {
     aad.PutString("tc.doc");
     aad.PutString(other_doc);
     aad.PutU64(1);
-    bool cross_decrypt =
-        crypto::AeadOpen(wrong_key, nonce, aad.Take(), body).ok();
+    cross_decrypt = crypto::AeadOpen(wrong_key, nonce, aad.Take(), body).ok();
     std::printf("cross-user decryption with stolen keys: %s\n",
                 cross_decrypt ? "POSSIBLE (BUG)" : "impossible");
   }
@@ -157,5 +162,11 @@ int main() {
       "\nexpected shape: cell breaches scale linearly (k cells -> k users'\n"
       "data), the centralized baseline fails catastrophically (100%% at\n"
       "one breach) — the paper's case against centralization.\n");
+  if (!all_convicted || cross_decrypt) {
+    std::fprintf(stderr, "E8 FAILED: %s\n",
+                 !all_convicted ? "an injected attack went unconvicted"
+                                : "stolen keys decrypt another user's blob");
+    return 1;
+  }
   return 0;
 }

@@ -13,18 +13,22 @@
 #      by hand, e.g. `ctest --test-dir build -L overload`;
 #   3. run the lock-free report harness once (bench_e17_lockfree --quick,
 #      a fraction of a second), so E17 is executed and not only built;
-#   4. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
+#   4. threat-model gate (bench_e8_threats, a few seconds): it exits
+#      non-zero unless the cells convict every tamper and rollback the
+#      adversary injected and stolen keys cannot decrypt another user's
+#      blob;
+#   5. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
 #      seed sweeps, re-running only the suites labeled chaos/txn — CI keeps
 #      the cheap default, nightly jobs export TC_CHAOS_SEEDS=25;
-#   5. chaos determinism gate: every chaos seed must replay exactly from
+#   6. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   6. build the benchmark (cellbench/) from this tree into build-cellbench/
+#   7. build the benchmark (cellbench/) from this tree into build-cellbench/
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   7. check no generated build*/ tree is tracked or staged;
-#   8. run the obs export validator (quick bench run + trace JSON checks).
+#   8. check no generated build*/ tree is tracked or staged;
+#   9. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -35,6 +39,7 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 build/bench/bench_e17_lockfree --quick > /dev/null
+build/bench/bench_e8_threats > /dev/null
 if [ -n "${TC_CHAOS_SEEDS:-}" ]; then
   echo "ci: deep chaos/txn lane (TC_CHAOS_SEEDS=${TC_CHAOS_SEEDS})"
   (cd build && ctest --output-on-failure -L 'chaos|txn')

@@ -55,6 +55,11 @@ Result<std::pair<DocumentMeta, uint64_t>> DecodeMeta(const Bytes& data) {
 
 std::string MetaKey(const std::string& doc_id) { return "x/doc/" + doc_id; }
 
+/// What the keyword index holds a document under.
+std::string IndexedText(const DocumentMeta& meta) {
+  return meta.title + " " + meta.keywords;
+}
+
 /// Schnorr/DH group size of every cell's TEE (and of the signatures the
 /// cells check).
 constexpr size_t kGroupBits = 512;
@@ -386,14 +391,6 @@ Status TrustedCell::CommitOrJournal(const cloud::TxnRequest& req,
   return Status::OK();
 }
 
-Status TrustedCell::WriteBlind(const std::string& blob_id, uint64_t version,
-                               const Bytes& sealed) {
-  cloud::TxnRequest req;
-  req.token = PushToken(blob_id, version, sealed);
-  req.writes.push_back({blob_id, sealed, cloud::kBaseVersionAny});
-  return CommitOrJournal(req);
-}
-
 Result<Bytes> TrustedCell::PullBlob(const std::string& blob_id) {
   if (outbox_ != nullptr) {
     // Read-your-writes while the write is queued.
@@ -512,8 +509,8 @@ Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
     number = next_doc_number_++;
     doc_numbers_[meta.doc_id] = number;
     number_to_doc_[number] = meta.doc_id;
-    TC_RETURN_IF_ERROR(db_->keywords().IndexDocument(
-        number, meta.title + " " + meta.keywords));
+    TC_RETURN_IF_ERROR(
+        db_->keywords().IndexDocument(number, IndexedText(meta)));
   } else {
     auto it = doc_numbers_.find(meta.doc_id);
     if (it == doc_numbers_.end()) {
@@ -522,6 +519,33 @@ Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
     number = it->second;
   }
   return store_->Put(MetaKey(meta.doc_id), EncodeMeta(meta, number));
+}
+
+bool TrustedCell::IsOwn(const DocumentMeta& meta) const {
+  return meta.origin_owner == config_.owner && meta.origin_cell.empty();
+}
+
+Status TrustedCell::ForgetDocument(const DocumentMeta& meta) {
+  TC_RETURN_IF_ERROR(store_->Delete(MetaKey(meta.doc_id)));
+  (void)tee_->keystore().DestroyKey(meta.key_name);
+  (void)tee_->keystore().DestroyKey(meta.key_name + ".sticky");
+  auto num = doc_numbers_.find(meta.doc_id);
+  if (num == doc_numbers_.end()) return Status::OK();
+  const uint64_t number = num->second;
+  number_to_doc_.erase(number);
+  doc_numbers_.erase(num);
+  return db_->keywords().RemoveDocument(number, IndexedText(meta));
+}
+
+Result<Bytes> TrustedCell::SealDocument(const DocumentMeta& meta,
+                                        const Bytes& content) {
+  obs::Stopwatch seal_timer;
+  TC_ASSIGN_OR_RETURN(
+      Bytes sealed,
+      tee_->Seal(meta.key_name, DocumentAad(meta.doc_id, meta.version),
+                 content));
+  metrics_.seal_us.Record(seal_timer.ElapsedUs());
+  return sealed;
 }
 
 namespace {
@@ -639,34 +663,17 @@ Result<std::string> TrustedCell::StoreDocument(const std::string& title,
   meta.blob_id = SpaceBlobId(doc_id);
   meta.key_name = key_name;
 
-  obs::Stopwatch seal_timer;
-  TC_ASSIGN_OR_RETURN(
-      Bytes sealed,
-      tee_->Seal(key_name, DocumentAad(doc_id, meta.version), content));
-  metrics_.seal_us.Record(seal_timer.ElapsedUs());
-  TC_RETURN_IF_ERROR(WriteBlind(meta.blob_id, meta.version, sealed));
+  TC_ASSIGN_OR_RETURN(Bytes sealed, SealDocument(meta, content));
+  // The cell's one blind write (kBaseVersionAny): no manifest names the
+  // document yet, so there is no version to validate against.
+  cloud::TxnRequest req;
+  req.token = PushToken(meta.blob_id, meta.version, sealed);
+  req.writes.push_back(
+      {meta.blob_id, std::move(sealed), cloud::kBaseVersionAny});
+  TC_RETURN_IF_ERROR(CommitOrJournal(req));
   TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/true));
   ++stats_.documents_stored;
   return doc_id;
-}
-
-Status TrustedCell::UpdateDocument(const std::string& doc_id,
-                                   const Bytes& content) {
-  obs::TraceSpan span("cell", "update_document", doc_id);
-  TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-  if (meta.origin_owner != config_.owner) {
-    return Status::PermissionDenied("cannot update a document shared by " +
-                                    meta.origin_owner);
-  }
-  ++meta.version;
-  meta.size = content.size();
-  obs::Stopwatch seal_timer;
-  TC_ASSIGN_OR_RETURN(
-      Bytes sealed,
-      tee_->Seal(meta.key_name, DocumentAad(doc_id, meta.version), content));
-  metrics_.seal_us.Record(seal_timer.ElapsedUs());
-  TC_RETURN_IF_ERROR(WriteBlind(meta.blob_id, meta.version, sealed));
-  return SaveMeta(meta, /*is_new=*/false);
 }
 
 Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
@@ -674,7 +681,7 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
                                          const policy::Policy* new_policy) {
   obs::TraceSpan span("cell", "update_document_atomic", doc_id);
   TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-  if (meta.origin_owner != config_.owner) {
+  if (!IsOwn(meta)) {
     return Status::PermissionDenied("cannot update a document shared by " +
                                     meta.origin_owner);
   }
@@ -684,51 +691,67 @@ Status TrustedCell::UpdateDocumentAtomic(const std::string& doc_id,
     meta.policy_envelope = policy::StickyPolicy::BindWithMac(
         *new_policy, doc_id, StickyMac(meta.key_name));
   }
-  obs::Stopwatch seal_timer;
-  TC_ASSIGN_OR_RETURN(
-      Bytes sealed,
-      tee_->Seal(meta.key_name, DocumentAad(doc_id, meta.version), content));
-  metrics_.seal_us.Record(seal_timer.ElapsedUs());
+  TC_ASSIGN_OR_RETURN(Bytes sealed, SealDocument(meta, content));
   TC_RETURN_IF_ERROR(PublishManifest(&meta, sealed));
   ++stats_.atomic_updates;
   return Status::OK();
 }
 
-Result<Bytes> TrustedCell::FetchAndOpen(const DocumentMeta& meta) {
-  TC_ASSIGN_OR_RETURN(Bytes blob, PullBlob(meta.blob_id));
-  obs::Stopwatch unseal_timer;
-  auto payload =
-      tee_->Open(meta.key_name, DocumentAad(meta.doc_id, meta.version), blob);
-  metrics_.unseal_us.Record(unseal_timer.ElapsedUs());
-  if (payload.ok()) return payload;
-  if (payload.status().IsIntegrityViolation()) {
-    // Distinguish rollback (an older version served as latest) from blind
-    // tampering: an old version still opens under its own AAD.
-    for (uint64_t v = meta.version; v-- > 1;) {
-      auto old = tee_->Open(meta.key_name, DocumentAad(meta.doc_id, v), blob);
-      if (old.ok()) {
-        RecordIncident(IncidentType::kRollbackDetected, meta.doc_id,
-                       "cloud served version " + std::to_string(v) +
-                           " as latest (" + std::to_string(meta.version) +
-                           " expected)");
-        return Status::IntegrityViolation("rollback detected on " +
-                                          meta.doc_id);
+Result<Bytes> TrustedCell::FetchAndOpen(DocumentMeta* meta) {
+  // The owner's manifest names every own document's current version and
+  // key, so an own payload that fails to open may be newer than this
+  // cell's meta (a sibling updated or rotated it): pull once before
+  // convicting the provider.
+  for (bool may_pull = IsOwn(*meta);; may_pull = false) {
+    TC_ASSIGN_OR_RETURN(Bytes blob, PullBlob(meta->blob_id));
+    obs::Stopwatch unseal_timer;
+    auto payload = tee_->Open(meta->key_name,
+                              DocumentAad(meta->doc_id, meta->version), blob);
+    metrics_.unseal_us.Record(unseal_timer.ElapsedUs());
+    if (payload.ok() || !payload.status().IsIntegrityViolation()) {
+      return payload;
+    }
+    const uint64_t version = meta->version;
+    if (may_pull) {
+      // A pull the provider could not answer proves nothing either way; a
+      // manifest the pull rejected is its own incident.
+      Status pulled = SyncPull();
+      if (pulled.IsTransient() || pulled.IsDeadlineExceeded()) return pulled;
+      if (pulled.ok()) {
+        TC_ASSIGN_OR_RETURN(*meta, LoadMeta(meta->doc_id));
+        if (meta->version != version) continue;
       }
     }
-    RecordIncident(IncidentType::kPayloadTampered, meta.doc_id,
+    // Distinguish rollback (an older version served as latest) from blind
+    // tampering: an old version still opens under its own AAD.
+    for (uint64_t v = version; v-- > 1;) {
+      auto old = tee_->Open(meta->key_name, DocumentAad(meta->doc_id, v), blob);
+      if (old.ok()) {
+        RecordIncident(IncidentType::kRollbackDetected, meta->doc_id,
+                       "cloud served version " + std::to_string(v) +
+                           " as latest (" + std::to_string(version) +
+                           " expected)");
+        return Status::IntegrityViolation("rollback detected on " +
+                                          meta->doc_id);
+      }
+    }
+    RecordIncident(IncidentType::kPayloadTampered, meta->doc_id,
                    "AEAD failure on fetched payload");
+    return payload;
   }
-  return payload;
 }
 
-Result<Bytes> TrustedCell::FetchDocument(const std::string& doc_id,
-                                         const policy::Attributes& attributes) {
-  obs::TraceSpan span("cell", "fetch_document", doc_id);
+Result<Bytes> TrustedCell::ReadDocument(const std::string& doc_id,
+                                        const std::string& subject,
+                                        const policy::Attributes& attributes) {
   TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
   if (meta.pending_approval) {
     return Status::FailedPrecondition(
         "document awaits approval of the referenced individual");
   }
+  // Open before deciding: the open may pull a newer meta, and the decision
+  // must be made under the sticky policy of the version it releases.
+  TC_ASSIGN_OR_RETURN(Bytes payload, FetchAndOpen(&meta));
   auto policy = policy::StickyPolicy::VerifyAndExtractWithMac(
       meta.policy_envelope, doc_id, StickyMac(meta.key_name));
   if (!policy.ok()) {
@@ -738,22 +761,50 @@ Result<Bytes> TrustedCell::FetchDocument(const std::string& doc_id,
     }
     return policy.status();
   }
-  policy::AccessRequest request{config_.owner, policy::Right::kRead,
-                                attributes, clock_->Now()};
+  policy::AccessRequest request{subject, policy::Right::kRead, attributes,
+                                clock_->Now()};
   policy::Decision decision = pdp_.EvaluateAndConsume(*policy, request);
   TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
-      0, clock_->Now(), config_.owner, "read", doc_id, decision.allowed,
+      0, clock_->Now(), subject, "read", doc_id, decision.allowed,
       decision.allowed ? decision.rule_id : decision.reason}));
   if (!decision.allowed) {
     ++stats_.reads_denied;
     metrics_.reads_denied.Increment();
     return Status::PermissionDenied(decision.reason);
   }
-  TC_ASSIGN_OR_RETURN(Bytes payload, FetchAndOpen(meta));
-  ++stats_.documents_fetched;
+
+  // Obligations are discharged mechanically — that is what "enforced by
+  // any trusted cell downloading data" means.
+  for (policy::ObligationType obligation : decision.obligations) {
+    switch (obligation) {
+      case policy::ObligationType::kLogAccess:
+        break;  // Already appended above.
+      case policy::ObligationType::kNotifyOwner: {
+        BinaryWriter w;
+        w.PutString(doc_id);
+        w.PutString(subject);
+        w.PutI64(clock_->Now());
+        if (!meta.origin_cell.empty()) {
+          cloud_->Send(config_.cell_id, meta.origin_cell,
+                       "access-notification", w.Take());
+        }
+        break;
+      }
+      case policy::ObligationType::kDeleteAfterUse:
+        TC_RETURN_IF_ERROR(ForgetDocument(meta));
+        break;
+    }
+  }
   ++stats_.reads_allowed;
   metrics_.reads_allowed.Increment();
+  ++stats_.documents_fetched;
   return payload;
+}
+
+Result<Bytes> TrustedCell::FetchDocument(const std::string& doc_id,
+                                         const policy::Attributes& attributes) {
+  obs::TraceSpan span("cell", "fetch_document", doc_id);
+  return ReadDocument(doc_id, config_.owner, attributes);
 }
 
 Result<std::vector<DocumentMeta>> TrustedCell::SearchDocuments(
@@ -787,18 +838,18 @@ std::vector<DocumentMeta> TrustedCell::ListDocuments() {
 
 Result<Bytes> TrustedCell::BuildManifestBlob(
     uint64_t version, const DocumentMeta* override_meta) {
-  // Collect own documents, substituting the caller's not-yet-saved meta.
+  // Collect own documents, substituting the caller's not-yet-saved meta. A
+  // pending document stays out until approved: approval does not bump its
+  // version, so a sibling that pulled it pending would never adopt it.
   BinaryWriter body;
   std::vector<std::string> own;
   for (const auto& [doc_id, number] : doc_numbers_) {
     if (override_meta != nullptr && doc_id == override_meta->doc_id) {
-      own.push_back(doc_id);
+      if (!override_meta->pending_approval) own.push_back(doc_id);
       continue;
     }
     TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-    if (meta.origin_owner == config_.owner && meta.origin_cell.empty()) {
-      own.push_back(doc_id);
-    }
+    if (IsOwn(meta) && !meta.pending_approval) own.push_back(doc_id);
   }
   body.PutVarint(own.size());
   for (const std::string& doc_id : own) {
@@ -895,27 +946,30 @@ Status TrustedCell::SyncPush() {
 Status TrustedCell::SyncPull() {
   obs::TraceSpan span("cell", "sync_pull", config_.cell_id);
   TC_ASSIGN_OR_RETURN(Bytes blob, PullBlob(ManifestBlobId()));
+  // The cell wrote every byte of the manifest: any header it cannot parse
+  // was altered on the way.
   BinaryReader r(blob);
   auto magic = r.GetString();
-  if (!magic.ok() || *magic != "tc.manifest.v1") {
+  auto version = r.GetU64();
+  auto sealed = r.GetBytes();
+  if (!magic.ok() || *magic != "tc.manifest.v1" || !version.ok() ||
+      !sealed.ok()) {
     RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
                    "manifest header unparseable");
     return Status::IntegrityViolation("manifest header corrupt");
   }
-  TC_ASSIGN_OR_RETURN(uint64_t version, r.GetU64());
   uint64_t floor = tee_->CounterValue("manifest-seen");
-  if (version < floor) {
+  if (*version < floor) {
     RecordIncident(IncidentType::kRollbackDetected, ManifestBlobId(),
-                   "manifest version " + std::to_string(version) +
+                   "manifest version " + std::to_string(*version) +
                        " below TEE floor " + std::to_string(floor));
     return Status::IntegrityViolation("manifest rollback detected");
   }
-  TC_ASSIGN_OR_RETURN(Bytes sealed, r.GetBytes());
   BinaryWriter aad;
   aad.PutString("tc.manifest");
   aad.PutString(config_.owner);
-  aad.PutU64(version);
-  auto body = tee_->Open("manifest-key", aad.Take(), sealed);
+  aad.PutU64(*version);
+  auto body = tee_->Open("manifest-key", aad.Take(), *sealed);
   if (!body.ok()) {
     if (body.status().IsIntegrityViolation()) {
       RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
@@ -935,7 +989,7 @@ Status TrustedCell::SyncPull() {
     TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
     TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
   }
-  while (tee_->CounterValue("manifest-seen") < version) {
+  while (tee_->CounterValue("manifest-seen") < *version) {
     tee_->IncrementCounter("manifest-seen");
   }
   ++stats_.sync_pulls;
@@ -1115,65 +1169,7 @@ Result<Bytes> TrustedCell::ReadSharedDocument(
     const std::string& doc_id, const std::string& subject,
     const policy::Attributes& attributes) {
   obs::TraceSpan span("cell", "read_shared_document", doc_id);
-  TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-  auto policy = policy::StickyPolicy::VerifyAndExtractWithMac(
-      meta.policy_envelope, doc_id, StickyMac(meta.key_name));
-  if (!policy.ok()) {
-    if (policy.status().IsIntegrityViolation()) {
-      RecordIncident(IncidentType::kPolicyTampered, doc_id,
-                     "sticky policy verification failed");
-    }
-    return policy.status();
-  }
-
-  policy::AccessRequest request{subject, policy::Right::kRead, attributes,
-                                clock_->Now()};
-  policy::Decision decision = pdp_.EvaluateAndConsume(*policy, request);
-  TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
-      0, clock_->Now(), subject, "read", doc_id, decision.allowed,
-      decision.allowed ? decision.rule_id : decision.reason}));
-  if (!decision.allowed) {
-    ++stats_.reads_denied;
-    metrics_.reads_denied.Increment();
-    return Status::PermissionDenied(decision.reason);
-  }
-
-  TC_ASSIGN_OR_RETURN(Bytes payload, FetchAndOpen(meta));
-
-  // Obligations are discharged mechanically — that is what "enforced by
-  // any trusted cell downloading data" means.
-  for (policy::ObligationType obligation : decision.obligations) {
-    switch (obligation) {
-      case policy::ObligationType::kLogAccess:
-        break;  // Already appended above.
-      case policy::ObligationType::kNotifyOwner: {
-        BinaryWriter w;
-        w.PutString(doc_id);
-        w.PutString(subject);
-        w.PutI64(clock_->Now());
-        if (!meta.origin_cell.empty()) {
-          cloud_->Send(config_.cell_id, meta.origin_cell,
-                       "access-notification", w.Take());
-        }
-        break;
-      }
-      case policy::ObligationType::kDeleteAfterUse: {
-        TC_RETURN_IF_ERROR(store_->Delete(MetaKey(doc_id)));
-        (void)tee_->keystore().DestroyKey(meta.key_name);
-        (void)tee_->keystore().DestroyKey(meta.key_name + ".sticky");
-        auto num = doc_numbers_.find(doc_id);
-        if (num != doc_numbers_.end()) {
-          number_to_doc_.erase(num->second);
-          doc_numbers_.erase(num);
-        }
-        break;
-      }
-    }
-  }
-  ++stats_.reads_allowed;
-  metrics_.reads_allowed.Increment();
-  ++stats_.documents_fetched;
-  return payload;
+  return ReadDocument(doc_id, subject, attributes);
 }
 
 // ---- Space proofs & key rotation ----
@@ -1209,9 +1205,7 @@ Result<TrustedCell::SpaceProof> TrustedCell::ProveDocumentInSpace(
   SpaceProof out;
   for (const auto& [id, number] : doc_numbers_) {
     TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(id));
-    if (meta.origin_owner != config_.owner || !meta.origin_cell.empty()) {
-      continue;  // Own documents only.
-    }
+    if (!IsOwn(meta)) continue;
     TC_ASSIGN_OR_RETURN(Bytes sealed, PullBlob(meta.blob_id));
     Bytes leaf = SpaceLeaf(id, meta.version, crypto::Sha256Hash(sealed));
     if (id == doc_id) {
@@ -1260,15 +1254,15 @@ bool TrustedCell::VerifySpaceProof(const SpaceProof& proof,
 
 Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
   TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-  if (meta.origin_owner != config_.owner || !meta.origin_cell.empty()) {
+  if (!IsOwn(meta)) {
     return Status::PermissionDenied("only the owner rotates document keys");
   }
+  TC_ASSIGN_OR_RETURN(Bytes payload, FetchAndOpen(&meta));
   // Current policy, verified under the old key.
   TC_ASSIGN_OR_RETURN(policy::Policy policy,
                       policy::StickyPolicy::VerifyAndExtractWithMac(
                           meta.policy_envelope, doc_id,
                           StickyMac(meta.key_name)));
-  TC_ASSIGN_OR_RETURN(Bytes payload, FetchAndOpen(meta));
 
   std::string old_key = meta.key_name;
   std::string new_key =
@@ -1279,11 +1273,8 @@ Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
   meta.key_name = new_key;
   meta.policy_envelope =
       policy::StickyPolicy::BindWithMac(policy, doc_id, StickyMac(new_key));
-  TC_ASSIGN_OR_RETURN(
-      Bytes sealed,
-      tee_->Seal(new_key, DocumentAad(doc_id, meta.version), payload));
-  TC_RETURN_IF_ERROR(WriteBlind(meta.blob_id, meta.version, sealed));
-  TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
+  TC_ASSIGN_OR_RETURN(Bytes sealed, SealDocument(meta, payload));
+  TC_RETURN_IF_ERROR(PublishManifest(&meta, sealed));
   (void)tee_->keystore().DestroyKey(old_key);
   (void)tee_->keystore().DestroyKey(old_key + ".sticky");
   TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
@@ -1427,16 +1418,7 @@ Result<std::pair<int, int>> TrustedCell::ProcessApprovalResponses() {
       TC_RETURN_IF_ERROR(SaveMeta(*meta, /*is_new=*/false));
       ++approved;
     } else {
-      // Rejected: erase the metadata and keys; the sealed cloud blob is
-      // unreadable without them.
-      TC_RETURN_IF_ERROR(store_->Delete(MetaKey(doc_id)));
-      (void)tee_->keystore().DestroyKey(meta->key_name);
-      (void)tee_->keystore().DestroyKey(meta->key_name + ".sticky");
-      auto num = doc_numbers_.find(doc_id);
-      if (num != doc_numbers_.end()) {
-        number_to_doc_.erase(num->second);
-        doc_numbers_.erase(num);
-      }
+      TC_RETURN_IF_ERROR(ForgetDocument(*meta));
       ++rejected;
     }
   }

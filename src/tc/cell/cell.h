@@ -104,7 +104,7 @@ struct CellStats {
   uint64_t catchup_drained = 0;   ///< Outbox records drained by CatchUp.
   uint64_t atomic_updates = 0;        ///< UpdateDocumentAtomic completions.
   /// First-committer-wins aborts retried by UpdateDocumentAtomic (same
-  /// token) or SyncPush.
+  /// token), RotateDocumentKey (same token) or SyncPush.
   uint64_t atomic_update_aborts = 0;
 };
 
@@ -124,12 +124,22 @@ struct CellStats {
 /// and shared commons (ProvideAggregateValue feeding tc::compute).
 ///
 /// Every write to the provider is one provider transaction through one
-/// private step, CommitOrJournal: StoreDocument, UpdateDocument and
-/// RotateDocumentKey commit one blind write; UpdateDocumentAtomic and
-/// SyncPush commit a manifest validated against a snapshot. With
-/// resilient_sync, a write the provider cannot take — or any write while
-/// an older one is queued — goes to the durable outbox, which CatchUp
-/// drains in order: no write overtakes a queued one.
+/// private step, CommitOrJournal. StoreDocument commits the one blind
+/// write, a new document's first version. UpdateDocumentAtomic,
+/// RotateDocumentKey and SyncPush commit a manifest validated against a
+/// snapshot, with the document's new payload in the same transaction, so
+/// the owner's manifest always names every own document's current version
+/// and key. With resilient_sync, a write the provider cannot take — or any
+/// write while an older one is queued — goes to the durable outbox, which
+/// CatchUp drains in order: no write overtakes a queued one.
+///
+/// Every read, FetchDocument and ReadSharedDocument, runs one step that
+/// enforces the whole sticky policy: it refuses a pending document, opens
+/// the payload, then verifies, evaluates and audits the policy of the
+/// version it opened and discharges its obligations. An own payload that
+/// fails to open convicts the provider only after one SyncPull, which may
+/// name a newer version to fetch and judge instead; a pull the provider
+/// could not answer convicts nobody.
 ///
 /// Observability (tc::obs global registry, aggregated across cells):
 ///   cell.seal_us / cell.unseal_us    histograms, TEE AEAD cost per doc
@@ -211,28 +221,23 @@ class TrustedCell {
                                     const Bytes& content,
                                     const policy::Policy& policy);
 
-  /// Replaces the payload (version bump; old cloud versions become
-  /// rollback bait the cell must detect).
-  Status UpdateDocument(const std::string& doc_id, const Bytes& content);
-
-  /// Atomic policy+data+manifest update — the sharing-scenario primitive
-  /// the paper needs: the sealed payload (optionally re-bound to
-  /// `new_policy`) and the refreshed manifest reach the provider in ONE
-  /// multi-key transaction, so no sibling cell can ever observe new data
-  /// under an old manifest or vice versa. First-committer-wins aborts
-  /// (a sibling moved the manifest or the document first) are transient:
-  /// the cell refreshes its snapshot and retries under the SAME txn token
-  /// (bounded; the final abort is returned if contention never clears).
-  /// With resilient_sync, an unreachable provider, an unresolved commit
-  /// or an older queued write journals the whole transaction to the
-  /// outbox — it drains atomically in CatchUp under its original token;
-  /// without it, an unreachable provider fails the update.
+  /// The one update path of an own document: replaces the payload (version
+  /// bump; old cloud versions become rollback bait the cell must detect). The
+  /// sealed payload (optionally re-bound to `new_policy`) and the refreshed
+  /// manifest reach the provider in ONE multi-key transaction, so no sibling
+  /// cell can ever observe new data under an old manifest or vice versa.
+  /// First-committer-wins aborts (a sibling moved the manifest or the document
+  /// first) are transient: the cell refreshes its snapshot and retries under
+  /// the SAME txn token (bounded; the final abort is returned if contention
+  /// never clears). With resilient_sync, an unreachable provider, an unresolved
+  /// commit or an older queued write journals the whole transaction to the
+  /// outbox — it drains atomically in CatchUp under its original token; without
+  /// it, an unreachable provider fails the update.
   Status UpdateDocumentAtomic(const std::string& doc_id, const Bytes& content,
                               const policy::Policy* new_policy = nullptr);
 
-  /// Owner read of an own document, policy-checked with the owner as
-  /// subject ("the trusted cell owner ... only gets data according to her
-  /// privileges").
+  /// ReadSharedDocument with the owner as subject ("the trusted cell owner
+  /// ... only gets data according to her privileges").
   Result<Bytes> FetchDocument(const std::string& doc_id,
                               const policy::Attributes& attributes = {});
 
@@ -298,9 +303,9 @@ class TrustedCell {
   /// access notifications, audit pushes...).
   std::vector<cloud::Message> TakeMessages(const std::string& topic);
 
-  /// Reads a shared document as `subject`: verifies the sticky policy,
-  /// evaluates UCON (consuming a use), discharges obligations (audit,
-  /// owner notification), then fetches and unseals the payload.
+  /// Reads a document as `subject` through the one read step (see the
+  /// class comment): the UCON decision consumes a use, and the obligations
+  /// include owner notification and delete after use.
   Result<Bytes> ReadSharedDocument(const std::string& doc_id,
                                    const std::string& subject,
                                    const policy::Attributes& attributes = {});
@@ -330,9 +335,10 @@ class TrustedCell {
                                const CellDirectory& directory);
 
   /// Rotates the document key: derives a fresh key, re-seals the payload
-  /// (version bump) and re-binds the sticky policy. Previously shared
-  /// wrapped keys stop working for all *future* versions — the revocation
-  /// mechanism for already-granted recipients.
+  /// (version bump), re-binds the sticky policy and commits payload and
+  /// manifest in one transaction, so sibling cells follow the new key.
+  /// Previously shared wrapped keys stop working for all *future* versions
+  /// — the revocation mechanism for already-granted recipients.
   Status RotateDocumentKey(const std::string& doc_id);
 
   // ---- Guardian recovery of the master secret ----
@@ -430,43 +436,54 @@ class TrustedCell {
   Status EnsureDocKey(const std::string& key_name);
   Result<DocumentMeta> LoadMeta(const std::string& doc_id);
   Status SaveMeta(const DocumentMeta& meta, bool is_new);
-  /// Serializes + seals the manifest of own documents at `version`,
-  /// substituting `override_meta` (when non-null) for its document —
-  /// lets the atomic update publish a manifest that includes a meta not
-  /// yet saved locally.
+  /// An own-space document, not a granted one: what the manifest names.
+  bool IsOwn(const DocumentMeta& meta) const;
+  /// Erases a document's meta, keyword postings and keys; the sealed cloud
+  /// blob is unreadable without them.
+  Status ForgetDocument(const DocumentMeta& meta);
+  /// Serializes + seals the manifest of own documents not pending
+  /// approval at `version`, substituting `override_meta` (when non-null)
+  /// for its document — lets an update publish a manifest that includes a
+  /// meta not yet saved locally.
   Result<Bytes> BuildManifestBlob(uint64_t version,
                                   const DocumentMeta* override_meta);
   void RecordIncident(IncidentType type, const std::string& object_id,
                       const std::string& detail);
-  Result<Bytes> FetchAndOpen(const DocumentMeta& meta);
+  /// Seals `content` as `meta`'s payload, timed into cell.seal_us.
+  Result<Bytes> SealDocument(const DocumentMeta& meta, const Bytes& content);
+  /// The one read step (see the class comment), `subject` reading.
+  Result<Bytes> ReadDocument(const std::string& doc_id,
+                             const std::string& subject,
+                             const policy::Attributes& attributes);
+  /// Fetches and opens `meta`'s payload, pulling before it convicts the
+  /// provider of an own payload (see the class comment); a pull that moved
+  /// the version replaces `*meta`.
+  Result<Bytes> FetchAndOpen(DocumentMeta* meta);
   /// Idempotency token of one write of `sealed` as (blob, version) —
   /// stable across retries, restarts and outbox drains, so the provider
   /// applies it at most once; a re-seal of the same version gets a fresh
   /// token.
   std::string PushToken(const std::string& blob_id, uint64_t version,
                         const Bytes& sealed) const;
-  /// The cell's one write step: commits `req` through the channel, or
-  /// journals its writes to the outbox under its token and marks the cell
-  /// degraded. It journals when the outbox already holds a write (so writes
-  /// reach the provider in the order the cell made them, and only CatchUp
-  /// drains), when `observed` — the caller's observation of the provider —
-  /// failed transiently or on its deadline, and when the commit's fate is
-  /// unresolved. Returns OK once `req` is committed or journaled; otherwise
-  /// the commit's abort, a definitive error, or, without an outbox, the
-  /// failure that would have journaled.
+  /// The cell's one write step, behind StoreDocument's blind write and
+  /// PublishManifest: commits `req` through the channel, or journals its
+  /// writes to the outbox under its token and marks the cell degraded. It
+  /// journals when the outbox already holds a write (so writes reach the
+  /// provider in the order the cell made them, and only CatchUp drains),
+  /// when `observed` — the caller's observation of the provider — failed
+  /// transiently or on its deadline, and when the commit's fate is
+  /// unresolved. Returns OK once `req` is committed or journaled;
+  /// otherwise the commit's abort, a definitive error, or, without an
+  /// outbox, the failure that would have journaled.
   Status CommitOrJournal(const cloud::TxnRequest& req,
                          const Status& observed = Status::OK());
-  /// One blind write (kBaseVersionAny) of `sealed` as (blob, version)
-  /// under its PushToken: StoreDocument, UpdateDocument and
-  /// RotateDocumentKey.
-  Status WriteBlind(const std::string& blob_id, uint64_t version,
-                    const Bytes& sealed);
-  /// UpdateDocumentAtomic's and SyncPush's loop: observes the manifest
-  /// (and `meta`'s blob, when non-null) under one snapshot, seals a
-  /// manifest above both the TEE floor and the provider's version, and
-  /// commits it (with `sealed` as `meta`'s new payload) validated against
-  /// what it observed; an abort rebuilds from a fresh snapshot (bounded).
-  /// On success saves `meta` and raises the manifest floor.
+  /// UpdateDocumentAtomic's, RotateDocumentKey's and SyncPush's loop:
+  /// observes the manifest (and `meta`'s blob, when non-null) under one
+  /// snapshot, seals a manifest above both the TEE floor and the
+  /// provider's version, and commits it (with `sealed` as `meta`'s new
+  /// payload) validated against what it observed; an abort rebuilds from
+  /// a fresh snapshot (bounded). On success saves `meta` and raises the
+  /// manifest floor.
   Status PublishManifest(const DocumentMeta* meta, const Bytes& sealed);
   /// Fetches a blob, serving the newest queued payload from the outbox
   /// first (read-your-writes while partitioned).

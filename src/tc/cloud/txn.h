@@ -14,10 +14,10 @@ namespace tc::cloud {
 
 /// Sentinel base version for a TxnWrite: the write skips first-committer-
 /// wins validation and lands on top of whatever is latest (a "blind"
-/// write). Marks every blind cell write: StoreDocument, UpdateDocument and
-/// RotateDocumentKey commit one, and the outbox drain re-delivers each
-/// journaled transaction as blind writes after reconnecting —
-/// last-writer-wins, atomic across the write set.
+/// write). Marks every blind cell write: StoreDocument commits one, and
+/// the outbox drain re-delivers each journaled transaction as blind
+/// writes after reconnecting — last-writer-wins, atomic across the write
+/// set.
 inline constexpr uint64_t kBaseVersionAny = ~uint64_t{0};
 
 /// TellStore-style snapshot descriptor. `base_seq` plus the sorted set of

@@ -118,7 +118,8 @@ TEST_F(CellTest, UpdateBumpsVersionAndFetchesLatest) {
                                               ToBytes("v1"),
                                               MakeOwnerPolicy("alice"));
   ASSERT_TRUE(doc_id.ok());
-  ASSERT_TRUE(alice_gateway_->UpdateDocument(*doc_id, ToBytes("v2")).ok());
+  ASSERT_TRUE(
+      alice_gateway_->UpdateDocumentAtomic(*doc_id, ToBytes("v2")).ok());
   EXPECT_EQ(alice_gateway_->GetDocumentMeta(*doc_id)->version, 2u);
   EXPECT_EQ(*alice_gateway_->FetchDocument(*doc_id), ToBytes("v2"));
 }
@@ -170,6 +171,24 @@ TEST_F(CellTest, SyncRollbackDetected) {
   ASSERT_FALSE(alice_phone_->incidents().empty());
   EXPECT_EQ(alice_phone_->incidents().back().type,
             IncidentType::kRollbackDetected);
+}
+
+TEST_F(CellTest, TruncatedManifestIsConvicted) {
+  // A failed fetch of an own document reads the manifest too, so every
+  // manifest the cell cannot parse must convict, like a payload that fails
+  // to open: here the sealed body falls short of its length prefix.
+  (void)*alice_gateway_->StoreDocument("d1", "k", ToBytes("1"),
+                                       MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(alice_gateway_->SyncPush().ok());
+  const std::string manifest_id = "space/alice/manifest";
+  Bytes manifest = *cloud_.blob_store().Get(manifest_id);
+  manifest.pop_back();
+  cloud_.blob_store().Put(manifest_id, manifest);
+
+  EXPECT_TRUE(alice_phone_->SyncPull().IsIntegrityViolation());
+  ASSERT_EQ(alice_phone_->incidents().size(), 1u);
+  EXPECT_EQ(alice_phone_->incidents()[0].type,
+            IncidentType::kPayloadTampered);
 }
 
 TEST_F(CellTest, ShareGrantFlowEndToEnd) {
@@ -277,7 +296,8 @@ TEST_F(CellTest, BlobRollbackDetectedOnFetch) {
   auto doc_id = alice_gateway_->StoreDocument(
       "doc", "doc", ToBytes("v1"), MakeOwnerPolicy("alice"));
   ASSERT_TRUE(doc_id.ok());
-  ASSERT_TRUE(alice_gateway_->UpdateDocument(*doc_id, ToBytes("v2")).ok());
+  ASSERT_TRUE(
+      alice_gateway_->UpdateDocumentAtomic(*doc_id, ToBytes("v2")).ok());
   cloud::AdversaryConfig adversary;
   adversary.rollback_read_prob = 1.0;
   cloud_.set_adversary(adversary);
@@ -389,9 +409,63 @@ TEST_F(CellTest, DeleteAfterUseObligation) {
   ASSERT_TRUE(alice_gateway_->ShareDocument(*doc_id, "bob-phone", p).ok());
   ASSERT_EQ(*bob_phone_->ProcessInbox(), 1);
   ASSERT_TRUE(bob_phone_->ReadSharedDocument(*doc_id, "bob").ok());
-  // Metadata and key are gone afterwards.
+  // Metadata, keyword postings and key are gone afterwards.
   EXPECT_TRUE(
       bob_phone_->ReadSharedDocument(*doc_id, "bob").status().IsNotFound());
+  EXPECT_TRUE(bob_phone_->database().keywords().Search("secret")->empty());
+}
+
+TEST_F(CellTest, FetchDocumentDischargesTheStickyPolicysObligations) {
+  // A recipient reading through FetchDocument reads under the same sticky
+  // policy as through ReadSharedDocument.
+  UsageRule rule;
+  rule.id = "one-shot";
+  rule.subjects = {"bob"};
+  rule.rights = {Right::kRead};
+  rule.obligations = {ObligationType::kDeleteAfterUse,
+                      ObligationType::kNotifyOwner};
+  Policy p{"one-shot-policy", "alice", {rule}};
+
+  auto doc_id = alice_gateway_->StoreDocument(
+      "ephemeral", "secret", ToBytes("burn after reading"),
+      MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok());
+  ASSERT_TRUE(alice_gateway_->ShareDocument(*doc_id, "bob-phone", p).ok());
+  ASSERT_EQ(*bob_phone_->ProcessInbox(), 1);
+  auto first = bob_phone_->FetchDocument(*doc_id);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, ToBytes("burn after reading"));
+  EXPECT_TRUE(bob_phone_->FetchDocument(*doc_id).status().IsNotFound());
+
+  (void)alice_gateway_->ProcessInbox();
+  EXPECT_EQ(alice_gateway_->TakeMessages("access-notification").size(), 1u);
+}
+
+TEST_F(CellTest, DocumentGrantedBetweenOneOwnersCellsCannotBeUpdated) {
+  // A grant may go to another cell of the same owner. The recipient holds
+  // a granted document, not an own one, so it must not publish an update
+  // of it into the owner's manifest.
+  auto doc_id = alice_gateway_->StoreDocument(
+      "doc", "doc", ToBytes("x"), MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok());
+  ASSERT_TRUE(alice_gateway_
+                  ->ShareDocument(*doc_id, "alice-phone",
+                                  MakeOwnerPolicy("alice"))
+                  .ok());
+  ASSERT_EQ(*alice_phone_->ProcessInbox(), 1);
+  EXPECT_TRUE(alice_phone_->UpdateDocumentAtomic(*doc_id, ToBytes("y"))
+                  .IsPermissionDenied());
+}
+
+TEST_F(CellTest, KeyRotationSealIsTimed) {
+  auto doc_id = alice_gateway_->StoreDocument(
+      "doc", "doc", ToBytes("x"), MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok());
+  obs::Histogram& seal_us =
+      obs::MetricRegistry::Global().GetHistogram("cell.seal_us");
+  const uint64_t before = seal_us.Snapshot().count;
+  ASSERT_TRUE(alice_gateway_->RotateDocumentKey(*doc_id).ok());
+  EXPECT_EQ(seal_us.Snapshot().count, before + 1);
 }
 
 TEST_F(CellTest, CentralizedVaultBaselineContrasts) {

@@ -379,15 +379,16 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(*fetched, ToBytes("the document body"));
 
-  // Updates while partitioned supersede the queued push (last-writer-wins
-  // in the outbox: at most one pending record per blob).
-  ASSERT_TRUE(gateway->UpdateDocument(*doc_id, ToBytes("amended body")).ok());
+  // An update while partitioned supersedes the queued store: its record
+  // rewrites every blob the store's record writes.
+  ASSERT_TRUE(
+      gateway->UpdateDocumentAtomic(*doc_id, ToBytes("amended body")).ok());
   EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("amended body"));
 
   // Sync while partitioned queues the manifest too.
   ASSERT_TRUE(gateway->SyncPush().ok());
   const size_t pending_before = gateway->outbox_pending();
-  EXPECT_GE(pending_before, 2u);  // Doc payload + manifest.
+  EXPECT_GE(pending_before, 2u);  // The update's record + the manifest.
 
   // Catch-up against a dead provider reports kUnavailable and keeps the
   // queue intact.
@@ -471,28 +472,27 @@ std::unique_ptr<NetworkFaultInjector> AckLostThenOutage(uint64_t lost) {
   return NetworkFaultInjector::FromSchedule(schedule);
 }
 
-TEST_F(CellChaosTest, UpdateAfterAnUnackedPushStoresTheNewContent) {
-  // A cell without an outbox fails an update whose push landed with its
-  // ack lost, so its saved version does not move and the next update
-  // re-seals that same version. Its push must store the new bytes, not be
-  // answered from the provider's dedupe table with the old ones.
+TEST_F(CellChaosTest, StoreRetriedAfterAnUnackedCommitStoresTheNewContent) {
+  // A cell without an outbox fails a store whose commit landed with its
+  // ack lost. Its document counter does not move, so the retried store
+  // re-seals the same blob at version 1. Its commit must store the new
+  // bytes, not be answered from the provider's token table with the old
+  // ones.
   auto phone = MakeCell("alice-phone", /*resilient=*/false);
-  auto doc_id = phone->StoreDocument("note", "memo", ToBytes("first"),
+  auto faults = AckLostThenOutage(1);  // The store's only RPC: its commit.
+  cloud_.set_fault_injector(faults.get());
+  EXPECT_FALSE(phone->StoreDocument("note", "memo", ToBytes("acked late"),
+                                    cell::MakeOwnerPolicy("alice"))
+                   .ok());
+  cloud_.set_fault_injector(&injector_);
+  EXPECT_EQ(faults->stats().drops_ack, 1u);
+
+  auto doc_id = phone->StoreDocument("note", "memo", ToBytes("second"),
                                      cell::MakeOwnerPolicy("alice"));
   ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
   const std::string blob_id = phone->GetDocumentMeta(*doc_id)->blob_id;
-  const uint64_t before = *cloud_.LatestBlobVersion(blob_id);
-
-  auto faults = AckLostThenOutage(1);  // The update's only RPC: its put.
-  cloud_.set_fault_injector(faults.get());
-  EXPECT_FALSE(phone->UpdateDocument(*doc_id, ToBytes("acked late")).ok());
-  cloud_.set_fault_injector(&injector_);
-  EXPECT_EQ(faults->stats().drops_ack, 1u);
-  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), before + 1);  // It landed.
-
-  ASSERT_TRUE(phone->UpdateDocument(*doc_id, ToBytes("second")).ok());
+  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), 2u);  // Both landed.
   EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
-  EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), before + 2);
   EXPECT_EQ(cloud_.blob_store().versions_created(),
             cloud_.blob_store().tokens_applied() +
                 cloud_.blob_store().txn_writes_applied());
@@ -537,20 +537,6 @@ TEST_F(CellChaosTest, AtomicUpdateAfterAnUnresolvedCommitStoresTheNewContent) {
 // queued one — served from the outbox now, drained on top later — and the
 // cells would read the older bytes as a rollback.
 
-TEST_F(CellChaosTest, AtomicUpdateQueuesBehindADeferredUpdate) {
-  auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
-  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
-                                       cell::MakeOwnerPolicy("alice"));
-  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
-  ASSERT_TRUE(gateway->SyncPush().ok());
-  ASSERT_NO_FATAL_FAILURE(DeferOneWrite(*gateway, [&] {
-    return gateway->UpdateDocument(*doc_id, ToBytes("second"));
-  }));
-
-  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("third")).ok());
-  ExpectCatchUpConverges(*gateway, *doc_id, "third");
-}
-
 TEST_F(CellChaosTest, AtomicUpdateQueuesBehindAJournaledAtomicUpdate) {
   auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
   auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
@@ -574,7 +560,7 @@ TEST_F(CellChaosTest, SyncPushQueuesBehindADeferredUpdate) {
   ASSERT_TRUE(gateway->SyncPush().ok());
   ASSERT_TRUE(phone->SyncPull().ok());
   ASSERT_NO_FATAL_FAILURE(DeferOneWrite(*gateway, [&] {
-    return gateway->UpdateDocument(*doc_id, ToBytes("second"));
+    return gateway->UpdateDocumentAtomic(*doc_id, ToBytes("second"));
   }));
 
   // A manifest naming the queued version must not reach the provider
@@ -602,14 +588,14 @@ TEST_F(CellChaosTest, CellWithoutOutboxServesAgainOnceTheProviderIsBack) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(phone->FetchDocument(*doc_id).ok());
   }
-  EXPECT_FALSE(phone->UpdateDocument(*doc_id, ToBytes("lost")).ok());
+  EXPECT_FALSE(phone->UpdateDocumentAtomic(*doc_id, ToBytes("lost")).ok());
   injector_.ForceOutage(false);
 
   EXPECT_FALSE(phone->net_channel()->degraded());
   auto fetched = phone->FetchDocument(*doc_id);
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(*fetched, ToBytes("first"));
-  ASSERT_TRUE(phone->UpdateDocument(*doc_id, ToBytes("second")).ok());
+  ASSERT_TRUE(phone->UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
   EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
 }
 
@@ -635,6 +621,143 @@ TEST_F(CellChaosTest, ReadOnlyCellRecoversOnceTheProviderIsBack) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(*fetched, ToBytes("first"));
   EXPECT_FALSE(gateway->net_channel()->degraded());
+}
+
+// Every update and key rotation commits with the owner's manifest, so a
+// sibling whose meta is behind pulls once and reads the new version. Only
+// a payload the manifest cannot explain convicts the provider.
+
+TEST_F(CellChaosTest, SiblingReadsAnAtomicUpdateBeforeItsNextPull) {
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
+  ExpectReads(*phone, *doc_id, "second");
+  ExpectNoIncidents(*phone);
+}
+
+TEST_F(CellChaosTest, SiblingReadsARotatedKeyBeforeAndAfterItsNextPull) {
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+
+  ASSERT_TRUE(gateway->RotateDocumentKey(*doc_id).ok());
+  ExpectReads(*phone, *doc_id, "first");
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ExpectReads(*phone, *doc_id, "first");
+  ExpectNoIncidents(*phone);
+}
+
+TEST_F(CellChaosTest, SiblingDecidesAReadUnderThePolicyOfTheVersionItOpens) {
+  // The owner rebinds the policy in an update: bob loses access, carol
+  // gains a one-shot read. Lagging siblings open the new version, so they
+  // must decide under its policy and discharge its obligations.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto tablet = MakeCell("alice-tablet", /*resilient=*/false);
+  policy::UsageRule bob_reads;
+  bob_reads.id = "bob-read";
+  bob_reads.subjects = {"bob"};
+  bob_reads.rights = {policy::Right::kRead};
+  policy::UsageRule carol_reads_once;
+  carol_reads_once.id = "carol-once";
+  carol_reads_once.subjects = {"carol"};
+  carol_reads_once.rights = {policy::Right::kRead};
+  carol_reads_once.obligations = {policy::ObligationType::kDeleteAfterUse};
+  const policy::Policy before{"household", "alice", {bob_reads}};
+  const policy::Policy after{"household", "alice", {carol_reads_once}};
+
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       before);
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  ASSERT_TRUE(
+      gateway->UpdateDocumentAtomic(*doc_id, ToBytes("second"), &after).ok());
+
+  EXPECT_TRUE(
+      phone->ReadSharedDocument(*doc_id, "bob").status().IsPermissionDenied());
+  auto carol = tablet->ReadSharedDocument(*doc_id, "carol");
+  ASSERT_TRUE(carol.ok()) << carol.status().ToString();
+  EXPECT_EQ(*carol, ToBytes("second"));
+  EXPECT_TRUE(
+      tablet->ReadSharedDocument(*doc_id, "carol").status().IsNotFound());
+  ExpectNoIncidents(*phone);
+  ExpectNoIncidents(*tablet);
+}
+
+TEST_F(CellChaosTest, SiblingWhosePullFailsConvictsNobody) {
+  // The sibling's payload read succeeds, but the manifest read it makes
+  // before convicting cannot reach the provider: the fetch fails without
+  // an incident and succeeds once the provider is back.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
+
+  NetworkFaultConfig down_after_one;
+  down_after_one.outage_ops = {{2, 1000}};
+  NetworkFaultInjector injector(down_after_one);
+  cloud_.set_fault_injector(&injector);
+  const uint64_t gets_before = cloud_.stats().blob_gets;
+  Status fetched = phone->FetchDocument(*doc_id).status();
+  cloud_.set_fault_injector(&injector_);
+  EXPECT_EQ(cloud_.stats().blob_gets, gets_before + 1);
+  EXPECT_TRUE(fetched.IsUnavailable() || fetched.IsDeadlineExceeded())
+      << fetched.ToString();
+  ExpectNoIncidents(*phone);
+
+  ASSERT_TRUE(phone->CatchUp().ok());
+  ExpectReads(*phone, *doc_id, "second");
+  ExpectNoIncidents(*phone);
+}
+
+TEST_F(CellChaosTest, SiblingConvictsEachAttackedReadOnce) {
+  // A payload that fails to open makes the sibling read the manifest too,
+  // so an attacked fetch is two attacked reads: each is one incident.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/false);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  auto doc_id = gateway->StoreDocument("note", "memo", ToBytes("first"),
+                                       cell::MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+  // Two versions of the payload and of the manifest, so both can be
+  // rolled back.
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+
+  constexpr int kFetches = 3;
+  for (bool rollback : {false, true}) {
+    cloud::AdversaryConfig adversary;
+    (rollback ? adversary.rollback_read_prob : adversary.tamper_read_prob) =
+        1.0;
+    cloud_.set_adversary(adversary);
+    for (int i = 0; i < kFetches; ++i) {
+      EXPECT_TRUE(
+          phone->FetchDocument(*doc_id).status().IsIntegrityViolation());
+    }
+    cloud_.set_adversary(cloud::AdversaryConfig::Honest());
+  }
+  const cloud::AdversaryStats attacks = cloud_.adversary_stats();
+  EXPECT_EQ(attacks.reads_tampered, 2u * kFetches);
+  EXPECT_EQ(attacks.reads_rolled_back, 2u * kFetches);
+  EXPECT_EQ(phone->incidents().size(),
+            attacks.reads_tampered + attacks.reads_rolled_back);
+  ExpectReads(*phone, *doc_id, "second");
 }
 
 }  // namespace

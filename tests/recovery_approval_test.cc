@@ -133,6 +133,8 @@ TEST_F(RecoveryApprovalTest, ApprovalFlowApprove) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(alice->FetchDocument(*doc).status().code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(alice->ReadSharedDocument(*doc, "alice").status().code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_EQ(alice->ShareDocument(*doc, "bob-phone",
                                  MakeOwnerPolicy("alice"))
                 .code(),
@@ -168,9 +170,40 @@ TEST_F(RecoveryApprovalTest, ApprovalFlowReject) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->first, 0);
   EXPECT_EQ(result->second, 1);
-  // The document is gone: metadata erased, key destroyed.
+  // The document is gone: metadata and keyword postings erased, key
+  // destroyed.
   EXPECT_TRUE(alice->FetchDocument(*doc).status().IsNotFound());
   EXPECT_TRUE(alice->SearchDocuments("karaoke")->empty());
+  EXPECT_TRUE(alice->database().keywords().Search("karaoke")->empty());
+}
+
+TEST_F(RecoveryApprovalTest, SiblingAdoptsAReferencingDocumentOnceApproved) {
+  // Approval does not bump the version, and a sibling adopts only newer
+  // versions: a pending document stays out of the manifest until approved.
+  auto alice = MakeCell("alice-phone", "alice");
+  auto tablet = MakeCell("alice-tablet", "alice");
+  auto bob = MakeCell("bob-phone", "bob");
+  auto doc = alice->ProposeDocumentReferencing(
+      "bob-phone", "Group photo", "photo group",
+      ToBytes("[jpeg with bob in frame]"), MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(alice->SyncPush().ok());
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  EXPECT_TRUE(tablet->GetDocumentMeta(*doc).status().IsNotFound());
+
+  ASSERT_TRUE(bob->ProcessInbox().ok());
+  auto requests = bob->TakeMessages("approval-request");
+  ASSERT_EQ(requests.size(), 1u);
+  ASSERT_TRUE(bob->RespondToApproval(requests[0], true).ok());
+  ASSERT_TRUE(alice->ProcessInbox().ok());
+  auto result = alice->ProcessApprovalResponses();
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->first, 1);
+  ASSERT_TRUE(alice->SyncPush().ok());
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  auto read = tablet->FetchDocument(*doc);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, ToBytes("[jpeg with bob in frame]"));
 }
 
 TEST_F(RecoveryApprovalTest, ApprovalSurvivesOnlyForPending) {
