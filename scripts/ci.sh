@@ -27,8 +27,12 @@
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   8. check no generated build*/ tree is tracked or staged;
-#   9. run the obs export validator (quick bench run + trace JSON checks).
+#   8. build rpc_test under the asan-ubsan preset into build-asan/ and run
+#      it with leak checking: the wire codec's truncation and byte-flip
+#      sweeps claim "no over-read", which only AddressSanitizer enforces
+#      (the build takes a few minutes, the run under a second);
+#   9. check no generated build*/ tree is tracked or staged;
+#  10. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -52,6 +56,9 @@ build/tests/chaos_test \
 cmake -S cellbench -B build-cellbench
 cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_test
 (cd build-cellbench && ctest --output-on-failure)
+cmake --preset asan-ubsan
+cmake --build --preset asan-ubsan -j "$(nproc)" --target rpc_test
+ASAN_OPTIONS=detect_leaks=1 build-asan/tests/rpc_test --gtest_brief=1
 scripts/check_tree_clean.sh
 scripts/validate_obs_export.sh
 echo "ci: all tier-1 checks passed"

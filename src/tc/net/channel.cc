@@ -238,7 +238,18 @@ Result<cloud::SnapshotDescriptor> ResilientChannel::GetSnapshot() {
   Result<cloud::SnapshotDescriptor> snap = cloud::SnapshotDescriptor();
   Status status = Retry("snapshot", [&](uint32_t* delay_us) {
     snap = transport_->GetSnapshot(delay_us);
-    return snap.status();
+    if (!snap.ok()) return snap.status();
+    // Visible() binary-searches extra_seqs, so a reply whose list is not
+    // strictly increasing above base_seq is malformed (the provider is
+    // untrusted): it is retried, never used.
+    uint64_t prev = snap->base_seq;
+    for (uint64_t seq : snap->extra_seqs) {
+      if (seq <= prev) {
+        return Status::Unavailable("snapshot reply with unordered extra_seqs");
+      }
+      prev = seq;
+    }
+    return Status::OK();
   });
   if (!status.ok()) return status;
   return snap;
@@ -249,7 +260,17 @@ Result<cloud::SnapshotRead> ResilientChannel::GetAtSnapshot(
   Result<cloud::SnapshotRead> read = cloud::SnapshotRead();
   Status status = Retry("snapshot_get", [&](uint32_t* delay_us) {
     read = transport_->GetAtSnapshot(id, snap, delay_us);
-    return read.status();
+    if (!read.ok()) return read.status();
+    // An OK read names a version (1-based) committed at a sequence the
+    // snapshot that was sent can see; any other reply is malformed and
+    // retried.
+    if (read->version == 0 || !snap.Visible(read->commit_seq)) {
+      return Status::Unavailable(
+          "snapshot read of version " + std::to_string(read->version) +
+          " at commit " + std::to_string(read->commit_seq) +
+          ", which the snapshot cannot see");
+    }
+    return Status::OK();
   });
   if (!status.ok()) return status;
   return read;

@@ -7,9 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "tc/net/backoff.h"
 #include "tc/obs/metrics.h"
@@ -18,20 +16,6 @@
 namespace tc::rpc {
 
 namespace {
-
-bool WriteFull(int fd, const uint8_t* buf, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r > 0) {
-      sent += static_cast<size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
 
 /// RAII decrement for the pool-wide in-flight cap.
 class InFlightSlot {
@@ -193,51 +177,24 @@ void RpcClientPool::TearDown(Conn& conn, uint64_t generation) {
 }
 
 void RpcClientPool::ReaderLoop(Conn* conn, int fd, uint64_t generation) {
-  // Buffered stream parser, mirroring the server's reader: one recv may
-  // carry many pipelined responses, so syscalls and reader wake-ups
-  // amortize across a burst.
-  std::vector<uint8_t> buf;
-  size_t pos = 0;
-  bool stop = false;
-  while (!stop) {
-    while (buf.size() - pos >= kFrameHeaderBytes) {
-      auto header = DecodeFrameHeader(buf.data() + pos, kFrameHeaderBytes);
-      if (!header.ok() || !header->response()) {  // Unframeable stream.
-        stop = true;
-        break;
-      }
-      const size_t need = kFrameHeaderBytes + header->payload_size;
-      if (buf.size() - pos < need) break;  // Frame still arriving.
-      Bytes payload(buf.begin() + pos + kFrameHeaderBytes,
-                    buf.begin() + pos + need);
-      pos += need;
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->generation != generation) return;  // Epoch ended under us.
-      auto it = conn->pending.find(header->request_id);
-      if (it == conn->pending.end()) continue;  // Deadline-abandoned waiter.
-      it->second->response = std::move(payload);
-      it->second->status = Status::OK();
-      it->second->flags = header->flags;
-      it->second->budget_us = header->budget_us;
-      it->second->done = true;
-      it->second->cv.notify_all();
-      conn->pending.erase(it);
-    }
-    if (stop) break;
-    if (pos > 0) {
-      buf.erase(buf.begin(), buf.begin() + pos);
-      pos = 0;
-    }
-    constexpr size_t kReadChunk = 64 * 1024;
-    const size_t old_size = buf.size();
-    buf.resize(old_size + kReadChunk);
-    ssize_t r = ::recv(fd, buf.data() + old_size, kReadChunk, 0);
-    if (r <= 0) {
-      buf.resize(old_size);
-      if (r < 0 && errno == EINTR) continue;
-      break;
-    }
-    buf.resize(old_size + static_cast<size_t>(r));
+  FrameReader reader(fd, /*responses=*/true);
+  FrameHeader header;
+  Bytes payload;
+  while (reader.Next(&header, &payload).ok()) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->generation != generation) return;  // Epoch ended under us.
+    auto it = conn->pending.find(header.request_id);
+    if (it == conn->pending.end()) continue;  // Deadline-abandoned waiter.
+    // A reply that names another op than its request cannot be matched
+    // to it safely: treat the stream as unframeable.
+    if (header.op != it->second->op) break;
+    it->second->response = std::move(payload);
+    it->second->status = Status::OK();
+    it->second->flags = header.flags;
+    it->second->budget_us = header.budget_us;
+    it->second->done = true;
+    it->second->cv.notify_all();
+    conn->pending.erase(it);
   }
   TearDown(*conn, generation);
 }
@@ -272,6 +229,7 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
 
   uint64_t id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   auto pending = std::make_shared<PendingCall>();
+  pending->op = op;
   uint64_t generation;
   {
     std::lock_guard<std::mutex> lock(conn.mu);
@@ -313,7 +271,7 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
       if (conn.connected && conn.generation == generation) fd = conn.fd;
     }
     if (fd >= 0) {
-      sent = WriteFull(fd, frame.data(), frame.size());
+      sent = WriteFull(fd, frame);
     }
   }
   if (!sent) {

@@ -110,6 +110,7 @@ class RpcClientPool {
 
  private:
   struct PendingCall {
+    RpcOp op = RpcOp::kPing;  ///< The request's op; its reply must echo it.
     Bytes response;
     Status status = Status::OK();
     bool done = false;

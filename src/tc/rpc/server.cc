@@ -19,22 +19,6 @@ namespace {
 /// connection backpressure).
 constexpr size_t kQueueCapacity = 256;
 
-bool WriteFull(int fd, const uint8_t* buf, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a peer that vanished must surface as EPIPE, not kill
-    // the process with SIGPIPE.
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r > 0) {
-      sent += static_cast<size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 RpcServer::RpcServer(cloud::CloudInfrastructure* cloud,
@@ -187,97 +171,62 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       obs::MetricRegistry::Global().GetCounter("rpc.server.malformed");
   auto& bytes_in =
       obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_in");
-  // Buffered stream parser: one recv can deliver many pipelined frames, so
-  // the syscall (and reader wake-up) cost amortizes across every request a
-  // burst carries — the difference between pricing the wire per frame and
-  // per batch.
-  std::vector<uint8_t> buf;
-  size_t pos = 0;
-  bool stop = false;
-  while (!stop && conn->open.load(std::memory_order_acquire)) {
-    // Dispatch every complete frame currently buffered.
-    while (buf.size() - pos >= kFrameHeaderBytes) {
-      auto header = DecodeFrameHeader(buf.data() + pos, kFrameHeaderBytes);
-      if (!header.ok()) {
-        // Malformed or version-mismatched frame: the stream can no longer
-        // be framed safely, so the only clean recovery is closing the
-        // connection (the client reconnects and retries under its token).
-        malformed_.fetch_add(1, std::memory_order_relaxed);
-        malformed_metric.Increment();
-        if (header.status().code() == StatusCode::kUnimplemented) {
-          version_mismatch_.fetch_add(1, std::memory_order_relaxed);
-        }
-        stop = true;
-        break;
+  FrameReader reader(conn->fd, /*responses=*/false);
+  FrameHeader h;
+  Bytes payload;
+  while (conn->open.load(std::memory_order_acquire)) {
+    Status framed = reader.Next(&h, &payload);
+    if (!framed.ok()) {
+      if (framed.IsUnavailable()) break;  // EOF, reset or shutdown.
+      // Malformed or version-mismatched frame: the stream can no longer
+      // be framed safely, so the only clean recovery is closing the
+      // connection (the client reconnects and retries under its token).
+      malformed_.fetch_add(1, std::memory_order_relaxed);
+      malformed_metric.Increment();
+      if (framed.code() == StatusCode::kUnimplemented) {
+        version_mismatch_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (header->response()) {
-        malformed_.fetch_add(1, std::memory_order_relaxed);
-        malformed_metric.Increment();
-        stop = true;
-        break;
-      }
-      const size_t need = kFrameHeaderBytes + header->payload_size;
-      if (buf.size() - pos < need) break;  // Frame still arriving.
-      Bytes payload(buf.begin() + pos + kFrameHeaderBytes,
-                    buf.begin() + pos + need);
-      pos += need;
-      bytes_in.Increment(need);
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      FrameHeader h = *header;
-      // Effective criticality: wire bits, except ping and telemetry
-      // scrapes are always critical — client pools must keep their
-      // health probes flowing and operators must keep seeing a saturated
-      // server, or overload becomes invisible exactly when it matters.
-      Criticality crit = h.criticality();
-      if (h.op == RpcOp::kPing || h.op == RpcOp::kScrapeTelemetry) {
-        crit = Criticality::kCritical;
-      }
-      const uint64_t arrival_us = OverloadNowUs();
-      {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        ++conn->in_flight;
-      }
-      // Hand the frame to the pool with its scheduling class: the wire
-      // budget becomes an absolute deadline re-checked at dequeue, and a
-      // shed request is still *answered* (on_shed) so the client learns
-      // immediately instead of timing out. Submit blocks on a full queue,
-      // which is exactly the backpressure we want per connection; false
-      // means the server is shutting down and this request is dropped
-      // *unread by the dispatcher* — the client sees the connection
-      // close, not a lost ack.
-      fleet::WorkerPool::TaskClass cls;
-      cls.criticality = crit;
-      cls.deadline_us = h.budget_us != 0 ? arrival_us + h.budget_us : 0;
-      cls.on_shed = [this, conn, h] { RespondShed(conn, h); };
-      bool submitted = pool_->Submit(
-          [this, conn, h, crit, arrival_us,
-           payload = std::move(payload)]() mutable {
-            Dispatch(conn, h, crit, arrival_us, std::move(payload));
-          },
-          std::move(cls));
-      if (!submitted) {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        --conn->in_flight;
-        conn->drained.notify_all();
-        stop = true;
-        break;
-      }
+      break;
     }
-    if (stop) break;
-    if (pos > 0) {
-      buf.erase(buf.begin(), buf.begin() + pos);
-      pos = 0;
+    bytes_in.Increment(kFrameHeaderBytes + payload.size());
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    // Effective criticality: wire bits, except ping and telemetry
+    // scrapes are always critical — client pools must keep their
+    // health probes flowing and operators must keep seeing a saturated
+    // server, or overload becomes invisible exactly when it matters.
+    Criticality crit = h.criticality();
+    if (h.op == RpcOp::kPing || h.op == RpcOp::kScrapeTelemetry) {
+      crit = Criticality::kCritical;
     }
-    constexpr size_t kReadChunk = 64 * 1024;
-    const size_t old_size = buf.size();
-    buf.resize(old_size + kReadChunk);
-    ssize_t r = ::recv(conn->fd, buf.data() + old_size, kReadChunk, 0);
-    if (r <= 0) {
-      buf.resize(old_size);
-      if (r < 0 && errno == EINTR) continue;
-      break;  // EOF, reset, or fatal error: peer (or shutdown) ended it.
+    const uint64_t arrival_us = OverloadNowUs();
+    {
+      std::lock_guard<std::mutex> lock(conn->write_mu);
+      ++conn->in_flight;
     }
-    buf.resize(old_size + static_cast<size_t>(r));
+    // Hand the frame to the pool with its scheduling class: the wire
+    // budget becomes an absolute deadline re-checked at dequeue, and a
+    // shed request is still *answered* (on_shed) so the client learns
+    // immediately instead of timing out. Submit blocks on a full queue,
+    // which is exactly the backpressure we want per connection; false
+    // means the server is shutting down and this request is dropped
+    // *unread by the dispatcher* — the client sees the connection
+    // close, not a lost ack.
+    fleet::WorkerPool::TaskClass cls;
+    cls.criticality = crit;
+    cls.deadline_us = h.budget_us != 0 ? arrival_us + h.budget_us : 0;
+    cls.on_shed = [this, conn, h] { RespondShed(conn, h); };
+    bool submitted = pool_->Submit(
+        [this, conn, h, crit, arrival_us,
+         payload = std::move(payload)]() mutable {
+          Dispatch(conn, h, crit, arrival_us, std::move(payload));
+        },
+        std::move(cls));
+    if (!submitted) {
+      std::lock_guard<std::mutex> lock(conn->write_mu);
+      --conn->in_flight;
+      conn->drained.notify_all();
+      break;
+    }
   }
   // The reader is the connection's last reference to the fd number: wait
   // for every dispatched request to finish writing (so a graceful server
@@ -328,7 +277,7 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
       octx.budget_us = deadline > now ? deadline - now : 1;
     }
     ScopedOverloadContext overload_scope(octx);
-    response = Execute(header, std::move(payload), &decode_ok);
+    decode_ok = Execute(header.op, payload, &response);
   }
   // A provider-side admission rejection left its retry-after hint on this
   // thread; forward it in the response header as explicit pushback.
@@ -386,103 +335,72 @@ void RpcServer::RespondShed(const std::shared_ptr<Connection>& conn,
   }
 }
 
-Bytes RpcServer::Execute(const FrameHeader& header, Bytes payload,
-                         Status* decode_ok_out) {
-  Bytes response;
-  Status decode_ok = Status::OK();
-  switch (header.op) {
-    case RpcOp::kPing: {
-      response = payload;  // Echo.
-      break;
-    }
+Status RpcServer::Execute(RpcOp op, const Bytes& payload, Bytes* response) {
+  uint32_t delay_us = 0;
+  switch (op) {
+    case RpcOp::kPing:
+      *response = payload;  // Echo.
+      return Status::OK();
     case RpcOp::kPutBlobBatch: {
-      auto req = DecodePutBatchRequest(payload);
-      if (!req.ok()) {
-        decode_ok = req.status();
-        break;
+      std::vector<std::pair<std::string, Bytes>> items;
+      std::vector<std::string> tokens;
+      TC_RETURN_IF_ERROR(Decode(payload, &items, &tokens));
+      // Tokens are per-item; a mismatched count would desync the
+      // provider's idempotency table, so it is a protocol error, not the
+      // server's guess.
+      if (!tokens.empty() && tokens.size() != items.size()) {
+        return Status::Corruption("token count != item count");
       }
-      response =
-          EncodePutBatchResponse(cloud_->PutBlobBatchRpc(req->items, req->tokens));
-      break;
+      *response = Encode(cloud_->PutBlobBatchRpc(items, tokens));
+      return Status::OK();
     }
     case RpcOp::kGetBlob: {
-      auto id = DecodeGetBlobRequest(payload);
-      if (!id.ok()) {
-        decode_ok = id.status();
-        break;
-      }
-      GetBlobResponse out;
-      uint32_t delay = 0;
-      auto blob = cloud_->GetBlobRpc(id.value(), &delay);
-      out.status = blob.status();
-      if (blob.ok()) out.data = std::move(blob).value();
-      out.delay_us = delay;
-      response = EncodeGetBlobResponse(out);
-      break;
+      std::string id;
+      TC_RETURN_IF_ERROR(Decode(payload, &id));
+      Result<Bytes> blob = cloud_->GetBlobRpc(id, &delay_us);
+      *response = Encode(blob, delay_us);
+      return Status::OK();
     }
     case RpcOp::kGetSnapshot: {
-      GetSnapshotResponse out;
-      uint32_t delay = 0;
-      auto snap = cloud_->GetSnapshotRpc(&delay);
-      out.status = snap.status();
-      if (snap.ok()) out.snapshot = std::move(snap).value();
-      out.delay_us = delay;
-      response = EncodeGetSnapshotResponse(out);
-      break;
+      TC_RETURN_IF_ERROR(Decode(payload));
+      Result<cloud::SnapshotDescriptor> snap =
+          cloud_->GetSnapshotRpc(&delay_us);
+      *response = Encode(snap, delay_us);
+      return Status::OK();
     }
     case RpcOp::kGetAtSnapshot: {
-      auto req = DecodeGetAtSnapshotRequest(payload);
-      if (!req.ok()) {
-        decode_ok = req.status();
-        break;
-      }
-      GetAtSnapshotResponse out;
-      uint32_t delay = 0;
-      auto read = cloud_->GetBlobAtSnapshotRpc(req->id, req->snapshot, &delay);
-      out.status = read.status();
-      if (read.ok()) out.read = std::move(read).value();
-      out.delay_us = delay;
-      response = EncodeGetAtSnapshotResponse(out);
-      break;
+      std::string id;
+      cloud::SnapshotDescriptor snap;
+      TC_RETURN_IF_ERROR(Decode(payload, &id, &snap));
+      Result<cloud::SnapshotRead> read =
+          cloud_->GetBlobAtSnapshotRpc(id, snap, &delay_us);
+      *response = Encode(read, delay_us);
+      return Status::OK();
     }
     case RpcOp::kCommitTxn: {
-      auto req = DecodeTxnRequest(payload);
-      if (!req.ok()) {
-        decode_ok = req.status();
-        break;
-      }
-      response = EncodeTxnOutcome(cloud_->CommitTxnRpc(req.value()));
-      break;
+      cloud::TxnRequest req;
+      TC_RETURN_IF_ERROR(Decode(payload, &req));
+      *response = Encode(cloud_->CommitTxnRpc(req));
+      return Status::OK();
     }
     case RpcOp::kReportTelemetry: {
       // The payload is an obs telemetry frame, opaque to the rpc layer:
       // the hub decodes and validates it, and a bad frame comes back as a
       // non-OK outcome status in the response — not a connection drop (the
       // wire frame itself was well-formed).
-      ReportTelemetryResponse out;
-      uint32_t delay = 0;
-      auto outcome = cloud_->ReportTelemetryRpc(payload, &delay);
-      out.status = outcome.status;
-      out.applied = outcome.applied;
-      out.duplicate = outcome.duplicate;
-      out.last_seq = outcome.last_seq;
-      out.delay_us = delay;
-      response = EncodeReportTelemetryResponse(out);
-      break;
+      obs::TelemetryHub::ReportOutcome outcome =
+          cloud_->ReportTelemetryRpc(payload, &delay_us);
+      *response = Encode(outcome, delay_us);
+      return Status::OK();
     }
     case RpcOp::kScrapeTelemetry: {
-      ScrapeTelemetryResponse out;
-      uint32_t delay = 0;
-      auto json = cloud_->ScrapeTelemetryRpc(&delay);
-      out.status = json.status();
-      if (json.ok()) out.json = std::move(json).value();
-      out.delay_us = delay;
-      response = EncodeScrapeTelemetryResponse(out);
-      break;
+      TC_RETURN_IF_ERROR(Decode(payload));
+      Result<std::string> json = cloud_->ScrapeTelemetryRpc(&delay_us);
+      *response = Encode(json, delay_us);
+      return Status::OK();
     }
   }
-  *decode_ok_out = decode_ok;
-  return response;
+  return Status::Corruption("unknown rpc op");
 }
 
 void RpcServer::WriteFrames(Connection& conn, const Bytes& frames) {
@@ -493,7 +411,7 @@ void RpcServer::WriteFrames(Connection& conn, const Bytes& frames) {
       obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_out");
   std::lock_guard<std::mutex> lock(conn.write_mu);
   if (!conn.open.load(std::memory_order_acquire) || conn.fd < 0) return;
-  if (!WriteFull(conn.fd, frames.data(), frames.size())) {
+  if (!WriteFull(conn.fd, frames)) {
     // Peer gone mid-write; reader will notice EOF and wind down.
     return;
   }

@@ -129,10 +129,10 @@ class RpcServer {
   /// pool's queue, without executing it.
   void RespondShed(const std::shared_ptr<Connection>& conn,
                    FrameHeader header);
-  /// Decodes + executes one request, returning the encoded response
-  /// payload. Sets `*decode_ok` to the decode failure when the payload
-  /// behind a well-formed header is garbage (caller drops the connection).
-  Bytes Execute(const FrameHeader& header, Bytes payload, Status* decode_ok);
+  /// Decodes one request's fields, calls its *Rpc endpoint and encodes
+  /// the result into `*response`. Fails when the payload behind a
+  /// well-formed header does not decode (the caller drops the connection).
+  Status Execute(RpcOp op, const Bytes& payload, Bytes* response);
   /// Writes pre-encoded response frame bytes in ONE send under write_mu.
   void WriteFrames(Connection& conn, const Bytes& frames);
   /// Wakes the reader and suppresses future writes. `how` is SHUT_RD for

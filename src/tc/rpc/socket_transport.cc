@@ -2,18 +2,6 @@
 
 namespace tc::rpc {
 
-namespace {
-
-/// A well-formed frame whose payload fails to decode means the transport
-/// scrambled bytes, not that the provider answered — degrade to the
-/// retryable code instead of inventing a definitive outcome.
-Status AsTransportError(const Status& decode_status) {
-  return Status::Unavailable("rpc response undecodable: " +
-                             decode_status.ToString());
-}
-
-}  // namespace
-
 SocketTransport::SocketTransport(const std::string& host, uint16_t port,
                                  RpcClientPool::Options pool_options)
     : pool_([&] {
@@ -22,105 +10,86 @@ SocketTransport::SocketTransport(const std::string& host, uint16_t port,
         return pool_options;
       }()) {}
 
+template <typename... Reply>
+Status SocketTransport::Exchange(RpcOp op, const Bytes& request,
+                                 Reply*... reply) {
+  TC_ASSIGN_OR_RETURN(Bytes wire, pool_.Call(op, request));
+  Status decoded = Decode(wire, reply...);
+  if (!decoded.ok()) {
+    // A well-formed frame whose payload fails to decode means the
+    // transport scrambled bytes, not that the provider answered: degrade
+    // to the retryable code instead of inventing a definitive outcome.
+    return Status::Unavailable("rpc response undecodable: " +
+                               decoded.ToString());
+  }
+  return Status::OK();
+}
+
 SocketTransport::BatchPutOutcome SocketTransport::PutBlobBatch(
     const std::vector<std::pair<std::string, Bytes>>& items,
     const std::vector<std::string>& tokens) {
   BatchPutOutcome outcome;
-  auto wire = pool_.Call(RpcOp::kPutBlobBatch,
-                         EncodePutBatchRequest(items, tokens));
-  if (!wire.ok()) {
-    outcome.status = wire.status();
-    return outcome;
-  }
-  auto decoded = DecodePutBatchResponse(wire.value());
-  if (!decoded.ok()) {
-    outcome.status = AsTransportError(decoded.status());
-    return outcome;
-  }
-  return std::move(decoded).value();
+  Status status =
+      Exchange(RpcOp::kPutBlobBatch, Encode(items, tokens), &outcome);
+  if (!status.ok()) return StatusOnly<BatchPutOutcome>(status);
+  return outcome;
 }
 
 Result<Bytes> SocketTransport::GetBlob(const std::string& id,
                                        uint32_t* delay_us) {
-  auto wire = pool_.Call(RpcOp::kGetBlob, EncodeGetBlobRequest(id));
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeGetBlobResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->data);
+  Result<Bytes> blob = Bytes();
+  uint32_t delay = 0;
+  TC_RETURN_IF_ERROR(Exchange(RpcOp::kGetBlob, Encode(id), &blob, &delay));
+  if (delay_us != nullptr) *delay_us = delay;
+  return blob;
 }
 
 Result<cloud::SnapshotDescriptor> SocketTransport::GetSnapshot(
     uint32_t* delay_us) {
-  auto wire = pool_.Call(RpcOp::kGetSnapshot, Bytes{});
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeGetSnapshotResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->snapshot);
+  Result<cloud::SnapshotDescriptor> snap = cloud::SnapshotDescriptor();
+  uint32_t delay = 0;
+  TC_RETURN_IF_ERROR(Exchange(RpcOp::kGetSnapshot, Bytes(), &snap, &delay));
+  if (delay_us != nullptr) *delay_us = delay;
+  return snap;
 }
 
 Result<cloud::SnapshotRead> SocketTransport::GetAtSnapshot(
     const std::string& id, const cloud::SnapshotDescriptor& snap,
     uint32_t* delay_us) {
-  GetAtSnapshotRequest req;
-  req.id = id;
-  req.snapshot = snap;
-  auto wire = pool_.Call(RpcOp::kGetAtSnapshot, EncodeGetAtSnapshotRequest(req));
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeGetAtSnapshotResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->read);
+  Result<cloud::SnapshotRead> read = cloud::SnapshotRead();
+  uint32_t delay = 0;
+  TC_RETURN_IF_ERROR(
+      Exchange(RpcOp::kGetAtSnapshot, Encode(id, snap), &read, &delay));
+  if (delay_us != nullptr) *delay_us = delay;
+  return read;
+}
+
+cloud::TxnOutcome SocketTransport::CommitTxn(const cloud::TxnRequest& req) {
+  cloud::TxnOutcome outcome;
+  Status status = Exchange(RpcOp::kCommitTxn, Encode(req), &outcome);
+  if (!status.ok()) return StatusOnly<cloud::TxnOutcome>(status);
+  return outcome;
 }
 
 obs::TelemetryHub::ReportOutcome SocketTransport::ReportTelemetry(
     const Bytes& frame, uint32_t* delay_us) {
   obs::TelemetryHub::ReportOutcome outcome;
-  auto wire = pool_.Call(RpcOp::kReportTelemetry, frame);
-  if (!wire.ok()) {
-    outcome.status = wire.status();
-    return outcome;
+  uint32_t delay = 0;
+  Status status = Exchange(RpcOp::kReportTelemetry, frame, &outcome, &delay);
+  if (!status.ok()) {
+    return StatusOnly<obs::TelemetryHub::ReportOutcome>(status);
   }
-  auto decoded = DecodeReportTelemetryResponse(wire.value());
-  if (!decoded.ok()) {
-    outcome.status = AsTransportError(decoded.status());
-    return outcome;
-  }
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  outcome.status = decoded->status;
-  outcome.applied = decoded->applied;
-  outcome.duplicate = decoded->duplicate;
-  outcome.last_seq = decoded->last_seq;
+  if (delay_us != nullptr) *delay_us = delay;
   return outcome;
 }
 
 Result<std::string> SocketTransport::ScrapeTelemetry(uint32_t* delay_us) {
-  auto wire = pool_.Call(RpcOp::kScrapeTelemetry, Bytes{});
-  if (!wire.ok()) return wire.status();
-  auto decoded = DecodeScrapeTelemetryResponse(wire.value());
-  if (!decoded.ok()) return AsTransportError(decoded.status());
-  if (delay_us != nullptr) *delay_us = decoded->delay_us;
-  if (!decoded->status.ok()) return decoded->status;
-  return std::move(decoded->json);
-}
-
-cloud::TxnOutcome SocketTransport::CommitTxn(const cloud::TxnRequest& req) {
-  cloud::TxnOutcome outcome;
-  auto wire = pool_.Call(RpcOp::kCommitTxn, EncodeTxnRequest(req));
-  if (!wire.ok()) {
-    outcome.status = wire.status();
-    return outcome;
-  }
-  auto decoded = DecodeTxnOutcome(wire.value());
-  if (!decoded.ok()) {
-    outcome.status = AsTransportError(decoded.status());
-    return outcome;
-  }
-  return std::move(decoded).value();
+  Result<std::string> json = std::string();
+  uint32_t delay = 0;
+  TC_RETURN_IF_ERROR(
+      Exchange(RpcOp::kScrapeTelemetry, Bytes(), &json, &delay));
+  if (delay_us != nullptr) *delay_us = delay;
+  return json;
 }
 
 }  // namespace tc::rpc

@@ -42,6 +42,12 @@ class SocketTransport final : public net::CloudTransport {
   RpcClientPool& pool() { return pool_; }
 
  private:
+  /// One exchange: sends `request` under `op` and decodes the reply into
+  /// `reply...` (the op's reply fields, wire.h). A reply that does not
+  /// decode is kUnavailable.
+  template <typename... Reply>
+  Status Exchange(RpcOp op, const Bytes& request, Reply*... reply);
+
   RpcClientPool pool_;
 };
 

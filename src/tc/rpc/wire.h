@@ -12,6 +12,7 @@
 #include "tc/common/codec.h"
 #include "tc/common/overload.h"
 #include "tc/common/result.h"
+#include "tc/obs/telemetry.h"
 #include "tc/obs/trace.h"
 
 namespace tc::rpc {
@@ -63,21 +64,40 @@ inline constexpr uint8_t kFlagPushback = 0x2;
 inline constexpr uint8_t kFlagCriticalityShift = 2;
 inline constexpr uint8_t kFlagCriticalityMask = 0x0C;
 
-/// Operation selector carried in the frame header.
+/// Operation selector carried in the frame header. Each op's payloads are
+/// lists of wire types, written by Encode and read by Decode (below); this
+/// table is the protocol's one statement of them:
+///
+///   op                request                  reply
+///   kPing             any bytes (echoed)       the request's bytes
+///   kPutBlobBatch     vector<pair<string,      BatchPutOutcome
+///                       Bytes>> items,
+///                     vector<string> tokens
+///                       (none, or one per item)
+///   kGetBlob          string id                Result<Bytes>, u32 delay_us
+///   kGetSnapshot      (nothing)                Result<SnapshotDescriptor>,
+///                                              u32 delay_us
+///   kGetAtSnapshot    string id,               Result<SnapshotRead>,
+///                     SnapshotDescriptor       u32 delay_us
+///   kCommitTxn        TxnRequest               TxnOutcome
+///   kReportTelemetry  an obs telemetry frame,  ReportOutcome, u32 delay_us
+///                       verbatim (the hub
+///                       decodes it)
+///   kScrapeTelemetry  (nothing)                Result<string> json,
+///                                              u32 delay_us
+///
+/// A request whose payload does not decode as its list, trailing bytes
+/// included, is malformed: the server closes its connection.
 enum class RpcOp : uint8_t {
-  kPing = 0,          ///< Health check / connection probe.
-  kPutBlobBatch = 1,  ///< Tokened batch put -> BatchPutOutcome.
-  kGetBlob = 2,       ///< Latest blob -> payload + delay.
-  kGetSnapshot = 3,   ///< Committed horizon -> SnapshotDescriptor + delay.
-  kGetAtSnapshot = 4, ///< Snapshot read -> SnapshotRead + delay.
-  kCommitTxn = 5,     ///< Multi-key commit -> TxnOutcome.
-  kReportTelemetry = 6,  ///< Sequenced telemetry frame -> applied/last_seq.
-  kScrapeTelemetry = 7,  ///< Fleet telemetry JSON scrape.
+  kPing = 0,
+  kPutBlobBatch = 1,
+  kGetBlob = 2,
+  kGetSnapshot = 3,
+  kGetAtSnapshot = 4,
+  kCommitTxn = 5,
+  kReportTelemetry = 6,
+  kScrapeTelemetry = 7,
 };
-
-/// Number of distinct RpcOp values (per-op metric arrays are this long).
-inline constexpr size_t kRpcOpCount =
-    static_cast<size_t>(RpcOp::kScrapeTelemetry) + 1;
 
 const char* RpcOpName(RpcOp op);
 bool RpcOpKnown(uint8_t op);
@@ -116,108 +136,207 @@ Bytes EncodeFrameHeader(const FrameHeader& header);
 /// server can distinguish "garbage" from "future peer").
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size);
 
+/// Frames one connection's inbound byte stream; the server's and the
+/// client's reader threads both read through it. One recv of up to 64 KiB
+/// can carry many pipelined frames, so the syscall and the reader's
+/// wake-up amortize across a burst.
+class FrameReader {
+ public:
+  /// `responses`: the direction this end reads. A frame whose response
+  /// flag says otherwise is malformed.
+  FrameReader(int fd, bool responses) : fd_(fd), responses_(responses) {}
+
+  /// Reads the next whole frame. Fails kUnavailable when the stream ends
+  /// (EOF, reset, shutdown), and with DecodeFrameHeader's status, or
+  /// kCorruption for the wrong direction, on a malformed header: the
+  /// stream can no longer be framed, so the caller closes the connection.
+  Status Next(FrameHeader* header, Bytes* payload);
+
+ private:
+  int fd_;
+  bool responses_;
+  Bytes buf_;
+  size_t pos_ = 0;  ///< Start of the first unconsumed frame in buf_.
+};
+
+/// Sends all of `bytes` on `fd`, retrying short writes; false when the
+/// peer is gone. Callers send one frame, or a burst of frames, per call:
+/// with TCP_NODELAY each send is its own packet.
+bool WriteFull(int fd, const Bytes& bytes);
+
 // ---------------------------------------------------------------------------
-// Payload codecs
+// Payload codec
 // ---------------------------------------------------------------------------
-// Every decoder consumes a BinaryReader-backed buffer and fails with a
-// non-OK status on truncated, oversized or inconsistent input — it never
-// over-reads and never trusts an embedded count further than the bytes
-// actually present.
+//
+// Each wire type has one Put and one Get. Encodings, all BinaryWriter's:
+//   bool, uint8_t      one byte (a bool byte above 1 is corrupt)
+//   uint32_t/uint64_t  little-endian fixed width
+//   string, Bytes      varint length, then the bytes
+//   Status             u8 code, string message
+//   vector<T>          varint count, then each element
+//   pair<A, B>         A, then B
+//   Result<T>          Status, then the value, or T() when not OK
+//   a struct           its fields in declaration order
+//
+// Every Get fails with a non-OK status on truncated, oversized or
+// inconsistent input: it never over-reads, and a vector's count is checked
+// against the bytes left (CheckCount, at each element's fewest bytes)
+// before anything is reserved.
 
-struct PutBatchRequest {
-  std::vector<std::pair<std::string, Bytes>> items;
-  std::vector<std::string> tokens;
-};
+void Put(BinaryWriter& w, bool v);
+void Put(BinaryWriter& w, uint8_t v);
+void Put(BinaryWriter& w, uint32_t v);
+void Put(BinaryWriter& w, uint64_t v);
+void Put(BinaryWriter& w, const std::string& v);
+/// A literal would otherwise convert to bool, not to std::string.
+void Put(BinaryWriter& w, const char* v) = delete;
+void Put(BinaryWriter& w, const Bytes& v);
+void Put(BinaryWriter& w, const Status& v);
+void Put(BinaryWriter& w, const cloud::SnapshotDescriptor& v);
+void Put(BinaryWriter& w, const cloud::SnapshotRead& v);
+void Put(BinaryWriter& w, const cloud::TxnRead& v);
+void Put(BinaryWriter& w, const cloud::TxnWrite& v);
+void Put(BinaryWriter& w, const cloud::TxnRequest& v);
+void Put(BinaryWriter& w, const cloud::TxnOutcome& v);
+void Put(BinaryWriter& w,
+         const cloud::CloudInfrastructure::BatchPutOutcome& v);
+void Put(BinaryWriter& w, const obs::TelemetryHub::ReportOutcome& v);
 
-struct GetBlobResponse {
-  Status status;  ///< Payload valid iff ok.
-  Bytes data;
-  uint32_t delay_us = 0;
-};
+/// Each Get decodes into `*v`. The RETURNED status reports decode success;
+/// a decoded Status (a field's value) lands in `*v`.
+Status Get(BinaryReader& r, bool* v);
+Status Get(BinaryReader& r, uint8_t* v);
+Status Get(BinaryReader& r, uint32_t* v);
+Status Get(BinaryReader& r, uint64_t* v);
+Status Get(BinaryReader& r, std::string* v);
+Status Get(BinaryReader& r, Bytes* v);
+Status Get(BinaryReader& r, Status* v);
+Status Get(BinaryReader& r, cloud::SnapshotDescriptor* v);
+Status Get(BinaryReader& r, cloud::SnapshotRead* v);
+Status Get(BinaryReader& r, cloud::TxnRead* v);
+Status Get(BinaryReader& r, cloud::TxnWrite* v);
+Status Get(BinaryReader& r, cloud::TxnRequest* v);
+Status Get(BinaryReader& r, cloud::TxnOutcome* v);
+Status Get(BinaryReader& r, cloud::CloudInfrastructure::BatchPutOutcome* v);
+Status Get(BinaryReader& r, obs::TelemetryHub::ReportOutcome* v);
 
-struct GetSnapshotResponse {
+template <typename T>
+void Put(BinaryWriter& w, const std::vector<T>& v);
+template <typename T>
+Status Get(BinaryReader& r, std::vector<T>* v);
+template <typename A, typename B>
+void Put(BinaryWriter& w, const std::pair<A, B>& v);
+template <typename A, typename B>
+Status Get(BinaryReader& r, std::pair<A, B>* v);
+template <typename T>
+void Put(BinaryWriter& w, const Result<T>& v);
+template <typename T>
+Status Get(BinaryReader& r, Result<T>* v);
+
+/// One payload: `fields` in order.
+template <typename... Fields>
+Bytes Encode(const Fields&... fields) {
+  BinaryWriter w;
+  (Put(w, fields), ...);
+  return w.Take();
+}
+
+/// Reads exactly `fields` from `payload`, in order; fails on the first
+/// field that does not decode and on trailing bytes (framing is exact).
+template <typename... Fields>
+Status Decode(const Bytes& payload, Fields*... fields) {
+  BinaryReader r(payload);
   Status status;
-  cloud::SnapshotDescriptor snapshot;
-  uint32_t delay_us = 0;
-};
+  // Stops at the first field that fails.
+  (void)((status = Get(r, fields)).ok() && ...);
+  TC_RETURN_IF_ERROR(status);
+  if (!r.AtEnd()) return Status::Corruption("trailing bytes after payload");
+  return Status::OK();
+}
 
-struct GetAtSnapshotRequest {
-  std::string id;
-  cloud::SnapshotDescriptor snapshot;
-};
-
-struct GetAtSnapshotResponse {
-  Status status;
-  cloud::SnapshotRead read;
-  uint32_t delay_us = 0;
-};
-
-Bytes EncodePutBatchRequest(
-    const std::vector<std::pair<std::string, Bytes>>& items,
-    const std::vector<std::string>& tokens);
-Result<PutBatchRequest> DecodePutBatchRequest(const Bytes& payload);
-
-Bytes EncodePutBatchResponse(
-    const cloud::CloudInfrastructure::BatchPutOutcome& outcome);
-Result<cloud::CloudInfrastructure::BatchPutOutcome> DecodePutBatchResponse(
-    const Bytes& payload);
-
-Bytes EncodeGetBlobRequest(const std::string& id);
-Result<std::string> DecodeGetBlobRequest(const Bytes& payload);
-Bytes EncodeGetBlobResponse(const GetBlobResponse& response);
-Result<GetBlobResponse> DecodeGetBlobResponse(const Bytes& payload);
-
-Bytes EncodeGetSnapshotResponse(const GetSnapshotResponse& response);
-Result<GetSnapshotResponse> DecodeGetSnapshotResponse(const Bytes& payload);
-
-Bytes EncodeGetAtSnapshotRequest(const GetAtSnapshotRequest& request);
-Result<GetAtSnapshotRequest> DecodeGetAtSnapshotRequest(const Bytes& payload);
-Bytes EncodeGetAtSnapshotResponse(const GetAtSnapshotResponse& response);
-Result<GetAtSnapshotResponse> DecodeGetAtSnapshotResponse(
-    const Bytes& payload);
-
-/// Telemetry shipping. The request payload is an obs::EncodeTelemetryFrame
-/// frame verbatim (the hub decodes and validates it; the rpc layer only
-/// frames it), so there is no separate request codec here.
-struct ReportTelemetryResponse {
-  Status status;           ///< Hub outcome (non-OK: fault or bad frame).
-  bool applied = false;    ///< Frame was fresh and merged.
-  bool duplicate = false;  ///< Dedup table had already seen this seq.
-  uint64_t last_seq = 0;   ///< Highest seq acknowledged for the source.
-  uint32_t delay_us = 0;
-};
-
-struct ScrapeTelemetryResponse {
-  Status status;
-  std::string json;  ///< TelemetryHub::ScrapeJson(), valid iff ok.
-  uint32_t delay_us = 0;
-};
-
-Bytes EncodeReportTelemetryResponse(const ReportTelemetryResponse& response);
-Result<ReportTelemetryResponse> DecodeReportTelemetryResponse(
-    const Bytes& payload);
-Bytes EncodeScrapeTelemetryResponse(const ScrapeTelemetryResponse& response);
-Result<ScrapeTelemetryResponse> DecodeScrapeTelemetryResponse(
-    const Bytes& payload);
-
-Bytes EncodeTxnRequest(const cloud::TxnRequest& request);
-Result<cloud::TxnRequest> DecodeTxnRequest(const Bytes& payload);
-Bytes EncodeTxnOutcome(const cloud::TxnOutcome& outcome);
-Result<cloud::TxnOutcome> DecodeTxnOutcome(const Bytes& payload);
-
-/// Encodes the op's response payload carrying only `status` (every other
-/// field zero/default) — how the server answers a request it refused to
-/// execute (admission reject, expired deadline) without running the op.
-/// kPing has an empty payload; its status travels in the header flags only.
+/// Encodes the op's reply carrying only `status` (every other field zero
+/// or default): how the server answers a request it refused to execute
+/// (an expired deadline) without running the op. kPing's reply is empty.
 Bytes EncodeStatusOnlyResponse(RpcOp op, const Status& status);
 
-/// Shared sub-codecs (exposed for the property tests).
-void WriteStatus(BinaryWriter& w, const Status& status);
-/// Decodes a wire Status into `*out`. The RETURNED status reports decode
-/// success (kCorruption on truncation/unknown code), not the decoded value.
-Status ReadStatus(BinaryReader& r, Status* out);
-void WriteSnapshot(BinaryWriter& w, const cloud::SnapshotDescriptor& snap);
-Result<cloud::SnapshotDescriptor> ReadSnapshot(BinaryReader& r);
+/// An outcome struct carrying only `status`, every other field default.
+template <typename Outcome>
+Outcome StatusOnly(const Status& status) {
+  Outcome outcome;
+  outcome.status = status;
+  return outcome;
+}
+
+/// The fewest bytes one element of a vector<T> takes on the wire: one for
+/// a byte or an empty string, more for a fixed-width field.
+template <typename T>
+inline constexpr size_t kMinWireBytes = 1;
+template <>
+inline constexpr size_t kMinWireBytes<uint64_t> = 8;
+// A TxnRead is an id and a version; a TxnWrite an id, data and a version.
+template <>
+inline constexpr size_t kMinWireBytes<cloud::TxnRead> = 1 + 8;
+template <>
+inline constexpr size_t kMinWireBytes<cloud::TxnWrite> = 1 + 1 + 8;
+template <typename A, typename B>
+inline constexpr size_t kMinWireBytes<std::pair<A, B>> =
+    kMinWireBytes<A> + kMinWireBytes<B>;
+
+template <typename T>
+void Put(BinaryWriter& w, const std::vector<T>& v) {
+  w.PutVarint(v.size());
+  for (const T& e : v) Put(w, e);
+}
+
+template <typename T>
+Status Get(BinaryReader& r, std::vector<T>* v) {
+  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  TC_RETURN_IF_ERROR(CheckCount(r, n, kMinWireBytes<T>));
+  v->clear();
+  v->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    T e;
+    TC_RETURN_IF_ERROR(Get(r, &e));
+    v->push_back(std::move(e));
+  }
+  return Status::OK();
+}
+
+template <typename A, typename B>
+void Put(BinaryWriter& w, const std::pair<A, B>& v) {
+  Put(w, v.first);
+  Put(w, v.second);
+}
+
+template <typename A, typename B>
+Status Get(BinaryReader& r, std::pair<A, B>* v) {
+  TC_RETURN_IF_ERROR(Get(r, &v->first));
+  return Get(r, &v->second);
+}
+
+template <typename T>
+void Put(BinaryWriter& w, const Result<T>& v) {
+  Put(w, v.status());
+  if (v.ok()) {
+    Put(w, *v);
+  } else {
+    Put(w, T());
+  }
+}
+
+template <typename T>
+Status Get(BinaryReader& r, Result<T>* v) {
+  Status status;
+  TC_RETURN_IF_ERROR(Get(r, &status));
+  T value;
+  TC_RETURN_IF_ERROR(Get(r, &value));
+  if (status.ok()) {
+    *v = std::move(value);
+  } else {
+    *v = std::move(status);
+  }
+  return Status::OK();
+}
 
 }  // namespace tc::rpc
 

@@ -391,6 +391,16 @@ class ScriptedTransport final : public CloudTransport {
   /// write), or one of the two malformed shapes.
   enum class CommitShape { kHonest, kOkButUncommitted, kShortVersions };
   CommitShape commit_shape = CommitShape::kHonest;
+  /// Shape of OK snapshot replies: honest (a snapshot with base_seq 1,
+  /// and reads of version 1 committed at seq 1), or one of the malformed
+  /// shapes.
+  enum class SnapshotShape {
+    kHonest,
+    kUnorderedSeqs,   ///< extra_seqs not strictly increasing above base.
+    kVersionZero,     ///< An OK read of version 0.
+    kInvisibleCommit  ///< A read committed after the snapshot.
+  };
+  SnapshotShape snapshot_shape = SnapshotShape::kHonest;
   std::vector<std::string> commit_tokens;  ///< Token of every CommitTxn.
 
   BatchPutOutcome PutBlobBatch(
@@ -409,12 +419,23 @@ class ScriptedTransport final : public CloudTransport {
   }
   Result<cloud::SnapshotDescriptor> GetSnapshot(
       uint32_t* /*delay_us*/) override {
-    return Answer(cloud::SnapshotDescriptor());
+    cloud::SnapshotDescriptor snap;
+    snap.base_seq = 1;
+    snap.extra_seqs = {3, 4};
+    if (snapshot_shape == SnapshotShape::kUnorderedSeqs) {
+      snap.extra_seqs = {4, 3};
+    }
+    return Answer(snap);
   }
   Result<cloud::SnapshotRead> GetAtSnapshot(
       const std::string& /*id*/, const cloud::SnapshotDescriptor& /*snap*/,
       uint32_t* /*delay_us*/) override {
-    return Answer(cloud::SnapshotRead());
+    cloud::SnapshotRead read;
+    read.data = Bytes{1};
+    read.version = snapshot_shape == SnapshotShape::kVersionZero ? 0 : 1;
+    read.commit_seq =
+        snapshot_shape == SnapshotShape::kInvisibleCommit ? 2 : 1;
+    return Answer(read);
   }
   cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req) override {
     commit_tokens.push_back(req.token);
@@ -473,7 +494,9 @@ TEST(ChannelTest, OneClassificationRuleForEveryOp) {
        [](ResilientChannel& c) { return c.GetSnapshot().status(); }},
       {"GetAtSnapshot",
        [](ResilientChannel& c) {
-         return c.GetAtSnapshot("b", cloud::SnapshotDescriptor()).status();
+         cloud::SnapshotDescriptor snap;
+         snap.base_seq = 1;
+         return c.GetAtSnapshot("b", snap).status();
        }},
       {"CommitTxn",
        [](ResilientChannel& c) {
@@ -589,6 +612,43 @@ TEST(ChannelTest, MalformedCommitReplyIsRetriedNotTakenAsCommit) {
               std::vector<std::string>(transport.commit_tokens.size(),
                                        req.token));
   }
+}
+
+TEST(ChannelTest, MalformedSnapshotRepliesAreRetriedNotUsed) {
+  // An untrusted provider answers OK with a snapshot whose extra_seqs are
+  // out of order (Visible() binary-searches them), or with a read the
+  // snapshot that was sent could not have returned: version 0, or a
+  // commit the snapshot does not see. Each attempt fails as kUnavailable
+  // and is retried until the deadline; the caller never sees the reply.
+  using Shape = ScriptedTransport::SnapshotShape;
+  cloud::SnapshotDescriptor sent;
+  sent.base_seq = 1;
+  sent.extra_seqs = {3, 4};
+  for (Shape shape : {Shape::kUnorderedSeqs, Shape::kVersionZero,
+                      Shape::kInvisibleCommit}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    ScriptedTransport transport({StatusCode::kOk});
+    transport.snapshot_shape = shape;
+    ChannelOptions options;
+    options.op_deadline_us = 20000;
+    ResilientChannel channel(&transport, "alice", options);
+    Status status = shape == Shape::kUnorderedSeqs
+                        ? channel.GetSnapshot().status()
+                        : channel.GetAtSnapshot("a", sent).status();
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+        << status.ToString();
+    EXPECT_GT(channel.stats().retries, 0u);
+  }
+  // The honest shapes pass.
+  ScriptedTransport honest({StatusCode::kOk});
+  ResilientChannel channel(&honest, "alice", ChannelOptions());
+  auto snap = channel.GetSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->extra_seqs, (std::vector<uint64_t>{3, 4}));
+  auto read = channel.GetAtSnapshot("a", sent);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->version, 1u);
+  EXPECT_EQ(channel.stats().retries, 0u);
 }
 
 // ---- Exactly-once property: 0–3 deliveries in any order ----

@@ -434,57 +434,40 @@ TEST(OverloadWireTest, ResourceExhaustedStatusRoundTripsEveryCodec) {
               std::string::npos);
   };
 
-  for (uint8_t op_byte = 1; op_byte < rpc::kRpcOpCount; ++op_byte) {
-    const rpc::RpcOp op = static_cast<rpc::RpcOp>(op_byte);
-    Bytes payload = rpc::EncodeStatusOnlyResponse(op, pushback);
-    switch (op) {
-      case rpc::RpcOp::kPutBlobBatch: {
-        auto decoded = rpc::DecodePutBatchResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kGetBlob: {
-        auto decoded = rpc::DecodeGetBlobResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kGetSnapshot: {
-        auto decoded = rpc::DecodeGetSnapshotResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kGetAtSnapshot: {
-        auto decoded = rpc::DecodeGetAtSnapshotResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kCommitTxn: {
-        auto decoded = rpc::DecodeTxnOutcome(payload);
-        ASSERT_TRUE(decoded.ok());
-        EXPECT_FALSE(decoded->committed);
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kReportTelemetry: {
-        auto decoded = rpc::DecodeReportTelemetryResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      case rpc::RpcOp::kScrapeTelemetry: {
-        auto decoded = rpc::DecodeScrapeTelemetryResponse(payload);
-        ASSERT_TRUE(decoded.ok());
-        expect_round_trip(decoded->status);
-        break;
-      }
-      default:
-        break;
+  // Reads the op's status-only reply as its reply fields (rpc/wire.h);
+  // `reply` is the field that carries the status.
+  auto check = [&](rpc::RpcOp op, auto reply, auto... rest) {
+    SCOPED_TRACE(rpc::RpcOpName(op));
+    Status decoded = rpc::Decode(rpc::EncodeStatusOnlyResponse(op, pushback),
+                                 &reply, &rest...);
+    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
+    if constexpr (requires { reply.status(); }) {
+      expect_round_trip(reply.status());
+    } else {
+      expect_round_trip(reply.status);
     }
-  }
+  };
+  const uint32_t delay_us = 0;
+  check(rpc::RpcOp::kPutBlobBatch,
+        cloud::CloudInfrastructure::BatchPutOutcome());
+  check(rpc::RpcOp::kGetBlob, Result<Bytes>(Bytes()), delay_us);
+  check(rpc::RpcOp::kGetSnapshot,
+        Result<cloud::SnapshotDescriptor>(cloud::SnapshotDescriptor()),
+        delay_us);
+  check(rpc::RpcOp::kGetAtSnapshot,
+        Result<cloud::SnapshotRead>(cloud::SnapshotRead()), delay_us);
+  check(rpc::RpcOp::kCommitTxn, cloud::TxnOutcome());
+  check(rpc::RpcOp::kReportTelemetry, obs::TelemetryHub::ReportOutcome(),
+        delay_us);
+  check(rpc::RpcOp::kScrapeTelemetry, Result<std::string>(std::string()),
+        delay_us);
+
+  cloud::TxnOutcome txn;
+  ASSERT_TRUE(rpc::Decode(rpc::EncodeStatusOnlyResponse(
+                              rpc::RpcOp::kCommitTxn, pushback),
+                          &txn)
+                  .ok());
+  EXPECT_FALSE(txn.committed);
 }
 
 // ---------------------------------------------------------------------------
