@@ -154,7 +154,7 @@ int main() {
       payloads[0].size(), blob.size(), blob.size() - payloads[0].size());
   std::printf(
       "expected shape: the cell's absolute cost (fractions of a ms per\n"
-      "document) is dominated by the software AES of the sealing path —\n"
+      "document) is dominated by the software AEAD of the sealing path —\n"
       "the vault does no crypto at all, so the ratio measures crypto, not\n"
       "protocol. The functional gap is zero; the security gap is total\n"
       "(vault: provider reads everything, cell: provider reads nothing).\n");

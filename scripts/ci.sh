@@ -27,10 +27,12 @@
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   8. build rpc_test under the asan-ubsan preset into build-asan/ and run
-#      it with leak checking: the wire codec's truncation and byte-flip
-#      sweeps claim "no over-read", which only AddressSanitizer enforces
-#      (the build takes a few minutes, the run under a second);
+#   8. build rpc_test, crypto_test and tee_test under the asan-ubsan preset
+#      into build-asan/ and run them with leak checking: the wire codec's
+#      truncation and byte-flip sweeps, and the AEAD's seal and open, which
+#      read and write through raw pointers into one buffer, claim "no
+#      over-read", and only AddressSanitizer enforces that (the build takes
+#      a few minutes, the runs about a second each);
 #   9. check no generated build*/ tree is tracked or staged;
 #  10. run the obs export validator (quick bench run + trace JSON checks).
 #
@@ -57,8 +59,11 @@ cmake -S cellbench -B build-cellbench
 cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_test
 (cd build-cellbench && ctest --output-on-failure)
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target rpc_test
-ASAN_OPTIONS=detect_leaks=1 build-asan/tests/rpc_test --gtest_brief=1
+cmake --build --preset asan-ubsan -j "$(nproc)" \
+  --target rpc_test crypto_test tee_test
+for t in rpc_test crypto_test tee_test; do
+  ASAN_OPTIONS=detect_leaks=1 "build-asan/tests/$t" --gtest_brief=1
+done
 scripts/check_tree_clean.sh
 scripts/validate_obs_export.sh
 echo "ci: all tier-1 checks passed"

@@ -50,9 +50,13 @@ Result<Bytes> HexDecode(std::string_view hex) {
 }
 
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b) {
-  if (a.size() != b.size()) return false;
+  return a.size() == b.size() &&
+         ConstantTimeEqual(a.data(), b.data(), a.size());
+}
+
+bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t n) {
   uint8_t diff = 0;
-  for (size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
+  for (size_t i = 0; i < n; ++i) diff |= a[i] ^ b[i];
   return diff == 0;
 }
 

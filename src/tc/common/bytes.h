@@ -31,6 +31,7 @@ Result<Bytes> HexDecode(std::string_view hex);
 /// adversary cannot use timing as an oracle (and because real trusted-cell
 /// firmware must do the same).
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b);
+bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t n);
 
 /// Appends `src` to `dst`.
 void Append(Bytes& dst, const Bytes& src);

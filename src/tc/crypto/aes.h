@@ -14,11 +14,16 @@ inline constexpr size_t kAesBlockSize = 16;
 /// direction only: CTR mode, the one mode built on it, never decrypts a
 /// block.
 ///
-/// The S-box is derived at start-up from the GF(2^8) inverse + affine
-/// transform instead of being transcribed, and the implementation is pinned
-/// by the FIPS-197 vectors in tests/crypto. Table-based, so not
-/// cache-timing resistant — acceptable for a simulated TEE, documented as
-/// such.
+/// A round is the 32-bit T-table formulation: SubBytes, ShiftRows and
+/// MixColumns of one column are four lookups into 256-entry word tables
+/// and three XORs, and the last round uses the S-box alone. The S-box is
+/// derived at start-up from the GF(2^8) inverse + affine transform instead
+/// of being transcribed, and the four tables from the S-box. The FIPS-197
+/// vectors and a differential sweep against a byte-wise round in
+/// tests/crypto pin it. Its lookups are indexed by secret state, so it is
+/// not cache-timing resistant — acceptable for a simulated TEE, documented
+/// as such. There is one portable path and no AES-NI one: device crypto
+/// cost is a modelling question, not a property of the lab CPU.
 class Aes {
  public:
   /// Expands the key schedule. `key` must be 16 or 32 bytes.

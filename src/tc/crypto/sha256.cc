@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "tc/common/macros.h"
+
 namespace tc::crypto {
 namespace {
 
@@ -56,9 +58,12 @@ uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 Sha256::Sha256() { Reset(); }
 
+Sha256::Sha256(const Midstate& state, uint64_t blocks)
+    : h_(state), buffer_len_(0), total_len_(64 * blocks) {}
+
 void Sha256::Reset() {
   const Constants& c = GetConstants();
-  std::memcpy(h_, c.h0, sizeof(h_));
+  std::memcpy(h_.data(), c.h0, sizeof(c.h0));
   buffer_len_ = 0;
   total_len_ = 0;
 }
@@ -83,27 +88,36 @@ void Sha256::Update(const Bytes& data) {
   if (!data.empty()) Update(data.data(), data.size());
 }
 
-Bytes Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+Sha256::Midstate Sha256::midstate() const {
+  TC_CHECK(buffer_len_ == 0);
+  return h_;
+}
+
+void Sha256::Finish(uint8_t digest[kSha256DigestSize]) {
+  const uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  // Bypass Update's length accounting for the length field itself.
-  total_len_ -= buffer_len_;
-  std::memcpy(buffer_ + 56, len_be, 8);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
   ProcessBlock(buffer_);
-  Bytes digest(kSha256DigestSize);
+  buffer_len_ = 0;
   for (int i = 0; i < 8; ++i) {
     digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
     digest[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);
     digest[4 * i + 2] = static_cast<uint8_t>(h_[i] >> 8);
     digest[4 * i + 3] = static_cast<uint8_t>(h_[i]);
   }
+}
+
+Bytes Sha256::Finish() {
+  Bytes digest(kSha256DigestSize);
+  Finish(digest.data());
   return digest;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TC_CRYPTO_SHA256_H_
 #define TC_CRYPTO_SHA256_H_
 
+#include <array>
 #include <cstdint>
 
 #include "tc/common/bytes.h"
@@ -18,14 +19,25 @@ inline constexpr size_t kSha256DigestSize = 32;
 /// tests/crypto) but not hardened against side channels.
 class Sha256 {
  public:
+  /// The chaining value h0..h7 between two 64-byte blocks. HMAC keeps the
+  /// ones after its padded key blocks, so a reused key hashes them once.
+  using Midstate = std::array<uint32_t, 8>;
+
   Sha256();
+  /// A hash that has absorbed `blocks` 64-byte blocks ending in `state`.
+  Sha256(const Midstate& state, uint64_t blocks);
 
   /// Absorbs more input. May be called any number of times.
   void Update(const uint8_t* data, size_t len);
   void Update(const Bytes& data);
 
-  /// Completes the computation and returns the 32-byte digest. The object
+  /// The chaining value so far. Valid only when a whole number of 64-byte
+  /// blocks has been absorbed.
+  Midstate midstate() const;
+
+  /// Completes the computation and writes the 32-byte digest. The object
   /// must not be reused afterwards without calling Reset().
+  void Finish(uint8_t digest[kSha256DigestSize]);
   Bytes Finish();
 
   /// Returns the object to its freshly-constructed state.
@@ -34,7 +46,7 @@ class Sha256 {
  private:
   void ProcessBlock(const uint8_t* block);
 
-  uint32_t h_[8];
+  Midstate h_;
   uint8_t buffer_[64];
   size_t buffer_len_;
   uint64_t total_len_;

@@ -10,7 +10,7 @@ Status KeyStore::GenerateKey(const std::string& name) {
   if (keys_.count(name) > 0) {
     return Status::AlreadyExists("key already exists: " + name);
   }
-  keys_[name] = rng_->NextBytes(32);
+  keys_.emplace(name, Key(rng_->NextBytes(32)));
   return Status::OK();
 }
 
@@ -21,7 +21,7 @@ Status KeyStore::ImportKey(const std::string& name, const Bytes& material) {
   if (keys_.count(name) > 0) {
     return Status::AlreadyExists("key already exists: " + name);
   }
-  keys_[name] = material;
+  keys_.emplace(name, Key(material));
   return Status::OK();
 }
 
@@ -35,7 +35,7 @@ Status KeyStore::DeriveChildKey(const std::string& parent,
   if (keys_.count(child) > 0) {
     return Status::AlreadyExists("key already exists: " + child);
   }
-  keys_[child] = crypto::DeriveKey(it->second, label);
+  keys_.emplace(child, Key(crypto::DeriveKey(it->second.material, label)));
   return Status::OK();
 }
 
@@ -53,7 +53,7 @@ Status KeyStore::DestroyKey(const std::string& name) {
 std::vector<std::string> KeyStore::ListKeyNames() const {
   std::vector<std::string> names;
   names.reserve(keys_.size());
-  for (const auto& [name, material] : keys_) names.push_back(name);
+  for (const auto& [name, key] : keys_) names.push_back(name);
   return names;
 }
 
@@ -62,7 +62,16 @@ Result<Bytes> KeyStore::GetMaterial(const std::string& name) const {
   if (it == keys_.end()) {
     return Status::NotFound("key not found: " + name);
   }
-  return it->second;
+  return it->second.material;
+}
+
+Result<const crypto::AeadKey*> KeyStore::GetAeadKey(
+    const std::string& name) const {
+  auto it = keys_.find(name);
+  if (it == keys_.end()) {
+    return Status::NotFound("key not found: " + name);
+  }
+  return &it->second.aead;
 }
 
 std::vector<std::pair<std::string, Bytes>>
@@ -70,7 +79,7 @@ KeyStore::ExtractAllForPhysicalBreach() {
   breached_ = true;
   std::vector<std::pair<std::string, Bytes>> out;
   out.reserve(keys_.size());
-  for (const auto& [name, material] : keys_) out.emplace_back(name, material);
+  for (const auto& [name, key] : keys_) out.emplace_back(name, key.material);
   return out;
 }
 

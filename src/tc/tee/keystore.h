@@ -7,6 +7,7 @@
 
 #include "tc/common/bytes.h"
 #include "tc/common/result.h"
+#include "tc/crypto/aead.h"
 #include "tc/crypto/random.h"
 
 namespace tc::tee {
@@ -22,6 +23,14 @@ namespace tc::tee {
 /// admission that "even secure hardware can be breached, though at very
 /// high cost" and exists only so the E8 experiment can measure the blast
 /// radius of such a breach.
+///
+/// Each key is held twice: its raw material (what HMAC, wrapping, escrow
+/// and a breach see) and its expanded AEAD context (crypto::AeadKey), built
+/// once when the key is installed by GenerateKey, ImportKey or
+/// DeriveChildKey. Seal and Open use the context, so they pay no key
+/// derivation per call, and since installing is the only write, readers
+/// share a key without a lock. Replacing a key (destroy + import) rebuilds
+/// its context, so a context never outlives its material.
 class KeyStore {
  public:
   explicit KeyStore(crypto::SecureRandom* rng);
@@ -55,11 +64,18 @@ class KeyStore {
  private:
   friend class TrustedExecutionEnvironment;
 
-  /// Internal accessor for the owning TEE's crypto operations only.
+  struct Key {
+    explicit Key(Bytes m) : material(std::move(m)), aead(material) {}
+    Bytes material;
+    crypto::AeadKey aead;
+  };
+
+  /// Internal accessors for the owning TEE's crypto operations only.
   Result<Bytes> GetMaterial(const std::string& name) const;
+  Result<const crypto::AeadKey*> GetAeadKey(const std::string& name) const;
 
   crypto::SecureRandom* rng_;
-  std::map<std::string, Bytes> keys_;
+  std::map<std::string, Key> keys_;
   bool breached_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "tc/tee/tee.h"
 
+#include <algorithm>
+
 #include "tc/common/codec.h"
 #include "tc/crypto/aead.h"
 #include "tc/crypto/group.h"
@@ -12,6 +14,30 @@ namespace {
 
 const crypto::GroupParams& Group(size_t bits) {
   return crypto::GroupParams::Standard(bits);
+}
+
+// Seals into the TEE's one envelope layout, nonce(12) || ciphertext ||
+// tag(32), written into a single buffer under a fresh nonce from `rng`.
+Bytes SealEnvelope(const crypto::AeadKey& key, crypto::SecureRandom& rng,
+                   const Bytes& aad, const Bytes& plaintext) {
+  Bytes nonce = rng.NextBytes(crypto::kAeadNonceSize);
+  Bytes out(crypto::kAeadNonceSize + plaintext.size() + crypto::kAeadTagSize);
+  std::copy(nonce.begin(), nonce.end(), out.begin());
+  key.Seal(out.data(), aad, plaintext, out.data() + crypto::kAeadNonceSize);
+  return out;
+}
+
+// Opens an envelope of at least the nonce's length, reading the nonce and
+// the body in place.
+Result<Bytes> OpenEnvelope(const crypto::AeadKey& key, const Bytes& aad,
+                           const Bytes& envelope) {
+  return key.Open(envelope.data(), aad,
+                  envelope.data() + crypto::kAeadNonceSize,
+                  envelope.size() - crypto::kAeadNonceSize);
+}
+
+crypto::AeadKey WrapKey(const Bytes& pairwise_secret) {
+  return crypto::AeadKey(crypto::DeriveKey(pairwise_secret, "tc.tee.keywrap"));
 }
 
 }  // namespace
@@ -43,13 +69,9 @@ uint64_t TrustedExecutionEnvironment::CounterValue(
 Result<Bytes> TrustedExecutionEnvironment::Seal(const std::string& key_name,
                                                 const Bytes& aad,
                                                 const Bytes& plaintext) {
-  TC_ASSIGN_OR_RETURN(Bytes key, keystore_.GetMaterial(key_name));
-  Bytes nonce = rng_.NextBytes(crypto::kAeadNonceSize);
-  TC_ASSIGN_OR_RETURN(Bytes sealed,
-                      crypto::AeadSeal(key, nonce, aad, plaintext));
-  Bytes out = nonce;
-  Append(out, sealed);
-  return out;
+  TC_ASSIGN_OR_RETURN(const crypto::AeadKey* key,
+                      keystore_.GetAeadKey(key_name));
+  return SealEnvelope(*key, rng_, aad, plaintext);
 }
 
 Result<Bytes> TrustedExecutionEnvironment::Open(const std::string& key_name,
@@ -58,10 +80,9 @@ Result<Bytes> TrustedExecutionEnvironment::Open(const std::string& key_name,
   if (sealed.size() < crypto::kAeadNonceSize) {
     return Status::IntegrityViolation("sealed blob too short");
   }
-  TC_ASSIGN_OR_RETURN(Bytes key, keystore_.GetMaterial(key_name));
-  Bytes nonce(sealed.begin(), sealed.begin() + crypto::kAeadNonceSize);
-  Bytes body(sealed.begin() + crypto::kAeadNonceSize, sealed.end());
-  return crypto::AeadOpen(key, nonce, aad, body);
+  TC_ASSIGN_OR_RETURN(const crypto::AeadKey* key,
+                      keystore_.GetAeadKey(key_name));
+  return OpenEnvelope(*key, aad, sealed);
 }
 
 Result<Bytes> TrustedExecutionEnvironment::Mac(const std::string& key_name,
@@ -104,13 +125,7 @@ Result<Bytes> TrustedExecutionEnvironment::WrapKeyFor(
     const Bytes& context) {
   TC_ASSIGN_OR_RETURN(Bytes material, keystore_.GetMaterial(key_name));
   TC_ASSIGN_OR_RETURN(Bytes shared, PairwiseSecret(peer_dh_public));
-  Bytes wrap_key = crypto::DeriveKey(shared, "tc.tee.keywrap");
-  Bytes nonce = rng_.NextBytes(crypto::kAeadNonceSize);
-  TC_ASSIGN_OR_RETURN(Bytes sealed,
-                      crypto::AeadSeal(wrap_key, nonce, context, material));
-  Bytes out = nonce;
-  Append(out, sealed);
-  return out;
+  return SealEnvelope(WrapKey(shared), rng_, context, material);
 }
 
 Status TrustedExecutionEnvironment::UnwrapKeyFrom(
@@ -120,11 +135,8 @@ Status TrustedExecutionEnvironment::UnwrapKeyFrom(
     return Status::IntegrityViolation("wrap envelope too short");
   }
   TC_ASSIGN_OR_RETURN(Bytes shared, PairwiseSecret(peer_dh_public));
-  Bytes wrap_key = crypto::DeriveKey(shared, "tc.tee.keywrap");
-  Bytes nonce(envelope.begin(), envelope.begin() + crypto::kAeadNonceSize);
-  Bytes body(envelope.begin() + crypto::kAeadNonceSize, envelope.end());
   TC_ASSIGN_OR_RETURN(Bytes material,
-                      crypto::AeadOpen(wrap_key, nonce, context, body));
+                      OpenEnvelope(WrapKey(shared), context, envelope));
   return keystore_.ImportKey(store_as, material);
 }
 
@@ -148,17 +160,11 @@ Result<std::vector<Bytes>> TrustedExecutionEnvironment::ShardKeyFor(
     w.PutU32(shares[i].x);
     w.PutBytes(shares[i].y.ToBytesBE(33));
     // Wrap the serialized share directly under the pairwise secret with
-    // guardian i (same construction as WrapKeyFor, inlined because the
-    // share is transient and never stored under a handle here).
+    // guardian i (the construction WrapKeyFor uses; the share is transient
+    // and never stored under a handle here).
     TC_ASSIGN_OR_RETURN(Bytes shared,
                         PairwiseSecret(guardian_dh_publics[i]));
-    Bytes wrap_key = crypto::DeriveKey(shared, "tc.tee.keywrap");
-    Bytes nonce = rng_.NextBytes(crypto::kAeadNonceSize);
-    TC_ASSIGN_OR_RETURN(Bytes sealed,
-                        crypto::AeadSeal(wrap_key, nonce, context, w.Take()));
-    Bytes envelope = nonce;
-    Append(envelope, sealed);
-    envelopes.push_back(std::move(envelope));
+    envelopes.push_back(SealEnvelope(WrapKey(shared), rng_, context, w.Take()));
   }
   return envelopes;
 }

@@ -55,12 +55,15 @@ class TrustedExecutionEnvironment {
 
   // ---- Symmetric sealing by key handle ----
 
-  /// AEAD-seals `plaintext` under the named key with a fresh nonce.
-  /// Output layout: nonce(12) || ciphertext || tag(32).
+  /// AEAD-seals `plaintext` under the named key with a fresh nonce, using
+  /// the key's AeadKey that the KeyStore built when the key was installed.
+  /// Output layout, written into one buffer: nonce(12) || ciphertext ||
+  /// tag(32).
   Result<Bytes> Seal(const std::string& key_name, const Bytes& aad,
                      const Bytes& plaintext);
 
-  /// Reverses Seal. kIntegrityViolation on tampering / wrong context.
+  /// Reverses Seal, reading the nonce and body in place.
+  /// kIntegrityViolation on tampering / truncation / wrong context.
   Result<Bytes> Open(const std::string& key_name, const Bytes& aad,
                      const Bytes& sealed) const;
 

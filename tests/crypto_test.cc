@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bitset>
+#include <cstring>
+
 #include "tc/crypto/aead.h"
 #include "tc/crypto/aes.h"
 #include "tc/crypto/aes_ctr.h"
@@ -142,6 +145,132 @@ TEST(AesTest, RejectsBadKeySizes) {
   EXPECT_FALSE(Aes::Create(Bytes(0)).ok());
 }
 
+// The byte-wise AES the T-table round replaced: SubBytes, ShiftRows and
+// MixColumns over a 16-byte state, with GF(2^8) products computed bit by
+// bit. It stays here only as the oracle of the differential sweep below.
+// It also records which entry of each table the T-table round reads: in a
+// full round the S-box input at row r indexes table r, and every byte
+// entering the last round indexes the S-box (hits[4]).
+uint8_t GfMul(uint8_t a, uint8_t b) {
+  uint8_t p = 0;
+  while (b) {
+    if (b & 1) p ^= a;
+    bool hi = a & 0x80;
+    a <<= 1;
+    if (hi) a ^= 0x1b;
+    b >>= 1;
+  }
+  return p;
+}
+
+class ReferenceAes {
+ public:
+  explicit ReferenceAes(const Bytes& key) {
+    // S-box: GF(2^8) inverse (via logs to generator 3), then the affine
+    // transform (FIPS 197 §5.1.1).
+    uint8_t log[256] = {0}, alog[256] = {0};
+    uint8_t x = 1;
+    for (int i = 0; i < 255; ++i) {
+      alog[i] = x;
+      log[x] = static_cast<uint8_t>(i);
+      x = GfMul(x, 3);
+    }
+    auto rotl8 = [](uint8_t v, int n) {
+      return static_cast<uint8_t>((v << n) | (v >> (8 - n)));
+    };
+    for (int i = 0; i < 256; ++i) {
+      uint8_t inv = i == 0 ? 0 : alog[(255 - log[i]) % 255];
+      sbox_[i] = inv ^ rotl8(inv, 1) ^ rotl8(inv, 2) ^ rotl8(inv, 3) ^
+                 rotl8(inv, 4) ^ 0x63;
+    }
+    // Key schedule over bytes: word i is w_[4i..4i+3].
+    const int nk = static_cast<int>(key.size() / 4);
+    rounds_ = nk + 6;
+    std::memcpy(w_, key.data(), key.size());
+    uint8_t rcon = 1;
+    for (int i = nk; i < 4 * (rounds_ + 1); ++i) {
+      uint8_t t[4];
+      std::memcpy(t, w_ + 4 * (i - 1), 4);
+      if (i % nk == 0) {
+        uint8_t t0 = t[0];
+        t[0] = sbox_[t[1]] ^ rcon;
+        t[1] = sbox_[t[2]];
+        t[2] = sbox_[t[3]];
+        t[3] = sbox_[t0];
+        rcon = GfMul(rcon, 2);
+      } else if (nk > 6 && i % nk == 4) {
+        for (uint8_t& b : t) b = sbox_[b];
+      }
+      for (int j = 0; j < 4; ++j) w_[4 * i + j] = w_[4 * (i - nk) + j] ^ t[j];
+    }
+  }
+
+  void EncryptBlock(const uint8_t in[16], uint8_t out[16],
+                    std::bitset<256> hits[5]) const {
+    uint8_t state[16];
+    for (int i = 0; i < 16; ++i) state[i] = in[i] ^ w_[i];
+    for (int round = 1; round <= rounds_; ++round) {
+      for (int i = 0; i < 16; ++i) {
+        hits[round == rounds_ ? 4 : i % 4].set(state[i]);
+        state[i] = sbox_[state[i]];
+      }
+      // ShiftRows: row r (bytes state[4c + r]) rotates left by r.
+      uint8_t tmp[16];
+      for (int c = 0; c < 4; ++c) {
+        for (int r = 0; r < 4; ++r) {
+          tmp[4 * c + r] = state[4 * ((c + r) % 4) + r];
+        }
+      }
+      std::memcpy(state, tmp, 16);
+      if (round != rounds_) {
+        for (int c = 0; c < 4; ++c) {
+          uint8_t* col = state + 4 * c;
+          uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+          col[0] = GfMul(a0, 2) ^ GfMul(a1, 3) ^ a2 ^ a3;
+          col[1] = a0 ^ GfMul(a1, 2) ^ GfMul(a2, 3) ^ a3;
+          col[2] = a0 ^ a1 ^ GfMul(a2, 2) ^ GfMul(a3, 3);
+          col[3] = GfMul(a0, 3) ^ a1 ^ a2 ^ GfMul(a3, 2);
+        }
+      }
+      for (int i = 0; i < 16; ++i) state[i] ^= w_[16 * round + i];
+    }
+    std::memcpy(out, state, 16);
+  }
+
+ private:
+  uint8_t sbox_[256];
+  uint8_t w_[240];
+  int rounds_;
+};
+
+TEST(AesTest, MatchesByteWiseReferenceOnEveryTableEntry) {
+  SecureRandom rng(ToBytes("aes-differential-sweep"));
+  for (size_t key_size : {16u, 32u}) {
+    std::bitset<256> hits[5];
+    for (int k = 0; k < 64; ++k) {
+      Bytes key = rng.NextBytes(key_size);
+      Aes aes = *Aes::Create(key);
+      ReferenceAes reference(key);
+      for (int b = 0; b < 32; ++b) {
+        Bytes block = rng.NextBytes(kAesBlockSize);
+        uint8_t want[16], got[16];
+        reference.EncryptBlock(block.data(), want, hits);
+        aes.EncryptBlock(block.data(), got);
+        ASSERT_EQ(HexEncode(Bytes(got, got + 16)),
+                  HexEncode(Bytes(want, want + 16)))
+            << "key " << HexEncode(key) << " block " << HexEncode(block);
+        aes.EncryptBlock(block.data(), block.data());  // In place.
+        ASSERT_EQ(block, Bytes(want, want + 16));
+      }
+    }
+    for (int t = 0; t < 5; ++t) {
+      EXPECT_TRUE(hits[t].all())
+          << "key size " << key_size << ": table " << t << " hit "
+          << hits[t].count() << "/256 entries";
+    }
+  }
+}
+
 TEST(AesCtrTest, RoundTripVariousLengths) {
   Bytes key(32, 0x42);
   Bytes nonce(12, 0x01);
@@ -160,6 +289,84 @@ TEST(AesCtrTest, DifferentNoncesGiveDifferentStreams) {
   Bytes pt(64, 0);
   Bytes n1(12, 0x01), n2(12, 0x02);
   EXPECT_NE(*AesCtrCrypt(key, n1, pt), *AesCtrCrypt(key, n2, pt));
+}
+
+// Known answers for AES-CTR and the AEAD, generated independently of this
+// code with Python's `cryptography` package, version 48.0.0:
+//
+//   import hashlib, struct
+//   from cryptography.hazmat.primitives import hashes, hmac
+//   from cryptography.hazmat.primitives.ciphers import (
+//       Cipher, algorithms, modes)
+//   from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+//
+//   def hkdf(key, info):
+//       return HKDF(hashes.SHA256(), 32, None, info).derive(key)
+//   def ctr(key, nonce, pt):
+//       ctr_block = nonce + bytes(4)
+//       e = Cipher(algorithms.AES(key), modes.CTR(ctr_block)).encryptor()
+//       return e.update(pt) + e.finalize()
+//   def seal(key, nonce, aad, pt):
+//       ct = ctr(hkdf(key, b"tc.aead.enc"), nonce, pt)
+//       h = hmac.HMAC(hkdf(key, b"tc.aead.mac"), hashes.SHA256())
+//       h.update(nonce + struct.pack("<Q", len(aad)) + aad + ct)
+//       return ct + h.finalize()
+//
+//   pattern = lambda n, a, b: bytes((a * i + b) & 0xff for i in range(n))
+//   nonce, aad = pattern(12, 1, 0xa0), pattern(77, 3, 0x11)
+//   digest = lambda out: hashlib.sha256(out).hexdigest()
+//   for n in (0, 1, 15, 16, 17, 2004, 4096):
+//       pt = pattern(n, 7, 3)
+//       print("ctr", n, digest(ctr(pattern(16, 1, 0), nonce, pt)),
+//             digest(ctr(pattern(32, 1, 0), nonce, pt)))
+//       print("aead", n, digest(seal(pattern(32, 5, 1), nonce, b"", pt)),
+//             digest(seal(pattern(32, 5, 1), nonce, aad, pt)))
+//
+// Each row pins SHA-256 of the whole output at one plaintext length. The
+// 77-byte AAD makes nonce || LE64(|aad|) || aad cross a SHA-256 block.
+struct KnownAnswer {
+  size_t len;
+  const char* first;   // CTR: 16-byte key. AEAD: empty AAD.
+  const char* second;  // CTR: 32-byte key. AEAD: the 77-byte AAD.
+};
+
+Bytes Pattern(size_t n, unsigned a, unsigned b) {
+  Bytes out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(a * i + b);
+  return out;
+}
+
+std::string DigestHex(const Bytes& out) { return HexEncode(Sha256Hash(out)); }
+
+TEST(AesCtrTest, MatchesIndependentKnownAnswers) {
+  const KnownAnswer kAnswers[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71",
+       "27952171c7fcdf0ddc765ab4f4e1c537cb29e5e533d57b3456257ee785c81711"},
+      {15, "b163881d584cece3e51d44fd5b28cf90ba35aeb52201cda1923ceea7fb27e092",
+       "943905b6c99d1b6c0ed824dc23f841e0b61079f87e6cbb8a039af20fb6b53099"},
+      {16, "c59018c167c9f8d028f0ad287cd8f64eaf827677add22492534bc3f2b13f076d",
+       "2fab5f4b5e7fa81bbb453c6b822894bf4b95ad0371dbc4bf3320bbf2d12418af"},
+      {17, "1cae3472c0ad9a88f79f90508dd94bedcbccc8fe08f50ae5e4415a3990730d93",
+       "870a18a648b2b0027ea9843449ebce600cf368a9e4d1291285f34f0e0205b931"},
+      {2004,
+       "3254637ba17a053a7e3dcf35e5fb47d267b98995fe4e80e4599e0da92b4cdf2d",
+       "f6936aef54f9de3fe862a581e7a64f98e0702be00a9895cf09fe7a76554aa5e7"},
+      {4096,
+       "b1ee99bf204af850392c3f27b9c65ecc6378b038027fd4af5d549d566ef99e6b",
+       "e7494ef5427c185c1cfb78018babf77e961a07ffd7b5d467b638500b4ee2fc1a"},
+  };
+  const Bytes nonce = Pattern(12, 1, 0xa0);
+  for (const KnownAnswer& answer : kAnswers) {
+    Bytes pt = Pattern(answer.len, 7, 3);
+    EXPECT_EQ(DigestHex(*AesCtrCrypt(Pattern(16, 1, 0), nonce, pt)),
+              answer.first)
+        << "AES-128-CTR, " << answer.len << " bytes";
+    EXPECT_EQ(DigestHex(*AesCtrCrypt(Pattern(32, 1, 0), nonce, pt)),
+              answer.second)
+        << "AES-256-CTR, " << answer.len << " bytes";
+  }
 }
 
 // ------------------------------------------------------------------ AEAD
@@ -210,6 +417,42 @@ TEST(AeadTest, WrongKeyOrNonceRejected) {
 TEST(AeadTest, TruncatedBlobRejected) {
   Bytes key(32, 0x55), nonce(12, 0x77);
   EXPECT_FALSE(AeadOpen(key, nonce, {}, Bytes(10)).ok());
+}
+
+TEST(AeadTest, MatchesIndependentKnownAnswers) {
+  // Generated by the script above AesCtrTest.MatchesIndependentKnownAnswers.
+  const KnownAnswer kAnswers[] = {
+      {0, "4a0efe3615aac3107daf5229b4dd941415322d851d77402d831730aea8171ada",
+       "0b3cd5ab13dae196b5259659ec25ca26b8433b2937c15a99975b5f316f2cbd29"},
+      {1, "5a63e8b2b613591328d85549ce154234c990f9e82fa411fbfcb3780922444460",
+       "d705fb446e73724dbb5c022792dbea162bef6567643bba9b44d294f5d589d603"},
+      {15, "5706a0c2ae0e515b45f3cc9e138fbb7f16e71f23999d01bd71f53088b8006af9",
+       "b8f7fd5bcd589be487d75791ec68a212ac77b7fcd3bc0085f20a9a2c0b9dd06d"},
+      {16, "38b99d6bcd44f029399baff637f4bba0b6fc00c87122e90d68776db5246e33e0",
+       "11ecfacde6f7b1e224f06c37ec868e0c92e645222d1ece823bf15d0da59b4ee5"},
+      {17, "c2f9a4787d532d7194d9040d8c00e960c5b13185b2284a23d61c54735f0f1171",
+       "4d985036f2a7781344b64c2d560b0d9ed95578fb9c4c47e9d5338f824054fb76"},
+      {2004,
+       "8f844c6c42c25f1d2f8c758f5c8e861a858d32fe70d6899a4a82edea715836b9",
+       "4c5a40e6a2ca046313fb3800c4835c3846b6d72b6e449ea970b3212f29384433"},
+      {4096,
+       "aee4c7acba3eeb86419b6630977e033063c282cee0c076594aedc5a4ea5f3656",
+       "824d4394ea771f08510878cfeec18e9486b66d542bf1079c2c81c1249bf477d5"},
+  };
+  const Bytes key = Pattern(32, 5, 1);
+  const Bytes nonce = Pattern(12, 1, 0xa0);
+  const Bytes aad = Pattern(77, 3, 0x11);
+  for (const KnownAnswer& answer : kAnswers) {
+    Bytes pt = Pattern(answer.len, 7, 3);
+    Bytes sealed = *AeadSeal(key, nonce, {}, pt);
+    EXPECT_EQ(DigestHex(sealed), answer.first)
+        << "empty AAD, " << answer.len << " bytes";
+    EXPECT_EQ(*AeadOpen(key, nonce, {}, sealed), pt);
+    sealed = *AeadSeal(key, nonce, aad, pt);
+    EXPECT_EQ(DigestHex(sealed), answer.second)
+        << "77-byte AAD, " << answer.len << " bytes";
+    EXPECT_EQ(*AeadOpen(key, nonce, aad, sealed), pt);
+  }
 }
 
 // ---------------------------------------------------------------- Random

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "tc/crypto/aead.h"
 #include "tc/tee/attestation.h"
 #include "tc/tee/device_profile.h"
 #include "tc/tee/tee.h"
@@ -56,6 +57,65 @@ TEST(TeeTest, SealOpenRoundTripWithAad) {
                   .IsIntegrityViolation());
   sealed[20] ^= 1;
   EXPECT_FALSE(tee.Open("k", aad, sealed).ok());
+}
+
+TEST(TeeTest, EveryTruncationOfASealedBlobIsAnIntegrityViolation) {
+  TEE tee("device-3t", DeviceClass::kHomeGateway);
+  ASSERT_TRUE(tee.keystore().GenerateKey("k").ok());
+  Bytes aad = ToBytes("doc:1;v:2");
+  Bytes sealed = *tee.Seal("k", aad, ToBytes("secret reading"));
+  ASSERT_GT(sealed.size(), crypto::kAeadNonceSize + crypto::kAeadTagSize);
+  // 0..11 bytes cut into the nonce, 12..43 leave less than a tag, and 44
+  // is nonce || tag-sized body with the real tag cut off.
+  for (size_t len = 0;
+       len <= crypto::kAeadNonceSize + crypto::kAeadTagSize; ++len) {
+    Bytes prefix(sealed.begin(), sealed.begin() + len);
+    EXPECT_TRUE(tee.Open("k", aad, prefix).status().IsIntegrityViolation())
+        << "prefix of " << len << " bytes";
+  }
+}
+
+// The KeyStore expands each key's AEAD context when the key is installed;
+// these pin that the context follows its key through every install path.
+TEST(TeeTest, SealedBlobFailsAfterItsKeyIsReplaced) {
+  TEE tee("device-3r", DeviceClass::kHomeGateway);
+  ASSERT_TRUE(tee.keystore().GenerateKey("k").ok());
+  ASSERT_TRUE(tee.keystore().GenerateKey("other").ok());
+  Bytes sealed = *tee.Seal("k", {}, ToBytes("before"));
+  Bytes sealed_by_other = *tee.Seal("other", {}, ToBytes("other's"));
+
+  ASSERT_TRUE(tee.ReplaceKey("k", "other").ok());
+  EXPECT_TRUE(tee.Open("k", {}, sealed).status().IsIntegrityViolation());
+  EXPECT_EQ(tee.Open("k", {}, sealed_by_other).value_or({}),
+            ToBytes("other's"));
+
+  Bytes resealed = *tee.Seal("k", {}, ToBytes("after replace"));
+  ASSERT_TRUE(tee.keystore().DestroyKey("k").ok());
+  ASSERT_TRUE(tee.keystore().ImportKey("k", Bytes(32, 0x5a)).ok());
+  EXPECT_TRUE(tee.Open("k", {}, resealed).status().IsIntegrityViolation());
+  EXPECT_TRUE(
+      tee.Open("k", {}, sealed_by_other).status().IsIntegrityViolation());
+}
+
+TEST(TeeTest, ChildKeySealsLikeTheOneShotAeadOverItsMaterial) {
+  TEE tee("device-3c", DeviceClass::kHomeGateway);
+  ASSERT_TRUE(tee.keystore().GenerateKey("master").ok());
+  ASSERT_TRUE(tee.keystore().DeriveChildKey("master", "child", "doc-17").ok());
+  Bytes aad = ToBytes("doc:17;v:1");
+  Bytes plaintext(2004, 0x3c);
+  Bytes sealed = *tee.Seal("child", aad, plaintext);
+
+  Bytes child_material;
+  for (const auto& [name, material] :
+       tee.keystore().ExtractAllForPhysicalBreach()) {
+    if (name == "child") child_material = material;
+  }
+  ASSERT_EQ(child_material.size(), 32u);
+  Bytes nonce(sealed.begin(), sealed.begin() + crypto::kAeadNonceSize);
+  Bytes body(sealed.begin() + crypto::kAeadNonceSize, sealed.end());
+  EXPECT_EQ(
+      crypto::AeadSeal(child_material, nonce, aad, plaintext).value_or({}),
+      body);
 }
 
 TEST(TeeTest, SealWithMissingKeyFails) {
@@ -181,6 +241,32 @@ TEST(TeeTest, PhysicalBreachExtractsKeysAndMarksDevice) {
   // The loot actually decrypts data sealed by the victim (that is the
   // point of the E8 blast-radius experiment).
   EXPECT_FALSE(loot[0].second.empty());
+}
+
+TEST(TeeTest, PhysicalBreachYieldsRawMaterialsOnly) {
+  TEE tee("victim-2", DeviceClass::kSmartPhone);
+  ASSERT_TRUE(tee.keystore().GenerateKey("generated").ok());
+  ASSERT_TRUE(tee.keystore().ImportKey("imported", Bytes(20, 0x11)).ok());
+  ASSERT_TRUE(
+      tee.keystore().DeriveChildKey("generated", "derived", "label").ok());
+  Bytes sealed = *tee.Seal("derived", ToBytes("aad"), ToBytes("payload"));
+
+  auto loot = tee.keystore().ExtractAllForPhysicalBreach();
+  // One (name, material) pair per key, each exactly the key's material:
+  // the expanded AEAD contexts the store also holds are not part of what
+  // a breach yields, so E8's blast radius is what it was.
+  ASSERT_EQ(loot.size(), 3u);
+  EXPECT_EQ(loot[0].first, "derived");
+  EXPECT_EQ(loot[0].second.size(), 32u);
+  EXPECT_EQ(loot[1].first, "generated");
+  EXPECT_EQ(loot[1].second.size(), 32u);
+  EXPECT_EQ(loot[2].first, "imported");
+  EXPECT_EQ(loot[2].second, Bytes(20, 0x11));
+  Bytes nonce(sealed.begin(), sealed.begin() + crypto::kAeadNonceSize);
+  Bytes body(sealed.begin() + crypto::kAeadNonceSize, sealed.end());
+  EXPECT_EQ(crypto::AeadOpen(loot[0].second, nonce, ToBytes("aad"), body)
+                .value_or({}),
+            ToBytes("payload"));
 }
 
 }  // namespace
