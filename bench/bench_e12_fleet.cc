@@ -2,17 +2,19 @@
 //
 // The paper's cloud serves "35M households"; the ROADMAP north star is heavy
 // traffic from millions of users. This harness drives K simulated cells
-// concurrently (tc::fleet worker pool, batched sealed-blob puts) against one
-// shared CloudInfrastructure and reports:
+// concurrently (tc::fleet worker pool; each sealed-blob write is one blind
+// single-write commit, as a TrustedCell's store is) against one shared
+// CloudInfrastructure and reports:
 //
 //   * thread scaling in the WAN regime (200 us simulated provider RTT —
 //     the regime a real cloud lives in; concurrency overlaps round-trips),
 //   * shard-count sweep in the in-process regime (lock striping vs a single
-//     global lock; contention counters),
+//     global lock; contention counters — every commit also takes the
+//     store-level commit_mu_ and txn_token_mu_ leaf locks),
 //   * fleet-size sweep (cells >> threads through the bounded work queue).
 //
 // Latency percentiles (p50/p95/p99) are sourced from the tc::obs registry
-// histograms (`fleet.put_batch_us` / `fleet.get_us`), delta-scoped to each
+// histograms (`fleet.write_us` / `fleet.get_us`), delta-scoped to each
 // run — not ad-hoc wall-clock vectors. Op-count columns are deterministic;
 // wall-clock / ops/s / latency columns vary run to run (host measurement).
 
@@ -31,7 +33,7 @@ FleetOptions BaseOptions() {
   options.cells = 64;
   options.threads = 4;
   options.rounds_per_cell = 16;
-  options.put_batch = 4;
+  options.writes_per_round = 4;
   options.gets_per_round = 4;
   options.docs_per_cell = 16;
   options.payload_bytes = 256;
@@ -94,7 +96,7 @@ int main() {
 
   // ---- Thread scaling, WAN regime (16 shards, 200 us provider RTT) ----
   std::printf("\nthread scaling: 64 cells, 16 shards, 200 us simulated "
-              "round-trip (batched puts amortize it):\n");
+              "round-trip per provider op:\n");
   std::printf("%s", kHeader);
   {
     cloud::CloudInfrastructure::Options cloud_options;
@@ -157,8 +159,8 @@ int main() {
   std::printf("\nall cells verified every read against their own acked "
               "writes; timing columns are host measurements.\n"
               "latency percentiles come from the tc::obs registry histograms "
-              "(fleet.put_batch_us / fleet.get_us), p50/p95/p99 in us,\n"
-              "put = one whole batched round-trip. bucket resolution bounds "
+              "(fleet.write_us / fleet.get_us), p50/p95/p99 in us,\n"
+              "put = one write's blind commit. bucket resolution bounds "
               "percentile error at 25%% of the value.\n");
   return 0;
 }

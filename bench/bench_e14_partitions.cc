@@ -15,6 +15,16 @@
 //   * time from a forced provider outage healing (default 10 s, override
 //     with --outage_ms=N) to the whole fleet drained and converged.
 //
+// Each cell writes as a TrustedCell stores: one blind single-write commit
+// per write, re-sent unchanged until acked, so exactly-once rests on the
+// provider's txn-token table. The `dup` column counts versions whose bytes
+// repeat an earlier version of the same blob (a re-delivery applied
+// twice); payloads are random, so any repeat is a duplicate.
+//
+// It is also a gate: the exit status is non-zero unless every sweep row and
+// the outage leg converge every cell with no failed cell, and the lossy run
+// ends byte-identical to the clean one.
+//
 // Op-count columns are deterministic per seed; wall-clock columns are host
 // measurements. Retry timing itself is virtual (channel clocks), so fault
 // sweeps run at CPU speed.
@@ -23,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "tc/cloud/fault_injector.h"
@@ -42,7 +53,7 @@ FleetOptions BaseOptions() {
   options.cells = 64;
   options.threads = 8;
   options.rounds_per_cell = 16;
-  options.put_batch = 4;
+  options.writes_per_round = 4;
   options.gets_per_round = 4;
   options.docs_per_cell = 16;
   options.payload_bytes = 256;
@@ -78,6 +89,35 @@ RunOutcome RunOnce(CloudInfrastructure* cloud, const FleetOptions& options) {
   return outcome;
 }
 
+std::string BlobId(size_t cell, size_t doc) {
+  return "fleet/cell" + std::to_string(cell) + "/doc" + std::to_string(doc);
+}
+
+/// Versions of the fleet's blobs whose bytes repeat an earlier version of
+/// the same blob.
+uint64_t DuplicateVersions(CloudInfrastructure& cloud,
+                           const FleetOptions& options) {
+  uint64_t duplicates = 0;
+  for (size_t cell = 0; cell < options.cells; ++cell) {
+    for (size_t doc = 0; doc < options.docs_per_cell; ++doc) {
+      const std::string id = BlobId(cell, doc);
+      auto latest = cloud.blob_store().LatestVersion(id);
+      if (!latest.ok()) continue;
+      std::set<std::string> seen;
+      for (uint64_t v = 1; v <= *latest; ++v) {
+        auto data = cloud.blob_store().GetVersion(id, v);
+        if (data.ok() && !seen.insert(ToString(*data)).second) ++duplicates;
+      }
+    }
+  }
+  return duplicates;
+}
+
+/// True when the run had no failed cell and every cell converged.
+bool AllConverged(const RunOutcome& outcome, const FleetOptions& options) {
+  return outcome.ok && outcome.report.cells_converged == options.cells;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -89,13 +129,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== E14: partition-tolerant cell<->cloud sync ===\n");
+  bool gate = true;
 
   // ---- Goodput / availability vs fault rate ----
   std::printf("\ngoodput and availability vs message-fault rate (64 cells, "
               "8 threads, Lossy schedule; avail = ops answered within "
               "their round):\n");
   std::printf("  fault%%     puts     gets deferred  drained  retries "
-              "get-unav   goodput/s  avail%%  converged\n");
+              "get-unav   goodput/s  avail%%  converged  dup\n");
   for (double rate : {0.0, 0.01, 0.05, 0.10, 0.25, 0.50}) {
     FleetOptions options = BaseOptions();
     CloudInfrastructure cloud;
@@ -104,13 +145,14 @@ int main(int argc, char** argv) {
     NetworkFaultInjector injector(config);
     if (rate > 0) cloud.set_fault_injector(&injector);
     RunOutcome outcome = RunOnce(&cloud, options);
+    gate = gate && AllConverged(outcome, options);
     if (!outcome.ok) continue;
     const FleetReport& r = outcome.report;
     const uint64_t ops = r.puts + r.gets;
     const uint64_t answered =
         (r.puts - r.deferred) + (r.gets - r.gets_unavailable);
     std::printf("  %5.0f%% %8llu %8llu %8llu %8llu %8llu %8llu  %10.0f  "
-                "%5.1f%%  %zu/%zu\n",
+                "%5.1f%%  %5zu/%zu %4llu\n",
                 rate * 100, static_cast<unsigned long long>(r.puts),
                 static_cast<unsigned long long>(r.gets),
                 static_cast<unsigned long long>(r.deferred),
@@ -121,7 +163,9 @@ int main(int argc, char** argv) {
                 ops > 0 ? 100.0 * static_cast<double>(answered) /
                               static_cast<double>(ops)
                         : 0.0,
-                r.cells_converged, options.cells);
+                r.cells_converged, options.cells,
+                static_cast<unsigned long long>(
+                    DuplicateVersions(cloud, options)));
   }
 
   // ---- Byte-identical convergence: lossy vs clean ----
@@ -140,13 +184,13 @@ int main(int argc, char** argv) {
     lossy_cloud.set_fault_injector(&injector);
     RunOutcome lossy = RunOnce(&lossy_cloud, options);
 
+    bool identical = false;
     if (clean.ok && lossy.ok) {
       size_t compared = 0;
       size_t mismatched = 0;
       for (size_t cell = 0; cell < options.cells; ++cell) {
         for (size_t doc = 0; doc < options.docs_per_cell; ++doc) {
-          std::string blob_id = "fleet/cell" + std::to_string(cell) +
-                                "/doc" + std::to_string(doc);
+          const std::string blob_id = BlobId(cell, doc);
           auto a = clean_cloud.blob_store().Get(blob_id);
           auto b = lossy_cloud.blob_store().Get(blob_id);
           ++compared;
@@ -160,7 +204,9 @@ int main(int argc, char** argv) {
                   mismatched == 0 ? "byte-identical" : "DIVERGED",
                   lossy.report.cells_converged, options.cells,
                   static_cast<unsigned long long>(lossy.report.drained));
+      identical = mismatched == 0;
     }
+    gate = gate && identical && AllConverged(lossy, options);
   }
 
   // ---- Forced provider outage: degrade, heal, converge ----
@@ -188,6 +234,7 @@ int main(int argc, char** argv) {
     RunOutcome outcome = RunOnce(&cloud, options);
     auto done_at = std::chrono::steady_clock::now();
     healer.join();
+    gate = gate && AllConverged(outcome, options);
 
     if (outcome.ok) {
       const FleetReport& r = outcome.report;
@@ -209,5 +256,9 @@ int main(int argc, char** argv) {
               "acked state against the store after the drain (convergence "
               "column). retry timing is virtual (channel clocks), outage "
               "timing is wall-clock.\n");
-  return 0;
+  std::printf("\nE14 gate: %s\n",
+              gate ? "PASS (every run converged, lossy == clean)"
+                   : "FAILED (a cell failed or did not converge, or the "
+                     "lossy run diverged from the clean one)");
+  return gate ? 0 : 1;
 }

@@ -6,8 +6,10 @@
 // multi-threaded server, pooled pipelining client — and measures the
 // loopback-socket tax directly against the in-process transport:
 //
-//   * put / get / txn throughput for K = 1, 2, 4, 8 concurrent clients,
-//     same workload, same provider, only the transport differs;
+//   * blind-commit / get / txn throughput for K = 1, 2, 4, 8 concurrent
+//     clients, same workload, same provider, only the transport differs
+//     (a blind commit is a cell's store: one tokened single-write
+//     CommitTxn with no snapshot);
 //   * per-op latency distributions (p50/p95/p99) from the tc::obs
 //     histograms the runs record into — not ad-hoc vectors;
 //   * the acceptance bound: at 8 clients, loopback-socket throughput must
@@ -54,7 +56,7 @@ using cloud::CloudInfrastructure;
 
 namespace {
 
-constexpr size_t kRounds = 200;        // put+get+txn triples per client.
+constexpr size_t kRounds = 200;        // blind+get+txn triples per client.
 constexpr size_t kPayloadBytes = 256;  // Sealed-payload size class.
 constexpr size_t kClientSweep[] = {1, 2, 4, 8};
 constexpr double kMaxSlowdown = 3.0;   // Acceptance bound at 8 clients.
@@ -65,14 +67,14 @@ constexpr uint32_t kRealisticOpLatencyUs = 100;
 struct RunResult {
   double wall_seconds = 0;
   double ops_per_second = 0;
-  obs::HistogramSnapshot put_us;
+  obs::HistogramSnapshot blind_us;
   obs::HistogramSnapshot get_us;
   obs::HistogramSnapshot txn_us;
   bool ok = true;
 };
 
-obs::Histogram& PutHist() {
-  return obs::MetricRegistry::Global().GetHistogram("bench.e16.put_us");
+obs::Histogram& BlindHist() {
+  return obs::MetricRegistry::Global().GetHistogram("bench.e16.blind_us");
 }
 obs::Histogram& GetHist() {
   return obs::MetricRegistry::Global().GetHistogram("bench.e16.get_us");
@@ -81,11 +83,11 @@ obs::Histogram& TxnHist() {
   return obs::MetricRegistry::Global().GetHistogram("bench.e16.txn_us");
 }
 
-/// One client's workload: kRounds rounds of tokened put batch -> get ->
-/// single-key txn commit, all on a private key space. `tag` keeps
-/// idempotency tokens unique across transports and sweep points (a reused
-/// token would be answered from the token table — measuring the dedupe
-/// path, not the wire).
+/// One client's workload: kRounds rounds of blind commit -> get ->
+/// snapshot + single-key txn commit, all on a private key space. `tag`
+/// keeps commit tokens unique across transports and sweep points (a
+/// reused token would be answered from the token table — measuring the
+/// replay path, not the wire).
 void RunClient(net::CloudTransport* transport, const std::string& tag,
                size_t client, bool* ok) {
   const std::string doc = "e16/" + tag + "/c" + std::to_string(client);
@@ -95,11 +97,13 @@ void RunClient(net::CloudTransport* transport, const std::string& tag,
         std::to_string(client) + "/" + std::to_string(round);
     {
       obs::Stopwatch timer;
-      auto outcome = transport->PutBlobBatch({{doc, payload}},
-                                             {"e16p/" + tag + "/" + suffix});
-      PutHist().RecordAlways(timer.ElapsedUs());
-      if (!outcome.status.ok()) {
-        std::fprintf(stderr, "put failed: %s\n",
+      cloud::TxnRequest req;
+      req.token = "e16p/" + tag + "/" + suffix;
+      req.writes.push_back({doc, payload, cloud::kBaseVersionAny});
+      auto outcome = transport->CommitTxn(req);
+      BlindHist().RecordAlways(timer.ElapsedUs());
+      if (!outcome.committed) {
+        std::fprintf(stderr, "blind commit failed: %s\n",
                      outcome.status.ToString().c_str());
         *ok = false;
         return;
@@ -144,7 +148,7 @@ void RunClient(net::CloudTransport* transport, const std::string& tag,
 
 RunResult RunSweepPoint(net::CloudTransport* transport, const std::string& tag,
                         size_t clients) {
-  obs::HistogramSnapshot put_before = PutHist().Snapshot();
+  obs::HistogramSnapshot blind_before = BlindHist().Snapshot();
   obs::HistogramSnapshot get_before = GetHist().Snapshot();
   obs::HistogramSnapshot txn_before = TxnHist().Snapshot();
 
@@ -169,7 +173,7 @@ RunResult RunSweepPoint(net::CloudTransport* transport, const std::string& tag,
   const double total_ops = static_cast<double>(3 * kRounds * clients);
   result.ops_per_second =
       result.wall_seconds > 0 ? total_ops / result.wall_seconds : 0;
-  result.put_us = PutHist().Snapshot().Minus(put_before);
+  result.blind_us = BlindHist().Snapshot().Minus(blind_before);
   result.get_us = GetHist().Snapshot().Minus(get_before);
   result.txn_us = TxnHist().Snapshot().Minus(txn_before);
   return result;
@@ -179,8 +183,8 @@ void PrintRow(const char* transport, size_t clients, const RunResult& r) {
   std::printf(
       "  %-10s %2zu  %8.0f   %6.0f/%6.0f/%6.0f  %6.0f/%6.0f/%6.0f  "
       "%6.0f/%6.0f/%6.0f\n",
-      transport, clients, r.ops_per_second, r.put_us.Percentile(0.50),
-      r.put_us.Percentile(0.95), r.put_us.Percentile(0.99),
+      transport, clients, r.ops_per_second, r.blind_us.Percentile(0.50),
+      r.blind_us.Percentile(0.95), r.blind_us.Percentile(0.99),
       r.get_us.Percentile(0.50), r.get_us.Percentile(0.95),
       r.get_us.Percentile(0.99), r.txn_us.Percentile(0.50),
       r.txn_us.Percentile(0.95), r.txn_us.Percentile(0.99));
@@ -205,7 +209,7 @@ ComparisonOutcome RunComparison(uint32_t op_latency_us,
   cloud_options.op_latency_us = op_latency_us;
 
   std::printf(
-      "  transport   K     ops/s     put p50/p95/p99   get p50/p95/p99   "
+      "  transport   K     ops/s   blind p50/p95/p99   get p50/p95/p99   "
       "txn p50/p95/p99 (us)\n");
 
   {
@@ -259,7 +263,7 @@ ComparisonOutcome RunComparison(uint32_t op_latency_us,
 int main() {
   std::printf("E16 — the cloud behind a real wire (tc::rpc)\n");
   std::printf(
-      "workload: %zu rounds x (tokened put batch + get + single-key txn) "
+      "workload: %zu rounds x (blind commit + get + single-key txn) "
       "per client, %zu-byte payloads, private key spaces\n\n",
       kRounds, kPayloadBytes);
 

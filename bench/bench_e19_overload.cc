@@ -133,16 +133,17 @@ SweepPoint RunLoadPoint(double multiplier, size_t base_threads,
       uint64_t seq = 0;
       const std::string doc = "e19/doc" + std::to_string(t);
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::string token =
-            doc + "/" + std::to_string(seq++);
+        // A cell's store: one blind single-write commit under a token.
+        cloud::TxnRequest req;
+        req.token = doc + "/" + std::to_string(seq++);
+        req.writes.push_back({doc, Bytes{1, 2, 3, 4}, cloud::kBaseVersionAny});
         OverloadContext ctx;
         ctx.budget_us = kDeadlineUs;
         const uint64_t start = WallNowUs();
         Status status;
         {
           ScopedOverloadContext scope(ctx);
-          status = cloud.PutBlobBatchRpc({{doc, Bytes{1, 2, 3, 4}}}, {token})
-                       .status;
+          status = cloud.CommitTxnRpc(req).status;
         }
         const uint64_t took = WallNowUs() - start;
         if (status.ok()) {
@@ -278,7 +279,10 @@ StormResult RunRetryStorm(bool budget_on) {
     net::ResilientChannel channel(&transport, "storm" + std::to_string(c),
                                  options);
     for (size_t i = 0; i < kOpsPerChannel; ++i) {
-      (void)channel.Put("storm/doc", Bytes{1});
+      cloud::TxnRequest req;
+      req.token = "storm" + std::to_string(c) + "/w" + std::to_string(i);
+      req.writes.push_back({"storm/doc", Bytes{1}, cloud::kBaseVersionAny});
+      (void)channel.CommitTxn(req);
       ++result.ops;
     }
     result.attempts += channel.stats().attempts;

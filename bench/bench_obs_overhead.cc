@@ -136,7 +136,7 @@ double RunFleetCpuSeconds(size_t cells, size_t rounds, bool telemetry = false,
   options.cells = cells;
   options.threads = 4;
   options.rounds_per_cell = rounds;
-  options.put_batch = 4;
+  options.writes_per_round = 4;
   options.gets_per_round = 4;
   options.docs_per_cell = 32;
   // Sealed-page payloads: a cell pushes whole sealed 2 KiB LogStore pages,
@@ -150,8 +150,8 @@ double RunFleetCpuSeconds(size_t cells, size_t rounds, bool telemetry = false,
   if (scrape_json) {
     // Exported planes carry an SLO so the validator sees the full schema.
     obs::SloConfig slo;
-    slo.name = "put-p99-under-100ms";
-    slo.histogram = "tcell.put_batch_us";
+    slo.name = "write-p99-under-100ms";
+    slo.histogram = "tcell.write_us";
     slo.target_us = 100'000;
     cloud.telemetry_hub().AddSlo(slo);
   }
@@ -194,8 +194,10 @@ std::string RunOverloadExerciseJson() {
   uint32_t hint = 0;
   TC_CHECK(admission.TryAcquire(Criticality::kNormal, &hint));
   cloud.set_admission_controller(&admission);
-  TC_CHECK(cloud.PutBlobBatchRpc({{"ov/doc", Bytes{1}}}, {"ov/t1"})
-               .status.IsResourceExhausted());
+  cloud::TxnRequest req;
+  req.token = "ov/t1";
+  req.writes.push_back({"ov/doc", Bytes{1}, cloud::kBaseVersionAny});
+  TC_CHECK(cloud.CommitTxnRpc(req).status.IsResourceExhausted());
   (void)TakeRetryAfterHint();
   admission.Release(1);
 
@@ -207,8 +209,8 @@ std::string RunOverloadExerciseJson() {
     ctx.budget_us = 1;
     ctx.armed_at_us = 1;
     ScopedOverloadContext scope(ctx);
-    TC_CHECK(cloud.PutBlobBatchRpc({{"ov/doc", Bytes{1}}}, {"ov/t2"})
-                 .status.IsDeadlineExceeded());
+    req.token = "ov/t2";
+    TC_CHECK(cloud.CommitTxnRpc(req).status.IsDeadlineExceeded());
   }
   cloud.set_admission_controller(nullptr);
 
@@ -255,7 +257,7 @@ std::string RunOverloadExerciseJson() {
     channel_options.breaker.failure_threshold = 1u << 30;
     net::InProcessTransport transport(&cloud);
     net::ResilientChannel channel(&transport, "ov-export", channel_options);
-    for (int i = 0; i < 4; ++i) (void)channel.Put("ov/doc", Bytes{1});
+    for (int i = 0; i < 4; ++i) (void)channel.Get("ov/doc");
     TC_CHECK(channel.stats().retry_budget_denied > 0);
     cloud.set_fault_injector(nullptr);
   }

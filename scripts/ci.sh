@@ -17,24 +17,28 @@
 #      non-zero unless the cells convict every tamper and rollback the
 #      adversary injected and stolen keys cannot decrypt another user's
 #      blob;
-#   5. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
+#   5. partition gate (bench_e14_partitions --outage_ms=200, under a
+#      second): it exits non-zero unless every fault-rate row and the
+#      forced-outage leg converge every cell with no failed cell, and the
+#      lossy run ends byte-identical to the clean one;
+#   6. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
 #      seed sweeps, re-running only the suites labeled chaos/txn — CI keeps
 #      the cheap default, nightly jobs export TC_CHAOS_SEEDS=25;
-#   6. chaos determinism gate: every chaos seed must replay exactly from
+#   7. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   7. build the benchmark (cellbench/) from this tree into build-cellbench/
+#   8. build the benchmark (cellbench/) from this tree into build-cellbench/
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   8. build rpc_test, crypto_test and tee_test under the asan-ubsan preset
+#   9. build rpc_test, crypto_test and tee_test under the asan-ubsan preset
 #      into build-asan/ and run them with leak checking: the wire codec's
 #      truncation and byte-flip sweeps, and the AEAD's seal and open, which
 #      read and write through raw pointers into one buffer, claim "no
 #      over-read", and only AddressSanitizer enforces that (the build takes
 #      a few minutes, the runs about a second each);
-#   9. check no generated build*/ tree is tracked or staged;
-#  10. run the obs export validator (quick bench run + trace JSON checks).
+#  10. check no generated build*/ tree is tracked or staged;
+#  11. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -46,6 +50,7 @@ cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 build/bench/bench_e17_lockfree --quick > /dev/null
 build/bench/bench_e8_threats > /dev/null
+build/bench/bench_e14_partitions --outage_ms=200 > /dev/null
 if [ -n "${TC_CHAOS_SEEDS:-}" ]; then
   echo "ci: deep chaos/txn lane (TC_CHAOS_SEEDS=${TC_CHAOS_SEEDS})"
   (cd build && ctest --output-on-failure -L 'chaos|txn')

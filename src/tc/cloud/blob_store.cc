@@ -4,9 +4,11 @@
 
 namespace tc::cloud {
 
-BlobStore::BlobStore(size_t shard_count, size_t token_history)
-    : token_history_(token_history == 0 ? 1 : token_history) {
+BlobStore::BlobStore(size_t shard_count, size_t token_history) {
   if (shard_count == 0) shard_count = 1;
+  // The per-store window, split evenly over the stripes (rounded up).
+  tokens_per_shard_ =
+      std::max<size_t>(1, (token_history + shard_count - 1) / shard_count);
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -137,88 +139,6 @@ uint64_t BlobStore::Put(const std::string& id, const Bytes& data) {
   return version;
 }
 
-std::vector<uint64_t> BlobStore::PutBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items) {
-  std::vector<uint64_t> versions(items.size(), 0);
-  std::vector<uint64_t> seqs;
-  std::vector<VersionNode*> nodes;
-  seqs.reserve(items.size());
-  nodes.reserve(items.size());
-  // Group item indexes by shard so each shard lock is taken at most once.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    by_shard[ShardIndex(items[i].first)].push_back(i);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    auto lock = LockShard(shard);
-    for (size_t i : by_shard[s]) {
-      uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
-      nodes.push_back(AppendVersionLocked(shard, items[i].first,
-                                          items[i].second, seq, &versions[i]));
-      seqs.push_back(seq);
-    }
-    // Each item is an independent auto-commit, fully applied by now:
-    // publish the shard's slice before its stripe is released (see
-    // CommitTxn for why latest-visible must imply snapshot-visible).
-    PublishSeqs(seqs.data(), seqs.size());
-    for (VersionNode* node : nodes) {
-      node->published.store(true, std::memory_order_release);
-    }
-    seqs.clear();
-    nodes.clear();
-  }
-  return versions;
-}
-
-std::vector<uint64_t> BlobStore::PutBatchIdempotent(
-    const std::vector<std::pair<std::string, Bytes>>& items,
-    const std::vector<std::string>& tokens) {
-  std::vector<uint64_t> versions(items.size(), 0);
-  std::vector<uint64_t> seqs;
-  std::vector<VersionNode*> nodes;
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    by_shard[ShardIndex(items[i].first)].push_back(i);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    auto lock = LockShard(shard);
-    for (size_t i : by_shard[s]) {
-      const std::string& token = tokens[i];
-      auto hit = shard.applied_tokens.find(token);
-      if (hit != shard.applied_tokens.end()) {
-        // Re-delivery of a write this shard already applied: answer with
-        // the original version, store nothing.
-        versions[i] = hit->second;
-        token_dedupe_hits_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
-      nodes.push_back(AppendVersionLocked(shard, items[i].first,
-                                          items[i].second, seq, &versions[i]));
-      tokens_applied_.fetch_add(1, std::memory_order_relaxed);
-      seqs.push_back(seq);
-      auto inserted = shard.applied_tokens.emplace(token, versions[i]);
-      shard.token_fifo.push_back(&inserted.first->first);
-      if (shard.token_fifo.size() > token_history_) {
-        shard.applied_tokens.erase(*shard.token_fifo.front());
-        shard.token_fifo.pop_front();
-      }
-    }
-    // Same per-shard publish-under-stripe discipline as PutBatch.
-    PublishSeqs(seqs.data(), seqs.size());
-    for (VersionNode* node : nodes) {
-      node->published.store(true, std::memory_order_release);
-    }
-    seqs.clear();
-    nodes.clear();
-  }
-  return versions;
-}
-
 SnapshotDescriptor BlobStore::Snapshot() const {
   SnapshotDescriptor snap;
   {
@@ -278,11 +198,16 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
     }
   }
 
-  // Lock manager, striped like the shards: acquire every involved stripe
-  // in ascending index order and hold across validation + apply (two-phase
-  // across shards, deadlock-free by the global order).
+  // Lock manager, striped like the shards: acquire every involved stripe —
+  // those of the read and write sets, plus the token's, whose slice of the
+  // txn-token table this commit consults and records in — in ascending
+  // index order and hold across validation + apply (two-phase across
+  // shards, deadlock-free by the global order).
+  const size_t token_stripe = ShardIndex(req.token);
+  Shard& token_shard = *shards_[token_stripe];
   std::vector<size_t> stripes;
-  stripes.reserve(req.reads.size() + req.writes.size());
+  stripes.reserve(req.reads.size() + req.writes.size() + 1);
+  stripes.push_back(token_stripe);
   for (const TxnRead& r : req.reads) stripes.push_back(ShardIndex(r.id));
   for (const TxnWrite& w : req.writes) stripes.push_back(ShardIndex(w.id));
   std::sort(stripes.begin(), stripes.end());
@@ -291,20 +216,17 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
   held.reserve(stripes.size());
   for (size_t s : stripes) held.push_back(LockShard(*shards_[s]));
 
-  // Re-delivered commit? Answer with the original outcome. Checked under
-  // the stripe locks: duplicates of one token involve the same stripes,
-  // so the first delivery's record is visible to the second.
-  {
-    std::lock_guard<std::mutex> tlock(txn_token_mu_);
-    auto hit = txn_tokens_.find(req.token);
-    if (hit != txn_tokens_.end()) {
-      out.committed = true;
-      out.replayed = true;
-      out.commit_seq = hit->second.commit_seq;
-      out.versions = hit->second.versions;
-      txn_replays_.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    }
+  // Re-delivered commit? Answer with the original outcome. Every delivery
+  // of a token holds the token's stripe, so the first delivery's record is
+  // visible to the second.
+  auto hit = token_shard.txn_tokens.find(req.token);
+  if (hit != token_shard.txn_tokens.end()) {
+    out.committed = true;
+    out.replayed = true;
+    out.commit_seq = hit->second.commit_seq;
+    out.versions = hit->second.versions;
+    txn_replays_.fetch_add(1, std::memory_order_relaxed);
+    return out;
   }
 
   // First-committer-wins validation: all versions in the store are
@@ -344,15 +266,12 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
   out.commit_seq = seq;
   txns_committed_.fetch_add(1, std::memory_order_relaxed);
 
-  {
-    std::lock_guard<std::mutex> tlock(txn_token_mu_);
-    auto inserted =
-        txn_tokens_.emplace(req.token, TxnTokenRec{seq, out.versions});
-    txn_token_fifo_.push_back(&inserted.first->first);
-    if (txn_token_fifo_.size() > token_history_) {
-      txn_tokens_.erase(*txn_token_fifo_.front());
-      txn_token_fifo_.pop_front();
-    }
+  auto inserted =
+      token_shard.txn_tokens.emplace(req.token, TxnTokenRec{seq, out.versions});
+  token_shard.txn_token_order.push_back(&inserted.first->first);
+  if (token_shard.txn_token_order.size() > tokens_per_shard_) {
+    token_shard.txn_tokens.erase(*token_shard.txn_token_order.front());
+    token_shard.txn_token_order.pop_front();
   }
 
   // Publish BEFORE releasing the stripes. The writes are already fully

@@ -63,17 +63,18 @@ namespace tc::cloud {
 /// and the commit_mu_ hand-off makes the node itself visible.
 ///
 /// Lock ordering (audited for PR 8, satellite b): stripes are acquired
-/// first, always in ascending shard index; commit_mu_ and txn_token_mu_
-/// are both LEAF locks — taken only while stripes are held (PublishSeqs,
-/// token record/replay) or entirely on their own (Snapshot), never nested
-/// inside each other, and never the reverse order of a stripe. Lock-free
-/// readers take no lock at all, so no read path can participate in an
-/// inversion. There is no path that acquires a stripe while holding
-/// commit_mu_ or txn_token_mu_.
+/// first, always in ascending shard index; commit_mu_ is a LEAF lock —
+/// taken only while stripes are held (PublishSeqs) or entirely on its own
+/// (Snapshot), never the reverse order of a stripe. The txn-token table
+/// is striped too, so it needs no lock of its own. Lock-free readers take
+/// no lock at all, so no read path can participate in an inversion. There
+/// is no path that acquires a stripe while holding commit_mu_.
 class BlobStore {
  public:
   static constexpr size_t kDefaultShards = 16;
-  static constexpr size_t kTokenHistory = 8192;  // Per shard / per store.
+  /// Committed txn tokens remembered per store, split evenly over the
+  /// stripes.
+  static constexpr size_t kTokenHistory = 8192;
   static constexpr size_t kBucketsPerShard = 512;
 
   explicit BlobStore(size_t shard_count = kDefaultShards,
@@ -83,32 +84,10 @@ class BlobStore {
   BlobStore(const BlobStore&) = delete;
   BlobStore& operator=(const BlobStore&) = delete;
 
-  /// Stores a new version of `id`; returns the version number (1-based).
+  /// Stores a new version of `id`, untokened; returns the version number
+  /// (1-based). No cell writes this way: it seeds and checks provider
+  /// state in tests, harnesses and the vault baseline.
   uint64_t Put(const std::string& id, const Bytes& data);
-
-  /// Stores a batch of blobs, taking each shard lock at most once (the
-  /// provider-side half of client-side write batching). Returns the
-  /// assigned version numbers in input order.
-  std::vector<uint64_t> PutBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items);
-
-  /// PutBatch with per-item idempotency: `tokens[i]` names the logical
-  /// write (cell id + blob id + client sequence). An item whose token was
-  /// already applied is NOT stored again — the version it got the first
-  /// time is returned instead. This is what makes retries after a lost ack
-  /// and network-level duplicates side-effect-free: the same logical write
-  /// can reach the provider 0–N times and creates at most one version.
-  /// Tokens live in per-shard tables (same striping as the blobs, same
-  /// lock), bounded FIFO at `token_history` entries per shard — ample for
-  /// retry windows, which are short by construction. A re-delivery that
-  /// arrives AFTER its token was evicted is applied again as a fresh
-  /// write: the documented bound is that it appends a duplicate version
-  /// with identical bytes (the convergence audit — latest payload per
-  /// blob — is unaffected), it never resurrects an older payload over a
-  /// newer acked one within the token window.
-  std::vector<uint64_t> PutBatchIdempotent(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens);
 
   // ---- Provider transactions (MVCC) ----
 
@@ -130,29 +109,29 @@ class BlobStore {
   /// no effect. On success all writes are applied under one commit
   /// sequence and each lands at exactly `base_version + 1`.
   ///
-  /// Idempotency: the PR 5 token table, extended to whole transactions. A
-  /// committed token's outcome (commit seq + assigned versions) is
-  /// recorded in a store-level FIFO-bounded table; a re-delivered commit
-  /// is answered with its original outcome (`replayed` set) without
-  /// re-applying. Aborts are deliberately NOT recorded — an abort has no
-  /// side effects, and the cell retries aborted transactions under the
-  /// SAME token with a refreshed snapshot, which must be allowed to
-  /// commit.
+  /// Idempotency: the provider's one exactly-once mechanism. A committed
+  /// token's outcome (commit seq + assigned versions) is recorded in the
+  /// txn-token table, FIFO-bounded at `token_history` entries per store;
+  /// a re-delivered commit is answered with its original outcome
+  /// (`replayed` set) without re-applying. The table is striped like the
+  /// blobs: a token lives in the stripe its hash picks, and every commit
+  /// locks its token's stripe along with those of its reads and writes,
+  /// so deliveries of one token serialize there and no commit takes a
+  /// store-wide lock for its token. The window only has to outlast a retry,
+  /// which is short by construction. A blind re-delivery that arrives
+  /// AFTER its token was evicted applies again: it appends one duplicate
+  /// version with identical bytes (the latest payload per blob is
+  /// unaffected), and never resurrects an older payload over a newer acked
+  /// one within the window. Aborts are deliberately NOT recorded — an
+  /// abort has no side effects, and the cell retries aborted transactions
+  /// under the SAME token with a refreshed snapshot, which must be allowed
+  /// to commit.
   TxnOutcome CommitTxn(const TxnRequest& req);
 
-  /// Logical writes newly applied through PutBatchIdempotent (dedupe hits
-  /// excluded). `versions_created == tokens_applied + txn_writes_applied`
-  /// is the chaos suite's "no duplicate side-effects" invariant.
-  uint64_t tokens_applied() const {
-    return tokens_applied_.load(std::memory_order_relaxed);
-  }
-  /// Idempotent re-deliveries answered from a token table (no new version).
-  uint64_t token_dedupe_hits() const {
-    return token_dedupe_hits_.load(std::memory_order_relaxed);
-  }
-
   /// Total versions ever created across all blobs (never decremented, not
-  /// even by Delete) — the other half of the duplicate-side-effect check.
+  /// even by Delete). Where every write is a commit,
+  /// `versions_created == txn_writes_applied` is the "no duplicate
+  /// side-effects" invariant.
   uint64_t versions_created() const {
     return versions_created_.load(std::memory_order_relaxed);
   }
@@ -254,6 +233,13 @@ class BlobStore {
     BlobRec(std::string i, BlobRec* nxt) : id(std::move(i)), next(nxt) {}
   };
 
+  /// Recorded outcome of a committed transaction, replayed on token
+  /// re-delivery.
+  struct TxnTokenRec {
+    uint64_t commit_seq = 0;
+    std::vector<uint64_t> versions;
+  };
+
   struct Shard {
     Shard() : buckets(kBucketsPerShard) {}
     mutable std::mutex mu;  // Serializes writers; readers never take it.
@@ -264,18 +250,12 @@ class BlobStore {
     /// Highest commit_seq applied to this shard. Written only under mu;
     /// atomic so Snapshot() can read it without taking the stripe.
     std::atomic<uint64_t> high_seq{0};
-    // Idempotency-token table: token -> assigned version, FIFO-bounded.
-    // The FIFO holds pointers to the map's keys (stable until erase), so a
-    // token is stored exactly once.
-    std::unordered_map<std::string, uint64_t> applied_tokens;  // guarded by mu.
-    std::deque<const std::string*> token_fifo;                 // guarded by mu.
-  };
-
-  /// Recorded outcome of a committed transaction, replayed on token
-  /// re-delivery.
-  struct TxnTokenRec {
-    uint64_t commit_seq = 0;
-    std::vector<uint64_t> versions;
+    /// This stripe's slice of the txn-token table: the committed tokens
+    /// that hash here, and their eviction order, oldest first. The order
+    /// holds pointers to the map's keys (stable until erase), so a token
+    /// is stored exactly once. Guarded by mu.
+    std::unordered_map<std::string, TxnTokenRec> txn_tokens;
+    std::deque<const std::string*> txn_token_order;
   };
 
   /// Locks `shard.mu`, counting the acquisition as contended if it blocks.
@@ -311,9 +291,7 @@ class BlobStore {
   // it. Epoch guards protect version chains on the lock-free read paths.
   mutable sync::EpochManager epochs_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  const size_t token_history_;
-  std::atomic<uint64_t> tokens_applied_{0};
-  std::atomic<uint64_t> token_dedupe_hits_{0};
+  size_t tokens_per_shard_ = 1;
   std::atomic<uint64_t> versions_created_{0};
   std::atomic<uint64_t> txns_committed_{0};
   std::atomic<uint64_t> txns_aborted_{0};
@@ -327,13 +305,6 @@ class BlobStore {
   mutable std::mutex commit_mu_;  // Leaf lock (see class comment).
   uint64_t base_committed_ = 0;           // guarded by commit_mu_.
   std::set<uint64_t> committed_above_;    // guarded by commit_mu_.
-
-  /// Store-level txn-token table (a txn spans shards, so it cannot live in
-  /// one stripe). Leaf lock: taken only while stripe locks are held or by
-  /// itself, never the other way round.
-  mutable std::mutex txn_token_mu_;
-  std::unordered_map<std::string, TxnTokenRec> txn_tokens_;
-  std::deque<const std::string*> txn_token_fifo_;
 };
 
 }  // namespace tc::cloud

@@ -17,16 +17,8 @@ uint64_t MixKey(uint64_t seed, uint64_t ordinal, uint8_t op) {
 
 const char* NetOpName(NetOp op) {
   switch (op) {
-    case NetOp::kPut:
-      return "put";
-    case NetOp::kPutBatch:
-      return "put_batch";
     case NetOp::kGet:
       return "get";
-    case NetOp::kSend:
-      return "send";
-    case NetOp::kReceive:
-      return "receive";
     case NetOp::kTxnCommit:
       return "txn_commit";
     case NetOp::kTelemetry:
@@ -40,7 +32,6 @@ NetworkFaultConfig NetworkFaultConfig::Lossy(double rate, uint64_t seed) {
   config.drop_request_prob = rate * 0.4;
   config.drop_ack_prob = rate * 0.2;
   config.duplicate_prob = rate * 0.2;
-  config.partial_batch_prob = rate * 0.2;
   config.delay_prob = rate;
   config.delay_mean_us = 2000.0;
   config.seed = seed;
@@ -56,10 +47,6 @@ std::string FaultDecision::ToString() const {
   if (drop_request) out += " drop_request";
   if (drop_ack) out += " drop_ack";
   if (duplicate) out += " duplicate";
-  if (item_seed != 0) {
-    out += " partial seed=" + std::to_string(item_seed) +
-           " loss=" + std::to_string(item_loss);
-  }
   if (delay_us != 0) out += " delay=" + std::to_string(delay_us);
   if (cpu_burn_us != 0) out += " burn=" + std::to_string(cpu_burn_us);
   return out;
@@ -106,10 +93,6 @@ FaultDecision NetworkFaultInjector::Draw(uint64_t ordinal, NetOp op) const {
     decision.drop_ack = true;
   } else if (rng.NextBernoulli(config_.duplicate_prob)) {
     decision.duplicate = true;
-  } else if (op == NetOp::kPutBatch &&
-             rng.NextBernoulli(config_.partial_batch_prob)) {
-    decision.item_seed = rng.NextU64() | 1;  // Never 0 (0 = "keep all").
-    decision.item_loss = config_.partial_item_loss;
   }
   if (rng.NextBernoulli(config_.delay_prob)) {
     decision.delay_us =
@@ -175,9 +158,6 @@ void NetworkFaultInjector::Count(const FaultDecision& decision) {
   if (decision.duplicate) {
     stats_.duplicates.fetch_add(1, std::memory_order_relaxed);
   }
-  if (decision.item_seed != 0) {
-    stats_.partial_batches.fetch_add(1, std::memory_order_relaxed);
-  }
   if (decision.delay_us != 0) {
     stats_.delays.fetch_add(1, std::memory_order_relaxed);
   }
@@ -192,7 +172,6 @@ NetworkFaultStats NetworkFaultInjector::stats() const {
   out.drops_request = stats_.drops_request.load(std::memory_order_relaxed);
   out.drops_ack = stats_.drops_ack.load(std::memory_order_relaxed);
   out.duplicates = stats_.duplicates.load(std::memory_order_relaxed);
-  out.partial_batches = stats_.partial_batches.load(std::memory_order_relaxed);
   out.throttled = stats_.throttled.load(std::memory_order_relaxed);
   out.outage_rejections =
       stats_.outage_rejections.load(std::memory_order_relaxed);

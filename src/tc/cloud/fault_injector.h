@@ -13,14 +13,11 @@
 namespace tc::cloud {
 
 /// Provider RPC classes the injector distinguishes (the decision stream is
-/// salted with the op class, so a put and a get racing for the same
-/// ordinal never swap faults between runs).
+/// salted with the op class, so a commit and a get racing for the same
+/// ordinal never swap faults between runs). The values are part of that
+/// salt, so they never change; 0, 1, 3 and 4 are retired.
 enum class NetOp : uint8_t {
-  kPut = 0,
-  kPutBatch = 1,
   kGet = 2,
-  kSend = 3,
-  kReceive = 4,
   kTxnCommit = 5,
   kTelemetry = 6,
 };
@@ -38,16 +35,11 @@ struct NetworkFaultConfig {
   double drop_request_prob = 0.0;
   /// The provider applied the operation but the reply was lost: the effect
   /// IS there, the caller sees kUnavailable and will retry — the case
-  /// idempotent puts exist for.
+  /// commit tokens exist for.
   double drop_ack_prob = 0.0;
   /// Network-level retransmission: the provider receives (and applies) the
   /// same request twice.
   double duplicate_prob = 0.0;
-  /// Batch puts only: the batch reaches the provider torn — each item is
-  /// independently lost with `partial_item_loss`; the caller sees a
-  /// per-item outcome (kUnavailable overall).
-  double partial_batch_prob = 0.0;
-  double partial_item_loss = 0.5;
   /// Extra one-way delay charged to the attempt (exponential with mean
   /// `delay_mean_us`, charged to the caller's virtual clock — never a
   /// wall-clock sleep).
@@ -69,8 +61,9 @@ struct NetworkFaultConfig {
   std::vector<std::pair<uint64_t, uint64_t>> outage_ops;
   uint64_t seed = 1;
 
-  /// Symmetric lossy network: rate spread over request drops, ack drops,
-  /// duplicates and partial batches (the chaos-sweep shorthand).
+  /// Lossy network, the chaos-sweep shorthand: request drops at 0.4 x
+  /// rate, lost acks and duplicates at 0.2 x rate each, and delays at
+  /// `rate` (mean 2 ms).
   static NetworkFaultConfig Lossy(double rate, uint64_t seed);
 };
 
@@ -78,7 +71,7 @@ struct NetworkFaultConfig {
 /// delivery.
 struct FaultDecision {
   uint64_t ordinal = 0;
-  NetOp op = NetOp::kPut;
+  NetOp op = NetOp::kGet;
   bool drop_request = false;
   bool drop_ack = false;
   bool duplicate = false;
@@ -88,16 +81,12 @@ struct FaultDecision {
   /// Wall CPU the provider burns while executing this request (slow-op
   /// fault; 0 = none).
   uint32_t cpu_burn_us = 0;
-  /// Non-zero = torn batch: seed of the per-item loss stream (the cloud
-  /// layer draws one Bernoulli(partial_item_loss) per item from it).
-  uint64_t item_seed = 0;
-  double item_loss = 0.0;
 
   bool clean() const {
     return !drop_request && !drop_ack && !duplicate && !throttled && !outage &&
-           delay_us == 0 && item_seed == 0 && cpu_burn_us == 0;
+           delay_us == 0 && cpu_burn_us == 0;
   }
-  /// One-line schedule entry, e.g. "17 put_batch drop_ack delay=420".
+  /// One-line schedule entry, e.g. "17 txn_commit drop_ack delay=420".
   std::string ToString() const;
 };
 
@@ -108,14 +97,13 @@ struct NetworkFaultStats {
   uint64_t drops_request = 0;
   uint64_t drops_ack = 0;
   uint64_t duplicates = 0;
-  uint64_t partial_batches = 0;
   uint64_t throttled = 0;
   uint64_t outage_rejections = 0;
   uint64_t delays = 0;
   uint64_t slow_ops = 0;
   uint64_t faults() const {
-    return drops_request + drops_ack + duplicates + partial_batches +
-           throttled + outage_rejections;
+    return drops_request + drops_ack + duplicates + throttled +
+           outage_rejections;
   }
 };
 
@@ -184,7 +172,6 @@ class NetworkFaultInjector {
     std::atomic<uint64_t> drops_request{0};
     std::atomic<uint64_t> drops_ack{0};
     std::atomic<uint64_t> duplicates{0};
-    std::atomic<uint64_t> partial_batches{0};
     std::atomic<uint64_t> throttled{0};
     std::atomic<uint64_t> outage_rejections{0};
     std::atomic<uint64_t> delays{0};

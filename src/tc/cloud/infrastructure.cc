@@ -86,9 +86,7 @@ OverloadGate::~OverloadGate() {
 }
 
 CloudInfrastructure::Metrics::Metrics()
-    : put_batch_us(
-          obs::MetricRegistry::Global().GetHistogram("cloud.put_batch_us")),
-      get_us(obs::MetricRegistry::Global().GetHistogram("cloud.get_us")),
+    : get_us(obs::MetricRegistry::Global().GetHistogram("cloud.get_us")),
       send_us(obs::MetricRegistry::Global().GetHistogram("cloud.send_us")),
       receive_us(
           obs::MetricRegistry::Global().GetHistogram("cloud.receive_us")),
@@ -190,10 +188,8 @@ auto CloudInfrastructure::Serve(const RpcRoute& route, FaultDecision* decision,
     return refuse(Status::Unavailable(decision->outage ? "provider outage"
                                                        : "provider throttled"));
   }
-  const bool lost =
-      decision->drop_request ||
-      (route.loss == RpcLoss::kRead && decision->drop_ack) ||
-      (route.loss == RpcLoss::kAtomic && decision->item_seed != 0);
+  const bool lost = decision->drop_request ||
+                    (route.loss == RpcLoss::kRead && decision->drop_ack);
   if (lost) {
     return refuse(
         Status::Unavailable(std::string(route.what) + " lost in flight"));
@@ -206,105 +202,6 @@ auto CloudInfrastructure::Serve(const RpcRoute& route, FaultDecision* decision,
     BurnCpuUs(decision->cpu_burn_us);
   }
   return apply();
-}
-
-CloudInfrastructure::BatchPutOutcome CloudInfrastructure::PutBlobBatchRpc(
-    const std::vector<std::pair<std::string, Bytes>>& items,
-    const std::vector<std::string>& tokens) {
-  obs::TraceSpan span(obs::kChildOnly, "cloud", "put_batch_rpc",
-                      std::to_string(items.size()) + " blobs",
-                      &metrics_.put_batch_us);
-  ChargeLatency();  // One round-trip for the whole batch.
-  BatchPutOutcome outcome;
-  if (items.size() != tokens.size()) {
-    outcome.status =
-        Status::InvalidArgument("put batch: one token per item required");
-  } else {
-    FaultDecision decision;
-    outcome = Serve({NetOp::kPutBatch, RpcLoss::kBatch, "put batch"},
-                    &decision,
-                    [&] { return ApplyPutBatch(items, tokens, decision); });
-    outcome.delay_us = decision.delay_us;
-    outcome.fault_ordinal = decision.clean() ? 0 : decision.ordinal;
-  }
-  // One (unacked) slot per item on the paths that never reached the store.
-  outcome.versions.resize(items.size());
-  outcome.acked.resize(items.size());
-  return outcome;
-}
-
-CloudInfrastructure::BatchPutOutcome CloudInfrastructure::ApplyPutBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items,
-    const std::vector<std::string>& tokens, const FaultDecision& decision) {
-  BatchPutOutcome outcome;
-  outcome.versions.assign(items.size(), 0);
-  outcome.acked.assign(items.size(), 0);
-
-  // The batch (or the surviving part of a torn one) reaches the provider.
-  // `keep` stays empty (meaning keep-all) on the clean path: no per-call
-  // allocation unless the batch is actually torn.
-  std::vector<uint8_t> keep;
-  size_t kept = items.size();
-  if (decision.item_seed != 0) {
-    keep.assign(items.size(), 1);
-    Rng item_rng(decision.item_seed);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (item_rng.NextBernoulli(decision.item_loss)) {
-        keep[i] = 0;
-        --kept;
-      }
-    }
-  }
-
-  uint64_t bytes = 0;
-  std::vector<std::pair<std::string, Bytes>> sub_items;
-  std::vector<std::string> sub_tokens;
-  std::vector<size_t> sub_index;
-  const bool whole = kept == items.size();
-  if (!whole) {
-    sub_items.reserve(kept);
-    sub_tokens.reserve(kept);
-    sub_index.reserve(kept);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (!keep[i]) continue;
-      sub_items.push_back(items[i]);
-      sub_tokens.push_back(tokens[i]);
-      sub_index.push_back(i);
-    }
-  }
-  const auto& apply_items = whole ? items : sub_items;
-  const auto& apply_tokens = whole ? tokens : sub_tokens;
-  std::vector<uint64_t> versions =
-      blobs_.PutBatchIdempotent(apply_items, apply_tokens);
-  if (decision.duplicate) {
-    // Network retransmission: the provider applies the request again; the
-    // token tables answer the second copy with the same versions.
-    blobs_.PutBatchIdempotent(apply_items, apply_tokens);
-  }
-  for (size_t j = 0; j < versions.size(); ++j) {
-    size_t i = whole ? j : sub_index[j];
-    outcome.versions[i] = versions[j];
-    outcome.acked[i] = 1;
-    bytes += items[i].second.size();
-  }
-  stats_.blob_puts.fetch_add(kept, std::memory_order_relaxed);
-  stats_.bytes_in.fetch_add(bytes, std::memory_order_relaxed);
-
-  if (decision.drop_ack) {
-    // Applied, but the caller will never know: report nothing acked. The
-    // retry dedupes against the token tables and recovers the versions.
-    std::fill(outcome.acked.begin(), outcome.acked.end(), 0);
-    std::fill(outcome.versions.begin(), outcome.versions.end(), 0);
-    outcome.status = Status::Unavailable("batch ack lost");
-    return outcome;
-  }
-  if (!whole) {
-    outcome.status =
-        Status::Unavailable("batch torn in flight: " +
-                            std::to_string(items.size() - kept) + " of " +
-                            std::to_string(items.size()) + " items lost");
-  }
-  return outcome;
 }
 
 Result<Bytes> CloudInfrastructure::GetBlobRpc(const std::string& id,

@@ -136,9 +136,8 @@ struct CloudStats {
 /// interleaving never perturbs another shard's stream).
 ///
 /// Observability (tc::obs global registry):
-///   cloud.put_batch_us / cloud.get_us /
-///   cloud.txn_us / cloud.send_us /
-///   cloud.receive_us                        histograms, per-op latency
+///   cloud.get_us / cloud.txn_us /
+///   cloud.send_us / cloud.receive_us        histograms, per-op latency
 ///                                           (includes simulated RTT)
 ///   cloud.adversary.*                       counters, ground-truth events
 ///   cloud.blob_lock_contention /
@@ -148,9 +147,8 @@ class CloudInfrastructure {
   struct Options {
     size_t blob_shards = BlobStore::kDefaultShards;
     size_t queue_shards = BlobStore::kDefaultShards;
-    /// Simulated provider round-trip charged to each blob/messaging
-    /// operation (once per *batch* for PutBlobBatchRpc — the whole point of
-    /// client-side batching). 0 = in-process, no delay. Slept outside all
+    /// Simulated provider round-trip charged to each blob, commit and
+    /// messaging operation. 0 = in-process, no delay. Slept outside all
     /// locks, so concurrent callers overlap their waits exactly as real
     /// cells overlap WAN round-trips.
     uint32_t op_latency_us = 0;
@@ -160,20 +158,6 @@ class CloudInfrastructure {
       const AdversaryConfig& adversary = AdversaryConfig::Honest());
   CloudInfrastructure(const AdversaryConfig& adversary,
                       const Options& options);
-
-  /// Per-item outcome of a batched put attempted over the faulty network.
-  /// `versions[i]` is valid where `acked[i]` is non-zero; `status` is OK
-  /// only when every item was acked. A non-OK status with some acked items
-  /// is a *partial* batch — callers must not treat it as all-failed (the
-  /// acked shards are durably stored and must still be verified).
-  struct BatchPutOutcome {
-    Status status = Status::OK();
-    std::vector<uint64_t> versions;
-    std::vector<uint8_t> acked;
-    uint32_t delay_us = 0;      ///< Injected delay to charge to virtual time.
-    uint64_t fault_ordinal = 0; ///< Injector ordinal of this attempt (0=clean).
-    bool all_acked() const { return status.ok(); }
-  };
 
   /// Attaches (or detaches, with nullptr) the network fault injector the
   /// RPC-suffixed endpoints consult. Not owned; must outlive its use.
@@ -195,17 +179,11 @@ class CloudInfrastructure {
     return admission_.load(std::memory_order_acquire);
   }
 
-  // ---- Blob storage over the faulty network (RPC surface) ----
-  // One call = one network attempt: the injector may lose the request
-  // (kUnavailable, nothing stored), lose the ack (kUnavailable, stored!),
-  // duplicate it (stored once thanks to the tokens), tear a batch (some
-  // items stored), throttle it, or reject it during an outage window.
-  // Idempotency tokens make re-attempts exactly-once; see
-  // BlobStore::PutBatchIdempotent.
+  // ---- Blob reads over the faulty network (RPC surface) ----
+  // One call = one network attempt: the injector may lose the request or
+  // its reply (kUnavailable either way, a read has no effect to keep),
+  // throttle it, or reject it during an outage window.
 
-  BatchPutOutcome PutBlobBatchRpc(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens);
   /// Latest blob over the faulty network — possibly tampered or rolled
   /// back by the adversary; `delay_us`, when non-null, receives the
   /// injected delay to charge to the caller's virtual clock.
@@ -213,9 +191,8 @@ class CloudInfrastructure {
 
   // ---- Provider transactions (MVCC) ----
   // Multi-key atomic commit with snapshot-validated read/write sets; see
-  // BlobStore::CommitTxn for semantics. A txn is atomic by construction, so
-  // a "torn batch" decision degrades to a lost request (no partial
-  // application is possible), a lost ack leaves the commit applied and the
+  // BlobStore::CommitTxn for semantics. Every cell write is one. A lost
+  // request applies nothing, a lost ack leaves the commit applied and the
   // retry is answered from the txn-token table, and a network duplicate is
   // delivered twice — the second copy replays the first's outcome when it
   // committed, and is skipped when it aborted (re-validating against the
@@ -233,12 +210,11 @@ class CloudInfrastructure {
 
   // ---- Fleet telemetry (RPC surface) ----
   // Cells ship sequence-numbered obs::TelemetryFrame deltas; the hub's
-  // per-source dedup table (same idempotency pattern as the blob token
-  // tables) makes every fault class safe: a lost request applies nothing,
+  // per-source dedup table (same idempotency pattern as the txn-token
+  // table) makes every fault class safe: a lost request applies nothing,
   // a lost ack leaves the frame applied and the byte-identical retry is
   // deduplicated, a network duplicate delivers twice and the second copy is
-  // deduplicated. A frame is atomic, so a torn-batch decision degrades to a
-  // lost request.
+  // deduplicated.
 
   /// Reports one encoded telemetry frame over the faulty network.
   /// delay_us, when non-null, receives the injected delay.
@@ -325,7 +301,6 @@ class CloudInfrastructure {
   /// registry; the hot path only touches their relaxed atomics.
   struct Metrics {
     Metrics();
-    obs::Histogram& put_batch_us;
     obs::Histogram& get_us;
     obs::Histogram& send_us;
     obs::Histogram& receive_us;
@@ -345,13 +320,10 @@ class CloudInfrastructure {
 
   /// How the network can lose an endpoint's request or its reply.
   enum class RpcLoss : uint8_t {
-    /// Side-effect free: a lost reply is a lost request; nothing to tear.
+    /// Side-effect free: a lost reply is a lost request.
     kRead,
-    /// Applied whole: a lost ack still applies, a torn batch is lost.
+    /// Applied whole: a lost ack still applies.
     kAtomic,
-    /// Applied per item: a lost ack still applies, a torn batch applies
-    /// the items that survived.
-    kBatch,
   };
   /// What differs between the endpoints' shared front half (see Serve).
   struct RpcRoute {
@@ -369,16 +341,12 @@ class CloudInfrastructure {
   /// opens the OverloadGate (after the draw, so the injector's ordinal
   /// stream is identical plane on/off) and burns the slow-op CPU. Only an
   /// admitted request reaches `apply`, whose outcome is returned; the gate
-  /// stays open until `apply` returns. Duplicates, lost acks and torn
-  /// batches past the gate are `apply`'s to model.
+  /// stays open until `apply` returns. Duplicates and lost acks past the
+  /// gate are `apply`'s to model.
   template <typename Apply>
   auto Serve(const RpcRoute& route, FaultDecision* decision, Apply&& apply)
       -> decltype(apply());
 
-  /// One delivery of a (possibly torn) batch to the token tables.
-  BatchPutOutcome ApplyPutBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens, const FaultDecision& decision);
   /// Latest blob — possibly tampered or rolled back by the adversary.
   Result<Bytes> ReadLatest(const std::string& id);
   /// Newest version of `id` visible in `snap`.

@@ -83,7 +83,7 @@ Result<CellFleetReport> CellFleet::PutBatch() {
 
   // Root of the batch's causal tree. Submit() snapshots this context into
   // each queued task, the worker restores it, and every span below —
-  // fleet/task, cell/store_document, storage/put, cloud/put_batch_rpc,
+  // fleet/task, cell/store_document, storage/put, cloud/txn_commit,
   // ... — nests under this one trace id.
   obs::TraceSpan batch_span("fleet", "put_batch",
                             std::to_string(options_.cells) + " cells");

@@ -193,8 +193,7 @@ FleetRunner::FleetRunner(cloud::CloudInfrastructure* cloud,
       in_process_(cloud),
       transport_(options.transport != nullptr ? options.transport
                                               : &in_process_),
-      put_batch_us_(
-          obs::MetricRegistry::Global().GetHistogram("fleet.put_batch_us")),
+      write_us_(obs::MetricRegistry::Global().GetHistogram("fleet.write_us")),
       get_us_(obs::MetricRegistry::Global().GetHistogram("fleet.get_us")) {}
 
 void FleetRunner::HealOutage() {
@@ -218,7 +217,7 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
   net::ResilientChannel channel(transport_, result->cell_id, channel_options);
 
   CellTelemetry telemetry(options_, result->cell_id);
-  const CellTelemetry::Timing t_put_us = telemetry.timing("tcell.put_batch_us");
+  const CellTelemetry::Timing t_write_us = telemetry.timing("tcell.write_us");
   const CellTelemetry::Timing t_get_us = telemetry.timing("tcell.get_us");
   const CellTelemetry::Flow t_puts = telemetry.flow("tcell.puts");
   const CellTelemetry::Flow t_gets = telemetry.flow("tcell.gets");
@@ -233,22 +232,18 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
   };
 
   // The cell's view of its writes: last ACKED version/payload per doc,
-  // plus a pending slot for the newest write the provider has not acked
-  // (last-writer-wins: a newer write supersedes an older pending one —
-  // the superseded write may still land server-side under its own token,
-  // but always at an older version than the newer write's ack).
+  // plus a pending slot holding the newest write the provider has not
+  // acked, as the exact request to re-send (last-writer-wins: a newer
+  // write supersedes an older pending one — the superseded write may
+  // already have landed under its own token, but always at an older
+  // version than the newer write's ack).
   std::vector<uint64_t> acked_version(docs, 0);
   std::vector<Bytes> acked_payload(docs);
   std::vector<uint8_t> has_pending(docs, 0);
-  std::vector<Bytes> pending_payload(docs);
-  std::vector<std::string> pending_token(docs);
+  std::vector<cloud::TxnRequest> pending(docs);
   uint64_t write_seq = 0;
-  // Set once any write of this cell goes unacked (see apply_acks).
+  // Set once any write of this cell goes unacked (see commit).
   bool lost_a_write = false;
-
-  std::vector<std::pair<std::string, Bytes>> batch;
-  std::vector<std::string> tokens;
-  std::vector<size_t> doc_of;
 
   auto pending_count = [&] {
     size_t n = 0;
@@ -263,97 +258,86 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
                        static_cast<int64_t>(pending_count()));
   };
 
-  // Applies one PutBatch outcome to the per-doc slots. Returns false (and
-  // sets the cell status) on a version anomaly. Only this cell writes its
-  // blob-id range, and the channel re-sends a write under its own token,
-  // so while every write of the cell has been acked each ack must be
-  // exactly the previous ack + 1 — the check every clean run gets. Once a
-  // write went unacked it may still have landed and consumed a version,
-  // so from then on an ack only has to be strictly above the previous one.
-  auto apply_acks =
-      [&](const net::ResilientChannel::PutBatchResult& outcome) -> bool {
-    for (size_t j = 0; j < batch.size(); ++j) {
-      const size_t doc = doc_of[j];
-      if (outcome.acked[j]) {
-        if (lost_a_write ? outcome.versions[j] <= acked_version[doc]
-                         : outcome.versions[j] != acked_version[doc] + 1) {
-          result->status = Status::Internal(
-              result->cell_id + ": non-monotonic version for doc" +
-              std::to_string(doc) + ": got " +
-              std::to_string(outcome.versions[j]) + " after " +
-              std::to_string(acked_version[doc]));
-          return false;
-        }
-        acked_version[doc] = outcome.versions[j];
-        acked_payload[doc] = batch[j].second;
-        // Whether this item was the pending retry or a fresh write that
-        // superseded it, the doc's newest write is now acked.
-        has_pending[doc] = 0;
-      } else {
-        lost_a_write = true;
-        has_pending[doc] = 1;
-        pending_payload[doc] = batch[j].second;
-        pending_token[doc] = tokens[j];
+  // Sends one write of `doc` — a blind single-write commit under the
+  // write's token, exactly what TrustedCell::StoreDocument sends — and
+  // applies the answer to the doc's slots. An unresolved answer (the
+  // commit may or may not have applied) parks the request in the pending
+  // slot; later rounds and the drain re-send it unchanged, so a lost ack
+  // is answered from the provider's txn-token table. A version anomaly or
+  // a definitive provider error fails the cell (kFailed, status set).
+  //
+  // Only this cell writes its blob-id range, so while every write of the
+  // cell has been acked each ack must be exactly the previous ack + 1 —
+  // the check every clean run gets. Once a write went unacked it may
+  // still have landed and consumed a version, so from then on an ack only
+  // has to be strictly above the previous one.
+  enum class Fate { kAcked, kUnresolved, kFailed };
+  auto commit = [&](size_t doc, cloud::TxnRequest req) -> Fate {
+    obs::Stopwatch write_timer;
+    const cloud::TxnOutcome outcome = channel.CommitTxn(req);
+    const uint64_t write_elapsed_us = write_timer.ElapsedUs();
+    write_us_.RecordAlways(write_elapsed_us);
+    t_write_us.Record(write_elapsed_us);
+    if (outcome.committed) {
+      const uint64_t version = outcome.versions[0];
+      if (lost_a_write ? version <= acked_version[doc]
+                       : version != acked_version[doc] + 1) {
+        result->status = Status::Internal(
+            result->cell_id + ": non-monotonic version for doc" +
+            std::to_string(doc) + ": got " + std::to_string(version) +
+            " after " + std::to_string(acked_version[doc]));
+        return Fate::kFailed;
       }
+      acked_version[doc] = version;
+      acked_payload[doc] = std::move(req.writes[0].data);
+      // Whether this was the pending re-send or a fresh write that
+      // superseded it, the doc's newest write is now acked.
+      has_pending[doc] = 0;
+      return Fate::kAcked;
     }
-    return true;
+    if (!outcome.status.IsTransient() &&
+        !outcome.status.IsDeadlineExceeded()) {
+      result->status = outcome.status;
+      return Fate::kFailed;
+    }
+    // Degraded, not dead: the write waits in its pending slot.
+    lost_a_write = true;
+    has_pending[doc] = 1;
+    pending[doc] = std::move(req);
+    return Fate::kUnresolved;
   };
 
-  std::vector<uint8_t> in_batch(docs, 0);
+  std::vector<uint8_t> in_round(docs, 0);
   for (size_t round = 0; round < options_.rounds_per_cell; ++round) {
-    // --- Batched push: this round's fresh writes + pending retries. ---
-    batch.clear();
-    tokens.clear();
-    doc_of.clear();
-    std::fill(in_batch.begin(), in_batch.end(), 0);
-    for (size_t j = 0; j < options_.put_batch; ++j) {
-      size_t doc = (round * options_.put_batch + j) % options_.docs_per_cell;
-      batch.emplace_back(blob_of(doc), rng.NextBytes(options_.payload_bytes));
+    // --- Writes: this round's fresh writes, then the pending re-sends. ---
+    std::fill(in_round.begin(), in_round.end(), 0);
+    for (size_t j = 0; j < options_.writes_per_round; ++j) {
+      const size_t doc = (round * options_.writes_per_round + j) % docs;
+      cloud::TxnRequest req;
       // Built in place: token minting is on the fault-free hot path.
-      tokens.emplace_back();
-      std::string& token = tokens.back();
+      std::string& token = req.token;
       token.reserve(result->cell_id.size() + 24);
       token += result->cell_id;
       token += "/doc";
       token += std::to_string(doc);
       token += "/w";
       token += std::to_string(++write_seq);
-      doc_of.push_back(doc);
-      in_batch[doc] = 1;
+      req.writes.push_back({blob_of(doc), rng.NextBytes(options_.payload_bytes),
+                            cloud::kBaseVersionAny});
+      in_round[doc] = 1;
+      ++result->puts;
+      t_puts.Add();
+      const Fate fate = commit(doc, std::move(req));
+      if (fate == Fate::kFailed) return;
+      if (fate == Fate::kUnresolved) ++result->deferred;
     }
-    const size_t fresh = batch.size();
     for (size_t doc = 0; doc < docs; ++doc) {
-      if (!has_pending[doc] || in_batch[doc]) continue;
-      batch.emplace_back(blob_of(doc), pending_payload[doc]);
-      tokens.push_back(pending_token[doc]);  // SAME token: at-most-once.
-      doc_of.push_back(doc);
-    }
-
-    obs::Stopwatch put_timer;
-    auto outcome = channel.PutBatch(batch, tokens);
-    const uint64_t put_elapsed_us = put_timer.ElapsedUs();
-    put_batch_us_.RecordAlways(put_elapsed_us);
-    t_put_us.Record(put_elapsed_us);
-    result->puts += fresh;
-    t_puts.Add(fresh);
-    if (!apply_acks(outcome)) return;
-    if (!outcome.status.ok()) {
-      if (outcome.status.IsTransient() ||
-          outcome.status.IsDeadlineExceeded()) {
-        // Degraded, not dead: the unacked items sit in their pending
-        // slots and ride along with future rounds and the drain.
-        for (size_t j = 0; j < fresh; ++j) {
-          if (!outcome.acked[j]) ++result->deferred;
-        }
-      } else {
-        result->status = outcome.status;
-        return;
-      }
+      if (!has_pending[doc] || in_round[doc]) continue;
+      if (commit(doc, std::move(pending[doc])) == Fate::kFailed) return;
     }
 
     // --- Metadata-first pulls over the already-written range. ---
-    size_t written = std::min((round + 1) * options_.put_batch,
-                              options_.docs_per_cell);
+    size_t written = std::min((round + 1) * options_.writes_per_round, docs);
     for (size_t g = 0; g < options_.gets_per_round; ++g) {
       size_t doc = rng.NextBelow(written);
       obs::Stopwatch get_timer;
@@ -421,11 +405,11 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
     }
   }
 
-  // --- End-of-run drain: push every pending write until acked. The drain
-  // (and the telemetry flush after it) is catch-up work, not foreground
-  // traffic: mark the channel kBackground so an overloaded provider sheds
-  // these legs first. The channel dies with this function, so the class
-  // never leaks into foreground rounds. ---
+  // --- End-of-run drain: re-send every pending write until acked. The
+  // drain (and the telemetry flush after it) is catch-up work, not
+  // foreground traffic: mark the channel kBackground so an overloaded
+  // provider sheds these legs first. The channel dies with this function,
+  // so the class never leaks into foreground rounds. ---
   channel.set_criticality(Criticality::kBackground);
   size_t attempts = 0;
   int outage_waits = 0;
@@ -447,23 +431,11 @@ void FleetRunner::RunCellBlobs(size_t cell_index, FleetCellResult* result) {
       channel.set_criticality(Criticality::kNormal);
     }
     channel.WaitOutBreaker();
-    batch.clear();
-    tokens.clear();
-    doc_of.clear();
     for (size_t doc = 0; doc < docs; ++doc) {
       if (!has_pending[doc]) continue;
-      batch.emplace_back(blob_of(doc), pending_payload[doc]);
-      tokens.push_back(pending_token[doc]);
-      doc_of.push_back(doc);
-    }
-    const size_t before = pending_count();
-    auto outcome = channel.PutBatch(batch, tokens);
-    if (!apply_acks(outcome)) return;
-    result->drained += before - pending_count();
-    if (!outcome.status.ok() && !outcome.status.IsTransient() &&
-        !outcome.status.IsDeadlineExceeded()) {
-      result->status = outcome.status;
-      return;
+      const Fate fate = commit(doc, std::move(pending[doc]));
+      if (fate == Fate::kFailed) return;
+      if (fate == Fate::kAcked) ++result->drained;
     }
   }
 
@@ -704,12 +676,12 @@ Result<FleetReport> FleetRunner::Run() {
     return Status::InvalidArgument("fleet: null cloud");
   }
   if (options_.cells == 0 || options_.rounds_per_cell == 0 ||
-      options_.put_batch == 0 || options_.docs_per_cell == 0) {
+      options_.writes_per_round == 0 || options_.docs_per_cell == 0) {
     return Status::InvalidArgument("fleet: empty workload");
   }
-  if (options_.put_batch > options_.docs_per_cell) {
+  if (options_.writes_per_round > options_.docs_per_cell) {
     return Status::InvalidArgument(
-        "fleet: put_batch must not exceed docs_per_cell");
+        "fleet: writes_per_round must not exceed docs_per_cell");
   }
   if (options_.outage_first_rounds > options_.rounds_per_cell) {
     return Status::InvalidArgument(
@@ -748,7 +720,7 @@ Result<FleetReport> FleetRunner::Run() {
                           std::to_string(options_.cells) + " cells");
   const uint64_t blob_contention_before = cloud_->blob_lock_contention();
   const uint64_t queue_contention_before = cloud_->queue_lock_contention();
-  const obs::HistogramSnapshot put_before = put_batch_us_.Snapshot();
+  const obs::HistogramSnapshot write_before = write_us_.Snapshot();
   const obs::HistogramSnapshot get_before = get_us_.Snapshot();
 
   FleetReport report;
@@ -856,7 +828,7 @@ Result<FleetReport> FleetRunner::Run() {
     report.heal_to_converge_seconds =
         static_cast<double>(now_us - healed_at) / 1e6;
   }
-  report.put_latency = ExtractLatency(put_batch_us_.Snapshot(), put_before);
+  report.put_latency = ExtractLatency(write_us_.Snapshot(), write_before);
   report.get_latency = ExtractLatency(get_us_.Snapshot(), get_before);
   if (report.wall_seconds > 0) {
     report.put_get_per_second =

@@ -17,24 +17,25 @@ namespace tc::fleet {
 /// Workload knobs for one fleet run: K simulated cells driven concurrently
 /// against one shared CloudInfrastructure by a fixed-size worker pool.
 ///
-/// Each simulated cell reproduces the *traffic pattern* of a TrustedCell's
-/// outsourcing path (sealed-blob pushes, metadata-first pulls, bus
-/// messages) without the per-cell TEE/flash machinery, which is what lets a
-/// single host drive Linky-scale fleets against the provider. Like a
-/// TrustedCell, each talks to the provider through its own
-/// ResilientChannel over a net::CloudTransport (retry/backoff, idempotent
+/// Each simulated cell speaks a TrustedCell's protocol to the provider
+/// (a store is one blind single-write CommitTxn under a token, a fetch is
+/// one GetBlob, an update is a snapshot, its reads and one based commit)
+/// plus bus messages, without the per-cell TEE/flash machinery, which is
+/// what lets a single host drive Linky-scale fleets against the provider.
+/// Like a TrustedCell, each talks to the provider through its own
+/// ResilientChannel over a net::CloudTransport (retry/backoff, commit
 /// tokens, circuit breaker), so the fleet survives an attached
 /// NetworkFaultInjector: a write the channel could not get acked stays in
-/// the cell's pending slot and is retried in later rounds and in an
-/// end-of-run drain; unavailable reads are counted, not failed. A fetched
-/// blob that differs from the cell's own acknowledged write fails the cell
-/// (the per-cell error-propagation path).
+/// the cell's pending slot and is re-sent, unchanged, in later rounds and
+/// in an end-of-run drain; unavailable reads are counted, not failed. A
+/// fetched blob that differs from the cell's own acknowledged write fails
+/// the cell (the per-cell error-propagation path).
 struct FleetOptions {
   size_t cells = 64;           ///< Simulated cells (one task each).
   size_t threads = 4;          ///< Worker threads sharing the cells.
   size_t queue_capacity = 128; ///< Bounded task-queue depth (backpressure).
   size_t rounds_per_cell = 32; ///< Work rounds each cell performs.
-  size_t put_batch = 4;        ///< Blobs pushed per round, one batched put.
+  size_t writes_per_round = 4; ///< Blob writes per round, one commit each.
   size_t gets_per_round = 4;   ///< Blob fetches per round.
   size_t docs_per_cell = 32;   ///< Blob-id space each cell cycles through.
   size_t payload_bytes = 256;  ///< Sealed-payload size.
@@ -127,7 +128,7 @@ struct FleetCellResult {
 };
 
 /// Latency distribution of one operation class over the run, extracted
-/// from the tc::obs histograms (`fleet.put_batch_us` / `fleet.get_us`)
+/// from the tc::obs histograms (`fleet.write_us` / `fleet.get_us`)
 /// as a delta snapshot scoped to this run. These histograms record
 /// unconditionally (RecordAlways): the report is the runner's product, so
 /// its latency section must not empty out when obs is switched off.
@@ -151,8 +152,9 @@ struct FleetReport {
   double wall_seconds = 0;
   /// (puts + gets) / wall_seconds — the throughput metric E12 sweeps.
   double put_get_per_second = 0;
-  /// One batched put round-trip / one get, host microseconds, sourced from
-  /// the tc::obs registry histograms (not ad-hoc wall-clock vectors).
+  /// One write's commit / one get, host microseconds (retries included),
+  /// sourced from the tc::obs registry histograms (not ad-hoc wall-clock
+  /// vectors).
   FleetLatency put_latency;
   FleetLatency get_latency;
   uint64_t blob_lock_contention = 0;   // Delta over the run.
@@ -201,7 +203,7 @@ class FleetRunner {
   FleetOptions options_;
   net::InProcessTransport in_process_;
   net::CloudTransport* transport_;  // options_.transport or &in_process_.
-  obs::Histogram& put_batch_us_;
+  obs::Histogram& write_us_;
   obs::Histogram& get_us_;
   std::atomic<size_t> outage_passed_{0};
   std::atomic<uint64_t> healed_at_us_{0};  // Host steady µs; 0 = not healed.

@@ -26,10 +26,6 @@ ResilientChannel::ResilientChannel(CloudTransport* transport,
       breaker_(options.breaker),
       retry_budget_(options.retry_budget) {}
 
-std::string ResilientChannel::MintToken() {
-  return peer_ + "/op" + std::to_string(next_token_seq_++);
-}
-
 void ResilientChannel::WaitOutBreaker() {
   if (breaker_.state() != CircuitBreaker::State::kOpen) return;
   const uint64_t probe_at_us =
@@ -143,85 +139,6 @@ Status ResilientChannel::Retry(const char* what, AttemptFn&& attempt) {
       return deadline;
     }
   }
-}
-
-ResilientChannel::PutBatchResult ResilientChannel::PutBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items,
-    std::vector<std::string> tokens) {
-  PutBatchResult result;
-  result.versions.assign(items.size(), 0);
-  result.acked.assign(items.size(), 0);
-  if (items.empty()) return result;
-  if (tokens.empty()) {
-    tokens.reserve(items.size());
-    for (size_t i = 0; i < items.size(); ++i) tokens.push_back(MintToken());
-  }
-  if (tokens.size() != items.size()) {
-    result.status =
-        Status::InvalidArgument("channel put: one token per item required");
-    return result;
-  }
-
-  size_t unacked = items.size();
-  // The first attempt sends the caller's vectors untouched; a retry sends
-  // the still-unacked subset.
-  std::vector<std::pair<std::string, Bytes>> sub_items;
-  std::vector<std::string> sub_tokens;
-  std::vector<size_t> sub_index;
-  result.status = Retry("put_batch", [&](uint32_t* delay_us) {
-    const bool first = result.attempts++ == 0;
-    if (!first) {
-      sub_items.clear();
-      sub_tokens.clear();
-      sub_index.clear();
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (result.acked[i]) continue;
-        sub_items.push_back(items[i]);
-        sub_tokens.push_back(tokens[i]);
-        sub_index.push_back(i);
-      }
-    }
-    CloudTransport::BatchPutOutcome outcome =
-        first ? transport_->PutBlobBatch(items, tokens)
-              : transport_->PutBlobBatch(sub_items, sub_tokens);
-    *delay_us = outcome.delay_us;
-    // Merge acked items back into caller coordinates. A reply without one
-    // slot per sent item is malformed (the provider is untrusted) and
-    // acks nothing.
-    const size_t sent = first ? items.size() : sub_items.size();
-    if (outcome.acked.size() == sent && outcome.versions.size() == sent) {
-      for (size_t j = 0; j < sent; ++j) {
-        if (!outcome.acked[j]) continue;
-        const size_t i = first ? j : sub_index[j];
-        if (!result.acked[i]) {
-          result.acked[i] = 1;
-          result.versions[i] = outcome.versions[j];
-          --unacked;
-        }
-      }
-    }
-    if (unacked == 0) return Status::OK();
-    // Items still unacked under an OK status: the batch did not fully
-    // land, so it is retried like a torn one.
-    return outcome.status.ok()
-               ? Status::Unavailable(std::to_string(unacked) + " of " +
-                                     std::to_string(items.size()) +
-                                     " items unacked")
-               : outcome.status;
-  });
-  return result;
-}
-
-Result<uint64_t> ResilientChannel::Put(const std::string& id,
-                                       const Bytes& data,
-                                       const std::string* token) {
-  std::vector<std::pair<std::string, Bytes>> items;
-  items.emplace_back(id, data);
-  std::vector<std::string> tokens;
-  if (token != nullptr) tokens.push_back(*token);
-  PutBatchResult result = PutBatch(items, std::move(tokens));
-  if (!result.status.ok()) return result.status;
-  return result.versions[0];
 }
 
 Result<Bytes> ResilientChannel::Get(const std::string& id) {

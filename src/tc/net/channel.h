@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/overload.h"
@@ -49,15 +47,14 @@ struct ChannelStats {
 
 /// Client-side resilient channel to the untrusted provider: exponential
 /// backoff with decorrelated jitter, per-operation deadline budgets,
-/// idempotent puts, and a circuit breaker that converts a dead provider
-/// into fast-failing kUnavailable (degraded mode) instead of a deadline
-/// burn per call.
+/// tokened commits re-sent unchanged, and a circuit breaker that converts
+/// a dead provider into fast-failing kUnavailable (degraded mode) instead
+/// of a deadline burn per call.
 ///
 /// Every operation runs through one retry engine (the private Retry loop,
 /// the client twin of the provider's CloudInfrastructure::Serve), which
-/// classifies each attempt by one rule for all six operations:
-///   - OK (a batch with every item acked, a committed transaction):
-///     success;
+/// classifies each attempt by one rule for all five operations:
+///   - OK (including a committed transaction): success;
 ///   - kUnavailable / kResourceExhausted: retried within the retry budget
 ///     and the deadline budget;
 ///   - kDeadlineExceeded from the transport or the provider (socket
@@ -83,32 +80,12 @@ struct ChannelStats {
 /// cell abandons the sync path and falls back to its outbox.
 class ResilientChannel {
  public:
-  struct PutBatchResult {
-    Status status = Status::OK();     ///< OK = every item acked.
-    std::vector<uint64_t> versions;   ///< Valid where acked[i] != 0.
-    std::vector<uint8_t> acked;
-    uint32_t attempts = 0;
-  };
-
   /// Every attempt goes through `transport` (not owned; must outlive the
   /// channel): an InProcessTransport for a provider in this process, a
   /// socket transport for one in another — same retry engine, same token
   /// semantics, different wire.
   ResilientChannel(CloudTransport* transport, std::string peer_id,
                    const ChannelOptions& options);
-
-  /// Batched idempotent put. `tokens` names each logical write; pass an
-  /// empty vector to let the channel mint fresh (peer, seq) tokens. A
-  /// partially acked batch returns the per-item truth — callers must
-  /// treat acked items as durable even when `status` is not OK.
-  PutBatchResult PutBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      std::vector<std::string> tokens = {});
-
-  /// Single idempotent put. A caller-supplied stable token (e.g.
-  /// "cell|blob|v3") makes the put exactly-once across process restarts.
-  Result<uint64_t> Put(const std::string& id, const Bytes& data,
-                       const std::string* token = nullptr);
 
   Result<Bytes> Get(const std::string& id);
 
@@ -177,7 +154,6 @@ class ResilientChannel {
     obs::Counter& pushbacks;            // net.pushbacks
   };
 
-  std::string MintToken();
   /// The one retry loop behind every operation. `attempt(&delay_us)` makes
   /// one transport call, keeps its outcome in the caller's frame, stores
   /// the attempt's injected delay and returns the status the loop
@@ -209,7 +185,6 @@ class ResilientChannel {
   Metrics metrics_;
   ChannelStats stats_;
   uint64_t virtual_now_us_ = 0;
-  uint64_t next_token_seq_ = 1;
 };
 
 }  // namespace tc::net

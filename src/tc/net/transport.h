@@ -11,18 +11,20 @@
 
 namespace tc::net {
 
-/// The cell-side view of the provider's RPC surface — exactly the five
-/// operations ResilientChannel retries over (batched idempotent puts,
-/// latest-blob gets, snapshot acquisition, snapshot reads, multi-key
-/// commits). Everything above this interface (retry/backoff, deadline
-/// budgets, circuit breaker, outbox, fleet, cell) is transport-agnostic:
-/// the same channel code runs over an in-process function call or a real
-/// TCP connection to a standalone provider process.
+/// The cell-side view of the provider's RPC surface: the operations
+/// ResilientChannel retries over (latest-blob gets, snapshot acquisition,
+/// snapshot reads, multi-key commits and telemetry reports) plus the
+/// telemetry scrape. A commit is the only write: every cell write, blind or
+/// based, is one CommitTxn under a token. Everything above this interface
+/// (retry/backoff, deadline budgets, circuit breaker, outbox, fleet, cell)
+/// is transport-agnostic: the same channel code runs over an in-process
+/// function call or a real TCP connection to a standalone provider
+/// process.
 ///
 /// Semantics every implementation must preserve:
 ///   - One call = one network attempt. The attempt may fail kUnavailable
 ///     with the effect applied (lost ack) or not applied (lost request);
-///     idempotency tokens make re-attempts exactly-once either way.
+///     commit tokens make re-attempts exactly-once either way.
 ///   - `delay_us` out-params / fields carry the *injected* (virtual)
 ///     network delay of the attempt, charged to the caller's virtual
 ///     clock — never slept.
@@ -44,14 +46,21 @@ namespace tc::net {
 /// transport from its connection pool.
 class CloudTransport {
  public:
-  using BatchPutOutcome = cloud::CloudInfrastructure::BatchPutOutcome;
-
   virtual ~CloudTransport() = default;
 
-  /// Batched idempotent put; one attempt, per-item acks.
+  /// Retired: the provider has no put-batch operation any more, no
+  /// transport overrides this stub and nothing calls it. It stays only
+  /// because the benchmark (cellbench/) overrides it in two forwarding
+  /// transports; the next change to the benchmark deletes it along with
+  /// those overrides.
+  struct BatchPutOutcome {
+    Status status;
+  };
   virtual BatchPutOutcome PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens) = 0;
+      const std::vector<std::pair<std::string, Bytes>>& /*items*/,
+      const std::vector<std::string>& /*tokens*/) {
+    return {Status::Unimplemented("put batch is retired; commit instead")};
+  }
 
   /// Latest blob; `delay_us` (when non-null) receives the injected delay.
   virtual Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) = 0;
@@ -90,11 +99,6 @@ class InProcessTransport final : public CloudTransport {
   explicit InProcessTransport(cloud::CloudInfrastructure* cloud)
       : cloud_(cloud) {}
 
-  BatchPutOutcome PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens) override {
-    return cloud_->PutBlobBatchRpc(items, tokens);
-  }
   Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override {
     return cloud_->GetBlobRpc(id, delay_us);
   }

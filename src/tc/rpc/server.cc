@@ -341,19 +341,6 @@ Status RpcServer::Execute(RpcOp op, const Bytes& payload, Bytes* response) {
     case RpcOp::kPing:
       *response = payload;  // Echo.
       return Status::OK();
-    case RpcOp::kPutBlobBatch: {
-      std::vector<std::pair<std::string, Bytes>> items;
-      std::vector<std::string> tokens;
-      TC_RETURN_IF_ERROR(Decode(payload, &items, &tokens));
-      // Tokens are per-item; a mismatched count would desync the
-      // provider's idempotency table, so it is a protocol error, not the
-      // server's guess.
-      if (!tokens.empty() && tokens.size() != items.size()) {
-        return Status::Corruption("token count != item count");
-      }
-      *response = Encode(cloud_->PutBlobBatchRpc(items, tokens));
-      return Status::OK();
-    }
     case RpcOp::kGetBlob: {
       std::string id;
       TC_RETURN_IF_ERROR(Decode(payload, &id));

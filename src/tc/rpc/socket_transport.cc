@@ -25,16 +25,6 @@ Status SocketTransport::Exchange(RpcOp op, const Bytes& request,
   return Status::OK();
 }
 
-SocketTransport::BatchPutOutcome SocketTransport::PutBlobBatch(
-    const std::vector<std::pair<std::string, Bytes>>& items,
-    const std::vector<std::string>& tokens) {
-  BatchPutOutcome outcome;
-  Status status =
-      Exchange(RpcOp::kPutBlobBatch, Encode(items, tokens), &outcome);
-  if (!status.ok()) return StatusOnly<BatchPutOutcome>(status);
-  return outcome;
-}
-
 Result<Bytes> SocketTransport::GetBlob(const std::string& id,
                                        uint32_t* delay_us) {
   Result<Bytes> blob = Bytes();

@@ -25,9 +25,6 @@ class SocketTransport final : public net::CloudTransport {
   SocketTransport(const std::string& host, uint16_t port,
                   RpcClientPool::Options pool_options = {});
 
-  BatchPutOutcome PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens) override;
   Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override;
   Result<cloud::SnapshotDescriptor> GetSnapshot(uint32_t* delay_us) override;
   Result<cloud::SnapshotRead> GetAtSnapshot(

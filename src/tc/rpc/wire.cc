@@ -9,6 +9,8 @@ namespace tc::rpc {
 namespace {
 
 constexpr uint8_t kMaxKnownOp = static_cast<uint8_t>(RpcOp::kScrapeTelemetry);
+/// Op code 1, the retired put_blob_batch, is never reused.
+constexpr uint8_t kRetiredOp = 1;
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kAborted);
 
 template <typename T>
@@ -38,8 +40,6 @@ const char* RpcOpName(RpcOp op) {
   switch (op) {
     case RpcOp::kPing:
       return "ping";
-    case RpcOp::kPutBlobBatch:
-      return "put_blob_batch";
     case RpcOp::kGetBlob:
       return "get_blob";
     case RpcOp::kGetSnapshot:
@@ -56,7 +56,9 @@ const char* RpcOpName(RpcOp op) {
   return "unknown";
 }
 
-bool RpcOpKnown(uint8_t op) { return op <= kMaxKnownOp; }
+bool RpcOpKnown(uint8_t op) {
+  return op <= kMaxKnownOp && op != kRetiredOp;
+}
 
 Bytes EncodeFrameHeader(const FrameHeader& header) {
   BinaryWriter w;
@@ -202,11 +204,6 @@ void Put(BinaryWriter& w, const cloud::TxnOutcome& v) {
             v.conflict_id, v.delay_us, v.fault_ordinal);
 }
 
-void Put(BinaryWriter& w,
-         const cloud::CloudInfrastructure::BatchPutOutcome& v) {
-  PutFields(w, v.status, v.versions, v.acked, v.delay_us, v.fault_ordinal);
-}
-
 void Put(BinaryWriter& w, const obs::TelemetryHub::ReportOutcome& v) {
   PutFields(w, v.status, v.applied, v.duplicate, v.last_seq);
 }
@@ -256,11 +253,6 @@ Status Get(BinaryReader& r, cloud::TxnOutcome* v) {
                    &v->delay_us, &v->fault_ordinal);
 }
 
-Status Get(BinaryReader& r, cloud::CloudInfrastructure::BatchPutOutcome* v) {
-  return GetFields(r, &v->status, &v->versions, &v->acked, &v->delay_us,
-                   &v->fault_ordinal);
-}
-
 Status Get(BinaryReader& r, obs::TelemetryHub::ReportOutcome* v) {
   return GetFields(r, &v->status, &v->applied, &v->duplicate, &v->last_seq);
 }
@@ -272,9 +264,6 @@ Bytes EncodeStatusOnlyResponse(RpcOp op, const Status& status) {
   switch (op) {
     case RpcOp::kPing:
       return Bytes();
-    case RpcOp::kPutBlobBatch:
-      return Encode(
-          StatusOnly<cloud::CloudInfrastructure::BatchPutOutcome>(status));
     case RpcOp::kGetBlob:
       return Encode(status, Bytes(), kNoDelay);
     case RpcOp::kGetSnapshot:

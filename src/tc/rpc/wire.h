@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "tc/cloud/infrastructure.h"
 #include "tc/cloud/txn.h"
 #include "tc/common/bytes.h"
 #include "tc/common/codec.h"
@@ -70,10 +69,6 @@ inline constexpr uint8_t kFlagCriticalityMask = 0x0C;
 ///
 ///   op                request                  reply
 ///   kPing             any bytes (echoed)       the request's bytes
-///   kPutBlobBatch     vector<pair<string,      BatchPutOutcome
-///                       Bytes>> items,
-///                     vector<string> tokens
-///                       (none, or one per item)
 ///   kGetBlob          string id                Result<Bytes>, u32 delay_us
 ///   kGetSnapshot      (nothing)                Result<SnapshotDescriptor>,
 ///                                              u32 delay_us
@@ -87,10 +82,11 @@ inline constexpr uint8_t kFlagCriticalityMask = 0x0C;
 ///                                              u32 delay_us
 ///
 /// A request whose payload does not decode as its list, trailing bytes
-/// included, is malformed: the server closes its connection.
+/// included, is malformed: the server closes its connection. Op code 1
+/// (the retired put_blob_batch) is never reused: a header naming it is
+/// malformed like any unknown op.
 enum class RpcOp : uint8_t {
   kPing = 0,
-  kPutBlobBatch = 1,
   kGetBlob = 2,
   kGetSnapshot = 3,
   kGetAtSnapshot = 4,
@@ -198,8 +194,6 @@ void Put(BinaryWriter& w, const cloud::TxnRead& v);
 void Put(BinaryWriter& w, const cloud::TxnWrite& v);
 void Put(BinaryWriter& w, const cloud::TxnRequest& v);
 void Put(BinaryWriter& w, const cloud::TxnOutcome& v);
-void Put(BinaryWriter& w,
-         const cloud::CloudInfrastructure::BatchPutOutcome& v);
 void Put(BinaryWriter& w, const obs::TelemetryHub::ReportOutcome& v);
 
 /// Each Get decodes into `*v`. The RETURNED status reports decode success;
@@ -217,7 +211,6 @@ Status Get(BinaryReader& r, cloud::TxnRead* v);
 Status Get(BinaryReader& r, cloud::TxnWrite* v);
 Status Get(BinaryReader& r, cloud::TxnRequest* v);
 Status Get(BinaryReader& r, cloud::TxnOutcome* v);
-Status Get(BinaryReader& r, cloud::CloudInfrastructure::BatchPutOutcome* v);
 Status Get(BinaryReader& r, obs::TelemetryHub::ReportOutcome* v);
 
 template <typename T>

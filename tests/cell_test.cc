@@ -493,13 +493,6 @@ class CountingTransport final : public net::CloudTransport {
   explicit CountingTransport(cloud::CloudInfrastructure* cloud)
       : inner_(cloud) {}
 
-  BatchPutOutcome PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& tokens) override {
-    ++put_batches;
-    put_items += items.size();
-    return inner_.PutBlobBatch(items, tokens);
-  }
   Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override {
     ++gets;
     return inner_.GetBlob(id, delay_us);
@@ -527,8 +520,6 @@ class CountingTransport final : public net::CloudTransport {
   }
   std::string name() const override { return "counting"; }
 
-  uint64_t put_batches = 0;
-  uint64_t put_items = 0;
   uint64_t gets = 0;
   uint64_t snapshots = 0;
   uint64_t snapshot_gets = 0;
@@ -570,7 +561,6 @@ TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
   // Every write is a commit: the store's blind one, then the push's and
   // the atomic update's, each after a snapshot and its base reads (the
   // manifest; the document and the manifest).
-  EXPECT_EQ(transport.put_batches, 0u);
   EXPECT_EQ(transport.commits, 3u);
   EXPECT_EQ(transport.snapshots, 2u);
   EXPECT_EQ(transport.snapshot_gets, 3u);

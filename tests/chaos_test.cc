@@ -4,9 +4,10 @@
 //   1. zero acked-write loss      — an acknowledged write is durable and
 //                                   readable as the provider's latest state
 //   2. no version anomalies       — acked versions per doc strictly increase
-//   3. no duplicate side-effects  — versions created == idempotency tokens
-//                                   applied + txn writes applied, however
-//                                   often the network re-delivered anything
+//   3. no duplicate side-effects  — versions created == txn writes applied
+//                                   (every write is a tokened commit),
+//                                   however often the network re-delivered
+//                                   anything
 // plus serializability of the contended multi-key transaction workload
 // (HistoryChecker over a fault-rate x seed sweep) and the CI
 // reproducibility gate: every chaos seed must replay exactly from its
@@ -15,6 +16,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -52,7 +54,7 @@ FleetOptions ChaosFleet() {
   options.cells = 16;
   options.threads = 8;
   options.rounds_per_cell = 12;
-  options.put_batch = 4;
+  options.writes_per_round = 4;
   options.gets_per_round = 4;
   options.docs_per_cell = 16;
   options.payload_bytes = 64;
@@ -76,14 +78,25 @@ void ExpectInvariantsHold(const FleetReport& report,
   EXPECT_TRUE(report.converged) << label;
   EXPECT_EQ(report.cells_converged, report.cells.size()) << label;
   // Exactly-once: however many times the network re-delivered writes
-  // (lost acks, duplicates, torn batches), each logical write created at
-  // most one version — tokened puts and transaction writes both.
+  // (lost acks, duplicates), each logical write created at most one
+  // version. Every version is a committed txn write, and no version
+  // repeats an earlier version's bytes: the payloads are random, so a
+  // repeat is a re-delivery applied twice.
   EXPECT_EQ(cloud.blob_store().versions_created(),
-            cloud.blob_store().tokens_applied() +
-                cloud.blob_store().txn_writes_applied())
+            cloud.blob_store().txn_writes_applied())
       << label << ": duplicate side-effects ("
-      << cloud.blob_store().token_dedupe_hits() << " dedupe hits, "
       << cloud.blob_store().txn_replays() << " txn replays)";
+  for (const std::string& id : cloud.blob_store().List("fleet/")) {
+    std::set<std::string> seen;
+    const uint64_t latest = cloud.blob_store().LatestVersion(id).value_or(0);
+    for (uint64_t v = 1; v <= latest; ++v) {
+      auto data = cloud.blob_store().GetVersion(id, v);
+      ASSERT_TRUE(data.ok()) << label << ": " << id << " v" << v;
+      EXPECT_TRUE(seen.insert(ToString(*data)).second)
+          << label << ": " << id << " v" << v
+          << " repeats an earlier version (a write applied twice)";
+    }
+  }
 }
 
 // Deep-sweep width is env-tunable: the CI default keeps the lane cheap,
@@ -186,8 +199,7 @@ TEST(ChaosTest, TxnSweepIsSerializableUnderFaults) {
       }
       // Token-table replays and duplicate deliveries never double-applied.
       EXPECT_EQ(cloud.blob_store().versions_created(),
-                cloud.blob_store().tokens_applied() +
-                    cloud.blob_store().txn_writes_applied())
+                cloud.blob_store().txn_writes_applied())
           << label;
     }
   }
@@ -267,8 +279,8 @@ TEST(ChaosTest, ChaosSeedReproducesFromPrintedSchedule) {
   // ...identical provider state.
   EXPECT_EQ(replay_cloud.blob_store().versions_created(),
             original_cloud.blob_store().versions_created());
-  EXPECT_EQ(replay_cloud.blob_store().tokens_applied(),
-            original_cloud.blob_store().tokens_applied());
+  EXPECT_EQ(replay_cloud.blob_store().txn_writes_applied(),
+            original_cloud.blob_store().txn_writes_applied());
   EXPECT_EQ(replay_cloud.stats().bytes_in, original_cloud.stats().bytes_in);
 }
 
@@ -348,8 +360,7 @@ class CellChaosTest : public ::testing::Test {
     ExpectNoIncidents(writer);
     ExpectNoIncidents(*tablet);
     EXPECT_EQ(cloud_.blob_store().versions_created(),
-              cloud_.blob_store().tokens_applied() +
-                  cloud_.blob_store().txn_writes_applied());
+              cloud_.blob_store().txn_writes_applied());
   }
 
   SimulatedClock clock_;
@@ -416,8 +427,7 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
 
   // No duplicate side-effects despite the deferred/replayed pushes.
   EXPECT_EQ(cloud_.blob_store().versions_created(),
-            cloud_.blob_store().tokens_applied() +
-                cloud_.blob_store().txn_writes_applied());
+            cloud_.blob_store().txn_writes_applied());
 }
 
 TEST_F(CellChaosTest, OutboxSurvivesLossyNetwork) {
@@ -450,8 +460,7 @@ TEST_F(CellChaosTest, OutboxSurvivesLossyNetwork) {
               ToBytes("body" + std::to_string(i)));
   }
   EXPECT_EQ(cloud_.blob_store().versions_created(),
-            cloud_.blob_store().tokens_applied() +
-                cloud_.blob_store().txn_writes_applied());
+            cloud_.blob_store().txn_writes_applied());
 }
 
 // Ordinal `lost` reaches the provider and applies, but its ack is lost;
@@ -494,8 +503,7 @@ TEST_F(CellChaosTest, StoreRetriedAfterAnUnackedCommitStoresTheNewContent) {
   EXPECT_EQ(*cloud_.LatestBlobVersion(blob_id), 2u);  // Both landed.
   EXPECT_EQ(*phone->FetchDocument(*doc_id), ToBytes("second"));
   EXPECT_EQ(cloud_.blob_store().versions_created(),
-            cloud_.blob_store().tokens_applied() +
-                cloud_.blob_store().txn_writes_applied());
+            cloud_.blob_store().txn_writes_applied());
 }
 
 TEST_F(CellChaosTest, AtomicUpdateAfterAnUnresolvedCommitStoresTheNewContent) {
@@ -527,8 +535,7 @@ TEST_F(CellChaosTest, AtomicUpdateAfterAnUnresolvedCommitStoresTheNewContent) {
   ASSERT_TRUE(tablet->SyncPull().ok());
   EXPECT_EQ(*tablet->FetchDocument(*doc_id), ToBytes("second"));
   EXPECT_EQ(cloud_.blob_store().versions_created(),
-            cloud_.blob_store().tokens_applied() +
-                cloud_.blob_store().txn_writes_applied());
+            cloud_.blob_store().txn_writes_applied());
 }
 
 // No write overtakes a queued one. Each case defers one write and heals

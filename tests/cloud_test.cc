@@ -98,62 +98,64 @@ TEST(BlobStoreTest, ShardedStoreBehavesLikeOneStore) {
   EXPECT_EQ(one.List(""), many.List(""));
 }
 
-TEST(BlobStoreTest, PutBatchAssignsVersionsInInputOrder) {
-  BlobStore store(4);
-  std::vector<std::pair<std::string, Bytes>> batch;
-  for (int i = 0; i < 10; ++i) batch.emplace_back("k", Bytes{uint8_t(i)});
-  std::vector<uint64_t> versions = store.PutBatch(batch);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(versions[i], uint64_t(i) + 1);
-  EXPECT_EQ(*store.Get("k"), Bytes{uint8_t(9)});
-  EXPECT_EQ(store.total_bytes(), 10u);
-}
-
 TEST(BlobStoreTest, TokenEvictionReDeliveryStaysConvergent) {
-  // Regression for the FIFO idempotency-token window: a re-delivery whose
+  // Regression for the FIFO txn-token window: a blind re-delivery whose
   // token was evicted is applied again, and the DOCUMENTED bound is that
-  // this appends a duplicate version with identical bytes — the
+  // this appends one duplicate version with identical bytes — the
   // convergence audit (latest payload per blob) must be unaffected, and a
-  // within-window re-delivery must still dedupe exactly.
+  // within-window re-delivery must still be a replay.
   BlobStore store(/*shard_count=*/1, /*token_history=*/4);
   const Bytes payload = ToBytes("sealed, attempt-stable bytes");
+  auto blind = [](const std::string& token, const std::string& id,
+                  const Bytes& data) {
+    TxnRequest req;
+    req.token = token;
+    req.writes.push_back({id, data, kBaseVersionAny});
+    return req;
+  };
+  const TxnRequest store_doc = blind("cell|doc|v1", "doc", payload);
 
-  std::vector<uint64_t> first =
-      store.PutBatchIdempotent({{"doc", payload}}, {"cell|doc|v1"});
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0], 1u);
+  TxnOutcome first = store.CommitTxn(store_doc);
+  ASSERT_TRUE(first.committed) << first.status.ToString();
+  EXPECT_FALSE(first.replayed);
+  EXPECT_EQ(first.versions, std::vector<uint64_t>{1});
 
-  // Within the window: the duplicate is answered from the table — same
-  // version, no new state.
-  std::vector<uint64_t> duped =
-      store.PutBatchIdempotent({{"doc", payload}}, {"cell|doc|v1"});
-  EXPECT_EQ(duped[0], 1u);
-  EXPECT_EQ(store.token_dedupe_hits(), 1u);
+  // Within the window: the re-delivery is answered from the table — same
+  // version, same commit, no new state.
+  TxnOutcome duped = store.CommitTxn(store_doc);
+  EXPECT_TRUE(duped.committed);
+  EXPECT_TRUE(duped.replayed);
+  EXPECT_EQ(duped.versions, first.versions);
+  EXPECT_EQ(duped.commit_seq, first.commit_seq);
+  EXPECT_EQ(store.txn_replays(), 1u);
   EXPECT_EQ(*store.LatestVersion("doc"), 1u);
 
-  // Push four unrelated tokens through the single shard: FIFO capacity is
-  // 4, so "cell|doc|v1" is evicted.
+  // Four unrelated commits: the table holds 4 tokens, so "cell|doc|v1" is
+  // evicted.
   for (int i = 0; i < 4; ++i) {
-    store.PutBatchIdempotent({{"other", ToBytes("x")}},
-                             {"cell|other|v" + std::to_string(i + 1)});
+    ASSERT_TRUE(store
+                    .CommitTxn(blind("cell|other|v" + std::to_string(i + 1),
+                                     "other", ToBytes("x")))
+                    .committed);
   }
 
-  // Post-eviction re-delivery: applied as a fresh write. The bound we
-  // document — and must not silently widen — is ONE duplicate version,
+  // Post-eviction re-delivery: applied as a fresh blind write. The bound
+  // we document — and must not silently widen — is ONE duplicate version,
   // byte-identical to the acked one, leaving the latest payload (what the
   // convergence audit compares) unchanged.
-  std::vector<uint64_t> late =
-      store.PutBatchIdempotent({{"doc", payload}}, {"cell|doc|v1"});
-  EXPECT_EQ(late[0], 2u);
-  EXPECT_EQ(store.token_dedupe_hits(), 1u);  // Not a table hit.
+  TxnOutcome late = store.CommitTxn(store_doc);
+  EXPECT_TRUE(late.committed);
+  EXPECT_FALSE(late.replayed);
+  EXPECT_EQ(late.versions, std::vector<uint64_t>{2});
+  EXPECT_EQ(store.txn_replays(), 1u);  // Not a table hit.
   EXPECT_EQ(*store.LatestVersion("doc"), 2u);
   EXPECT_EQ(*store.GetVersion("doc", 1), payload);
   EXPECT_EQ(*store.GetVersion("doc", 2), payload);  // Identical bytes.
   EXPECT_EQ(*store.Get("doc"), payload);  // Convergence audit unaffected.
 
-  // Accounting: the evicted re-delivery counts as a fresh applied token,
-  // so the versions == tokens + txn-writes invariant still balances.
-  EXPECT_EQ(store.versions_created(),
-            store.tokens_applied() + store.txn_writes_applied());
+  // Accounting: the evicted re-delivery is a fresh txn write, so the
+  // versions == txn-writes invariant still balances.
+  EXPECT_EQ(store.versions_created(), store.txn_writes_applied());
 }
 
 TEST(CloudTest, HonestMessaging) {
@@ -301,12 +303,10 @@ enum class Fault {
   kDropRequest,
   kDropAck,
   kDuplicate,
-  kTorn,
 };
-constexpr Fault kFaults[] = {Fault::kClean,       Fault::kOutage,
-                             Fault::kThrottle,    Fault::kDropRequest,
-                             Fault::kDropAck,     Fault::kDuplicate,
-                             Fault::kTorn};
+constexpr Fault kFaults[] = {Fault::kClean,    Fault::kOutage,
+                             Fault::kThrottle, Fault::kDropRequest,
+                             Fault::kDropAck,  Fault::kDuplicate};
 
 FaultDecision MakeFault(Fault fault) {
   FaultDecision d;
@@ -329,10 +329,6 @@ FaultDecision MakeFault(Fault fault) {
     case Fault::kDuplicate:
       d.duplicate = true;
       break;
-    case Fault::kTorn:
-      d.item_seed = 7;
-      d.item_loss = 1.0;  // Every item of a batch is lost.
-      break;
   }
   return d;
 }
@@ -344,8 +340,8 @@ struct EndpointCase {
   /// The provider-side effect the call left behind.
   std::function<uint64_t(CloudInfrastructure&)> effect;
   /// Per Fault (kFaults order): expected OK-ness and effect.
-  bool ok[7];
-  uint64_t effects[7];
+  bool ok[6];
+  uint64_t effects[6];
 };
 
 Bytes TelemetryFrameBytes() {
@@ -360,38 +356,23 @@ std::vector<EndpointCase> EndpointCases() {
   auto blob_gets = [](CloudInfrastructure& c) { return c.stats().blob_gets; };
   auto none = [](CloudInfrastructure&) { return uint64_t{0}; };
   return {
-      {"put_batch",
-       [](CloudInfrastructure& c) {
-         return c
-             .PutBlobBatchRpc({{"p/a", ToBytes("a")}, {"p/b", ToBytes("b")}},
-                              {"tok/a", "tok/b"})
-             .status;
-       },
-       [](CloudInfrastructure& c) {
-         // Minus the blob every case seeds directly into the store.
-         const uint64_t stored = c.blob_store().versions_created() - 1;
-         EXPECT_EQ(c.stats().blob_puts, stored);
-         return stored;
-       },
-       {true, false, false, false, false, true, false},
-       {2, 0, 0, 0, 2, 2, 0}},
       {"get",
        [](CloudInfrastructure& c) { return c.GetBlobRpc("g/x").status(); },
        blob_gets,
-       {true, false, false, false, false, true, true},
-       {1, 0, 0, 0, 0, 1, 1}},
+       {true, false, false, false, false, true},
+       {1, 0, 0, 0, 0, 1}},
       {"snapshot",
        [](CloudInfrastructure& c) { return c.GetSnapshotRpc().status(); }, none,
-       {true, false, false, false, false, true, true},
-       {0, 0, 0, 0, 0, 0, 0}},
+       {true, false, false, false, false, true},
+       {0, 0, 0, 0, 0, 0}},
       {"snapshot_get",
        [](CloudInfrastructure& c) {
          return c.GetBlobAtSnapshotRpc("g/x", c.blob_store().Snapshot())
              .status();
        },
        blob_gets,
-       {true, false, false, false, false, true, true},
-       {1, 0, 0, 0, 0, 1, 1}},
+       {true, false, false, false, false, true},
+       {1, 0, 0, 0, 0, 1}},
       {"txn_commit",
        [](CloudInfrastructure& c) {
          TxnRequest req;
@@ -403,8 +384,8 @@ std::vector<EndpointCase> EndpointCases() {
          EXPECT_EQ(c.stats().txn_commits, c.blob_store().txns_committed());
          return c.blob_store().txn_writes_applied();
        },
-       {true, false, false, false, false, true, false},
-       {1, 0, 0, 0, 1, 1, 0}},
+       {true, false, false, false, false, true},
+       {1, 0, 0, 0, 1, 1}},
       {"telemetry_report",
        [](CloudInfrastructure& c) {
          return c.ReportTelemetryRpc(TelemetryFrameBytes()).status;
@@ -412,13 +393,13 @@ std::vector<EndpointCase> EndpointCases() {
        [](CloudInfrastructure& c) {
          return c.telemetry_hub().stats().applied;
        },
-       {true, false, false, false, false, true, false},
-       {1, 0, 0, 0, 1, 1, 0}},
+       {true, false, false, false, false, true},
+       {1, 0, 0, 0, 1, 1}},
       {"telemetry_scrape",
        [](CloudInfrastructure& c) { return c.ScrapeTelemetryRpc().status(); },
        none,
-       {true, false, false, false, false, true, true},
-       {0, 0, 0, 0, 0, 0, 0}},
+       {true, false, false, false, false, true},
+       {0, 0, 0, 0, 0, 0}},
   };
 }
 

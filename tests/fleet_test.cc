@@ -2,15 +2,21 @@
 
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "tc/cell/cell.h"
+#include "tc/cell/directory.h"
 #include "tc/cloud/infrastructure.h"
+#include "tc/cloud/txn.h"
+#include "tc/common/clock.h"
 #include "tc/common/rng.h"
 #include "tc/fleet/fleet.h"
 #include "tc/fleet/worker_pool.h"
+#include "tc/net/transport.h"
 #include "tc/obs/metrics.h"
 
 namespace tc::fleet {
@@ -168,8 +174,11 @@ TEST(CloudConcurrencyTest, MixedOpsKeepVersionsMonotonicAndStatsExact) {
           const std::string write_id =
               "t" + std::to_string(t) + "/op" + std::to_string(op);
           Bytes payload = ToBytes(write_id);
-          auto put = cloud.PutBlobBatchRpc({{key, payload}}, {write_id});
-          ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+          cloud::TxnRequest req;
+          req.token = write_id;
+          req.writes.push_back({key, payload, cloud::kBaseVersionAny});
+          auto put = cloud.CommitTxnRpc(req);
+          ASSERT_TRUE(put.committed) << put.status.ToString();
           uint64_t version = put.versions[0];
           // Per-key monotonicity, observed from one thread: every ack this
           // thread receives for a key must exceed its previous ack.
@@ -252,28 +261,6 @@ TEST(CloudConcurrencyTest, MixedOpsKeepVersionsMonotonicAndStatsExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched puts
-// ---------------------------------------------------------------------------
-
-TEST(CloudConcurrencyTest, PutBlobBatchMatchesSequentialPuts) {
-  CloudInfrastructure cloud;
-  std::vector<std::pair<std::string, Bytes>> batch = {
-      {"a", ToBytes("a1")}, {"b", ToBytes("b1")}, {"a", ToBytes("a2")},
-      {"c", ToBytes("c1")}};
-  auto outcome = cloud.PutBlobBatchRpc(batch, {"t1", "t2", "t3", "t4"});
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  const std::vector<uint64_t>& versions = outcome.versions;
-  ASSERT_EQ(versions.size(), 4u);
-  EXPECT_EQ(versions[0], 1u);
-  EXPECT_EQ(versions[1], 1u);
-  EXPECT_EQ(versions[2], 2u);  // Same-id entries get consecutive versions.
-  EXPECT_EQ(versions[3], 1u);
-  EXPECT_EQ(*cloud.GetBlobRpc("a"), ToBytes("a2"));
-  EXPECT_EQ(cloud.stats().blob_puts, 4u);
-  EXPECT_EQ(cloud.stats().bytes_in, 8u);
-}
-
-// ---------------------------------------------------------------------------
 // Byte accounting under concurrent churn (PR 8 satellite)
 // ---------------------------------------------------------------------------
 
@@ -329,7 +316,7 @@ TEST(FleetRunnerTest, HonestFleetCompletesWithExactTotals) {
   options.cells = 16;
   options.threads = 4;
   options.rounds_per_cell = 8;
-  options.put_batch = 4;
+  options.writes_per_round = 4;
   options.gets_per_round = 3;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
@@ -346,21 +333,25 @@ TEST(FleetRunnerTest, HonestFleetCompletesWithExactTotals) {
   }
   // The fleet was alone on this cloud: its totals are the cloud's totals.
   EXPECT_EQ(report->puts,
-            options.cells * options.rounds_per_cell * options.put_batch);
+            options.cells * options.rounds_per_cell * options.writes_per_round);
   EXPECT_EQ(report->gets,
             options.cells * options.rounds_per_cell * options.gets_per_round);
   cloud::CloudStats stats = cloud.stats();
   EXPECT_EQ(stats.blob_puts, report->puts);
   EXPECT_EQ(stats.blob_gets, report->gets);
+  // Every write is one blind commit: one txn write, one version each.
+  EXPECT_EQ(cloud.blob_store().txns_committed(), report->puts);
+  EXPECT_EQ(cloud.blob_store().versions_created(),
+            cloud.blob_store().txn_writes_applied());
+  EXPECT_EQ(cloud.blob_store().versions_created(), report->puts);
   EXPECT_EQ(stats.messages_sent, report->sends);
   EXPECT_EQ(stats.messages_delivered, report->messages_received);
   EXPECT_GT(report->put_get_per_second, 0.0);
 
   // Latency percentiles come from the tc::obs histograms, delta-scoped to
-  // this run: exactly one put_batch sample per round, one get sample per
-  // get, even though the registry is global and cumulative.
-  EXPECT_EQ(report->put_latency.count,
-            options.cells * options.rounds_per_cell);
+  // this run: exactly one write sample per write, one get sample per get,
+  // even though the registry is global and cumulative.
+  EXPECT_EQ(report->put_latency.count, report->puts);
   EXPECT_EQ(report->get_latency.count, report->gets);
   EXPECT_GT(report->put_latency.p50_us, 0.0);
   EXPECT_LE(report->put_latency.p50_us, report->put_latency.p95_us);
@@ -394,7 +385,7 @@ TEST(FleetRunnerTest, RejectsEmptyWorkload) {
   options.cells = 0;
   EXPECT_FALSE(FleetRunner(&cloud, options).Run().ok());
   options.cells = 4;
-  options.put_batch = 100;
+  options.writes_per_round = 100;
   options.docs_per_cell = 10;
   EXPECT_FALSE(FleetRunner(&cloud, options).Run().ok());
 }
@@ -463,6 +454,140 @@ TEST(FleetRunnerTest, TxnAuditReadsTheStoreNotTheAdversary) {
   EXPECT_EQ(report->txns_committed, options.cells * options.rounds_per_cell);
   EXPECT_TRUE(report->converged);
   EXPECT_EQ(cloud.adversary_stats().reads_tampered, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The fleet speaks the cell's protocol
+// ---------------------------------------------------------------------------
+
+/// Records each call that crosses it as "op", or for a commit as
+/// "commit <writes> <blind|based>" (blind = every write skips validation),
+/// then hands the call to the provider in-process.
+class RecordingTransport final : public net::CloudTransport {
+ public:
+  explicit RecordingTransport(CloudInfrastructure* cloud) : inner_(cloud) {}
+
+  Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override {
+    Record("get_blob");
+    return inner_.GetBlob(id, delay_us);
+  }
+  Result<cloud::SnapshotDescriptor> GetSnapshot(uint32_t* delay_us) override {
+    Record("get_snapshot");
+    return inner_.GetSnapshot(delay_us);
+  }
+  Result<cloud::SnapshotRead> GetAtSnapshot(
+      const std::string& id, const cloud::SnapshotDescriptor& snap,
+      uint32_t* delay_us) override {
+    Record("get_at_snapshot");
+    return inner_.GetAtSnapshot(id, snap, delay_us);
+  }
+  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req) override {
+    bool blind = true;
+    for (const cloud::TxnWrite& w : req.writes) {
+      blind = blind && w.base_version == cloud::kBaseVersionAny;
+    }
+    Record("commit " + std::to_string(req.writes.size()) +
+           (blind ? " blind" : " based"));
+    return inner_.CommitTxn(req);
+  }
+  obs::TelemetryHub::ReportOutcome ReportTelemetry(
+      const Bytes& frame, uint32_t* delay_us) override {
+    Record("report_telemetry");
+    return inner_.ReportTelemetry(frame, delay_us);
+  }
+  Result<std::string> ScrapeTelemetry(uint32_t* delay_us) override {
+    Record("scrape_telemetry");
+    return inner_.ScrapeTelemetry(delay_us);
+  }
+  std::string name() const override { return "recording"; }
+
+  std::vector<std::string> calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.clear();
+  }
+
+ private:
+  void Record(std::string call) {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back(std::move(call));
+  }
+
+  mutable std::mutex mu_;
+  std::vector<std::string> calls_;
+  net::InProcessTransport inner_;
+};
+
+/// What one FleetRunner cell sends in one round of `options`.
+std::vector<std::string> OneFleetCellRound(FleetOptions options) {
+  CloudInfrastructure cloud;
+  RecordingTransport transport(&cloud);
+  options.cells = 1;
+  options.threads = 1;
+  options.rounds_per_cell = 1;
+  options.transport = &transport;
+  auto report = FleetRunner(&cloud, options).Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (report.ok()) {
+    EXPECT_EQ(report->cells_failed, 0u);
+  }
+  return transport.calls();
+}
+
+TEST(FleetProtocolTest, FleetCellsSendWhatTrustedCellsSend) {
+  // A real cell's store + fetch, then its atomic update.
+  std::vector<std::string> cell_store_fetch;
+  std::vector<std::string> cell_update;
+  {
+    SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+    CloudInfrastructure cloud;
+    cell::CellDirectory directory;
+    RecordingTransport transport(&cloud);
+    cell::TrustedCell::Config config;
+    config.cell_id = "alice-gateway";
+    config.owner = "alice";
+    config.flash.emplace();
+    config.flash->page_size = 2048;
+    config.flash->pages_per_block = 16;
+    config.flash->block_count = 256;
+    config.transport = &transport;
+    auto created =
+        cell::TrustedCell::Create(config, &cloud, &directory, &clock);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    cell::TrustedCell& cell = **created;
+    transport.Clear();
+
+    auto doc_id = cell.StoreDocument("note", "memo", ToBytes("first"),
+                                     cell::MakeOwnerPolicy("alice"));
+    ASSERT_TRUE(doc_id.ok()) << doc_id.status().ToString();
+    ASSERT_TRUE(cell.FetchDocument(*doc_id).ok());
+    cell_store_fetch = transport.calls();
+    transport.Clear();
+    ASSERT_TRUE(cell.UpdateDocumentAtomic(*doc_id, ToBytes("second")).ok());
+    cell_update = transport.calls();
+  }
+  EXPECT_EQ(cell_store_fetch,
+            (std::vector<std::string>{"commit 1 blind", "get_blob"}));
+  EXPECT_EQ(cell_update,
+            (std::vector<std::string>{"get_snapshot", "get_at_snapshot",
+                                      "get_at_snapshot", "commit 2 based"}));
+
+  // A fleet cell's blob round with one write and one get is a store and a
+  // fetch; its txn round at the default two keys is an update.
+  FleetOptions blobs;
+  blobs.writes_per_round = 1;
+  blobs.gets_per_round = 1;
+  blobs.send_prob = 0;
+  blobs.telemetry = false;
+  EXPECT_EQ(OneFleetCellRound(blobs), cell_store_fetch);
+
+  FleetOptions txn;
+  txn.txn_workload = true;
+  txn.txn_keys = 2;
+  EXPECT_EQ(OneFleetCellRound(txn), cell_update);
 }
 
 }  // namespace

@@ -138,13 +138,15 @@ TEST(CircuitBreakerTest, SuccessResetsConsecutiveFailures) {
 
 // ---- Fault injector ----
 
+constexpr NetOp kOps[] = {NetOp::kGet, NetOp::kTxnCommit, NetOp::kTelemetry};
+
 TEST(FaultInjectorTest, DecisionsArePureFunctionOfSeed) {
   NetworkFaultConfig config = NetworkFaultConfig::Lossy(0.3, 99);
   config.delay_prob = 0.2;
   NetworkFaultInjector a(config), b(config);
   Rng ops(123);
   for (int i = 0; i < 500; ++i) {
-    NetOp op = static_cast<NetOp>(ops.NextBelow(5));
+    NetOp op = kOps[ops.NextBelow(std::size(kOps))];
     FaultDecision da = a.Next(op);
     FaultDecision db = b.Next(op);
     EXPECT_EQ(da.ToString(), db.ToString()) << "ordinal " << da.ordinal;
@@ -160,7 +162,7 @@ TEST(FaultInjectorTest, ScheduleReplaysExactly) {
   std::vector<NetOp> op_sequence;
   Rng ops(5);
   for (int i = 0; i < 400; ++i) {
-    op_sequence.push_back(static_cast<NetOp>(ops.NextBelow(5)));
+    op_sequence.push_back(kOps[ops.NextBelow(std::size(kOps))]);
     original.Next(op_sequence.back());
   }
   auto replay =
@@ -175,7 +177,7 @@ TEST(FaultInjectorTest, OutageWindowsAndForcedOutage) {
   config.outage_ops = {{3, 6}};  // Ordinals 3, 4, 5.
   NetworkFaultInjector injector(config);
   for (uint64_t ordinal = 1; ordinal <= 8; ++ordinal) {
-    FaultDecision d = injector.Next(NetOp::kPut);
+    FaultDecision d = injector.Next(NetOp::kGet);
     EXPECT_EQ(d.outage, ordinal >= 3 && ordinal < 6) << "ordinal " << ordinal;
   }
   EXPECT_EQ(injector.stats().outage_rejections, 3u);
@@ -200,20 +202,30 @@ FaultDecision At(uint64_t ordinal, NetOp op) {
   return d;
 }
 
+/// A cell's store: one blind single-write commit under `token`.
+cloud::TxnRequest Blind(const std::string& token, const std::string& id,
+                        const Bytes& data) {
+  cloud::TxnRequest req;
+  req.token = token;
+  req.writes.push_back({id, data, cloud::kBaseVersionAny});
+  return req;
+}
+
 TEST(ChannelTest, RetriesThroughDroppedRequests) {
   CloudInfrastructure cloud;
-  FaultDecision drop1 = At(1, NetOp::kPutBatch);
+  FaultDecision drop1 = At(1, NetOp::kTxnCommit);
   drop1.drop_request = true;
-  FaultDecision drop2 = At(2, NetOp::kPutBatch);
+  FaultDecision drop2 = At(2, NetOp::kTxnCommit);
   drop2.drop_request = true;
   auto injector = ReplayOf({drop1, drop2});
   cloud.set_fault_injector(injector.get());
 
   InProcessTransport transport(&cloud);
   ResilientChannel channel(&transport, "alice", ChannelOptions{});
-  auto version = channel.Put("blob", ToBytes("payload"));
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1u);
+  auto outcome =
+      channel.CommitTxn(Blind("alice|blob|v1", "blob", ToBytes("payload")));
+  ASSERT_TRUE(outcome.committed) << outcome.status.ToString();
+  EXPECT_EQ(outcome.versions, std::vector<uint64_t>{1});
   EXPECT_EQ(channel.stats().attempts, 3u);
   EXPECT_EQ(channel.stats().retries, 2u);
   EXPECT_EQ(*cloud.blob_store().Get("blob"), ToBytes("payload"));
@@ -221,73 +233,41 @@ TEST(ChannelTest, RetriesThroughDroppedRequests) {
 
 TEST(ChannelTest, LostAckRetriesDedupeUnderTheSameToken) {
   CloudInfrastructure cloud;
-  FaultDecision lost_ack = At(1, NetOp::kPutBatch);
+  FaultDecision lost_ack = At(1, NetOp::kTxnCommit);
   lost_ack.drop_ack = true;
   auto injector = ReplayOf({lost_ack});
   cloud.set_fault_injector(injector.get());
 
   InProcessTransport transport(&cloud);
   ResilientChannel channel(&transport, "alice", ChannelOptions{});
-  std::string token = "alice|blob|v1";
-  auto version = channel.Put("blob", ToBytes("once"), &token);
-  ASSERT_TRUE(version.ok());
+  auto outcome =
+      channel.CommitTxn(Blind("alice|blob|v1", "blob", ToBytes("once")));
+  ASSERT_TRUE(outcome.committed) << outcome.status.ToString();
   // First attempt stored it (ack lost); the retry was answered from the
   // token table: ONE version, not two.
-  EXPECT_EQ(*version, 1u);
+  EXPECT_TRUE(outcome.replayed);
+  EXPECT_EQ(outcome.versions, std::vector<uint64_t>{1});
   EXPECT_EQ(*cloud.LatestBlobVersion("blob"), 1u);
-  EXPECT_EQ(cloud.blob_store().token_dedupe_hits(), 1u);
+  EXPECT_EQ(cloud.blob_store().txn_replays(), 1u);
   EXPECT_EQ(cloud.blob_store().versions_created(),
-            cloud.blob_store().tokens_applied());
+            cloud.blob_store().txn_writes_applied());
 }
 
 TEST(ChannelTest, NetworkDuplicateAppliesOnce) {
   CloudInfrastructure cloud;
-  FaultDecision duplicate = At(1, NetOp::kPutBatch);
+  FaultDecision duplicate = At(1, NetOp::kTxnCommit);
   duplicate.duplicate = true;
   auto injector = ReplayOf({duplicate});
   cloud.set_fault_injector(injector.get());
 
   InProcessTransport transport(&cloud);
   ResilientChannel channel(&transport, "alice", ChannelOptions{});
-  auto version = channel.Put("blob", ToBytes("payload"));
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1u);
+  auto outcome =
+      channel.CommitTxn(Blind("alice|blob|v1", "blob", ToBytes("payload")));
+  ASSERT_TRUE(outcome.committed) << outcome.status.ToString();
+  EXPECT_EQ(outcome.versions, std::vector<uint64_t>{1});
   EXPECT_EQ(*cloud.LatestBlobVersion("blob"), 1u);
-  EXPECT_EQ(cloud.blob_store().token_dedupe_hits(), 1u);
-}
-
-TEST(ChannelTest, TornBatchIsCompletedItemByItem) {
-  CloudInfrastructure cloud;
-  // Every batch attempt up to #5 arrives torn, losing each item with
-  // p=0.5; the channel must converge by retrying only the unacked items.
-  std::vector<FaultDecision> torn;
-  for (uint64_t ordinal = 1; ordinal <= 5; ++ordinal) {
-    FaultDecision d = At(ordinal, NetOp::kPutBatch);
-    d.item_seed = 1000 + ordinal;
-    d.item_loss = 0.5;
-    torn.push_back(d);
-  }
-  auto injector = ReplayOf(torn);
-  cloud.set_fault_injector(injector.get());
-
-  InProcessTransport transport(&cloud);
-  ResilientChannel channel(&transport, "alice", ChannelOptions{});
-  std::vector<std::pair<std::string, Bytes>> items;
-  for (int i = 0; i < 8; ++i) {
-    items.emplace_back("doc" + std::to_string(i),
-                       ToBytes("payload" + std::to_string(i)));
-  }
-  auto outcome = channel.PutBatch(items);
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(outcome.acked[i]);
-    EXPECT_EQ(*cloud.blob_store().Get("doc" + std::to_string(i)),
-              ToBytes("payload" + std::to_string(i)));
-    // Retries of an acked item never re-apply: one version per item.
-    EXPECT_EQ(*cloud.LatestBlobVersion("doc" + std::to_string(i)), 1u);
-  }
-  EXPECT_EQ(cloud.blob_store().versions_created(),
-            cloud.blob_store().tokens_applied());
+  EXPECT_EQ(cloud.blob_store().txn_replays(), 1u);
 }
 
 TEST(ChannelTest, NonTransientErrorsAreAnswersNotNetworkFailures) {
@@ -315,17 +295,19 @@ TEST(ChannelTest, DeadGoesDegradedThenRecovers) {
   // Every operation burns its deadline budget until the breaker trips
   // (3 consecutive op failures by default), then ops fail FAST.
   for (int i = 0; i < 3; ++i) {
-    auto r = channel.Put("blob", ToBytes("x"));
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
-        << r.status().ToString();
+    auto r = channel.CommitTxn(
+        Blind("alice|blob|x" + std::to_string(i), "blob", ToBytes("x")));
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+        << r.status.ToString();
   }
   EXPECT_TRUE(channel.degraded());
   EXPECT_EQ(channel.stats().breaker_opens, 1u);
   EXPECT_EQ(channel.stats().give_ups, 1u);
 
   const uint64_t attempts_before = channel.stats().attempts;
-  auto rejected = channel.Put("blob", ToBytes("x"));
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
+  auto rejected =
+      channel.CommitTxn(Blind("alice|blob|x3", "blob", ToBytes("x")));
+  EXPECT_EQ(rejected.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(channel.stats().attempts, attempts_before);  // O(1) fast fail.
   EXPECT_EQ(channel.stats().breaker_rejections, 1u);
 
@@ -333,43 +315,11 @@ TEST(ChannelTest, DeadGoesDegradedThenRecovers) {
   // half-open probe, which succeeds and closes the circuit.
   injector.ForceOutage(false);
   channel.WaitOutBreaker();
-  auto recovered = channel.Put("blob", ToBytes("back"));
-  ASSERT_TRUE(recovered.ok());
+  auto recovered =
+      channel.CommitTxn(Blind("alice|blob|back", "blob", ToBytes("back")));
+  ASSERT_TRUE(recovered.committed) << recovered.status.ToString();
   EXPECT_FALSE(channel.degraded());
   EXPECT_EQ(*cloud.blob_store().Get("blob"), ToBytes("back"));
-}
-
-TEST(ChannelTest, PartialBatchReportsPerItemTruth) {
-  CloudInfrastructure cloud;
-  // One torn first attempt, then a permanent outage: whatever the first
-  // attempt acked must be reported acked even though the op fails.
-  FaultDecision torn = At(1, NetOp::kPutBatch);
-  torn.item_seed = 4242;
-  torn.item_loss = 0.5;
-  auto injector = ReplayOf({torn});
-  cloud.set_fault_injector(injector.get());
-
-  ChannelOptions options;
-  options.op_deadline_us = 30000;
-  InProcessTransport transport(&cloud);
-  ResilientChannel channel(&transport, "alice", options);
-
-  std::vector<std::pair<std::string, Bytes>> items;
-  for (int i = 0; i < 8; ++i) {
-    items.emplace_back("doc" + std::to_string(i), ToBytes("p"));
-  }
-  auto first = channel.PutBatch(items);
-  ASSERT_TRUE(first.status.ok());  // Clean retries completed the batch.
-
-  injector->ForceOutage(true);
-  std::vector<std::pair<std::string, Bytes>> second;
-  for (int i = 0; i < 4; ++i) {
-    second.emplace_back("other" + std::to_string(i), ToBytes("q"));
-  }
-  auto failed = channel.PutBatch(second);
-  EXPECT_FALSE(failed.status.ok());
-  // Nothing could land during a full outage — per-item truth agrees.
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(failed.acked[i]);
 }
 
 // ---- One retry engine: every op against every attempt outcome ----
@@ -384,9 +334,6 @@ class ScriptedTransport final : public CloudTransport {
       : script_(std::move(script)) {}
 
   bool down = false;
-  /// Ack slots a batch reply carries beyond one per item (a malformed
-  /// reply when non-zero).
-  size_t extra_ack_slots = 0;
   /// Shape of an OK commit reply: honest (committed, one version per
   /// write), or one of the two malformed shapes.
   enum class CommitShape { kHonest, kOkButUncommitted, kShortVersions };
@@ -403,16 +350,6 @@ class ScriptedTransport final : public CloudTransport {
   SnapshotShape snapshot_shape = SnapshotShape::kHonest;
   std::vector<std::string> commit_tokens;  ///< Token of every CommitTxn.
 
-  BatchPutOutcome PutBlobBatch(
-      const std::vector<std::pair<std::string, Bytes>>& items,
-      const std::vector<std::string>& /*tokens*/) override {
-    BatchPutOutcome out;
-    out.status = Next();
-    const size_t slots = items.size() + extra_ack_slots;
-    out.versions.assign(slots, out.status.ok() ? 1 : 0);
-    out.acked.assign(slots, out.status.ok() ? 1 : 0);
-    return out;
-  }
   Result<Bytes> GetBlob(const std::string& /*id*/,
                         uint32_t* /*delay_us*/) override {
     return Answer(Bytes{1});
@@ -487,8 +424,6 @@ TEST(ChannelTest, OneClassificationRuleForEveryOp) {
     Status (*run)(ResilientChannel& channel);
   };
   const Op kOps[] = {
-      {"PutBatch",
-       [](ResilientChannel& c) { return c.PutBatch({{"b", Bytes{1}}}).status; }},
       {"Get", [](ResilientChannel& c) { return c.Get("b").status(); }},
       {"GetSnapshot",
        [](ResilientChannel& c) { return c.GetSnapshot().status(); }},
@@ -569,21 +504,6 @@ TEST(ChannelTest, OneClassificationRuleForEveryOp) {
                 row.denied);
     }
   }
-}
-
-TEST(ChannelTest, MalformedBatchReplyAcksNothing) {
-  // An untrusted provider answers OK with more ack slots than items: none
-  // of them is taken as an ack, and the batch retries to its deadline.
-  ScriptedTransport transport({StatusCode::kOk});
-  transport.extra_ack_slots = 1;
-  ChannelOptions options;
-  options.op_deadline_us = 20000;
-  ResilientChannel channel(&transport, "alice", options);
-  auto outcome = channel.PutBatch({{"a", Bytes{1}}, {"b", Bytes{2}}});
-  EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded)
-      << outcome.status.ToString();
-  EXPECT_EQ(outcome.acked, (std::vector<uint8_t>{0, 0}));
-  EXPECT_GT(channel.stats().retries, 0u);
 }
 
 TEST(ChannelTest, MalformedCommitReplyIsRetriedNotTakenAsCommit) {
@@ -685,22 +605,28 @@ TEST(IdempotencyPropertyTest, RandomRedeliveryHasExactlyOnceEffects) {
     uint64_t delivered_total = 0;
     std::map<std::string, uint64_t> version_of_token;
     for (int w : delivery_order) {
-      auto versions = store.PutBatchIdempotent(
-          {{writes[w].blob, writes[w].payload}}, {writes[w].token});
+      // Each delivery is the cell's store: a blind single-write commit.
+      cloud::TxnOutcome outcome = store.CommitTxn(
+          Blind(writes[w].token, writes[w].blob, writes[w].payload));
       ++delivered_total;
+      ASSERT_TRUE(outcome.committed) << "seed " << seed;
+      ASSERT_EQ(outcome.versions.size(), 1u) << "seed " << seed;
       auto seen = version_of_token.find(writes[w].token);
       if (seen == version_of_token.end()) {
-        version_of_token[writes[w].token] = versions[0];
+        EXPECT_FALSE(outcome.replayed) << "seed " << seed;
+        version_of_token[writes[w].token] = outcome.versions[0];
       } else {
         // Re-delivery: answered with the original version, no new effect.
-        EXPECT_EQ(versions[0], seen->second) << "seed " << seed;
+        EXPECT_TRUE(outcome.replayed) << "seed " << seed;
+        EXPECT_EQ(outcome.versions[0], seen->second) << "seed " << seed;
       }
     }
 
     uint64_t unique_delivered = version_of_token.size();
-    EXPECT_EQ(store.tokens_applied(), unique_delivered) << "seed " << seed;
+    EXPECT_EQ(store.txn_writes_applied(), unique_delivered)
+        << "seed " << seed;
     EXPECT_EQ(store.versions_created(), unique_delivered) << "seed " << seed;
-    EXPECT_EQ(store.token_dedupe_hits(), delivered_total - unique_delivered)
+    EXPECT_EQ(store.txn_replays(), delivered_total - unique_delivered)
         << "seed " << seed;
   }
 }

@@ -44,6 +44,15 @@ using cloud::NetworkFaultInjector;
 using fleet::FleetOptions;
 using fleet::FleetReport;
 
+/// A cell's store: one blind single-write commit under `token`.
+cloud::TxnRequest Blind(const std::string& token, const std::string& id,
+                        const Bytes& data) {
+  cloud::TxnRequest req;
+  req.token = token;
+  req.writes.push_back({id, data, cloud::kBaseVersionAny});
+  return req;
+}
+
 #define SKIP_IF_WIRE_LEG_IMPOSSIBLE()                           \
   do {                                                          \
     if (const char* reason = rpc::WireHarness::SkipReason()) {  \
@@ -262,8 +271,9 @@ TEST(RetryBudgetTest, ChannelCapsOutageAmplification) {
 
   const size_t kOps = 20;
   for (size_t i = 0; i < kOps; ++i) {
-    auto put = channel.Put("budget/doc", Bytes{1, 2, 3});
-    EXPECT_FALSE(put.ok());
+    auto put = channel.CommitTxn(
+        Blind("budget/w" + std::to_string(i), "budget/doc", Bytes{1, 2, 3}));
+    EXPECT_FALSE(put.committed);
   }
   const auto& stats = channel.stats();
   EXPECT_LE(stats.retries, 3u);
@@ -385,7 +395,7 @@ TEST(OverloadWireTest, HeaderCarriesBudgetCriticalityAndPushback) {
   for (Criticality criticality : {Criticality::kNormal, Criticality::kCritical,
                                   Criticality::kBackground}) {
     rpc::FrameHeader h;
-    h.op = rpc::RpcOp::kPutBlobBatch;
+    h.op = rpc::RpcOp::kCommitTxn;
     h.request_id = 42;
     h.budget_us = 125'000;
     h.set_criticality(criticality);
@@ -448,8 +458,6 @@ TEST(OverloadWireTest, ResourceExhaustedStatusRoundTripsEveryCodec) {
     }
   };
   const uint32_t delay_us = 0;
-  check(rpc::RpcOp::kPutBlobBatch,
-        cloud::CloudInfrastructure::BatchPutOutcome());
   check(rpc::RpcOp::kGetBlob, Result<Bytes>(Bytes()), delay_us);
   check(rpc::RpcOp::kGetSnapshot,
         Result<cloud::SnapshotDescriptor>(cloud::SnapshotDescriptor()),
@@ -481,29 +489,9 @@ OverloadContext ExpiredContext() {
   return ctx;
 }
 
-TEST(ShedBeforeExecuteTest, ExpiredPutNeverTouchesBlobStore) {
-  CloudInfrastructure cloud;
-  {
-    ScopedOverloadContext scope(ExpiredContext());
-    auto outcome = cloud.PutBlobBatchRpc({{"dead/doc", Bytes{1, 2, 3}}},
-                                         {"dead/token"});
-    EXPECT_TRUE(outcome.status.IsDeadlineExceeded())
-        << outcome.status.ToString();
-  }
-  // The shed happened BEFORE the store: no blob, no version, no token.
-  EXPECT_TRUE(cloud.blob_store().Get("dead/doc").status().IsNotFound());
-  EXPECT_EQ(cloud.blob_store().versions_created(), 0u);
-  // The same token later executes fresh — nothing was recorded for it.
-  auto retry = cloud.PutBlobBatchRpc({{"dead/doc", Bytes{1, 2, 3}}},
-                                     {"dead/token"});
-  EXPECT_TRUE(retry.status.ok()) << retry.status.ToString();
-  EXPECT_EQ(cloud.blob_store().token_dedupe_hits(), 0u);
-}
-
 TEST(ShedBeforeExecuteTest, ExpiredGetIsShedBeforeTheStore) {
   CloudInfrastructure cloud;
-  ASSERT_TRUE(
-      cloud.PutBlobBatchRpc({{"doc/x", Bytes{7}}}, {"tok/x"}).status.ok());
+  ASSERT_TRUE(cloud.CommitTxnRpc(Blind("tok/x", "doc/x", Bytes{7})).committed);
   ScopedOverloadContext scope(ExpiredContext());
   auto got = cloud.GetBlobRpc("doc/x");
   EXPECT_TRUE(got.status().IsDeadlineExceeded()) << got.status().ToString();
@@ -540,7 +528,7 @@ TEST(ShedBeforeExecuteTest, AdmissionRejectionCarriesHintAndSparesScrapes) {
   ASSERT_TRUE(admission.TryAcquire(Criticality::kNormal));
 
   (void)TakeRetryAfterHint();  // Clear any stale hint.
-  auto outcome = cloud.PutBlobBatchRpc({{"full/doc", Bytes{1}}}, {"tok/full"});
+  auto outcome = cloud.CommitTxnRpc(Blind("tok/full", "full/doc", Bytes{1}));
   EXPECT_TRUE(outcome.status.IsResourceExhausted())
       << outcome.status.ToString();
   EXPECT_TRUE(outcome.status.IsTransient());  // Retryable upstream.
@@ -601,7 +589,7 @@ TEST_F(RpcOverloadSocketTest, ProviderGateRejectionPushesBackAndPingBypasses) {
 
   std::thread hog([&] {
     // Holds the single admission slot for ~50ms of real execution.
-    (void)saturator.PutBlobBatch({{"hog/doc", Bytes{1}}}, {"tok/hog"});
+    (void)saturator.CommitTxn(Blind("tok/hog", "hog/doc", Bytes{1}));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
@@ -653,7 +641,7 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   ASSERT_GE(hog_transport.pool().Warmup(), 1u);
 
   std::thread hog([&] {
-    (void)hog_transport.PutBlobBatch({{"hog/doc", Bytes{1}}}, {"tok/hog"});
+    (void)hog_transport.CommitTxn(Blind("tok/hog", "hog/doc", Bytes{1}));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
@@ -665,7 +653,7 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
     ctx.budget_us = 5000;
     ScopedOverloadContext scope(ctx);
     auto outcome =
-        victim.PutBlobBatch({{"victim/doc", Bytes{9}}}, {"tok/victim"});
+        victim.CommitTxn(Blind("tok/victim", "victim/doc", Bytes{9}));
     victim_status = outcome.status;
   }
   EXPECT_TRUE(victim_status.IsDeadlineExceeded()) << victim_status.ToString();
@@ -687,7 +675,7 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   // engaged — adaptive admission at the provider, deadline propagation,
   // retry budgets in every channel. The invariants that must survive the
   // shedding: zero acked-write loss, exactly-once tokens (versions ==
-  // tokens + txn writes applied), full convergence after the drain.
+  // txn writes applied), full convergence after the drain.
   SKIP_IF_WIRE_LEG_IMPOSSIBLE();
   CloudInfrastructure cloud;
   NetworkFaultConfig config = NetworkFaultConfig::Lossy(0.25, 42);
@@ -703,7 +691,7 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   options.cells = 16;
   options.threads = 8;
   options.rounds_per_cell = 8;
-  options.put_batch = 4;
+  options.writes_per_round = 4;
   options.gets_per_round = 2;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
@@ -726,8 +714,7 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   }
   EXPECT_TRUE(report->converged);
   EXPECT_EQ(cloud.blob_store().versions_created(),
-            cloud.blob_store().tokens_applied() +
-                cloud.blob_store().txn_writes_applied())
+            cloud.blob_store().txn_writes_applied())
       << "duplicate side-effects under shedding";
 
   // Bounded recovery: the spike is over; a fresh client's first op clears
@@ -736,8 +723,9 @@ TEST(OverloadChaosTest, FleetSurvivesOverloadWithFullPlaneOn) {
   net::InProcessTransport after_transport(&cloud);
   net::ResilientChannel after(&after_transport, "after-spike",
                               net::ChannelOptions{});
-  auto put = after.Put("recovery/doc", Bytes{1, 2, 3});
-  EXPECT_TRUE(put.ok()) << put.status().ToString();
+  auto put = after.CommitTxn(
+      Blind("after-spike/w1", "recovery/doc", Bytes{1, 2, 3}));
+  EXPECT_TRUE(put.committed) << put.status.ToString();
   EXPECT_EQ(after.stats().retries, 0u);
   cloud.set_admission_controller(nullptr);
 }
@@ -802,8 +790,7 @@ TEST(OverloadChaosTest, ShedTxnsStayExactlyOnceUnderAdmissionPressure) {
   }
   // Exactly-once through the shedding.
   EXPECT_EQ(cloud.blob_store().versions_created(),
-            cloud.blob_store().tokens_applied() +
-                cloud.blob_store().txn_writes_applied());
+            cloud.blob_store().txn_writes_applied());
 
   // Bounded recovery: pressure off, a fresh commit clears on the first
   // attempt — shedding left no retry storm or poisoned limiter behind.

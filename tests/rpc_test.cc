@@ -26,6 +26,7 @@
 
 #include "tc/cloud/fault_injector.h"
 #include "tc/cloud/infrastructure.h"
+#include "tc/cloud/txn.h"
 #include "tc/common/rng.h"
 #include "tc/fleet/fleet.h"
 #include "tc/net/channel.h"
@@ -41,6 +42,15 @@ namespace {
 
 using cloud::CloudInfrastructure;
 
+/// A cell's store: one blind single-write commit under `token`.
+cloud::TxnRequest Blind(const std::string& token, const std::string& id,
+                        const Bytes& data) {
+  cloud::TxnRequest req;
+  req.token = token;
+  req.writes.push_back({id, data, cloud::kBaseVersionAny});
+  return req;
+}
+
 #define SKIP_WITHOUT_LOOPBACK()                                           \
   do {                                                                    \
     if (!RpcServer::LoopbackAvailable()) {                                \
@@ -54,9 +64,13 @@ using cloud::CloudInfrastructure;
 // ---------------------------------------------------------------------------
 
 TEST(WireFrameTest, HeaderRoundTripsEveryOp) {
-  for (uint8_t op = 0; op <= static_cast<uint8_t>(RpcOp::kCommitTxn); ++op) {
+  for (RpcOp rpc_op :
+       {RpcOp::kPing, RpcOp::kGetBlob, RpcOp::kGetSnapshot,
+        RpcOp::kGetAtSnapshot, RpcOp::kCommitTxn, RpcOp::kReportTelemetry,
+        RpcOp::kScrapeTelemetry}) {
+    const uint8_t op = static_cast<uint8_t>(rpc_op);
     FrameHeader h;
-    h.op = static_cast<RpcOp>(op);
+    h.op = rpc_op;
     h.flags = (op % 2) ? kFlagResponse : 0;
     h.request_id = 0x1122334455667788ULL + op;
     h.trace.trace_id = 0xdeadbeefcafef00dULL;
@@ -103,6 +117,16 @@ TEST(WireFrameTest, RejectsBadMagicVersionOpAndOversize) {
   EXPECT_EQ(DecodeFrameHeader(bad_op.data(), bad_op.size()).status().code(),
             StatusCode::kCorruption);
 
+  // Op 1, the retired put_blob_batch, is never reused: a header naming it
+  // is as malformed as one naming an op that never existed.
+  EXPECT_FALSE(RpcOpKnown(1));
+  Bytes retired_op = good;
+  retired_op[6] = 1;
+  EXPECT_EQ(DecodeFrameHeader(retired_op.data(), retired_op.size())
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
   Bytes oversize = good;
   // payload_size lives at offset 40 (little-endian u32): ask for 4 GiB.
   oversize[40] = oversize[41] = oversize[42] = oversize[43] = 0xff;
@@ -133,52 +157,6 @@ cloud::SnapshotDescriptor RandomSnapshot(Rng& rng) {
     snap.shard_high.push_back(rng.NextU64() % 100000);
   }
   return snap;
-}
-
-TEST(WireCodecTest, PutBatchRoundTrip) {
-  Rng rng(1);
-  for (int iter = 0; iter < 50; ++iter) {
-    std::vector<std::pair<std::string, Bytes>> items;
-    std::vector<std::string> tokens;
-    size_t n = rng.NextU64() % 6;  // Includes the empty batch.
-    for (size_t i = 0; i < n; ++i) {
-      items.emplace_back("blob" + std::to_string(rng.NextU64() % 100),
-                         RandomPayload(rng, rng.NextU64() % 2048));
-      tokens.push_back("tok/" + std::to_string(i));
-    }
-    if (iter % 3 == 0) tokens.clear();  // Tokenless batches are legal.
-    std::vector<std::pair<std::string, Bytes>> decoded_items;
-    std::vector<std::string> decoded_tokens;
-    Status decoded =
-        Decode(Encode(items, tokens), &decoded_items, &decoded_tokens);
-    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
-    EXPECT_EQ(decoded_items, items);
-    EXPECT_EQ(decoded_tokens, tokens);
-  }
-}
-
-TEST(WireCodecTest, PutBatchResponseRoundTripIncludingPartialAndErrors) {
-  Rng rng(2);
-  for (int iter = 0; iter < 50; ++iter) {
-    CloudInfrastructure::BatchPutOutcome out;
-    size_t n = rng.NextU64() % 5;
-    for (size_t i = 0; i < n; ++i) {
-      bool acked = rng.NextU64() % 2;
-      out.acked.push_back(acked ? 1 : 0);
-      out.versions.push_back(acked ? 1 + rng.NextU64() % 50 : 0);
-    }
-    if (iter % 2) out.status = Status::Unavailable("torn batch");
-    out.delay_us = static_cast<uint32_t>(rng.NextU64());
-    out.fault_ordinal = rng.NextU64();
-    CloudInfrastructure::BatchPutOutcome decoded_out;
-    Status decoded = Decode(Encode(out), &decoded_out);
-    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
-    EXPECT_EQ(decoded_out.status, out.status);
-    EXPECT_EQ(decoded_out.versions, out.versions);
-    EXPECT_EQ(decoded_out.acked, out.acked);
-    EXPECT_EQ(decoded_out.delay_us, out.delay_us);
-    EXPECT_EQ(decoded_out.fault_ordinal, out.fault_ordinal);
-  }
 }
 
 TEST(WireCodecTest, GetBlobRoundTripEmptyAndLarge) {
@@ -347,20 +325,10 @@ std::string Hex(const Bytes& bytes) {
 // payloads its SocketTransport sent. Matching it proves the codec left
 // every byte on the wire unchanged.
 std::vector<PayloadCase> EveryPayload() {
-  const std::vector<std::pair<std::string, Bytes>> items = {
-      {"doc/a", Bytes{1, 2, 3}}, {"doc/b", Bytes{}}};
-  const std::vector<std::string> tokens = {"tok/a", "tok/b"};
   cloud::SnapshotDescriptor snap;
   snap.base_seq = 5;
   snap.extra_seqs = {7, 9};
   snap.shard_high = {5, 9, 3};
-
-  CloudInfrastructure::BatchPutOutcome put_out;
-  put_out.status = Status::Unavailable("torn batch");
-  put_out.versions = {7, 0};
-  put_out.acked = {1, 0};
-  put_out.delay_us = 250;
-  put_out.fault_ordinal = 9;
 
   const Result<Bytes> blob = Bytes{0xde, 0xad};
   const Result<Bytes> blob_missing = Status::NotFound("no blob");
@@ -396,8 +364,6 @@ std::vector<PayloadCase> EveryPayload() {
     return EncodeStatusOnlyResponse(op, shed);
   };
 
-  const auto put_request = DecoderOf(items, tokens);
-  const auto put_reply = DecoderOf(put_out);
   const auto get_request = DecoderOf(std::string());
   const auto get_reply = DecoderOf(blob, uint32_t{0});
   const auto no_fields = DecoderOf();
@@ -411,13 +377,6 @@ std::vector<PayloadCase> EveryPayload() {
   const auto report_reply = DecoderOf(report, uint32_t{0});
   const auto scrape_reply = DecoderOf(json, uint32_t{0});
   return {
-      {"put_blob_batch request", Encode(items, tokens), put_request,
-       "0205646f632f610301020305646f632f62000205746f6b2f6105746f6b2f62"},
-      {"put_blob_batch reply", Encode(put_out), put_reply,
-       "0c0a746f726e206261746368020700000000000000000000000000000002010"
-       "0fa0000000900000000000000"},
-      {"put_blob_batch status-only reply", shed_reply(RpcOp::kPutBlobBatch),
-       put_reply, "0704736865640000000000000000000000000000"},
       {"get_blob request", Encode(std::string("doc/a")), get_request,
        "05646f632f61"},
       {"get_blob reply", Encode(blob, uint32_t{17}), get_reply,
@@ -538,19 +497,20 @@ TEST_F(RpcSocketTest, FullRpcSurfaceRoundTripsTheWire) {
   auto server = StartServer(&cloud);
   SocketTransport transport("127.0.0.1", server->port());
 
-  // PutBlobBatch with tokens.
-  std::vector<std::pair<std::string, Bytes>> items = {
-      {"doc/a", Bytes{1, 2, 3}}, {"doc/b", Bytes{9, 8, 7, 6}}};
-  auto put = transport.PutBlobBatch(items, {"tok/a", "tok/b"});
-  ASSERT_TRUE(put.status.ok()) << put.status.ToString();
-  ASSERT_EQ(put.versions.size(), 2u);
-  EXPECT_EQ(put.versions[0], 1u);
-  EXPECT_EQ(put.acked, (std::vector<uint8_t>{1, 1}));
+  // Two stores: blind single-write commits under tokens.
+  const cloud::TxnRequest store_a = Blind("tok/a", "doc/a", Bytes{1, 2, 3});
+  auto put = transport.CommitTxn(store_a);
+  ASSERT_TRUE(put.committed) << put.status.ToString();
+  EXPECT_EQ(put.versions, std::vector<uint64_t>{1});
+  auto put_b = transport.CommitTxn(Blind("tok/b", "doc/b", Bytes{9, 8, 7, 6}));
+  ASSERT_TRUE(put_b.committed) << put_b.status.ToString();
+  EXPECT_EQ(put_b.versions, std::vector<uint64_t>{1});
 
   // Token idempotency survives the wire: same token, same answer, no new
   // version.
-  auto replay = transport.PutBlobBatch(items, {"tok/a", "tok/b"});
-  ASSERT_TRUE(replay.status.ok());
+  auto replay = transport.CommitTxn(store_a);
+  ASSERT_TRUE(replay.committed);
+  EXPECT_TRUE(replay.replayed);
   EXPECT_EQ(replay.versions, put.versions);
   EXPECT_EQ(cloud.LatestBlobVersion("doc/a").value_or(0), 1u);
 
@@ -601,12 +561,12 @@ TEST_F(RpcSocketTest, ResilientChannelSpeaksSocketTransport) {
   net::ChannelOptions channel_options;
   net::ResilientChannel channel(&transport, "cellA", channel_options);
 
-  std::string token = "cellA|doc|v1";
-  auto v1 = channel.Put("cellA/doc", Bytes{1}, &token);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  auto v1_again = channel.Put("cellA/doc", Bytes{1}, &token);
-  ASSERT_TRUE(v1_again.ok());
-  EXPECT_EQ(v1.value(), v1_again.value());  // Exactly-once over the wire.
+  const cloud::TxnRequest store = Blind("cellA|doc|v1", "cellA/doc", Bytes{1});
+  auto v1 = channel.CommitTxn(store);
+  ASSERT_TRUE(v1.committed) << v1.status.ToString();
+  auto v1_again = channel.CommitTxn(store);
+  ASSERT_TRUE(v1_again.committed);
+  EXPECT_EQ(v1.versions, v1_again.versions);  // Exactly-once over the wire.
 
   auto data = channel.Get("cellA/doc");
   ASSERT_TRUE(data.ok());
@@ -626,8 +586,8 @@ TEST_F(RpcSocketTest, TraceContextPropagatesAcrossTheFrameHeader) {
   SocketTransport transport("127.0.0.1", server->port());
   {
     obs::ScopedTraceContext scoped(ctx);
-    auto put = transport.PutBlobBatch({{"t/doc", Bytes{1}}}, {"t/tok"});
-    ASSERT_TRUE(put.status.ok());
+    auto put = transport.CommitTxn(Blind("t/tok", "t/doc", Bytes{1}));
+    ASSERT_TRUE(put.committed) << put.status.ToString();
   }
   // The server restored the caller's context inside Dispatch; the blob
   // landing proves the request crossed with the header intact (the header
@@ -711,8 +671,8 @@ TEST_F(RpcSocketTest, MalformedFrameClosesConnectionCleanly) {
 
   // The server survived all three and still serves new connections.
   SocketTransport transport("127.0.0.1", server->port());
-  auto put = transport.PutBlobBatch({{"ok/doc", Bytes{1}}}, {"ok/tok"});
-  EXPECT_TRUE(put.status.ok()) << put.status.ToString();
+  auto put = transport.CommitTxn(Blind("ok/tok", "ok/doc", Bytes{1}));
+  EXPECT_TRUE(put.committed) << put.status.ToString();
   EXPECT_GE(server->stats().malformed, 3u);
   EXPECT_GE(server->stats().version_mismatch, 1u);
 }
@@ -733,6 +693,33 @@ TEST_F(RpcSocketTest, RequestCarryingBytesItsOpHasNoFieldForClosesConnection) {
   EXPECT_TRUE(SendThenExpectEof(fd, frame));
   ::close(fd);
   EXPECT_EQ(server->stats().malformed, malformed_before + 1);
+}
+
+TEST_F(RpcSocketTest, RetiredPutBatchOpClosesConnection) {
+  // Op 1 was put_blob_batch. A frame naming it, carrying what was once a
+  // well-formed request for it, is malformed: the server closes the
+  // connection and stores nothing.
+  CloudInfrastructure cloud;
+  auto server = StartServer(&cloud);
+  int fd = ConnectTo(server->port());
+  ASSERT_GE(fd, 0);
+  const Bytes body =
+      Encode(std::vector<std::pair<std::string, Bytes>>{{"old/doc", Bytes{1}}},
+             std::vector<std::string>{"old/tok"});
+  FrameHeader h;
+  h.payload_size = static_cast<uint32_t>(body.size());
+  Bytes frame = EncodeFrameHeader(h);
+  frame[6] = 1;  // The op byte.
+  frame.insert(frame.end(), body.begin(), body.end());
+  obs::Counter& malformed =
+      obs::MetricRegistry::Global().GetCounter("rpc.server.malformed");
+  const uint64_t malformed_before = malformed.Value();
+  const uint64_t stats_before = server->stats().malformed;
+  EXPECT_TRUE(SendThenExpectEof(fd, frame));
+  ::close(fd);
+  EXPECT_EQ(malformed.Value(), malformed_before + 1);
+  EXPECT_EQ(server->stats().malformed, stats_before + 1);
+  EXPECT_FALSE(cloud.BlobExists("old/doc"));
 }
 
 TEST_F(RpcSocketTest, ReplyNamingAnotherOpFailsTheCall) {
@@ -807,10 +794,10 @@ TEST_F(RpcSocketTest, GracefulShutdownWithInFlightRequestsAcksOrAborts) {
   callers.reserve(kCalls);
   for (int i = 0; i < kCalls; ++i) {
     callers.emplace_back([&, i] {
-      auto put = transport.PutBlobBatch(
-          {{"doc" + std::to_string(i), Bytes{static_cast<uint8_t>(i)}}},
-          {"tok" + std::to_string(i)});
-      if (put.status.ok()) {
+      auto put = transport.CommitTxn(Blind("tok" + std::to_string(i),
+                                           "doc" + std::to_string(i),
+                                           Bytes{static_cast<uint8_t>(i)}));
+      if (put.committed) {
         acked.fetch_add(1);
       } else {
         // Aborted-by-shutdown: transport-level kUnavailable, never a
@@ -844,14 +831,16 @@ TEST_F(RpcSocketTest, ClientReconnectsAfterServerRestartWithoutDuplicates) {
   pool_options.connections = 1;
   SocketTransport transport("127.0.0.1", port, pool_options);
 
-  auto put = transport.PutBlobBatch({{"r/doc", Bytes{1}}}, {"r/tok1"});
-  ASSERT_TRUE(put.status.ok());
+  auto put = transport.CommitTxn(Blind("r/tok1", "r/doc", Bytes{1}));
+  ASSERT_TRUE(put.committed) << put.status.ToString();
   ASSERT_EQ(put.versions[0], 1u);
 
   // Server restart (same provider state, same port — the cell outbox
   // scenario: provider process bounced, storage survived).
   server->Shutdown();
-  auto lost = transport.PutBlobBatch({{"r/doc", Bytes{2}}}, {"r/tok2"});
+  const cloud::TxnRequest second = Blind("r/tok2", "r/doc", Bytes{2});
+  auto lost = transport.CommitTxn(second);
+  EXPECT_FALSE(lost.committed);
   EXPECT_TRUE(lost.status.IsTransient() || lost.status.IsDeadlineExceeded())
       << lost.status.ToString();
 
@@ -863,11 +852,12 @@ TEST_F(RpcSocketTest, ClientReconnectsAfterServerRestartWithoutDuplicates) {
   // The client lazily reconnects; the outbox-style retry re-sends under
   // the ORIGINAL token, so even if the pre-restart attempt had landed,
   // the token table dedupes: no duplicate versions.
-  auto drained = transport.PutBlobBatch({{"r/doc", Bytes{2}}}, {"r/tok2"});
-  ASSERT_TRUE(drained.status.ok()) << drained.status.ToString();
+  auto drained = transport.CommitTxn(second);
+  ASSERT_TRUE(drained.committed) << drained.status.ToString();
   EXPECT_EQ(drained.versions[0], 2u);
-  auto replay = transport.PutBlobBatch({{"r/doc", Bytes{2}}}, {"r/tok2"});
-  ASSERT_TRUE(replay.status.ok());
+  auto replay = transport.CommitTxn(second);
+  ASSERT_TRUE(replay.committed);
+  EXPECT_TRUE(replay.replayed);
   EXPECT_EQ(replay.versions[0], 2u);  // Same token -> same version.
   EXPECT_EQ(cloud.LatestBlobVersion("r/doc").value_or(0), 2u);
 }
@@ -946,10 +936,10 @@ TEST_F(RpcSocketTest, PoolExhaustionReturnsUnavailableNotDeadlock) {
   std::vector<std::thread> callers;
   for (int i = 0; i < kCalls; ++i) {
     callers.emplace_back([&, i] {
-      auto put = transport.PutBlobBatch(
-          {{"x/doc" + std::to_string(i), Bytes{1}}},
-          {"x/tok" + std::to_string(i)});
-      if (put.status.ok()) {
+      auto put = transport.CommitTxn(Blind("x/tok" + std::to_string(i),
+                                           "x/doc" + std::to_string(i),
+                                           Bytes{1}));
+      if (put.committed) {
         ok.fetch_add(1);
       } else {
         ASSERT_EQ(put.status.code(), StatusCode::kUnavailable)
@@ -972,7 +962,7 @@ TEST_F(RpcSocketTest, ClientDeadlineExceededOnSlowServer) {
   RpcClientPool::Options pool_options;
   pool_options.request_timeout_ms = 20;  // Far below the op latency.
   SocketTransport transport("127.0.0.1", server->port(), pool_options);
-  auto put = transport.PutBlobBatch({{"d/doc", Bytes{1}}}, {"d/tok"});
+  auto put = transport.CommitTxn(Blind("d/tok", "d/doc", Bytes{1}));
   EXPECT_EQ(put.status.code(), StatusCode::kDeadlineExceeded)
       << put.status.ToString();
 }
@@ -1003,7 +993,7 @@ TEST_F(RpcSocketTest, FleetChaosSweepOverRealSocketsLosesNoAckedWrite) {
   options.threads = 3;
   options.rounds_per_cell = 8;
   options.docs_per_cell = 4;
-  options.put_batch = 2;
+  options.writes_per_round = 2;
   options.gets_per_round = 2;
   options.payload_bytes = 64;
   options.send_prob = 0.0;

@@ -213,7 +213,7 @@ TelemetryFrame SampleFrame() {
   r.GetGauge(obs::kDegradedGaugeName).Set(1);
   r.GetGauge("negative").Set(-123456);
   for (uint64_t v : {0ull, 1ull, 7ull, 900ull, 1ull << 20, ~0ull >> 3}) {
-    r.GetHistogram("tcell.put_batch_us").Record(v);
+    r.GetHistogram("tcell.write_us").Record(v);
   }
   TelemetryFrame frame;
   frame.source = "fleet/cell3";
@@ -580,7 +580,7 @@ void RunTelemetryChaos(size_t cells, double rate, uint64_t seed) {
   options.cells = cells;
   options.threads = 8;
   options.rounds_per_cell = 8;
-  options.put_batch = 2;
+  options.writes_per_round = 2;
   options.gets_per_round = 2;
   options.docs_per_cell = 8;
   options.payload_bytes = 64;
@@ -638,6 +638,11 @@ void RunTelemetryChaos(size_t cells, double rate, uint64_t seed) {
   const TelemetryHub::Stats stats = hub.stats();
   EXPECT_EQ(stats.applied, report->telemetry_frames) << label;
   EXPECT_EQ(stats.decode_errors, 0u) << label;
+  // The fleet's writes beside the frames: every version is a committed txn
+  // write, never a duplicate.
+  EXPECT_EQ(cloud.blob_store().versions_created(),
+            cloud.blob_store().txn_writes_applied())
+      << label;
   // Settled fleet: no cell still degraded, no outbox backlog.
   auto degraded = fleet.gauges.find(obs::kDegradedGaugeName);
   if (degraded != fleet.gauges.end()) {

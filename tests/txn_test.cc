@@ -126,8 +126,7 @@ TEST(BlobStoreTxnTest, MultiKeyCommitIsAtomicUnderOneSequence) {
 
   EXPECT_EQ(store.txns_committed(), 1u);
   EXPECT_EQ(store.txn_writes_applied(), 2u);
-  EXPECT_EQ(store.versions_created(),
-            store.tokens_applied() + store.txn_writes_applied());
+  EXPECT_EQ(store.versions_created(), store.txn_writes_applied());
 }
 
 TEST(BlobStoreTxnTest, FirstCommitterWinsAndAbortedTokenMayCommitLater) {
@@ -456,8 +455,7 @@ TEST(ChannelTxnTest, LossyNetworkCommitsExactlyOncePerToken) {
             static_cast<uint64_t>(kRounds));
   EXPECT_EQ(channel.stats().txns_committed, static_cast<uint64_t>(kRounds));
   const BlobStore& store = cloud.blob_store();
-  EXPECT_EQ(store.versions_created(),
-            store.tokens_applied() + store.txn_writes_applied());
+  EXPECT_EQ(store.versions_created(), store.txn_writes_applied());
   EXPECT_GT(injector.stats().faults(), 0u);
 }
 
@@ -523,8 +521,7 @@ class CellTxnTest : public ::testing::Test {
   /// token and every transaction write is counted by the txn engine.
   void ExpectStoreInvariant() {
     const BlobStore& store = cloud_.blob_store();
-    EXPECT_EQ(store.versions_created(),
-              store.tokens_applied() + store.txn_writes_applied());
+    EXPECT_EQ(store.versions_created(), store.txn_writes_applied());
   }
 
   SimulatedClock clock_;
@@ -668,8 +665,7 @@ TEST(FleetTxnTest, ContendedCountersCommitExactlyAndSerializably) {
       << violations.size() << " violations; first: " << violations.front();
 
   const BlobStore& store = cloud.blob_store();
-  EXPECT_EQ(store.versions_created(),
-            store.tokens_applied() + store.txn_writes_applied());
+  EXPECT_EQ(store.versions_created(), store.txn_writes_applied());
 }
 
 // ---------------------------------------------------------------------------
@@ -831,8 +827,7 @@ TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
 
   const BlobStore& blob_store = cloud.blob_store();
   EXPECT_EQ(blob_store.txn_replays(), 1u);
-  EXPECT_EQ(blob_store.versions_created(),
-            blob_store.tokens_applied() + blob_store.txn_writes_applied());
+  EXPECT_EQ(blob_store.versions_created(), blob_store.txn_writes_applied());
 }
 
 }  // namespace
