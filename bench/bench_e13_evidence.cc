@@ -34,14 +34,13 @@ double UsSince(std::chrono::steady_clock::time_point t0) {
          1e6;
 }
 
-policy::AuditEntry Entry(int i) {
-  return policy::AuditEntry{0,
-                            1000 + i,
-                            "subject-" + std::to_string(i % 7),
-                            "read",
-                            "doc-" + std::to_string(i % 50),
-                            i % 3 != 0,
-                            "rule"};
+obs::AuditRecord Entry(int i) {
+  return {.time = 1000 + i,
+          .subject = "subject-" + std::to_string(i % 7),
+          .action = "read",
+          .object = "doc-" + std::to_string(i % 50),
+          .allowed = i % 3 != 0,
+          .detail = "rule"};
 }
 
 }  // namespace
@@ -66,7 +65,7 @@ int main() {
     policy::AuditLog log(&tee, "audit");
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < records; ++i) {
-      TC_CHECK(log.Append(Entry(i)).ok());
+      TC_CHECK(log.journal().Append(Entry(i)).ok());
     }
     double append_us = UsSince(t0) / records;
 

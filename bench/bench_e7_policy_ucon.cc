@@ -94,9 +94,13 @@ int main() {
     const int kEntries = 5000;
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kEntries; ++i) {
-      TC_CHECK(log.Append(policy::AuditEntry{0, i, "bob", "read",
-                                             "doc-" + std::to_string(i % 50),
-                                             true, "rule"})
+      TC_CHECK(log.journal()
+                   .Append({.time = i,
+                            .subject = "bob",
+                            .action = "read",
+                            .object = "doc-" + std::to_string(i % 50),
+                            .allowed = true,
+                            .detail = "rule"})
                    .ok());
     }
     double append_us = UsSince(t0) / kEntries;

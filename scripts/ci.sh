@@ -2,7 +2,7 @@
 # The tier-1 verify, end to end (cited by ROADMAP.md):
 #
 #   1. configure + build the default tree;
-#   2. run the full ctest suite once: all 37 registrations, including the
+#   2. run the full ctest suite once: all 38 registrations, including the
 #      wire legs (the chaos/txn/telemetry/overload suites rerun with
 #      TC_TRANSPORT=socket over real loopback TCP; where loopback sockets
 #      are unavailable they GTEST_SKIP with a printed reason), the
@@ -31,10 +31,11 @@
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   9. build rpc_test, crypto_test and tee_test under the asan-ubsan preset
-#      into build-asan/ and run them with leak checking: the wire codec's
-#      truncation and byte-flip sweeps, and the AEAD's seal and open, which
-#      read and write through raw pointers into one buffer, claim "no
+#   9. build rpc_test, codec_test, crypto_test and tee_test under the
+#      asan-ubsan preset into build-asan/ and run them with leak checking:
+#      the wire codec's and every stored or sent record's truncation,
+#      byte-flip and trailing-byte sweeps, and the AEAD's seal and open,
+#      which read and write through raw pointers into one buffer, claim "no
 #      over-read", and only AddressSanitizer enforces that (the build takes
 #      a few minutes, the runs about a second each);
 #  10. check no generated build*/ tree is tracked or staged;
@@ -65,8 +66,8 @@ cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_te
 (cd build-cellbench && ctest --output-on-failure)
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" \
-  --target rpc_test crypto_test tee_test
-for t in rpc_test crypto_test tee_test; do
+  --target rpc_test codec_test crypto_test tee_test
+for t in rpc_test codec_test crypto_test tee_test; do
   ASAN_OPTIONS=detect_leaks=1 "build-asan/tests/$t" --gtest_brief=1
 done
 scripts/check_tree_clean.sh

@@ -12,48 +12,29 @@
 #include "tc/obs/trace.h"
 
 namespace tc::cell {
+
+using namespace std::string_literals;
+
 namespace {
 
-/// Serialized DocumentMeta (+ its keyword-index number).
-Bytes EncodeMeta(const DocumentMeta& meta, uint64_t number) {
-  BinaryWriter w;
-  w.PutU64(number);
-  w.PutString(meta.doc_id);
-  w.PutString(meta.title);
-  w.PutString(meta.keywords);
-  w.PutString(meta.origin_owner);
-  w.PutString(meta.origin_cell);
-  w.PutU64(meta.version);
-  w.PutU64(meta.size);
-  w.PutI64(meta.created);
-  w.PutBytes(meta.policy_envelope);
-  w.PutString(meta.blob_id);
-  w.PutString(meta.key_name);
-  w.PutBool(meta.pending_approval);
-  return w.Take();
-}
-
-Result<std::pair<DocumentMeta, uint64_t>> DecodeMeta(const Bytes& data) {
-  BinaryReader r(data);
-  DocumentMeta meta;
-  TC_ASSIGN_OR_RETURN(uint64_t number, r.GetU64());
-  TC_ASSIGN_OR_RETURN(meta.doc_id, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.title, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.keywords, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.origin_owner, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.origin_cell, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.version, r.GetU64());
-  TC_ASSIGN_OR_RETURN(uint64_t size, r.GetU64());
-  meta.size = size;
-  TC_ASSIGN_OR_RETURN(meta.created, r.GetI64());
-  TC_ASSIGN_OR_RETURN(meta.policy_envelope, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(meta.blob_id, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.key_name, r.GetString());
-  TC_ASSIGN_OR_RETURN(meta.pending_approval, r.GetBool());
-  return std::make_pair(std::move(meta), number);
-}
-
 std::string MetaKey(const std::string& doc_id) { return "x/doc/" + doc_id; }
+
+/// Which cell a pending document's approval was asked of: a record of the
+/// proposer's own, so the meta keeps its bytes.
+std::string ApprovalKey(const std::string& doc_id) {
+  return "x/approval/" + doc_id;
+}
+
+/// What the asked cell signs: its verdict on one proposer's document.
+Bytes ApprovalPayload(const std::string& proposer_cell,
+                      const std::string& doc_id, bool approve) {
+  return Encode("tc.approval.v1"s, proposer_cell, doc_id, approve);
+}
+
+/// The associated data of a sealed manifest body.
+Bytes ManifestAad(const std::string& owner, uint64_t version) {
+  return Encode("tc.manifest"s, owner, version);
+}
 
 /// What the keyword index holds a document under.
 std::string IndexedText(const DocumentMeta& meta) {
@@ -90,52 +71,44 @@ storage::FlashGeometry DefaultGeometry(const tee::DeviceProfile& profile) {
 
 }  // namespace
 
+// --------------------------------------------------------- DocumentMeta
+
+void Put(BinaryWriter& w, const DocumentMeta& v) {
+  PutFields(w, v.doc_id, v.title, v.keywords, v.origin_owner, v.origin_cell,
+            v.version, v.size, v.created, v.policy_envelope, v.blob_id,
+            v.key_name, v.pending_approval);
+}
+
+Status Get(BinaryReader& r, DocumentMeta* v) {
+  return GetFields(r, &v->doc_id, &v->title, &v->keywords, &v->origin_owner,
+                   &v->origin_cell, &v->version, &v->size, &v->created,
+                   &v->policy_envelope, &v->blob_id, &v->key_name,
+                   &v->pending_approval);
+}
+
 // ----------------------------------------------------------- ShareGrant
 
 Bytes ShareGrant::SignedPayload() const {
-  BinaryWriter w;
-  w.PutString("tc.grant.v1");
-  w.PutString(grant_id);
-  w.PutString(doc_id);
-  w.PutString(blob_id);
-  w.PutString(origin_owner);
-  w.PutU64(version);
-  w.PutString(title);
-  w.PutString(keywords);
-  w.PutString(sender_cell);
-  w.PutString(recipient_cell);
-  w.PutBytes(policy_envelope);
-  w.PutBytes(wrapped_key);
-  return w.Take();
+  return Encode("tc.grant.v1"s, grant_id, doc_id, blob_id, origin_owner,
+                version, title, keywords, sender_cell, recipient_cell,
+                policy_envelope, wrapped_key);
 }
 
 Bytes ShareGrant::Serialize() const {
-  BinaryWriter w;
-  w.PutBytes(SignedPayload());
-  w.PutBytes(signature.Serialize(32));
-  return w.Take();
+  return Encode(SignedPayload(), signature.Serialize(32));
 }
 
 Result<ShareGrant> ShareGrant::Deserialize(const Bytes& data) {
-  BinaryReader outer(data);
-  TC_ASSIGN_OR_RETURN(Bytes payload, outer.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes sig_bytes, outer.GetBytes());
-
-  BinaryReader r(payload);
+  Bytes payload, sig_bytes;
+  TC_RETURN_IF_ERROR(Decode(data, &payload, &sig_bytes));
   ShareGrant grant;
-  TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
+  std::string magic;
+  TC_RETURN_IF_ERROR(Decode(
+      payload, &magic, &grant.grant_id, &grant.doc_id, &grant.blob_id,
+      &grant.origin_owner, &grant.version, &grant.title, &grant.keywords,
+      &grant.sender_cell, &grant.recipient_cell, &grant.policy_envelope,
+      &grant.wrapped_key));
   if (magic != "tc.grant.v1") return Status::Corruption("bad grant magic");
-  TC_ASSIGN_OR_RETURN(grant.grant_id, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.doc_id, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.blob_id, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.origin_owner, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.version, r.GetU64());
-  TC_ASSIGN_OR_RETURN(grant.title, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.keywords, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.sender_cell, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.recipient_cell, r.GetString());
-  TC_ASSIGN_OR_RETURN(grant.policy_envelope, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(grant.wrapped_key, r.GetBytes());
   TC_ASSIGN_OR_RETURN(grant.signature,
                       crypto::SchnorrSignature::Deserialize(sig_bytes));
   return grant;
@@ -264,9 +237,7 @@ Status TrustedCell::Init() {
   if (channel_options.seed == net::ChannelOptions{}.seed) {
     // Per-cell jitter stream by default, so a fleet of cells does not
     // retry in lockstep.
-    BinaryWriter sw;
-    sw.PutString("tc.net-seed." + config_.cell_id);
-    Bytes digest = crypto::Sha256Hash(sw.Take());
+    Bytes digest = crypto::Sha256Hash(Encode("tc.net-seed." + config_.cell_id));
     uint64_t seed = 0;
     for (int i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
     channel_options.seed = seed;
@@ -299,14 +270,13 @@ Status TrustedCell::Init() {
   TC_RETURN_IF_ERROR(store_->ScanAll([&](const std::string& key,
                                          const Bytes& value) {
     if (!scan_status.ok() || key.compare(0, 6, "x/doc/") != 0) return;
-    auto decoded = DecodeMeta(value);
-    if (!decoded.ok()) {
-      scan_status = decoded.status();
-      return;
-    }
-    doc_numbers_[decoded->first.doc_id] = decoded->second;
-    number_to_doc_[decoded->second] = decoded->first.doc_id;
-    next_doc_number_ = std::max(next_doc_number_, decoded->second + 1);
+    uint64_t number = 0;
+    DocumentMeta meta;
+    scan_status = Decode(value, &number, &meta);
+    if (!scan_status.ok()) return;
+    doc_numbers_[meta.doc_id] = number;
+    number_to_doc_[number] = meta.doc_id;
+    next_doc_number_ = std::max(next_doc_number_, number + 1);
   }));
   TC_RETURN_IF_ERROR(scan_status);
 
@@ -468,11 +438,7 @@ Status TrustedCell::CatchUp() {
 
 Bytes TrustedCell::DocumentAad(const std::string& doc_id,
                                uint64_t version) const {
-  BinaryWriter w;
-  w.PutString("tc.doc");
-  w.PutString(doc_id);
-  w.PutU64(version);
-  return w.Take();
+  return Encode("tc.doc"s, doc_id, version);
 }
 
 policy::StickyPolicy::MacFn TrustedCell::StickyMac(
@@ -499,8 +465,10 @@ Status TrustedCell::EnsureDocKey(const std::string& key_name) {
 
 Result<DocumentMeta> TrustedCell::LoadMeta(const std::string& doc_id) {
   TC_ASSIGN_OR_RETURN(Bytes data, store_->Get(MetaKey(doc_id)));
-  TC_ASSIGN_OR_RETURN(auto decoded, DecodeMeta(data));
-  return decoded.first;
+  uint64_t number = 0;
+  DocumentMeta meta;
+  TC_RETURN_IF_ERROR(Decode(data, &number, &meta));
+  return meta;
 }
 
 Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
@@ -518,7 +486,7 @@ Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
     }
     number = it->second;
   }
-  return store_->Put(MetaKey(meta.doc_id), EncodeMeta(meta, number));
+  return store_->Put(MetaKey(meta.doc_id), Encode(number, meta));
 }
 
 bool TrustedCell::IsOwn(const DocumentMeta& meta) const {
@@ -618,15 +586,13 @@ Status TrustedCell::PublishAggregate(const std::string& recipient,
                                      Timestamp t1, Timestamp window_seconds) {
   TC_ASSIGN_OR_RETURN(std::vector<db::WindowAggregate> windows,
                       Aggregates(series, t0, t1, window_seconds));
-  BinaryWriter w;
-  w.PutString(series);
-  w.PutI64(window_seconds);
-  w.PutVarint(windows.size());
+  std::vector<std::pair<Timestamp, double>> means;
+  means.reserve(windows.size());
   for (const db::WindowAggregate& agg : windows) {
-    w.PutI64(agg.window_start);
-    w.PutDouble(agg.mean);
+    means.emplace_back(agg.window_start, agg.mean);
   }
-  cloud_->Send(config_.cell_id, recipient, "aggregate", w.Take());
+  cloud_->Send(config_.cell_id, recipient, "aggregate",
+               Encode(series, window_seconds, means));
   ++stats_.aggregates_published;
   return Status::OK();
 }
@@ -641,10 +607,9 @@ Result<std::string> TrustedCell::StoreDocument(const std::string& title,
   // so every public operation roots one causal tree (or nests under the
   // caller's, e.g. a fleet run).
   obs::TraceSpan span("cell", "store_document", config_.cell_id);
-  BinaryWriter idw;
-  idw.PutString(config_.cell_id);
-  idw.PutU64(next_doc_number_);
-  std::string doc_id = HexEncode(crypto::Sha256Hash(idw.Take())).substr(0, 16);
+  std::string doc_id =
+      HexEncode(crypto::Sha256Hash(Encode(config_.cell_id, next_doc_number_)))
+          .substr(0, 16);
 
   std::string key_name = "dk/" + doc_id;
   TC_RETURN_IF_ERROR(EnsureDocKey(key_name));
@@ -764,9 +729,13 @@ Result<Bytes> TrustedCell::ReadDocument(const std::string& doc_id,
   policy::AccessRequest request{subject, policy::Right::kRead, attributes,
                                 clock_->Now()};
   policy::Decision decision = pdp_.EvaluateAndConsume(*policy, request);
-  TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
-      0, clock_->Now(), subject, "read", doc_id, decision.allowed,
-      decision.allowed ? decision.rule_id : decision.reason}));
+  TC_RETURN_IF_ERROR(audit_->journal().Append(
+      {.time = clock_->Now(),
+       .subject = subject,
+       .action = "read",
+       .object = doc_id,
+       .allowed = decision.allowed,
+       .detail = decision.allowed ? decision.rule_id : decision.reason}));
   if (!decision.allowed) {
     ++stats_.reads_denied;
     metrics_.reads_denied.Increment();
@@ -779,17 +748,13 @@ Result<Bytes> TrustedCell::ReadDocument(const std::string& doc_id,
     switch (obligation) {
       case policy::ObligationType::kLogAccess:
         break;  // Already appended above.
-      case policy::ObligationType::kNotifyOwner: {
-        BinaryWriter w;
-        w.PutString(doc_id);
-        w.PutString(subject);
-        w.PutI64(clock_->Now());
+      case policy::ObligationType::kNotifyOwner:
         if (!meta.origin_cell.empty()) {
           cloud_->Send(config_.cell_id, meta.origin_cell,
-                       "access-notification", w.Take());
+                       "access-notification",
+                       Encode(doc_id, subject, clock_->Now()));
         }
         break;
-      }
       case policy::ObligationType::kDeleteAfterUse:
         TC_RETURN_IF_ERROR(ForgetDocument(meta));
         break;
@@ -841,7 +806,6 @@ Result<Bytes> TrustedCell::BuildManifestBlob(
   // Collect own documents, substituting the caller's not-yet-saved meta. A
   // pending document stays out until approved: approval does not bump its
   // version, so a sibling that pulled it pending would never adopt it.
-  BinaryWriter body;
   std::vector<std::string> own;
   for (const auto& [doc_id, number] : doc_numbers_) {
     if (override_meta != nullptr && doc_id == override_meta->doc_id) {
@@ -851,28 +815,22 @@ Result<Bytes> TrustedCell::BuildManifestBlob(
     TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
     if (IsOwn(meta) && !meta.pending_approval) own.push_back(doc_id);
   }
-  body.PutVarint(own.size());
+  // Each entry is a stored meta record under keyword-index number 0.
+  std::vector<Bytes> entries;
+  entries.reserve(own.size());
   for (const std::string& doc_id : own) {
     if (override_meta != nullptr && doc_id == override_meta->doc_id) {
-      body.PutBytes(EncodeMeta(*override_meta, 0));
+      entries.push_back(Encode(uint64_t{0}, *override_meta));
       continue;
     }
     TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-    body.PutBytes(EncodeMeta(meta, 0));
+    entries.push_back(Encode(uint64_t{0}, meta));
   }
-
-  BinaryWriter aad;
-  aad.PutString("tc.manifest");
-  aad.PutString(config_.owner);
-  aad.PutU64(version);
   TC_ASSIGN_OR_RETURN(Bytes sealed,
-                      tee_->Seal("manifest-key", aad.Take(), body.Take()));
-
-  BinaryWriter blob;
-  blob.PutString("tc.manifest.v1");
-  blob.PutU64(version);
-  blob.PutBytes(sealed);
-  return blob.Take();
+                      tee_->Seal("manifest-key",
+                                 ManifestAad(config_.owner, version),
+                                 Encode(entries)));
+  return Encode("tc.manifest.v1"s, version, sealed);
 }
 
 Status TrustedCell::PublishManifest(const DocumentMeta* meta,
@@ -948,28 +906,24 @@ Status TrustedCell::SyncPull() {
   TC_ASSIGN_OR_RETURN(Bytes blob, PullBlob(ManifestBlobId()));
   // The cell wrote every byte of the manifest: any header it cannot parse
   // was altered on the way.
-  BinaryReader r(blob);
-  auto magic = r.GetString();
-  auto version = r.GetU64();
-  auto sealed = r.GetBytes();
-  if (!magic.ok() || *magic != "tc.manifest.v1" || !version.ok() ||
-      !sealed.ok()) {
+  std::string magic;
+  uint64_t version = 0;
+  Bytes sealed;
+  if (!Decode(blob, &magic, &version, &sealed).ok() ||
+      magic != "tc.manifest.v1") {
     RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
                    "manifest header unparseable");
     return Status::IntegrityViolation("manifest header corrupt");
   }
   uint64_t floor = tee_->CounterValue("manifest-seen");
-  if (*version < floor) {
+  if (version < floor) {
     RecordIncident(IncidentType::kRollbackDetected, ManifestBlobId(),
-                   "manifest version " + std::to_string(*version) +
+                   "manifest version " + std::to_string(version) +
                        " below TEE floor " + std::to_string(floor));
     return Status::IntegrityViolation("manifest rollback detected");
   }
-  BinaryWriter aad;
-  aad.PutString("tc.manifest");
-  aad.PutString(config_.owner);
-  aad.PutU64(*version);
-  auto body = tee_->Open("manifest-key", aad.Take(), *sealed);
+  auto body = tee_->Open("manifest-key", ManifestAad(config_.owner, version),
+                         sealed);
   if (!body.ok()) {
     if (body.status().IsIntegrityViolation()) {
       RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
@@ -978,18 +932,18 @@ Status TrustedCell::SyncPull() {
     return body.status();
   }
 
-  BinaryReader entries(*body);
-  TC_ASSIGN_OR_RETURN(uint64_t count, entries.GetVarint());
-  for (uint64_t i = 0; i < count; ++i) {
-    TC_ASSIGN_OR_RETURN(Bytes meta_bytes, entries.GetBytes());
-    TC_ASSIGN_OR_RETURN(auto decoded, DecodeMeta(meta_bytes));
-    DocumentMeta& incoming = decoded.first;
+  std::vector<Bytes> entries;
+  TC_RETURN_IF_ERROR(Decode(*body, &entries));
+  for (const Bytes& entry : entries) {
+    uint64_t number = 0;
+    DocumentMeta incoming;
+    TC_RETURN_IF_ERROR(Decode(entry, &number, &incoming));
     auto existing = LoadMeta(incoming.doc_id);
     if (existing.ok() && existing->version >= incoming.version) continue;
     TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
     TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
   }
-  while (tee_->CounterValue("manifest-seen") < *version) {
+  while (tee_->CounterValue("manifest-seen") < version) {
     tee_->IncrementCounter("manifest-seen");
   }
   ++stats_.sync_pulls;
@@ -1035,18 +989,19 @@ Status TrustedCell::ShareDocument(const std::string& doc_id,
   grant.policy_envelope =
       policy::StickyPolicy::BindWithMac(policy, doc_id, StickyMac(meta.key_name));
 
-  BinaryWriter ctx;
-  ctx.PutString(doc_id);
-  ctx.PutBytes(policy.Hash());
-  TC_ASSIGN_OR_RETURN(
-      grant.wrapped_key,
-      tee_->WrapKeyFor(recipient.dh_public_key, meta.key_name, ctx.Take()));
+  TC_ASSIGN_OR_RETURN(grant.wrapped_key,
+                      tee_->WrapKeyFor(recipient.dh_public_key, meta.key_name,
+                                       Encode(doc_id, policy.Hash())));
   grant.signature = tee_->Sign(grant.SignedPayload());
 
   cloud_->Send(config_.cell_id, recipient_cell, "share", grant.Serialize());
-  TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
-      0, clock_->Now(), config_.owner, "share", doc_id, true,
-      "to " + recipient_cell}));
+  TC_RETURN_IF_ERROR(
+      audit_->journal().Append({.time = clock_->Now(),
+                                .subject = config_.owner,
+                                .action = "share",
+                                .object = doc_id,
+                                .allowed = true,
+                                .detail = "to " + recipient_cell}));
   ++stats_.shares_sent;
   return Status::OK();
 }
@@ -1057,21 +1012,21 @@ Result<int> TrustedCell::ProcessInbox() {
   for (cloud::Message& msg : cloud_->Receive(config_.cell_id)) {
     if (msg.topic == "guardian-share") {
       // Install the escrow share of another owner's master key.
-      BinaryReader r(msg.payload);
-      auto owner = r.GetString();
-      auto envelope = r.GetBytes();
+      std::string owner;
+      Bytes envelope;
       auto sender = directory_->Lookup(msg.from);
-      if (!owner.ok() || !envelope.ok() || !sender.ok()) continue;
-      BinaryWriter ctx;
-      ctx.PutString("tc.guardian." + *owner);
-      std::string key_name = "gs/" + *owner;
+      if (!Decode(msg.payload, &owner, &envelope).ok() || !sender.ok()) {
+        continue;
+      }
+      std::string key_name = "gs/" + owner;
       if (tee_->keystore().HasKey(key_name)) {
         (void)tee_->keystore().DestroyKey(key_name);
       }
-      Status unwrapped = tee_->UnwrapKeyFrom(sender->dh_public_key, *envelope,
-                                             ctx.Take(), key_name);
+      Status unwrapped =
+          tee_->UnwrapKeyFrom(sender->dh_public_key, envelope,
+                              Encode("tc.guardian." + owner), key_name);
       if (!unwrapped.ok()) {
-        RecordIncident(IncidentType::kForgedGrant, *owner,
+        RecordIncident(IncidentType::kForgedGrant, owner,
                        "guardian share failed to unwrap");
       }
       continue;
@@ -1113,17 +1068,14 @@ Result<int> TrustedCell::ProcessInbox() {
                      "grant policy envelope unparseable");
       continue;
     }
-    BinaryWriter ctx;
-    ctx.PutString(grant->doc_id);
-    ctx.PutBytes(*policy_hash);
     std::string key_name = "sk/" + grant->doc_id;
     if (tee_->keystore().HasKey(key_name)) {
       (void)tee_->keystore().DestroyKey(key_name);
       (void)tee_->keystore().DestroyKey(key_name + ".sticky");
     }
-    Status unwrapped = tee_->UnwrapKeyFrom(sender->dh_public_key,
-                                           grant->wrapped_key, ctx.Take(),
-                                           key_name);
+    Status unwrapped = tee_->UnwrapKeyFrom(
+        sender->dh_public_key, grant->wrapped_key,
+        Encode(grant->doc_id, *policy_hash), key_name);
     if (!unwrapped.ok()) {
       RecordIncident(IncidentType::kPolicyTampered, grant->doc_id,
                      "wrapped key failed to open: " + unwrapped.message());
@@ -1178,20 +1130,11 @@ namespace {
 
 Bytes SpaceLeaf(const std::string& doc_id, uint64_t version,
                 const Bytes& sealed_payload_hash) {
-  BinaryWriter w;
-  w.PutString("tc.space-leaf.v1");
-  w.PutString(doc_id);
-  w.PutU64(version);
-  w.PutBytes(sealed_payload_hash);
-  return w.Take();
+  return Encode("tc.space-leaf.v1"s, doc_id, version, sealed_payload_hash);
 }
 
 Bytes SpaceRootPayload(const std::string& cell_id, const Bytes& root) {
-  BinaryWriter w;
-  w.PutString("tc.space-root.v1");
-  w.PutString(cell_id);
-  w.PutBytes(root);
-  return w.Take();
+  return Encode("tc.space-root.v1"s, cell_id, root);
 }
 
 }  // namespace
@@ -1234,13 +1177,12 @@ bool TrustedCell::VerifySpaceProof(const SpaceProof& proof,
   auto identity = directory.Lookup(proof.cell_id);
   if (!identity.ok()) return false;
   // The leaf must commit to the claimed document id/version.
-  BinaryReader r(proof.leaf);
-  auto magic = r.GetString();
-  auto doc_id = r.GetString();
-  auto version = r.GetU64();
-  if (!magic.ok() || *magic != "tc.space-leaf.v1" || !doc_id.ok() ||
-      *doc_id != proof.doc_id || !version.ok() ||
-      *version != proof.version) {
+  std::string magic, doc_id;
+  uint64_t version = 0;
+  Bytes payload_hash;
+  if (!Decode(proof.leaf, &magic, &doc_id, &version, &payload_hash).ok() ||
+      magic != "tc.space-leaf.v1" || doc_id != proof.doc_id ||
+      version != proof.version) {
     return false;
   }
   if (!crypto::MerkleTree::Verify(proof.root, proof.leaf, proof.proof)) {
@@ -1277,8 +1219,13 @@ Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
   TC_RETURN_IF_ERROR(PublishManifest(&meta, sealed));
   (void)tee_->keystore().DestroyKey(old_key);
   (void)tee_->keystore().DestroyKey(old_key + ".sticky");
-  TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
-      0, clock_->Now(), config_.owner, "rotate-key", doc_id, true, ""}));
+  TC_RETURN_IF_ERROR(
+      audit_->journal().Append({.time = clock_->Now(),
+                                .subject = config_.owner,
+                                .action = "rotate-key",
+                                .object = doc_id,
+                                .allowed = true,
+                                .detail = ""}));
   return Status::OK();
 }
 
@@ -1291,17 +1238,13 @@ Status TrustedCell::EnrollGuardians(
     TC_ASSIGN_OR_RETURN(CellIdentity identity, directory_->Lookup(guardian));
     publics.push_back(identity.dh_public_key);
   }
-  BinaryWriter ctx;
-  ctx.PutString("tc.guardian." + config_.owner);
   TC_ASSIGN_OR_RETURN(
       std::vector<Bytes> envelopes,
-      tee_->ShardKeyFor("owner-master", threshold, publics, ctx.buffer()));
+      tee_->ShardKeyFor("owner-master", threshold, publics,
+                        Encode("tc.guardian." + config_.owner)));
   for (size_t i = 0; i < envelopes.size(); ++i) {
-    BinaryWriter w;
-    w.PutString(config_.owner);
-    w.PutBytes(envelopes[i]);
     cloud_->Send(config_.cell_id, guardian_cells[i], "guardian-share",
-                 w.Take());
+                 Encode(config_.owner, envelopes[i]));
   }
   return Status::OK();
 }
@@ -1318,15 +1261,11 @@ Status TrustedCell::ReleaseGuardianShare(const std::string& owner,
   }
   TC_ASSIGN_OR_RETURN(CellIdentity requester,
                       directory_->Lookup(requester_cell));
-  BinaryWriter ctx;
-  ctx.PutString("tc.recovery." + owner);
-  TC_ASSIGN_OR_RETURN(
-      Bytes envelope,
-      tee_->WrapKeyFor(requester.dh_public_key, share_key, ctx.Take()));
-  BinaryWriter w;
-  w.PutString(owner);
-  w.PutBytes(envelope);
-  cloud_->Send(config_.cell_id, requester_cell, "recovery-share", w.Take());
+  TC_ASSIGN_OR_RETURN(Bytes envelope,
+                      tee_->WrapKeyFor(requester.dh_public_key, share_key,
+                                       Encode("tc.recovery." + owner)));
+  cloud_->Send(config_.cell_id, requester_cell, "recovery-share",
+               Encode(owner, envelope));
   return Status::OK();
 }
 
@@ -1334,19 +1273,18 @@ Result<int> TrustedCell::CompleteRecovery(
     const std::vector<cloud::Message>& shares) {
   std::vector<std::string> share_keys;
   for (const cloud::Message& msg : shares) {
-    BinaryReader r(msg.payload);
-    TC_ASSIGN_OR_RETURN(std::string owner, r.GetString());
+    std::string owner;
+    Bytes envelope;
+    TC_RETURN_IF_ERROR(Decode(msg.payload, &owner, &envelope));
     if (owner != config_.owner) continue;
-    TC_ASSIGN_OR_RETURN(Bytes envelope, r.GetBytes());
     TC_ASSIGN_OR_RETURN(CellIdentity sender, directory_->Lookup(msg.from));
-    BinaryWriter ctx;
-    ctx.PutString("tc.recovery." + owner);
     std::string key_name = "rs/" + std::to_string(share_keys.size());
     if (tee_->keystore().HasKey(key_name)) {
       (void)tee_->keystore().DestroyKey(key_name);
     }
     TC_RETURN_IF_ERROR(tee_->UnwrapKeyFrom(sender.dh_public_key, envelope,
-                                           ctx.Take(), key_name));
+                                           Encode("tc.recovery." + owner),
+                                           key_name));
     share_keys.push_back(key_name);
   }
   if (share_keys.empty()) {
@@ -1381,38 +1319,63 @@ Result<std::string> TrustedCell::ProposeDocumentReferencing(
   TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
   meta.pending_approval = true;
   TC_RETURN_IF_ERROR(SaveMeta(meta, /*is_new=*/false));
+  TC_RETURN_IF_ERROR(store_->Put(ApprovalKey(doc_id), Encode(referenced_cell)));
 
-  BinaryWriter w;
-  w.PutString(doc_id);
-  w.PutString(title);
-  w.PutString(config_.owner);
   cloud_->Send(config_.cell_id, referenced_cell, "approval-request",
-               w.Take());
+               Encode(doc_id, title, config_.owner));
   return doc_id;
 }
 
 Status TrustedCell::RespondToApproval(const cloud::Message& request,
                                       bool approve) {
-  BinaryReader r(request.payload);
-  TC_ASSIGN_OR_RETURN(std::string doc_id, r.GetString());
-  BinaryWriter w;
-  w.PutString(doc_id);
-  w.PutBool(approve);
-  cloud_->Send(config_.cell_id, request.from, "approval-response", w.Take());
-  TC_RETURN_IF_ERROR(audit_->Append(policy::AuditEntry{
-      0, clock_->Now(), config_.owner, "approval", doc_id, approve,
-      "reference approval for " + request.from}));
+  std::string doc_id, title, owner;
+  TC_RETURN_IF_ERROR(Decode(request.payload, &doc_id, &title, &owner));
+  const crypto::SchnorrSignature signature =
+      tee_->Sign(ApprovalPayload(request.from, doc_id, approve));
+  cloud_->Send(config_.cell_id, request.from, "approval-response",
+               Encode(doc_id, approve, signature.Serialize(32)));
+  TC_RETURN_IF_ERROR(audit_->journal().Append(
+      {.time = clock_->Now(),
+       .subject = config_.owner,
+       .action = "approval",
+       .object = doc_id,
+       .allowed = approve,
+       .detail = "reference approval for " + request.from}));
   return Status::OK();
 }
 
 Result<std::pair<int, int>> TrustedCell::ProcessApprovalResponses() {
   int approved = 0, rejected = 0;
   for (const cloud::Message& msg : TakeMessages("approval-response")) {
-    BinaryReader r(msg.payload);
-    TC_ASSIGN_OR_RETURN(std::string doc_id, r.GetString());
-    TC_ASSIGN_OR_RETURN(bool approve, r.GetBool());
+    // The bus does not authenticate its sender: only the signature of the
+    // cell this one asked decides, and a response that fails it is
+    // evidence, not a reason to stop reading the others.
+    std::string doc_id;
+    bool approve = false;
+    Bytes sig_bytes;
+    if (!Decode(msg.payload, &doc_id, &approve, &sig_bytes).ok()) {
+      RecordIncident(IncidentType::kForgedGrant, "?",
+                     "unparseable approval response from " + msg.from);
+      continue;
+    }
     auto meta = LoadMeta(doc_id);
     if (!meta.ok() || !meta->pending_approval) continue;
+    TC_ASSIGN_OR_RETURN(Bytes asked_record, store_->Get(ApprovalKey(doc_id)));
+    std::string asked;
+    TC_RETURN_IF_ERROR(Decode(asked_record, &asked));
+    auto responder = directory_->Lookup(asked);
+    auto signature = crypto::SchnorrSignature::Deserialize(sig_bytes);
+    if (!responder.ok() || !signature.ok() ||
+        !tee::TrustedExecutionEnvironment::VerifySignature(
+            responder->signing_public_key,
+            ApprovalPayload(config_.cell_id, doc_id, approve), *signature,
+            kGroupBits)) {
+      RecordIncident(IncidentType::kForgedGrant, doc_id,
+                     "approval response from " + msg.from +
+                         " not signed by " + asked);
+      continue;
+    }
+    TC_RETURN_IF_ERROR(store_->Delete(ApprovalKey(doc_id)));
     if (approve) {
       meta->pending_approval = false;
       TC_RETURN_IF_ERROR(SaveMeta(*meta, /*is_new=*/false));
@@ -1430,40 +1393,33 @@ Result<std::pair<int, int>> TrustedCell::ProcessApprovalResponses() {
 Status TrustedCell::PushAuditLog(const std::string& recipient_cell) {
   TC_ASSIGN_OR_RETURN(CellIdentity recipient,
                       directory_->Lookup(recipient_cell));
-  BinaryWriter ctx;
-  ctx.PutString("tc.audit-key");
-  ctx.PutString(config_.cell_id);
   TC_ASSIGN_OR_RETURN(
       Bytes wrapped,
-      tee_->WrapKeyFor(recipient.dh_public_key, "audit-key", ctx.Take()));
+      tee_->WrapKeyFor(recipient.dh_public_key, "audit-key",
+                       Encode("tc.audit-key"s, config_.cell_id)));
   TC_ASSIGN_OR_RETURN(Bytes exported, audit_->Export());
-  BinaryWriter w;
-  w.PutString(config_.cell_id);
-  w.PutU64(audit_->size());
-  w.PutBytes(wrapped);
-  w.PutBytes(exported);
-  cloud_->Send(config_.cell_id, recipient_cell, "audit-log", w.Take());
+  cloud_->Send(config_.cell_id, recipient_cell, "audit-log",
+               Encode(config_.cell_id, uint64_t{audit_->size()}, wrapped,
+                      exported));
   return Status::OK();
 }
 
 Result<std::vector<obs::AuditRecord>> TrustedCell::VerifyAuditPush(
     const cloud::Message& message) {
-  BinaryReader r(message.payload);
-  TC_ASSIGN_OR_RETURN(std::string sender_cell, r.GetString());
-  TC_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-  TC_ASSIGN_OR_RETURN(Bytes wrapped, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes exported, r.GetBytes());
+  std::string sender_cell;
+  uint64_t count = 0;
+  Bytes wrapped, exported;
+  TC_RETURN_IF_ERROR(
+      Decode(message.payload, &sender_cell, &count, &wrapped, &exported));
 
   TC_ASSIGN_OR_RETURN(CellIdentity sender, directory_->Lookup(sender_cell));
-  BinaryWriter ctx;
-  ctx.PutString("tc.audit-key");
-  ctx.PutString(sender_cell);
   std::string key_name = "ak/" + sender_cell;
   if (tee_->keystore().HasKey(key_name)) {
     (void)tee_->keystore().DestroyKey(key_name);
   }
   TC_RETURN_IF_ERROR(tee_->UnwrapKeyFrom(sender.dh_public_key, wrapped,
-                                         ctx.Take(), key_name));
+                                         Encode("tc.audit-key"s, sender_cell),
+                                         key_name));
   return policy::AuditLog::VerifyAndDecrypt(exported, tee_.get(), key_name,
                                             static_cast<int64_t>(count));
 }

@@ -11,6 +11,7 @@
 #include "tc/cell/directory.h"
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/clock.h"
+#include "tc/common/codec.h"
 #include "tc/common/result.h"
 #include "tc/crypto/merkle.h"
 #include "tc/db/database.h"
@@ -48,6 +49,12 @@ struct DocumentMeta {
   /// cannot be fetched or shared.
   bool pending_approval = false;
 };
+
+/// A meta's fields in the one codec (tc/common/codec.h). The cell stores a
+/// meta as (u64 keyword-index number, DocumentMeta); its manifest lists
+/// each own meta in that form under number 0.
+void Put(BinaryWriter& w, const DocumentMeta& v);
+Status Get(BinaryReader& r, DocumentMeta* v);
 
 /// Wire format of a sharing grant: metadata + wrapped key + sticky policy,
 /// signed by the granting cell. Safe to carry over the untrusted bus.
@@ -369,18 +376,22 @@ class TrustedCell {
 
   /// Stores a document that *references another individual* (e.g. a photo
   /// with B in the frame): the document is created pending, unusable until
-  /// the referenced cell approves. Sends an approval request.
+  /// the referenced cell approves. Remembers which cell it asked, then
+  /// sends that cell an approval request.
   Result<std::string> ProposeDocumentReferencing(
       const std::string& referenced_cell, const std::string& title,
       const std::string& keywords, const Bytes& content,
       const policy::Policy& policy);
 
-  /// Referenced side: answer an "approval-request" message.
+  /// Referenced side: answer an "approval-request" message with a verdict
+  /// signed by this cell's TEE over (proposer cell, doc id, verdict).
   Status RespondToApproval(const cloud::Message& request, bool approve);
 
   /// Proposer side: applies "approval-response" messages — approved
-  /// documents become usable, rejected ones are erased. Returns
-  /// (approved, rejected).
+  /// documents become usable, rejected ones are erased. Only a verdict
+  /// signed by the cell that was asked counts; an unparseable or
+  /// unverifiable response is recorded as an incident and skipped, and
+  /// the rest are still processed. Returns (approved, rejected).
   Result<std::pair<int, int>> ProcessApprovalResponses();
 
   // ---- Accountability ----

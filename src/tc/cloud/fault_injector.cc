@@ -3,17 +3,6 @@
 #include "tc/common/rng.h"
 
 namespace tc::cloud {
-namespace {
-
-// splitmix64 finalizer: keys one private RNG per (seed, ordinal, op) draw.
-uint64_t MixKey(uint64_t seed, uint64_t ordinal, uint8_t op) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (ordinal * 8 + op + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 const char* NetOpName(NetOp op) {
   switch (op) {
@@ -82,7 +71,7 @@ FaultDecision NetworkFaultInjector::Draw(uint64_t ordinal, NetOp op) const {
   // Private RNG per (seed, ordinal, op): the decision is a pure function
   // of those three, independent of every other ordinal's draws and of the
   // thread interleaving that assigned the ordinal.
-  Rng rng(MixKey(config_.seed, ordinal, static_cast<uint8_t>(op)));
+  Rng rng(MixSeed(config_.seed, ordinal * 8 + static_cast<uint8_t>(op)));
   if (rng.NextBernoulli(config_.throttle_prob)) {
     decision.throttled = true;
     return decision;

@@ -10,15 +10,6 @@
 namespace tc::cloud {
 namespace {
 
-// splitmix64 finalizer: decorrelates the per-shard RNG streams derived from
-// one user-facing adversary seed.
-uint64_t MixSeed(uint64_t seed, uint64_t shard) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (shard + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Overload-plane observability, shared by every gate in the process (the
 /// controller itself is common-layer and metric-free).
 struct OverloadMetrics {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "tc/common/bytes.h"
+#include "tc/common/codec.h"
 #include "tc/common/status.h"
 
 namespace tc::cloud {
@@ -97,6 +98,21 @@ struct TxnOutcome {
   uint64_t fault_ordinal = 0;  ///< Injector ordinal (RPC layer, 0 = clean).
 };
 
+// Field lists in the one codec (tc/common/codec.h), shared by the wire and
+// by every reader of these types.
+void Put(BinaryWriter& w, const SnapshotDescriptor& v);
+void Put(BinaryWriter& w, const SnapshotRead& v);
+void Put(BinaryWriter& w, const TxnRead& v);
+void Put(BinaryWriter& w, const TxnWrite& v);
+void Put(BinaryWriter& w, const TxnRequest& v);
+void Put(BinaryWriter& w, const TxnOutcome& v);
+Status Get(BinaryReader& r, SnapshotDescriptor* v);
+Status Get(BinaryReader& r, SnapshotRead* v);
+Status Get(BinaryReader& r, TxnRead* v);
+Status Get(BinaryReader& r, TxnWrite* v);
+Status Get(BinaryReader& r, TxnRequest* v);
+Status Get(BinaryReader& r, TxnOutcome* v);
+
 /// Observer of transaction lifecycle events, implemented by
 /// tc::testing::HistoryChecker. Lives here (not in tc::testing) so the
 /// fleet can carry a sink pointer without linking the testing library.
@@ -122,5 +138,13 @@ class TxnHistorySink {
 };
 
 }  // namespace tc::cloud
+
+namespace tc {
+// A TxnRead is an id and a version; a TxnWrite an id, data and a version.
+template <>
+inline constexpr size_t kMinEncodedBytes<cloud::TxnRead> = 1 + 8;
+template <>
+inline constexpr size_t kMinEncodedBytes<cloud::TxnWrite> = 1 + 1 + 8;
+}  // namespace tc
 
 #endif  // TC_CLOUD_TXN_H_

@@ -137,12 +137,59 @@ Result<bool> BinaryReader::GetBool() {
   return v == 1;
 }
 
+namespace {
+
+constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kAborted);
+
+template <typename T>
+Status Take(Result<T> got, T* out) {
+  if (!got.ok()) return got.status();
+  *out = std::move(got).value();
+  return Status::OK();
+}
+
+}  // namespace
+
 Status CheckCount(const BinaryReader& r, uint64_t count,
                   size_t min_bytes_per) {
   if (min_bytes_per == 0) min_bytes_per = 1;
   if (count > r.remaining() / min_bytes_per) {
     return Status::Corruption("element count exceeds payload bytes");
   }
+  return Status::OK();
+}
+
+void Put(BinaryWriter& w, bool v) { w.PutBool(v); }
+void Put(BinaryWriter& w, uint8_t v) { w.PutU8(v); }
+void Put(BinaryWriter& w, uint32_t v) { w.PutU32(v); }
+void Put(BinaryWriter& w, uint64_t v) { w.PutU64(v); }
+void Put(BinaryWriter& w, int64_t v) { w.PutI64(v); }
+void Put(BinaryWriter& w, double v) { w.PutDouble(v); }
+void Put(BinaryWriter& w, const std::string& v) { w.PutString(v); }
+void Put(BinaryWriter& w, const Bytes& v) { w.PutBytes(v); }
+
+void Put(BinaryWriter& w, const Status& v) {
+  PutFields(w, static_cast<uint8_t>(v.code()), v.message());
+}
+
+Status Get(BinaryReader& r, bool* v) { return Take(r.GetBool(), v); }
+Status Get(BinaryReader& r, uint8_t* v) { return Take(r.GetU8(), v); }
+Status Get(BinaryReader& r, uint32_t* v) { return Take(r.GetU32(), v); }
+Status Get(BinaryReader& r, uint64_t* v) { return Take(r.GetU64(), v); }
+Status Get(BinaryReader& r, int64_t* v) { return Take(r.GetI64(), v); }
+Status Get(BinaryReader& r, double* v) { return Take(r.GetDouble(), v); }
+Status Get(BinaryReader& r, std::string* v) { return Take(r.GetString(), v); }
+Status Get(BinaryReader& r, Bytes* v) { return Take(r.GetBytes(), v); }
+
+Status Get(BinaryReader& r, Status* v) {
+  uint8_t code = 0;
+  TC_RETURN_IF_ERROR(Get(r, &code));
+  if (code > kMaxStatusCode) {
+    return Status::Corruption("unknown status code in record");
+  }
+  std::string message;
+  TC_RETURN_IF_ERROR(Get(r, &message));
+  *v = Status(static_cast<StatusCode>(code), std::move(message));
   return Status::OK();
 }
 

@@ -7,22 +7,19 @@
 namespace tc {
 namespace {
 
-// splitmix64, used to expand the seed into the xoshiro state.
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
+uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+}  // namespace
+
+uint64_t MixSeed(uint64_t seed, uint64_t k) {
+  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (k + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(sm);
+  for (uint64_t k = 0; k < 4; ++k) s_[k] = MixSeed(seed, k);
 }
 
 uint64_t Rng::NextU64() {

@@ -7,6 +7,12 @@
 
 namespace tc {
 
+/// Output `k` of the splitmix64 stream seeded with `seed`: the splitmix64
+/// finalizer of seed + 0x9e3779b97f4a7c15 * (k + 1). Derives decorrelated
+/// seeds from one seed (a stream per shard, per cell, per fault draw); Rng
+/// expands its seed into xoshiro state with outputs 0..3.
+uint64_t MixSeed(uint64_t seed, uint64_t k);
+
 /// Deterministic pseudo-random generator (xoshiro256**) for workload
 /// synthesis: appliance schedules, GPS trips, adversary choices, test
 /// property sweeps. NOT used for cryptographic keys — see

@@ -16,24 +16,17 @@ std::string CellName(int i) { return "cell-" + std::to_string(i); }
 /// Pairwise mask for (i, j) in the given round; both ends derive the same
 /// value from the symmetric seed.
 uint64_t PairwiseMask(const Bytes& seed, uint64_t round) {
-  BinaryWriter w;
-  w.PutString("tc.agg.mask");
-  w.PutU64(round);
-  Bytes mac = crypto::HmacSha256(seed, w.Take());
+  Bytes mac =
+      crypto::HmacSha256(seed, Encode(std::string("tc.agg.mask"), round));
   uint64_t v = 0;
   for (int k = 0; k < 8; ++k) v |= static_cast<uint64_t>(mac[k]) << (8 * k);
   return v;
 }
 
-Bytes EncodeU64(uint64_t v) {
-  BinaryWriter w;
-  w.PutU64(v);
-  return w.Take();
-}
-
 Result<uint64_t> DecodeU64(const Bytes& b) {
-  BinaryReader r(b);
-  return r.GetU64();
+  uint64_t v = 0;
+  TC_RETURN_IF_ERROR(Decode(b, &v));
+  return v;
 }
 
 struct TrafficCounter {
@@ -83,12 +76,9 @@ SecureAggregation::PairwiseChannels::Setup(int n, bool use_real_dh,
     // standing in for the (amortized, one-time) DH setup.
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        BinaryWriter w;
-        w.PutString("tc.agg.simulated-channel");
-        w.PutU64(seed);
-        w.PutU32(static_cast<uint32_t>(i));
-        w.PutU32(static_cast<uint32_t>(j));
-        Bytes s = crypto::Sha256Hash(w.Take());
+        Bytes s = crypto::Sha256Hash(
+            Encode(std::string("tc.agg.simulated-channel"), seed,
+                   static_cast<uint32_t>(i), static_cast<uint32_t>(j)));
         channels.seeds_[i * n + j] = s;
         channels.seeds_[j * n + i] = s;
       }
@@ -110,7 +100,7 @@ Result<AggregationOutcome> SecureAggregation::RunCleartext(
   TrafficCounter traffic(cloud);
   for (size_t i = 0; i < values.size(); ++i) {
     cloud.Send(CellName(static_cast<int>(i)), "aggregator", "value",
-               EncodeU64(static_cast<uint64_t>(values[i])));
+               Encode(static_cast<uint64_t>(values[i])));
   }
   int64_t sum = 0;
   int contributors = 0;
@@ -160,7 +150,7 @@ Result<AggregationOutcome> SecureAggregation::RunAdditiveMasking(
         masked -= mask;
       }
     }
-    cloud.Send(CellName(i), "aggregator", "masked", EncodeU64(masked));
+    cloud.Send(CellName(i), "aggregator", "masked", Encode(masked));
   }
 
   // Aggregator: collect, identify dropouts by roster difference.
@@ -200,7 +190,7 @@ Result<AggregationOutcome> SecureAggregation::RunAdditiveMasking(
           correction -= mask;
         }
       }
-      cloud.Send(CellName(i), "aggregator", "repair", EncodeU64(correction));
+      cloud.Send(CellName(i), "aggregator", "repair", Encode(correction));
     }
     for (const cloud::Message& msg : cloud.Receive("aggregator")) {
       if (msg.topic != "repair") continue;

@@ -6,16 +6,12 @@
 namespace tc::crypto {
 
 Bytes SchnorrSignature::Serialize(size_t q_width) const {
-  BinaryWriter w;
-  w.PutBytes(e.ToBytesBE(q_width));
-  w.PutBytes(s.ToBytesBE(q_width));
-  return w.Take();
+  return Encode(e.ToBytesBE(q_width), s.ToBytesBE(q_width));
 }
 
 Result<SchnorrSignature> SchnorrSignature::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
-  TC_ASSIGN_OR_RETURN(Bytes e_bytes, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes s_bytes, r.GetBytes());
+  Bytes e_bytes, s_bytes;
+  TC_RETURN_IF_ERROR(Decode(data, &e_bytes, &s_bytes));
   return SchnorrSignature{BigInt::FromBytesBE(e_bytes),
                           BigInt::FromBytesBE(s_bytes)};
 }

@@ -22,15 +22,12 @@ Status Database::Recover() {
       store_->ScanAll([&](const std::string& key, const Bytes& value) {
         if (!inner.ok() || key.size() < 2) return;
         if (key.compare(0, 2, "m/") == 0) {
-          BinaryReader r(value);
-          auto schema = Schema::Decode(r);
-          if (!schema.ok()) {
-            inner = schema.status();
-            return;
-          }
+          Schema schema;
+          inner = Decode(value, &schema);
+          if (!inner.ok()) return;
           std::string name = key.substr(2);
           tables_.emplace(name,
-                          std::make_unique<Table>(store_, name, *schema));
+                          std::make_unique<Table>(store_, name, schema));
         } else if (key.compare(0, 2, "r/") == 0) {
           auto parsed = Table::ParseRowKey(key);
           if (parsed.ok()) row_keys.push_back(*parsed);
@@ -58,9 +55,7 @@ Result<Table*> Database::CreateTable(const std::string& name, Schema schema) {
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  BinaryWriter w;
-  schema.Encode(w);
-  TC_RETURN_IF_ERROR(store_->Put("m/" + name, w.Take()));
+  TC_RETURN_IF_ERROR(store_->Put("m/" + name, Encode(schema)));
   auto table = std::make_unique<Table>(store_, name, std::move(schema));
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));

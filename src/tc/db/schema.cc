@@ -53,30 +53,28 @@ Status Schema::ValidateRow(const std::vector<Value>& row) const {
   return Status::OK();
 }
 
-void Schema::Encode(BinaryWriter& w) const {
-  w.PutVarint(columns_.size());
-  for (const Column& c : columns_) {
-    w.PutString(c.name);
-    w.PutU8(static_cast<uint8_t>(c.type));
-    w.PutBool(c.nullable);
-  }
+Result<Schema> Schema::Decode(BinaryReader& r) {
+  std::vector<Column> columns;
+  TC_RETURN_IF_ERROR(Get(r, &columns));
+  return Schema::Create(std::move(columns));
 }
 
-Result<Schema> Schema::Decode(BinaryReader& r) {
-  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  // Name length prefix, type byte and nullable flag: 3 bytes at least.
-  TC_RETURN_IF_ERROR(CheckCount(r, n, 3));
-  std::vector<Column> columns;
-  columns.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Column c;
-    TC_ASSIGN_OR_RETURN(c.name, r.GetString());
-    TC_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
-    c.type = static_cast<ValueType>(type);
-    TC_ASSIGN_OR_RETURN(c.nullable, r.GetBool());
-    columns.push_back(std::move(c));
-  }
-  return Schema::Create(std::move(columns));
+void Put(BinaryWriter& w, const Column& v) {
+  PutFields(w, v.name, static_cast<uint8_t>(v.type), v.nullable);
+}
+
+Status Get(BinaryReader& r, Column* v) {
+  uint8_t type = 0;
+  TC_RETURN_IF_ERROR(GetFields(r, &v->name, &type, &v->nullable));
+  v->type = static_cast<ValueType>(type);
+  return Status::OK();
+}
+
+void Put(BinaryWriter& w, const Schema& v) { Put(w, v.columns()); }
+
+Status Get(BinaryReader& r, Schema* v) {
+  TC_ASSIGN_OR_RETURN(*v, Schema::Decode(r));
+  return Status::OK();
 }
 
 }  // namespace tc::db

@@ -15,6 +15,10 @@ struct Column {
   bool nullable = true;
 };
 
+/// Name, u8 type, nullable.
+void Put(BinaryWriter& w, const Column& v);
+Status Get(BinaryReader& r, Column* v);
+
 /// Table schema: ordered columns, unique names.
 class Schema {
  public:
@@ -30,12 +34,16 @@ class Schema {
   /// Validates a row against the schema (arity, types, nullability).
   Status ValidateRow(const std::vector<Value>& row) const;
 
-  void Encode(BinaryWriter& w) const;
+  /// Reads the columns (Put's encoding) and validates them as Create does.
   static Result<Schema> Decode(BinaryReader& r);
 
  private:
   std::vector<Column> columns_;
 };
+
+/// A schema in the one codec: its columns.
+void Put(BinaryWriter& w, const Schema& v);
+Status Get(BinaryReader& r, Schema* v);
 
 /// A stored row: automatically-assigned id plus one Value per column.
 struct Row {
@@ -44,5 +52,11 @@ struct Row {
 };
 
 }  // namespace tc::db
+
+namespace tc {
+// Name length prefix, type byte and nullable flag.
+template <>
+inline constexpr size_t kMinEncodedBytes<db::Column> = 3;
+}  // namespace tc
 
 #endif  // TC_DB_SCHEMA_H_

@@ -41,22 +41,12 @@ Result<std::pair<std::string, uint64_t>> Table::ParseRowKey(
 }
 
 Bytes Table::EncodeRowValues(const std::vector<Value>& values) {
-  BinaryWriter w;
-  w.PutVarint(values.size());
-  for (const Value& v : values) v.Encode(w);
-  return w.Take();
+  return Encode(values);
 }
 
 Result<std::vector<Value>> Table::DecodeRowValues(const Bytes& data) {
-  BinaryReader r(data);
-  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  TC_RETURN_IF_ERROR(CheckCount(r, n, 1));  // At least a type byte each.
   std::vector<Value> values;
-  values.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    TC_ASSIGN_OR_RETURN(Value v, Value::Decode(r));
-    values.push_back(std::move(v));
-  }
+  TC_RETURN_IF_ERROR(Decode(data, &values));
   return values;
 }
 

@@ -45,61 +45,64 @@ Result<double> Value::AsNumeric() const {
   }
 }
 
-void Value::Encode(BinaryWriter& w) const {
-  w.PutU8(static_cast<uint8_t>(type()));
-  switch (type()) {
+namespace {
+
+/// Reads one `T`, then makes the value of it.
+template <typename T, typename Make>
+Status GetAs(BinaryReader& r, Value* v, Make make) {
+  T alternative;
+  TC_RETURN_IF_ERROR(Get(r, &alternative));
+  *v = make(std::move(alternative));
+  return Status::OK();
+}
+
+}  // namespace
+
+void Put(BinaryWriter& w, const Value& v) {
+  Put(w, static_cast<uint8_t>(v.type()));
+  switch (v.type()) {
     case ValueType::kNull:
       break;
     case ValueType::kBool:
-      w.PutBool(AsBool());
+      Put(w, v.AsBool());
       break;
     case ValueType::kInt64:
-      w.PutI64(AsInt64());
+      Put(w, v.AsInt64());
       break;
     case ValueType::kDouble:
-      w.PutDouble(AsDouble());
+      Put(w, v.AsDouble());
       break;
     case ValueType::kString:
-      w.PutString(AsString());
+      Put(w, v.AsString());
       break;
     case ValueType::kBytes:
-      w.PutBytes(AsBytes());
+      Put(w, v.AsBytes());
       break;
     case ValueType::kTimestamp:
-      w.PutI64(AsTimestamp());
+      Put(w, v.AsTimestamp());
       break;
   }
 }
 
-Result<Value> Value::Decode(BinaryReader& r) {
-  TC_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
+Status Get(BinaryReader& r, Value* v) {
+  uint8_t tag = 0;
+  TC_RETURN_IF_ERROR(Get(r, &tag));
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kBool: {
-      TC_ASSIGN_OR_RETURN(bool v, r.GetBool());
-      return Value::Bool(v);
-    }
-    case ValueType::kInt64: {
-      TC_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-      return Value::Int64(v);
-    }
-    case ValueType::kDouble: {
-      TC_ASSIGN_OR_RETURN(double v, r.GetDouble());
-      return Value::Double(v);
-    }
-    case ValueType::kString: {
-      TC_ASSIGN_OR_RETURN(std::string v, r.GetString());
-      return Value::String(std::move(v));
-    }
-    case ValueType::kBytes: {
-      TC_ASSIGN_OR_RETURN(Bytes v, r.GetBytes());
-      return Value::Blob(std::move(v));
-    }
-    case ValueType::kTimestamp: {
-      TC_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-      return Value::TimestampVal(v);
-    }
+      *v = Value::Null();
+      return Status::OK();
+    case ValueType::kBool:
+      return GetAs<bool>(r, v, Value::Bool);
+    case ValueType::kInt64:
+      return GetAs<int64_t>(r, v, Value::Int64);
+    case ValueType::kDouble:
+      return GetAs<double>(r, v, Value::Double);
+    case ValueType::kString:
+      return GetAs<std::string>(r, v, Value::String);
+    case ValueType::kBytes:
+      return GetAs<Bytes>(r, v, Value::Blob);
+    case ValueType::kTimestamp:
+      return GetAs<int64_t>(r, v, Value::TimestampVal);
   }
   return Status::Corruption("unknown value type tag");
 }

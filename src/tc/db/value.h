@@ -54,9 +54,6 @@ class Value {
   /// Numeric view: Int64/Double/Timestamp as double (for aggregation).
   Result<double> AsNumeric() const;
 
-  void Encode(BinaryWriter& w) const;
-  static Result<Value> Decode(BinaryReader& r);
-
   /// Human-readable rendering for reports and examples.
   std::string ToString() const;
 
@@ -79,6 +76,11 @@ class Value {
   explicit Value(Repr repr) : repr_(std::move(repr)) {}
   Repr repr_;
 };
+
+/// A value in the one codec (tc/common/codec.h): its u8 ValueType, then
+/// the alternative (nothing for null, an i64 for a timestamp).
+void Put(BinaryWriter& w, const Value& v);
+Status Get(BinaryReader& r, Value* v);
 
 }  // namespace tc::db
 

@@ -14,14 +14,6 @@
 namespace tc::fleet {
 namespace {
 
-// splitmix64 finalizer — one decorrelated workload stream per cell.
-uint64_t MixSeed(uint64_t seed, uint64_t cell) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (cell + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::string CellId(size_t index) {
   return "fleet/cell" + std::to_string(index);
 }
@@ -30,18 +22,14 @@ std::string SharedTxnKey(size_t k) {
   return "txn/shared/" + std::to_string(k);
 }
 
-// Shared-key payloads are bare u64 counters: a committed read-modify-write
-// sets value = read_value + 1, so under first-committer-wins every key's
-// counter always equals its version number — the exactness audit.
-Bytes EncodeCounter(uint64_t value) {
-  BinaryWriter w;
-  w.PutU64(value);
-  return w.Take();
-}
-
+// Shared-key payloads are bare u64 counters, Encode(value): a committed
+// read-modify-write sets value = read_value + 1, so under first-committer-
+// wins every key's counter always equals its version number — the
+// exactness audit.
 Result<uint64_t> DecodeCounter(const Bytes& data) {
-  BinaryReader r(data);
-  return r.GetU64();
+  uint64_t value = 0;
+  TC_RETURN_IF_ERROR(Decode(data, &value));
+  return value;
 }
 
 // Per-cell telemetry plumbing (FleetOptions::telemetry). Each cell records
@@ -524,7 +512,7 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
         return read.status();
       }
       req->reads.push_back({id, version});
-      req->writes.push_back({id, EncodeCounter(value + 1), version});
+      req->writes.push_back({id, Encode(value + 1), version});
     }
     if (history != nullptr) {
       history->OnBegin(attempt_id, req->snapshot);

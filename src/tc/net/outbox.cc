@@ -10,39 +10,28 @@ namespace {
 constexpr char kPrefix[] = "outbox/";
 constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
 // Every record is one provider transaction.
-constexpr char kMagic[] = "tc.outbox.txn.v1";
+const std::string kMagic = "tc.outbox.txn.v1";
+
 }  // namespace
 
+void Put(BinaryWriter& w, const OutboxWrite& v) {
+  PutFields(w, v.blob_id, v.payload);
+}
+
+Status Get(BinaryReader& r, OutboxWrite* v) {
+  return GetFields(r, &v->blob_id, &v->payload);
+}
+
 Bytes OutboxRecord::Serialize() const {
-  BinaryWriter w;
-  w.PutString(kMagic);
-  w.PutU64(seq);
-  w.PutString(token);
-  w.PutVarint(writes.size());
-  for (const OutboxWrite& write : writes) {
-    w.PutString(write.blob_id);
-    w.PutBytes(write.payload);
-  }
-  return w.Take();
+  return Encode(kMagic, seq, token, writes);
 }
 
 Result<OutboxRecord> OutboxRecord::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
-  TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
-  if (magic != kMagic) return Status::Corruption("bad outbox record magic");
+  std::string magic;
   OutboxRecord record;
-  TC_ASSIGN_OR_RETURN(record.seq, r.GetU64());
-  TC_ASSIGN_OR_RETURN(record.token, r.GetString());
-  TC_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
-  // Two length prefixes per write: blob id and payload.
-  TC_RETURN_IF_ERROR(CheckCount(r, count, 2));
-  record.writes.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    OutboxWrite write;
-    TC_ASSIGN_OR_RETURN(write.blob_id, r.GetString());
-    TC_ASSIGN_OR_RETURN(write.payload, r.GetBytes());
-    record.writes.push_back(std::move(write));
-  }
+  TC_RETURN_IF_ERROR(
+      Decode(data, &magic, &record.seq, &record.token, &record.writes));
+  if (magic != kMagic) return Status::Corruption("bad outbox record magic");
   return record;
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tc/common/bytes.h"
+#include "tc/common/codec.h"
 #include "tc/common/result.h"
 #include "tc/storage/log_store.h"
 
@@ -19,6 +20,9 @@ struct OutboxWrite {
   Bytes payload;
 };
 
+void Put(BinaryWriter& w, const OutboxWrite& v);
+Status Get(BinaryReader& r, OutboxWrite* v);
+
 /// One queued provider transaction: its writes plus the idempotency token
 /// minted for the *first* attempt. A record drains through CommitTxn under
 /// that token as blind writes, so all of its writes land atomically, and a
@@ -30,6 +34,7 @@ struct OutboxRecord {
   std::string token;
   std::vector<OutboxWrite> writes;
 
+  /// "tc.outbox.txn.v1", seq, token, writes.
   Bytes Serialize() const;
   static Result<OutboxRecord> Deserialize(const Bytes& data);
 };
@@ -85,5 +90,11 @@ class Outbox {
 };
 
 }  // namespace tc::net
+
+namespace tc {
+// Two length prefixes per write: blob id and payload.
+template <>
+inline constexpr size_t kMinEncodedBytes<net::OutboxWrite> = 2;
+}  // namespace tc
 
 #endif  // TC_NET_OUTBOX_H_

@@ -10,7 +10,7 @@ namespace {
 
 constexpr uint8_t kTagRecord = 0x01;
 constexpr uint8_t kTagCheckpoint = 0x02;
-constexpr const char* kExportMagic = "tc.obs.journal.v1";
+const std::string kExportMagic = "tc.obs.journal.v1";
 
 Bytes GenesisHead() {
   return crypto::Sha256Hash(ToBytes("tc.obs.journal.genesis"));
@@ -19,10 +19,7 @@ Bytes GenesisHead() {
 // The chain absorbs the *tagged* item — tag byte included — so a record
 // reinterpreted as a checkpoint (or vice versa) changes the chain.
 Bytes TaggedItem(uint8_t tag, const Bytes& payload) {
-  BinaryWriter w;
-  w.PutU8(tag);
-  w.PutBytes(payload);
-  return w.Take();
+  return Encode(tag, payload);
 }
 
 }  // namespace
@@ -44,56 +41,31 @@ const char* AuditKindName(AuditKind kind) {
 }
 
 Bytes AuditRecord::Serialize() const {
-  BinaryWriter w;
-  w.PutU64(index);
-  w.PutI64(time);
-  w.PutU8(static_cast<uint8_t>(kind));
-  w.PutString(subject);
-  w.PutString(action);
-  w.PutString(object);
-  w.PutBool(allowed);
-  w.PutString(detail);
-  w.PutU64(trace_id);
-  w.PutU64(span_id);
-  return w.Take();
+  return Encode(index, time, static_cast<uint8_t>(kind), subject, action,
+                object, allowed, detail, trace_id, span_id);
 }
 
 Result<AuditRecord> AuditRecord::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
   AuditRecord rec;
-  TC_ASSIGN_OR_RETURN(rec.index, r.GetU64());
-  TC_ASSIGN_OR_RETURN(rec.time, r.GetI64());
-  TC_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
+  uint8_t kind = 0;
+  TC_RETURN_IF_ERROR(Decode(data, &rec.index, &rec.time, &kind, &rec.subject,
+                            &rec.action, &rec.object, &rec.allowed,
+                            &rec.detail, &rec.trace_id, &rec.span_id));
   if (kind < 1 || kind > 5) {
     return Status::Corruption("bad audit record kind");
   }
   rec.kind = static_cast<AuditKind>(kind);
-  TC_ASSIGN_OR_RETURN(rec.subject, r.GetString());
-  TC_ASSIGN_OR_RETURN(rec.action, r.GetString());
-  TC_ASSIGN_OR_RETURN(rec.object, r.GetString());
-  TC_ASSIGN_OR_RETURN(rec.allowed, r.GetBool());
-  TC_ASSIGN_OR_RETURN(rec.detail, r.GetString());
-  TC_ASSIGN_OR_RETURN(rec.trace_id, r.GetU64());
-  TC_ASSIGN_OR_RETURN(rec.span_id, r.GetU64());
-  if (!r.AtEnd()) return Status::Corruption("trailing audit record bytes");
   return rec;
 }
 
 Bytes AuditCheckpoint::Serialize() const {
-  BinaryWriter w;
-  w.PutU64(record_count);
-  w.PutBytes(chain_head);
-  w.PutBytes(signature);
-  return w.Take();
+  return Encode(record_count, chain_head, signature);
 }
 
 Result<AuditCheckpoint> AuditCheckpoint::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
   AuditCheckpoint cp;
-  TC_ASSIGN_OR_RETURN(cp.record_count, r.GetU64());
-  TC_ASSIGN_OR_RETURN(cp.chain_head, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(cp.signature, r.GetBytes());
-  if (!r.AtEnd()) return Status::Corruption("trailing checkpoint bytes");
+  TC_RETURN_IF_ERROR(
+      Decode(data, &cp.record_count, &cp.chain_head, &cp.signature));
   return cp;
 }
 
@@ -112,7 +84,6 @@ Status AuditJournal::Append(AuditRecord record) {
   record.trace_id = context.trace_id;
   record.span_id = context.span_id;
   AbsorbItemLocked(kTagRecord, record.Serialize());
-  records_.push_back(std::move(record));
   if (options_.checkpoint_interval != 0 &&
       next_index_ % options_.checkpoint_interval == 0) {
     AuditCheckpoint cp;
@@ -144,20 +115,20 @@ Bytes AuditJournal::head() const {
 
 Bytes AuditJournal::Export() const {
   std::lock_guard<std::mutex> lock(mu_);
-  BinaryWriter w;
-  w.PutString(kExportMagic);
-  w.PutVarint(items_.size());
-  for (const auto& [tag, payload] : items_) {
-    w.PutU8(tag);
-    w.PutBytes(payload);
-  }
-  return w.Take();
+  return Encode(kExportMagic, items_);
 }
 
 std::vector<AuditRecord> AuditJournal::Tail(size_t n) const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t start = records_.size() > n ? records_.size() - n : 0;
-  return std::vector<AuditRecord>(records_.begin() + start, records_.end());
+  std::vector<AuditRecord> tail;
+  for (auto it = items_.rbegin(); it != items_.rend() && tail.size() < n;
+       ++it) {
+    if (it->first != kTagRecord) continue;
+    // The journal serialized every record itself, so each decodes.
+    tail.push_back(AuditRecord::Deserialize(it->second).value());
+  }
+  std::reverse(tail.begin(), tail.end());
+  return tail;
 }
 
 AuditVerifyReport AuditJournal::Verify(const Bytes& exported,
@@ -172,29 +143,25 @@ AuditVerifyReport AuditJournal::Verify(const Bytes& exported,
     return report;
   };
 
-  BinaryReader r(exported);
-  auto magic = r.GetString();
-  if (!magic.ok() || *magic != kExportMagic) {
-    return fail("bad journal export magic");
+  std::string magic;
+  std::vector<std::pair<uint8_t, Bytes>> items;
+  Status parsed = Decode(exported, &magic, &items);
+  if (!parsed.ok()) {
+    return fail("unparseable journal export: " + parsed.message());
   }
-  auto item_count = r.GetVarint();
-  if (!item_count.ok()) return fail("unreadable item count");
+  if (magic != kExportMagic) return fail("bad journal export magic");
 
-  for (uint64_t i = 0; i < *item_count; ++i) {
-    auto tag = r.GetU8();
-    if (!tag.ok()) return fail("truncated item tag");
-    auto payload = r.GetBytes();
-    if (!payload.ok()) return fail("truncated item payload");
-    if (*tag == kTagRecord) {
-      auto rec = AuditRecord::Deserialize(*payload);
+  for (const auto& [tag, payload] : items) {
+    if (tag == kTagRecord) {
+      auto rec = AuditRecord::Deserialize(payload);
       if (!rec.ok()) return fail("unparseable record");
       if (rec->index != report.record_count) {
         return fail("record index out of order");
       }
       ++report.record_count;
       report.records.push_back(std::move(*rec));
-    } else if (*tag == kTagCheckpoint) {
-      auto cp = AuditCheckpoint::Deserialize(*payload);
+    } else if (tag == kTagCheckpoint) {
+      auto cp = AuditCheckpoint::Deserialize(payload);
       if (!cp.ok()) return fail("unparseable checkpoint");
       // The stored head anchors everything before this checkpoint: a
       // flipped bit, dropped item or swap anywhere upstream lands here.
@@ -213,9 +180,8 @@ AuditVerifyReport AuditJournal::Verify(const Bytes& exported,
     } else {
       return fail("unknown item tag");
     }
-    report.head = crypto::Sha256Hash2(report.head, TaggedItem(*tag, *payload));
+    report.head = crypto::Sha256Hash2(report.head, TaggedItem(tag, payload));
   }
-  if (!r.AtEnd()) return fail("trailing bytes after journal items");
   if (expected_count >= 0 &&
       report.record_count != static_cast<uint64_t>(expected_count)) {
     return fail("journal truncated or padded");

@@ -122,8 +122,8 @@ class AuditJournal {
   /// "tc.obs.journal.v1" | varint item_count | (u8 tag, bytes payload)*.
   Bytes Export() const;
 
-  /// Last `n` records (most recent last) — the flight recorder's journal
-  /// tail.
+  /// Last `n` records (most recent last), decoded from the journal's items
+  /// — the flight recorder's journal tail.
   std::vector<AuditRecord> Tail(size_t n) const;
 
   /// Walks an exported stream, recomputing the chain and checking: item
@@ -143,8 +143,8 @@ class AuditJournal {
 
   AuditJournalOptions options_;
   mutable std::mutex mu_;
-  std::vector<std::pair<uint8_t, Bytes>> items_;  // guarded by mu_.
-  std::vector<AuditRecord> records_;              // guarded by mu_.
+  // Every record and checkpoint, held once, serialized. guarded by mu_.
+  std::vector<std::pair<uint8_t, Bytes>> items_;
   Bytes head_;                                    // guarded by mu_.
   uint64_t next_index_ = 0;                       // guarded by mu_.
   uint64_t checkpoints_ = 0;                      // guarded by mu_.

@@ -646,4 +646,12 @@ std::string TelemetryHub::FleetReportText() const {
   return out.str();
 }
 
+void Put(BinaryWriter& w, const TelemetryHub::ReportOutcome& v) {
+  PutFields(w, v.status, v.applied, v.duplicate, v.last_seq);
+}
+
+Status Get(BinaryReader& r, TelemetryHub::ReportOutcome* v) {
+  return GetFields(r, &v->status, &v->applied, &v->duplicate, &v->last_seq);
+}
+
 }  // namespace tc::obs

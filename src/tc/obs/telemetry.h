@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "tc/common/bytes.h"
+#include "tc/common/codec.h"
 #include "tc/common/result.h"
 #include "tc/obs/metrics.h"
 
@@ -341,6 +342,10 @@ class TelemetryHub {
   std::vector<SloStatus> slo_state_;
   Stats stats_;
 };
+
+/// A report's answer on the wire, a field list in the one codec.
+void Put(BinaryWriter& w, const TelemetryHub::ReportOutcome& v);
+Status Get(BinaryReader& r, TelemetryHub::ReportOutcome* v);
 
 }  // namespace tc::obs
 

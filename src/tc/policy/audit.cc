@@ -6,17 +6,13 @@
 namespace tc::policy {
 namespace {
 
-constexpr const char* kExportMagic = "tc.audit.export.v2";
+const std::string kExportMagic = "tc.audit.export.v2";
 
 // AEAD associated data for a sealed export: binds the record count and the
 // chain head, so the anchors VerifyAndDecrypt hands to the journal walk
 // are themselves integrity-protected.
 Bytes ExportAad(uint64_t record_count, const Bytes& chain_head) {
-  BinaryWriter w;
-  w.PutString("tc.audit.v2");
-  w.PutU64(record_count);
-  w.PutBytes(chain_head);
-  return w.Take();
+  return Encode(std::string("tc.audit.v2"), record_count, chain_head);
 }
 
 std::string CheckpointClaims(uint64_t record_count) {
@@ -26,26 +22,17 @@ std::string CheckpointClaims(uint64_t record_count) {
 }  // namespace
 
 Bytes SerializeQuote(const tee::Quote& quote) {
-  BinaryWriter w;
-  w.PutString(quote.device_id);
-  w.PutBytes(quote.nonce);
-  w.PutString(quote.claims);
-  w.PutU64(quote.boot_counter);
-  w.PutBytes(quote.signature.Serialize(32));
-  return w.Take();
+  return Encode(quote.device_id, quote.nonce, quote.claims,
+                quote.boot_counter, quote.signature.Serialize(32));
 }
 
 Result<tee::Quote> DeserializeQuote(const Bytes& data) {
-  BinaryReader r(data);
   tee::Quote quote;
-  TC_ASSIGN_OR_RETURN(quote.device_id, r.GetString());
-  TC_ASSIGN_OR_RETURN(quote.nonce, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(quote.claims, r.GetString());
-  TC_ASSIGN_OR_RETURN(quote.boot_counter, r.GetU64());
-  TC_ASSIGN_OR_RETURN(Bytes sig, r.GetBytes());
+  Bytes sig;
+  TC_RETURN_IF_ERROR(Decode(data, &quote.device_id, &quote.nonce,
+                            &quote.claims, &quote.boot_counter, &sig));
   TC_ASSIGN_OR_RETURN(quote.signature,
                       crypto::SchnorrSignature::Deserialize(sig));
-  if (!r.AtEnd()) return Status::Corruption("trailing quote bytes");
   return quote;
 }
 
@@ -81,45 +68,26 @@ AuditLog::AuditLog(tee::TrustedExecutionEnvironment* tee, std::string key_name)
         return options;
       }()) {}
 
-Status AuditLog::Append(const AuditEntry& entry) {
-  obs::AuditRecord record;
-  record.time = entry.time;
-  record.kind = obs::AuditKind::kPolicyDecision;
-  record.subject = entry.subject;
-  record.action = entry.action;
-  record.object = entry.object;
-  record.allowed = entry.allowed;
-  record.detail = entry.detail;
-  return journal_.Append(std::move(record));
-}
-
 Result<Bytes> AuditLog::Export() const {
   uint64_t count = journal_.record_count();
   Bytes head = journal_.head();
   TC_ASSIGN_OR_RETURN(
       Bytes sealed,
       tee_->Seal(key_name_, ExportAad(count, head), journal_.Export()));
-  BinaryWriter w;
-  w.PutString(kExportMagic);
-  w.PutU64(count);
-  w.PutBytes(head);
-  w.PutBytes(sealed);
-  return w.Take();
+  return Encode(kExportMagic, count, head, sealed);
 }
 
 Result<std::vector<obs::AuditRecord>> AuditLog::VerifyAndDecrypt(
     const Bytes& exported, tee::TrustedExecutionEnvironment* tee,
     const std::string& key_name, int64_t expected_count,
     const obs::CheckpointVerifier& verifier) {
-  BinaryReader r(exported);
-  TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
+  std::string magic;
+  uint64_t count = 0;
+  Bytes head, sealed;
+  TC_RETURN_IF_ERROR(Decode(exported, &magic, &count, &head, &sealed));
   if (magic != kExportMagic) {
     return Status::Corruption("bad audit export magic");
   }
-  TC_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-  TC_ASSIGN_OR_RETURN(Bytes head, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes sealed, r.GetBytes());
-  if (!r.AtEnd()) return Status::Corruption("trailing audit export bytes");
   if (expected_count >= 0 && count != static_cast<uint64_t>(expected_count)) {
     return Status::IntegrityViolation("audit log truncated or padded");
   }

@@ -4,27 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "tc/common/clock.h"
 #include "tc/common/result.h"
 #include "tc/obs/audit_journal.h"
 #include "tc/tee/tee.h"
 
 namespace tc::policy {
 
-/// One accountability record (the policy layer's view; stored as an
-/// obs::AuditRecord of kind kPolicyDecision in the journal).
-struct AuditEntry {
-  uint64_t index = 0;
-  Timestamp time = 0;
-  std::string subject;
-  std::string action;   ///< e.g. "read", "share", "aggregate".
-  std::string object;   ///< Document / series the action touched.
-  bool allowed = false;
-  std::string detail;   ///< Rule id or denial reason.
-};
-
 /// Serialized tee::Quote <-> bytes, the blob format AuditLog's checkpoint
-/// signer stores inside obs::AuditCheckpoint::signature.
+/// signer stores inside obs::AuditCheckpoint::signature: device id, nonce,
+/// claims, boot counter, serialized signature.
 Bytes SerializeQuote(const tee::Quote& quote);
 Result<tee::Quote> DeserializeQuote(const Bytes& data);
 
@@ -56,16 +44,15 @@ class AuditLog {
   /// data originator so that *they* can read the log).
   AuditLog(tee::TrustedExecutionEnvironment* tee, std::string key_name);
 
-  Status Append(const AuditEntry& entry);
-
-  /// Total journal records (policy decisions plus any incident /
-  /// attestation records appended through journal()).
+  /// Total journal records: policy decisions, incidents, attestation
+  /// events, every record appended through journal().
   size_t size() const { return journal_.record_count(); }
   Bytes head_hash() const { return journal_.head(); }
 
-  /// The underlying journal, for appending non-policy evidence (incidents,
-  /// recovery skips, attestation events) into the same tamper-evident
-  /// chain, and for flight-recorder tail capture.
+  /// The underlying journal: every piece of evidence (policy decisions,
+  /// incidents, recovery skips, attestation events) is appended here as an
+  /// obs::AuditRecord, into one tamper-evident chain; the flight recorder
+  /// captures its tail.
   obs::AuditJournal& journal() { return journal_; }
   const obs::AuditJournal& journal() const { return journal_; }
 

@@ -7,16 +7,25 @@
 namespace tc::policy {
 namespace {
 
+const std::string kStickyMagic = "tc.sticky.v1";
+
 Bytes MacKey(const Bytes& data_key) {
   return crypto::DeriveKey(data_key, "tc.policy.sticky-mac");
 }
 
 Bytes MacInput(const Bytes& policy_bytes, const std::string& object_id) {
-  BinaryWriter w;
-  w.PutString("tc.sticky.v1");
-  w.PutString(object_id);
-  w.PutBytes(policy_bytes);
-  return w.Take();
+  return Encode(kStickyMagic, object_id, policy_bytes);
+}
+
+/// The envelope: magic, policy bytes, their SHA-256, the binding MAC.
+Status DecodeEnvelope(const Bytes& envelope, Bytes* policy_bytes, Bytes* hash,
+                      Bytes* tag) {
+  std::string magic;
+  TC_RETURN_IF_ERROR(Decode(envelope, &magic, policy_bytes, hash, tag));
+  if (magic != kStickyMagic) {
+    return Status::Corruption("bad sticky envelope magic");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -26,25 +35,15 @@ Bytes StickyPolicy::BindWithMac(const Policy& policy,
                                 const MacFn& mac) {
   Bytes policy_bytes = policy.Serialize();
   Bytes tag = mac(MacInput(policy_bytes, object_id));
-  BinaryWriter w;
-  w.PutString("tc.sticky.v1");
-  w.PutBytes(policy_bytes);
-  w.PutBytes(crypto::Sha256Hash(policy_bytes));
-  w.PutBytes(tag);
-  return w.Take();
+  return Encode(kStickyMagic, policy_bytes, crypto::Sha256Hash(policy_bytes),
+                tag);
 }
 
 Result<Policy> StickyPolicy::VerifyAndExtractWithMac(const Bytes& envelope,
                                                      const std::string& object_id,
                                                      const MacFn& mac) {
-  BinaryReader r(envelope);
-  TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
-  if (magic != "tc.sticky.v1") {
-    return Status::Corruption("bad sticky envelope magic");
-  }
-  TC_ASSIGN_OR_RETURN(Bytes policy_bytes, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes hash, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes tag, r.GetBytes());
+  Bytes policy_bytes, hash, tag;
+  TC_RETURN_IF_ERROR(DecodeEnvelope(envelope, &policy_bytes, &hash, &tag));
   if (!ConstantTimeEqual(mac(MacInput(policy_bytes, object_id)), tag)) {
     return Status::IntegrityViolation("sticky policy binding MAC mismatch");
   }
@@ -73,13 +72,8 @@ Result<Policy> StickyPolicy::VerifyAndExtract(const Bytes& envelope,
 }
 
 Result<Bytes> StickyPolicy::PeekPolicyHash(const Bytes& envelope) {
-  BinaryReader r(envelope);
-  TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
-  if (magic != "tc.sticky.v1") {
-    return Status::Corruption("bad sticky envelope magic");
-  }
-  TC_ASSIGN_OR_RETURN(Bytes policy_bytes, r.GetBytes());
-  TC_ASSIGN_OR_RETURN(Bytes hash, r.GetBytes());
+  Bytes policy_bytes, hash, tag;
+  TC_RETURN_IF_ERROR(DecodeEnvelope(envelope, &policy_bytes, &hash, &tag));
   return hash;
 }
 

@@ -7,43 +7,35 @@
 namespace tc::policy {
 namespace {
 
-void EncodePolicyValue(BinaryWriter& w, const PolicyValue& v) {
-  w.PutU8(static_cast<uint8_t>(v.index()));
-  switch (v.index()) {
-    case 0:
-      w.PutBool(std::get<bool>(v));
-      break;
-    case 1:
-      w.PutI64(std::get<int64_t>(v));
-      break;
-    case 2:
-      w.PutDouble(std::get<double>(v));
-      break;
-    case 3:
-      w.PutString(std::get<std::string>(v));
-      break;
-  }
+const std::string kPolicyMagic = "tc.policy.v1";
+
+// A PolicyValue is a std::variant, whose namespace is std's: its Put and
+// Get are this file's own, called by name.
+void PutValue(BinaryWriter& w, const PolicyValue& v) {
+  Put(w, static_cast<uint8_t>(v.index()));
+  std::visit([&w](const auto& alternative) { Put(w, alternative); }, v);
 }
 
-Result<PolicyValue> DecodePolicyValue(BinaryReader& r) {
-  TC_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
+template <typename T>
+Status GetAlternative(BinaryReader& r, PolicyValue* v) {
+  T alternative;
+  TC_RETURN_IF_ERROR(Get(r, &alternative));
+  *v = std::move(alternative);
+  return Status::OK();
+}
+
+Status GetValue(BinaryReader& r, PolicyValue* v) {
+  uint8_t tag = 0;
+  TC_RETURN_IF_ERROR(Get(r, &tag));
   switch (tag) {
-    case 0: {
-      TC_ASSIGN_OR_RETURN(bool v, r.GetBool());
-      return PolicyValue(v);
-    }
-    case 1: {
-      TC_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-      return PolicyValue(v);
-    }
-    case 2: {
-      TC_ASSIGN_OR_RETURN(double v, r.GetDouble());
-      return PolicyValue(v);
-    }
-    case 3: {
-      TC_ASSIGN_OR_RETURN(std::string v, r.GetString());
-      return PolicyValue(std::move(v));
-    }
+    case 0:
+      return GetAlternative<bool>(r, v);
+    case 1:
+      return GetAlternative<int64_t>(r, v);
+    case 2:
+      return GetAlternative<double>(r, v);
+    case 3:
+      return GetAlternative<std::string>(r, v);
     default:
       return Status::Corruption("bad policy value tag");
   }
@@ -125,90 +117,61 @@ std::string PolicyValueToString(const PolicyValue& v) {
   }
 }
 
-void AttributeCondition::Encode(BinaryWriter& w) const {
-  w.PutString(attribute);
-  w.PutU8(static_cast<uint8_t>(op));
-  EncodePolicyValue(w, value);
+void Put(BinaryWriter& w, Right v) { Put(w, static_cast<uint8_t>(v)); }
+
+void Put(BinaryWriter& w, ObligationType v) {
+  Put(w, static_cast<uint8_t>(v));
 }
 
-Result<AttributeCondition> AttributeCondition::Decode(BinaryReader& r) {
-  AttributeCondition c;
-  TC_ASSIGN_OR_RETURN(c.attribute, r.GetString());
-  TC_ASSIGN_OR_RETURN(uint8_t op, r.GetU8());
+void Put(BinaryWriter& w, const AttributeCondition& v) {
+  PutFields(w, v.attribute, static_cast<uint8_t>(v.op));
+  PutValue(w, v.value);
+}
+
+void Put(BinaryWriter& w, const UsageRule& v) {
+  PutFields(w, v.id, v.subjects, v.rights, v.conditions, v.not_before,
+            v.not_after, v.max_uses, v.obligations);
+}
+
+Status Get(BinaryReader& r, Right* v) {
+  uint8_t code = 0;
+  TC_RETURN_IF_ERROR(Get(r, &code));
+  *v = static_cast<Right>(code);
+  return Status::OK();
+}
+
+Status Get(BinaryReader& r, ObligationType* v) {
+  uint8_t code = 0;
+  TC_RETURN_IF_ERROR(Get(r, &code));
+  *v = static_cast<ObligationType>(code);
+  return Status::OK();
+}
+
+Status Get(BinaryReader& r, AttributeCondition* v) {
+  uint8_t op = 0;
+  TC_RETURN_IF_ERROR(GetFields(r, &v->attribute, &op));
   if (op > static_cast<uint8_t>(ConditionOp::kGe)) {
     return Status::Corruption("bad condition op");
   }
-  c.op = static_cast<ConditionOp>(op);
-  TC_ASSIGN_OR_RETURN(c.value, DecodePolicyValue(r));
-  return c;
+  v->op = static_cast<ConditionOp>(op);
+  return GetValue(r, &v->value);
 }
 
-void UsageRule::Encode(BinaryWriter& w) const {
-  w.PutString(id);
-  w.PutVarint(subjects.size());
-  for (const auto& s : subjects) w.PutString(s);
-  w.PutVarint(rights.size());
-  for (Right right : rights) w.PutU8(static_cast<uint8_t>(right));
-  w.PutVarint(conditions.size());
-  for (const auto& c : conditions) c.Encode(w);
-  w.PutI64(not_before);
-  w.PutI64(not_after);
-  w.PutU64(max_uses);
-  w.PutVarint(obligations.size());
-  for (ObligationType o : obligations) w.PutU8(static_cast<uint8_t>(o));
-}
-
-Result<UsageRule> UsageRule::Decode(BinaryReader& r) {
-  UsageRule rule;
-  TC_ASSIGN_OR_RETURN(rule.id, r.GetString());
-  TC_ASSIGN_OR_RETURN(uint64_t ns, r.GetVarint());
-  for (uint64_t i = 0; i < ns; ++i) {
-    TC_ASSIGN_OR_RETURN(std::string s, r.GetString());
-    rule.subjects.push_back(std::move(s));
-  }
-  TC_ASSIGN_OR_RETURN(uint64_t nr, r.GetVarint());
-  for (uint64_t i = 0; i < nr; ++i) {
-    TC_ASSIGN_OR_RETURN(uint8_t right, r.GetU8());
-    rule.rights.push_back(static_cast<Right>(right));
-  }
-  TC_ASSIGN_OR_RETURN(uint64_t nc, r.GetVarint());
-  for (uint64_t i = 0; i < nc; ++i) {
-    TC_ASSIGN_OR_RETURN(AttributeCondition c, AttributeCondition::Decode(r));
-    rule.conditions.push_back(std::move(c));
-  }
-  TC_ASSIGN_OR_RETURN(rule.not_before, r.GetI64());
-  TC_ASSIGN_OR_RETURN(rule.not_after, r.GetI64());
-  TC_ASSIGN_OR_RETURN(rule.max_uses, r.GetU64());
-  TC_ASSIGN_OR_RETURN(uint64_t no, r.GetVarint());
-  for (uint64_t i = 0; i < no; ++i) {
-    TC_ASSIGN_OR_RETURN(uint8_t o, r.GetU8());
-    rule.obligations.push_back(static_cast<ObligationType>(o));
-  }
-  return rule;
+Status Get(BinaryReader& r, UsageRule* v) {
+  return GetFields(r, &v->id, &v->subjects, &v->rights, &v->conditions,
+                   &v->not_before, &v->not_after, &v->max_uses,
+                   &v->obligations);
 }
 
 Bytes Policy::Serialize() const {
-  BinaryWriter w;
-  w.PutString("tc.policy.v1");
-  w.PutString(id);
-  w.PutString(owner);
-  w.PutVarint(rules.size());
-  for (const UsageRule& rule : rules) rule.Encode(w);
-  return w.Take();
+  return Encode(kPolicyMagic, id, owner, rules);
 }
 
 Result<Policy> Policy::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
-  TC_ASSIGN_OR_RETURN(std::string magic, r.GetString());
-  if (magic != "tc.policy.v1") return Status::Corruption("bad policy magic");
+  std::string magic;
   Policy p;
-  TC_ASSIGN_OR_RETURN(p.id, r.GetString());
-  TC_ASSIGN_OR_RETURN(p.owner, r.GetString());
-  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    TC_ASSIGN_OR_RETURN(UsageRule rule, UsageRule::Decode(r));
-    p.rules.push_back(std::move(rule));
-  }
+  TC_RETURN_IF_ERROR(Decode(data, &magic, &p.id, &p.owner, &p.rules));
+  if (magic != kPolicyMagic) return Status::Corruption("bad policy magic");
   return p;
 }
 
@@ -321,25 +284,14 @@ Decision DecisionPoint::Peek(const Policy& policy,
 }
 
 Bytes DecisionPoint::ExportState() const {
-  BinaryWriter w;
-  w.PutVarint(use_counts_.size());
-  for (const auto& [key, count] : use_counts_) {
-    w.PutString(key);
-    w.PutU64(count);
-  }
-  return w.Take();
+  return Encode(std::vector<std::pair<std::string, uint64_t>>(
+      use_counts_.begin(), use_counts_.end()));
 }
 
 Status DecisionPoint::ImportState(const Bytes& data) {
-  BinaryReader r(data);
-  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  std::map<std::string, uint64_t> counts;
-  for (uint64_t i = 0; i < n; ++i) {
-    TC_ASSIGN_OR_RETURN(std::string key, r.GetString());
-    TC_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-    counts[key] = count;
-  }
-  use_counts_ = std::move(counts);
+  std::vector<std::pair<std::string, uint64_t>> counts;
+  TC_RETURN_IF_ERROR(Decode(data, &counts));
+  use_counts_ = std::map<std::string, uint64_t>(counts.begin(), counts.end());
   return Status::OK();
 }
 

@@ -41,9 +41,6 @@ struct AttributeCondition {
   std::string attribute;
   ConditionOp op;
   PolicyValue value;
-
-  void Encode(BinaryWriter& w) const;
-  static Result<AttributeCondition> Decode(BinaryReader& r);
 };
 
 /// UCON *obligation*: an action the consuming cell must perform as part of
@@ -74,9 +71,6 @@ struct UsageRule {
   /// Mutability: total number of allowed uses (0 = unlimited).
   uint64_t max_uses = 0;
   std::vector<ObligationType> obligations;
-
-  void Encode(BinaryWriter& w) const;
-  static Result<UsageRule> Decode(BinaryReader& r);
 };
 
 /// A policy: rule list evaluated first-match, default deny.
@@ -85,11 +79,24 @@ struct Policy {
   std::string owner;
   std::vector<UsageRule> rules;
 
+  /// "tc.policy.v1", id, owner, rules.
   Bytes Serialize() const;
   static Result<Policy> Deserialize(const Bytes& data);
   /// SHA-256 of the serialization — the value bound into AEAD contexts.
   Bytes Hash() const;
 };
+
+// Field lists in the one codec (tc/common/codec.h). A right or obligation
+// is its u8 code; a condition's value is a u8 variant index, then the
+// alternative.
+void Put(BinaryWriter& w, Right v);
+void Put(BinaryWriter& w, ObligationType v);
+void Put(BinaryWriter& w, const AttributeCondition& v);
+void Put(BinaryWriter& w, const UsageRule& v);
+Status Get(BinaryReader& r, Right* v);
+Status Get(BinaryReader& r, ObligationType* v);
+Status Get(BinaryReader& r, AttributeCondition* v);
+Status Get(BinaryReader& r, UsageRule* v);
 
 /// An access request to evaluate.
 struct AccessRequest {
@@ -125,7 +132,8 @@ class DecisionPoint {
   uint64_t UseCount(const std::string& policy_id, const std::string& rule_id,
                     const std::string& subject) const;
 
-  /// Serializes the mutability state (persisted by the cell layer).
+  /// Serializes the mutability state (persisted by the cell layer): its
+  /// (key, use count) pairs in key order.
   Bytes ExportState() const;
   Status ImportState(const Bytes& data);
 
@@ -139,5 +147,14 @@ class DecisionPoint {
 };
 
 }  // namespace tc::policy
+
+namespace tc {
+// A condition: attribute length, op, value tag and its fewest value bytes.
+template <>
+inline constexpr size_t kMinEncodedBytes<policy::AttributeCondition> = 4;
+// A rule: id length, four vector counts and three fixed u64/i64 fields.
+template <>
+inline constexpr size_t kMinEncodedBytes<policy::UsageRule> = 1 + 4 + 3 * 8;
+}  // namespace tc
 
 #endif  // TC_POLICY_UCON_H_

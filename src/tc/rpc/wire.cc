@@ -11,28 +11,6 @@ namespace {
 constexpr uint8_t kMaxKnownOp = static_cast<uint8_t>(RpcOp::kScrapeTelemetry);
 /// Op code 1, the retired put_blob_batch, is never reused.
 constexpr uint8_t kRetiredOp = 1;
-constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kAborted);
-
-template <typename T>
-Status Take(Result<T> got, T* out) {
-  if (!got.ok()) return got.status();
-  *out = std::move(got).value();
-  return Status::OK();
-}
-
-/// A struct's fields, in declaration order.
-template <typename... Fields>
-void PutFields(BinaryWriter& w, const Fields&... fields) {
-  (Put(w, fields), ...);
-}
-
-/// Stops at the first field that fails.
-template <typename... Fields>
-Status GetFields(BinaryReader& r, Fields*... fields) {
-  Status status;
-  (void)((status = Get(r, fields)).ok() && ...);
-  return status;
-}
 
 }  // namespace
 
@@ -166,95 +144,6 @@ bool WriteFull(int fd, const Bytes& bytes) {
     return false;
   }
   return true;
-}
-
-void Put(BinaryWriter& w, bool v) { w.PutBool(v); }
-void Put(BinaryWriter& w, uint8_t v) { w.PutU8(v); }
-void Put(BinaryWriter& w, uint32_t v) { w.PutU32(v); }
-void Put(BinaryWriter& w, uint64_t v) { w.PutU64(v); }
-void Put(BinaryWriter& w, const std::string& v) { w.PutString(v); }
-void Put(BinaryWriter& w, const Bytes& v) { w.PutBytes(v); }
-
-void Put(BinaryWriter& w, const Status& v) {
-  PutFields(w, static_cast<uint8_t>(v.code()), v.message());
-}
-
-void Put(BinaryWriter& w, const cloud::SnapshotDescriptor& v) {
-  PutFields(w, v.base_seq, v.extra_seqs, v.shard_high);
-}
-
-void Put(BinaryWriter& w, const cloud::SnapshotRead& v) {
-  PutFields(w, v.data, v.version, v.commit_seq);
-}
-
-void Put(BinaryWriter& w, const cloud::TxnRead& v) {
-  PutFields(w, v.id, v.version);
-}
-
-void Put(BinaryWriter& w, const cloud::TxnWrite& v) {
-  PutFields(w, v.id, v.data, v.base_version);
-}
-
-void Put(BinaryWriter& w, const cloud::TxnRequest& v) {
-  PutFields(w, v.token, v.snapshot, v.reads, v.writes);
-}
-
-void Put(BinaryWriter& w, const cloud::TxnOutcome& v) {
-  PutFields(w, v.status, v.committed, v.replayed, v.commit_seq, v.versions,
-            v.conflict_id, v.delay_us, v.fault_ordinal);
-}
-
-void Put(BinaryWriter& w, const obs::TelemetryHub::ReportOutcome& v) {
-  PutFields(w, v.status, v.applied, v.duplicate, v.last_seq);
-}
-
-Status Get(BinaryReader& r, bool* v) { return Take(r.GetBool(), v); }
-Status Get(BinaryReader& r, uint8_t* v) { return Take(r.GetU8(), v); }
-Status Get(BinaryReader& r, uint32_t* v) { return Take(r.GetU32(), v); }
-Status Get(BinaryReader& r, uint64_t* v) { return Take(r.GetU64(), v); }
-Status Get(BinaryReader& r, std::string* v) { return Take(r.GetString(), v); }
-Status Get(BinaryReader& r, Bytes* v) { return Take(r.GetBytes(), v); }
-
-Status Get(BinaryReader& r, Status* v) {
-  uint8_t code = 0;
-  TC_RETURN_IF_ERROR(Get(r, &code));
-  if (code > kMaxStatusCode) {
-    return Status::Corruption("unknown status code on wire");
-  }
-  std::string message;
-  TC_RETURN_IF_ERROR(Get(r, &message));
-  *v = Status(static_cast<StatusCode>(code), std::move(message));
-  return Status::OK();
-}
-
-Status Get(BinaryReader& r, cloud::SnapshotDescriptor* v) {
-  return GetFields(r, &v->base_seq, &v->extra_seqs, &v->shard_high);
-}
-
-Status Get(BinaryReader& r, cloud::SnapshotRead* v) {
-  return GetFields(r, &v->data, &v->version, &v->commit_seq);
-}
-
-Status Get(BinaryReader& r, cloud::TxnRead* v) {
-  return GetFields(r, &v->id, &v->version);
-}
-
-Status Get(BinaryReader& r, cloud::TxnWrite* v) {
-  return GetFields(r, &v->id, &v->data, &v->base_version);
-}
-
-Status Get(BinaryReader& r, cloud::TxnRequest* v) {
-  return GetFields(r, &v->token, &v->snapshot, &v->reads, &v->writes);
-}
-
-Status Get(BinaryReader& r, cloud::TxnOutcome* v) {
-  return GetFields(r, &v->status, &v->committed, &v->replayed,
-                   &v->commit_seq, &v->versions, &v->conflict_id,
-                   &v->delay_us, &v->fault_ordinal);
-}
-
-Status Get(BinaryReader& r, obs::TelemetryHub::ReportOutcome* v) {
-  return GetFields(r, &v->status, &v->applied, &v->duplicate, &v->last_seq);
 }
 
 Bytes EncodeStatusOnlyResponse(RpcOp op, const Status& status) {

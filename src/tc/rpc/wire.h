@@ -64,8 +64,8 @@ inline constexpr uint8_t kFlagCriticalityShift = 2;
 inline constexpr uint8_t kFlagCriticalityMask = 0x0C;
 
 /// Operation selector carried in the frame header. Each op's payloads are
-/// lists of wire types, written by Encode and read by Decode (below); this
-/// table is the protocol's one statement of them:
+/// field lists, written by Encode and read by Decode (tc/common/codec.h);
+/// this table is the protocol's one statement of them:
 ///
 ///   op                request                  reply
 ///   kPing             any bytes (echoed)       the request's bytes
@@ -161,91 +161,13 @@ class FrameReader {
 bool WriteFull(int fd, const Bytes& bytes);
 
 // ---------------------------------------------------------------------------
-// Payload codec
+// Payloads
 // ---------------------------------------------------------------------------
 //
-// Each wire type has one Put and one Get. Encodings, all BinaryWriter's:
-//   bool, uint8_t      one byte (a bool byte above 1 is corrupt)
-//   uint32_t/uint64_t  little-endian fixed width
-//   string, Bytes      varint length, then the bytes
-//   Status             u8 code, string message
-//   vector<T>          varint count, then each element
-//   pair<A, B>         A, then B
-//   Result<T>          Status, then the value, or T() when not OK
-//   a struct           its fields in declaration order
-//
-// Every Get fails with a non-OK status on truncated, oversized or
-// inconsistent input: it never over-reads, and a vector's count is checked
-// against the bytes left (CheckCount, at each element's fewest bytes)
-// before anything is reserved.
-
-void Put(BinaryWriter& w, bool v);
-void Put(BinaryWriter& w, uint8_t v);
-void Put(BinaryWriter& w, uint32_t v);
-void Put(BinaryWriter& w, uint64_t v);
-void Put(BinaryWriter& w, const std::string& v);
-/// A literal would otherwise convert to bool, not to std::string.
-void Put(BinaryWriter& w, const char* v) = delete;
-void Put(BinaryWriter& w, const Bytes& v);
-void Put(BinaryWriter& w, const Status& v);
-void Put(BinaryWriter& w, const cloud::SnapshotDescriptor& v);
-void Put(BinaryWriter& w, const cloud::SnapshotRead& v);
-void Put(BinaryWriter& w, const cloud::TxnRead& v);
-void Put(BinaryWriter& w, const cloud::TxnWrite& v);
-void Put(BinaryWriter& w, const cloud::TxnRequest& v);
-void Put(BinaryWriter& w, const cloud::TxnOutcome& v);
-void Put(BinaryWriter& w, const obs::TelemetryHub::ReportOutcome& v);
-
-/// Each Get decodes into `*v`. The RETURNED status reports decode success;
-/// a decoded Status (a field's value) lands in `*v`.
-Status Get(BinaryReader& r, bool* v);
-Status Get(BinaryReader& r, uint8_t* v);
-Status Get(BinaryReader& r, uint32_t* v);
-Status Get(BinaryReader& r, uint64_t* v);
-Status Get(BinaryReader& r, std::string* v);
-Status Get(BinaryReader& r, Bytes* v);
-Status Get(BinaryReader& r, Status* v);
-Status Get(BinaryReader& r, cloud::SnapshotDescriptor* v);
-Status Get(BinaryReader& r, cloud::SnapshotRead* v);
-Status Get(BinaryReader& r, cloud::TxnRead* v);
-Status Get(BinaryReader& r, cloud::TxnWrite* v);
-Status Get(BinaryReader& r, cloud::TxnRequest* v);
-Status Get(BinaryReader& r, cloud::TxnOutcome* v);
-Status Get(BinaryReader& r, obs::TelemetryHub::ReportOutcome* v);
-
-template <typename T>
-void Put(BinaryWriter& w, const std::vector<T>& v);
-template <typename T>
-Status Get(BinaryReader& r, std::vector<T>* v);
-template <typename A, typename B>
-void Put(BinaryWriter& w, const std::pair<A, B>& v);
-template <typename A, typename B>
-Status Get(BinaryReader& r, std::pair<A, B>* v);
-template <typename T>
-void Put(BinaryWriter& w, const Result<T>& v);
-template <typename T>
-Status Get(BinaryReader& r, Result<T>* v);
-
-/// One payload: `fields` in order.
-template <typename... Fields>
-Bytes Encode(const Fields&... fields) {
-  BinaryWriter w;
-  (Put(w, fields), ...);
-  return w.Take();
-}
-
-/// Reads exactly `fields` from `payload`, in order; fails on the first
-/// field that does not decode and on trailing bytes (framing is exact).
-template <typename... Fields>
-Status Decode(const Bytes& payload, Fields*... fields) {
-  BinaryReader r(payload);
-  Status status;
-  // Stops at the first field that fails.
-  (void)((status = Get(r, fields)).ok() && ...);
-  TC_RETURN_IF_ERROR(status);
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes after payload");
-  return Status::OK();
-}
+// Each op's payloads are field lists in the one codec (tc/common/codec.h):
+// Encode writes them and Decode reads them, exactly. The transaction
+// types' Put/Get sit in tc::cloud (txn.h), ReportOutcome's in tc::obs
+// (telemetry.h).
 
 /// Encodes the op's reply carrying only `status` (every other field zero
 /// or default): how the server answers a request it refused to execute
@@ -258,77 +180,6 @@ Outcome StatusOnly(const Status& status) {
   Outcome outcome;
   outcome.status = status;
   return outcome;
-}
-
-/// The fewest bytes one element of a vector<T> takes on the wire: one for
-/// a byte or an empty string, more for a fixed-width field.
-template <typename T>
-inline constexpr size_t kMinWireBytes = 1;
-template <>
-inline constexpr size_t kMinWireBytes<uint64_t> = 8;
-// A TxnRead is an id and a version; a TxnWrite an id, data and a version.
-template <>
-inline constexpr size_t kMinWireBytes<cloud::TxnRead> = 1 + 8;
-template <>
-inline constexpr size_t kMinWireBytes<cloud::TxnWrite> = 1 + 1 + 8;
-template <typename A, typename B>
-inline constexpr size_t kMinWireBytes<std::pair<A, B>> =
-    kMinWireBytes<A> + kMinWireBytes<B>;
-
-template <typename T>
-void Put(BinaryWriter& w, const std::vector<T>& v) {
-  w.PutVarint(v.size());
-  for (const T& e : v) Put(w, e);
-}
-
-template <typename T>
-Status Get(BinaryReader& r, std::vector<T>* v) {
-  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  TC_RETURN_IF_ERROR(CheckCount(r, n, kMinWireBytes<T>));
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    T e;
-    TC_RETURN_IF_ERROR(Get(r, &e));
-    v->push_back(std::move(e));
-  }
-  return Status::OK();
-}
-
-template <typename A, typename B>
-void Put(BinaryWriter& w, const std::pair<A, B>& v) {
-  Put(w, v.first);
-  Put(w, v.second);
-}
-
-template <typename A, typename B>
-Status Get(BinaryReader& r, std::pair<A, B>* v) {
-  TC_RETURN_IF_ERROR(Get(r, &v->first));
-  return Get(r, &v->second);
-}
-
-template <typename T>
-void Put(BinaryWriter& w, const Result<T>& v) {
-  Put(w, v.status());
-  if (v.ok()) {
-    Put(w, *v);
-  } else {
-    Put(w, T());
-  }
-}
-
-template <typename T>
-Status Get(BinaryReader& r, Result<T>* v) {
-  Status status;
-  TC_RETURN_IF_ERROR(Get(r, &status));
-  T value;
-  TC_RETURN_IF_ERROR(Get(r, &value));
-  if (status.ok()) {
-    *v = std::move(value);
-  } else {
-    *v = std::move(status);
-  }
-  return Status::OK();
 }
 
 }  // namespace tc::rpc

@@ -16,14 +16,8 @@ constexpr int32_t kCenterLon = 2350000;
 }  // namespace
 
 Bytes PaydSummary::SignedPayload() const {
-  BinaryWriter w;
-  w.PutString("tc.payd.daily.v1");
-  w.PutString(tracker_id);
-  w.PutI64(day_index);
-  w.PutDouble(total_km);
-  w.PutI64(total_cost_cents);
-  w.PutU32(static_cast<uint32_t>(trip_count));
-  return w.Take();
+  return Encode(std::string("tc.payd.daily.v1"), tracker_id, day_index,
+                total_km, total_cost_cents, static_cast<uint32_t>(trip_count));
 }
 
 GpsTracker::GpsTracker(std::string tracker_id, const Config& config,

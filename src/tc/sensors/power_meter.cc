@@ -6,12 +6,7 @@
 namespace tc::sensors {
 
 Bytes CertifiedAggregate::SignedPayload() const {
-  BinaryWriter w;
-  w.PutString("tc.meter.daily.v1");
-  w.PutString(meter_id);
-  w.PutI64(day_index);
-  w.PutDouble(kwh);
-  return w.Take();
+  return Encode(std::string("tc.meter.daily.v1"), meter_id, day_index, kwh);
 }
 
 PowerMeter::PowerMeter(std::string meter_id, size_t group_bits)

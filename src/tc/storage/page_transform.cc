@@ -27,11 +27,8 @@ size_t EncryptedPageTransform::UsablePayload(size_t page_size) const {
 }
 
 Bytes EncryptedPageTransform::MakeAad(uint64_t page_no, uint64_t incarnation) {
-  BinaryWriter w;
-  w.PutString("tc.storage.page");
-  w.PutU64(page_no);
-  w.PutU64(incarnation);
-  return w.Take();
+  // Qualified: this class's own Encode would hide the codec's.
+  return tc::Encode(std::string("tc.storage.page"), page_no, incarnation);
 }
 
 Result<Bytes> EncryptedPageTransform::Encode(uint64_t page_no,

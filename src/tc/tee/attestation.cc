@@ -6,13 +6,8 @@
 namespace tc::tee {
 
 Bytes Quote::SignedPayload() const {
-  BinaryWriter w;
-  w.PutString("tc.quote.v1");
-  w.PutString(device_id);
-  w.PutBytes(nonce);
-  w.PutString(claims);
-  w.PutU64(boot_counter);
-  return w.Take();
+  return Encode(std::string("tc.quote.v1"), device_id, nonce, claims,
+                boot_counter);
 }
 
 Manufacturer::Manufacturer(const std::string& seed_label, size_t group_bits)
@@ -24,11 +19,8 @@ Manufacturer::Manufacturer(const std::string& seed_label, size_t group_bits)
 
 Bytes Manufacturer::EndorsementPayload(
     const std::string& device_id, const crypto::BigInt& device_public_key) {
-  BinaryWriter w;
-  w.PutString("tc.endorsement.v1");
-  w.PutString(device_id);
-  w.PutBytes(device_public_key.ToBytesBE());
-  return w.Take();
+  return Encode(std::string("tc.endorsement.v1"), device_id,
+                device_public_key.ToBytesBE());
 }
 
 Endorsement Manufacturer::Endorse(const std::string& device_id,

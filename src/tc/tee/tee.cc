@@ -156,15 +156,13 @@ Result<std::vector<Bytes>> TrustedExecutionEnvironment::ShardKeyFor(
   std::vector<Bytes> envelopes;
   envelopes.reserve(shares.size());
   for (size_t i = 0; i < shares.size(); ++i) {
-    BinaryWriter w;
-    w.PutU32(shares[i].x);
-    w.PutBytes(shares[i].y.ToBytesBE(33));
+    const Bytes share = Encode(shares[i].x, shares[i].y.ToBytesBE(33));
     // Wrap the serialized share directly under the pairwise secret with
     // guardian i (the construction WrapKeyFor uses; the share is transient
     // and never stored under a handle here).
     TC_ASSIGN_OR_RETURN(Bytes shared,
                         PairwiseSecret(guardian_dh_publics[i]));
-    envelopes.push_back(SealEnvelope(WrapKey(shared), rng_, context, w.Take()));
+    envelopes.push_back(SealEnvelope(WrapKey(shared), rng_, context, share));
   }
   return envelopes;
 }
@@ -174,10 +172,9 @@ Status TrustedExecutionEnvironment::ReconstructKeyFromShares(
   std::vector<crypto::ShamirShare> shares;
   for (const std::string& name : share_keys) {
     TC_ASSIGN_OR_RETURN(Bytes material, keystore_.GetMaterial(name));
-    BinaryReader r(material);
     crypto::ShamirShare share;
-    TC_ASSIGN_OR_RETURN(share.x, r.GetU32());
-    TC_ASSIGN_OR_RETURN(Bytes y, r.GetBytes());
+    Bytes y;
+    TC_RETURN_IF_ERROR(Decode(material, &share.x, &y));
     share.y = crypto::BigInt::FromBytesBE(y);
     shares.push_back(std::move(share));
   }

@@ -54,23 +54,20 @@ class DbTest : public ::testing::Test {
 };
 
 TEST_F(DbTest, ValueRoundTripAllTypes) {
-  BinaryWriter w;
-  Value::Null().Encode(w);
-  Value::Bool(true).Encode(w);
-  Value::Int64(-7).Encode(w);
-  Value::Double(2.5).Encode(w);
-  Value::String("hi").Encode(w);
-  Value::Blob({1, 2}).Encode(w);
-  Value::TimestampVal(123456).Encode(w);
-  Bytes buf = w.Take();
-  BinaryReader r(buf);
-  EXPECT_TRUE(Value::Decode(r)->is_null());
-  EXPECT_EQ(Value::Decode(r)->AsBool(), true);
-  EXPECT_EQ(Value::Decode(r)->AsInt64(), -7);
-  EXPECT_EQ(Value::Decode(r)->AsDouble(), 2.5);
-  EXPECT_EQ(Value::Decode(r)->AsString(), "hi");
-  EXPECT_EQ(Value::Decode(r)->AsBytes(), (Bytes{1, 2}));
-  EXPECT_EQ(Value::Decode(r)->AsTimestamp(), 123456);
+  const Bytes buf =
+      Encode(Value::Null(), Value::Bool(true), Value::Int64(-7),
+             Value::Double(2.5), Value::String("hi"), Value::Blob({1, 2}),
+             Value::TimestampVal(123456));
+  Value null, flag, count, ratio, text, blob, stamp;
+  ASSERT_TRUE(
+      Decode(buf, &null, &flag, &count, &ratio, &text, &blob, &stamp).ok());
+  EXPECT_TRUE(null.is_null());
+  EXPECT_EQ(flag.AsBool(), true);
+  EXPECT_EQ(count.AsInt64(), -7);
+  EXPECT_EQ(ratio.AsDouble(), 2.5);
+  EXPECT_EQ(text.AsString(), "hi");
+  EXPECT_EQ(blob.AsBytes(), (Bytes{1, 2}));
+  EXPECT_EQ(stamp.AsTimestamp(), 123456);
 }
 
 TEST_F(DbTest, ValueCompareSemantics) {

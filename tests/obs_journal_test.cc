@@ -88,6 +88,36 @@ TEST(AuditJournalTest, AppendStampsIndexAndActiveTraceContext) {
   EXPECT_EQ(tail[1].trace_id, 0u);
 }
 
+TEST(AuditJournalTest, TailAfterCheckpointsReturnsTheLastRecordsAppended) {
+  // The journal holds each record once, serialized; Tail decodes the last
+  // n record items, stepping over the checkpoints between them.
+  AuditJournalOptions options;
+  options.checkpoint_interval = 4;
+  options.signer = FakeSign;
+  AuditJournal journal(options);
+  constexpr int kRecords = 10;
+  std::vector<TraceContext> contexts;
+  for (int i = 0; i < kRecords; ++i) {
+    TraceSpan span("test", "audited_op");
+    contexts.push_back(span.context());
+    ASSERT_TRUE(journal.Append(MakeRecord(i)).ok());
+  }
+  ASSERT_EQ(journal.checkpoint_count(), 2u);
+
+  constexpr size_t kTail = 7;  // Reaches back across both checkpoints.
+  std::vector<AuditRecord> tail = journal.Tail(kTail);
+  ASSERT_EQ(tail.size(), kTail);
+  for (size_t k = 0; k < kTail; ++k) {
+    const size_t i = kRecords - kTail + k;
+    EXPECT_EQ(tail[k].index, i);
+    EXPECT_EQ(tail[k].object, MakeRecord(static_cast<int>(i)).object);
+    EXPECT_EQ(tail[k].trace_id, contexts[i].trace_id);
+    EXPECT_EQ(tail[k].span_id, contexts[i].span_id);
+  }
+  EXPECT_EQ(journal.Tail(100).size(), size_t{kRecords});
+  EXPECT_TRUE(journal.Tail(0).empty());
+}
+
 TEST(AuditJournalTest, TenThousandRecordJournalVerifiesClean) {
   AuditJournalOptions options;
   options.checkpoint_interval = 64;

@@ -444,12 +444,13 @@ TEST(OverloadWireTest, ResourceExhaustedStatusRoundTripsEveryCodec) {
               std::string::npos);
   };
 
-  // Reads the op's status-only reply as its reply fields (rpc/wire.h);
+  // Reads the op's status-only reply as its reply fields (rpc/wire.h's op
+  // table);
   // `reply` is the field that carries the status.
   auto check = [&](rpc::RpcOp op, auto reply, auto... rest) {
     SCOPED_TRACE(rpc::RpcOpName(op));
-    Status decoded = rpc::Decode(rpc::EncodeStatusOnlyResponse(op, pushback),
-                                 &reply, &rest...);
+    Status decoded = Decode(rpc::EncodeStatusOnlyResponse(op, pushback),
+                            &reply, &rest...);
     ASSERT_TRUE(decoded.ok()) << decoded.ToString();
     if constexpr (requires { reply.status(); }) {
       expect_round_trip(reply.status());
@@ -471,9 +472,9 @@ TEST(OverloadWireTest, ResourceExhaustedStatusRoundTripsEveryCodec) {
         delay_us);
 
   cloud::TxnOutcome txn;
-  ASSERT_TRUE(rpc::Decode(rpc::EncodeStatusOnlyResponse(
-                              rpc::RpcOp::kCommitTxn, pushback),
-                          &txn)
+  ASSERT_TRUE(Decode(rpc::EncodeStatusOnlyResponse(rpc::RpcOp::kCommitTxn,
+                                                    pushback),
+                     &txn)
                   .ok());
   EXPECT_FALSE(txn.committed);
 }

@@ -194,15 +194,28 @@ TEST(StickyPolicyTest, BitFlipDetected) {
   }
 }
 
+// An allowed policy decision by subject "s" on object "o".
+obs::AuditRecord Allowed(const std::string& action) {
+  return {.subject = "s",
+          .action = action,
+          .object = "o",
+          .allowed = true,
+          .detail = ""};
+}
+
 TEST(AuditLogTest, AppendExportVerify) {
   tee::TrustedExecutionEnvironment tee("audit-cell",
                                        tee::DeviceClass::kSmartPhone);
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(log.Append(AuditEntry{0, 1000 + i, "bob", "read",
-                                      "doc-" + std::to_string(i), i % 2 == 0,
-                                      "rule-x"})
+    ASSERT_TRUE(log.journal()
+                    .Append({.time = 1000 + i,
+                             .subject = "bob",
+                             .action = "read",
+                             .object = "doc-" + std::to_string(i),
+                             .allowed = i % 2 == 0,
+                             .detail = "rule-x"})
                     .ok());
   }
   auto exported = log.Export();
@@ -222,8 +235,7 @@ TEST(AuditLogTest, TamperedEntryDetected) {
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        log.Append(AuditEntry{0, 0, "s", "read", "o", true, ""}).ok());
+    ASSERT_TRUE(log.journal().Append(Allowed("read")).ok());
   }
   auto exported_or = log.Export();
   ASSERT_TRUE(exported_or.ok());
@@ -239,15 +251,13 @@ TEST(AuditLogTest, TruncationDetected) {
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        log.Append(AuditEntry{0, 0, "s", "read", "o", true, ""}).ok());
+    ASSERT_TRUE(log.journal().Append(Allowed("read")).ok());
   }
   // A provider that drops the last (incriminating) entry is caught by the
   // expected count.
   AuditLog shorter(&tee, "audit");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        shorter.Append(AuditEntry{0, 0, "s", "read", "o", true, ""}).ok());
+    ASSERT_TRUE(shorter.journal().Append(Allowed("read")).ok());
   }
   auto short_export = shorter.Export();
   ASSERT_TRUE(short_export.ok());
@@ -267,10 +277,7 @@ TEST(AuditLogTest, InsiderResealReorderingDetected) {
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        log.Append(AuditEntry{0, 0, "s", "a" + std::to_string(i), "o", true,
-                              ""})
-            .ok());
+    ASSERT_TRUE(log.journal().Append(Allowed("a" + std::to_string(i))).ok());
   }
   auto exported_or = log.Export();
   ASSERT_TRUE(exported_or.ok());

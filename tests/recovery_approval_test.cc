@@ -226,5 +226,78 @@ TEST_F(RecoveryApprovalTest, ApprovalSurvivesOnlyForPending) {
   EXPECT_TRUE(alice->FetchDocument(*doc).ok());
 }
 
+// The bus does not authenticate senders, so an approval response counts
+// only when the cell that was asked signed it.
+class ForgedApprovalTest : public RecoveryApprovalTest {
+ protected:
+  void SetUp() override {
+    RecoveryApprovalTest::SetUp();
+    alice_ = MakeCell("alice-phone", "alice");
+    bob_ = MakeCell("bob-phone", "bob");
+    mallory_ = MakeCell("mallory-phone", "mallory");
+    auto doc = alice_->ProposeDocumentReferencing(
+        "bob-phone", "Group photo", "photo group",
+        ToBytes("[jpeg with bob in frame]"), MakeOwnerPolicy("alice"));
+    ASSERT_TRUE(doc.ok());
+    doc_ = *doc;
+    ASSERT_TRUE(bob_->ProcessInbox().ok());
+    auto requests = bob_->TakeMessages("approval-request");
+    ASSERT_EQ(requests.size(), 1u);
+    request_ = requests[0];
+  }
+
+  Result<std::pair<int, int>> AliceProcessesResponses() {
+    TC_RETURN_IF_ERROR(alice_->ProcessInbox().status());
+    return alice_->ProcessApprovalResponses();
+  }
+
+  std::unique_ptr<TrustedCell> alice_, bob_, mallory_;
+  std::string doc_;
+  cloud::Message request_;
+};
+
+TEST_F(ForgedApprovalTest, RejectionForgedUnderTheAskedCellsIdIsAnIncident) {
+  // Mallory answers a copy of the request, and the bus delivers her answer
+  // under bob-phone's id.
+  ASSERT_TRUE(mallory_->RespondToApproval(request_, false).ok());
+  for (const cloud::Message& m : cloud_.Receive("alice-phone")) {
+    cloud_.Send("bob-phone", "alice-phone", m.topic, m.payload);
+  }
+  auto result = AliceProcessesResponses();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, std::make_pair(0, 0));
+  EXPECT_EQ(alice_->FetchDocument(doc_).status().code(),
+            StatusCode::kFailedPrecondition);  // Still pending, not erased.
+  ASSERT_EQ(alice_->incidents().size(), 1u);
+  EXPECT_EQ(alice_->incidents()[0].object_id, doc_);
+
+  // Bob's own verdict still lands.
+  ASSERT_TRUE(bob_->RespondToApproval(request_, true).ok());
+  result = AliceProcessesResponses();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, std::make_pair(1, 0));
+  EXPECT_TRUE(alice_->FetchDocument(doc_).ok());
+}
+
+TEST_F(ForgedApprovalTest, ApprovalFromACellNeverAskedIsAnIncident) {
+  ASSERT_TRUE(mallory_->RespondToApproval(request_, true).ok());
+  auto result = AliceProcessesResponses();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, std::make_pair(0, 0));
+  EXPECT_EQ(alice_->FetchDocument(doc_).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(alice_->incidents().size(), 1u);
+}
+
+TEST_F(ForgedApprovalTest, MalformedResponseIsSkippedAndTheRestProcessed) {
+  cloud_.Send("bob-phone", "alice-phone", "approval-response", Bytes{0xff});
+  ASSERT_TRUE(bob_->RespondToApproval(request_, true).ok());
+  auto result = AliceProcessesResponses();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, std::make_pair(1, 0));
+  EXPECT_TRUE(alice_->FetchDocument(doc_).ok());
+  EXPECT_EQ(alice_->incidents().size(), 1u);
+}
+
 }  // namespace
 }  // namespace tc::cell
