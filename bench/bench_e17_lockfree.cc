@@ -1,10 +1,11 @@
-// E17 — lock-free hot path: put/get scaling of LogStore's append path
-// and BlobStore's read path, the two lock-free store paths.
+// E17 — put/get scaling of LogStore's append path and BlobStore's
+// lock-free read path.
 //
-//   Part 1  LogStore puts: the bump-allocated append log + lock-free index.
-//           Thread sweep 1/2/4/8; p50/p95/p99 come from the obs
-//           storage.append_us histogram, scoped to each run by snapshot
-//           deltas.
+//   Part 1  LogStore puts: every put takes the store's one mutex (a cell
+//           drives its store from one thread; the wider rows measure
+//           what a second thread would cost). Thread sweep 1/2/4/8;
+//           p50/p95/p99 come from the obs storage.append_us histogram,
+//           scoped to each run by snapshot deltas.
 //
 //   Part 2  BlobStore gets under write load: epoch-protected lock-free
 //           readers while one writer churns every key. Same thread sweep;
@@ -15,10 +16,10 @@
 //   Part 3  Epoch Enter/Exit micro-overhead: the fixed per-read cost the
 //           lock-free paths pay instead of a mutex acquire.
 //
-// The mutex-serialized baselines these paths replaced are gone from the
-// library; their rows, measured side by side with these, are frozen in
-// EXPERIMENTS.md (E17) at commit bd60c31. Compare this harness's rows
-// against the lock-free rows there.
+// The striped-read BlobStore baseline is gone from the library; its rows,
+// measured side by side with the lock-free ones, are frozen in
+// EXPERIMENTS.md (E17) at commit bd60c31, next to the LogStore's mutex
+// and lock-free rows from the same runs.
 //
 // Ops counts are deterministic per seed; wall-clock and percentile columns
 // are host measurements.
@@ -179,14 +180,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== E17: lock-free hot path — put/get scaling ===\n");
-  std::printf("(mutex baselines: frozen rows in EXPERIMENTS.md, E17)\n");
+  std::printf("=== E17: store put/get scaling ===\n");
+  std::printf("(baselines: frozen rows in EXPERIMENTS.md, E17)\n");
 
   const int kThreadSweep[] = {1, 2, 4, 8};
 
   // ---- Part 1 ----
   const int kPuts = quick ? 2000 : 20000;
-  std::printf("\nLogStore lock-free put path (%d puts/thread, 32-128 B values; "
+  std::printf("\nLogStore one-mutex put path (%d puts/thread, 32-128 B values; "
               "p50/p95/p99 from storage.append_us, microseconds):\n",
               kPuts);
   std::printf("  %7s %12s %8s %8s %8s\n", "threads", "puts/s", "p50",

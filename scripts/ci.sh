@@ -11,7 +11,7 @@
 #      test runs exactly once here; the ctest labels (wire, lockfree,
 #      telemetry, overload, chaos, txn, example) stay for running one lane
 #      by hand, e.g. `ctest --test-dir build -L overload`;
-#   3. run the lock-free report harness once (bench_e17_lockfree --quick,
+#   3. run the store-scaling report harness once (bench_e17_lockfree --quick,
 #      a fraction of a second), so E17 is executed and not only built;
 #   4. threat-model gate (bench_e8_threats, a few seconds): it exits
 #      non-zero unless the cells convict every tamper and rollback the
@@ -31,13 +31,15 @@
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   9. build rpc_test, codec_test, crypto_test and tee_test under the
-#      asan-ubsan preset into build-asan/ and run them with leak checking:
-#      the wire codec's and every stored or sent record's truncation,
-#      byte-flip and trailing-byte sweeps, and the AEAD's seal and open,
-#      which read and write through raw pointers into one buffer, claim "no
+#   9. build rpc_test, codec_test, crypto_test, tee_test, storage_test and
+#      lockfree_test under the asan-ubsan preset into build-asan/ and run
+#      them with leak checking: the wire codec's and every stored or sent
+#      record's truncation, byte-flip and trailing-byte sweeps, the AEAD's
+#      seal and open, which read and write through raw pointers into one
+#      buffer, and the LogStore's buffered records, parsed back in place by
+#      gets, flushes, scans and GC while other threads write, claim "no
 #      over-read", and only AddressSanitizer enforces that (the build takes
-#      a few minutes, the runs about a second each);
+#      a few minutes, the runs a few seconds each);
 #  10. check no generated build*/ tree is tracked or staged;
 #  11. run the obs export validator (quick bench run + trace JSON checks).
 #
@@ -66,8 +68,8 @@ cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_te
 (cd build-cellbench && ctest --output-on-failure)
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" \
-  --target rpc_test codec_test crypto_test tee_test
-for t in rpc_test codec_test crypto_test tee_test; do
+  --target rpc_test codec_test crypto_test tee_test storage_test lockfree_test
+for t in rpc_test codec_test crypto_test tee_test storage_test lockfree_test; do
   ASAN_OPTIONS=detect_leaks=1 "build-asan/tests/$t" --gtest_brief=1
 done
 scripts/check_tree_clean.sh

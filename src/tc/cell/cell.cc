@@ -1014,8 +1014,15 @@ Result<int> TrustedCell::ProcessInbox() {
       // Install the escrow share of another owner's master key.
       std::string owner;
       Bytes envelope;
+      if (!Decode(msg.payload, &owner, &envelope).ok()) {
+        RecordIncident(IncidentType::kForgedGrant, "?",
+                       "unparseable guardian share from " + msg.from);
+        continue;
+      }
       auto sender = directory_->Lookup(msg.from);
-      if (!Decode(msg.payload, &owner, &envelope).ok() || !sender.ok()) {
+      if (!sender.ok()) {
+        RecordIncident(IncidentType::kForgedGrant, owner,
+                       "guardian share from unknown cell " + msg.from);
         continue;
       }
       std::string key_name = "gs/" + owner;
@@ -1273,18 +1280,35 @@ Result<int> TrustedCell::CompleteRecovery(
     const std::vector<cloud::Message>& shares) {
   std::vector<std::string> share_keys;
   for (const cloud::Message& msg : shares) {
+    // The bus does not authenticate its sender: a share that does not
+    // decode, comes from outside the directory or does not unwrap is
+    // evidence, not a reason to drop the genuine ones.
     std::string owner;
     Bytes envelope;
-    TC_RETURN_IF_ERROR(Decode(msg.payload, &owner, &envelope));
+    if (!Decode(msg.payload, &owner, &envelope).ok()) {
+      RecordIncident(IncidentType::kForgedGrant, "?",
+                     "unparseable recovery share from " + msg.from);
+      continue;
+    }
     if (owner != config_.owner) continue;
-    TC_ASSIGN_OR_RETURN(CellIdentity sender, directory_->Lookup(msg.from));
+    auto sender = directory_->Lookup(msg.from);
+    if (!sender.ok()) {
+      RecordIncident(IncidentType::kForgedGrant, owner,
+                     "recovery share from unknown cell " + msg.from);
+      continue;
+    }
     std::string key_name = "rs/" + std::to_string(share_keys.size());
     if (tee_->keystore().HasKey(key_name)) {
       (void)tee_->keystore().DestroyKey(key_name);
     }
-    TC_RETURN_IF_ERROR(tee_->UnwrapKeyFrom(sender.dh_public_key, envelope,
-                                           Encode("tc.recovery." + owner),
-                                           key_name));
+    if (!tee_->UnwrapKeyFrom(sender->dh_public_key, envelope,
+                             Encode("tc.recovery." + owner), key_name)
+             .ok()) {
+      RecordIncident(IncidentType::kForgedGrant, owner,
+                     "recovery share from " + msg.from +
+                         " failed to unwrap");
+      continue;
+    }
     share_keys.push_back(key_name);
   }
   if (share_keys.empty()) {

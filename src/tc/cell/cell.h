@@ -83,7 +83,7 @@ struct ShareGrant {
 enum class IncidentType : uint8_t {
   kPayloadTampered = 1,   ///< AEAD failure on a fetched blob.
   kRollbackDetected = 2,  ///< Version regression on manifest or blob.
-  kForgedGrant = 3,       ///< Share grant with a bad signature.
+  kForgedGrant = 3,       ///< Grant, approval or key share failing its checks.
   kReplayedGrant = 4,     ///< Grant id seen twice.
   kPolicyTampered = 5,    ///< Sticky-policy binding failure.
   kStorageDataLoss = 6,   ///< Undecodable flash pages skipped at recovery.
@@ -122,6 +122,8 @@ struct CellStats {
 ///   * an embedded database (tables, time series, keywords)     [tc::db]
 ///   * a UCON decision point, sticky policies and an audit log  [tc::policy]
 /// talking to peers exclusively through the untrusted cloud     [tc::cloud].
+/// A cell is driven by one thread at a time: its state, stats and channel
+/// take no locks of their own.
 ///
 /// The public API is organized around the paper's five requirements:
 /// controlled collection (IngestReading / PublishAggregate), secure private
@@ -301,9 +303,11 @@ class TrustedCell {
                        const policy::Policy& policy);
 
   /// Drains the cloud inbox: validates share grants (signature via the
-  /// directory, replay check), installs wrapped keys and metadata. Other
-  /// message topics are retained for TakeMessages. Returns the number of
-  /// grants accepted.
+  /// directory, replay check), installs wrapped keys and metadata, and
+  /// installs guardian shares. A grant or guardian share that does not
+  /// decode, comes from outside the directory or does not unwrap is a
+  /// kForgedGrant incident. Other message topics are retained for
+  /// TakeMessages. Returns the number of grants accepted.
   Result<int> ProcessInbox();
 
   /// Removes and returns retained inbox messages of `topic` (aggregates,
@@ -369,6 +373,8 @@ class TrustedCell {
   /// Recovering cell: consumes "recovery-share" messages (from
   /// TakeMessages), reconstructs the owner master inside the TEE,
   /// replaces the provisional master and re-derives the space keys.
+  /// A share that does not decode, comes from outside the directory or
+  /// does not unwrap is recorded as a kForgedGrant incident and skipped.
   /// Returns the number of shares used.
   Result<int> CompleteRecovery(const std::vector<cloud::Message>& shares);
 

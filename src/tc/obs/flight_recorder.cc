@@ -5,45 +5,25 @@
 #include "tc/obs/exporter.h"
 
 namespace tc::obs {
-namespace {
-
-void AppendEscaped(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << ' ';
-    } else {
-      out << c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string FlightDump::ToJson() const {
   std::ostringstream out;
-  out << "{\"seq\":" << seq << ",\"ts\":" << t_us << ",\"reason\":\"";
-  AppendEscaped(out, reason);
-  out << "\",\"detail\":\"";
-  AppendEscaped(out, detail);
-  out << "\",\"trace_context\":{\"trace\":" << context.trace_id
+  out << "{\"seq\":" << seq << ",\"ts\":" << t_us << ",\"reason\":\""
+      << JsonEscape(reason) << "\",\"detail\":\"" << JsonEscape(detail)
+      << "\",\"trace_context\":{\"trace\":" << context.trace_id
       << ",\"span\":" << context.span_id << "},\"trace\":";
   out << Exporter::ToChromeTraceJson(trace);
   out << ",\"metrics\":" << obs::ToJson(metrics) << ",\"journal_tail\":[";
   bool first = true;
   for (const AuditRecord& rec : journal_tail) {
     out << (first ? "" : ",") << "{\"index\":" << rec.index
-        << ",\"kind\":\"" << AuditKindName(rec.kind) << "\",\"subject\":\"";
-    AppendEscaped(out, rec.subject);
-    out << "\",\"action\":\"";
-    AppendEscaped(out, rec.action);
-    out << "\",\"object\":\"";
-    AppendEscaped(out, rec.object);
-    out << "\",\"allowed\":" << (rec.allowed ? "true" : "false")
-        << ",\"detail\":\"";
-    AppendEscaped(out, rec.detail);
-    out << "\",\"trace\":" << rec.trace_id << ",\"span\":" << rec.span_id
+        << ",\"kind\":\"" << AuditKindName(rec.kind) << "\",\"subject\":\""
+        << JsonEscape(rec.subject) << "\",\"action\":\""
+        << JsonEscape(rec.action) << "\",\"object\":\""
+        << JsonEscape(rec.object)
+        << "\",\"allowed\":" << (rec.allowed ? "true" : "false")
+        << ",\"detail\":\"" << JsonEscape(rec.detail)
+        << "\",\"trace\":" << rec.trace_id << ",\"span\":" << rec.span_id
         << "}";
     first = false;
   }

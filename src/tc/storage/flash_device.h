@@ -47,10 +47,10 @@ struct FlashStats {
 /// store knowing.
 ///
 /// Thread-safe: page state and wear counters sit behind an internal
-/// mutex and the stats are atomics, so the lock-free store above can read
-/// pages concurrently with programs and erases. Each individual operation
-/// is atomic; cross-operation ordering (never program a page twice, never
-/// read a block being erased as if stable) remains the store's contract.
+/// mutex and the stats are atomics, so harness threads can read the stats
+/// while a store drives the device. Each individual operation is atomic;
+/// cross-operation ordering (never program a page twice, never read a
+/// block being erased as if stable) remains the store's contract.
 /// The fault-injecting subclass keeps its single-threaded use (crash
 /// schedules are deterministic, ordinal-numbered sequences).
 class FlashDevice {

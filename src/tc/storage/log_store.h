@@ -4,19 +4,21 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "tc/common/bytes.h"
+#include "tc/common/codec.h"
 #include "tc/common/result.h"
 #include "tc/obs/metrics.h"
-#include "tc/storage/append_log.h"
 #include "tc/storage/flash_device.h"
 #include "tc/storage/page_transform.h"
-#include "tc/sync/epoch.h"
 
 namespace tc::storage {
 
@@ -48,8 +50,8 @@ struct LogStoreOptions {
 };
 
 /// Store statistics surfaced to the experiment harnesses. Fields are
-/// relaxed atomics so the lock-free hot paths can count without a stats
-/// mutex; read them as plain integers (implicit load).
+/// atomics because harness threads read them while the store runs; read
+/// them as plain integers (implicit load).
 struct LogStoreStats {
   std::atomic<uint64_t> user_bytes_appended{0};  ///< Payload bytes to Put/Delete.
   std::atomic<uint64_t> records_appended{0};
@@ -70,7 +72,8 @@ struct LogStoreStats {
 /// or SD cards"). Design points:
 ///
 ///  * All writes are out-of-place appends (NAND forbids overwrite); a
-///    whole page is buffered in RAM and programmed when full.
+///    whole page of serialized records is buffered in RAM and programmed
+///    before the record that would overflow it is appended.
 ///  * Updates supersede older versions by sequence number; deletes append
 ///    tombstones.
 ///  * The in-RAM index is a *cache over the log*, bounded by
@@ -84,27 +87,10 @@ struct LogStoreStats {
 ///    TEE-keyed AEAD so the flash image is confidential and
 ///    tamper-evident.
 ///
-/// Concurrency (the PR 8 lock-free hot path; see DESIGN.md "Lock-free hot
-/// path" for the full argument):
-///
-///  * Put/Delete draw a sequence atomically, append the serialized record
-///    into an AppendLog (atomic bump-allocated pages, seal-bit entries)
-///    and CAS-install the key's index entry — no mutex on the hot path.
-///  * Get resolves the key through a lock-free hash index; buffered
-///    records are read straight out of the append log, durable ones by an
-///    optimistic page read that retries if GC moved the record underneath.
-///  * Readers hold an epoch guard; retired index entries and consumed log
-///    pages are reclaimed through tc::sync::EpochManager, so GC never
-///    blocks a concurrent Get and never frees memory a Get still sees.
-///  * The cold path — page programs, GC, recovery, scans, compaction —
-///    serializes behind one io mutex.
-///  * CompactAll additionally requires that no concurrent writers are
-///    active (it swaps the whole index); same contract as before.
-///
-/// The on-flash format is unchanged from the single-threaded store, so
-/// recovery, the crash suites and the torn-page tolerances carry over
-/// verbatim. `transform` must be safe for concurrent Decode calls (the
-/// AEAD transforms are: per-call cipher state over an immutable key).
+/// Concurrency: one mutex serializes every public operation. A store
+/// belongs to one cell, and a cell is driven by one thread at a time, so
+/// the mutex is uncontended in practice; it only makes a second thread
+/// (a test, a report harness) safe. The stats stay readable without it.
 ///
 /// Recovery (`Open` on a non-empty device) rebuilds state by scanning all
 /// programmed pages; records carry sequence numbers, so scan order is
@@ -124,8 +110,6 @@ class LogStore {
   static Result<std::unique_ptr<LogStore>> Open(FlashDevice* device,
                                                 PageTransform* transform,
                                                 const LogStoreOptions& options);
-
-  ~LogStore();
 
   /// Inserts or overwrites `key`.
   Status Put(const std::string& key, const Bytes& value);
@@ -149,8 +133,7 @@ class LogStore {
   Result<uint64_t> CountLive();
 
   /// Full compaction: rewrites every live record and drops all tombstones
-  /// and garbage. Reclaims the space GC cannot. Requires quiescence: no
-  /// concurrent Put/Delete/Get while it runs.
+  /// and garbage. Reclaims the space GC cannot.
   Status CompactAll();
 
   /// True while the index still covers every key (RAM budget not yet
@@ -165,9 +148,6 @@ class LogStore {
 
   /// Largest value size a single record can hold.
   size_t MaxValueSize() const;
-
-  /// Prints block occupancy/dead counts to stderr (debugging aid).
-  void DebugDump() const;
 
  private:
   /// Handles into the global registry, resolved once at construction; the
@@ -190,68 +170,45 @@ class LogStore {
     uint64_t seq;
     bool tombstone;
   };
-
-  /// One immutable index value. Replaced (never mutated) by CAS; old
-  /// values are epoch-retired so a reader holding one never sees it die.
-  struct ValRec {
-    const uint8_t* buf_data;  // Valid while flash_page == kBufferedPage.
-    uint32_t buf_size;
-    uint64_t flash_page;      // kBufferedPage until the record is durable.
+  /// Where the latest indexed version of a key lives.
+  struct IndexEntry {
+    uint64_t page_no;  // kBufferedPage while the record sits in buffer_.
+    size_t slot;       // Its position in buffer_ while buffered.
     uint64_t seq;
     bool tombstone;
-  };
-  struct KeyNode {
-    std::string key;
-    std::atomic<ValRec*> val{nullptr};
-    KeyNode* next = nullptr;  // Bucket chain; immutable after insertion.
-  };
-  /// The whole index generation; swapped atomically by CompactAll.
-  struct LiveIndex {
-    explicit LiveIndex(size_t nbuckets) : buckets(nbuckets) {}
-    ~LiveIndex();
-    std::vector<std::atomic<KeyNode*>> buckets;
-    std::atomic<size_t> ram_bytes{0};
-    std::atomic<bool> complete{true};
   };
   static constexpr uint64_t kBufferedPage = ~0ull;
 
   LogStore(FlashDevice* device, PageTransform* transform,
            const LogStoreOptions& options);
 
+  // Everything below runs with mu_ held (Recover: before Open returns the
+  // store, so no other thread can reach it).
   Status Recover();
-  /// Lock-free append of one serialized record + index install. When
-  /// `io_locked` the caller already holds io_mu_ (GC, compaction).
-  Status Append(Record record, bool count_as_user_write, bool io_locked);
-  /// Programs full buffered pages until the append log is drained.
-  /// Caller holds io_mu_. A program failure leaves the failing page's
-  /// records buffered for retry, exactly as before.
+  Status Append(const Record& record, bool count_as_user_write);
+  /// Programs the buffered records as one page. A program failure leaves
+  /// them buffered for a retry on the next page.
   Status FlushLocked();
   Status ProgramPageChecked(uint64_t page_no, const Bytes& encoded);
   void ForgetTornPagesInBlock(size_t block);
   Result<size_t> AllocateBlock(bool allow_gc);
   Status RunGcLocked();
   size_t EntryRamCost(const std::string& key) const;
-
-  // Lock-free index plumbing.
-  KeyNode* FindNode(LiveIndex* idx, const std::string& key) const;
-  /// Finds or inserts the key's node; returns nullptr when the RAM budget
-  /// rejects a new key (index marked incomplete).
-  KeyNode* FindOrInsertNode(LiveIndex* idx, const std::string& key);
-  /// Installs `fresh` if its seq is >= the current one; retires the
-  /// replaced ValRec. Returns the replaced value's (flash_page, seq) so
-  /// the caller can dead-count, or {kBufferedPage, 0} when none.
-  bool InstallValRec(KeyNode* node, ValRec* fresh, uint64_t* old_flash_page,
-                     uint64_t* old_seq);
+  /// Indexes `entry` for `key` unless a newer version is indexed, and
+  /// returns the entry it replaced. A new key is dropped (index marked
+  /// incomplete) when the RAM budget is spent.
+  std::optional<IndexEntry> IndexRecord(const std::string& key,
+                                        const IndexEntry& entry);
 
   Result<std::vector<Record>> ReadPageRecords(uint64_t page_no);
   static Bytes SerializeRecord(const Record& record);
-  static Status ParseRecord(const uint8_t* data, size_t size, Record* out);
+  static Status ParseRecord(BinaryReader& r, Record* out);
+  /// The buffered records, in append order.
+  std::vector<Record> BufferedRecords() const;
   Result<Bytes> ScanForKeyLocked(const std::string& key);
-  Status ScanAllLocked(
-      const std::function<void(const std::string&, const Bytes&)>& fn);
-  /// Collects buffered (unflushed) records in append order. Caller holds
-  /// io_mu_.
-  std::vector<Record> CollectBufferedLocked();
+  /// The latest version of every key on flash or in the buffer,
+  /// tombstones included.
+  Result<std::map<std::string, Record>> LatestRecordsLocked();
   uint64_t PageBlock(uint64_t page_no) const;
   /// Mirrors the device's FlashStats into the registry gauges.
   void UpdateFlashGauges();
@@ -261,36 +218,33 @@ class LogStore {
   LogStoreOptions options_;
   size_t payload_size_;
 
-  // Reclamation + hot-path structures. epochs_ is declared before the
-  // structures that retire into it, so it is destroyed after them.
-  mutable sync::EpochManager epochs_;
-  AppendLog buffer_;
-  std::atomic<LiveIndex*> index_;
-  std::atomic<uint64_t> next_seq_{1};
+  mutable std::mutex mu_;  // Guards everything below except stats_.
 
-  /// Serializes the cold path: flash programs, GC, scans, recovery,
-  /// compaction, block bookkeeping below.
-  mutable std::mutex io_mu_;
-
-  // Write-path block state — guarded by io_mu_.
+  // Write path: serialized records waiting for their page.
+  std::vector<Bytes> buffer_;
+  size_t buffer_bytes_ = 0;
   size_t active_block_ = 0;
   size_t next_page_in_block_ = 0;
   bool has_active_block_ = false;
+  uint64_t next_seq_ = 1;
+
+  // Index (bounded cache over the log).
+  std::unordered_map<std::string, IndexEntry> index_;
+  size_t index_ram_bytes_ = 0;
+  bool index_complete_ = true;
+
+  // Block bookkeeping.
   std::vector<size_t> free_blocks_;
   std::vector<bool> block_used_;
   std::vector<uint32_t> block_records_;
+  std::vector<uint32_t> block_dead_;
   bool in_gc_ = false;
-
-  /// Dead-record counts per block; atomic because the lock-free append
-  /// path dead-counts the durable version it supersedes without io_mu_.
-  std::vector<std::atomic<uint32_t>> block_dead_;
 
   // Pages known to hold no decodable records: torn tails found by a
   // tolerant recovery, plus pages abandoned after a failed or unverified
   // program. Scans and GC skip them (counted); erasing the block clears
   // them. Pages that decoded fine at recovery and fail later are NOT here
   // — that is tampering or bit rot and always surfaces as an error.
-  // Guarded by io_mu_.
   std::set<uint64_t> torn_pages_;
 
   Metrics metrics_;

@@ -1,10 +1,10 @@
-// PR 8 lock-free hot path: epoch reclamation, the atomic append log, the
-// LogStore under concurrent put/get/GC, and the BlobStore's lock-free
-// read paths with their latest-visible => snapshot-visible invariant.
+// The concurrency suite: epoch reclamation, the BlobStore's lock-free
+// read paths with their latest-visible => snapshot-visible invariant, and
+// the one-mutex LogStore under concurrent put/get/GC.
 //
 // These tests are the `lockfree` ctest lane and run under BOTH sanitizer
 // presets: ASan proves the epoch protocol never frees memory a reader
-// still holds; TSan proves the hot paths are data-race-free.
+// still holds; TSan proves the shared paths are data-race-free.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "tc/cloud/blob_store.h"
 #include "tc/cloud/txn.h"
 #include "tc/common/rng.h"
-#include "tc/storage/append_log.h"
 #include "tc/storage/flash_device.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
@@ -32,7 +31,6 @@ using cloud::SnapshotRead;
 using cloud::TxnOutcome;
 using cloud::TxnRequest;
 using cloud::TxnWrite;
-using storage::AppendLog;
 using storage::FlashDevice;
 using storage::FlashGeometry;
 using storage::LogStore;
@@ -127,111 +125,6 @@ TEST(EpochManagerTest, StressReadersNeverSeeReclaimedNodes) {
 }
 
 // ---------------------------------------------------------------------------
-// AppendLog
-// ---------------------------------------------------------------------------
-
-TEST(AppendLogTest, EntriesRoundTripInOrderAcrossPages) {
-  sync::EpochManager epochs;
-  AppendLog log(&epochs, /*page_capacity=*/256);  // Forces many page hops.
-  constexpr int kEntries = 200;
-  for (int i = 0; i < kEntries; ++i) {
-    // Variable sizes exercise alignment padding and the overflow path.
-    Bytes payload(1 + (i % 97), static_cast<uint8_t>(i));
-    AppendLog::Entry e =
-        log.Append(payload.data(), static_cast<uint32_t>(payload.size()));
-    ASSERT_EQ(e.size, payload.size());
-    ASSERT_EQ(0, std::memcmp(e.payload, payload.data(), payload.size()));
-  }
-  EXPECT_EQ(log.entries_appended(), static_cast<uint64_t>(kEntries));
-  EXPECT_GT(log.pages_allocated(), 1u);
-
-  AppendLog::Cursor cur = log.ConsumeBegin();
-  AppendLog::Entry e;
-  int seen = 0;
-  while (log.Peek(&cur, &e)) {
-    ASSERT_EQ(e.size, 1u + (seen % 97));
-    for (uint32_t b = 0; b < e.size; ++b) {
-      ASSERT_EQ(e.payload[b], static_cast<uint8_t>(seen));
-    }
-    log.Advance(&cur);
-    ++seen;
-  }
-  EXPECT_EQ(seen, kEntries);
-
-  log.RetireConsumed(cur);
-  EXPECT_EQ(log.unconsumed_bytes(), 0u);
-  epochs.Collect();  // No reader pinned: every retired page frees (ASan
-                     // verifies no leak, no double free).
-  EXPECT_GT(log.pages_retired(), 0u);
-}
-
-TEST(AppendLogTest, OversizedPayloadGetsDedicatedPage) {
-  sync::EpochManager epochs;
-  AppendLog log(&epochs, /*page_capacity=*/64);
-  Bytes big(1000, 0x5a);
-  AppendLog::Entry e = log.Append(big.data(), 1000);
-  EXPECT_EQ(e.size, 1000u);
-  EXPECT_EQ(0, std::memcmp(e.payload, big.data(), 1000));
-  Bytes small(8, 0x11);
-  log.Append(small.data(), 8);
-
-  AppendLog::Cursor cur = log.ConsumeBegin();
-  AppendLog::Entry out;
-  ASSERT_TRUE(log.Peek(&cur, &out));
-  EXPECT_EQ(out.size, 1000u);
-  log.Advance(&cur);
-  ASSERT_TRUE(log.Peek(&cur, &out));
-  EXPECT_EQ(out.size, 8u);
-}
-
-// Concurrent appenders, one consumer retiring pages mid-stream, readers
-// validating entries they reached through still-live cursors.
-TEST(AppendLogTest, ConcurrentAppendersProduceEveryEntryExactlyOnce) {
-  sync::EpochManager epochs;
-  AppendLog log(&epochs, /*page_capacity=*/512);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2000;
-
-  std::vector<std::thread> appenders;
-  appenders.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    appenders.emplace_back([&log, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Payload encodes (thread, op) so the drain can tally exactly.
-        uint32_t tag = static_cast<uint32_t>(t) << 16 |
-                       static_cast<uint32_t>(i);
-        uint8_t buf[8];
-        std::memcpy(buf, &tag, sizeof(tag));
-        std::memcpy(buf + 4, &tag, sizeof(tag));
-        log.Append(buf, sizeof(buf));
-      }
-    });
-  }
-  for (auto& t : appenders) t.join();
-
-  ASSERT_EQ(log.entries_appended(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
-  std::vector<int> next_op(kThreads, 0);
-  std::vector<uint64_t> seen(kThreads, 0);
-  AppendLog::Cursor cur = log.ConsumeBegin();
-  AppendLog::Entry e;
-  while (log.Peek(&cur, &e)) {
-    ASSERT_EQ(e.size, 8u);
-    uint32_t tag, tag2;
-    std::memcpy(&tag, e.payload, sizeof(tag));
-    std::memcpy(&tag2, e.payload + 4, sizeof(tag2));
-    ASSERT_EQ(tag, tag2) << "torn entry";
-    int t = static_cast<int>(tag >> 16);
-    ASSERT_LT(t, kThreads);
-    ++seen[t];
-    log.Advance(&cur);
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(seen[t], static_cast<uint64_t>(kPerThread)) << "thread " << t;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // LogStore under concurrency
 // ---------------------------------------------------------------------------
 
@@ -243,10 +136,10 @@ FlashGeometry TinyGeometry() {
   return geo;
 }
 
-// Writers and readers race while flushes and GC retire buffer pages and
-// index entries underneath — the tentpole scenario. Each key's value is a
-// pure function of the key, so ANY successful Get has exactly one correct
-// answer regardless of write interleaving.
+// Writers and readers race while flushes and GC move records between the
+// RAM buffer and flash underneath. Each key's value is a pure function of
+// the key, so ANY successful Get has exactly one correct answer regardless
+// of write interleaving.
 TEST(LogStoreLockFreeTest, ConcurrentPutGetWithGcStaysExact) {
   FlashDevice device(TinyGeometry());
   PlainPageTransform plain;
@@ -337,10 +230,9 @@ TEST(LogStoreLockFreeTest, ConcurrentPutGetWithGcStaysExact) {
   EXPECT_EQ(*live, static_cast<uint64_t>(kWriters) * kKeysPerWriter);
 }
 
-// Satellite (d): dedicated epoch-reclamation stress — 8 reader threads
-// hammer Get (traversing buffered entries and index ValRecs) while
-// writers force flush after flush, so the append log's pages are retired
-// continuously under the readers' feet.
+// 8 reader threads hammer Get (buffered and durable records) while
+// writers force flush after flush, so the RAM buffer drains to flash and
+// GC relocates records continuously under the readers' feet.
 TEST(LogStoreLockFreeTest, EightReadersSurvivePageRetirementChurn) {
   FlashDevice device(TinyGeometry());
   PlainPageTransform plain;
@@ -375,8 +267,8 @@ TEST(LogStoreLockFreeTest, EightReadersSurvivePageRetirementChurn) {
     });
   }
   // Two writer threads rewriting every key: each round moves ~kKeys
-  // records through the buffer, retiring pages as they drain to flash and
-  // retiring superseded ValRecs on every overwrite.
+  // records through the buffer and onto flash, superseding the durable
+  // versions GC then reclaims.
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tc/obs/flight_recorder.h"
 #include "tc/obs/metrics.h"
 #include "tc/obs/trace.h"
 
@@ -438,6 +439,20 @@ TEST(TraceRingTest, DisabledModeDropsEvents) {
   EXPECT_EQ(ring.total_emitted(), 0u);
   ring.Emit(TraceKind::kInstant, "test", "kept");
   EXPECT_EQ(ring.total_emitted(), 1u);
+}
+
+// ---------------------------------------------------------- flight recorder
+
+TEST(FlightRecorderTest, DumpJsonEscapesControlCharacters) {
+  FlightRecorder recorder;
+  recorder.Trigger("say \"hi\"\\now", "line1\nline2\x01");
+  std::vector<FlightDump> dumps = recorder.Dumps();
+  ASSERT_EQ(dumps.size(), 1u);
+  std::string json = dumps[0].ToJson();
+  EXPECT_NE(json.find(R"("reason":"say \"hi\"\\now")"), std::string::npos)
+      << json.substr(0, 200);
+  EXPECT_NE(json.find(R"("detail":"line1\nline2\u0001")"), std::string::npos)
+      << json.substr(0, 200);
 }
 
 }  // namespace

@@ -73,6 +73,52 @@ TEST_F(RecoveryApprovalTest, GuardianRecoveryRestoresAccess) {
   EXPECT_EQ(*content, ToBytes("my last will"));
 }
 
+TEST_F(RecoveryApprovalTest, MalformedRecoveryShareIsAnIncidentNotAFailure) {
+  auto alice = MakeCell("alice-phone", "alice", "correct-horse");
+  auto g1 = MakeCell("guardian-1", "gw1");
+  auto g2 = MakeCell("guardian-2", "gw2");
+  auto g3 = MakeCell("guardian-3", "gw3");
+  auto doc = *alice->StoreDocument("will", "important testament",
+                                   ToBytes("my last will"),
+                                   MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(alice->SyncPush().ok());
+  ASSERT_TRUE(
+      alice->EnrollGuardians({"guardian-1", "guardian-2", "guardian-3"}, 2)
+          .ok());
+  for (auto* g : {&g1, &g2, &g3}) ASSERT_TRUE((*g)->ProcessInbox().ok());
+
+  // Anyone can put bytes on the bus: a share that does not decode arrives
+  // ahead of two genuine releases.
+  auto replacement = MakeCell("alice-new-phone", "alice", "");
+  cloud_.Send("guardian-2", "alice-new-phone", "recovery-share", Bytes{0xff});
+  ASSERT_TRUE(g1->ReleaseGuardianShare("alice", "alice-new-phone").ok());
+  ASSERT_TRUE(g3->ReleaseGuardianShare("alice", "alice-new-phone").ok());
+  ASSERT_TRUE(replacement->ProcessInbox().ok());
+  auto shares = replacement->TakeMessages("recovery-share");
+  ASSERT_EQ(shares.size(), 3u);
+  const size_t incidents_before = replacement->incidents().size();
+  auto used = replacement->CompleteRecovery(shares);
+  ASSERT_TRUE(used.ok()) << used.status().ToString();
+  EXPECT_EQ(*used, 2);
+  EXPECT_EQ(replacement->incidents().size(), incidents_before + 1);
+
+  ASSERT_TRUE(replacement->SyncPull().ok());
+  auto content = replacement->FetchDocument(doc);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  EXPECT_EQ(*content, ToBytes("my last will"));
+}
+
+TEST_F(RecoveryApprovalTest, MalformedGuardianShareIsAnIncident) {
+  auto alice = MakeCell("alice-phone", "alice", "secret");
+  auto g1 = MakeCell("guardian-1", "gw1");
+  cloud_.Send("alice-phone", "guardian-1", "guardian-share", Bytes{0xff});
+  ASSERT_TRUE(alice->EnrollGuardians({"guardian-1"}, 1).ok());
+  ASSERT_TRUE(g1->ProcessInbox().ok());
+  EXPECT_EQ(g1->incidents().size(), 1u);
+  // The genuine share behind it still installs.
+  EXPECT_TRUE(g1->HoldsGuardianShareFor("alice"));
+}
+
 TEST_F(RecoveryApprovalTest, SingleShareIsUseless) {
   auto alice = MakeCell("alice-phone", "alice", "secret");
   auto g1 = MakeCell("guardian-1", "gw1");

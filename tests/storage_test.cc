@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <sstream>
 
 #include "tc/common/codec.h"
+#include "tc/crypto/sha256.h"
 #include "tc/storage/flash_device.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
@@ -456,6 +459,167 @@ TEST_F(MidGcCrashTest, ReopenAfterCrashDuringGcErase) {
     ASSERT_TRUE((*reopened)->Put("after-crash", ToBytes("ok")).ok());
     ASSERT_TRUE((*reopened)->Flush().ok());
     EXPECT_EQ(*(*reopened)->Get("after-crash"), ToBytes("ok"));
+  }
+}
+
+// A store must keep reading the flash images earlier builds wrote, and
+// the device counts are what the experiments report. So one deterministic
+// script over the plaintext transform must program the same bytes to the
+// same pages in the same order, erase the same blocks and count the same
+// work. The device logs every program (page number and SHA-256 of the
+// page) and every erase; the pins hold the SHA-256 of that log plus
+// LogStoreStats and FlashStats at three checkpoints. They cover the page
+// format, the flush policy, GC victim choice and the dead counting that
+// drives it, CompactAll and recovery, with a complete index and with a
+// RAM budget small enough to force log scans.
+class RecordingFlashDevice : public FlashDevice {
+ public:
+  using FlashDevice::FlashDevice;
+
+  Status ProgramPage(size_t page_no, const Bytes& data) override {
+    TC_RETURN_IF_ERROR(FlashDevice::ProgramPage(page_no, data));
+    log_ += "P" + std::to_string(page_no) + " " +
+            HexEncode(crypto::Sha256Hash(data)) + "\n";
+    return Status::OK();
+  }
+  Status EraseBlock(size_t block_no) override {
+    TC_RETURN_IF_ERROR(FlashDevice::EraseBlock(block_no));
+    log_ += "E" + std::to_string(block_no) + "\n";
+    return Status::OK();
+  }
+
+  const std::string& log() const { return log_; }
+
+ private:
+  std::string log_;
+};
+
+std::string Fingerprint(const LogStore& store,
+                        const RecordingFlashDevice& device) {
+  const LogStoreStats& s = store.stats();
+  const FlashStats f = device.stats();
+  std::ostringstream out;
+  out << "records=" << s.records_appended.load()
+      << " user_bytes=" << s.user_bytes_appended.load()
+      << " gc=" << s.gc_runs.load() << "/" << s.gc_records_moved.load()
+      << " hits=" << s.index_hits.load() << " scans=" << s.full_scans.load()
+      << " dropped=" << s.index_insertions_dropped.load()
+      << " skipped=" << s.recovery_pages_skipped.load() << "/"
+      << s.scan_pages_skipped.load() << "/" << s.pages_abandoned.load()
+      << " flash=" << f.page_reads << "/" << f.page_programs << "/"
+      << f.block_erases
+      << " log=" << HexEncode(crypto::Sha256Hash(ToBytes(device.log())));
+  return out.str();
+}
+
+struct ImagePins {
+  size_t ram_budget_bytes;
+  size_t block_count;
+  const char* after_churn;
+  const char* after_compact;
+  const char* after_reopen;
+};
+
+constexpr ImagePins kImagePins[] = {
+    {1 << 20, 12,
+     "records=480 user_bytes=48101 gc=20/35 hits=29 scans=0 dropped=0 "
+     "skipped=0/0/0 flash=97/119/20 log="
+     "526e4859d1b542ff2d2d17c3d583752f9ba5cf0b8965f53fe0bdecd3b1cf5712",
+     "records=491 user_bytes=48727 gc=20/35 hits=29 scans=0 dropped=0 "
+     "skipped=0/0/0 flash=136/127/30 log="
+     "8097d1cc842bcee408b4005f6d289401f170a078cb1020b828895e9bdb1120c1",
+     "records=0 user_bytes=0 gc=0/0 hits=27 scans=0 dropped=0 "
+     "skipped=0/0/0 flash=170/127/30 log="
+     "8097d1cc842bcee408b4005f6d289401f170a078cb1020b828895e9bdb1120c1"},
+    // About ten index entries: most keys are served by log scans, and GC
+    // keeps every record it cannot prove dead.
+    {700, 20,
+     "records=480 user_bytes=48101 gc=26/278 hits=10 scans=19 dropped=528 "
+     "skipped=0/0/0 flash=1478/176/26 log="
+     "ccb6fe104fb804bedb1c8ccc6653e8fa67dc5a5855d05ad47108d566ed88e710",
+     "records=491 user_bytes=48727 gc=26/278 hits=10 scans=19 dropped=548 "
+     "skipped=0/0/0 flash=1550/184/44 log="
+     "03e9c323ee0d2d6867b78cce13f9f32175c57a81bc54120c1381f288ea8dbfb0",
+     "records=0 user_bytes=0 gc=0/0 hits=10 scans=19 dropped=22 "
+     "skipped=0/0/0 flash=1728/184/44 log="
+     "03e9c323ee0d2d6867b78cce13f9f32175c57a81bc54120c1381f288ea8dbfb0"},
+};
+
+TEST(LogStoreImageTest, ScriptedWorkloadWritesThePinnedFlashImage) {
+  auto key_of = [](int k) { return "key-" + std::to_string(k); };
+  auto value_of = [](int op, size_t size) {
+    Bytes v(size);
+    for (size_t i = 0; i < size; ++i) v[i] = static_cast<uint8_t>(op * 31 + i);
+    return v;
+  };
+  auto expect_reads = [&](LogStore& store,
+                          const std::map<std::string, Bytes>& model) {
+    for (int k = 0; k < 29; ++k) {
+      auto got = store.Get(key_of(k));
+      auto want = model.find(key_of(k));
+      if (want == model.end()) {
+        EXPECT_TRUE(got.status().IsNotFound()) << key_of(k);
+      } else {
+        ASSERT_TRUE(got.ok()) << key_of(k) << ": " << got.status().ToString();
+        EXPECT_EQ(*got, want->second) << key_of(k);
+      }
+    }
+  };
+
+  for (const ImagePins& pins : kImagePins) {
+    SCOPED_TRACE("ram_budget_bytes=" + std::to_string(pins.ram_budget_bytes));
+    FlashGeometry geo;
+    geo.page_size = 512;
+    geo.pages_per_block = 4;
+    geo.block_count = pins.block_count;
+    RecordingFlashDevice device(geo);
+    PlainPageTransform plain;
+    LogStoreOptions options;
+    options.ram_budget_bytes = pins.ram_budget_bytes;
+    auto opened = LogStore::Open(&device, &plain, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<LogStore> store = std::move(*opened);
+    const size_t max_value = store->MaxValueSize();
+
+    // Mixed sizes from empty to a full record, overwrites of 23 keys and a
+    // delete every fifth op (some of them of keys never written): the
+    // device fills several times over, so GC runs throughout.
+    std::map<std::string, Bytes> model;
+    for (int op = 0; op < 400; ++op) {
+      std::string key = key_of((op * 7) % 23);
+      size_t size = op % 50 == 0 ? max_value : (op * 37) % 190;
+      Bytes value = value_of(op, size);
+      Status put = store->Put(key, value);
+      ASSERT_TRUE(put.ok()) << op << ": " << put.ToString();
+      model[key] = value;
+      if (op % 5 == 4) {
+        std::string victim = key_of((op * 3) % 29);
+        ASSERT_TRUE(store->Delete(victim).ok()) << op;
+        model.erase(victim);
+      }
+    }
+    expect_reads(*store, model);
+    EXPECT_EQ(Fingerprint(*store, device), pins.after_churn);
+
+    ASSERT_TRUE(store->CompactAll().ok());
+    for (int op = 400; op < 410; ++op) {
+      std::string key = key_of(op % 29);
+      Bytes value = value_of(op, static_cast<size_t>(op % 120));
+      ASSERT_TRUE(store->Put(key, value).ok());
+      model[key] = value;
+    }
+    ASSERT_TRUE(store->Delete(key_of(3)).ok());
+    model.erase(key_of(3));
+    ASSERT_TRUE(store->Flush().ok());
+    EXPECT_EQ(Fingerprint(*store, device), pins.after_compact);
+
+    store.reset();
+    opened = LogStore::Open(&device, &plain, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    store = std::move(*opened);
+    expect_reads(*store, model);
+    EXPECT_EQ(*store->CountLive(), model.size());
+    EXPECT_EQ(Fingerprint(*store, device), pins.after_reopen);
   }
 }
 
