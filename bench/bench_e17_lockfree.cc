@@ -1,5 +1,5 @@
 // E17 — put/get scaling of LogStore's append path and BlobStore's
-// lock-free read path.
+// striped read path.
 //
 //   Part 1  LogStore puts: every put takes the store's one mutex (a cell
 //           drives its store from one thread; the wider rows measure
@@ -7,19 +7,14 @@
 //           p50/p95/p99 come from the obs storage.append_us histogram,
 //           scoped to each run by snapshot deltas.
 //
-//   Part 2  BlobStore gets under write load: epoch-protected lock-free
-//           readers while one writer churns every key. Same thread sweep;
-//           the read-latency histograms are local obs::Histogram instances
-//           (BlobStore itself is deliberately uninstrumented — it sits
-//           under CloudInfrastructure's cloud.* timers).
+//   Part 2  BlobStore gets under write load: every get takes its key's
+//           stripe mutex while one writer churns every key. Same thread
+//           sweep; the read-latency histograms are local obs::Histogram
+//           instances (BlobStore itself is deliberately uninstrumented — it
+//           sits under CloudInfrastructure's cloud.* timers).
 //
-//   Part 3  Epoch Enter/Exit micro-overhead: the fixed per-read cost the
-//           lock-free paths pay instead of a mutex acquire.
-//
-// The striped-read BlobStore baseline is gone from the library; its rows,
-// measured side by side with the lock-free ones, are frozen in
-// EXPERIMENTS.md (E17) at commit bd60c31, next to the LogStore's mutex
-// and lock-free rows from the same runs.
+// Both stores were lock-free for a while; those rows, measured against
+// the mutex versions, are frozen in EXPERIMENTS.md (E17).
 //
 // Ops counts are deterministic per seed; wall-clock and percentile columns
 // are host measurements.
@@ -37,7 +32,6 @@
 #include "tc/storage/flash_device.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
-#include "tc/sync/epoch.h"
 
 using namespace tc;  // NOLINT — benchmark brevity.
 using cloud::BlobStore;
@@ -120,8 +114,8 @@ RunStats RunBlobGets(int reader_threads, int gets_per_thread) {
     store.Put("doc/" + std::to_string(k), Bytes(128, 0x5a));
   }
 
-  // One writer churns all keys for the whole run; lock-free reads never
-  // queue behind its stripe lock.
+  // One writer churns all keys for the whole run; a read of a key in the
+  // stripe it holds waits for it.
   std::atomic<bool> stop{false};
   std::thread writer([&store, &stop] {
     Rng rng(9917);
@@ -198,27 +192,13 @@ int main(int argc, char** argv) {
 
   // ---- Part 2 ----
   const int kGets = quick ? 5000 : 50000;
-  std::printf("\nBlobStore lock-free get path under one-writer churn (%d gets/thread "
-              "over 64 keys; p50/p95/p99 in microseconds):\n",
+  std::printf("\nBlobStore striped get path under one-writer churn "
+              "(%d gets/thread over 64 keys; p50/p95/p99 in microseconds):\n",
               kGets);
   std::printf("  %7s %12s %8s %8s %8s\n", "threads", "gets/s", "p50",
               "p95", "p99");
   for (int threads : kThreadSweep) {
     PrintRow(threads, RunBlobGets(threads, kGets));
-  }
-
-  // ---- Part 3 ----
-  const int kEpochOps = quick ? 200000 : 2000000;
-  {
-    sync::EpochManager epochs;
-    obs::Stopwatch wall;
-    for (int i = 0; i < kEpochOps; ++i) {
-      sync::EpochGuard guard(epochs);
-    }
-    double ns = static_cast<double>(wall.ElapsedUs()) * 1000.0 / kEpochOps;
-    std::printf("\nEpoch Enter/Exit pair (the fixed per-read cost replacing "
-                "a mutex acquire): %.1f ns over %d iterations\n",
-                ns, kEpochOps);
   }
 
   std::printf("\nE17 done.\n");

@@ -31,15 +31,18 @@
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   9. build rpc_test, codec_test, crypto_test, tee_test, storage_test and
-#      lockfree_test under the asan-ubsan preset into build-asan/ and run
-#      them with leak checking: the wire codec's and every stored or sent
-#      record's truncation, byte-flip and trailing-byte sweeps, the AEAD's
-#      seal and open, which read and write through raw pointers into one
-#      buffer, and the LogStore's buffered records, parsed back in place by
-#      gets, flushes, scans and GC while other threads write, claim "no
-#      over-read", and only AddressSanitizer enforces that (the build takes
-#      a few minutes, the runs a few seconds each);
+#   9. build rpc_test, codec_test, crypto_test, tee_test, storage_test,
+#      lockfree_test, cloud_test and txn_test under the asan-ubsan preset
+#      into build-asan/ and run them with leak checking: the wire codec's
+#      and every stored or sent record's truncation, byte-flip and
+#      trailing-byte sweeps, the AEAD's seal and open, which read and write
+#      through raw pointers into one buffer, the LogStore's buffered
+#      records, parsed back in place by gets, flushes, scans and GC while
+#      other threads write, and the BlobStore's payloads, which vector
+#      growth moves, Delete erases and MutateLatest edits in place while
+#      the token table points into its map's keys, claim "no over-read"
+#      and "no use after free", and only AddressSanitizer enforces that
+#      (the build takes a few minutes, the runs a few seconds each);
 #  10. check no generated build*/ tree is tracked or staged;
 #  11. run the obs export validator (quick bench run + trace JSON checks).
 #
@@ -68,8 +71,10 @@ cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_te
 (cd build-cellbench && ctest --output-on-failure)
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" \
-  --target rpc_test codec_test crypto_test tee_test storage_test lockfree_test
-for t in rpc_test codec_test crypto_test tee_test storage_test lockfree_test; do
+  --target rpc_test codec_test crypto_test tee_test storage_test lockfree_test \
+  cloud_test txn_test
+for t in rpc_test codec_test crypto_test tee_test storage_test lockfree_test \
+    cloud_test txn_test; do
   ASAN_OPTIONS=detect_leaks=1 "build-asan/tests/$t" --gtest_brief=1
 done
 scripts/check_tree_clean.sh

@@ -15,39 +15,8 @@ BlobStore::BlobStore(size_t shard_count, size_t token_history) {
   }
 }
 
-BlobStore::~BlobStore() {
-  for (auto& shard_ptr : shards_) {
-    for (std::atomic<BlobRec*>& bucket : shard_ptr->buckets) {
-      BlobRec* rec = bucket.load(std::memory_order_relaxed);
-      while (rec != nullptr) {
-        BlobRec* next = rec->next;
-        DeleteVersionChain(rec->head.load(std::memory_order_relaxed));
-        delete rec;
-        rec = next;
-      }
-    }
-  }
-  // epochs_ (destroyed after us-declared members, being first) frees
-  // whatever Delete/MutateLatest retired but no reader drained yet.
-}
-
-void BlobStore::DeleteVersionChain(void* head) {
-  VersionNode* node = static_cast<VersionNode*>(head);
-  while (node != nullptr) {
-    VersionNode* next = node->next;
-    delete node;
-    node = next;
-  }
-}
-
 size_t BlobStore::ShardIndex(const std::string& id) const {
   return std::hash<std::string>{}(id) % shards_.size();
-}
-
-size_t BlobStore::BucketIndex(const std::string& id) const {
-  // Second-level hash: fold the shard count out so ids in one shard still
-  // spread over the buckets.
-  return (std::hash<std::string>{}(id) / shards_.size()) % kBucketsPerShard;
 }
 
 std::unique_lock<std::mutex> BlobStore::LockShard(const Shard& shard) const {
@@ -59,47 +28,14 @@ std::unique_lock<std::mutex> BlobStore::LockShard(const Shard& shard) const {
   return lock;
 }
 
-BlobStore::BlobRec* BlobStore::FindRec(const Shard& shard,
-                                       const std::string& id) const {
-  BlobRec* rec =
-      shard.buckets[BucketIndex(id)].load(std::memory_order_acquire);
-  while (rec != nullptr) {
-    if (rec->id == id) return rec;
-    rec = rec->next;
-  }
-  return nullptr;
-}
-
-BlobStore::BlobRec* BlobStore::FindOrInsertRec(Shard& shard,
-                                               const std::string& id) {
-  std::atomic<BlobRec*>& bucket = shard.buckets[BucketIndex(id)];
-  BlobRec* head = bucket.load(std::memory_order_relaxed);
-  for (BlobRec* rec = head; rec != nullptr; rec = rec->next) {
-    if (rec->id == id) return rec;
-  }
-  // Writers are serialized by the stripe, so a plain release store
-  // publishes the fully constructed node to lock-free bucket walkers.
-  BlobRec* rec = new BlobRec(id, head);
-  bucket.store(rec, std::memory_order_release);
-  return rec;
-}
-
-BlobStore::VersionNode* BlobStore::AppendVersionLocked(Shard& shard,
-                                                       const std::string& id,
-                                                       const Bytes& data,
-                                                       uint64_t seq,
-                                                       uint64_t* version_out) {
-  BlobRec* rec = FindOrInsertRec(shard, id);
-  VersionNode* old = rec->head.load(std::memory_order_relaxed);
-  uint64_t version = old != nullptr ? old->version + 1 : 1;
-  VersionNode* node = new VersionNode(data, seq, version, old);
-  rec->head.store(node, std::memory_order_release);
-  if (old == nullptr) shard.blob_count.fetch_add(1, std::memory_order_relaxed);
-  shard.total_bytes.fetch_add(data.size(), std::memory_order_relaxed);
+uint64_t BlobStore::AppendVersionLocked(Shard& shard, const std::string& id,
+                                        const Bytes& data, uint64_t seq) {
+  std::vector<Version>& versions = shard.blobs[id];
+  versions.push_back(Version{data, seq});
+  shard.total_bytes += data.size();
   shard.high_seq.store(seq, std::memory_order_release);
   versions_created_.fetch_add(1, std::memory_order_relaxed);
-  *version_out = version;
-  return node;
+  return versions.size();
 }
 
 void BlobStore::PublishSeqs(const uint64_t* seqs, size_t n) {
@@ -115,27 +51,19 @@ void BlobStore::PublishSeqs(const uint64_t* seqs, size_t n) {
 
 uint64_t BlobStore::LatestVersionLocked(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  const BlobRec* rec = FindRec(shard, id);
-  if (rec == nullptr) return 0;
-  // The caller holds this stripe, so no unpublished head can exist here.
-  const VersionNode* head = rec->head.load(std::memory_order_acquire);
-  return head != nullptr ? head->version : 0;
+  auto it = shard.blobs.find(id);
+  return it != shard.blobs.end() ? it->second.size() : 0;
 }
 
 uint64_t BlobStore::Put(const std::string& id, const Bytes& data) {
   Shard& shard = *shards_[ShardIndex(id)];
-  uint64_t version = 0;
-  {
-    auto lock = LockShard(shard);
-    uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
-    VersionNode* node = AppendVersionLocked(shard, id, data, seq, &version);
-    // Published under the stripe for the same starvation bound CommitTxn
-    // documents: once this Put is observable as "latest", it is also in
-    // every fresh snapshot. The node flips published only after its seq
-    // is in the horizon, so lock-free latest readers can never get ahead.
-    PublishSeqs(&seq, 1);
-    node->published.store(true, std::memory_order_release);
-  }
+  auto lock = LockShard(shard);
+  uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t version = AppendVersionLocked(shard, id, data, seq);
+  // Published under the stripe for the same starvation bound CommitTxn
+  // documents: once this Put is observable as "latest", it is also in
+  // every fresh snapshot.
+  PublishSeqs(&seq, 1);
   return version;
 }
 
@@ -157,20 +85,16 @@ SnapshotDescriptor BlobStore::Snapshot() const {
 Result<SnapshotRead> BlobStore::GetAtSnapshot(
     const std::string& id, const SnapshotDescriptor& snap) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  if (rec != nullptr) {
-    // published is deliberately ignored: a descriptor can only contain a
-    // sequence PublishSeqs has processed, and the commit_mu_ hand-off to
-    // Snapshot() makes the node reachable by then. Checking the flag here
-    // would spuriously hide a committed version from an entitled reader.
-    for (const VersionNode* node = rec->head.load(std::memory_order_acquire);
-         node != nullptr; node = node->next) {
-      if (snap.Visible(node->commit_seq)) {
+  auto lock = LockShard(shard);
+  auto it = shard.blobs.find(id);
+  if (it != shard.blobs.end()) {
+    const std::vector<Version>& versions = it->second;
+    for (size_t i = versions.size(); i > 0; --i) {
+      if (snap.Visible(versions[i - 1].commit_seq)) {
         SnapshotRead read;
-        read.data = node->data;
-        read.version = node->version;
-        read.commit_seq = node->commit_seq;
+        read.data = versions[i - 1].data;
+        read.version = i;
+        read.commit_seq = versions[i - 1].commit_seq;
         return read;
       }
     }
@@ -253,13 +177,9 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
   // Apply: one commit sequence for the whole write set.
   uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
   out.versions.reserve(req.writes.size());
-  std::vector<VersionNode*> applied;
-  applied.reserve(req.writes.size());
   for (const TxnWrite& w : req.writes) {
     Shard& shard = *shards_[ShardIndex(w.id)];
-    uint64_t version = 0;
-    applied.push_back(AppendVersionLocked(shard, w.id, w.data, seq, &version));
-    out.versions.push_back(version);
+    out.versions.push_back(AppendVersionLocked(shard, w.id, w.data, seq));
     txn_writes_applied_.fetch_add(1, std::memory_order_relaxed);
   }
   out.committed = true;
@@ -284,89 +204,53 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
   // whole scheduling quantum. Published under the stripes, any snapshot a
   // competitor can act on (its reads serialize behind these locks)
   // already contains this commit, so each commit costs each competitor at
-  // most O(1) aborts. Lock-free latest readers get the same guarantee
-  // from the published flag, which flips only after this call.
+  // most O(1) aborts.
   PublishSeqs(&seq, 1);
-  for (VersionNode* node : applied) {
-    node->published.store(true, std::memory_order_release);
-  }
   held.clear();
   return out;
 }
 
 Result<Bytes> BlobStore::Get(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  // Skip the (at most one) not-yet-published head: it is not "latest"
-  // until its commit seq is in the snapshot horizon.
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
-  }
-  if (node == nullptr) return Status::NotFound("no such blob: " + id);
-  return node->data;
+  auto lock = LockShard(shard);
+  auto it = shard.blobs.find(id);
+  if (it == shard.blobs.end()) return Status::NotFound("no such blob: " + id);
+  return it->second.back().data;
 }
 
 Result<Bytes> BlobStore::GetVersion(const std::string& id,
                                     uint64_t version) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
+  auto lock = LockShard(shard);
+  auto it = shard.blobs.find(id);
+  if (it == shard.blobs.end() || version == 0 ||
+      version > it->second.size()) {
+    return Status::NotFound("no such blob version");
   }
-  for (; node != nullptr; node = node->next) {
-    if (node->version == version) return node->data;
-    if (node->version < version) break;  // Chain descends; not present.
-  }
-  return Status::NotFound("no such blob version");
+  return it->second[version - 1].data;
 }
 
 Result<uint64_t> BlobStore::LatestVersion(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
-  }
-  if (node == nullptr) return Status::NotFound("no such blob: " + id);
-  return node->version;
+  auto lock = LockShard(shard);
+  auto it = shard.blobs.find(id);
+  if (it == shard.blobs.end()) return Status::NotFound("no such blob: " + id);
+  return static_cast<uint64_t>(it->second.size());
 }
 
 bool BlobStore::Exists(const std::string& id) const {
   const Shard& shard = *shards_[ShardIndex(id)];
-  sync::EpochGuard guard(epochs_);
-  const BlobRec* rec = FindRec(shard, id);
-  const VersionNode* node =
-      rec != nullptr ? rec->head.load(std::memory_order_acquire) : nullptr;
-  while (node != nullptr && !node->published.load(std::memory_order_acquire)) {
-    node = node->next;
-  }
-  return node != nullptr;
+  auto lock = LockShard(shard);
+  return shard.blobs.count(id) != 0;
 }
 
 Status BlobStore::Delete(const std::string& id) {
   Shard& shard = *shards_[ShardIndex(id)];
   auto lock = LockShard(shard);
-  BlobRec* rec = FindRec(shard, id);
-  VersionNode* head =
-      rec != nullptr ? rec->head.load(std::memory_order_relaxed) : nullptr;
-  if (head == nullptr) return Status::NotFound("no such blob: " + id);
-  uint64_t bytes = 0;
-  for (const VersionNode* node = head; node != nullptr; node = node->next) {
-    bytes += node->data.size();
-  }
-  shard.total_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  shard.blob_count.fetch_sub(1, std::memory_order_relaxed);
-  rec->head.store(nullptr, std::memory_order_release);
-  // Readers may still be walking the chain: retire it whole.
-  epochs_.Retire(head, &DeleteVersionChain);
+  auto it = shard.blobs.find(id);
+  if (it == shard.blobs.end()) return Status::NotFound("no such blob: " + id);
+  for (const Version& v : it->second) shard.total_bytes -= v.data.size();
+  shard.blobs.erase(it);
   return Status::OK();
 }
 
@@ -374,18 +258,9 @@ std::vector<std::string> BlobStore::List(const std::string& prefix) const {
   std::vector<std::string> out;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    sync::EpochGuard guard(epochs_);
-    for (const std::atomic<BlobRec*>& bucket : shard.buckets) {
-      for (const BlobRec* rec = bucket.load(std::memory_order_acquire);
-           rec != nullptr; rec = rec->next) {
-        if (rec->id.compare(0, prefix.size(), prefix) != 0) continue;
-        const VersionNode* node = rec->head.load(std::memory_order_acquire);
-        while (node != nullptr &&
-               !node->published.load(std::memory_order_acquire)) {
-          node = node->next;
-        }
-        if (node != nullptr) out.push_back(rec->id);
-      }
+    auto lock = LockShard(shard);
+    for (const auto& [id, versions] : shard.blobs) {
+      if (id.compare(0, prefix.size(), prefix) == 0) out.push_back(id);
     }
   }
   std::sort(out.begin(), out.end());
@@ -395,7 +270,8 @@ std::vector<std::string> BlobStore::List(const std::string& prefix) const {
 size_t BlobStore::blob_count() const {
   size_t count = 0;
   for (const auto& shard_ptr : shards_) {
-    count += shard_ptr->blob_count.load(std::memory_order_relaxed);
+    auto lock = LockShard(*shard_ptr);
+    count += shard_ptr->blobs.size();
   }
   return count;
 }
@@ -403,7 +279,8 @@ size_t BlobStore::blob_count() const {
 uint64_t BlobStore::total_bytes() const {
   uint64_t bytes = 0;
   for (const auto& shard_ptr : shards_) {
-    bytes += shard_ptr->total_bytes.load(std::memory_order_relaxed);
+    auto lock = LockShard(*shard_ptr);
+    bytes += shard_ptr->total_bytes;
   }
   return bytes;
 }
@@ -411,17 +288,9 @@ uint64_t BlobStore::total_bytes() const {
 uint64_t BlobStore::AuditTotalBytes() const {
   uint64_t bytes = 0;
   for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    sync::EpochGuard guard(epochs_);
-    for (const std::atomic<BlobRec*>& bucket : shard.buckets) {
-      for (const BlobRec* rec = bucket.load(std::memory_order_acquire);
-           rec != nullptr; rec = rec->next) {
-        for (const VersionNode* node =
-                 rec->head.load(std::memory_order_acquire);
-             node != nullptr; node = node->next) {
-          bytes += node->data.size();
-        }
-      }
+    auto lock = LockShard(*shard_ptr);
+    for (const auto& [id, versions] : shard_ptr->blobs) {
+      for (const Version& v : versions) bytes += v.data.size();
     }
   }
   return bytes;
@@ -431,25 +300,12 @@ Status BlobStore::MutateLatest(const std::string& id,
                                const std::function<void(Bytes&)>& mutator) {
   Shard& shard = *shards_[ShardIndex(id)];
   auto lock = LockShard(shard);
-  BlobRec* rec = FindRec(shard, id);
-  VersionNode* old =
-      rec != nullptr ? rec->head.load(std::memory_order_relaxed) : nullptr;
-  if (old == nullptr) return Status::NotFound("no such blob: " + id);
-  // Version nodes are immutable to keep lock-free readers safe; tampering
-  // therefore REPLACES the latest node with a mutated copy carrying the
-  // same version and commit seq, and epoch-retires the original.
-  Bytes mutated = old->data;
-  mutator(mutated);
-  const size_t before = old->data.size();
-  const size_t after = mutated.size();
-  VersionNode* fresh =
-      new VersionNode(std::move(mutated), old->commit_seq, old->version,
-                      old->next);
-  fresh->published.store(true, std::memory_order_relaxed);
-  rec->head.store(fresh, std::memory_order_release);
-  shard.total_bytes.fetch_add(after, std::memory_order_relaxed);
-  shard.total_bytes.fetch_sub(before, std::memory_order_relaxed);
-  epochs_.RetireObject(old);
+  auto it = shard.blobs.find(id);
+  if (it == shard.blobs.end()) return Status::NotFound("no such blob: " + id);
+  Bytes& data = it->second.back().data;
+  shard.total_bytes -= data.size();
+  mutator(data);
+  shard.total_bytes += data.size();
   return Status::OK();
 }
 

@@ -10,13 +10,11 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "tc/common/bytes.h"
 #include "tc/common/result.h"
 #include "tc/cloud/txn.h"
-#include "tc/sync/epoch.h"
 
 namespace tc::cloud {
 
@@ -28,14 +26,11 @@ namespace tc::cloud {
 ///
 /// The store is sharded over `shard_count` partitions (hash of the blob
 /// id), modelling the horizontally partitioned store of a real provider
-/// serving millions of cells. Writers serialize per shard behind a stripe
-/// lock; READS ARE LOCK-FREE (PR 8): each shard's latest-version map is a
-/// fixed bucket array of immutable-chain hash nodes, every blob's version
-/// history is a newest-first linked list of immutable version nodes, and
-/// Get/GetVersion/GetAtSnapshot/Exists/List walk them under an epoch guard
-/// without ever touching a stripe. Retired nodes (Delete, MutateLatest)
-/// are reclaimed through tc::sync::EpochManager once no reader can hold
-/// them. Byte/blob accounting is per-shard atomics, merged on read.
+/// serving millions of cells. ONE LOCK PER STRIPE: each shard is a plain
+/// map from blob id to that blob's versions, oldest first (version v at
+/// index v-1, with the sequence of the commit that wrote it), under the
+/// shard's stripe mutex. Readers and writers alike take the stripe, and a
+/// read copies its payload out before releasing it.
 ///
 /// MVCC: every version carries the sequence number of the commit that
 /// created it (plain puts are single-write auto-commits). Snapshot() hands
@@ -47,39 +42,28 @@ namespace tc::cloud {
 /// and apply: two-phase, deadlock-free). A commit's sequence is published
 /// to the snapshot horizon after all its writes are applied but BEFORE
 /// the stripes are released, so cross-shard commits are never seen torn
-/// AND anything observable as "latest" is already snapshot-visible — the
-/// pairing that bounds first-committer-wins abort loops (a write that is
-/// latest but not yet in fresh snapshots would make every conflicting
-/// retry abort deterministically for as long as the committer is stalled).
+/// AND anything observable as "latest" is already snapshot-visible: a
+/// reader of "latest" waits on the same stripe, so it sees a write only
+/// once its sequence is in the horizon. That pairing bounds
+/// first-committer-wins abort loops (a write that is latest but not yet
+/// in fresh snapshots would make every conflicting retry abort
+/// deterministically for as long as the committer is stalled).
 ///
-/// With lock-free readers that invariant needs one extra bit: a reader no
-/// longer serializes behind the stripe, so it could observe a new head
-/// node after it is linked but before its sequence is published. Every
-/// version node therefore carries a `published` flag, set (release) only
-/// AFTER PublishSeqs and before the stripes drop; the lock-free latest
-/// paths skip unpublished nodes. Hence: latest-visible (to any reader)
-/// still implies snapshot-visible. Snapshot reads ignore the flag — a
-/// descriptor can only contain a sequence PublishSeqs already processed,
-/// and the commit_mu_ hand-off makes the node itself visible.
-///
-/// Lock ordering (audited for PR 8, satellite b): stripes are acquired
-/// first, always in ascending shard index; commit_mu_ is a LEAF lock —
-/// taken only while stripes are held (PublishSeqs) or entirely on its own
+/// Lock ordering: stripes are acquired first, always in ascending shard
+/// index, and a read holds exactly one; commit_mu_ is a LEAF lock — taken
+/// only while stripes are held (PublishSeqs) or entirely on its own
 /// (Snapshot), never the reverse order of a stripe. The txn-token table
-/// is striped too, so it needs no lock of its own. Lock-free readers take
-/// no lock at all, so no read path can participate in an inversion. There
-/// is no path that acquires a stripe while holding commit_mu_.
+/// is striped too, so it needs no lock of its own. There is no path that
+/// acquires a stripe while holding commit_mu_.
 class BlobStore {
  public:
   static constexpr size_t kDefaultShards = 16;
   /// Committed txn tokens remembered per store, split evenly over the
   /// stripes.
   static constexpr size_t kTokenHistory = 8192;
-  static constexpr size_t kBucketsPerShard = 512;
 
   explicit BlobStore(size_t shard_count = kDefaultShards,
                      size_t token_history = kTokenHistory);
-  ~BlobStore();
 
   BlobStore(const BlobStore&) = delete;
   BlobStore& operator=(const BlobStore&) = delete;
@@ -96,7 +80,7 @@ class BlobStore {
 
   /// Newest version of `id` whose commit is visible in `snap`; kNotFound
   /// if the blob has no visible version (absent, or created after the
-  /// snapshot was taken). Lock-free.
+  /// snapshot was taken).
   Result<SnapshotRead> GetAtSnapshot(const std::string& id,
                                      const SnapshotDescriptor& snap) const;
 
@@ -152,10 +136,10 @@ class BlobStore {
     return txn_writes_applied_.load(std::memory_order_relaxed);
   }
 
-  /// Latest version payload. Lock-free.
+  /// Latest version payload.
   Result<Bytes> Get(const std::string& id) const;
 
-  /// Specific version payload. Lock-free.
+  /// Specific version payload.
   Result<Bytes> GetVersion(const std::string& id, uint64_t version) const;
 
   /// Latest version number (kNotFound if the blob does not exist).
@@ -178,18 +162,16 @@ class BlobStore {
   uint64_t total_bytes() const;
 
   /// Exact recount of the bytes the accounting SHOULD hold: walks every
-  /// live version node and sums payload sizes. O(data); meant for test
+  /// stored version and sums payload sizes. O(data); meant for test
   /// invariants at quiescence (`AuditTotalBytes() == total_bytes()`), not
   /// for the serving path. Under concurrent writers the two are sampled
   /// at different instants and may legitimately differ.
   uint64_t AuditTotalBytes() const;
 
-  /// In-place mutation of the latest version of `id` — used ONLY by the
-  /// adversary to model provider-side tampering. Replaces the latest
-  /// version node with the mutated copy under the shard lock (immutable
-  /// nodes: lock-free readers may still be holding the old one, which is
-  /// epoch-retired) and re-syncs byte accounting if the mutation resized
-  /// the payload.
+  /// In-place mutation of the stored latest version of `id`, under the
+  /// shard lock; re-syncs byte accounting if the mutation resized the
+  /// payload. Only tests call it: the adversary tampers with payloads in
+  /// flight (CloudInfrastructure::ReadLatest), never with the store.
   Status MutateLatest(const std::string& id,
                       const std::function<void(Bytes&)>& mutator);
 
@@ -200,37 +182,16 @@ class BlobStore {
   /// aligned with the data partitioning.
   size_t ShardIndex(const std::string& id) const;
 
-  /// Number of times a caller found its shard lock already held and had to
-  /// wait (merged over shards). A cheap contention probe for the fleet
-  /// benchmarks; monotonically increasing.
+  /// Number of times a caller — reader or writer — found its shard lock
+  /// already held and had to wait (merged over shards). A cheap contention
+  /// probe for the fleet benchmarks; monotonically increasing.
   uint64_t lock_contention() const;
 
  private:
-  /// One stored version: payload + the commit that created it. Immutable
-  /// after construction except for `published` (see class comment); the
-  /// version history is a newest-first chain, so version numbers descend
-  /// along `next` and commit_seq is strictly decreasing too (every append
-  /// happens under the shard stripe with a freshly drawn sequence).
-  struct VersionNode {
-    const Bytes data;
-    const uint64_t commit_seq;
-    const uint64_t version;
-    /// False only between head-link and PublishSeqs; latest-version
-    /// readers skip unpublished nodes (latest-visible ⇒ snapshot-visible).
-    std::atomic<bool> published{false};
-    VersionNode* const next;  // Older version, or nullptr.
-    VersionNode(Bytes d, uint64_t seq, uint64_t ver, VersionNode* nxt)
-        : data(std::move(d)), commit_seq(seq), version(ver), next(nxt) {}
-  };
-
-  /// Hash node for one blob id. Never unlinked or freed before the store
-  /// dies (Delete just nulls the head), so lock-free bucket walks need no
-  /// guard for the node itself — only version chains are epoch-managed.
-  struct BlobRec {
-    const std::string id;
-    std::atomic<VersionNode*> head{nullptr};  // Newest version.
-    BlobRec* const next;  // Bucket chain; immutable after insertion.
-    BlobRec(std::string i, BlobRec* nxt) : id(std::move(i)), next(nxt) {}
+  /// One stored version: payload + the commit that created it.
+  struct Version {
+    Bytes data;
+    uint64_t commit_seq = 0;
   };
 
   /// Recorded outcome of a committed transaction, replayed on token
@@ -241,12 +202,12 @@ class BlobStore {
   };
 
   struct Shard {
-    Shard() : buckets(kBucketsPerShard) {}
-    mutable std::mutex mu;  // Serializes writers; readers never take it.
+    mutable std::mutex mu;
     mutable std::atomic<uint64_t> contention{0};
-    std::vector<std::atomic<BlobRec*>> buckets;
-    std::atomic<uint64_t> total_bytes{0};
-    std::atomic<uint64_t> blob_count{0};
+    /// Every blob in this stripe: its versions, oldest first (version v at
+    /// index v-1). Delete erases the entry. Guarded by mu.
+    std::unordered_map<std::string, std::vector<Version>> blobs;
+    uint64_t total_bytes = 0;  // Guarded by mu.
     /// Highest commit_seq applied to this shard. Written only under mu;
     /// atomic so Snapshot() can read it without taking the stripe.
     std::atomic<uint64_t> high_seq{0};
@@ -268,28 +229,13 @@ class BlobStore {
   /// locks are still held (latest-visible must imply snapshot-visible).
   void PublishSeqs(const uint64_t* seqs, size_t n);
 
-  size_t BucketIndex(const std::string& id) const;
-  /// Lock-free lookup of the id's hash node (nullptr if never stored).
-  BlobRec* FindRec(const Shard& shard, const std::string& id) const;
-  /// Lookup-or-insert; caller holds the stripe.
-  BlobRec* FindOrInsertRec(Shard& shard, const std::string& id);
-  /// Appends one version under the stripe (node starts unpublished).
-  /// Returns the new node; `*version_out` is its 1-based version.
-  VersionNode* AppendVersionLocked(Shard& shard, const std::string& id,
-                                   const Bytes& data, uint64_t seq,
-                                   uint64_t* version_out);
+  /// Appends one version under the stripe; returns its 1-based version.
+  uint64_t AppendVersionLocked(Shard& shard, const std::string& id,
+                               const Bytes& data, uint64_t seq);
 
-  /// Latest version number of `id` (0 = absent). Caller holds the stripe,
-  /// so no unpublished node can exist for this id.
+  /// Latest version number of `id` (0 = absent). Caller holds the stripe.
   uint64_t LatestVersionLocked(const std::string& id) const;
 
-  /// Deleter for a whole version chain (Delete retires the full history
-  /// in one shot; MutateLatest retires single nodes via RetireObject).
-  static void DeleteVersionChain(void* head);
-
-  // Reclamation first: destroyed last, after no structure can retire into
-  // it. Epoch guards protect version chains on the lock-free read paths.
-  mutable sync::EpochManager epochs_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t tokens_per_shard_ = 1;
   std::atomic<uint64_t> versions_created_{0};

@@ -4,7 +4,8 @@ namespace tc::storage {
 
 FlashDevice::FlashDevice(const FlashGeometry& geometry)
     : geometry_(geometry),
-      pages_(geometry.total_pages()),
+      blocks_(geometry.block_count,
+              std::vector<Bytes>(geometry.pages_per_block)),
       block_wear_(geometry.block_count) {
   for (auto& w : block_wear_) w.store(0, std::memory_order_relaxed);
 }
@@ -26,21 +27,21 @@ void FlashDevice::ResetStats() {
 }
 
 Status FlashDevice::CheckRead(size_t page_no) const {
-  if (page_no >= pages_.size()) {
+  if (page_no >= geometry_.total_pages()) {
     return Status::OutOfRange("page number out of range");
   }
   return Status::OK();
 }
 
 Status FlashDevice::CheckProgram(size_t page_no, const Bytes& data) const {
-  if (page_no >= pages_.size()) {
+  if (page_no >= geometry_.total_pages()) {
     return Status::OutOfRange("page number out of range");
   }
   if (data.size() != geometry_.page_size) {
     return Status::InvalidArgument("program data must be exactly one page");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (!pages_[page_no].empty()) {
+  if (!Page(page_no).empty()) {
     return Status::FailedPrecondition(
         "NAND page already programmed; erase the block first");
   }
@@ -75,35 +76,35 @@ void FlashDevice::ChargeErase(size_t block_no) {
 
 Bytes FlashDevice::RawPage(size_t page_no) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pages_[page_no].empty()) return Bytes(geometry_.page_size, 0xff);
-  return pages_[page_no];
+  if (Page(page_no).empty()) return Bytes(geometry_.page_size, 0xff);
+  return Page(page_no);
 }
 
 void FlashDevice::RawSetPage(size_t page_no, Bytes data) {
   std::lock_guard<std::mutex> lock(mu_);
-  pages_[page_no] = std::move(data);
+  Page(page_no) = std::move(data);
 }
 
 void FlashDevice::RawClearPage(size_t page_no) {
   std::lock_guard<std::mutex> lock(mu_);
-  pages_[page_no].clear();
+  Page(page_no).clear();
 }
 
 Result<Bytes> FlashDevice::ReadPage(size_t page_no) {
   TC_RETURN_IF_ERROR(CheckRead(page_no));
   ChargeRead();
   std::lock_guard<std::mutex> lock(mu_);
-  if (pages_[page_no].empty()) {
+  if (Page(page_no).empty()) {
     return Bytes(geometry_.page_size, 0xff);  // Erased NAND reads as 1s.
   }
-  return pages_[page_no];
+  return Page(page_no);
 }
 
 Status FlashDevice::ProgramPage(size_t page_no, const Bytes& data) {
   TC_RETURN_IF_ERROR(CheckProgram(page_no, data));
   ChargeProgram();
   std::lock_guard<std::mutex> lock(mu_);
-  pages_[page_no] = data;
+  Page(page_no) = data;
   return Status::OK();
 }
 
@@ -111,16 +112,13 @@ Status FlashDevice::EraseBlock(size_t block_no) {
   TC_RETURN_IF_ERROR(CheckErase(block_no));
   ChargeErase(block_no);
   std::lock_guard<std::mutex> lock(mu_);
-  size_t first = block_no * geometry_.pages_per_block;
-  for (size_t i = 0; i < geometry_.pages_per_block; ++i) {
-    pages_[first + i].clear();
-  }
+  for (Bytes& page : blocks_[block_no]) page.clear();
   return Status::OK();
 }
 
 bool FlashDevice::IsPageProgrammed(size_t page_no) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return page_no < pages_.size() && !pages_[page_no].empty();
+  return page_no < geometry_.total_pages() && !Page(page_no).empty();
 }
 
 uint64_t FlashDevice::BlockWear(size_t block_no) const {

@@ -103,9 +103,23 @@ class FlashDevice {
   void RawClearPage(size_t page_no);
 
  private:
+  Bytes& Page(size_t page_no) {
+    return blocks_[page_no / geometry_.pages_per_block]
+                  [page_no % geometry_.pages_per_block];
+  }
+  const Bytes& Page(size_t page_no) const {
+    return blocks_[page_no / geometry_.pages_per_block]
+                  [page_no % geometry_.pages_per_block];
+  }
+
   FlashGeometry geometry_;
-  mutable std::mutex mu_;             // Guards pages_.
-  std::vector<Bytes> pages_;          // Empty vector == erased.
+  mutable std::mutex mu_;  // Guards blocks_.
+  /// Page contents, one vector per erase block; an empty page is erased.
+  /// Per block, not one array per device: a gateway device's 131,072 page
+  /// slots in one 3 MiB array are mmapped, and freeing that array raises
+  /// glibc's dynamic trim threshold to 6 MiB for the whole process, after
+  /// which per-thread arenas keep the memory they free resident.
+  std::vector<std::vector<Bytes>> blocks_;
   std::vector<std::atomic<uint64_t>> block_wear_;
   std::atomic<uint64_t> page_reads_{0};
   std::atomic<uint64_t> page_programs_{0};

@@ -215,9 +215,28 @@ Result<Bytes> LogStore::Get(const std::string& key) {
   return Status::Corruption("index points at a page without the record");
 }
 
+Status LogStore::ScanDurableLocked(const std::function<void(Record&)>& fn) {
+  const FlashGeometry& geo = device_->geometry();
+  // Every page this store programs lies in a block block_used_ marks, so
+  // free blocks (nearly all of a fresh device) are skipped whole.
+  for (size_t block = 0; block < geo.block_count; ++block) {
+    if (!block_used_[block]) continue;
+    for (size_t i = 0; i < geo.pages_per_block; ++i) {
+      uint64_t page = block * geo.pages_per_block + i;
+      if (!device_->IsPageProgrammed(page)) continue;
+      if (torn_pages_.count(page) != 0) {
+        ++stats_.scan_pages_skipped;
+        continue;
+      }
+      TC_ASSIGN_OR_RETURN(std::vector<Record> records, ReadPageRecords(page));
+      for (Record& rec : records) fn(rec);
+    }
+  }
+  return Status::OK();
+}
+
 Result<Bytes> LogStore::ScanForKeyLocked(const std::string& key) {
   ++stats_.full_scans;
-  const FlashGeometry& geo = device_->geometry();
   uint64_t best_seq = 0;
   bool found = false, tombstone = false;
   Bytes value;
@@ -229,15 +248,7 @@ Result<Bytes> LogStore::ScanForKeyLocked(const std::string& key) {
       value = std::move(rec.value);
     }
   };
-  for (size_t page = 0; page < geo.total_pages(); ++page) {
-    if (!device_->IsPageProgrammed(page)) continue;
-    if (torn_pages_.count(page) != 0) {
-      ++stats_.scan_pages_skipped;
-      continue;
-    }
-    TC_ASSIGN_OR_RETURN(std::vector<Record> records, ReadPageRecords(page));
-    for (Record& rec : records) consider(rec);
-  }
+  TC_RETURN_IF_ERROR(ScanDurableLocked(consider));
   // Buffered records are newer than anything durable for the same key.
   for (Record& rec : BufferedRecords()) consider(rec);
   if (!found || tombstone) return Status::NotFound("no such key: " + key);
@@ -246,22 +257,13 @@ Result<Bytes> LogStore::ScanForKeyLocked(const std::string& key) {
 
 Result<std::map<std::string, LogStore::Record>>
 LogStore::LatestRecordsLocked() {
-  const FlashGeometry& geo = device_->geometry();
   std::map<std::string, Record> latest;
-  for (size_t page = 0; page < geo.total_pages(); ++page) {
-    if (!device_->IsPageProgrammed(page)) continue;
-    if (torn_pages_.count(page) != 0) {
-      ++stats_.scan_pages_skipped;
-      continue;
+  TC_RETURN_IF_ERROR(ScanDurableLocked([&](Record& rec) {
+    auto it = latest.find(rec.key);
+    if (it == latest.end() || it->second.seq < rec.seq) {
+      latest[rec.key] = std::move(rec);
     }
-    TC_ASSIGN_OR_RETURN(std::vector<Record> records, ReadPageRecords(page));
-    for (Record& rec : records) {
-      auto it = latest.find(rec.key);
-      if (it == latest.end() || it->second.seq < rec.seq) {
-        latest[rec.key] = std::move(rec);
-      }
-    }
-  }
+  }));
   for (Record& rec : BufferedRecords()) {
     auto it = latest.find(rec.key);
     if (it == latest.end() || it->second.seq <= rec.seq) {

@@ -205,6 +205,9 @@ class LogStore {
   static Status ParseRecord(BinaryReader& r, Record* out);
   /// The buffered records, in append order.
   std::vector<Record> BufferedRecords() const;
+  /// Calls `fn` on every record of every decodable durable page, in
+  /// ascending page order; torn pages are skipped and counted.
+  Status ScanDurableLocked(const std::function<void(Record&)>& fn);
   Result<Bytes> ScanForKeyLocked(const std::string& key);
   /// The latest version of every key on flash or in the buffer,
   /// tombstones included.

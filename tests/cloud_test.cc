@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 
 #include "tc/cloud/infrastructure.h"
+#include "tc/common/codec.h"
 #include "tc/common/overload.h"
+#include "tc/crypto/sha256.h"
 #include "tc/obs/telemetry.h"
 
 namespace tc::cloud {
@@ -156,6 +159,190 @@ TEST(BlobStoreTest, TokenEvictionReDeliveryStaysConvergent) {
   // Accounting: the evicted re-delivery is a fresh txn write, so the
   // versions == txn-writes invariant still balances.
   EXPECT_EQ(store.versions_created(), store.txn_writes_applied());
+}
+
+// Transcript lines for the provider pin below: every payload, status,
+// outcome and descriptor the script observes, rendered byte-exactly.
+std::string Render(const Result<Bytes>& r) {
+  return r.ok() ? HexEncode(*r) : r.status().ToString();
+}
+
+std::string Render(const TxnOutcome& out) {
+  std::ostringstream s;
+  s << out.status.ToString() << " committed=" << out.committed
+    << " replayed=" << out.replayed << " seq=" << out.commit_seq
+    << " conflict=" << out.conflict_id << " versions=";
+  for (uint64_t v : out.versions) s << v << ",";
+  return s.str();
+}
+
+std::string Render(const SnapshotDescriptor& snap) {
+  BinaryWriter w;
+  Put(w, snap);
+  return HexEncode(w.buffer());
+}
+
+// One deterministic single-threaded script over every BlobStore operation,
+// hashed into one SHA-256: puts across shards, commits that commit, abort
+// and are rejected, token replays inside and after the window, reads at
+// three snapshots and at every version, Delete, MutateLatest and every
+// counter. Any change to a byte, version, sequence, status or count
+// changes the hash.
+TEST(BlobStorePinTest, ScriptedProviderTranscriptIsPinned) {
+  BlobStore store(/*shard_count=*/4, /*token_history=*/16);
+  std::ostringstream log;
+  auto payload = [](int op, size_t size) {
+    Bytes v(size);
+    for (size_t i = 0; i < size; ++i) v[i] = static_cast<uint8_t>(op * 29 + i);
+    return v;
+  };
+  auto txn = [](const std::string& token, std::vector<TxnRead> reads,
+                std::vector<TxnWrite> writes) {
+    TxnRequest req;
+    req.token = token;
+    req.reads = std::move(reads);
+    req.writes = std::move(writes);
+    return req;
+  };
+  auto commit = [&](const TxnRequest& req) {
+    TxnOutcome out = store.CommitTxn(req);
+    log << "commit " << req.token << ": " << Render(out) << "\n";
+    return out;
+  };
+  const std::vector<std::string> ids = {
+      "space/alice/doc/0", "space/alice/doc/1", "space/alice/doc/2",
+      "space/bob/doc/0",   "space/bob/doc/1",   "meta/registry"};
+
+  // Puts across every shard, most ids several versions deep.
+  for (int op = 0; op < 16; ++op) {
+    const std::string& id = ids[op % ids.size()];
+    log << "put " << id << " shard=" << store.ShardIndex(id)
+        << " v=" << store.Put(id, payload(op, 1 + (op * 13) % 40)) << "\n";
+  }
+  const SnapshotDescriptor snap1 = store.Snapshot();
+
+  // A based commit and a blind one (creating a new id) commit; a stale
+  // read and a stale base abort; three requests are rejected outright.
+  const uint64_t doc0 = *store.LatestVersion(ids[0]);
+  const uint64_t bob0 = *store.LatestVersion(ids[3]);
+  const TxnRequest based =
+      txn("based", {{ids[0], doc0}},
+          {{ids[1], payload(100, 12), *store.LatestVersion(ids[1])},
+           {ids[3], payload(101, 7), bob0}});
+  ASSERT_TRUE(commit(based).committed);
+  const TxnRequest blind =
+      txn("blind", {},
+          {{ids[2], payload(102, 9), kBaseVersionAny},
+           {"space/carol/doc/0", payload(103, 30), kBaseVersionAny}});
+  ASSERT_TRUE(commit(blind).committed);
+  EXPECT_FALSE(commit(txn("stale-read", {{ids[1], 1}},
+                          {{ids[4], payload(104, 5), kBaseVersionAny}}))
+                   .committed);
+  const TxnRequest stale_base =
+      txn("stale-base", {}, {{ids[3], payload(105, 11), bob0}});
+  EXPECT_FALSE(commit(stale_base).committed);
+  EXPECT_FALSE(commit(txn("", {}, {{ids[4], payload(106, 3), 0}})).committed);
+  EXPECT_FALSE(commit(txn("no-writes", {{ids[0], doc0}}, {})).committed);
+  EXPECT_FALSE(commit(txn("dup", {},
+                          {{ids[5], payload(107, 4), kBaseVersionAny},
+                           {ids[5], payload(108, 4), kBaseVersionAny}}))
+                   .committed);
+  const SnapshotDescriptor snap2 = store.Snapshot();
+
+  // Inside its window a token is answered from the table; after four more
+  // tokens land in its stripe (4 per stripe here) it is evicted, and its
+  // re-delivery applies again. An aborted token may commit on retry.
+  EXPECT_TRUE(commit(based).replayed);
+  int filler = 0;
+  for (int landed = 0; landed < 4; ++filler) {
+    std::string token = "filler-" + std::to_string(filler);
+    if (store.ShardIndex(token) != store.ShardIndex(blind.token)) continue;
+    commit(txn(token, {},
+               {{ids[5], payload(200 + filler, 6), kBaseVersionAny}}));
+    ++landed;
+  }
+  EXPECT_FALSE(commit(blind).replayed);
+  const TxnRequest retried =
+      txn(stale_base.token, {},
+          {{ids[3], payload(105, 11), *store.LatestVersion(ids[3])}});
+  EXPECT_TRUE(commit(retried).committed);
+  const SnapshotDescriptor snap3 = store.Snapshot();
+  log << "snapshots " << Render(snap1) << " " << Render(snap2) << " "
+      << Render(snap3) << "\n";
+
+  // Reads of every id at every snapshot, at every version and one past,
+  // and as latest.
+  std::vector<std::string> read_ids = ids;
+  read_ids.push_back("space/carol/doc/0");
+  read_ids.push_back("missing");
+  for (const std::string& id : read_ids) {
+    for (const SnapshotDescriptor* snap : {&snap1, &snap2, &snap3}) {
+      auto read = store.GetAtSnapshot(id, *snap);
+      log << "at-snapshot " << id << ": ";
+      if (read.ok()) {
+        log << HexEncode(read->data) << " v=" << read->version
+            << " seq=" << read->commit_seq << "\n";
+      } else {
+        log << read.status().ToString() << "\n";
+      }
+    }
+    auto latest = store.LatestVersion(id);
+    log << "latest " << id << ": "
+        << (latest.ok() ? std::to_string(*latest) : latest.status().ToString())
+        << " exists=" << store.Exists(id) << " get=" << Render(store.Get(id))
+        << "\n";
+    const uint64_t top = latest.ok() ? *latest : 0;
+    for (uint64_t v = 0; v <= top + 1; ++v) {
+      log << "version " << id << "@" << v << ": "
+          << Render(store.GetVersion(id, v)) << "\n";
+    }
+  }
+  for (const char* prefix : {"space/alice/", "space/"}) {
+    log << "list " << prefix << ":";
+    for (const std::string& id : store.List(prefix)) log << " " << id;
+    log << "\n";
+  }
+
+  // Delete drops every version's bytes; a later Put restarts at version 1.
+  log << "delete " << store.Delete(ids[3]).ToString()
+      << " bytes=" << store.total_bytes() << " blobs=" << store.blob_count()
+      << " exists=" << store.Exists(ids[3]) << " again="
+      << store.Delete(ids[3]).ToString() << " at-snapshot="
+      << store.GetAtSnapshot(ids[3], snap3).status().ToString() << "\n";
+  log << "put-after-delete v=" << store.Put(ids[3], payload(300, 17))
+      << " versions=" << Render(store.GetVersion(ids[3], 2)) << "\n";
+
+  // The adversary's in-place tamper: grow, then shrink, the latest payload.
+  const std::string& tampered = ids[0];
+  log << "mutate-grow "
+      << store.MutateLatest(tampered,
+                            [](Bytes& b) { b.resize(b.size() + 50, 0xAB); })
+             .ToString()
+      << " bytes=" << store.total_bytes() << "\n";
+  log << "mutate-shrink "
+      << store.MutateLatest(tampered, [](Bytes& b) { b.resize(3); })
+             .ToString()
+      << " bytes=" << store.total_bytes()
+      << " get=" << Render(store.Get(tampered))
+      << " older=" << Render(store.GetVersion(tampered, 1)) << "\n";
+  log << "mutate-missing "
+      << store.MutateLatest("missing", [](Bytes&) {}).ToString() << "\n";
+
+  log << "counters versions=" << store.versions_created()
+      << " committed=" << store.txns_committed()
+      << " aborted=" << store.txns_aborted()
+      << " replays=" << store.txn_replays()
+      << " txn_writes=" << store.txn_writes_applied()
+      << " blobs=" << store.blob_count() << " bytes=" << store.total_bytes()
+      << " audit=" << store.AuditTotalBytes()
+      << " contention=" << store.lock_contention()
+      << " shards=" << store.shard_count() << "\n";
+  EXPECT_EQ(store.total_bytes(), store.AuditTotalBytes());
+
+  const std::string transcript = log.str();
+  EXPECT_EQ(HexEncode(crypto::Sha256Hash(ToBytes(transcript))),
+            "f717ca98b272e6288a2893744d4215f9e2b0969612ca460047bf5791fdee36b2")
+      << transcript;
 }
 
 TEST(CloudTest, HonestMessaging) {

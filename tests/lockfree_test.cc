@@ -1,15 +1,15 @@
-// The concurrency suite: epoch reclamation, the BlobStore's lock-free
-// read paths with their latest-visible => snapshot-visible invariant, and
-// the one-mutex LogStore under concurrent put/get/GC.
+// The concurrency suite: the one-mutex LogStore under concurrent
+// put/get/GC, and the BlobStore's striped reads and commits with their
+// latest-visible => snapshot-visible invariant. (The binary and its ctest
+// lane keep the `lockfree` name of the lock-free stores they first tested.)
 //
-// These tests are the `lockfree` ctest lane and run under BOTH sanitizer
-// presets: ASan proves the epoch protocol never frees memory a reader
-// still holds; TSan proves the shared paths are data-race-free.
+// These tests run under BOTH sanitizer presets: ASan proves no payload is
+// read after a flush, GC, Delete or vector growth moved or freed it; TSan
+// proves the shared paths are data-race-free.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +20,6 @@
 #include "tc/storage/flash_device.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
-#include "tc/sync/epoch.h"
 
 namespace tc {
 namespace {
@@ -36,93 +35,6 @@ using storage::FlashGeometry;
 using storage::LogStore;
 using storage::LogStoreOptions;
 using storage::PlainPageTransform;
-
-// ---------------------------------------------------------------------------
-// EpochManager
-// ---------------------------------------------------------------------------
-
-TEST(EpochManagerTest, RetirementWaitsForPinnedReader) {
-  sync::EpochManager epochs;
-  std::atomic<int> freed{0};
-  auto deleter = [](void* p) {
-    static_cast<std::atomic<int>*>(p)->fetch_add(1);
-  };
-
-  size_t slot = epochs.Enter();  // Reader pinned BEFORE the retire.
-  epochs.Retire(&freed, deleter);
-  epochs.Collect();
-  EXPECT_EQ(freed.load(), 0) << "freed under a pinned reader";
-  epochs.Exit(slot);
-  epochs.Collect();
-  EXPECT_EQ(freed.load(), 1);
-  EXPECT_EQ(epochs.retired_count(), 0u);
-}
-
-TEST(EpochManagerTest, LateReaderDoesNotBlockEarlierRetirement) {
-  sync::EpochManager epochs;
-  std::atomic<int> freed{0};
-  auto deleter = [](void* p) {
-    static_cast<std::atomic<int>*>(p)->fetch_add(1);
-  };
-  epochs.Retire(&freed, deleter);
-  // This reader entered AFTER the retire advanced the epoch: it can never
-  // have seen the retired pointer, so it must not delay collection.
-  size_t slot = epochs.Enter();
-  epochs.Collect();
-  EXPECT_EQ(freed.load(), 1);
-  epochs.Exit(slot);
-}
-
-// The protocol under fire: one writer continuously swaps a shared node
-// and retires the replaced one; 8 readers continuously pin, load, and
-// validate the node's internal invariant. A reclamation bug is a
-// use-after-free (ASan) or a racy delete (TSan); a fencing bug shows up
-// as a reader observing a node whose invariant check reads freed memory.
-TEST(EpochManagerTest, StressReadersNeverSeeReclaimedNodes) {
-  struct Node {
-    uint64_t a;
-    uint64_t b;  // Invariant: b == ~a.
-  };
-  sync::EpochManager epochs;
-  std::atomic<Node*> shared{new Node{1, ~uint64_t{1}}};
-  std::atomic<bool> stop{false};
-
-  // Readers do a FIXED amount of work and the writer churns until they
-  // are done: on a loaded single-core host a free-running reader loop can
-  // be starved past the writer's whole run, making a reads>0 assertion
-  // flaky. This shape guarantees every read overlaps live retirement.
-  constexpr int kReaders = 8;
-  constexpr int kReadsEach = 2000;
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  std::atomic<uint64_t> reads{0};
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < kReadsEach; ++i) {
-        sync::EpochGuard guard(epochs);
-        Node* node = shared.load(std::memory_order_acquire);
-        ASSERT_EQ(node->b, ~node->a);
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::thread writer([&] {
-    for (uint64_t i = 2; !stop.load(std::memory_order_acquire); ++i) {
-      Node* fresh = new Node{i, ~i};
-      Node* old = shared.exchange(fresh, std::memory_order_acq_rel);
-      epochs.RetireObject(old);
-    }
-  });
-  for (auto& t : readers) t.join();
-  stop.store(true, std::memory_order_release);
-  writer.join();
-  EXPECT_EQ(reads.load(), uint64_t{kReaders} * kReadsEach);
-
-  delete shared.load();
-  epochs.Collect();
-  EXPECT_EQ(epochs.retired_count(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // LogStore under concurrency
@@ -286,7 +198,7 @@ TEST(LogStoreLockFreeTest, EightReadersSurvivePageRetirementChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// BlobStore lock-free reads
+// BlobStore reads and commits across threads
 // ---------------------------------------------------------------------------
 
 TEST(BlobStoreLockFreeTest, DeleteThenPutRestartsVersioning) {
@@ -305,11 +217,11 @@ TEST(BlobStoreLockFreeTest, DeleteThenPutRestartsVersioning) {
   EXPECT_EQ(store.total_bytes(), 2u);
 }
 
-// The tentpole invariant, hammered: any blob a reader observes as latest
-// must already be visible in a snapshot taken afterwards. The published
-// flag is what closes the head-linked-but-unpublished window; a
-// regression here shows up as a version observed via Get/LatestVersion
-// but absent from the immediately-following snapshot.
+// The store's invariant, hammered: any blob a reader observes as latest
+// must already be visible in a snapshot taken afterwards. Publishing a
+// write's sequence before its stripe is released is what closes the
+// window; a regression here shows up as a version observed via
+// LatestVersion but absent from the immediately-following snapshot.
 TEST(BlobStoreLockFreeTest, LatestVisibleImpliesSnapshotVisible) {
   BlobStore store(8);
   constexpr int kKeys = 4;
@@ -349,8 +261,8 @@ TEST(BlobStoreLockFreeTest, LatestVisibleImpliesSnapshotVisible) {
   for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
 }
 
-// Multi-key commits must never be seen torn by snapshot readers, with
-// readers taking no locks at all.
+// Multi-key commits must never be seen torn by snapshot readers, which
+// take one stripe per read while the commit holds both.
 TEST(BlobStoreLockFreeTest, TxnCommitsNeverTornUnderLockFreeReads) {
   BlobStore store(8);
   const std::string kLeft = "pair/left";
@@ -393,8 +305,8 @@ TEST(BlobStoreLockFreeTest, TxnCommitsNeverTornUnderLockFreeReads) {
   writer.join();
 }
 
-// Satellite (c): sharded atomic byte accounting must not drift under
-// concurrent puts, deletes and adversarial mutations.
+// Per-stripe byte accounting must not drift under concurrent puts,
+// deletes and in-place mutations.
 TEST(BlobStoreLockFreeTest, ByteAccountingExactAtQuiescence) {
   BlobStore store(8);
   constexpr int kThreads = 6;
