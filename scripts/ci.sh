@@ -32,17 +32,20 @@
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
 #   9. build rpc_test, codec_test, crypto_test, tee_test, storage_test,
-#      lockfree_test, cloud_test and txn_test under the asan-ubsan preset
-#      into build-asan/ and run them with leak checking: the wire codec's
-#      and every stored or sent record's truncation, byte-flip and
-#      trailing-byte sweeps, the AEAD's seal and open, which read and write
-#      through raw pointers into one buffer, the LogStore's buffered
-#      records, parsed back in place by gets, flushes, scans and GC while
-#      other threads write, and the BlobStore's payloads, which vector
-#      growth moves, Delete erases and MutateLatest edits in place while
-#      the token table points into its map's keys, claim "no over-read"
-#      and "no use after free", and only AddressSanitizer enforces that
-#      (the build takes a few minutes, the runs a few seconds each);
+#      lockfree_test, cloud_test, txn_test, cell_test and
+#      recovery_approval_test under the asan-ubsan preset into build-asan/
+#      and run them with leak checking: the wire codec's and every stored
+#      or sent record's truncation, byte-flip and trailing-byte sweeps, the
+#      AEAD's seal and open, which read and write through raw pointers into
+#      one buffer, the LogStore's buffered records, parsed back in place by
+#      gets, flushes, scans and GC while other threads write, the
+#      BlobStore's payloads, which vector growth moves, Delete erases and
+#      MutateLatest edits in place while the token table points into its
+#      map's keys, and the cell's document registry, which holds, replaces
+#      and erases the entry bytes every manifest is built from across
+#      store, update, forget, approval and pull, claim "no over-read" and
+#      "no use after free", and only AddressSanitizer enforces that (the
+#      build takes a few minutes, the runs a few seconds each);
 #  10. check no generated build*/ tree is tracked or staged;
 #  11. run the obs export validator (quick bench run + trace JSON checks).
 #
@@ -72,9 +75,9 @@ cmake --build build-cellbench -j "$(nproc)" --target cellbench cellbench_flip_te
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" \
   --target rpc_test codec_test crypto_test tee_test storage_test lockfree_test \
-  cloud_test txn_test
+  cloud_test txn_test cell_test recovery_approval_test
 for t in rpc_test codec_test crypto_test tee_test storage_test lockfree_test \
-    cloud_test txn_test; do
+    cloud_test txn_test cell_test recovery_approval_test; do
   ASAN_OPTIONS=detect_leaks=1 "build-asan/tests/$t" --gtest_brief=1
 done
 scripts/check_tree_clean.sh

@@ -274,7 +274,7 @@ Status TrustedCell::Init() {
     DocumentMeta meta;
     scan_status = Decode(value, &number, &meta);
     if (!scan_status.ok()) return;
-    doc_numbers_[meta.doc_id] = number;
+    docs_[meta.doc_id] = {number, ManifestEntry(meta)};
     number_to_doc_[number] = meta.doc_id;
     next_doc_number_ = std::max(next_doc_number_, number + 1);
   }));
@@ -474,34 +474,61 @@ Result<DocumentMeta> TrustedCell::LoadMeta(const std::string& doc_id) {
 Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
   uint64_t number;
   if (is_new) {
+    // Spent even if the write fails: the number names the doc id a store
+    // derives, and that store may already have committed its blob.
     number = next_doc_number_++;
-    doc_numbers_[meta.doc_id] = number;
-    number_to_doc_[number] = meta.doc_id;
-    TC_RETURN_IF_ERROR(
-        db_->keywords().IndexDocument(number, IndexedText(meta)));
   } else {
-    auto it = doc_numbers_.find(meta.doc_id);
-    if (it == doc_numbers_.end()) {
+    auto it = docs_.find(meta.doc_id);
+    if (it == docs_.end()) {
       return Status::Internal("meta update for unknown document");
     }
-    number = it->second;
+    number = it->second.number;
   }
-  return store_->Put(MetaKey(meta.doc_id), Encode(number, meta));
+  TC_RETURN_IF_ERROR(CheckMetaFits(meta));
+  if (is_new) {
+    // Postings a failed record write leaves behind resolve to nothing:
+    // the search resolves a number only once the registry names it.
+    TC_RETURN_IF_ERROR(
+        db_->keywords().IndexDocument(number, IndexedText(meta)));
+  }
+  TC_RETURN_IF_ERROR(store_->Put(MetaKey(meta.doc_id), Encode(number, meta)));
+  docs_[meta.doc_id] = {number, ManifestEntry(meta)};
+  if (is_new) number_to_doc_[number] = meta.doc_id;
+  return Status::OK();
+}
+
+Status TrustedCell::CheckMetaFits(const DocumentMeta& meta) const {
+  // The record's size does not depend on its keyword-index number.
+  if (Encode(uint64_t{0}, meta).size() <= store_->MaxValueSize()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("document meta larger than one flash page");
 }
 
 bool TrustedCell::IsOwn(const DocumentMeta& meta) const {
   return meta.origin_owner == config_.owner && meta.origin_cell.empty();
 }
 
+Bytes TrustedCell::ManifestEntry(const DocumentMeta& meta) const {
+  // A pending document stays out until approved: approval does not bump
+  // its version, so a sibling that pulled it pending would never adopt it.
+  if (!IsOwn(meta) || meta.pending_approval) return {};
+  // The manifest lists a meta as the store holds it, under keyword-index
+  // number 0.
+  Bytes entry = Encode(uint64_t{0}, meta);
+  entry.shrink_to_fit();  // Held as long as the document: no writer slack.
+  return entry;
+}
+
 Status TrustedCell::ForgetDocument(const DocumentMeta& meta) {
   TC_RETURN_IF_ERROR(store_->Delete(MetaKey(meta.doc_id)));
   (void)tee_->keystore().DestroyKey(meta.key_name);
   (void)tee_->keystore().DestroyKey(meta.key_name + ".sticky");
-  auto num = doc_numbers_.find(meta.doc_id);
-  if (num == doc_numbers_.end()) return Status::OK();
-  const uint64_t number = num->second;
+  auto doc = docs_.find(meta.doc_id);
+  if (doc == docs_.end()) return Status::OK();
+  const uint64_t number = doc->second.number;
   number_to_doc_.erase(number);
-  doc_numbers_.erase(num);
+  docs_.erase(doc);
   return db_->keywords().RemoveDocument(number, IndexedText(meta));
 }
 
@@ -627,6 +654,13 @@ Result<std::string> TrustedCell::StoreDocument(const std::string& title,
       policy::StickyPolicy::BindWithMac(policy, doc_id, StickyMac(key_name));
   meta.blob_id = SpaceBlobId(doc_id);
   meta.key_name = key_name;
+  // Refused before the payload is sealed or committed, a store whose meta
+  // SaveMeta would refuse leaves no trace.
+  if (Status fits = CheckMetaFits(meta); !fits.ok()) {
+    (void)tee_->keystore().DestroyKey(key_name);
+    (void)tee_->keystore().DestroyKey(key_name + ".sticky");
+    return fits;
+  }
 
   TC_ASSIGN_OR_RETURN(Bytes sealed, SealDocument(meta, content));
   // The cell's one blind write (kBaseVersionAny): no manifest names the
@@ -792,7 +826,7 @@ Result<DocumentMeta> TrustedCell::GetDocumentMeta(const std::string& doc_id) {
 
 std::vector<DocumentMeta> TrustedCell::ListDocuments() {
   std::vector<DocumentMeta> out;
-  for (const auto& [doc_id, number] : doc_numbers_) {
+  for (const auto& [doc_id, doc] : docs_) {
     auto meta = LoadMeta(doc_id);
     if (meta.ok()) out.push_back(std::move(*meta));
   }
@@ -803,33 +837,25 @@ std::vector<DocumentMeta> TrustedCell::ListDocuments() {
 
 Result<Bytes> TrustedCell::BuildManifestBlob(
     uint64_t version, const DocumentMeta* override_meta) {
-  // Collect own documents, substituting the caller's not-yet-saved meta. A
-  // pending document stays out until approved: approval does not bump its
-  // version, so a sibling that pulled it pending would never adopt it.
-  std::vector<std::string> own;
-  for (const auto& [doc_id, number] : doc_numbers_) {
-    if (override_meta != nullptr && doc_id == override_meta->doc_id) {
-      if (!override_meta->pending_approval) own.push_back(doc_id);
-      continue;
-    }
-    TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-    if (IsOwn(meta) && !meta.pending_approval) own.push_back(doc_id);
+  const Bytes override_entry =
+      override_meta != nullptr ? ManifestEntry(*override_meta) : Bytes();
+  std::vector<const Bytes*> listed;
+  listed.reserve(docs_.size());
+  for (const auto& [doc_id, doc] : docs_) {
+    const Bytes& entry =
+        override_meta != nullptr && doc_id == override_meta->doc_id
+            ? override_entry
+            : doc.manifest_entry;
+    if (!entry.empty()) listed.push_back(&entry);
   }
-  // Each entry is a stored meta record under keyword-index number 0.
-  std::vector<Bytes> entries;
-  entries.reserve(own.size());
-  for (const std::string& doc_id : own) {
-    if (override_meta != nullptr && doc_id == override_meta->doc_id) {
-      entries.push_back(Encode(uint64_t{0}, *override_meta));
-      continue;
-    }
-    TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(doc_id));
-    entries.push_back(Encode(uint64_t{0}, meta));
-  }
+  // The codec's vector<Bytes>, written without copying the entries.
+  BinaryWriter body;
+  body.PutVarint(listed.size());
+  for (const Bytes* entry : listed) Put(body, *entry);
   TC_ASSIGN_OR_RETURN(Bytes sealed,
                       tee_->Seal("manifest-key",
                                  ManifestAad(config_.owner, version),
-                                 Encode(entries)));
+                                 body.Take()));
   return Encode("tc.manifest.v1"s, version, sealed);
 }
 
@@ -1100,7 +1126,7 @@ Result<int> TrustedCell::ProcessInbox() {
     meta.policy_envelope = grant->policy_envelope;
     meta.blob_id = grant->blob_id;
     meta.key_name = key_name;
-    bool is_new = doc_numbers_.count(meta.doc_id) == 0;
+    bool is_new = docs_.count(meta.doc_id) == 0;
     TC_RETURN_IF_ERROR(SaveMeta(meta, is_new));
     seen_grant_ids_.insert(grant->grant_id);
     ++stats_.shares_accepted;
@@ -1148,12 +1174,12 @@ Bytes SpaceRootPayload(const std::string& cell_id, const Bytes& root) {
 
 Result<TrustedCell::SpaceProof> TrustedCell::ProveDocumentInSpace(
     const std::string& doc_id) {
-  // Leaves over all own documents, ordered by doc id (doc_numbers_ is an
+  // Leaves over all own documents, ordered by doc id (docs_ is an
   // ordered map, so both prover and any owner cell agree on the order).
   std::vector<Bytes> leaves;
   int target_index = -1;
   SpaceProof out;
-  for (const auto& [id, number] : doc_numbers_) {
+  for (const auto& [id, doc] : docs_) {
     TC_ASSIGN_OR_RETURN(DocumentMeta meta, LoadMeta(id));
     if (!IsOwn(meta)) continue;
     TC_ASSIGN_OR_RETURN(Bytes sealed, PullBlob(meta.blob_id));

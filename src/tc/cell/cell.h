@@ -452,16 +452,24 @@ class TrustedCell {
   policy::StickyPolicy::MacFn StickyMac(const std::string& key_name);
   Status EnsureDocKey(const std::string& key_name);
   Result<DocumentMeta> LoadMeta(const std::string& doc_id);
+  /// Indexes a new document, writes the meta record, then registers the
+  /// document: the registry names only documents whose meta the store
+  /// holds. A meta that cannot fit one page is refused before any write.
   Status SaveMeta(const DocumentMeta& meta, bool is_new);
+  /// kInvalidArgument unless `meta`'s record fits one flash page.
+  Status CheckMetaFits(const DocumentMeta& meta) const;
   /// An own-space document, not a granted one: what the manifest names.
   bool IsOwn(const DocumentMeta& meta) const;
-  /// Erases a document's meta, keyword postings and keys; the sealed cloud
-  /// blob is unreadable without them.
+  /// The bytes the manifest lists `meta` by, Encode(uint64_t{0}, meta),
+  /// for an own document not pending approval; empty for any other.
+  Bytes ManifestEntry(const DocumentMeta& meta) const;
+  /// Erases a document's meta, registry entry, keyword postings and keys;
+  /// the sealed cloud blob is unreadable without them.
   Status ForgetDocument(const DocumentMeta& meta);
-  /// Serializes + seals the manifest of own documents not pending
-  /// approval at `version`, substituting `override_meta` (when non-null)
-  /// for its document — lets an update publish a manifest that includes a
-  /// meta not yet saved locally.
+  /// Seals the manifest at `version` from the registry's entries in doc-id
+  /// order, with `override_meta`'s entry (when non-null) in place of its
+  /// document's — lets an update publish a manifest that includes a meta
+  /// not yet saved locally. Reads nothing from the store.
   Result<Bytes> BuildManifestBlob(uint64_t version,
                                   const DocumentMeta* override_meta);
   void RecordIncident(IncidentType type, const std::string& object_id,
@@ -526,8 +534,16 @@ class TrustedCell {
   obs::Stopwatch degraded_timer_;
   policy::DecisionPoint pdp_;
 
-  // Document registry (rebuilt from the store at Init).
-  std::map<std::string, uint64_t> doc_numbers_;
+  /// A document the cell holds: what the manifest needs of it without
+  /// reading its meta back.
+  struct RegisteredDocument {
+    uint64_t number = 0;  ///< Its keyword-index number.
+    Bytes manifest_entry;  ///< ManifestEntry(meta) as last saved.
+  };
+  // Document registry, one entry per document in doc-id order: rebuilt
+  // from the store at Init, then written by SaveMeta and ForgetDocument
+  // only.
+  std::map<std::string, RegisteredDocument> docs_;
   std::map<uint64_t, std::string> number_to_doc_;
   std::set<std::string> seen_grant_ids_;
   std::vector<cloud::Message> pending_messages_;

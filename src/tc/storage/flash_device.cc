@@ -3,10 +3,7 @@
 namespace tc::storage {
 
 FlashDevice::FlashDevice(const FlashGeometry& geometry)
-    : geometry_(geometry),
-      blocks_(geometry.block_count,
-              std::vector<Bytes>(geometry.pages_per_block)),
-      block_wear_(geometry.block_count) {
+    : geometry_(geometry), block_wear_(geometry.block_count) {
   for (auto& w : block_wear_) w.store(0, std::memory_order_relaxed);
 }
 
@@ -41,7 +38,7 @@ Status FlashDevice::CheckProgram(size_t page_no, const Bytes& data) const {
     return Status::InvalidArgument("program data must be exactly one page");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (!Page(page_no).empty()) {
+  if (FindPage(page_no) != nullptr) {
     return Status::FailedPrecondition(
         "NAND page already programmed; erase the block first");
   }
@@ -74,51 +71,61 @@ void FlashDevice::ChargeErase(size_t block_no) {
   block_wear_[block_no].fetch_add(1, std::memory_order_relaxed);
 }
 
+const Bytes* FlashDevice::FindPage(size_t page_no) const {
+  auto it = pages_.find(page_no);
+  return it != pages_.end() ? &it->second : nullptr;
+}
+
 Bytes FlashDevice::RawPage(size_t page_no) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (Page(page_no).empty()) return Bytes(geometry_.page_size, 0xff);
-  return Page(page_no);
+  const Bytes* page = FindPage(page_no);
+  return page != nullptr ? *page : Bytes(geometry_.page_size, 0xff);
 }
 
 void FlashDevice::RawSetPage(size_t page_no, Bytes data) {
   std::lock_guard<std::mutex> lock(mu_);
-  Page(page_no) = std::move(data);
+  if (data.empty()) {
+    pages_.erase(page_no);
+  } else {
+    pages_[page_no] = std::move(data);
+  }
 }
 
 void FlashDevice::RawClearPage(size_t page_no) {
   std::lock_guard<std::mutex> lock(mu_);
-  Page(page_no).clear();
+  pages_.erase(page_no);
 }
 
 Result<Bytes> FlashDevice::ReadPage(size_t page_no) {
   TC_RETURN_IF_ERROR(CheckRead(page_no));
   ChargeRead();
   std::lock_guard<std::mutex> lock(mu_);
-  if (Page(page_no).empty()) {
-    return Bytes(geometry_.page_size, 0xff);  // Erased NAND reads as 1s.
-  }
-  return Page(page_no);
+  const Bytes* page = FindPage(page_no);
+  // Erased NAND reads as 1s.
+  return page != nullptr ? *page : Bytes(geometry_.page_size, 0xff);
 }
 
 Status FlashDevice::ProgramPage(size_t page_no, const Bytes& data) {
   TC_RETURN_IF_ERROR(CheckProgram(page_no, data));
   ChargeProgram();
   std::lock_guard<std::mutex> lock(mu_);
-  Page(page_no) = data;
+  pages_[page_no] = data;
   return Status::OK();
 }
 
 Status FlashDevice::EraseBlock(size_t block_no) {
   TC_RETURN_IF_ERROR(CheckErase(block_no));
   ChargeErase(block_no);
+  const size_t first = block_no * geometry_.pages_per_block;
   std::lock_guard<std::mutex> lock(mu_);
-  for (Bytes& page : blocks_[block_no]) page.clear();
+  pages_.erase(pages_.lower_bound(first),
+               pages_.lower_bound(first + geometry_.pages_per_block));
   return Status::OK();
 }
 
 bool FlashDevice::IsPageProgrammed(size_t page_no) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return page_no < geometry_.total_pages() && !Page(page_no).empty();
+  return FindPage(page_no) != nullptr;
 }
 
 uint64_t FlashDevice::BlockWear(size_t block_no) const {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <vector>
 
@@ -99,27 +100,22 @@ class FlashDevice {
   // a prefix, interrupted erases, persistent bit corruption. No
   // validation, no accounting, overwriting allowed.
   Bytes RawPage(size_t page_no) const;  ///< Erased pages read all-0xFF.
+  /// Empty `data` erases the page.
   void RawSetPage(size_t page_no, Bytes data);
   void RawClearPage(size_t page_no);
 
  private:
-  Bytes& Page(size_t page_no) {
-    return blocks_[page_no / geometry_.pages_per_block]
-                  [page_no % geometry_.pages_per_block];
-  }
-  const Bytes& Page(size_t page_no) const {
-    return blocks_[page_no / geometry_.pages_per_block]
-                  [page_no % geometry_.pages_per_block];
-  }
+  /// The programmed page's contents, or null if it is erased. Requires mu_.
+  const Bytes* FindPage(size_t page_no) const;
 
   FlashGeometry geometry_;
-  mutable std::mutex mu_;  // Guards blocks_.
-  /// Page contents, one vector per erase block; an empty page is erased.
-  /// Per block, not one array per device: a gateway device's 131,072 page
-  /// slots in one 3 MiB array are mmapped, and freeing that array raises
-  /// glibc's dynamic trim threshold to 6 MiB for the whole process, after
-  /// which per-thread arenas keep the memory they free resident.
-  std::vector<std::vector<Bytes>> blocks_;
+  mutable std::mutex mu_;  // Guards pages_.
+  /// The programmed pages by page number; an absent page is erased, so a
+  /// device holds only what was written to it. One node per page: no
+  /// allocation grows with the device, and none reaches glibc's mmap
+  /// threshold (freeing an mmapped chunk raises the process's dynamic trim
+  /// threshold, after which per-thread arenas keep what they free).
+  std::map<size_t, Bytes> pages_;
   std::vector<std::atomic<uint64_t>> block_wear_;
   std::atomic<uint64_t> page_reads_{0};
   std::atomic<uint64_t> page_programs_{0};

@@ -468,6 +468,33 @@ TEST_F(CellTest, KeyRotationSealIsTimed) {
   EXPECT_EQ(seal_us.Snapshot().count, before + 1);
 }
 
+TEST_F(CellTest, MetaLargerThanAPageIsRefusedBeforeAnyWrite) {
+  // A meta record must fit one flash page. A store whose meta cannot is
+  // refused before its payload is sealed or committed, and leaves no
+  // document behind for the manifest, the index or the provider.
+  auto kept = alice_gateway_->StoreDocument("kept", "kept", ToBytes("x"),
+                                            MakeOwnerPolicy("alice"));
+  ASSERT_TRUE(kept.ok());
+  const size_t blobs = cloud_.blob_store().blob_count();
+  const size_t listed = alice_gateway_->ListDocuments().size();
+  std::string title = "ghost";
+  while (title.size() < 2100) title += " ghost";
+  auto ghost = alice_gateway_->StoreDocument(title, "ghost", ToBytes("y"),
+                                             MakeOwnerPolicy("alice"));
+  EXPECT_EQ(ghost.status().code(), StatusCode::kInvalidArgument)
+      << ghost.status().ToString();
+  EXPECT_EQ(cloud_.blob_store().blob_count(), blobs);
+  EXPECT_EQ(alice_gateway_->ListDocuments().size(), listed);
+
+  Status updated = alice_gateway_->UpdateDocumentAtomic(*kept, ToBytes("z"));
+  EXPECT_TRUE(updated.ok()) << updated.ToString();
+  Status pushed = alice_gateway_->SyncPush();
+  EXPECT_TRUE(pushed.ok()) << pushed.ToString();
+  auto hits = alice_gateway_->SearchDocuments("ghost");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_TRUE(hits->empty());
+}
+
 TEST_F(CellTest, CentralizedVaultBaselineContrasts) {
   CentralizedVault vault(&cloud_, &clock_);
   Policy alice_only = MakeOwnerPolicy("alice");
@@ -569,6 +596,45 @@ TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
   const cloud::CloudStats stats = cloud.stats();
   EXPECT_EQ(stats.blob_puts, 4u);  // 1 + 1 + 2 txn writes.
   EXPECT_EQ(stats.blob_gets, transport.gets + transport.snapshot_gets);
+}
+
+TEST(CellRegistryTest, AnUpdatesStoreLookupsDoNotGrowWithTheDocumentCount) {
+  // The manifest is built from the cell's document registry: an update
+  // reads back its own document's meta and no other, and a push reads
+  // none. On a token whose index overflowed its RAM budget, each lookup
+  // could be a scan of the whole log.
+  for (tee::DeviceClass device_class :
+       {tee::DeviceClass::kHomeGateway, tee::DeviceClass::kSecureToken}) {
+    SCOPED_TRACE(device_class == tee::DeviceClass::kHomeGateway ? "gateway"
+                                                                : "token");
+    SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+    cloud::CloudInfrastructure cloud;
+    CellDirectory directory;
+    TrustedCell::Config config;
+    config.cell_id = "alice-cell";
+    config.owner = "alice";
+    config.device_class = device_class;
+    auto created = TrustedCell::Create(config, &cloud, &directory, &clock);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    TrustedCell& cell = **created;
+    std::vector<std::string> docs;
+    for (int i = 0; i < 64; ++i) {
+      auto doc = cell.StoreDocument("doc " + std::to_string(i), "common",
+                                    ToBytes("v1"), MakeOwnerPolicy("alice"));
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      docs.push_back(*doc);
+    }
+    auto lookups = [&] {
+      const storage::LogStoreStats& stats = cell.store().stats();
+      return stats.index_hits + stats.full_scans;
+    };
+    uint64_t before = lookups();
+    ASSERT_TRUE(cell.UpdateDocumentAtomic(docs[17], ToBytes("v2")).ok());
+    EXPECT_LE(lookups() - before, 1u);
+    before = lookups();
+    ASSERT_TRUE(cell.SyncPush().ok());
+    EXPECT_EQ(lookups() - before, 0u);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 // pinned by the SHA-256 of its bytes. Matching it proves that every byte a
 // cell stores or sends is unchanged.
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -504,6 +505,21 @@ void Capture(cloud::CloudInfrastructure& cloud, const std::string& cell_id,
   }
 }
 
+/// A phone-class cell on `cloud`: its TEE's DRBG is seeded from `id`.
+std::unique_ptr<cell::TrustedCell> MakePhone(const std::string& id,
+                                             const std::string& owner,
+                                             cloud::CloudInfrastructure* cloud,
+                                             cell::CellDirectory* directory,
+                                             const Clock* clock) {
+  cell::TrustedCell::Config config;
+  config.cell_id = id;
+  config.owner = owner;
+  config.device_class = tee::DeviceClass::kSmartPhone;
+  auto c = cell::TrustedCell::Create(config, cloud, directory, clock);
+  TC_CHECK(c.ok());
+  return std::move(*c);
+}
+
 // Three cells on one in-process provider, every step deterministic (each
 // TEE's DRBG is seeded from its cell id, the clock is simulated): what the
 // cells store at the provider and send on the bus. The document AAD and
@@ -515,18 +531,9 @@ std::vector<std::pair<std::string, std::string>> CellRecords() {
   SimulatedClock clock(MakeTimestamp(2013, 4, 1, 10, 0, 0));
   cloud::CloudInfrastructure cloud;
   cell::CellDirectory directory;
-  auto make = [&](const std::string& id, const std::string& owner) {
-    cell::TrustedCell::Config config;
-    config.cell_id = id;
-    config.owner = owner;
-    config.device_class = tee::DeviceClass::kSmartPhone;
-    auto c = cell::TrustedCell::Create(config, &cloud, &directory, &clock);
-    TC_CHECK(c.ok());
-    return std::move(*c);
-  };
-  auto alice = make("alice-phone", "alice");
-  auto bob = make("bob-phone", "bob");
-  auto guardian = make("guardian-1", "gw1");
+  auto alice = MakePhone("alice-phone", "alice", &cloud, &directory, &clock);
+  auto bob = MakePhone("bob-phone", "bob", &cloud, &directory, &clock);
+  auto guardian = MakePhone("guardian-1", "gw1", &cloud, &directory, &clock);
 
   auto doc = alice->StoreDocument("note", "alpha beta", ToBytes("first"),
                                   cell::MakeOwnerPolicy("alice"));
@@ -623,6 +630,92 @@ TEST(RecordCodecTest, CellsStoreAndSendThePinnedBytes) {
        "cba979960ea7c99e5c329c68ff7a8ea5f2b7b9b2dead67b624782edc3d0d9299"},
   };
   EXPECT_EQ(CellRecords(), golden);
+}
+
+// Every version of one owner's manifest over a script that reaches each
+// way a document enters, changes in or leaves it, in the same deterministic
+// setting as CellRecords: five stores, an update of the middle document in
+// doc-id order, a key rotation, two proposals (listed only once approved;
+// the rejected one forgotten), a granted document from another owner
+// (never listed), a delete-after-use read of an own document, then a
+// sibling that pulls and publishes. A manifest lists each own document's
+// entry in doc-id order, with an update's not-yet-saved meta in place. The
+// pins were taken at 59ac005, which built every manifest by reading each
+// meta back from the store.
+std::vector<std::string> ManifestVersions() {
+  SimulatedClock clock(MakeTimestamp(2013, 4, 1, 10, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  cell::CellDirectory directory;
+  auto gateway =
+      MakePhone("alice-gateway", "alice", &cloud, &directory, &clock);
+  auto phone = MakePhone("alice-phone", "alice", &cloud, &directory, &clock);
+  auto bob = MakePhone("bob-phone", "bob", &cloud, &directory, &clock);
+
+  const policy::Policy owner = cell::MakeOwnerPolicy("alice");
+  policy::Policy burn = owner;
+  burn.rules[0].obligations = {policy::ObligationType::kDeleteAfterUse};
+  std::vector<std::string> docs;
+  for (int i = 0; i < 5; ++i) {
+    auto doc = gateway->StoreDocument(
+        "doc " + std::to_string(i), "term" + std::to_string(i),
+        ToBytes("first " + std::to_string(i)), i == 3 ? burn : owner);
+    TC_CHECK(doc.ok());
+    docs.push_back(*doc);
+  }
+  std::vector<std::string> by_id = docs;
+  std::sort(by_id.begin(), by_id.end());
+  TC_CHECK(gateway->UpdateDocumentAtomic(by_id[2], ToBytes("second")).ok());
+  TC_CHECK(gateway->RotateDocumentKey(by_id[0]).ok());
+
+  auto approved = gateway->ProposeDocumentReferencing(
+      "bob-phone", "with bob", "photo", ToBytes("jpeg"), owner);
+  auto rejected = gateway->ProposeDocumentReferencing(
+      "bob-phone", "with bob again", "photo", ToBytes("png"), owner);
+  TC_CHECK(approved.ok() && rejected.ok());
+  TC_CHECK(gateway->SyncPush().ok());  // Both pending: neither listed.
+  TC_CHECK(bob->ProcessInbox().ok());
+  for (const cloud::Message& request : bob->TakeMessages("approval-request")) {
+    std::string doc_id, title, proposer;
+    TC_CHECK(Decode(request.payload, &doc_id, &title, &proposer).ok());
+    TC_CHECK(bob->RespondToApproval(request, doc_id == *approved).ok());
+  }
+  TC_CHECK(gateway->ProcessInbox().ok());
+  TC_CHECK(*gateway->ProcessApprovalResponses() == std::make_pair(1, 1));
+
+  auto granted = bob->StoreDocument("bob's note", "note", ToBytes("hi"),
+                                    cell::MakeOwnerPolicy("bob"));
+  TC_CHECK(granted.ok());
+  TC_CHECK(bob->ShareDocument(*granted, "alice-gateway",
+                              cell::MakeOwnerPolicy("bob"))
+               .ok());
+  TC_CHECK(*gateway->ProcessInbox() == 1);
+  TC_CHECK(gateway->FetchDocument(docs[3]).ok());
+  TC_CHECK(gateway->GetDocumentMeta(docs[3]).status().IsNotFound());
+  TC_CHECK(gateway->SyncPush().ok());
+
+  TC_CHECK(phone->SyncPull().ok());
+  TC_CHECK(phone->SyncPush().ok());
+  TC_CHECK(gateway->incidents().empty() && phone->incidents().empty() &&
+           bob->incidents().empty());
+
+  std::vector<std::string> out;
+  for (uint64_t v = 1;; ++v) {
+    auto manifest = cloud.GetBlobVersion("space/alice/manifest", v);
+    if (!manifest.ok()) break;
+    out.push_back(Digest(*manifest));
+  }
+  return out;
+}
+
+TEST(RecordCodecTest, EveryManifestVersionOfAScriptIsPinned) {
+  const std::vector<std::string> golden = {
+      "edbe9432b0a08a129647a6c2c24c6c2ad8b861c377ea611a581af4f5f89726b9",
+      "d6912548bfd24b1878cbff3ad01d60e6a613d3ed564ed71ca44060d747992b2c",
+      "b978862020c1c43a17d52c7e583f7a4755c981c080eb2cf2713777731eecbffb",
+      "102180cf558565d8230598f6f0476f6aca5431620c6b8aa88331e8fbc049c386",
+      "5730cd95efc7d7dfbffb5f25bff235270e1e0a76ee5d6d3b969df687539e1257",
+  };
+  EXPECT_EQ(ManifestVersions(), golden);
 }
 
 }  // namespace
