@@ -10,8 +10,8 @@
 //     the regime a real cloud lives in; concurrency overlaps round-trips),
 //   * shard-count sweep in the in-process regime (lock striping vs a single
 //     global lock; contention counters, which count readers and writers
-//     that wait for a stripe — every commit also takes its token's stripe
-//     and the store-level commit_mu_ leaf lock),
+//     that wait for a stripe — every commit also takes its token's stripe,
+//     and no commit takes a store-wide lock),
 //   * fleet-size sweep (cells >> threads through the bounded work queue).
 //
 // Latency percentiles (p50/p95/p99) are sourced from the tc::obs registry

@@ -18,6 +18,9 @@
 //
 // Commit counts are deterministic per seed; abort counts follow the thread
 // interleaving, and the wall-clock column is a host measurement.
+//
+// A gate: the exit status is non-zero when any run fails, any cell fails
+// or does not converge, or any row's history checker finds a violation.
 
 #include <cstdio>
 #include <cstdlib>
@@ -118,12 +121,14 @@ int main(int argc, char** argv) {
               "commit):\n");
   std::printf("  shared   commits   aborts  abort%%  retries    commit/s  "
               "history\n");
+  bool gate_ok = true;
   for (size_t shared : {256, 64, 16, 8, 4, 2}) {
     FleetOptions options = BaseOptions();
     options.seed = seed;
     options.txn_shared_docs = shared;
     CloudInfrastructure cloud;
     TxnRun run = RunOnce(&cloud, options);
+    gate_ok = gate_ok && run.ok && run.violations == 0;
     if (!run.ok) continue;
     PrintRow(shared, run);
   }
@@ -149,6 +154,7 @@ int main(int argc, char** argv) {
     NetworkFaultInjector injector(config);
     if (rate > 0) cloud.set_fault_injector(&injector);
     TxnRun run = RunOnce(&cloud, options);
+    gate_ok = gate_ok && run.ok && run.violations == 0;
     if (!run.ok) continue;
     const FleetReport& r = run.report;
     const uint64_t attempts = r.txns_committed + r.txn_aborts;
@@ -173,5 +179,11 @@ int main(int argc, char** argv) {
               "verified counter == version for every shared key. abort "
               "rate is a property of contention, not of the fault rate — "
               "token-per-txn idempotency absorbs the network.\n");
+  if (!gate_ok) {
+    std::fprintf(stderr,
+                 "E15 FAILED: a run or cell failed, a cell did not "
+                 "converge, or a history was not serializable\n");
+    return 1;
+  }
   return 0;
 }

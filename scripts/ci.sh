@@ -21,17 +21,20 @@
 #      second): it exits non-zero unless every fault-rate row and the
 #      forced-outage leg converge every cell with no failed cell, and the
 #      lossy run ends byte-identical to the clean one;
-#   6. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
+#   6. transaction gate (bench_e15_txn, under a second): it exits non-zero
+#      when any run fails, any cell fails or does not converge, or any
+#      row's history checker finds a serializability violation;
+#   7. deep chaos/txn lane (opt-in): TC_CHAOS_SEEDS widens the fault-rate x
 #      seed sweeps, re-running only the suites labeled chaos/txn — CI keeps
 #      the cheap default, nightly jobs export TC_CHAOS_SEEDS=25;
-#   7. chaos determinism gate: every chaos seed must replay exactly from
+#   8. chaos determinism gate: every chaos seed must replay exactly from
 #      its printed fault schedule (a chaos failure that cannot be
 #      reproduced from its schedule print is not debuggable);
-#   8. build the benchmark (cellbench/) from this tree into build-cellbench/
+#   9. build the benchmark (cellbench/) from this tree into build-cellbench/
 #      and run its output check, cellbench_flip_test: cellbench implements
 #      CloudTransport and reads ChannelStats, so a src/ change can break
 #      the benchmark while the main build still passes;
-#   9. build rpc_test, codec_test, crypto_test, tee_test, storage_test,
+#  10. build rpc_test, codec_test, crypto_test, tee_test, storage_test,
 #      lockfree_test, cloud_test, txn_test, cell_test and
 #      recovery_approval_test under the asan-ubsan preset into build-asan/
 #      and run them with leak checking: the wire codec's and every stored
@@ -46,8 +49,8 @@
 #      store, update, forget, approval and pull, claim "no over-read" and
 #      "no use after free", and only AddressSanitizer enforces that (the
 #      build takes a few minutes, the runs a few seconds each);
-#  10. check no generated build*/ tree is tracked or staged;
-#  11. run the obs export validator (quick bench run + trace JSON checks).
+#  11. check no generated build*/ tree is tracked or staged;
+#  12. run the obs export validator (quick bench run + trace JSON checks).
 #
 # Each step's script documents its own skip conditions; this wrapper just
 # sequences them and stops at the first failure.
@@ -60,6 +63,7 @@ cmake --build build -j "$(nproc)"
 build/bench/bench_e17_lockfree --quick > /dev/null
 build/bench/bench_e8_threats > /dev/null
 build/bench/bench_e14_partitions --outage_ms=200 > /dev/null
+build/bench/bench_e15_txn > /dev/null
 if [ -n "${TC_CHAOS_SEEDS:-}" ]; then
   echo "ci: deep chaos/txn lane (TC_CHAOS_SEEDS=${TC_CHAOS_SEEDS})"
   (cd build && ctest --output-on-failure -L 'chaos|txn')

@@ -964,6 +964,9 @@ Status TrustedCell::SyncPull() {
     uint64_t number = 0;
     DocumentMeta incoming;
     TC_RETURN_IF_ERROR(Decode(entry, &number, &incoming));
+    // An entry the registry holds byte for byte has that same version.
+    auto held = docs_.find(incoming.doc_id);
+    if (held != docs_.end() && held->second.manifest_entry == entry) continue;
     auto existing = LoadMeta(incoming.doc_id);
     if (existing.ok() && existing->version >= incoming.version) continue;
     TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));

@@ -33,20 +33,8 @@ uint64_t BlobStore::AppendVersionLocked(Shard& shard, const std::string& id,
   std::vector<Version>& versions = shard.blobs[id];
   versions.push_back(Version{data, seq});
   shard.total_bytes += data.size();
-  shard.high_seq.store(seq, std::memory_order_release);
   versions_created_.fetch_add(1, std::memory_order_relaxed);
   return versions.size();
-}
-
-void BlobStore::PublishSeqs(const uint64_t* seqs, size_t n) {
-  if (n == 0) return;
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  for (size_t i = 0; i < n; ++i) committed_above_.insert(seqs[i]);
-  auto it = committed_above_.begin();
-  while (it != committed_above_.end() && *it == base_committed_ + 1) {
-    ++base_committed_;
-    it = committed_above_.erase(it);
-  }
 }
 
 uint64_t BlobStore::LatestVersionLocked(const std::string& id) const {
@@ -58,27 +46,14 @@ uint64_t BlobStore::LatestVersionLocked(const std::string& id) const {
 uint64_t BlobStore::Put(const std::string& id, const Bytes& data) {
   Shard& shard = *shards_[ShardIndex(id)];
   auto lock = LockShard(shard);
-  uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t version = AppendVersionLocked(shard, id, data, seq);
-  // Published under the stripe for the same starvation bound CommitTxn
-  // documents: once this Put is observable as "latest", it is also in
-  // every fresh snapshot.
-  PublishSeqs(&seq, 1);
-  return version;
+  // Drawn under the stripe, like a commit's (see the class comment).
+  const uint64_t seq = ++last_commit_seq_;
+  return AppendVersionLocked(shard, id, data, seq);
 }
 
 SnapshotDescriptor BlobStore::Snapshot() const {
   SnapshotDescriptor snap;
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    snap.base_seq = base_committed_;
-    snap.extra_seqs.assign(committed_above_.begin(), committed_above_.end());
-  }
-  snap.shard_high.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    snap.shard_high.push_back(
-        shard_ptr->high_seq.load(std::memory_order_acquire));
-  }
+  snap.base_seq = last_commit_seq_.load();
   return snap;
 }
 
@@ -174,8 +149,11 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
     }
   }
 
-  // Apply: one commit sequence for the whole write set.
-  uint64_t seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
+  // Apply: one commit sequence for the whole write set, drawn after
+  // validation (aborts and rejections draw none, so sequences stay dense)
+  // and while every stripe of the commit is held — the one rule every
+  // snapshot read depends on (see the class comment).
+  const uint64_t seq = ++last_commit_seq_;
   out.versions.reserve(req.writes.size());
   for (const TxnWrite& w : req.writes) {
     Shard& shard = *shards_[ShardIndex(w.id)];
@@ -193,20 +171,6 @@ TxnOutcome BlobStore::CommitTxn(const TxnRequest& req) {
     token_shard.txn_tokens.erase(*token_shard.txn_token_order.front());
     token_shard.txn_token_order.pop_front();
   }
-
-  // Publish BEFORE releasing the stripes. The writes are already fully
-  // applied, so the no-torn-commit invariant holds; what the ordering buys
-  // is a starvation bound. Published after release, a preempted committer
-  // leaves a window where its writes are "latest" (so every conflicting
-  // first-committer-wins validation aborts) but absent from fresh
-  // snapshots (so every retry re-reads the stale version) — one stalled
-  // thread turns its competitors into a deterministic abort loop for a
-  // whole scheduling quantum. Published under the stripes, any snapshot a
-  // competitor can act on (its reads serialize behind these locks)
-  // already contains this commit, so each commit costs each competitor at
-  // most O(1) aborts.
-  PublishSeqs(&seq, 1);
-  held.clear();
   return out;
 }
 

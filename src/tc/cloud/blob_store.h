@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,22 +38,22 @@ namespace tc::cloud {
 /// validated multi-key read/write set atomically — first-committer-wins
 /// under a lock manager striped exactly like the shards (the involved
 /// stripes are acquired in ascending index order, held across validation
-/// and apply: two-phase, deadlock-free). A commit's sequence is published
-/// to the snapshot horizon after all its writes are applied but BEFORE
-/// the stripes are released, so cross-shard commits are never seen torn
-/// AND anything observable as "latest" is already snapshot-visible: a
-/// reader of "latest" waits on the same stripe, so it sees a write only
-/// once its sequence is in the horizon. That pairing bounds
-/// first-committer-wins abort loops (a write that is latest but not yet
-/// in fresh snapshots would make every conflicting retry abort
-/// deterministically for as long as the committer is stalled).
+/// and apply: two-phase, deadlock-free).
 ///
-/// Lock ordering: stripes are acquired first, always in ascending shard
-/// index, and a read holds exactly one; commit_mu_ is a LEAF lock — taken
-/// only while stripes are held (PublishSeqs) or entirely on its own
-/// (Snapshot), never the reverse order of a stripe. The txn-token table
-/// is striped too, so it needs no lock of its own. There is no path that
-/// acquires a stripe while holding commit_mu_.
+/// ONE RULE makes a snapshot one sequence number: a commit draws its
+/// sequence from one counter after validation and while it holds every
+/// stripe it touches, and Snapshot() loads that counter. A reader of any
+/// blob the commit writes waits on the same stripe, so it sees the
+/// commit's versions exactly when its snapshot includes the sequence:
+/// cross-shard commits are never seen torn, and a version seen as latest
+/// is in every later snapshot. The second half bounds first-committer-wins
+/// abort loops (a write that is latest but not yet in fresh snapshots
+/// would make every conflicting retry abort deterministically for as long
+/// as the committer is stalled).
+///
+/// Lock ordering: stripes only, always in ascending shard index; a read
+/// holds exactly one. The txn-token table is striped too, so it needs no
+/// lock of its own.
 class BlobStore {
  public:
   static constexpr size_t kDefaultShards = 16;
@@ -75,7 +74,8 @@ class BlobStore {
 
   // ---- Provider transactions (MVCC) ----
 
-  /// Consistent snapshot horizon: all commits visible at this instant.
+  /// Consistent snapshot: every commit whose sequence is drawn by now.
+  /// Takes no lock and allocates nothing.
   SnapshotDescriptor Snapshot() const;
 
   /// Newest version of `id` whose commit is visible in `snap`; kNotFound
@@ -208,9 +208,6 @@ class BlobStore {
     /// index v-1). Delete erases the entry. Guarded by mu.
     std::unordered_map<std::string, std::vector<Version>> blobs;
     uint64_t total_bytes = 0;  // Guarded by mu.
-    /// Highest commit_seq applied to this shard. Written only under mu;
-    /// atomic so Snapshot() can read it without taking the stripe.
-    std::atomic<uint64_t> high_seq{0};
     /// This stripe's slice of the txn-token table: the committed tokens
     /// that hash here, and their eviction order, oldest first. The order
     /// holds pointers to the map's keys (stable until erase), so a token
@@ -221,13 +218,6 @@ class BlobStore {
 
   /// Locks `shard.mu`, counting the acquisition as contended if it blocks.
   std::unique_lock<std::mutex> LockShard(const Shard& shard) const;
-
-  /// Makes `seqs` visible to future Snapshot() calls. Must be called
-  /// exactly once for every sequence drawn from next_commit_seq_ (the
-  /// contiguous base can only advance if no sequence is abandoned), after
-  /// the corresponding writes are fully applied and while the stripe
-  /// locks are still held (latest-visible must imply snapshot-visible).
-  void PublishSeqs(const uint64_t* seqs, size_t n);
 
   /// Appends one version under the stripe; returns its 1-based version.
   uint64_t AppendVersionLocked(Shard& shard, const std::string& id,
@@ -244,13 +234,8 @@ class BlobStore {
   std::atomic<uint64_t> txn_replays_{0};
   std::atomic<uint64_t> txn_writes_applied_{0};
 
-  /// Commit-sequence allocator + published horizon. A drawn sequence is
-  /// "in flight" until PublishSeqs; Snapshot() sees base_committed_ (all
-  /// seqs <= it are committed) plus the out-of-order set above it.
-  std::atomic<uint64_t> next_commit_seq_{1};
-  mutable std::mutex commit_mu_;  // Leaf lock (see class comment).
-  uint64_t base_committed_ = 0;           // guarded by commit_mu_.
-  std::set<uint64_t> committed_above_;    // guarded by commit_mu_.
+  /// The last commit sequence drawn; Snapshot() is one load of it.
+  std::atomic<uint64_t> last_commit_seq_{0};
 };
 
 }  // namespace tc::cloud

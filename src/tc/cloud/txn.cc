@@ -3,7 +3,7 @@
 namespace tc::cloud {
 
 void Put(BinaryWriter& w, const SnapshotDescriptor& v) {
-  PutFields(w, v.base_seq, v.extra_seqs, v.shard_high);
+  PutFields(w, v.base_seq);
 }
 
 void Put(BinaryWriter& w, const SnapshotRead& v) {
@@ -26,7 +26,7 @@ void Put(BinaryWriter& w, const TxnOutcome& v) {
 }
 
 Status Get(BinaryReader& r, SnapshotDescriptor* v) {
-  return GetFields(r, &v->base_seq, &v->extra_seqs, &v->shard_high);
+  return GetFields(r, &v->base_seq);
 }
 
 Status Get(BinaryReader& r, SnapshotRead* v) {

@@ -1,7 +1,6 @@
 #ifndef TC_CLOUD_TXN_H_
 #define TC_CLOUD_TXN_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -21,29 +20,16 @@ namespace tc::cloud {
 /// set.
 inline constexpr uint64_t kBaseVersionAny = ~uint64_t{0};
 
-/// TellStore-style snapshot descriptor. `base_seq` plus the sorted set of
-/// committed sequence numbers above it pin exactly which commits a
-/// snapshot read observes; a commit's sequence enters the descriptor only
-/// after ALL of its writes are applied, so a cross-shard transaction can
-/// never be seen torn, even when commits publish out of sequence order.
-/// `shard_high` carries the per-shard high-water commit sequence at
-/// capture time (the striping-aligned summary the provider shards
-/// exchange; diagnostics and staleness probes, not visibility).
+/// A provider snapshot: every commit whose sequence is at most `base_seq`.
+/// A commit draws its sequence while it holds the stripes of everything
+/// it writes, so a reader at a snapshot that includes it waits for those
+/// stripes and sees the whole commit (BlobStore's class comment).
 struct SnapshotDescriptor {
   uint64_t base_seq = 0;
-  std::vector<uint64_t> extra_seqs;  ///< Sorted committed seqs > base_seq.
-  std::vector<uint64_t> shard_high;  ///< Per-shard high-water commit seq.
 
   /// True iff a version committed at `commit_seq` is visible here.
   bool Visible(uint64_t commit_seq) const {
-    if (commit_seq == 0) return false;
-    if (commit_seq <= base_seq) return true;
-    return std::binary_search(extra_seqs.begin(), extra_seqs.end(),
-                              commit_seq);
-  }
-  /// Highest sequence this snapshot can possibly observe.
-  uint64_t high_water() const {
-    return extra_seqs.empty() ? base_seq : extra_seqs.back();
+    return commit_seq != 0 && commit_seq <= base_seq;
   }
 };
 

@@ -155,18 +155,7 @@ Result<cloud::SnapshotDescriptor> ResilientChannel::GetSnapshot() {
   Result<cloud::SnapshotDescriptor> snap = cloud::SnapshotDescriptor();
   Status status = Retry("snapshot", [&](uint32_t* delay_us) {
     snap = transport_->GetSnapshot(delay_us);
-    if (!snap.ok()) return snap.status();
-    // Visible() binary-searches extra_seqs, so a reply whose list is not
-    // strictly increasing above base_seq is malformed (the provider is
-    // untrusted): it is retried, never used.
-    uint64_t prev = snap->base_seq;
-    for (uint64_t seq : snap->extra_seqs) {
-      if (seq <= prev) {
-        return Status::Unavailable("snapshot reply with unordered extra_seqs");
-      }
-      prev = seq;
-    }
-    return Status::OK();
+    return snap.status();
   });
   if (!status.ok()) return status;
   return snap;

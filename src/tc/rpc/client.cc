@@ -34,16 +34,12 @@ RpcClientPool::RpcClientPool(const Options& options) : options_(options) {
   conns_.reserve(n);
   for (size_t i = 0; i < n; ++i) conns_.push_back(std::make_unique<Conn>());
   if (options_.warmup) Warmup();
-  if (options_.reconnect_interval_ms > 0) {
-    maintenance_ = std::thread([this] { MaintenanceLoop(); });
-  }
 }
 
 RpcClientPool::~RpcClientPool() { Close(); }
 
 void RpcClientPool::Close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  maint_cv_.notify_all();
   for (auto& conn_ptr : conns_) {
     Conn& conn = *conn_ptr;
     std::lock_guard<std::mutex> lc(conn.lifecycle_mu);
@@ -61,10 +57,6 @@ void RpcClientPool::Close() {
       conn.fd = -1;
     }
   }
-  // Joined after the teardowns: a maintenance ping blocked on a dead
-  // server was failed (and woken) by TearDown above, so this join is
-  // prompt. New connects are refused once closed_ is set.
-  if (maintenance_.joinable()) maintenance_.join();
 }
 
 size_t RpcClientPool::Warmup() {
@@ -83,33 +75,6 @@ size_t RpcClientPool::connected_count() const {
     if (conn_ptr->connected) ++count;
   }
   return count;
-}
-
-void RpcClientPool::MaintenanceLoop() {
-  auto& reconnects = obs::MetricRegistry::Global().GetCounter(
-      "rpc.client.reconnects");
-  std::unique_lock<std::mutex> lock(maint_mu_);
-  while (!closed_.load(std::memory_order_acquire)) {
-    maint_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.reconnect_interval_ms));
-    if (closed_.load(std::memory_order_acquire)) break;
-    lock.unlock();
-    for (auto& conn_ptr : conns_) {
-      if (closed_.load(std::memory_order_acquire)) break;
-      bool connected;
-      {
-        std::lock_guard<std::mutex> cl(conn_ptr->mu);
-        connected = conn_ptr->connected;
-      }
-      if (connected) continue;
-      // Reconnect + health-check off any caller's critical path. A failed
-      // ping tears the connection back down; next interval retries.
-      if (CallOnConn(*conn_ptr, RpcOp::kPing, Bytes()).ok()) {
-        reconnects.Increment();
-      }
-    }
-    lock.lock();
-  }
 }
 
 bool RpcClientPool::EnsureConnected(Conn& conn) {

@@ -42,12 +42,9 @@ namespace tc::rpc {
 /// paid the TCP connect on its own critical path — under a short request
 /// deadline that burned the budget before the request was even sent,
 /// surfacing as a burst of spurious kDeadlineExceeded/kUnavailable per
-/// restart. Two opt-in remedies:
-///   - Warmup(): connect + kPing health-check every pooled connection
-///     eagerly (run from the constructor when Options::warmup is set).
-///   - A maintenance thread (Options::reconnect_interval_ms > 0) that
-///     periodically finds dead connections and restores them with the
-///     same connect + health-check, off every caller's critical path.
+/// restart. The remedy is Warmup(): connect + kPing health-check every
+/// pooled connection eagerly (run from the constructor when
+/// Options::warmup is set, and callable again after a restart).
 ///
 /// Thread-safe: any number of cells may Call concurrently.
 ///
@@ -56,13 +53,12 @@ namespace tc::rpc {
 /// tc::CurrentOverloadContext) in the header, and a pushback-flagged
 /// response deposits the server's retry-after hint back on the calling
 /// thread via tc::SetRetryAfterHint — the retry loop above (the channel)
-/// reads it and stretches its backoff. Warmup/maintenance pings ride
-/// kPing, which the server always admits, so reconnection keeps working
-/// while the server is saturated.
+/// reads it and stretches its backoff. Warmup pings ride kPing, which the
+/// server always admits, so reconnection keeps working while the server
+/// is saturated.
 ///
 /// Metrics: rpc.client.calls / .transport_errors / .timeouts /
-/// .exhausted / .reconnects / .pushbacks counters, rpc.client.call_us
-/// histogram.
+/// .exhausted / .pushbacks counters, rpc.client.call_us histogram.
 class RpcClientPool {
  public:
   struct Options {
@@ -76,10 +72,6 @@ class RpcClientPool {
     size_t max_in_flight = 256;
     /// Eagerly connect + health-check every connection at construction.
     bool warmup = false;
-    /// When > 0, a background maintenance thread re-establishes dead
-    /// connections (connect + kPing) every this-many milliseconds, so a
-    /// provider restart does not cost callers a cold connect.
-    uint64_t reconnect_interval_ms = 0;
   };
 
   explicit RpcClientPool(const Options& options);
@@ -146,10 +138,8 @@ class RpcClientPool {
   void TearDown(Conn& conn, uint64_t generation);
   void ReaderLoop(Conn* conn, int fd, uint64_t generation);
   /// The exchange itself, pinned to one connection (Call picks the
-  /// connection and enforces the cap; Warmup/maintenance pin the one they
-  /// are probing).
+  /// connection and enforces the cap; Warmup pins the one it is probing).
   Result<Bytes> CallOnConn(Conn& conn, RpcOp op, const Bytes& payload);
-  void MaintenanceLoop();
 
   Options options_;
   std::vector<std::unique_ptr<Conn>> conns_;
@@ -157,10 +147,6 @@ class RpcClientPool {
   std::atomic<size_t> next_conn_{0};
   std::atomic<int64_t> in_flight_{0};
   std::atomic<bool> closed_{false};
-
-  std::mutex maint_mu_;
-  std::condition_variable maint_cv_;
-  std::thread maintenance_;
 };
 
 }  // namespace tc::rpc

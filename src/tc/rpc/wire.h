@@ -48,7 +48,10 @@ namespace tc::rpc {
 // two reads and reject garbage before buffering anything unbounded.
 
 inline constexpr uint32_t kWireMagic = 0x54435731;  // "1WCT" on the wire.
-inline constexpr uint16_t kWireVersion = 1;
+/// Version 2 carries a SnapshotDescriptor as its base_seq alone (version 1
+/// also carried two sequence lists), so a version-1 frame decodes as
+/// kUnimplemented, never as payload bytes of the other layout.
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 48;
 /// Upper bound on one frame's payload; a header asking for more is
 /// malformed (protects the reader from attacker-chosen allocations).

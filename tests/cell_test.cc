@@ -600,9 +600,10 @@ TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
 
 TEST(CellRegistryTest, AnUpdatesStoreLookupsDoNotGrowWithTheDocumentCount) {
   // The manifest is built from the cell's document registry: an update
-  // reads back its own document's meta and no other, and a push reads
-  // none. On a token whose index overflowed its RAM budget, each lookup
-  // could be a scan of the whole log.
+  // reads back its own document's meta and no other, a push reads none,
+  // and a pull of a manifest whose every entry the registry already holds
+  // reads none. On a token whose index overflowed its RAM budget, each
+  // lookup could be a scan of the whole log.
   for (tee::DeviceClass device_class :
        {tee::DeviceClass::kHomeGateway, tee::DeviceClass::kSecureToken}) {
     SCOPED_TRACE(device_class == tee::DeviceClass::kHomeGateway ? "gateway"
@@ -633,6 +634,9 @@ TEST(CellRegistryTest, AnUpdatesStoreLookupsDoNotGrowWithTheDocumentCount) {
     EXPECT_LE(lookups() - before, 1u);
     before = lookups();
     ASSERT_TRUE(cell.SyncPush().ok());
+    EXPECT_EQ(lookups() - before, 0u);
+    before = lookups();
+    ASSERT_TRUE(cell.SyncPull().ok());
     EXPECT_EQ(lookups() - before, 0u);
   }
 }

@@ -343,7 +343,6 @@ class ScriptedTransport final : public CloudTransport {
   /// shapes.
   enum class SnapshotShape {
     kHonest,
-    kUnorderedSeqs,   ///< extra_seqs not strictly increasing above base.
     kVersionZero,     ///< An OK read of version 0.
     kInvisibleCommit  ///< A read committed after the snapshot.
   };
@@ -358,10 +357,6 @@ class ScriptedTransport final : public CloudTransport {
       uint32_t* /*delay_us*/) override {
     cloud::SnapshotDescriptor snap;
     snap.base_seq = 1;
-    snap.extra_seqs = {3, 4};
-    if (snapshot_shape == SnapshotShape::kUnorderedSeqs) {
-      snap.extra_seqs = {4, 3};
-    }
     return Answer(snap);
   }
   Result<cloud::SnapshotRead> GetAtSnapshot(
@@ -535,26 +530,21 @@ TEST(ChannelTest, MalformedCommitReplyIsRetriedNotTakenAsCommit) {
 }
 
 TEST(ChannelTest, MalformedSnapshotRepliesAreRetriedNotUsed) {
-  // An untrusted provider answers OK with a snapshot whose extra_seqs are
-  // out of order (Visible() binary-searches them), or with a read the
-  // snapshot that was sent could not have returned: version 0, or a
-  // commit the snapshot does not see. Each attempt fails as kUnavailable
-  // and is retried until the deadline; the caller never sees the reply.
+  // An untrusted provider answers OK with a read the snapshot that was
+  // sent could not have returned: version 0, or a commit the snapshot does
+  // not see. Each attempt fails as kUnavailable and is retried until the
+  // deadline; the caller never sees the reply.
   using Shape = ScriptedTransport::SnapshotShape;
   cloud::SnapshotDescriptor sent;
   sent.base_seq = 1;
-  sent.extra_seqs = {3, 4};
-  for (Shape shape : {Shape::kUnorderedSeqs, Shape::kVersionZero,
-                      Shape::kInvisibleCommit}) {
+  for (Shape shape : {Shape::kVersionZero, Shape::kInvisibleCommit}) {
     SCOPED_TRACE(static_cast<int>(shape));
     ScriptedTransport transport({StatusCode::kOk});
     transport.snapshot_shape = shape;
     ChannelOptions options;
     options.op_deadline_us = 20000;
     ResilientChannel channel(&transport, "alice", options);
-    Status status = shape == Shape::kUnorderedSeqs
-                        ? channel.GetSnapshot().status()
-                        : channel.GetAtSnapshot("a", sent).status();
+    Status status = channel.GetAtSnapshot("a", sent).status();
     EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
         << status.ToString();
     EXPECT_GT(channel.stats().retries, 0u);
@@ -564,7 +554,7 @@ TEST(ChannelTest, MalformedSnapshotRepliesAreRetriedNotUsed) {
   ResilientChannel channel(&honest, "alice", ChannelOptions());
   auto snap = channel.GetSnapshot();
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->extra_seqs, (std::vector<uint64_t>{3, 4}));
+  EXPECT_EQ(snap->base_seq, 1u);
   auto read = channel.GetAtSnapshot("a", sent);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->version, 1u);

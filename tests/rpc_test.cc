@@ -13,7 +13,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -111,6 +110,15 @@ TEST(WireFrameTest, RejectsBadMagicVersionOpAndOversize) {
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
+  // So does a version-1 peer, whose snapshot descriptors carried two
+  // sequence lists this layout no longer has.
+  FrameHeader v1;
+  v1.version = 1;
+  Bytes old_version = EncodeFrameHeader(v1);
+  EXPECT_EQ(DecodeFrameHeader(old_version.data(), old_version.size())
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
 
   Bytes bad_op = good;
   bad_op[6] = 0xee;
@@ -149,13 +157,6 @@ Bytes RandomPayload(Rng& rng, size_t n) { return rng.NextBytes(n); }
 cloud::SnapshotDescriptor RandomSnapshot(Rng& rng) {
   cloud::SnapshotDescriptor snap;
   snap.base_seq = rng.NextU64() % 100000;
-  for (size_t i = rng.NextU64() % 5; i > 0; --i) {
-    snap.extra_seqs.push_back(snap.base_seq + 1 + rng.NextU64() % 1000);
-  }
-  std::sort(snap.extra_seqs.begin(), snap.extra_seqs.end());
-  for (size_t i = rng.NextU64() % 4; i > 0; --i) {
-    snap.shard_high.push_back(rng.NextU64() % 100000);
-  }
   return snap;
 }
 
@@ -196,8 +197,6 @@ TEST(WireCodecTest, SnapshotRpcsRoundTrip) {
         Decode(Encode(snap, uint32_t{5}), &decoded_snap, &delay).ok());
     ASSERT_TRUE(decoded_snap.ok());
     EXPECT_EQ(decoded_snap->base_seq, snap->base_seq);
-    EXPECT_EQ(decoded_snap->extra_seqs, snap->extra_seqs);
-    EXPECT_EQ(decoded_snap->shard_high, snap->shard_high);
     EXPECT_EQ(delay, 5u);
 
     const std::string id = "doc" + std::to_string(iter);
@@ -207,7 +206,6 @@ TEST(WireCodecTest, SnapshotRpcsRoundTrip) {
     ASSERT_TRUE(Decode(Encode(id, at), &decoded_id, &decoded_at).ok());
     EXPECT_EQ(decoded_id, id);
     EXPECT_EQ(decoded_at.base_seq, at.base_seq);
-    EXPECT_EQ(decoded_at.extra_seqs, at.extra_seqs);
 
     cloud::SnapshotRead read;
     read.data = RandomPayload(rng, rng.NextU64() % 512);
@@ -324,11 +322,16 @@ std::string Hex(const Bytes& bytes) {
 // commit over these same fixtures; the two empty requests are the empty
 // payloads its SocketTransport sent. Matching it proves the codec left
 // every byte on the wire unchanged.
+//
+// Wire version 2 shrank a SnapshotDescriptor to its base_seq. Exactly four
+// cases changed with it — the get_snapshot reply, its status-only reply,
+// the get_at_snapshot request and the commit_txn request — and each one's
+// hex is its version-1 hex with the descriptor's two encoded lists (the
+// sequences committed above the base, and the per-stripe high-water
+// marks) cut out; every other case is the version-1 hex.
 std::vector<PayloadCase> EveryPayload() {
   cloud::SnapshotDescriptor snap;
   snap.base_seq = 5;
-  snap.extra_seqs = {7, 9};
-  snap.shard_high = {5, 9, 3};
 
   const Result<Bytes> blob = Bytes{0xde, 0xad};
   const Result<Bytes> blob_missing = Status::NotFound("no blob");
@@ -388,25 +391,20 @@ std::vector<PayloadCase> EveryPayload() {
       {"get_snapshot request", Encode(), no_fields, ""},
       {"get_snapshot reply",
        Encode(Result<cloud::SnapshotDescriptor>(snap), uint32_t{2}),
-       snapshot_reply,
-       "000005000000000000000207000000000000000900000000000000030500000000"
-       "0000000900000000000000030000000000000002000000"},
+       snapshot_reply, "0000050000000000000002000000"},
       {"get_snapshot status-only reply", shed_reply(RpcOp::kGetSnapshot),
-       snapshot_reply, "0704736865640000000000000000000000000000"},
+       snapshot_reply, "070473686564000000000000000000000000"},
       {"get_at_snapshot request", Encode(std::string("doc/a"), snap),
-       at_request,
-       "05646f632f61050000000000000002070000000000000009000000000000000305"
-       "0000000000000009000000000000000300000000000000"},
+       at_request, "05646f632f610500000000000000"},
       {"get_at_snapshot reply",
        Encode(Result<cloud::SnapshotRead>(read), uint32_t{5}), at_reply,
        "0000030405060200000000000000070000000000000005000000"},
       {"get_at_snapshot status-only reply", shed_reply(RpcOp::kGetAtSnapshot),
        at_reply, "070473686564000000000000000000000000000000000000000000"},
       {"commit_txn request", Encode(txn), txn_request,
-       "0574786e2f3105000000000000000207000000000000000900000000000000030"
-       "500000000000000090000000000000003000000000000000205646f632f610100"
-       "00000000000005646f632f6300000000000000000205646f632f6102090901000"
-       "0000000000005646f632f630108ffffffffffffffff"},
+       "0574786e2f3105000000000000000205646f632f6101000000000000000564"
+       "6f632f6300000000000000000205646f632f6102090901000000000000000564"
+       "6f632f630108ffffffffffffffff"},
       {"commit_txn reply", Encode(committed), txn_reply,
        "000001000a000000000000000202000000000000000100000000000000000300"
        "00000000000000000000"},
@@ -863,12 +861,12 @@ TEST_F(RpcSocketTest, ClientReconnectsAfterServerRestartWithoutDuplicates) {
 }
 
 TEST_F(RpcSocketTest, WarmedPoolSurvivesServerRestartWithoutColdConnect) {
-  // Regression (PR 8): with lazy reconnect only, a provider restart left
-  // every pooled connection dead, and each connection's NEXT caller paid
-  // the TCP connect inside its own request deadline — a burst of spurious
-  // kDeadlineExceeded/kUnavailable per restart. With warmup plus the
-  // maintenance thread, the pool is healthy again before callers arrive,
-  // so a run of calls right after the pool reports recovery all succeed.
+  // Regression: with lazy reconnect only, a provider restart left every
+  // pooled connection dead, and each connection's NEXT caller paid the TCP
+  // connect inside its own request deadline — a burst of spurious
+  // kDeadlineExceeded/kUnavailable per restart. Warmup() after the restart
+  // makes the pool healthy again before callers arrive, so a run of calls
+  // right after it all succeed.
   CloudInfrastructure cloud;
   auto server = StartServer(&cloud);
   const uint16_t port = server->port();
@@ -878,7 +876,6 @@ TEST_F(RpcSocketTest, WarmedPoolSurvivesServerRestartWithoutColdConnect) {
   pool_options.port = port;
   pool_options.connections = 2;
   pool_options.warmup = true;
-  pool_options.reconnect_interval_ms = 20;
   pool_options.request_timeout_ms = 2000;
   RpcClientPool pool(pool_options);
 
@@ -893,18 +890,15 @@ TEST_F(RpcSocketTest, WarmedPoolSurvivesServerRestartWithoutColdConnect) {
   server = StartServer(&cloud, restart_options);
   ASSERT_EQ(server->port(), port);
 
-  // The maintenance thread must restore the whole pool off the callers'
-  // critical path. Poll up to ~5s (interval is 20ms; this is generous).
-  bool recovered = false;
-  for (int i = 0; i < 500; ++i) {
-    if (pool.connected_count() == pool.connection_count()) {
-      recovered = true;
-      break;
-    }
+  // Each connection's reader sees the old server's EOF and marks it dead
+  // (poll up to ~5 s); Warmup then restores the whole pool off the
+  // callers' critical path.
+  for (int i = 0; i < 500 && pool.connected_count() > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(recovered) << "maintenance thread never re-established all "
-                         << pool.connection_count() << " connections";
+  EXPECT_EQ(pool.connected_count(), 0u);
+  EXPECT_EQ(pool.Warmup(), pool.connection_count());
+  EXPECT_EQ(pool.connected_count(), pool.connection_count());
 
   // Every post-recovery call succeeds: nobody eats a cold connect (or a
   // dead socket) inside their deadline. Round-robin covers both conns.

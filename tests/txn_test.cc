@@ -5,8 +5,12 @@
 // outbox's crash-atomic whole-transaction journal.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -249,6 +253,77 @@ TEST(BlobStoreTxnTest, RejectsMalformedRequests) {
 
   EXPECT_EQ(store.txns_committed(), 0u);
   EXPECT_EQ(store.versions_created(), 0u);
+}
+
+TEST(BlobStoreTxnTest, ACommitWaitingForAStripeIsInNoSnapshot) {
+  // The one ordering rule a snapshot rests on: a commit draws its sequence
+  // while it holds every stripe it writes. Here the commit waits for
+  // stripe 0, which a holder keeps, so it holds no stripe and must hold no
+  // sequence yet: a snapshot taken meanwhile must not include it, and a
+  // read at that snapshot must answer the same after the commit lands.
+  // Drawn before the stripes, the sequence would be in the snapshot while
+  // the write to the other blob is still to come.
+  BlobStore store;
+  std::string held_id;
+  std::string other_id;
+  for (int i = 0; held_id.empty() || other_id.empty(); ++i) {
+    const std::string id = "blob/" + std::to_string(i);
+    std::string& slot = store.ShardIndex(id) == 0 ? held_id : other_id;
+    if (slot.empty()) slot = id;
+  }
+  store.Put(held_id, ToBytes("held v1"));
+  store.Put(other_id, ToBytes("other v1"));
+
+  // The mutator runs under the shard lock, so the parked holder keeps
+  // stripe 0 until it is released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  std::thread holder([&] {
+    ASSERT_TRUE(store
+                    .MutateLatest(held_id,
+                                  [&](Bytes&) {
+                                    std::unique_lock<std::mutex> lock(mu);
+                                    parked = true;
+                                    cv.notify_all();
+                                    cv.wait(lock, [&] { return released; });
+                                  })
+                    .ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+
+  // Stripes are taken in ascending order, so the committer waits on
+  // stripe 0 holding none.
+  TxnOutcome outcome;
+  std::thread committer([&] {
+    TxnRequest req = MakeTxn("committer", store.Snapshot());
+    req.writes.push_back({held_id, ToBytes("held v2"), kBaseVersionAny});
+    req.writes.push_back({other_id, ToBytes("other v2"), kBaseVersionAny});
+    outcome = store.CommitTxn(req);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const SnapshotDescriptor snap = store.Snapshot();
+  auto before = store.GetAtSnapshot(other_id, snap);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  holder.join();
+  committer.join();
+
+  ASSERT_TRUE(outcome.committed) << outcome.status.ToString();
+  EXPECT_FALSE(snap.Visible(outcome.commit_seq));
+  auto after = store.GetAtSnapshot(other_id, snap);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->version, before->version);
+  EXPECT_EQ(after->data, before->data);
+  EXPECT_EQ(store.GetAtSnapshot(other_id, store.Snapshot())->version, 2u);
 }
 
 // ---------------------------------------------------------------------------
