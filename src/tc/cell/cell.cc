@@ -196,7 +196,7 @@ Status TrustedCell::Init() {
     boot.allowed = true;
     boot.detail =
         "boot_counter=" + std::to_string(tee_->CounterValue("boot"));
-    TC_RETURN_IF_ERROR(audit_->journal().Append(std::move(boot)));
+    audit_->journal().Append(std::move(boot));
   }
 
   const tee::DeviceProfile& profile = tee_->profile();
@@ -225,7 +225,7 @@ Status TrustedCell::Init() {
     skip.allowed = true;  // Tolerated by max_recovery_skips.
     skip.detail = std::to_string(store_->stats().recovery_pages_skipped) +
                   " pages skipped";
-    TC_RETURN_IF_ERROR(audit_->journal().Append(std::move(skip)));
+    audit_->journal().Append(std::move(skip));
     RecordIncident(
         IncidentType::kStorageDataLoss, "flash",
         std::to_string(store_->stats().recovery_pages_skipped) +
@@ -585,7 +585,7 @@ void TrustedCell::RecordIncident(IncidentType type,
     record.object = object_id;
     record.allowed = false;
     record.detail = detail;
-    (void)audit_->journal().Append(std::move(record));
+    audit_->journal().Append(std::move(record));
     journal = &audit_->journal();
   }
   obs::FlightRecorder::Global().Trigger(
@@ -763,13 +763,13 @@ Result<Bytes> TrustedCell::ReadDocument(const std::string& doc_id,
   policy::AccessRequest request{subject, policy::Right::kRead, attributes,
                                 clock_->Now()};
   policy::Decision decision = pdp_.EvaluateAndConsume(*policy, request);
-  TC_RETURN_IF_ERROR(audit_->journal().Append(
+  audit_->journal().Append(
       {.time = clock_->Now(),
        .subject = subject,
        .action = "read",
        .object = doc_id,
        .allowed = decision.allowed,
-       .detail = decision.allowed ? decision.rule_id : decision.reason}));
+       .detail = decision.allowed ? decision.rule_id : decision.reason});
   if (!decision.allowed) {
     ++stats_.reads_denied;
     metrics_.reads_denied.Increment();
@@ -1024,13 +1024,12 @@ Status TrustedCell::ShareDocument(const std::string& doc_id,
   grant.signature = tee_->Sign(grant.SignedPayload());
 
   cloud_->Send(config_.cell_id, recipient_cell, "share", grant.Serialize());
-  TC_RETURN_IF_ERROR(
-      audit_->journal().Append({.time = clock_->Now(),
-                                .subject = config_.owner,
-                                .action = "share",
-                                .object = doc_id,
-                                .allowed = true,
-                                .detail = "to " + recipient_cell}));
+  audit_->journal().Append({.time = clock_->Now(),
+                            .subject = config_.owner,
+                            .action = "share",
+                            .object = doc_id,
+                            .allowed = true,
+                            .detail = "to " + recipient_cell});
   ++stats_.shares_sent;
   return Status::OK();
 }
@@ -1255,13 +1254,12 @@ Status TrustedCell::RotateDocumentKey(const std::string& doc_id) {
   TC_RETURN_IF_ERROR(PublishManifest(&meta, sealed));
   (void)tee_->keystore().DestroyKey(old_key);
   (void)tee_->keystore().DestroyKey(old_key + ".sticky");
-  TC_RETURN_IF_ERROR(
-      audit_->journal().Append({.time = clock_->Now(),
-                                .subject = config_.owner,
-                                .action = "rotate-key",
-                                .object = doc_id,
-                                .allowed = true,
-                                .detail = ""}));
+  audit_->journal().Append({.time = clock_->Now(),
+                            .subject = config_.owner,
+                            .action = "rotate-key",
+                            .object = doc_id,
+                            .allowed = true,
+                            .detail = ""});
   return Status::OK();
 }
 
@@ -1387,13 +1385,13 @@ Status TrustedCell::RespondToApproval(const cloud::Message& request,
       tee_->Sign(ApprovalPayload(request.from, doc_id, approve));
   cloud_->Send(config_.cell_id, request.from, "approval-response",
                Encode(doc_id, approve, signature.Serialize(32)));
-  TC_RETURN_IF_ERROR(audit_->journal().Append(
+  audit_->journal().Append(
       {.time = clock_->Now(),
        .subject = config_.owner,
        .action = "approval",
        .object = doc_id,
        .allowed = approve,
-       .detail = "reference approval for " + request.from}));
+       .detail = "reference approval for " + request.from});
   return Status::OK();
 }
 
@@ -1473,8 +1471,20 @@ Result<std::vector<obs::AuditRecord>> TrustedCell::VerifyAuditPush(
   TC_RETURN_IF_ERROR(tee_->UnwrapKeyFrom(sender.dh_public_key, wrapped,
                                          Encode("tc.audit-key"s, sender_cell),
                                          key_name));
+  // The export's one quote must be the sender's own: checked against the
+  // signing key the directory holds for it.
+  auto signed_by_sender = [&sender](const tee::Quote& quote) {
+    if (!tee::TrustedExecutionEnvironment::VerifySignature(
+            sender.signing_public_key, quote.SignedPayload(),
+            quote.signature, kGroupBits)) {
+      return Status::IntegrityViolation("audit export quote not signed by " +
+                                        sender.cell_id);
+    }
+    return Status::OK();
+  };
   return policy::AuditLog::VerifyAndDecrypt(exported, tee_.get(), key_name,
-                                            static_cast<int64_t>(count));
+                                            static_cast<int64_t>(count),
+                                            signed_by_sender);
 }
 
 // ---- Shared commons ----

@@ -405,12 +405,16 @@ class TrustedCell {
   policy::AuditLog& audit_log() { return *audit_; }
 
   /// Ships the sealed audit log to `recipient_cell` (typically the data
-  /// originator), together with a wrapped copy of the audit key.
+  /// originator), together with a wrapped copy of the audit key. The
+  /// export carries one quote of this cell's TEE over its head and count.
   Status PushAuditLog(const std::string& recipient_cell);
 
   /// Originator side: verifies + decrypts an audit push received in the
-  /// inbox (topic "audit-log"). Returns the full journal record stream
-  /// (policy decisions plus incident/attestation evidence).
+  /// inbox (topic "audit-log"), and checks the export's quote against the
+  /// sender's signing key in the directory (kIntegrityViolation when
+  /// another key signed it or it names another head or count). Returns
+  /// the full journal record stream (policy decisions plus
+  /// incident/attestation evidence).
   Result<std::vector<obs::AuditRecord>> VerifyAuditPush(
       const cloud::Message& message);
 

@@ -9,15 +9,13 @@ namespace tc::obs {
 namespace {
 
 constexpr uint8_t kTagRecord = 0x01;
-constexpr uint8_t kTagCheckpoint = 0x02;
 const std::string kExportMagic = "tc.obs.journal.v1";
 
 Bytes GenesisHead() {
   return crypto::Sha256Hash(ToBytes("tc.obs.journal.genesis"));
 }
 
-// The chain absorbs the *tagged* item — tag byte included — so a record
-// reinterpreted as a checkpoint (or vice versa) changes the chain.
+// The chain absorbs the *tagged* item, tag byte included.
 Bytes TaggedItem(uint8_t tag, const Bytes& payload) {
   return Encode(tag, payload);
 }
@@ -58,54 +56,22 @@ Result<AuditRecord> AuditRecord::Deserialize(const Bytes& data) {
   return rec;
 }
 
-Bytes AuditCheckpoint::Serialize() const {
-  return Encode(record_count, chain_head, signature);
-}
+AuditJournal::AuditJournal() : head_(GenesisHead()) {}
 
-Result<AuditCheckpoint> AuditCheckpoint::Deserialize(const Bytes& data) {
-  AuditCheckpoint cp;
-  TC_RETURN_IF_ERROR(
-      Decode(data, &cp.record_count, &cp.chain_head, &cp.signature));
-  return cp;
-}
-
-AuditJournal::AuditJournal(AuditJournalOptions options)
-    : options_(std::move(options)), head_(GenesisHead()) {}
-
-void AuditJournal::AbsorbItemLocked(uint8_t tag, const Bytes& payload) {
-  head_ = crypto::Sha256Hash2(head_, TaggedItem(tag, payload));
-  items_.emplace_back(tag, payload);
-}
-
-Status AuditJournal::Append(AuditRecord record) {
+void AuditJournal::Append(AuditRecord record) {
   TraceContext context = CurrentContext();
   std::lock_guard<std::mutex> lock(mu_);
-  record.index = next_index_++;
+  record.index = items_.size();
   record.trace_id = context.trace_id;
   record.span_id = context.span_id;
-  AbsorbItemLocked(kTagRecord, record.Serialize());
-  if (options_.checkpoint_interval != 0 &&
-      next_index_ % options_.checkpoint_interval == 0) {
-    AuditCheckpoint cp;
-    cp.record_count = next_index_;
-    cp.chain_head = head_;
-    if (options_.signer) {
-      TC_ASSIGN_OR_RETURN(cp.signature, options_.signer(head_, next_index_));
-    }
-    AbsorbItemLocked(kTagCheckpoint, cp.Serialize());
-    ++checkpoints_;
-  }
-  return Status::OK();
+  Bytes payload = record.Serialize();
+  head_ = crypto::Sha256Hash2(head_, TaggedItem(kTagRecord, payload));
+  items_.emplace_back(kTagRecord, std::move(payload));
 }
 
 uint64_t AuditJournal::record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_index_;
-}
-
-uint64_t AuditJournal::checkpoint_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return checkpoints_;
+  return items_.size();
 }
 
 Bytes AuditJournal::head() const {
@@ -123,7 +89,6 @@ std::vector<AuditRecord> AuditJournal::Tail(size_t n) const {
   std::vector<AuditRecord> tail;
   for (auto it = items_.rbegin(); it != items_.rend() && tail.size() < n;
        ++it) {
-    if (it->first != kTagRecord) continue;
     // The journal serialized every record itself, so each decodes.
     tail.push_back(AuditRecord::Deserialize(it->second).value());
   }
@@ -133,8 +98,7 @@ std::vector<AuditRecord> AuditJournal::Tail(size_t n) const {
 
 AuditVerifyReport AuditJournal::Verify(const Bytes& exported,
                                        const Bytes* expected_head,
-                                       int64_t expected_count,
-                                       const CheckpointVerifier& verifier) {
+                                       int64_t expected_count) {
   AuditVerifyReport report;
   report.head = GenesisHead();
   auto fail = [&report](const std::string& why) {
@@ -152,34 +116,14 @@ AuditVerifyReport AuditJournal::Verify(const Bytes& exported,
   if (magic != kExportMagic) return fail("bad journal export magic");
 
   for (const auto& [tag, payload] : items) {
-    if (tag == kTagRecord) {
-      auto rec = AuditRecord::Deserialize(payload);
-      if (!rec.ok()) return fail("unparseable record");
-      if (rec->index != report.record_count) {
-        return fail("record index out of order");
-      }
-      ++report.record_count;
-      report.records.push_back(std::move(*rec));
-    } else if (tag == kTagCheckpoint) {
-      auto cp = AuditCheckpoint::Deserialize(payload);
-      if (!cp.ok()) return fail("unparseable checkpoint");
-      // The stored head anchors everything before this checkpoint: a
-      // flipped bit, dropped item or swap anywhere upstream lands here.
-      if (cp->record_count != report.record_count) {
-        return fail("checkpoint record count mismatch");
-      }
-      if (cp->chain_head != report.head) {
-        return fail("checkpoint chain head mismatch");
-      }
-      if (verifier) {
-        Status s = verifier(*cp);
-        if (!s.ok()) return fail("checkpoint signature rejected: " +
-                                 s.message());
-      }
-      ++report.checkpoint_count;
-    } else {
-      return fail("unknown item tag");
+    if (tag != kTagRecord) return fail("unknown item tag");
+    auto rec = AuditRecord::Deserialize(payload);
+    if (!rec.ok()) return fail("unparseable record");
+    if (rec->index != report.record_count) {
+      return fail("record index out of order");
     }
+    ++report.record_count;
+    report.records.push_back(std::move(*rec));
     report.head = crypto::Sha256Hash2(report.head, TaggedItem(tag, payload));
   }
   if (expected_count >= 0 &&

@@ -2,7 +2,6 @@
 #define TC_OBS_AUDIT_JOURNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -45,76 +44,39 @@ struct AuditRecord {
   static Result<AuditRecord> Deserialize(const Bytes& data);
 };
 
-/// A periodic signed anchor in the hash chain. `chain_head` is the chain
-/// value over everything *before* this checkpoint item (which the chain
-/// then also absorbs), `record_count` the number of records it covers, and
-/// `signature` an opaque attestation blob produced by the configured
-/// CheckpointSigner — in this code base a serialized tc::tee::Quote whose
-/// nonce is the chain head, but the journal itself never depends on tc_tee.
-struct AuditCheckpoint {
-  uint64_t record_count = 0;
-  Bytes chain_head;
-  Bytes signature;
-
-  Bytes Serialize() const;
-  static Result<AuditCheckpoint> Deserialize(const Bytes& data);
-};
-
-/// Signs (chain_head, record_count) -> opaque signature blob. Wired to
-/// tee::Attestation::GenerateQuote by the policy layer.
-using CheckpointSigner =
-    std::function<Result<Bytes>(const Bytes& chain_head,
-                                uint64_t record_count)>;
-
-/// Verifies one parsed checkpoint's signature blob (chain/count equalities
-/// are checked by AuditJournal::Verify itself before this is called).
-using CheckpointVerifier = std::function<Status(const AuditCheckpoint&)>;
-
-struct AuditJournalOptions {
-  /// A signed checkpoint is appended after every N records (0 disables
-  /// checkpointing).
-  size_t checkpoint_interval = 64;
-  /// Null -> checkpoints carry an empty signature (still chained, so still
-  /// tamper-evident; just not attested).
-  CheckpointSigner signer;
-};
-
 /// Everything Verify learned about an exported journal.
 struct AuditVerifyReport {
   bool ok = false;
   std::string error;  ///< Empty when ok.
   uint64_t record_count = 0;
-  uint64_t checkpoint_count = 0;
   Bytes head;  ///< Recomputed chain head over the parsed prefix.
   std::vector<AuditRecord> records;
 };
 
-/// Append-only, SHA-256 hash-chained audit journal with periodic signed
-/// checkpoints.
+/// Append-only, SHA-256 hash-chained audit journal.
 ///
 /// Chain construction: h_0 = SHA256("tc.obs.journal.genesis"),
 /// h_{i+1} = SHA256(h_i || item_i) where item_i is the full tagged item
-/// (0x01 record / 0x02 checkpoint, then the length-prefixed payload —
-/// checkpoint signatures are inside the chain, so a flipped signature bit
-/// is detected without ever verifying a quote). A checkpoint stores the
-/// chain head over everything before it; together with an out-of-band
-/// anchor (expected head + count, held in the TEE or bound into the AEAD
-/// AAD of an export), Verify detects 100% of truncations, reorderings and
-/// bit-flips. Thread-safe.
+/// (tag 0x01, then the length-prefixed record). Against an out-of-band
+/// anchor (expected head + count, bound into the AEAD AAD of an export and
+/// attested by the export's quote), Verify detects 100% of truncations,
+/// reorderings and bit-flips. The journal signs nothing itself: the policy
+/// layer attests each export once (policy::AuditLog::Export), so the
+/// journal never depends on tc_tee. Thread-safe.
 class AuditJournal {
  public:
-  explicit AuditJournal(AuditJournalOptions options = {});
+  AuditJournal();
   AuditJournal(const AuditJournal&) = delete;
   AuditJournal& operator=(const AuditJournal&) = delete;
 
-  /// Stamps index + trace context, extends the chain, and appends a signed
-  /// checkpoint when the interval rolls over. Fails only if the signer
-  /// fails (the record itself is still appended in that case; only the
-  /// checkpoint is lost).
-  Status Append(AuditRecord record);
+  /// Stamps index + trace context and extends the chain.
+  void Append(AuditRecord record);
 
   uint64_t record_count() const;
-  uint64_t checkpoint_count() const;
+  /// Retired: the journal holds no checkpoints any more, so this is
+  /// always 0. It stays only because the benchmark harness
+  /// (cellbench/src/harness.cc) still reads it.
+  uint64_t checkpoint_count() const { return 0; }
   /// Current chain head (the verifier anchor).
   Bytes head() const;
 
@@ -127,27 +89,19 @@ class AuditJournal {
   std::vector<AuditRecord> Tail(size_t n) const;
 
   /// Walks an exported stream, recomputing the chain and checking: item
-  /// parse, record index contiguity, every checkpoint's stored head/count
-  /// against the recomputed ones, optional per-checkpoint signature
-  /// verification, and (when provided) the final head/count anchors.
-  /// Returns a report rather than failing fast so tests can assert on what
-  /// exactly was detected.
-  static AuditVerifyReport Verify(
-      const Bytes& exported, const Bytes* expected_head = nullptr,
-      int64_t expected_count = -1,
-      const CheckpointVerifier& verifier = nullptr);
+  /// parse (a tag other than 0x01 is corrupt), record index contiguity,
+  /// and (when provided) the final head/count anchors. Returns a report
+  /// rather than failing fast so tests can assert on what exactly was
+  /// detected.
+  static AuditVerifyReport Verify(const Bytes& exported,
+                                  const Bytes* expected_head = nullptr,
+                                  int64_t expected_count = -1);
 
  private:
-  // Returns the serialized tagged item and advances the chain over it.
-  void AbsorbItemLocked(uint8_t tag, const Bytes& payload);
-
-  AuditJournalOptions options_;
   mutable std::mutex mu_;
-  // Every record and checkpoint, held once, serialized. guarded by mu_.
+  // Every record, held once, serialized, under its tag. guarded by mu_.
   std::vector<std::pair<uint8_t, Bytes>> items_;
-  Bytes head_;                                    // guarded by mu_.
-  uint64_t next_index_ = 0;                       // guarded by mu_.
-  uint64_t checkpoints_ = 0;                      // guarded by mu_.
+  Bytes head_;  // guarded by mu_.
 };
 
 }  // namespace tc::obs

@@ -1,12 +1,11 @@
 #include "tc/policy/audit.h"
 
 #include "tc/common/codec.h"
-#include "tc/crypto/sha256.h"
 
 namespace tc::policy {
 namespace {
 
-const std::string kExportMagic = "tc.audit.export.v2";
+const std::string kExportMagic = "tc.audit.export.v3";
 
 // AEAD associated data for a sealed export: binds the record count and the
 // chain head, so the anchors VerifyAndDecrypt hands to the journal walk
@@ -15,8 +14,9 @@ Bytes ExportAad(uint64_t record_count, const Bytes& chain_head) {
   return Encode(std::string("tc.audit.v2"), record_count, chain_head);
 }
 
-std::string CheckpointClaims(uint64_t record_count) {
-  return "tc.audit.checkpoint." + std::to_string(record_count);
+// What an export's quote claims: the record count its head covers.
+std::string ExportClaims(uint64_t record_count) {
+  return "tc.audit.export." + std::to_string(record_count);
 }
 
 }  // namespace
@@ -36,37 +36,19 @@ Result<tee::Quote> DeserializeQuote(const Bytes& data) {
   return quote;
 }
 
-obs::CheckpointVerifier QuoteCheckpointVerifier(
-    const tee::Endorsement& endorsement,
-    const tee::Manufacturer& manufacturer) {
-  return [&endorsement, &manufacturer](const obs::AuditCheckpoint& cp) {
-    auto quote = DeserializeQuote(cp.signature);
-    if (!quote.ok()) return quote.status();
-    if (quote->nonce != cp.chain_head) {
-      return Status::IntegrityViolation("quote nonce != checkpoint head");
-    }
-    if (quote->claims != CheckpointClaims(cp.record_count)) {
-      return Status::IntegrityViolation("quote claims mismatch");
-    }
-    if (!tee::TrustedExecutionEnvironment::VerifyQuote(*quote, endorsement,
+ExportQuoteCheck EndorsedQuoteCheck(const tee::Endorsement& endorsement,
+                                    const tee::Manufacturer& manufacturer) {
+  return [&endorsement, &manufacturer](const tee::Quote& quote) {
+    if (!tee::TrustedExecutionEnvironment::VerifyQuote(quote, endorsement,
                                                        manufacturer)) {
-      return Status::IntegrityViolation("checkpoint quote signature invalid");
+      return Status::IntegrityViolation("audit export quote signature invalid");
     }
     return Status::OK();
   };
 }
 
 AuditLog::AuditLog(tee::TrustedExecutionEnvironment* tee, std::string key_name)
-    : tee_(tee), key_name_(std::move(key_name)), journal_([this] {
-        obs::AuditJournalOptions options;
-        options.checkpoint_interval = kCheckpointInterval;
-        options.signer = [this](const Bytes& head,
-                                uint64_t count) -> Result<Bytes> {
-          return SerializeQuote(
-              tee_->GenerateQuote(head, CheckpointClaims(count)));
-        };
-        return options;
-      }()) {}
+    : tee_(tee), key_name_(std::move(key_name)) {}
 
 Result<Bytes> AuditLog::Export() const {
   uint64_t count = journal_.record_count();
@@ -74,17 +56,19 @@ Result<Bytes> AuditLog::Export() const {
   TC_ASSIGN_OR_RETURN(
       Bytes sealed,
       tee_->Seal(key_name_, ExportAad(count, head), journal_.Export()));
-  return Encode(kExportMagic, count, head, sealed);
+  const tee::Quote quote = tee_->GenerateQuote(head, ExportClaims(count));
+  return Encode(kExportMagic, count, head, sealed, SerializeQuote(quote));
 }
 
 Result<std::vector<obs::AuditRecord>> AuditLog::VerifyAndDecrypt(
     const Bytes& exported, tee::TrustedExecutionEnvironment* tee,
     const std::string& key_name, int64_t expected_count,
-    const obs::CheckpointVerifier& verifier) {
+    const ExportQuoteCheck& check_quote) {
   std::string magic;
   uint64_t count = 0;
-  Bytes head, sealed;
-  TC_RETURN_IF_ERROR(Decode(exported, &magic, &count, &head, &sealed));
+  Bytes head, sealed, quote_bytes;
+  TC_RETURN_IF_ERROR(
+      Decode(exported, &magic, &count, &head, &sealed, &quote_bytes));
   if (magic != kExportMagic) {
     return Status::Corruption("bad audit export magic");
   }
@@ -95,11 +79,18 @@ Result<std::vector<obs::AuditRecord>> AuditLog::VerifyAndDecrypt(
   // or ciphertext dies here.
   TC_ASSIGN_OR_RETURN(Bytes stream,
                       tee->Open(key_name, ExportAad(count, head), sealed));
+  // The quote must attest exactly the sealed-in anchors; whose device
+  // signed it is the caller's check.
+  TC_ASSIGN_OR_RETURN(tee::Quote quote, DeserializeQuote(quote_bytes));
+  if (quote.nonce != head || quote.claims != ExportClaims(count)) {
+    return Status::IntegrityViolation(
+        "audit export quote names another head or count");
+  }
+  if (check_quote) TC_RETURN_IF_ERROR(check_quote(quote));
   // Defense in depth: re-walk the hash chain against the sealed-in
-  // anchors, so even the key holder cannot re-seal a spliced journal
-  // without also forging every checkpoint relation.
+  // anchors, so even the key holder cannot re-seal a spliced journal.
   obs::AuditVerifyReport report = obs::AuditJournal::Verify(
-      stream, &head, static_cast<int64_t>(count), verifier);
+      stream, &head, static_cast<int64_t>(count));
   if (!report.ok) {
     return Status::IntegrityViolation("audit journal verify: " + report.error);
   }

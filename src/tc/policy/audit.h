@@ -1,6 +1,7 @@
 #ifndef TC_POLICY_AUDIT_H_
 #define TC_POLICY_AUDIT_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -10,36 +11,35 @@
 
 namespace tc::policy {
 
-/// Serialized tee::Quote <-> bytes, the blob format AuditLog's checkpoint
-/// signer stores inside obs::AuditCheckpoint::signature: device id, nonce,
-/// claims, boot counter, serialized signature.
+/// Serialized tee::Quote <-> bytes, the form an audit export carries its
+/// quote in: device id, nonce, claims, boot counter, serialized signature.
 Bytes SerializeQuote(const tee::Quote& quote);
 Result<tee::Quote> DeserializeQuote(const Bytes& data);
 
-/// Builds a CheckpointVerifier that deserializes the checkpoint's quote,
-/// checks it attests exactly this checkpoint (nonce == chain head, claims
-/// name the record count), and verifies the quote signature against the
-/// device endorsement + manufacturer.
-obs::CheckpointVerifier QuoteCheckpointVerifier(
-    const tee::Endorsement& endorsement, const tee::Manufacturer& manufacturer);
+/// A caller's check of an export's quote (typically of its signature),
+/// run once VerifyAndDecrypt has checked that the quote names the export's
+/// sealed-in head and record count.
+using ExportQuoteCheck = std::function<Status(const tee::Quote&)>;
+
+/// Checks the quote's signature against the quoted device's endorsement
+/// and the manufacturer that issued it.
+ExportQuoteCheck EndorsedQuoteCheck(const tee::Endorsement& endorsement,
+                                    const tee::Manufacturer& manufacturer);
 
 /// Tamper-evident, TEE-attested audit log.
 ///
 /// Implements the paper's accountability requirement: "the recipient
 /// trusted cell can maintain an audit log, encrypt it and push it on the
-/// Cloud to the destination of the originator trusted cell". Since PR 4
-/// the storage is an obs::AuditJournal — an append-only SHA-256 hash chain
-/// over every record, with a TEE-signed checkpoint quote every
-/// kCheckpointInterval records (quote nonce = chain head, so each quote
-/// attests a prefix). Export() seals the whole journal stream under the
-/// shared AEAD key with the record count and chain head bound into the
-/// associated data; VerifyAndDecrypt re-walks the chain inside, so even
-/// the legitimate key holder cannot splice, reorder or truncate records
-/// without detection.
+/// Cloud to the destination of the originator trusted cell". The storage
+/// is an obs::AuditJournal, a plain append-only SHA-256 hash chain over
+/// every record. Export() seals the whole journal stream under the shared
+/// AEAD key with the record count and chain head bound into the associated
+/// data, then has the TEE sign one quote over that head and count, so the
+/// evidence is signed once per export. VerifyAndDecrypt re-walks the chain
+/// inside, so even the legitimate key holder cannot splice, reorder or
+/// truncate records without detection.
 class AuditLog {
  public:
-  static constexpr size_t kCheckpointInterval = 64;
-
   /// `key_name` must exist in the TEE keystore (e.g. a key shared with the
   /// data originator so that *they* can read the log).
   AuditLog(tee::TrustedExecutionEnvironment* tee, std::string key_name);
@@ -56,21 +56,24 @@ class AuditLog {
   obs::AuditJournal& journal() { return journal_; }
   const obs::AuditJournal& journal() const { return journal_; }
 
-  /// Serializes the journal, AEAD-sealed for pushing to the cloud:
-  /// "tc.audit.export.v2" | u64 record_count | bytes chain_head |
-  /// bytes Seal(key, "tc.audit.v2"|count|head, journal stream).
+  /// Serializes the journal, AEAD-sealed for pushing to the cloud, and
+  /// attests it: "tc.audit.export.v3" | u64 record_count |
+  /// bytes chain_head | bytes Seal(key, "tc.audit.v2"|count|head, journal
+  /// stream) | bytes quote, where the quote's nonce is the chain head and
+  /// its claims "tc.audit.export.<count>". Seals before it signs.
   Result<Bytes> Export() const;
 
   /// Opens and verifies an exported journal using `tee`/`key_name`
   /// (typically the originator's cell): AEAD integrity first, then the
-  /// full hash-chain walk anchored at the sealed-in head/count. Tail
-  /// truncation is additionally caught against `expected_count` when
-  /// >= 0. `verifier` (see QuoteCheckpointVerifier) optionally checks
-  /// every checkpoint quote. Returns every record in order.
+  /// quote, which must name the sealed-in head and count and pass
+  /// `check_quote` when one is given, then the full hash-chain walk
+  /// anchored at that head and count. Tail truncation is additionally
+  /// caught against `expected_count` when >= 0. Returns every record in
+  /// order.
   static Result<std::vector<obs::AuditRecord>> VerifyAndDecrypt(
       const Bytes& exported, tee::TrustedExecutionEnvironment* tee,
       const std::string& key_name, int64_t expected_count = -1,
-      const obs::CheckpointVerifier& verifier = nullptr);
+      const ExportQuoteCheck& check_quote = nullptr);
 
  private:
   tee::TrustedExecutionEnvironment* tee_;

@@ -63,7 +63,14 @@ size_t RpcClientPool::Warmup() {
   size_t healthy = 0;
   for (auto& conn_ptr : conns_) {
     if (closed_.load(std::memory_order_acquire)) break;
-    if (CallOnConn(*conn_ptr, RpcOp::kPing, Bytes()).ok()) ++healthy;
+    Result<Bytes> pong = CallOnConn(*conn_ptr, RpcOp::kPing, Bytes());
+    // After a restart a connection can still read as connected until its
+    // reader sees the old server's EOF. Its ping fails kUnavailable and
+    // tears it down, so one more ping reconnects it.
+    if (pong.status().code() == StatusCode::kUnavailable) {
+      pong = CallOnConn(*conn_ptr, RpcOp::kPing, Bytes());
+    }
+    if (pong.ok()) ++healthy;
   }
   return healthy;
 }

@@ -85,8 +85,10 @@ class RpcClientPool {
   Result<Bytes> Call(RpcOp op, const Bytes& payload);
 
   /// Connects and kPing-health-checks every pooled connection; returns
-  /// how many are healthy afterwards. Safe to call any time (already
-  /// healthy connections are just pinged).
+  /// how many are healthy afterwards. A connection whose ping fails
+  /// kUnavailable (one that died with a restarted server) is reconnected
+  /// and pinged once more. Safe to call any time (already healthy
+  /// connections are just pinged).
   size_t Warmup();
 
   /// Connections currently believed healthy (a dead peer is discovered by

@@ -336,6 +336,61 @@ TEST_F(CellTest, AuditLogPushedAndVerifiedByOriginator) {
   EXPECT_FALSE((*entries)[2].allowed);
 }
 
+TEST_F(CellTest, AuditPushQuoteMustBeTheSendersOverItsHeadAndCount) {
+  ASSERT_TRUE(bob_phone_->PushAuditLog("alice-gateway").ok());
+  (void)alice_gateway_->ProcessInbox();
+  auto pushes = alice_gateway_->TakeMessages("audit-log");
+  ASSERT_EQ(pushes.size(), 1u);
+  ASSERT_TRUE(alice_gateway_->VerifyAuditPush(pushes[0]).ok());
+
+  // The push: sender | count | wrapped key | export, and the export:
+  // magic | count | head | sealed journal | quote. Each forgery below
+  // keeps everything but the quote.
+  std::string sender, magic;
+  uint64_t count = 0, sealed_count = 0;
+  Bytes wrapped, exported, head, sealed, quote;
+  ASSERT_TRUE(
+      Decode(pushes[0].payload, &sender, &count, &wrapped, &exported).ok());
+  ASSERT_TRUE(
+      Decode(exported, &magic, &sealed_count, &head, &sealed, &quote).ok());
+  auto requoted = [&](const tee::Quote& forged_quote) {
+    cloud::Message forged = pushes[0];
+    forged.payload =
+        Encode(sender, count, wrapped,
+               Encode(magic, sealed_count, head, sealed,
+                      policy::SerializeQuote(forged_quote)));
+    return forged;
+  };
+  const std::string claims = "tc.audit.export." + std::to_string(count);
+  Bytes other_head = head;
+  other_head[0] ^= 1;
+
+  // Another cell's TEE signed the right head and count.
+  EXPECT_TRUE(alice_gateway_
+                  ->VerifyAuditPush(requoted(
+                      alice_phone_->tee().GenerateQuote(head, claims)))
+                  .status()
+                  .IsIntegrityViolation());
+  // The sender's own TEE signed another head, or another count.
+  EXPECT_TRUE(alice_gateway_
+                  ->VerifyAuditPush(requoted(
+                      bob_phone_->tee().GenerateQuote(other_head, claims)))
+                  .status()
+                  .IsIntegrityViolation());
+  EXPECT_TRUE(
+      alice_gateway_
+          ->VerifyAuditPush(requoted(bob_phone_->tee().GenerateQuote(
+              head, "tc.audit.export." + std::to_string(count + 1))))
+          .status()
+          .IsIntegrityViolation());
+  // A fresh quote of the sender's over the right anchors is as good as
+  // the original.
+  EXPECT_TRUE(alice_gateway_
+                  ->VerifyAuditPush(requoted(
+                      bob_phone_->tee().GenerateQuote(head, claims)))
+                  .ok());
+}
+
 TEST_F(CellTest, SensorIngestAndGranularityViews) {
   // One hour of 1 Hz readings.
   Timestamp start = MakeTimestamp(2013, 1, 7, 0, 0, 0);

@@ -1,8 +1,8 @@
-// tc::obs::AuditJournal — hash-chain construction, checkpoint attestation
-// hooks, and the tamper-evidence property: against the exported stream
-// plus the out-of-band anchors (expected head + count), Verify must detect
-// 100% of injected truncations, reorderings and bit-flips, while an
-// untampered journal of >= 10k records verifies clean.
+// tc::obs::AuditJournal — hash-chain construction and the tamper-evidence
+// property: against the exported stream plus the out-of-band anchors
+// (expected head + count), Verify must detect 100% of injected
+// truncations, reorderings and bit-flips, while an untampered journal of
+// >= 10k records verifies clean.
 
 #include <string>
 #include <utility>
@@ -30,28 +30,6 @@ AuditRecord MakeRecord(int i) {
   return r;
 }
 
-// A deterministic fake signer/verifier pair (the TEE-quote wiring is
-// policy_test's subject; here we only need the hook contract).
-Result<Bytes> FakeSign(const Bytes& head, uint64_t count) {
-  BinaryWriter w;
-  w.PutString("fake-sig");
-  w.PutBytes(head);
-  w.PutU64(count);
-  return w.Take();
-}
-
-Status FakeVerify(const AuditCheckpoint& cp) {
-  BinaryReader r(cp.signature);
-  auto magic = r.GetString();
-  if (!magic.ok() || *magic != "fake-sig") {
-    return Status::IntegrityViolation("bad fake signature");
-  }
-  if (*r.GetBytes() != cp.chain_head || *r.GetU64() != cp.record_count) {
-    return Status::IntegrityViolation("fake signature binds wrong state");
-  }
-  return Status::OK();
-}
-
 TEST(AuditJournalTest, RecordSerializationRoundTrips) {
   AuditRecord r = MakeRecord(3);
   r.index = 42;
@@ -76,9 +54,9 @@ TEST(AuditJournalTest, AppendStampsIndexAndActiveTraceContext) {
     TraceSpan span("test", "audited_op");
     trace_id = span.context().trace_id;
     span_id = span.context().span_id;
-    ASSERT_TRUE(journal.Append(MakeRecord(0)).ok());
+    journal.Append(MakeRecord(0));
   }
-  ASSERT_TRUE(journal.Append(MakeRecord(1)).ok());  // Un-traced.
+  journal.Append(MakeRecord(1));  // Un-traced.
   std::vector<AuditRecord> tail = journal.Tail(10);
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0].index, 0u);
@@ -88,23 +66,19 @@ TEST(AuditJournalTest, AppendStampsIndexAndActiveTraceContext) {
   EXPECT_EQ(tail[1].trace_id, 0u);
 }
 
-TEST(AuditJournalTest, TailAfterCheckpointsReturnsTheLastRecordsAppended) {
+TEST(AuditJournalTest, TailReturnsTheLastRecordsAppended) {
   // The journal holds each record once, serialized; Tail decodes the last
-  // n record items, stepping over the checkpoints between them.
-  AuditJournalOptions options;
-  options.checkpoint_interval = 4;
-  options.signer = FakeSign;
-  AuditJournal journal(options);
+  // n of them.
+  AuditJournal journal;
   constexpr int kRecords = 10;
   std::vector<TraceContext> contexts;
   for (int i = 0; i < kRecords; ++i) {
     TraceSpan span("test", "audited_op");
     contexts.push_back(span.context());
-    ASSERT_TRUE(journal.Append(MakeRecord(i)).ok());
+    journal.Append(MakeRecord(i));
   }
-  ASSERT_EQ(journal.checkpoint_count(), 2u);
 
-  constexpr size_t kTail = 7;  // Reaches back across both checkpoints.
+  constexpr size_t kTail = 7;
   std::vector<AuditRecord> tail = journal.Tail(kTail);
   ASSERT_EQ(tail.size(), kTail);
   for (size_t k = 0; k < kTail; ++k) {
@@ -119,63 +93,19 @@ TEST(AuditJournalTest, TailAfterCheckpointsReturnsTheLastRecordsAppended) {
 }
 
 TEST(AuditJournalTest, TenThousandRecordJournalVerifiesClean) {
-  AuditJournalOptions options;
-  options.checkpoint_interval = 64;
-  options.signer = FakeSign;
-  AuditJournal journal(options);
+  AuditJournal journal;
   constexpr int kRecords = 10000;
-  for (int i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE(journal.Append(MakeRecord(i)).ok());
-  }
+  for (int i = 0; i < kRecords; ++i) journal.Append(MakeRecord(i));
   EXPECT_EQ(journal.record_count(), uint64_t(kRecords));
-  EXPECT_EQ(journal.checkpoint_count(), uint64_t(kRecords) / 64);
 
   Bytes head = journal.head();
   AuditVerifyReport report =
-      AuditJournal::Verify(journal.Export(), &head, kRecords, FakeVerify);
+      AuditJournal::Verify(journal.Export(), &head, kRecords);
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.record_count, uint64_t(kRecords));
-  EXPECT_EQ(report.checkpoint_count, uint64_t(kRecords) / 64);
   ASSERT_EQ(report.records.size(), size_t(kRecords));
   EXPECT_EQ(report.records[kRecords - 1].index, uint64_t(kRecords - 1));
   EXPECT_EQ(report.head, head);
-}
-
-TEST(AuditJournalTest, FlippedCheckpointSignatureBitDetectedWithoutVerifier) {
-  // Checkpoint signatures live *inside* the chain: a flipped signature bit
-  // breaks the recomputed head even when no quote verifier runs.
-  AuditJournalOptions options;
-  options.checkpoint_interval = 4;
-  options.signer = FakeSign;
-  AuditJournal journal(options);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(journal.Append(MakeRecord(i)).ok());
-  Bytes exported = journal.Export();
-  Bytes head = journal.head();
-
-  // Locate the second checkpoint item and flip one bit of its payload.
-  BinaryReader r(exported);
-  ASSERT_TRUE(r.GetString().ok());
-  uint64_t items = *r.GetVarint();
-  std::vector<std::pair<uint8_t, Bytes>> parsed;
-  for (uint64_t i = 0; i < items; ++i) {
-    uint8_t tag = *r.GetU8();
-    parsed.emplace_back(tag, *r.GetBytes());
-  }
-  int checkpoint_index = -1;
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    if (parsed[i].first == 0x02) checkpoint_index = static_cast<int>(i);
-  }
-  ASSERT_GE(checkpoint_index, 0);
-  parsed[checkpoint_index].second.back() ^= 1;  // Inside the signature blob.
-  BinaryWriter w;
-  w.PutString("tc.obs.journal.v1");
-  w.PutVarint(items);
-  for (const auto& [tag, payload] : parsed) {
-    w.PutU8(tag);
-    w.PutBytes(payload);
-  }
-  AuditVerifyReport report = AuditJournal::Verify(w.Take(), &head, 8);
-  EXPECT_FALSE(report.ok);
 }
 
 // ------------------------------------------------ corruption property test
@@ -208,26 +138,41 @@ Bytes RebuildStream(const ParsedStream& stream) {
   return w.Take();
 }
 
-TEST(AuditJournalProperty, AllInjectedCorruptionsDetected) {
-  AuditJournalOptions options;
-  options.checkpoint_interval = 16;
-  options.signer = FakeSign;
-  AuditJournal journal(options);
-  constexpr int kRecords = 300;
-  for (int i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE(journal.Append(MakeRecord(i)).ok());
+TEST(AuditJournalTest, AnItemWithAnyOtherTagIsCorrupt) {
+  // Records are the journal's only items: the tag 0x02 that in-chain
+  // checkpoints once used, or any other tag, makes the stream corrupt even
+  // when the verifier holds no anchors.
+  AuditJournal journal;
+  for (int i = 0; i < 4; ++i) journal.Append(MakeRecord(i));
+  const ParsedStream clean = ParseStream(journal.Export());
+  ASSERT_TRUE(AuditJournal::Verify(RebuildStream(clean)).ok);
+  for (uint8_t tag : {0x00, 0x02, 0x03, 0xff}) {
+    ParsedStream retagged = clean;
+    retagged.entries[2].first = tag;
+    EXPECT_FALSE(AuditJournal::Verify(RebuildStream(retagged)).ok) << +tag;
+    ParsedStream extended = clean;
+    extended.entries.emplace_back(
+        tag, Encode(uint64_t{4}, journal.head(), Bytes{0xcc}));
+    AuditVerifyReport report = AuditJournal::Verify(RebuildStream(extended));
+    EXPECT_FALSE(report.ok) << +tag;
+    EXPECT_EQ(report.error, "unknown item tag") << +tag;
   }
+}
+
+TEST(AuditJournalProperty, AllInjectedCorruptionsDetected) {
+  AuditJournal journal;
+  constexpr int kRecords = 300;
+  for (int i = 0; i < kRecords; ++i) journal.Append(MakeRecord(i));
   const Bytes exported = journal.Export();
   const Bytes head = journal.head();
-  ASSERT_TRUE(
-      AuditJournal::Verify(exported, &head, kRecords, FakeVerify).ok);
+  ASSERT_TRUE(AuditJournal::Verify(exported, &head, kRecords).ok);
 
   Rng rng(20260807);
   size_t trials = 0, detected = 0;
   auto check_detected = [&](const Bytes& corrupted, const char* what) {
     ++trials;
     AuditVerifyReport report =
-        AuditJournal::Verify(corrupted, &head, kRecords, FakeVerify);
+        AuditJournal::Verify(corrupted, &head, kRecords);
     if (!report.ok) {
       ++detected;
     } else {

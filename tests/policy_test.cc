@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "tc/common/clock.h"
+#include "tc/common/codec.h"
+#include "tc/crypto/sha256.h"
 #include "tc/policy/audit.h"
 #include "tc/policy/sticky_policy.h"
 #include "tc/policy/ucon.h"
@@ -209,14 +211,12 @@ TEST(AuditLogTest, AppendExportVerify) {
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(log.journal()
-                    .Append({.time = 1000 + i,
-                             .subject = "bob",
-                             .action = "read",
-                             .object = "doc-" + std::to_string(i),
-                             .allowed = i % 2 == 0,
-                             .detail = "rule-x"})
-                    .ok());
+    log.journal().Append({.time = 1000 + i,
+                          .subject = "bob",
+                          .action = "read",
+                          .object = "doc-" + std::to_string(i),
+                          .allowed = i % 2 == 0,
+                          .detail = "rule-x"});
   }
   auto exported = log.Export();
   ASSERT_TRUE(exported.ok());
@@ -229,13 +229,120 @@ TEST(AuditLogTest, AppendExportVerify) {
   EXPECT_EQ((*entries)[3].kind, obs::AuditKind::kPolicyDecision);
 }
 
+// A 63-record journal, pinned by the SHA-256 of its stream and by its head.
+// The pins were taken at 0e595a5, whose journal signed a checkpoint into
+// the chain on every 64th record: below that, the record items and the
+// chain are the same bytes with or without in-chain checkpoints.
+TEST(AuditLogTest, SixtyThreeRecordJournalIsPinned) {
+  tee::TrustedExecutionEnvironment tee("audit-pin",
+                                       tee::DeviceClass::kSmartPhone);
+  ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
+  AuditLog log(&tee, "audit");
+  auto numbered = [](std::string prefix, int n) {
+    return prefix += std::to_string(n);
+  };
+  for (int i = 0; i < 63; ++i) {
+    log.journal().Append({.time = 1000 + i,
+                          .kind = static_cast<obs::AuditKind>(1 + i % 5),
+                          .subject = numbered("s", i % 7),
+                          .action = i % 2 == 0 ? "read" : "share",
+                          .object = numbered("doc-", i),
+                          .allowed = i % 3 != 0,
+                          .detail = numbered("rule-", i % 4)});
+  }
+  EXPECT_EQ(HexEncode(crypto::Sha256Hash(log.journal().Export())),
+            "8fefa4574460e3d1ed61e27d4f9cde6157358b0e5ae3c1158763a4ccdfbecc13");
+  EXPECT_EQ(HexEncode(log.journal().head()),
+            "0ec0352f4c006bf64164b4046215ee882323b8e11e4746eef480442819da905c");
+}
+
+// An export's fields: magic | count | chain head | sealed journal | quote.
+struct ExportFields {
+  std::string magic;
+  uint64_t count = 0;
+  Bytes head, sealed, quote;
+};
+
+ExportFields SplitExport(const Bytes& exported) {
+  ExportFields f;
+  TC_CHECK(
+      Decode(exported, &f.magic, &f.count, &f.head, &f.sealed, &f.quote).ok());
+  return f;
+}
+
+Bytes JoinExport(const ExportFields& f) {
+  return Encode(f.magic, f.count, f.head, f.sealed, f.quote);
+}
+
+TEST(AuditLogTest, ExportCarriesOneQuoteOverItsHeadAndCount) {
+  tee::Manufacturer maker("audit-maker");
+  tee::TrustedExecutionEnvironment tee("audit-cell5",
+                                       tee::DeviceClass::kSmartPhone);
+  tee.InstallEndorsement(
+      maker.Endorse("audit-cell5", tee.signing_public_key()));
+  ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
+  AuditLog log(&tee, "audit");
+  for (int i = 0; i < 3; ++i) log.journal().Append(Allowed("read"));
+  auto exported = log.Export();
+  ASSERT_TRUE(exported.ok());
+  const ExportFields fields = SplitExport(*exported);
+  EXPECT_EQ(fields.magic, "tc.audit.export.v3");
+  EXPECT_EQ(fields.count, 3u);
+  EXPECT_EQ(fields.head, log.head_hash());
+  auto quote = DeserializeQuote(fields.quote);
+  ASSERT_TRUE(quote.ok());
+  EXPECT_EQ(quote->nonce, log.head_hash());
+  EXPECT_EQ(quote->claims, "tc.audit.export.3");
+
+  // The caller's check sees that quote; the manufacturer's endorsement
+  // accepts it, another manufacturer's does not.
+  EXPECT_TRUE(AuditLog::VerifyAndDecrypt(*exported, &tee, "audit", 3,
+                                         EndorsedQuoteCheck(tee.endorsement(),
+                                                            maker))
+                  .ok());
+  tee::Manufacturer other("other-maker");
+  EXPECT_TRUE(AuditLog::VerifyAndDecrypt(*exported, &tee, "audit", 3,
+                                         EndorsedQuoteCheck(tee.endorsement(),
+                                                            other))
+                  .status()
+                  .IsIntegrityViolation());
+}
+
+TEST(AuditLogTest, QuoteBindingAnotherHeadOrCountRefused) {
+  tee::TrustedExecutionEnvironment tee("audit-cell6",
+                                       tee::DeviceClass::kSmartPhone);
+  ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
+  AuditLog log(&tee, "audit");
+  for (int i = 0; i < 3; ++i) log.journal().Append(Allowed("read"));
+  auto exported = log.Export();
+  ASSERT_TRUE(exported.ok());
+  ASSERT_TRUE(AuditLog::VerifyAndDecrypt(*exported, &tee, "audit", 3).ok());
+  const ExportFields honest = SplitExport(*exported);
+
+  // Signed by the right TEE, over the wrong anchors: the seal still opens,
+  // so only the quote's own check can refuse it.
+  Bytes other_head = honest.head;
+  other_head[0] ^= 1;
+  for (const tee::Quote& quote :
+       {tee.GenerateQuote(other_head, "tc.audit.export.3"),
+        tee.GenerateQuote(honest.head, "tc.audit.export.4"),
+        tee.GenerateQuote(honest.head, "tc.audit.checkpoint.3")}) {
+    ExportFields forged = honest;
+    forged.quote = SerializeQuote(quote);
+    EXPECT_TRUE(AuditLog::VerifyAndDecrypt(JoinExport(forged), &tee, "audit")
+                    .status()
+                    .IsIntegrityViolation())
+        << quote.claims;
+  }
+}
+
 TEST(AuditLogTest, TamperedEntryDetected) {
   tee::TrustedExecutionEnvironment tee("audit-cell2",
                                        tee::DeviceClass::kSmartPhone);
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(log.journal().Append(Allowed("read")).ok());
+    log.journal().Append(Allowed("read"));
   }
   auto exported_or = log.Export();
   ASSERT_TRUE(exported_or.ok());
@@ -251,13 +358,13 @@ TEST(AuditLogTest, TruncationDetected) {
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(log.journal().Append(Allowed("read")).ok());
+    log.journal().Append(Allowed("read"));
   }
   // A provider that drops the last (incriminating) entry is caught by the
   // expected count.
   AuditLog shorter(&tee, "audit");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(shorter.journal().Append(Allowed("read")).ok());
+    shorter.journal().Append(Allowed("read"));
   }
   auto short_export = shorter.Export();
   ASSERT_TRUE(short_export.ok());
@@ -267,7 +374,7 @@ TEST(AuditLogTest, TruncationDetected) {
 }
 
 TEST(AuditLogTest, InsiderResealReorderingDetected) {
-  // The strongest adversary for the v2 format: an *insider holding the
+  // The strongest adversary for the export format: an *insider holding the
   // AEAD key* who opens the sealed journal, swaps two records, and
   // re-seals under the original associated data. The AEAD accepts the
   // forgery (right key, right AAD) — the hash-chain walk against the
@@ -277,25 +384,21 @@ TEST(AuditLogTest, InsiderResealReorderingDetected) {
   ASSERT_TRUE(tee.keystore().GenerateKey("audit").ok());
   AuditLog log(&tee, "audit");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(log.journal().Append(Allowed("a" + std::to_string(i))).ok());
+    log.journal().Append(Allowed("a" + std::to_string(i)));
   }
   auto exported_or = log.Export();
   ASSERT_TRUE(exported_or.ok());
 
-  // Parse the v2 wire: magic | count | chain head | sealed journal.
-  BinaryReader r(*exported_or);
-  ASSERT_EQ(*r.GetString(), "tc.audit.export.v2");
-  uint64_t count = *r.GetU64();
-  Bytes head = *r.GetBytes();
-  Bytes sealed = *r.GetBytes();
-  auto make_aad = [&count, &head] {
-    BinaryWriter w;
-    w.PutString("tc.audit.v2");
-    w.PutU64(count);
-    w.PutBytes(head);
-    return w.Take();
-  };
-  auto stream = tee.Open("audit", make_aad(), sealed);
+  // Open the sealed journal under the export's associated data, built by
+  // hand: "tc.audit.v2" | count | chain head.
+  ExportFields fields = SplitExport(*exported_or);
+  ASSERT_EQ(fields.magic, "tc.audit.export.v3");
+  BinaryWriter aad_writer;
+  aad_writer.PutString("tc.audit.v2");
+  aad_writer.PutU64(fields.count);
+  aad_writer.PutBytes(fields.head);
+  const Bytes aad = aad_writer.Take();
+  auto stream = tee.Open("audit", aad, fields.sealed);
   ASSERT_TRUE(stream.ok());
 
   // Swap the first two journal items and re-seal under the same AAD.
@@ -316,16 +419,17 @@ TEST(AuditLogTest, InsiderResealReorderingDetected) {
     spliced.PutU8(tag);
     spliced.PutBytes(payload);
   }
-  auto resealed = tee.Seal("audit", make_aad(), spliced.Take());
+  auto resealed = tee.Seal("audit", aad, spliced.Take());
   ASSERT_TRUE(resealed.ok());
-  BinaryWriter w;
-  w.PutString("tc.audit.export.v2");
-  w.PutU64(count);
-  w.PutBytes(head);
-  w.PutBytes(*resealed);
-  EXPECT_TRUE(AuditLog::VerifyAndDecrypt(w.Take(), &tee, "audit", 3)
-                  .status()
-                  .IsIntegrityViolation());
+  // The original quote still names the original head and count, so only
+  // the chain walk can catch the splice.
+  fields.sealed = *resealed;
+  Status verdict =
+      AuditLog::VerifyAndDecrypt(JoinExport(fields), &tee, "audit", 3)
+          .status();
+  EXPECT_TRUE(verdict.IsIntegrityViolation());
+  EXPECT_NE(verdict.message().find("audit journal verify"), std::string::npos)
+      << verdict.ToString();
 }
 
 }  // namespace

@@ -890,13 +890,9 @@ TEST_F(RpcSocketTest, WarmedPoolSurvivesServerRestartWithoutColdConnect) {
   server = StartServer(&cloud, restart_options);
   ASSERT_EQ(server->port(), port);
 
-  // Each connection's reader sees the old server's EOF and marks it dead
-  // (poll up to ~5 s); Warmup then restores the whole pool off the
-  // callers' critical path.
-  for (int i = 0; i < 500 && pool.connected_count() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(pool.connected_count(), 0u);
+  // Warmup restores the whole pool off the callers' critical path, right
+  // away: a connection whose reader has not yet seen the old server's EOF
+  // fails its ping, and Warmup reconnects it and pings again.
   EXPECT_EQ(pool.Warmup(), pool.connection_count());
   EXPECT_EQ(pool.connected_count(), pool.connection_count());
 
@@ -907,6 +903,61 @@ TEST_F(RpcSocketTest, WarmedPoolSurvivesServerRestartWithoutColdConnect) {
     EXPECT_TRUE(call.ok()) << "call " << i << ": " << call.status().ToString();
   }
   pool.Close();
+}
+
+TEST_F(RpcSocketTest, WarmupReconnectsAConnectionWhosePingFindsItDead) {
+  // A scripted peer reads the first connection's ping and closes it
+  // unanswered, the way a restarted provider leaves a connection that
+  // still reads as connected; it answers the ping on the second
+  // connection. The failed ping tore the dead connection down, so Warmup
+  // reconnects and pings once more: one healthy connection out of one.
+  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 2), 0);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread peer([lfd] {
+    FrameHeader request;
+    Bytes payload;
+    int first = ::accept(lfd, nullptr, nullptr);
+    if (first < 0) return;
+    {
+      FrameReader reader(first, /*responses=*/false);
+      (void)reader.Next(&request, &payload);
+    }
+    ::close(first);
+    int second = ::accept(lfd, nullptr, nullptr);
+    if (second < 0) return;
+    FrameReader reader(second, /*responses=*/false);
+    if (reader.Next(&request, &payload).ok()) {
+      FrameHeader reply = request;
+      reply.flags = kFlagResponse;
+      reply.budget_us = 0;
+      reply.payload_size = 0;
+      WriteFull(second, EncodeFrameHeader(reply));
+      // Hold the connection until the client closes it.
+      while (reader.Next(&request, &payload).ok()) {
+      }
+    }
+    ::close(second);
+  });
+  {
+    RpcClientPool::Options pool_options;
+    pool_options.port = ntohs(addr.sin_port);
+    pool_options.connections = 1;
+    pool_options.request_timeout_ms = 2000;
+    RpcClientPool pool(pool_options);
+    EXPECT_EQ(pool.Warmup(), 1u);
+    EXPECT_EQ(pool.connected_count(), 1u);
+  }
+  // Wakes the peer's accept if no second connection ever came.
+  ::shutdown(lfd, SHUT_RDWR);
+  peer.join();
+  ::close(lfd);
 }
 
 TEST_F(RpcSocketTest, PoolExhaustionReturnsUnavailableNotDeadlock) {
