@@ -43,10 +43,10 @@
 //                        (what the export validator schema-checks)
 //   --overload-json PATH  drive every overload-plane mechanism once
 //                        (admission rejection, expired-deadline shed at
-//                        the provider gate and at WorkerPool dequeue,
-//                        CoDel background shed, retry-budget denial) and
-//                        write the global MetricRegistry snapshot JSON so
-//                        the validator can schema-check the plane's
+//                        the provider gate, a band-priority WorkerPool
+//                        run, retry-budget denial) and write the global
+//                        MetricRegistry snapshot JSON so the validator
+//                        can schema-check the plane's
 //                        shed/admission-limit/queue-delay metrics
 
 #include <chrono>
@@ -214,32 +214,19 @@ std::string RunOverloadExerciseJson() {
   }
   cloud.set_admission_controller(nullptr);
 
-  // WorkerPool sheds: one task with an already-expired absolute deadline
-  // (shed_expired at dequeue), then a CoDel run — a 15 ms blocker ages the
-  // queue past target for well over an interval, latching shedding before
-  // the background tasks reach the worker (shed_codel).
+  // Queue delay: a 2 ms blocker holds a one-thread pool's worker while
+  // tasks of every band queue behind it (worker_pool.task_wait_us).
   {
     fleet::WorkerPool::Options options;
     options.threads = 1;
-    options.codel = true;
-    options.codel_target_us = 1000;
-    options.codel_interval_us = 3000;
     fleet::WorkerPool pool(options);
-    fleet::WorkerPool::TaskClass expired;
-    expired.deadline_us = 1;  // OverloadNowUs epoch: long past.
-    TC_CHECK(pool.Submit([] {}, expired));
     TC_CHECK(pool.Submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(15));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }));
-    for (int i = 0; i < 6; ++i) {
-      TC_CHECK(pool.Submit([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }));
-    }
-    for (int i = 0; i < 4; ++i) {
-      fleet::WorkerPool::TaskClass background;
-      background.criticality = Criticality::kBackground;
-      TC_CHECK(pool.Submit([] {}, background));
+    for (Criticality criticality : {Criticality::kBackground,
+                                    Criticality::kNormal,
+                                    Criticality::kCritical}) {
+      TC_CHECK(pool.Submit([] {}, criticality));
     }
     pool.Wait();
   }

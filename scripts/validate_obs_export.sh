@@ -14,9 +14,9 @@
 #      windows with strictly increasing ids, and SLO burn-rate state;
 #   6. the overload-plane metric snapshot (--overload-json) parses and
 #      carries the plane's whole schema with every mechanism provably
-#      fired: shed counters (provider gate, worker-pool deadline re-check,
-#      CoDel aging), admission rejected/limit/in-flight, retry-budget
-#      denials, and the queue-delay histogram.
+#      fired: the provider gate's deadline shed, admission
+#      rejected/limit/in-flight, retry-budget denials, and the queue-delay
+#      histogram.
 #
 # This is the export-side half of the evidence chain: trace_tree_test and
 # telemetry_test assert shape in-process; this script asserts the shape
@@ -161,8 +161,6 @@ hists = snap["histograms"]
 fired = (
     "cloud.overload.shed_expired",       # provider-gate deadline shed
     "cloud.overload.admission_rejected", # limiter pushback
-    "worker_pool.shed_expired",          # deadline re-check at dequeue
-    "worker_pool.shed_codel",            # queue-delay aging
     "net.retry_budget_denied",           # token-bucket retry cap
 )
 for name in fired:

@@ -13,12 +13,12 @@ namespace {
 /// Overload-plane observability, shared by every gate in the process (the
 /// controller itself is common-layer and metric-free).
 struct OverloadMetrics {
-  obs::Counter& shed_expired;
+  obs::Counter& deadline_shed;
   obs::Counter& admission_rejected;
   obs::Gauge& admission_limit;
   obs::Gauge& admission_in_flight;
   OverloadMetrics()
-      : shed_expired(obs::MetricRegistry::Global().GetCounter(
+      : deadline_shed(obs::MetricRegistry::Global().GetCounter(
             "cloud.overload.shed_expired")),
         admission_rejected(obs::MetricRegistry::Global().GetCounter(
             "cloud.overload.admission_rejected")),
@@ -43,7 +43,7 @@ OverloadGate::OverloadGate(AdmissionController* controller,
 void OverloadGate::Enter(AdmissionController* controller,
                          Criticality criticality) {
   if (OverloadDeadlineExpired()) {
-    GetOverloadMetrics().shed_expired.Increment();
+    GetOverloadMetrics().deadline_shed.Increment();
     status_ = Status::DeadlineExceeded(
         "deadline expired before provider execute (shed)");
     return;

@@ -14,12 +14,8 @@ WorkerPool::WorkerPool(const Options& options)
           "worker_pool.task_wait_us")),
       task_run_us_(obs::MetricRegistry::Global().GetHistogram(
           "worker_pool.task_run_us")),
-      tasks_failed_metric_(
-          obs::MetricRegistry::Global().GetCounter("worker_pool.tasks_failed")),
-      shed_expired_metric_(
-          obs::MetricRegistry::Global().GetCounter("worker_pool.shed_expired")),
-      shed_codel_metric_(
-          obs::MetricRegistry::Global().GetCounter("worker_pool.shed_codel")) {
+      tasks_failed_metric_(obs::MetricRegistry::Global().GetCounter(
+          "worker_pool.tasks_failed")) {
   if (options_.threads == 0) options_.threads = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   workers_.reserve(options_.threads);
@@ -36,20 +32,16 @@ size_t WorkerPool::QueuedLocked() const {
   return total;
 }
 
-bool WorkerPool::Submit(std::function<void()> task) {
-  return Submit(std::move(task), TaskClass{});
-}
-
-bool WorkerPool::Submit(std::function<void()> task, TaskClass cls) {
+bool WorkerPool::Submit(std::function<void()> task,
+                        Criticality criticality) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     space_available_.wait(lock, [this] {
       return shutdown_ || QueuedLocked() < options_.queue_capacity;
     });
     if (shutdown_) return false;
-    bands_[CriticalityBand(cls.criticality)].push_back(
-        {std::move(task), obs::detail::SteadyNowUs(), obs::CurrentContext(),
-         cls.deadline_us, std::move(cls.on_shed)});
+    bands_[CriticalityBand(criticality)].push_back(
+        {std::move(task), obs::detail::SteadyNowUs(), obs::CurrentContext()});
     queue_depth_.Set(static_cast<int64_t>(QueuedLocked()));
   }
   work_available_.notify_one();
@@ -93,55 +85,20 @@ void WorkerPool::RecordTaskFailure(const char* what) {
 void WorkerPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;
-    bool shed = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(lock,
                            [this] { return shutdown_ || QueuedLocked() > 0; });
       if (QueuedLocked() == 0) return;  // Shutdown with a drained queue.
       // Strict band priority: critical first, background last — under
-      // backlog, background work waits (and ages into CoDel's shed range)
-      // while foreground traffic keeps moving.
+      // backlog, background work waits while foreground traffic keeps
+      // moving.
       size_t band = 0;
       while (bands_[band].empty()) ++band;
       task = std::move(bands_[band].front());
       bands_[band].pop_front();
       queue_depth_.Set(static_cast<int64_t>(QueuedLocked()));
       ++active_;
-
-      const uint64_t now = obs::detail::SteadyNowUs();
-      const uint64_t sojourn = now - task.enqueue_us;
-      if (options_.codel) {
-        // CoDel-style latch: sojourn continuously above target for one
-        // interval flips shedding mode on; one below-target dequeue flips
-        // it off. While shedding, background tasks are dropped at dequeue
-        // — the backlog drains at shed speed instead of run speed.
-        if (sojourn > options_.codel_target_us) {
-          if (above_target_since_us_ == 0) above_target_since_us_ = now;
-          if (now - above_target_since_us_ >= options_.codel_interval_us) {
-            codel_shedding_ = true;
-          }
-        } else {
-          above_target_since_us_ = 0;
-          codel_shedding_ = false;
-        }
-        if (codel_shedding_ && band == CriticalityBand(Criticality::kBackground)) {
-          shed = true;
-          shed_codel_.fetch_add(1, std::memory_order_relaxed);
-          shed_codel_metric_.Increment();
-        }
-      }
-      // Deadline re-check at dequeue: the budget kept decaying while the
-      // task queued, so "never work on dead requests" is enforced at the
-      // last moment before work would start. Deadlines are absolute
-      // OverloadNowUs() values — a different epoch than SteadyNowUs above
-      // (process-relative), so they get their own clock read.
-      if (!shed && task.deadline_us != 0 &&
-          OverloadNowUs() >= task.deadline_us) {
-        shed = true;
-        shed_expired_.fetch_add(1, std::memory_order_relaxed);
-        shed_expired_metric_.Increment();
-      }
     }
     space_available_.notify_one();
     task_wait_us_.Record(obs::detail::SteadyNowUs() - task.enqueue_us);
@@ -152,16 +109,11 @@ void WorkerPool::WorkerLoop() {
       // submitting operation's span (inert when the submitter was
       // un-traced).
       obs::ScopedTraceContext ctx(task.ctx);
-      obs::TraceSpan span(obs::kChildOnly, "fleet",
-                          shed ? "task_shed" : "task");
+      obs::TraceSpan span(obs::kChildOnly, "fleet", "task");
       // The task boundary is an exception firewall: a throwing task must
       // not unwind out of WorkerLoop (std::terminate) nor poison the pool.
       try {
-        if (shed) {
-          if (task.on_shed) task.on_shed();
-        } else {
-          task.fn();
-        }
+        task.fn();
       } catch (const std::exception& e) {
         RecordTaskFailure(e.what());
       } catch (...) {

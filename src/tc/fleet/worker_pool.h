@@ -23,15 +23,12 @@ namespace tc::fleet {
 /// `queue_capacity` tasks are waiting, so a fleet driver can enqueue a
 /// million cell tasks without holding them all in memory.
 ///
-/// Overload control (PR 10): the queue is split into criticality bands
-/// (critical > normal > background) served strictly in that order, a task
-/// may carry an absolute deadline that is re-checked at dequeue — an
-/// expired task is *shed* (its on_shed callback runs instead of the task,
-/// so a server can still answer the dead request cheaply), and an optional
-/// CoDel-style aging mode sheds *background* tasks whenever queue sojourn
-/// time has exceeded `codel_target_us` continuously for
-/// `codel_interval_us` — background catch-up work is the first casualty of
-/// a building backlog, long before the queue hits capacity.
+/// The queue is split into criticality bands (critical > normal >
+/// background) served strictly in that order, so under backlog background
+/// work waits while foreground traffic keeps moving. The pool runs every
+/// task it accepts: it refuses none for its age. A request's deadline is
+/// the provider gate's to enforce (cloud::OverloadGate), once, just before
+/// the store.
 ///
 /// Shutdown is graceful: already-queued tasks finish, then workers join.
 ///
@@ -45,30 +42,11 @@ namespace tc::fleet {
 ///   worker_pool.task_wait_us   histogram  Submit -> task start (queue delay)
 ///   worker_pool.task_run_us    histogram  task execution time
 ///   worker_pool.tasks_failed   counter    tasks that threw
-///   worker_pool.shed_expired   counter    tasks shed: deadline passed
-///   worker_pool.shed_codel     counter    background tasks shed by aging
 class WorkerPool {
  public:
   struct Options {
     size_t threads = 4;
     size_t queue_capacity = 256;
-    /// CoDel-style queue aging: while dequeue sojourn stays above
-    /// `codel_target_us` for longer than `codel_interval_us`, background
-    /// tasks are shed at dequeue instead of run.
-    bool codel = false;
-    uint64_t codel_target_us = 5000;
-    uint64_t codel_interval_us = 100000;
-  };
-
-  /// Scheduling class of one submitted task.
-  struct TaskClass {
-    Criticality criticality = Criticality::kNormal;
-    /// Absolute OverloadNowUs() deadline; 0 = none. Checked at dequeue:
-    /// an expired task never runs ("never work on dead requests").
-    uint64_t deadline_us = 0;
-    /// Runs (on a worker thread, inside the exception firewall) instead of
-    /// the task when it is shed; empty = shed silently.
-    std::function<void()> on_shed;
   };
 
   explicit WorkerPool(const Options& options);
@@ -78,14 +56,11 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Enqueues a normal-criticality task; blocks while the queue is at
-  /// capacity. Returns false (and drops the task) if the pool is shutting
-  /// down — callers must check and account for the dropped work.
-  [[nodiscard]] bool Submit(std::function<void()> task);
-
-  /// Enqueues with an explicit scheduling class (band, deadline, shed
-  /// handler). Same blocking/shutdown contract as the plain overload.
-  [[nodiscard]] bool Submit(std::function<void()> task, TaskClass cls);
+  /// Enqueues `task` into `criticality`'s band; blocks while the queue is
+  /// at capacity. Returns false (and drops the task) if the pool is
+  /// shutting down — callers must check and account for the dropped work.
+  [[nodiscard]] bool Submit(std::function<void()> task,
+                            Criticality criticality = Criticality::kNormal);
 
   /// Blocks until the queue is empty and every worker is idle. Tasks
   /// submitted concurrently with Wait may or may not be covered — the
@@ -102,14 +77,6 @@ class WorkerPool {
   uint64_t tasks_failed() const {
     return tasks_failed_.load(std::memory_order_relaxed);
   }
-  /// Tasks shed at dequeue because their deadline had already passed.
-  uint64_t shed_expired() const {
-    return shed_expired_.load(std::memory_order_relaxed);
-  }
-  /// Background tasks shed by CoDel queue-delay aging.
-  uint64_t shed_codel() const {
-    return shed_codel_.load(std::memory_order_relaxed);
-  }
 
   /// First task failure, latched: OK while no task has thrown, then an
   /// Internal status carrying the first exception's message forever after.
@@ -123,8 +90,6 @@ class WorkerPool {
     // the task parent under the submitting operation's span (the
     // cross-thread leg of causal trace propagation).
     obs::TraceContext ctx;
-    uint64_t deadline_us = 0;  // Absolute; 0 = none.
-    std::function<void()> on_shed;
   };
 
   void WorkerLoop();
@@ -140,13 +105,7 @@ class WorkerPool {
   size_t active_ = 0;                        // tasks currently running.
   bool shutdown_ = false;
   Status first_error_;                       // guarded by mu_.
-  // CoDel state (guarded by mu_): when dequeue sojourn first went above
-  // target (0 = currently below), and whether shedding mode is latched.
-  uint64_t above_target_since_us_ = 0;
-  bool codel_shedding_ = false;
   std::atomic<uint64_t> tasks_failed_{0};
-  std::atomic<uint64_t> shed_expired_{0};
-  std::atomic<uint64_t> shed_codel_{0};
   std::mutex join_mu_;
   std::vector<std::thread> workers_;
 
@@ -155,8 +114,6 @@ class WorkerPool {
   obs::Histogram& task_wait_us_;
   obs::Histogram& task_run_us_;
   obs::Counter& tasks_failed_metric_;
-  obs::Counter& shed_expired_metric_;
-  obs::Counter& shed_codel_metric_;
 };
 
 }  // namespace tc::fleet

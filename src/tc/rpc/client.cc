@@ -10,7 +10,6 @@
 #include <chrono>
 
 #include "tc/net/backoff.h"
-#include "tc/obs/metrics.h"
 #include "tc/obs/trace.h"
 
 namespace tc::rpc {
@@ -28,6 +27,18 @@ class InFlightSlot {
 };
 
 }  // namespace
+
+RpcClientPool::Metrics::Metrics()
+    : calls(obs::MetricRegistry::Global().GetCounter("rpc.client.calls")),
+      transport_errors(obs::MetricRegistry::Global().GetCounter(
+          "rpc.client.transport_errors")),
+      timeouts(obs::MetricRegistry::Global().GetCounter("rpc.client.timeouts")),
+      exhausted(
+          obs::MetricRegistry::Global().GetCounter("rpc.client.exhausted")),
+      pushbacks(
+          obs::MetricRegistry::Global().GetCounter("rpc.client.pushbacks")),
+      call_us(
+          obs::MetricRegistry::Global().GetHistogram("rpc.client.call_us")) {}
 
 RpcClientPool::RpcClientPool(const Options& options) : options_(options) {
   size_t n = options_.connections == 0 ? 1 : options_.connections;
@@ -172,15 +183,14 @@ void RpcClientPool::ReaderLoop(Conn* conn, int fd, uint64_t generation) {
 }
 
 Result<Bytes> RpcClientPool::Call(RpcOp op, const Bytes& payload) {
-  auto& registry = obs::MetricRegistry::Global();
-  registry.GetCounter("rpc.client.calls").Increment();
+  metrics_.calls.Increment();
   if (closed_.load(std::memory_order_acquire)) {
     return Status::Unavailable("client pool closed");
   }
   if (in_flight_.fetch_add(1, std::memory_order_relaxed) >=
       static_cast<int64_t>(options_.max_in_flight)) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.client.exhausted").Increment();
+    metrics_.exhausted.Increment();
     return Status::Unavailable("rpc client pool exhausted");
   }
   InFlightSlot slot(in_flight_);
@@ -192,10 +202,9 @@ Result<Bytes> RpcClientPool::Call(RpcOp op, const Bytes& payload) {
 
 Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
                                         const Bytes& payload) {
-  auto& registry = obs::MetricRegistry::Global();
   obs::Stopwatch call_timer;
   if (!EnsureConnected(conn)) {
-    registry.GetCounter("rpc.client.transport_errors").Increment();
+    metrics_.transport_errors.Increment();
     return Status::Unavailable("rpc server unreachable");
   }
 
@@ -219,7 +228,8 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
   h.payload_size = static_cast<uint32_t>(payload.size());
   // Deadline propagation rides next to trace context: the calling thread's
   // remaining budget and criticality go into the frame header so the
-  // server can queue-prioritize this request and shed it once dead.
+  // server can queue-prioritize this request and the provider's gate can
+  // refuse it once dead.
   {
     const OverloadContext& octx = CurrentOverloadContext();
     h.set_criticality(octx.criticality);
@@ -250,7 +260,7 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
     TearDown(conn, generation);
     std::lock_guard<std::mutex> lock(conn.mu);
     conn.pending.erase(id);
-    registry.GetCounter("rpc.client.transport_errors").Increment();
+    metrics_.transport_errors.Increment();
     return Status::Unavailable("rpc send failed");
   }
 
@@ -269,19 +279,19 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
     if (pending->done) break;
     if (!budget.Charge(waited.ElapsedUs() + 1)) {
       conn.pending.erase(id);
-      registry.GetCounter("rpc.client.timeouts").Increment();
+      metrics_.timeouts.Increment();
       return Status::DeadlineExceeded("rpc response deadline exceeded");
     }
   }
-  registry.GetHistogram("rpc.client.call_us").Record(call_timer.ElapsedUs());
+  metrics_.call_us.Record(call_timer.ElapsedUs());
   if (!pending->status.ok()) {
-    registry.GetCounter("rpc.client.transport_errors").Increment();
+    metrics_.transport_errors.Increment();
     return pending->status;
   }
   if ((pending->flags & kFlagPushback) != 0) {
     // Server shed this request: deposit its retry-after hint on the
     // calling thread for the retry loop above to honor.
-    registry.GetCounter("rpc.client.pushbacks").Increment();
+    metrics_.pushbacks.Increment();
     SetRetryAfterHint(pending->budget_us);
   }
   return std::move(pending->response);

@@ -13,6 +13,7 @@
 
 #include "tc/common/bytes.h"
 #include "tc/common/result.h"
+#include "tc/obs/metrics.h"
 #include "tc/rpc/wire.h"
 
 namespace tc::rpc {
@@ -57,8 +58,9 @@ namespace tc::rpc {
 /// server always admits, so reconnection keeps working while the server
 /// is saturated.
 ///
-/// Metrics: rpc.client.calls / .transport_errors / .timeouts /
-/// .exhausted / .pushbacks counters, rpc.client.call_us histogram.
+/// Metrics (resolved at construction): rpc.client.calls /
+/// .transport_errors / .timeouts / .exhausted / .pushbacks counters,
+/// rpc.client.call_us histogram.
 class RpcClientPool {
  public:
   struct Options {
@@ -103,6 +105,18 @@ class RpcClientPool {
   size_t connection_count() const { return conns_.size(); }
 
  private:
+  /// Handles into the global registry, resolved once at construction; the
+  /// hot path only touches the relaxed atomics inside.
+  struct Metrics {
+    Metrics();
+    obs::Counter& calls;
+    obs::Counter& transport_errors;
+    obs::Counter& timeouts;
+    obs::Counter& exhausted;
+    obs::Counter& pushbacks;
+    obs::Histogram& call_us;
+  };
+
   struct PendingCall {
     RpcOp op = RpcOp::kPing;  ///< The request's op; its reply must echo it.
     Bytes response;
@@ -149,6 +163,7 @@ class RpcClientPool {
   std::atomic<size_t> next_conn_{0};
   std::atomic<int64_t> in_flight_{0};
   std::atomic<bool> closed_{false};
+  Metrics metrics_;
 };
 
 }  // namespace tc::rpc

@@ -7,8 +7,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
-#include "tc/obs/metrics.h"
 #include "tc/obs/trace.h"
 
 namespace tc::rpc {
@@ -20,6 +20,29 @@ namespace {
 constexpr size_t kQueueCapacity = 256;
 
 }  // namespace
+
+RpcServer::Metrics::Metrics()
+    : accepted(obs::MetricRegistry::Global().GetCounter("rpc.server.accepted")),
+      connections(
+          obs::MetricRegistry::Global().GetGauge("rpc.server.connections")),
+      requests(obs::MetricRegistry::Global().GetCounter("rpc.server.requests")),
+      malformed(
+          obs::MetricRegistry::Global().GetCounter("rpc.server.malformed")),
+      bytes_in(obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_in")),
+      bytes_out(
+          obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_out")),
+      in_flight(obs::MetricRegistry::Global().GetGauge("rpc.server.in_flight")),
+      dispatch_us(obs::MetricRegistry::Global().GetHistogram(
+          "rpc.server.dispatch_us")) {
+  // Per-op latency alongside the overall dispatch histogram, so the wire
+  // tax of each operation class is continuously visible (not bench-only).
+  for (size_t code = 0; code < op_us.size(); ++code) {
+    if (!RpcOpKnown(static_cast<uint8_t>(code))) continue;
+    op_us[code] = &obs::MetricRegistry::Global().GetHistogram(
+        std::string("rpc.server.") + RpcOpName(static_cast<RpcOp>(code)) +
+        "_us");
+  }
+}
 
 RpcServer::RpcServer(cloud::CloudInfrastructure* cloud,
                      const Options& options)
@@ -75,7 +98,6 @@ Status RpcServer::Start() {
   }
   port_ = ntohs(bound.sin_port);
   listen_fd_.store(fd, std::memory_order_release);
-  shutting_down_.store(false, std::memory_order_release);
   pool_ = std::make_unique<fleet::WorkerPool>(fleet::WorkerPool::Options{
       options_.worker_threads, kQueueCapacity});
   running_.store(true, std::memory_order_release);
@@ -85,7 +107,6 @@ Status RpcServer::Start() {
 
 void RpcServer::Shutdown() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  shutting_down_.store(true, std::memory_order_release);
 
   // 1. Stop accepting: closing the listener wakes the accept loop. The
   //    exchange retires the fd so the accept thread (which re-reads it
@@ -130,15 +151,10 @@ RpcServer::Stats RpcServer::stats() const {
   s.requests = requests_.load(std::memory_order_relaxed);
   s.malformed = malformed_.load(std::memory_order_relaxed);
   s.version_mismatch = version_mismatch_.load(std::memory_order_relaxed);
-  s.shed_expired = shed_expired_.load(std::memory_order_relaxed);
   return s;
 }
 
 void RpcServer::AcceptLoop() {
-  auto& accepted_metric =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.accepted");
-  auto& connections =
-      obs::MetricRegistry::Global().GetGauge("rpc.server.connections");
   while (running_.load(std::memory_order_acquire)) {
     int lfd = listen_fd_.load(std::memory_order_acquire);
     if (lfd < 0) break;  // Shutdown retired the listener.
@@ -154,8 +170,8 @@ void RpcServer::AcceptLoop() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_metric.Increment();
-    connections.Add(1);
+    metrics_.accepted.Increment();
+    metrics_.connections.Add(1);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     {
@@ -167,10 +183,6 @@ void RpcServer::AcceptLoop() {
 }
 
 void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
-  auto& malformed_metric =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.malformed");
-  auto& bytes_in =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_in");
   FrameReader reader(conn->fd, /*responses=*/false);
   FrameHeader h;
   Bytes payload;
@@ -182,13 +194,13 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       // be framed safely, so the only clean recovery is closing the
       // connection (the client reconnects and retries under its token).
       malformed_.fetch_add(1, std::memory_order_relaxed);
-      malformed_metric.Increment();
+      metrics_.malformed.Increment();
       if (framed.code() == StatusCode::kUnimplemented) {
         version_mismatch_.fetch_add(1, std::memory_order_relaxed);
       }
       break;
     }
-    bytes_in.Increment(kFrameHeaderBytes + payload.size());
+    metrics_.bytes_in.Increment(kFrameHeaderBytes + payload.size());
     requests_.fetch_add(1, std::memory_order_relaxed);
     // Effective criticality: wire bits, except ping and telemetry
     // scrapes are always critical — client pools must keep their
@@ -203,24 +215,17 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       std::lock_guard<std::mutex> lock(conn->write_mu);
       ++conn->in_flight;
     }
-    // Hand the frame to the pool with its scheduling class: the wire
-    // budget becomes an absolute deadline re-checked at dequeue, and a
-    // shed request is still *answered* (on_shed) so the client learns
-    // immediately instead of timing out. Submit blocks on a full queue,
-    // which is exactly the backpressure we want per connection; false
-    // means the server is shutting down and this request is dropped
-    // *unread by the dispatcher* — the client sees the connection
-    // close, not a lost ack.
-    fleet::WorkerPool::TaskClass cls;
-    cls.criticality = crit;
-    cls.deadline_us = h.budget_us != 0 ? arrival_us + h.budget_us : 0;
-    cls.on_shed = [this, conn, h] { RespondShed(conn, h); };
+    // Hand the frame to the pool in its criticality band. Submit blocks on
+    // a full queue, which is exactly the backpressure we want per
+    // connection; false means the server is shutting down and this
+    // request is dropped *unread by the dispatcher* — the client sees the
+    // connection close, not a lost ack.
     bool submitted = pool_->Submit(
         [this, conn, h, crit, arrival_us,
          payload = std::move(payload)]() mutable {
           Dispatch(conn, h, crit, arrival_us, std::move(payload));
         },
-        std::move(cls));
+        crit);
     if (!submitted) {
       std::lock_guard<std::mutex> lock(conn->write_mu);
       --conn->in_flight;
@@ -241,21 +246,13 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     conn->fd = -1;
   }
   lock.unlock();
-  obs::MetricRegistry::Global().GetGauge("rpc.server.connections").Add(-1);
+  metrics_.connections.Add(-1);
 }
 
 void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
                          Criticality criticality, uint64_t arrival_us,
                          Bytes payload) {
-  auto& registry = obs::MetricRegistry::Global();
-  auto& in_flight = registry.GetGauge("rpc.server.in_flight");
-  auto& dispatch_us = registry.GetHistogram("rpc.server.dispatch_us");
-  // Per-op latency alongside the overall dispatch histogram, so the wire
-  // tax of each operation class is continuously visible (not bench-only).
-  auto& op_us = registry.GetHistogram(std::string("rpc.server.") +
-                                      RpcOpName(header.op) + "_us");
-  auto& requests_metric = registry.GetCounter("rpc.server.requests");
-  in_flight.Add(1);
+  metrics_.in_flight.Add(1);
   obs::Stopwatch timer;
   Status decode_ok = Status::OK();
   Bytes response;
@@ -266,9 +263,9 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
     // trace propagation.
     obs::ScopedTraceContext scoped(header.trace);
     // Arm the overload context with what is LEFT of the wire budget after
-    // the queue wait: the provider's gate re-checks it before touching the
-    // store ("never work on dead requests"). A budget that ran out between
-    // dequeue and here arms as 1µs — already expired, shed at the gate.
+    // the queue wait: the provider's gate checks it before touching the
+    // store ("never work on dead requests"). A budget that ran out in the
+    // queue arms as 1µs — already expired, refused at the gate.
     OverloadContext octx;
     octx.criticality = criticality;
     if (header.budget_us != 0) {
@@ -287,7 +284,7 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
     // is still framed, but this connection's peer is speaking garbage —
     // treat like a malformed frame and drop the connection.
     malformed_.fetch_add(1, std::memory_order_relaxed);
-    registry.GetCounter("rpc.server.malformed").Increment();
+    metrics_.malformed.Increment();
     ShutdownConnection(*conn, SHUT_RDWR);
   } else {
     FrameHeader h = header;
@@ -298,36 +295,12 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
     Bytes frame = EncodeFrameHeader(h);
     frame.insert(frame.end(), response.begin(), response.end());
     WriteFrames(*conn, frame);
-    requests_metric.Increment();
+    metrics_.requests.Increment();
   }
   uint64_t elapsed = timer.ElapsedUs();
-  dispatch_us.Record(elapsed);
-  op_us.Record(elapsed);
-  in_flight.Add(-1);
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    --conn->in_flight;
-    conn->drained.notify_all();
-  }
-}
-
-void RpcServer::RespondShed(const std::shared_ptr<Connection>& conn,
-                            FrameHeader header) {
-  // The pool sheds only a request whose own deadline ran out in the queue:
-  // retrying is pointless, the caller's budget is gone.
-  shed_expired_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricRegistry::Global()
-      .GetCounter("rpc.server.shed_expired")
-      .Increment();
-  FrameHeader rh = header;
-  rh.flags |= kFlagResponse;
-  rh.budget_us = 0;
-  Bytes body = EncodeStatusOnlyResponse(
-      header.op, Status::DeadlineExceeded("deadline expired in server queue"));
-  rh.payload_size = static_cast<uint32_t>(body.size());
-  Bytes frame = EncodeFrameHeader(rh);
-  frame.insert(frame.end(), body.begin(), body.end());
-  WriteFrames(*conn, frame);
+  metrics_.dispatch_us.Record(elapsed);
+  metrics_.op_us[static_cast<size_t>(header.op)]->Record(elapsed);
+  metrics_.in_flight.Add(-1);
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     --conn->in_flight;
@@ -394,15 +367,13 @@ void RpcServer::WriteFrames(Connection& conn, const Bytes& frames) {
   // Every response frame of a burst goes out in ONE send: with TCP_NODELAY
   // a per-response (or split header/payload) write would put each response
   // on the wire as its own packet.
-  auto& bytes_out =
-      obs::MetricRegistry::Global().GetCounter("rpc.server.bytes_out");
   std::lock_guard<std::mutex> lock(conn.write_mu);
   if (!conn.open.load(std::memory_order_acquire) || conn.fd < 0) return;
   if (!WriteFull(conn.fd, frames)) {
     // Peer gone mid-write; reader will notice EOF and wind down.
     return;
   }
-  bytes_out.Increment(frames.size());
+  metrics_.bytes_out.Increment(frames.size());
 }
 
 void RpcServer::ShutdownConnection(Connection& conn, int how) {

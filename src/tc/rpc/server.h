@@ -1,6 +1,7 @@
 #ifndef TC_RPC_SERVER_H_
 #define TC_RPC_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/status.h"
 #include "tc/fleet/worker_pool.h"
+#include "tc/obs/metrics.h"
 #include "tc/rpc/wire.h"
 
 namespace tc::rpc {
@@ -53,21 +55,23 @@ namespace tc::rpc {
 /// kScrapeTelemetry are forced kCritical: they are served first from the
 /// pool's queue, kPing never reaches the provider and the gate never turns
 /// a scrape away, so client pools keep probing and operators keep
-/// observing a saturated server. A request enters the WorkerPool with its
-/// wire criticality band and an absolute deadline derived from the frame's
-/// budget_us; the pool re-checks that deadline at dequeue (it runs no
-/// CoDel aging here), and a request that died in the queue is answered
-/// kDeadlineExceeded by the on_shed hook without ever touching the
-/// provider.
+/// observing a saturated server. A request enters the WorkerPool's band
+/// for its wire criticality, and the pool runs every request it accepts.
+/// Dispatch arms what is left of the frame's budget_us after the queue
+/// wait (1µs once it is spent), so a request that died in the queue is
+/// refused kDeadlineExceeded by the provider gate before it touches the
+/// store, exactly as on the in-process path. The gate is the only place a
+/// request is refused for its deadline.
 ///
-/// Metrics (tc::obs global registry):
+/// Metrics (tc::obs global registry, resolved at construction):
 ///   rpc.server.accepted        counter  connections accepted
+///   rpc.server.connections     gauge    connections open
 ///   rpc.server.requests        counter  frames dispatched
 ///   rpc.server.malformed       counter  frames rejected (conn closed)
 ///   rpc.server.bytes_in/out    counter  payload+header bytes
 ///   rpc.server.in_flight       gauge    requests inside the pool
 ///   rpc.server.dispatch_us     histogram  read-to-response-written
-///   rpc.server.shed_expired    counter  answered dead from the queue
+///   rpc.server.<op>_us         histogram  the same, per RpcOp
 class RpcServer {
  public:
   struct Options {
@@ -80,7 +84,6 @@ class RpcServer {
     uint64_t requests = 0;
     uint64_t malformed = 0;   ///< Bad frames (each closed its connection).
     uint64_t version_mismatch = 0;
-    uint64_t shed_expired = 0;  ///< Answered dead (deadline passed in queue).
   };
 
   RpcServer(cloud::CloudInfrastructure* cloud, const Options& options);
@@ -106,6 +109,23 @@ class RpcServer {
   static bool LoopbackAvailable();
 
  private:
+  /// Handles into the global registry, resolved once at construction; the
+  /// hot path only touches the relaxed atomics inside.
+  struct Metrics {
+    Metrics();
+    obs::Counter& accepted;
+    obs::Gauge& connections;
+    obs::Counter& requests;
+    obs::Counter& malformed;
+    obs::Counter& bytes_in;
+    obs::Counter& bytes_out;
+    obs::Gauge& in_flight;
+    obs::Histogram& dispatch_us;
+    /// rpc.server.<op>_us, indexed by the op's wire code (null for codes
+    /// that name no op; the frame reader rejects those).
+    std::array<obs::Histogram*, kMaxKnownOp + 1> op_us{};
+  };
+
   struct Connection {
     int fd = -1;
     std::thread reader;
@@ -125,10 +145,6 @@ class RpcServer {
   /// origin of its absolute deadline).
   void Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
                 Criticality criticality, uint64_t arrival_us, Bytes payload);
-  /// Answers kDeadlineExceeded for a request whose deadline ran out in the
-  /// pool's queue, without executing it.
-  void RespondShed(const std::shared_ptr<Connection>& conn,
-                   FrameHeader header);
   /// Decodes one request's fields, calls its *Rpc endpoint and encodes
   /// the result into `*response`. Fails when the payload behind a
   /// well-formed header does not decode (the caller drops the connection).
@@ -148,7 +164,6 @@ class RpcServer {
   std::atomic<int> listen_fd_{-1};
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> shutting_down_{false};
   std::thread accept_thread_;
   std::unique_ptr<fleet::WorkerPool> pool_;
   std::mutex conns_mu_;
@@ -158,7 +173,7 @@ class RpcServer {
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> malformed_{0};
   std::atomic<uint64_t> version_mismatch_{0};
-  std::atomic<uint64_t> shed_expired_{0};
+  Metrics metrics_;
 };
 
 }  // namespace tc::rpc

@@ -8,7 +8,6 @@ namespace tc::rpc {
 
 namespace {
 
-constexpr uint8_t kMaxKnownOp = static_cast<uint8_t>(RpcOp::kScrapeTelemetry);
 /// Op code 1, the retired put_blob_batch, is never reused.
 constexpr uint8_t kRetiredOp = 1;
 

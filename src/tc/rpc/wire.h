@@ -98,6 +98,10 @@ enum class RpcOp : uint8_t {
   kScrapeTelemetry = 7,
 };
 
+/// The highest op code in use; a header naming a higher one is malformed.
+inline constexpr uint8_t kMaxKnownOp =
+    static_cast<uint8_t>(RpcOp::kScrapeTelemetry);
+
 const char* RpcOpName(RpcOp op);
 bool RpcOpKnown(uint8_t op);
 

@@ -11,6 +11,13 @@ namespace tc::testing {
 using storage::LogStore;
 using storage::LogStoreOptions;
 
+namespace {
+
+/// Violations whose text a report keeps (the count keeps rising).
+constexpr size_t kMaxViolationDetails = 8;
+
+}  // namespace
+
 std::vector<WorkloadOp> MakeMixedWorkload(
     const MixedWorkloadOptions& options) {
   Rng rng(options.seed);
@@ -45,7 +52,7 @@ CrashPointRunner::CrashPointRunner(Options options,
 void CrashPointRunner::AddViolation(CrashPointReport* report,
                                     const std::string& detail) {
   ++report->violations;
-  if (report->violation_details.size() < options_.max_violation_details) {
+  if (report->violation_details.size() < kMaxViolationDetails) {
     report->violation_details.push_back(detail);
   }
 }
@@ -87,9 +94,10 @@ Result<CrashPointReport> CrashPointRunner::Run(
 
   for (uint64_t k = 1; k <= report.write_ops; ++k) {
     RunOneCrashTrial(workload, k, /*torn=*/false, &report);
-    // A torn-prefix variant is a distinct flash state only for programs;
-    // an interrupted erase already randomizes its own residue.
-    if (options_.torn_variants && erase_ordinals.count(k) == 0) {
+    // Every program crash point reruns with a torn (prefix-persisted) page
+    // image. A torn-prefix variant is a distinct flash state only for
+    // programs; an interrupted erase already randomizes its own residue.
+    if (erase_ordinals.count(k) == 0) {
       RunOneCrashTrial(workload, k, /*torn=*/true, &report);
     }
   }

@@ -80,11 +80,7 @@ class CrashPointRunner {
   struct Options {
     storage::FlashGeometry geometry;
     storage::LogStoreOptions store_options;
-    /// Also rerun every program crash point with a torn (prefix-persisted)
-    /// page image.
-    bool torn_variants = true;
     uint64_t seed = 1;
-    size_t max_violation_details = 8;
   };
 
   /// `transforms` is invoked once per trial: each simulated device needs a

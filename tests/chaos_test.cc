@@ -25,7 +25,7 @@
 #include "tc/cloud/infrastructure.h"
 #include "tc/common/clock.h"
 #include "tc/fleet/fleet.h"
-#include "tc/rpc/wire_harness.h"
+#include "wire_harness.h"
 #include "tc/testing/history_checker.h"
 
 namespace tc {

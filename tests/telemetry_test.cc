@@ -28,7 +28,7 @@
 #include "tc/obs/flight_recorder.h"
 #include "tc/obs/metrics.h"
 #include "tc/obs/telemetry.h"
-#include "tc/rpc/wire_harness.h"
+#include "wire_harness.h"
 
 namespace tc {
 namespace {

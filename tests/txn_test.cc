@@ -23,7 +23,7 @@
 #include "tc/fleet/fleet.h"
 #include "tc/net/channel.h"
 #include "tc/net/outbox.h"
-#include "tc/rpc/wire_harness.h"
+#include "wire_harness.h"
 #include "tc/storage/log_store.h"
 #include "tc/storage/page_transform.h"
 #include "tc/testing/fault_injection.h"

@@ -1,9 +1,12 @@
-#ifndef TC_RPC_WIRE_HARNESS_H_
-#define TC_RPC_WIRE_HARNESS_H_
+#ifndef TC_TESTS_WIRE_HARNESS_H_
+#define TC_TESTS_WIRE_HARNESS_H_
 
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include "tc/cloud/infrastructure.h"
+#include "tc/common/macros.h"
 #include "tc/net/transport.h"
 #include "tc/rpc/server.h"
 #include "tc/rpc/socket_transport.h"
@@ -11,7 +14,7 @@
 namespace tc::rpc {
 
 /// Per-fixture switch that reruns an existing test suite over real
-/// loopback sockets.
+/// loopback sockets (test-only; the suites include it directly).
 ///
 /// Usage in a test body (declare AFTER the cloud + injector so it is torn
 /// down first):
@@ -33,16 +36,29 @@ namespace tc::rpc {
 /// (seed, ordinal, op) regardless of transport.
 class WireHarness {
  public:
-  struct Options {
-    size_t server_threads = 4;
-    size_t client_connections = 2;
-    uint64_t request_timeout_ms = 20000;
-    Options() {}
-  };
+  static constexpr size_t kServerThreads = 4;
+  static constexpr size_t kClientConnections = 2;
+  static constexpr uint64_t kRequestTimeoutMs = 20000;
 
-  explicit WireHarness(cloud::CloudInfrastructure* cloud,
-                       const Options& options = {});
-  ~WireHarness();
+  explicit WireHarness(cloud::CloudInfrastructure* cloud) {
+    if (!SocketRequested() || !RpcServer::LoopbackAvailable()) return;
+    RpcServer::Options server_options;
+    server_options.worker_threads = kServerThreads;
+    server_ = std::make_unique<RpcServer>(cloud, server_options);
+    Status started = server_->Start();
+    TC_CHECK(started.ok());  // LoopbackAvailable() was probed above.
+    RpcClientPool::Options pool_options;
+    pool_options.connections = kClientConnections;
+    pool_options.request_timeout_ms = kRequestTimeoutMs;
+    transport_ = std::make_unique<SocketTransport>("127.0.0.1",
+                                                   server_->port(),
+                                                   pool_options);
+  }
+  ~WireHarness() {
+    // Client first (fail outstanding calls), then the server.
+    transport_.reset();
+    server_.reset();
+  }
 
   WireHarness(const WireHarness&) = delete;
   WireHarness& operator=(const WireHarness&) = delete;
@@ -50,15 +66,23 @@ class WireHarness {
   /// SocketTransport when TC_TRANSPORT=socket and loopback works;
   /// nullptr otherwise (callers pass it straight through — nullptr means
   /// "default in-process path").
-  net::CloudTransport* transport();
+  net::CloudTransport* transport() { return transport_.get(); }
 
   /// True when the environment asked for the socket leg.
-  static bool SocketRequested();
+  static bool SocketRequested() {
+    const char* v = std::getenv("TC_TRANSPORT");
+    return v != nullptr && std::strcmp(v, "socket") == 0;
+  }
   /// Non-null reason string when the socket leg was requested but cannot
   /// run here (no loopback). Tests GTEST_SKIP() with it.
-  static const char* SkipReason();
-
-  RpcServer* server() { return server_.get(); }
+  static const char* SkipReason() {
+    if (!SocketRequested()) return nullptr;
+    if (!RpcServer::LoopbackAvailable()) {
+      return "TC_TRANSPORT=socket requested but loopback TCP sockets are "
+             "unavailable in this environment";
+    }
+    return nullptr;
+  }
 
  private:
   std::unique_ptr<RpcServer> server_;
@@ -67,4 +91,4 @@ class WireHarness {
 
 }  // namespace tc::rpc
 
-#endif  // TC_RPC_WIRE_HARNESS_H_
+#endif  // TC_TESTS_WIRE_HARNESS_H_
