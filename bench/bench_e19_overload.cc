@@ -256,9 +256,11 @@ int main() {
   bool ok = true;
 
   // --- Leg 1: goodput vs offered load ---
-  // Warm-up, discarded: on the first run after the host has idled, the
-  // first points ran cold (plane-ON 0.5x/1x rows of about 99 and 6-10
-  // good/s against ~196/~385 on the runs after), so the sweep starts warm.
+  // Warm-up, discarded. On the first run after the host has idled, the
+  // plane-ON 0.5x/1x rows read about 99 and 6-10 good/s against ~196/~385
+  // warm. In the one cold run measured with this point in place the 1x
+  // row read 331 but the 0.5x row still read 98; what runs cold is not
+  // known yet (ROADMAP item 15).
   (void)RunLoadPoint(1, base_threads, true);
   std::printf("-- goodput vs offered load, plane ON --\n");
   std::vector<SweepPoint> on_points;

@@ -235,8 +235,10 @@ Result<Bytes> RpcClientPool::CallOnConn(Conn& conn, RpcOp op,
     h.set_criticality(octx.criticality);
     const uint64_t remaining = OverloadRemainingUs();
     if (octx.has_deadline() && remaining != UINT64_MAX) {
+      // A budget spent before the frame is stamped goes out as 1µs, not
+      // as 0 ("no deadline"): the provider gate refuses it.
       h.budget_us = static_cast<uint32_t>(
-          std::min<uint64_t>(remaining, UINT32_MAX));
+          std::clamp<uint64_t>(remaining, 1, UINT32_MAX));
     }
   }
   // One coalesced send per message: with TCP_NODELAY a split header/payload

@@ -262,17 +262,15 @@ void RpcServer::Dispatch(std::shared_ptr<Connection> conn, FrameHeader header,
     // operation that issued this RPC — the cross-process leg of causal
     // trace propagation.
     obs::ScopedTraceContext scoped(header.trace);
-    // Arm the overload context with what is LEFT of the wire budget after
-    // the queue wait: the provider's gate checks it before touching the
-    // store ("never work on dead requests"). A budget that ran out in the
-    // queue arms as 1µs — already expired, refused at the gate.
+    // Arm the wire budget from the frame's arrival, not from now: the queue
+    // wait counts against it, and the provider's gate reads it as expired
+    // exactly when the clock reaches arrival + budget ("never work on dead
+    // requests"). A request that died in the queue is refused there,
+    // before the store.
     OverloadContext octx;
     octx.criticality = criticality;
-    if (header.budget_us != 0) {
-      const uint64_t now = OverloadNowUs();
-      const uint64_t deadline = arrival_us + header.budget_us;
-      octx.budget_us = deadline > now ? deadline - now : 1;
-    }
+    octx.budget_us = header.budget_us;
+    octx.armed_at_us = arrival_us;
     ScopedOverloadContext overload_scope(octx);
     decode_ok = Execute(header.op, payload, &response);
   }

@@ -57,11 +57,11 @@ namespace tc::rpc {
 /// a scrape away, so client pools keep probing and operators keep
 /// observing a saturated server. A request enters the WorkerPool's band
 /// for its wire criticality, and the pool runs every request it accepts.
-/// Dispatch arms what is left of the frame's budget_us after the queue
-/// wait (1µs once it is spent), so a request that died in the queue is
-/// refused kDeadlineExceeded by the provider gate before it touches the
-/// store, exactly as on the in-process path. The gate is the only place a
-/// request is refused for its deadline.
+/// Dispatch arms the frame's budget_us as of the request's arrival, so the
+/// queue wait counts against it: a request that died in the queue reads
+/// as expired at the provider gate and is refused kDeadlineExceeded before
+/// it touches the store, exactly as on the in-process path. The gate is
+/// the only place a request is refused for its deadline.
 ///
 /// Metrics (tc::obs global registry, resolved at construction):
 ///   rpc.server.accepted        counter  connections accepted

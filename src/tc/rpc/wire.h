@@ -35,7 +35,8 @@ namespace tc::rpc {
 //       32    8 parent_id    cell operation that issued the RPC
 //       40    4 payload_size bytes following the header; capped
 //       44    4 budget_us    request: caller's remaining deadline budget in
-//                            microseconds (0 = no deadline) — deadline
+//                            microseconds (0 = no deadline; a spent one
+//                            is sent as 1) — deadline
 //                            propagation rides next to trace context;
 //                            response with the pushback flag: the server's
 //                            retry-after hint. Was `reserved` (always 0) in
@@ -112,8 +113,9 @@ struct FrameHeader {
   uint64_t request_id = 0;
   obs::TraceContext trace;
   uint32_t payload_size = 0;
-  /// Request: remaining deadline budget (µs, 0 = none); response with the
-  /// pushback flag: server retry-after hint (µs).
+  /// Request: remaining deadline budget (µs, 0 = none, 1 = spent before
+  /// sending); response with the pushback flag: server retry-after hint
+  /// (µs).
   uint32_t budget_us = 0;
 
   bool response() const { return (flags & kFlagResponse) != 0; }

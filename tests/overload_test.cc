@@ -579,7 +579,7 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   rpc::SocketTransport victim("127.0.0.1", server.port());
   // Connect before arming the tiny budget: a lazy TCP connect inside the
   // overload context would burn the whole 5ms before the frame is even
-  // stamped (remaining 0 encodes as "no deadline" on the wire).
+  // stamped, and the victim would die before it reached the queue.
   ASSERT_GE(victim.pool().Warmup(), 1u);
   ASSERT_GE(hog_transport.pool().Warmup(), 1u);
 
@@ -595,8 +595,8 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   EXPECT_EQ(injector.ordinals_issued(), 1u);
 
   // 5ms of budget, ~50ms of queue ahead: the server runs the request once
-  // the hog is done, arming the spent budget as already expired, and the
-  // provider gate refuses it before the store.
+  // the hog is done, arming its budget as of its arrival, and the provider
+  // gate reads it as expired and refuses it before the store.
   obs::Counter& gate_shed =
       obs::MetricRegistry::Global().GetCounter("cloud.overload.shed_expired");
   const uint64_t gate_shed_before = gate_shed.Value();
@@ -619,6 +619,94 @@ TEST_F(RpcOverloadSocketTest, QueuedRequestPastDeadlineIsShedNotExecuted) {
   // Shed before execute: the victim's write never reached the store.
   EXPECT_TRUE(cloud.blob_store().Get("victim/doc").status().IsNotFound());
   server.Shutdown();
+}
+
+TEST_F(RpcOverloadSocketTest, BudgetSpentBeforeSendingIsRefusedNotServed) {
+  CloudInfrastructure cloud;
+  ASSERT_TRUE(cloud.CommitTxnRpc(Blind("tok/x", "doc/x", Bytes{7})).committed);
+  rpc::RpcServer server(&cloud, rpc::RpcServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  rpc::SocketTransport transport("127.0.0.1", server.port());
+  ASSERT_GE(transport.pool().Warmup(), 1u);
+
+  const uint64_t gets_before = cloud.stats().blob_gets;
+  Status status;
+  {
+    ScopedOverloadContext scope(ExpiredContext());
+    status = transport.GetBlob("doc/x", nullptr).status();
+  }
+  // The frame carries the spent budget as 1µs, not as 0 ("no deadline"),
+  // so the provider gate refuses the get instead of serving it.
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(cloud.stats().blob_gets, gets_before);
+  server.Shutdown();
+}
+
+TEST_F(RpcOverloadSocketTest, QueuedGetsPastDeadlineAreShedWithNoFaultInjector) {
+  // No fault injector, as in a deployment: nothing on a get's way from the
+  // server's dispatch to the provider gate takes measurable time, so the
+  // gate can only see the queue wait through the armed budget. Every op
+  // the gate admits sleeps 200ms.
+  CloudInfrastructure::Options cloud_options;
+  cloud_options.op_latency_us = 200'000;
+  CloudInfrastructure cloud(cloud::AdversaryConfig::Honest(), cloud_options);
+  // A fixed limit of 4 never turns a request away here; its in-flight
+  // count shows when the hog has passed the gate.
+  AdmissionConfig admission_config;
+  admission_config.initial_limit = 4.0;
+  admission_config.min_limit = 4.0;
+  admission_config.max_limit = 4.0;
+  AdmissionController admission(admission_config);
+  cloud.set_admission_controller(&admission);
+
+  rpc::RpcServer::Options server_options;
+  server_options.worker_threads = 1;  // The victim queues behind the hog.
+  rpc::RpcServer server(&cloud, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  rpc::SocketTransport hog_transport("127.0.0.1", server.port());
+  rpc::SocketTransport victim("127.0.0.1", server.port());
+  ASSERT_GE(victim.pool().Warmup(), 1u);
+  ASSERT_GE(hog_transport.pool().Warmup(), 1u);
+
+  std::thread hog([&] {
+    (void)hog_transport.CommitTxn(Blind("tok/hog", "hog/doc", Bytes{1}));
+  });
+  for (int i = 0; i < 2000 && admission.in_flight() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(admission.in_flight(), 1);
+
+  obs::Counter& gate_shed =
+      obs::MetricRegistry::Global().GetCounter("cloud.overload.shed_expired");
+  const uint64_t gate_shed_before = gate_shed.Value();
+  const uint64_t gets_before = cloud.stats().blob_gets;
+  // 16 gets with 5ms of budget each queue behind the hog. Once it is done
+  // the worker runs them back to back on warm caches, so most reach the
+  // gate within the microsecond their dispatch started: only a budget
+  // that counts from each get's arrival reads as expired there.
+  constexpr int kVictims = 16;
+  std::vector<Status> statuses(kVictims);
+  std::vector<std::thread> victims;
+  for (int v = 0; v < kVictims; ++v) {
+    victims.emplace_back([&, v] {
+      OverloadContext ctx;
+      ctx.budget_us = 5000;
+      ScopedOverloadContext scope(ctx);
+      statuses[v] = victim.GetBlob("hog/doc", nullptr).status();
+    });
+  }
+  for (std::thread& t : victims) t.join();
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  }
+
+  hog.join();
+  EXPECT_GE(gate_shed.Value() - gate_shed_before, uint64_t{kVictims});
+  // Shed before execute: no victim's read was served.
+  EXPECT_EQ(cloud.stats().blob_gets, gets_before);
+  server.Shutdown();
+  cloud.set_admission_controller(nullptr);
 }
 
 // ---------------------------------------------------------------------------
