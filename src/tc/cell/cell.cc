@@ -31,9 +31,36 @@ Bytes ApprovalPayload(const std::string& proposer_cell,
   return Encode("tc.approval.v1"s, proposer_cell, doc_id, approve);
 }
 
-/// The associated data of a sealed manifest body.
+/// The associated data of a sealed manifest root body.
 Bytes ManifestAad(const std::string& owner, uint64_t version) {
   return Encode("tc.manifest"s, owner, version);
+}
+
+/// The associated data of a sealed manifest segment body.
+Bytes SegmentAad(const std::string& owner, uint32_t slot) {
+  return Encode("tc.manifest.seg"s, owner, slot);
+}
+
+/// The fewest slot bits that keep `listed` entries at most
+/// kManifestSlotEntries per slot on average.
+uint32_t SlotBits(size_t listed) {
+  uint32_t bits = 0;
+  while ((kManifestSlotEntries << bits) < listed) ++bits;
+  return bits;
+}
+
+/// The top `bits` bits of a doc id (hex SHA-256; a digit that is not
+/// lowercase hex reads as 0).
+uint32_t SlotOf(const std::string& doc_id, uint32_t bits) {
+  uint64_t top = 0;
+  for (size_t i = 0; i < 16; ++i) {
+    const char c = i < doc_id.size() ? doc_id[i] : '0';
+    const uint64_t digit = c >= '0' && c <= '9'   ? c - '0'
+                           : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                                  : 0;
+    top = top << 4 | digit;
+  }
+  return bits == 0 ? 0 : static_cast<uint32_t>(top >> (64 - bits));
 }
 
 /// What the keyword index holds a document under.
@@ -84,6 +111,31 @@ Status Get(BinaryReader& r, DocumentMeta* v) {
                    &v->origin_cell, &v->version, &v->size, &v->created,
                    &v->policy_envelope, &v->blob_id, &v->key_name,
                    &v->pending_approval);
+}
+
+// ------------------------------------------------------- manifest bodies
+
+void Put(BinaryWriter& w, const ManifestRoot& v) {
+  PutFields(w, v.bits, v.segments);
+}
+
+Status Get(BinaryReader& r, ManifestRoot* v) {
+  TC_RETURN_IF_ERROR(GetFields(r, &v->bits, &v->segments));
+  if (v->bits > 32) return Status::Corruption("manifest root bits above 32");
+  const uint64_t slots = uint64_t{1} << v->bits;
+  for (size_t i = 0; i < v->segments.size(); ++i) {
+    if (v->segments[i].first >= slots ||
+        (i > 0 && v->segments[i].first <= v->segments[i - 1].first)) {
+      return Status::Corruption("manifest root slots out of order");
+    }
+  }
+  return Status::OK();
+}
+
+void Put(BinaryWriter& w, const ManifestSegment& v) { PutFields(w, v.entries); }
+
+Status Get(BinaryReader& r, ManifestSegment* v) {
+  return GetFields(r, &v->entries);
 }
 
 // ----------------------------------------------------------- ShareGrant
@@ -274,11 +326,15 @@ Status TrustedCell::Init() {
     DocumentMeta meta;
     scan_status = Decode(value, &number, &meta);
     if (!scan_status.ok()) return;
-    docs_[meta.doc_id] = {number, ManifestEntry(meta)};
+    Bytes entry = ManifestEntry(meta);
+    listed_ += entry.empty() ? 0 : 1;
+    docs_[meta.doc_id] = {number, std::move(entry)};
     number_to_doc_[number] = meta.doc_id;
     next_doc_number_ = std::max(next_doc_number_, number + 1);
   }));
   TC_RETURN_IF_ERROR(scan_status);
+  // No segment the cell wrote or pulled survives a restart.
+  Rebucket(SlotBits(listed_));
 
   Status registered = directory_->Register(
       CellIdentity{config_.cell_id, config_.owner, tee_->signing_public_key(),
@@ -295,6 +351,10 @@ std::string TrustedCell::SpaceBlobId(const std::string& doc_id) const {
 
 std::string TrustedCell::ManifestBlobId() const {
   return "space/" + config_.owner + "/manifest";
+}
+
+std::string TrustedCell::SegmentBlobId(const Bytes& hash) const {
+  return ManifestBlobId() + "/" + HexEncode(hash);
 }
 
 // ---- Disconnected operation ----
@@ -492,7 +552,10 @@ Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
         db_->keywords().IndexDocument(number, IndexedText(meta)));
   }
   TC_RETURN_IF_ERROR(store_->Put(MetaKey(meta.doc_id), Encode(number, meta)));
-  docs_[meta.doc_id] = {number, ManifestEntry(meta)};
+  Bytes entry = ManifestEntry(meta);
+  RegisteredDocument& doc = docs_[meta.doc_id];
+  NoteEntryChange(meta.doc_id, doc.manifest_entry, entry);
+  doc = {number, std::move(entry)};
   if (is_new) number_to_doc_[number] = meta.doc_id;
   return Status::OK();
 }
@@ -527,6 +590,7 @@ Status TrustedCell::ForgetDocument(const DocumentMeta& meta) {
   auto doc = docs_.find(meta.doc_id);
   if (doc == docs_.end()) return Status::OK();
   const uint64_t number = doc->second.number;
+  NoteEntryChange(meta.doc_id, doc->second.manifest_entry, {});
   number_to_doc_.erase(number);
   docs_.erase(doc);
   return db_->keywords().RemoveDocument(number, IndexedText(meta));
@@ -835,32 +899,114 @@ std::vector<DocumentMeta> TrustedCell::ListDocuments() {
 
 // ---- Sync ----
 
-Result<Bytes> TrustedCell::BuildManifestBlob(
-    uint64_t version, const DocumentMeta* override_meta) {
-  const Bytes override_entry =
-      override_meta != nullptr ? ManifestEntry(*override_meta) : Bytes();
-  std::vector<const Bytes*> listed;
-  listed.reserve(docs_.size());
+void TrustedCell::NoteEntryChange(const std::string& doc_id,
+                                  const Bytes& before, const Bytes& after) {
+  if (before == after) return;
+  listed_ = listed_ + (after.empty() ? 0 : 1) - (before.empty() ? 0 : 1);
+  dirty_slots_.insert(SlotOf(doc_id, manifest_bits_));
+}
+
+void TrustedCell::Rebucket(uint32_t bits) {
+  manifest_bits_ = bits;
+  segments_.clear();
+  dirty_slots_.clear();
+  for (const auto& [doc_id, doc] : docs_) {
+    if (!doc.manifest_entry.empty()) {
+      dirty_slots_.insert(SlotOf(doc_id, bits));
+    }
+  }
+}
+
+std::map<uint32_t, std::vector<const Bytes*>> TrustedCell::SlotEntries(
+    const std::set<uint32_t>& slots, uint32_t bits,
+    const DocumentMeta* override_meta, const Bytes& override_entry) const {
+  std::map<uint32_t, std::vector<const Bytes*>> out;
   for (const auto& [doc_id, doc] : docs_) {
     const Bytes& entry =
         override_meta != nullptr && doc_id == override_meta->doc_id
             ? override_entry
             : doc.manifest_entry;
-    if (!entry.empty()) listed.push_back(&entry);
+    if (entry.empty()) continue;
+    const uint32_t slot = SlotOf(doc_id, bits);
+    if (slots.count(slot) > 0) out[slot].push_back(&entry);
   }
-  // The codec's vector<Bytes>, written without copying the entries.
-  BinaryWriter body;
-  body.PutVarint(listed.size());
-  for (const Bytes* entry : listed) Put(body, *entry);
-  TC_ASSIGN_OR_RETURN(Bytes sealed,
-                      tee_->Seal("manifest-key",
-                                 ManifestAad(config_.owner, version),
-                                 body.Take()));
-  return Encode("tc.manifest.v1"s, version, sealed);
+  return out;
+}
+
+Result<ManifestRoot> TrustedCell::OpenManifestRoot(const Bytes& blob,
+                                                   uint64_t* version) {
+  // The cell's siblings wrote every byte of the root: any header it cannot
+  // parse was altered on the way.
+  std::string magic;
+  Bytes sealed;
+  if (!Decode(blob, &magic, version, &sealed).ok() ||
+      magic != "tc.manifest.v2") {
+    RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
+                   "manifest header unparseable");
+    return Status::IntegrityViolation("manifest header corrupt");
+  }
+  const uint64_t floor = tee_->CounterValue("manifest-seen");
+  if (*version < floor) {
+    RecordIncident(IncidentType::kRollbackDetected, ManifestBlobId(),
+                   "manifest version " + std::to_string(*version) +
+                       " below TEE floor " + std::to_string(floor));
+    return Status::IntegrityViolation("manifest rollback detected");
+  }
+  auto body = tee_->Open("manifest-key", ManifestAad(config_.owner, *version),
+                         sealed);
+  if (!body.ok()) {
+    if (body.status().IsIntegrityViolation()) {
+      RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
+                     "manifest AEAD failure");
+    }
+    return body.status();
+  }
+  ManifestRoot root;
+  TC_RETURN_IF_ERROR(Decode(*body, &root));
+  return root;
 }
 
 Status TrustedCell::PublishManifest(const DocumentMeta* meta,
                                     const Bytes& sealed) {
+  // The registry as this publish lists it: `meta`'s entry in place.
+  const Bytes meta_entry = meta != nullptr ? ManifestEntry(*meta) : Bytes();
+  std::set<uint32_t> dirty;
+  {
+    const Bytes* held = nullptr;
+    if (meta != nullptr) {
+      auto it = docs_.find(meta->doc_id);
+      if (it != docs_.end()) held = &it->second.manifest_entry;
+    }
+    const bool changed = meta != nullptr && (held == nullptr ||
+                                             *held != meta_entry);
+    const size_t listed =
+        changed ? listed_ + (meta_entry.empty() ? 0 : 1) -
+                      (held == nullptr || held->empty() ? 0 : 1)
+                : listed_;
+    const uint32_t bits = SlotBits(listed);
+    if (bits != manifest_bits_) Rebucket(bits);
+    dirty = dirty_slots_;
+    if (changed) dirty.insert(SlotOf(meta->doc_id, bits));
+  }
+  const uint32_t bits = manifest_bits_;
+
+  // A fresh segment for each dirty slot that lists anything, sealed once:
+  // its bytes do not depend on what the provider holds. A dirty slot that
+  // lists nothing leaves the root.
+  std::map<uint32_t, std::pair<Bytes, Bytes>> fresh;  // slot -> hash, sealed
+  for (const auto& [slot, entries] :
+       SlotEntries(dirty, bits, meta, meta_entry)) {
+    ManifestSegment segment;
+    segment.entries.reserve(entries.size());
+    for (const Bytes* entry : entries) segment.entries.push_back(*entry);
+    TC_ASSIGN_OR_RETURN(Bytes sealed_segment,
+                        tee_->Seal("manifest-key",
+                                   SegmentAad(config_.owner, slot),
+                                   Encode(segment)));
+    Bytes hash = crypto::Sha256Hash(sealed_segment);
+    fresh[slot] = {std::move(hash), std::move(sealed_segment)};
+  }
+
   Status last_abort = Status::Aborted("manifest publish: contention");
   constexpr int kMaxAttempts = 8;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
@@ -876,34 +1022,79 @@ Status TrustedCell::PublishManifest(const DocumentMeta* meta,
     } else {
       observed = snap.status();
     }
-    auto observe = [&](const std::string& id) -> uint64_t {
-      if (!observed.ok()) return 0;
+    auto observe = [&](const std::string& id) {
+      std::optional<cloud::SnapshotRead> out;
+      if (!observed.ok()) return out;
       auto read = channel_->GetAtSnapshot(id, req.snapshot);
-      if (read.ok()) return read->version;
-      if (!read.status().IsNotFound()) observed = read.status();
-      return 0;
+      if (read.ok()) {
+        out = std::move(*read);
+      } else if (!read.status().IsNotFound()) {
+        observed = read.status();
+      }
+      return out;
     };
-    const uint64_t doc_base = meta != nullptr ? observe(meta->blob_id) : 0;
-    const uint64_t manifest_base = observe(ManifestBlobId());
+    const std::optional<cloud::SnapshotRead> doc_read =
+        meta != nullptr ? observe(meta->blob_id) : std::nullopt;
+    const std::optional<cloud::SnapshotRead> root_read =
+        observe(ManifestBlobId());
+    const uint64_t doc_base = doc_read ? doc_read->version : 0;
+    const uint64_t root_base = root_read ? root_read->version : 0;
 
-    // The manifest must advance past both the TEE floor and whatever the
+    // Every slot this publish did not dirty keeps the observed root's
+    // segment, so a sibling's change there survives. Queued behind the
+    // outbox, the provider's root may predate the cell's own queued one:
+    // the cell then names only segments it wrote or pulled, as it does
+    // when it observed no root.
+    std::map<uint32_t, Bytes> named;
+    bool copied = false;
+    if (root_read && (outbox_ == nullptr || outbox_->empty())) {
+      uint64_t observed_version = 0;
+      TC_ASSIGN_OR_RETURN(ManifestRoot current,
+                          OpenManifestRoot(root_read->data, &observed_version));
+      if (current.bits == bits) {
+        for (auto& [slot, hash] : current.segments) {
+          if (dirty.count(slot) == 0) named[slot] = std::move(hash);
+        }
+        copied = true;
+      }
+    }
+    if (!copied) {
+      for (const auto& [slot, hash] : segments_) {
+        if (dirty.count(slot) == 0) named[slot] = hash;
+      }
+    }
+    for (const auto& [slot, segment] : fresh) named[slot] = segment.first;
+
+    // The root must advance past both the TEE floor and whatever the
     // provider holds.
     const uint64_t version =
-        std::max(tee_->CounterValue("manifest-seen"), manifest_base) + 1;
-    TC_ASSIGN_OR_RETURN(Bytes manifest, BuildManifestBlob(version, meta));
+        std::max(tee_->CounterValue("manifest-seen"), root_base) + 1;
+    ManifestRoot root;
+    root.bits = bits;
+    root.segments.assign(named.begin(), named.end());
+    TC_ASSIGN_OR_RETURN(Bytes sealed_root,
+                        tee_->Seal("manifest-key",
+                                   ManifestAad(config_.owner, version),
+                                   Encode(root)));
+    Bytes root_blob = Encode("tc.manifest.v2"s, version, sealed_root);
     if (meta != nullptr) {
       // Stable across every rebuild and the outbox fallback: the
       // provider's txn-token table makes this update exactly-once.
       req.token = PushToken("txn/" + meta->blob_id, meta->version, sealed);
       req.writes.push_back({meta->blob_id, sealed, doc_base});
     } else {
-      req.token = PushToken(ManifestBlobId(), version, manifest);
+      req.token = PushToken(ManifestBlobId(), version, root_blob);
     }
-    req.writes.push_back(
-        {ManifestBlobId(), std::move(manifest), manifest_base});
+    // A segment is a blind create: its id is its hash, so no other write
+    // can name it.
+    for (const auto& [slot, segment] : fresh) {
+      req.writes.push_back({SegmentBlobId(segment.first), segment.second,
+                            cloud::kBaseVersionAny});
+    }
+    req.writes.push_back({ManifestBlobId(), std::move(root_blob), root_base});
     Status written = CommitOrJournal(req, observed);
     if (written.IsAborted()) {
-      // First committer won — refresh the snapshot, rebuild the manifest
+      // First committer won — refresh the snapshot, rebuild the root
       // against the new base, retry (an update under the SAME token).
       ++stats_.atomic_update_aborts;
       last_abort = written;
@@ -912,6 +1103,16 @@ Status TrustedCell::PublishManifest(const DocumentMeta* meta,
     TC_RETURN_IF_ERROR(written);
     if (meta != nullptr) {
       TC_RETURN_IF_ERROR(SaveMeta(*meta, /*is_new=*/false));
+    }
+    // The registry now lists each dirty slot exactly as written.
+    for (uint32_t slot : dirty) {
+      auto segment = fresh.find(slot);
+      if (segment != fresh.end()) {
+        segments_[slot] = segment->second.first;
+      } else {
+        segments_.erase(slot);
+      }
+      dirty_slots_.erase(slot);
     }
     while (tee_->CounterValue("manifest-seen") < version) {
       tee_->IncrementCounter("manifest-seen");
@@ -930,47 +1131,93 @@ Status TrustedCell::SyncPush() {
 Status TrustedCell::SyncPull() {
   obs::TraceSpan span("cell", "sync_pull", config_.cell_id);
   TC_ASSIGN_OR_RETURN(Bytes blob, PullBlob(ManifestBlobId()));
-  // The cell wrote every byte of the manifest: any header it cannot parse
-  // was altered on the way.
-  std::string magic;
   uint64_t version = 0;
-  Bytes sealed;
-  if (!Decode(blob, &magic, &version, &sealed).ok() ||
-      magic != "tc.manifest.v1") {
-    RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
-                   "manifest header unparseable");
-    return Status::IntegrityViolation("manifest header corrupt");
-  }
-  uint64_t floor = tee_->CounterValue("manifest-seen");
-  if (version < floor) {
-    RecordIncident(IncidentType::kRollbackDetected, ManifestBlobId(),
-                   "manifest version " + std::to_string(version) +
-                       " below TEE floor " + std::to_string(floor));
-    return Status::IntegrityViolation("manifest rollback detected");
-  }
-  auto body = tee_->Open("manifest-key", ManifestAad(config_.owner, version),
-                         sealed);
-  if (!body.ok()) {
-    if (body.status().IsIntegrityViolation()) {
-      RecordIncident(IncidentType::kPayloadTampered, ManifestBlobId(),
-                     "manifest AEAD failure");
+  TC_ASSIGN_OR_RETURN(ManifestRoot root, OpenManifestRoot(blob, &version));
+
+  // Only the segments whose hash the cell does not hold for their slot.
+  const bool same_bits = root.bits == manifest_bits_;
+  std::map<uint32_t, std::pair<Bytes, std::vector<Bytes>>> pulled;
+  for (const auto& [slot, hash] : root.segments) {
+    if (same_bits) {
+      auto held = segments_.find(slot);
+      if (held != segments_.end() && held->second == hash) continue;
     }
-    return body.status();
+    const std::string segment_id = SegmentBlobId(hash);
+    TC_ASSIGN_OR_RETURN(Bytes sealed, PullBlob(segment_id));
+    // The id is the hash: any other bytes were substituted on the way.
+    if (crypto::Sha256Hash(sealed) != hash) {
+      RecordIncident(IncidentType::kPayloadTampered, segment_id,
+                     "manifest segment does not match its hash");
+      return Status::IntegrityViolation("manifest segment substituted");
+    }
+    auto body = tee_->Open("manifest-key", SegmentAad(config_.owner, slot),
+                           sealed);
+    if (!body.ok()) {
+      if (body.status().IsIntegrityViolation()) {
+        RecordIncident(IncidentType::kPayloadTampered, segment_id,
+                       "manifest segment AEAD failure");
+      }
+      return body.status();
+    }
+    ManifestSegment segment;
+    TC_RETURN_IF_ERROR(Decode(*body, &segment));
+    for (const Bytes& entry : segment.entries) {
+      uint64_t number = 0;
+      DocumentMeta incoming;
+      TC_RETURN_IF_ERROR(Decode(entry, &number, &incoming));
+      // An entry the registry holds byte for byte has that same version.
+      auto held = docs_.find(incoming.doc_id);
+      if (held != docs_.end() && held->second.manifest_entry == entry) {
+        continue;
+      }
+      auto existing = LoadMeta(incoming.doc_id);
+      if (existing.ok() && existing->version >= incoming.version) continue;
+      TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
+      TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
+    }
+    pulled[slot] = {hash, std::move(segment.entries)};
   }
 
-  std::vector<Bytes> entries;
-  TC_RETURN_IF_ERROR(Decode(*body, &entries));
-  for (const Bytes& entry : entries) {
-    uint64_t number = 0;
-    DocumentMeta incoming;
-    TC_RETURN_IF_ERROR(Decode(entry, &number, &incoming));
-    // An entry the registry holds byte for byte has that same version.
-    auto held = docs_.find(incoming.doc_id);
-    if (held != docs_.end() && held->second.manifest_entry == entry) continue;
-    auto existing = LoadMeta(incoming.doc_id);
-    if (existing.ok() && existing->version >= incoming.version) continue;
-    TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
-    TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
+  // A slot the root lists exactly as the registry does is clean under the
+  // root's hash; any other slot the root or the cell lists is dirty, so
+  // the cell's next publish writes what the root lacks.
+  if (root.bits == SlotBits(listed_)) {
+    if (root.bits != manifest_bits_) Rebucket(root.bits);
+    std::set<uint32_t> slots;
+    for (const auto& [slot, hash] : root.segments) slots.insert(slot);
+    for (const auto& [slot, hash] : segments_) slots.insert(slot);
+    for (uint32_t slot : dirty_slots_) slots.insert(slot);
+    const auto held = SlotEntries(slots, root.bits, nullptr, {});
+    auto lists_as_held = [&](uint32_t slot, const std::vector<Bytes>& entries) {
+      auto it = held.find(slot);
+      const size_t count = it == held.end() ? 0 : it->second.size();
+      if (count != entries.size()) return false;
+      for (size_t i = 0; i < count; ++i) {
+        if (*it->second[i] != entries[i]) return false;
+      }
+      return true;
+    };
+    for (const auto& [slot, hash] : root.segments) {
+      auto got = pulled.find(slot);
+      if (got == pulled.end()) continue;  // Held under this hash already.
+      if (lists_as_held(slot, got->second.second)) {
+        segments_[slot] = hash;
+        dirty_slots_.erase(slot);
+      } else {
+        dirty_slots_.insert(slot);
+      }
+    }
+    std::set<uint32_t> listed_by_root;
+    for (const auto& [slot, hash] : root.segments) listed_by_root.insert(slot);
+    for (uint32_t slot : slots) {
+      if (listed_by_root.count(slot) > 0) continue;
+      segments_.erase(slot);
+      if (held.count(slot) > 0) {
+        dirty_slots_.insert(slot);
+      } else {
+        dirty_slots_.erase(slot);
+      }
+    }
   }
   while (tee_->CounterValue("manifest-seen") < version) {
     tee_->IncrementCounter("manifest-seen");

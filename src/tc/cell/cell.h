@@ -56,6 +56,36 @@ struct DocumentMeta {
 void Put(BinaryWriter& w, const DocumentMeta& v);
 Status Get(BinaryReader& r, DocumentMeta* v);
 
+/// The owner's manifest (tc.manifest.v2) is a small sealed root at
+/// space/<owner>/manifest plus sealed segments. The top `bits` bits of a
+/// doc id pick its slot; a segment lists one slot's entries and is stored,
+/// never rewritten, under space/<owner>/manifest/<hex SHA-256 of its sealed
+/// bytes>. The root grows `bits` once the average slot would hold more
+/// than this many entries, so every sibling that lists the same documents
+/// partitions them the same way.
+inline constexpr size_t kManifestSlotEntries = 4;
+
+/// The sealed body of a manifest root: the slot bits and, for each slot
+/// that lists anything, the SHA-256 of its sealed segment, in slot order.
+struct ManifestRoot {
+  uint32_t bits = 0;
+  std::vector<std::pair<uint32_t, Bytes>> segments;
+};
+
+/// A root body's fields in the one codec. Get refuses bits above 32 and a
+/// slot list that is not strictly increasing below 2^bits.
+void Put(BinaryWriter& w, const ManifestRoot& v);
+Status Get(BinaryReader& r, ManifestRoot* v);
+
+/// The sealed body of one manifest segment: its slot's entries, each
+/// Encode(uint64_t{0}, meta), in doc-id order.
+struct ManifestSegment {
+  std::vector<Bytes> entries;
+};
+
+void Put(BinaryWriter& w, const ManifestSegment& v);
+Status Get(BinaryReader& r, ManifestSegment* v);
+
 /// Wire format of a sharing grant: metadata + wrapped key + sticky policy,
 /// signed by the granting cell. Safe to carry over the untrusted bus.
 struct ShareGrant {
@@ -135,10 +165,10 @@ struct CellStats {
 /// Every write to the provider is one provider transaction through one
 /// private step, CommitOrJournal. StoreDocument commits the one blind
 /// write, a new document's first version. UpdateDocumentAtomic,
-/// RotateDocumentKey and SyncPush commit a manifest validated against a
-/// snapshot, with the document's new payload in the same transaction, so
-/// the owner's manifest always names every own document's current version
-/// and key. With resilient_sync, a write the provider cannot take — or any
+/// RotateDocumentKey and SyncPush commit a manifest root validated against
+/// a snapshot, with a fresh segment for each slot the cell changed and the
+/// document's new payload in the same transaction, so the owner's manifest
+/// always names every own document's current version and key. With resilient_sync, a write the provider cannot take — or any
 /// write while an older one is queued — goes to the durable outbox, which
 /// CatchUp drains in order: no write overtakes a queued one.
 ///
@@ -260,14 +290,16 @@ class TrustedCell {
   // ---- Multi-device sync (one owner, several cells) ----
 
   /// Publishes the manifest of own documents to the owner's personal
-  /// space (sealed, version above both the TEE monotonic counter and the
-  /// provider's manifest), committed against a snapshot like
-  /// UpdateDocumentAtomic's manifest.
+  /// space (a sealed root, version above both the TEE monotonic counter and
+  /// the provider's root, plus a segment for each slot the cell changed),
+  /// committed against a snapshot like UpdateDocumentAtomic's manifest.
   Status SyncPush();
 
-  /// Pulls the owner's manifest from the cloud, detects rollback via the
-  /// TEE-remembered version floor, and adopts new/updated metadata.
-  /// Payloads stay in the cloud until fetched (metadata-first).
+  /// Pulls the owner's manifest root from the cloud, detects rollback via
+  /// the TEE-remembered version floor, fetches each segment whose hash
+  /// differs from the one the cell holds, checks it against the root, and
+  /// adopts new/updated metadata. Payloads stay in the cloud until fetched
+  /// (metadata-first).
   Status SyncPull();
 
   // ---- Disconnected operation (resilient_sync mode) ----
@@ -451,6 +483,8 @@ class TrustedCell {
 
   std::string SpaceBlobId(const std::string& doc_id) const;
   std::string ManifestBlobId() const;
+  /// Where the segment whose sealed bytes hash to `hash` is stored.
+  std::string SegmentBlobId(const Bytes& hash) const;
   Bytes DocumentAad(const std::string& doc_id, uint64_t version) const;
   /// Sticky-policy MAC oracle bound to a document key inside the TEE.
   policy::StickyPolicy::MacFn StickyMac(const std::string& key_name);
@@ -470,12 +504,24 @@ class TrustedCell {
   /// Erases a document's meta, registry entry, keyword postings and keys;
   /// the sealed cloud blob is unreadable without them.
   Status ForgetDocument(const DocumentMeta& meta);
-  /// Seals the manifest at `version` from the registry's entries in doc-id
+  /// Records that `doc_id`'s manifest entry changes from `before` to
+  /// `after`: its slot is dirty until a publish writes it or a pull finds
+  /// it listed as the registry holds it.
+  void NoteEntryChange(const std::string& doc_id, const Bytes& before,
+                       const Bytes& after);
+  /// Moves the slot map to `bits`: every slot that lists anything is dirty
+  /// and no segment is held.
+  void Rebucket(uint32_t bits);
+  /// The registry's entries of each slot in `slots` under `bits`, in doc-id
   /// order, with `override_meta`'s entry (when non-null) in place of its
-  /// document's — lets an update publish a manifest that includes a meta
-  /// not yet saved locally. Reads nothing from the store.
-  Result<Bytes> BuildManifestBlob(uint64_t version,
-                                  const DocumentMeta* override_meta);
+  /// document's. Reads nothing from the store.
+  std::map<uint32_t, std::vector<const Bytes*>> SlotEntries(
+      const std::set<uint32_t>& slots, uint32_t bits,
+      const DocumentMeta* override_meta, const Bytes& override_entry) const;
+  /// Parses and opens a manifest root blob. A header it cannot parse, a
+  /// version below the TEE floor or a body that fails to open is an
+  /// incident.
+  Result<ManifestRoot> OpenManifestRoot(const Bytes& blob, uint64_t* version);
   void RecordIncident(IncidentType type, const std::string& object_id,
                       const std::string& detail);
   /// Seals `content` as `meta`'s payload, timed into cell.seal_us.
@@ -507,12 +553,15 @@ class TrustedCell {
   Status CommitOrJournal(const cloud::TxnRequest& req,
                          const Status& observed = Status::OK());
   /// UpdateDocumentAtomic's, RotateDocumentKey's and SyncPush's loop:
-  /// observes the manifest (and `meta`'s blob, when non-null) under one
-  /// snapshot, seals a manifest above both the TEE floor and the
-  /// provider's version, and commits it (with `sealed` as `meta`'s new
-  /// payload) validated against what it observed; an abort rebuilds from
-  /// a fresh snapshot (bounded). On success saves `meta` and raises the
-  /// manifest floor.
+  /// seals a segment for each dirty slot (with `meta`'s entry, when
+  /// non-null, in place), observes the manifest root (and `meta`'s blob)
+  /// under one snapshot, seals a root above both the TEE floor and the
+  /// provider's version that names the fresh segments and, for every other
+  /// slot, the observed root's segment, and commits document, segments and
+  /// root validated against what it observed; an abort rebuilds the root
+  /// from a fresh snapshot (bounded). A publish that observed no root, or
+  /// queues behind the outbox, names only segments the cell wrote or
+  /// pulled. On success saves `meta` and raises the manifest floor.
   Status PublishManifest(const DocumentMeta* meta, const Bytes& sealed);
   /// Fetches a blob, serving the newest queued payload from the outbox
   /// first (read-your-writes while partitioned).
@@ -548,6 +597,14 @@ class TrustedCell {
   // from the store at Init, then written by SaveMeta and ForgetDocument
   // only.
   std::map<std::string, RegisteredDocument> docs_;
+  size_t listed_ = 0;  ///< Registry entries the manifest lists.
+  // Manifest slots under manifest_bits_. A slot outside dirty_slots_ is
+  // listed by segments_'s hash exactly as the registry holds it, or lists
+  // nothing and has no hash. Held in RAM only: Init marks every slot that
+  // lists anything dirty.
+  uint32_t manifest_bits_ = 0;
+  std::map<uint32_t, Bytes> segments_;
+  std::set<uint32_t> dirty_slots_;
   std::map<uint64_t, std::string> number_to_doc_;
   std::set<std::string> seen_grant_ids_;
   std::vector<cloud::Message> pending_messages_;

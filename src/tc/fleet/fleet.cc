@@ -22,6 +22,13 @@ std::string SharedTxnKey(size_t k) {
   return "txn/shared/" + std::to_string(k);
 }
 
+/// The fresh blob each transaction creates, as a cell's update creates one
+/// manifest segment: named, and filled, by the transaction's token, so
+/// every rebuild and resend writes the same bytes.
+std::string TxnBlobKey(const std::string& token) {
+  return "txn/blob/" + token;
+}
+
 // Shared-key payloads are bare u64 counters, Encode(value): a committed
 // read-modify-write sets value = read_value + 1, so under first-committer-
 // wins every key's counter always equals its version number — the
@@ -514,6 +521,8 @@ void FleetRunner::RunCellTxn(size_t cell_index, FleetCellResult* result) {
       req->reads.push_back({id, version});
       req->writes.push_back({id, Encode(value + 1), version});
     }
+    req->writes.push_back(
+        {TxnBlobKey(token), ToBytes(token), cloud::kBaseVersionAny});
     if (history != nullptr) {
       history->OnBegin(attempt_id, req->snapshot);
       for (const cloud::TxnRead& r : req->reads) {
@@ -775,7 +784,8 @@ Result<FleetReport> FleetRunner::Run() {
   // Commit-exactness audit (ground truth, read from the store): every commit
   // advanced each of its keys' counters by exactly 1 at exactly the next
   // version, so per key counter == version, and summed over keys the
-  // version total equals commits * keys-per-txn. A duplicate application
+  // version total equals commits * keys-per-txn. Each transaction's fresh
+  // blob holds no counter and is not a shared key: it stays out. A duplicate application
   // (token table failure) or a lost commit breaks one of the equalities.
   if (options_.txn_workload && report.cells_failed == 0) {
     uint64_t version_total = 0;

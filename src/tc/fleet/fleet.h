@@ -87,11 +87,15 @@ struct FleetOptions {
   /// Replaces the blob traffic: each round every cell commits ONE
   /// multi-key transaction over a SHARED key space ("txn/shared/<k>"),
   /// reading `txn_keys` counters under a snapshot and writing each +1 at
-  /// its read version. First-committer-wins aborts rebuild against a
-  /// fresh snapshot under the same token; transient losses re-send the
-  /// identical request until the provider answers (the token table makes
-  /// that exactly-once). Every key's final counter value must equal its
-  /// final version number — the commit-exactness audit Run() performs.
+  /// its read version, plus one blind create of a fresh blob
+  /// ("txn/blob/<token>", holding the token) — the shape of a cell's
+  /// atomic update, whose document and manifest root are validated and
+  /// whose fresh manifest segment is not. First-committer-wins aborts
+  /// rebuild against a fresh snapshot under the same token; transient
+  /// losses re-send the identical request until the provider answers (the
+  /// token table makes that exactly-once). Every key's final counter value
+  /// must equal its final version number — the commit-exactness audit
+  /// Run() performs over the shared keys only.
   bool txn_workload = false;
   size_t txn_shared_docs = 8;  ///< Shared keys all cells contend over.
   size_t txn_keys = 2;         ///< Keys read+written per transaction.

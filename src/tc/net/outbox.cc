@@ -1,5 +1,6 @@
 #include "tc/net/outbox.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "tc/common/codec.h"
@@ -9,6 +10,9 @@ namespace tc::net {
 namespace {
 constexpr char kPrefix[] = "outbox/";
 constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
+constexpr size_t kSeqDigits = 16;
+// A head's piece count (8 bytes) and its piece's length prefix.
+constexpr size_t kHeadOverhead = 16;
 // Every record is one provider transaction.
 const std::string kMagic = "tc.outbox.txn.v1";
 
@@ -49,25 +53,56 @@ std::string Outbox::Key(uint64_t seq) {
   return std::string(kPrefix) + buf;
 }
 
+std::string Outbox::PieceKey(uint64_t seq, uint64_t piece) {
+  return Key(seq) + "/" + std::to_string(piece);
+}
+
 Status Outbox::Load() {
   pending_.clear();
+  pieces_.clear();
   newest_.clear();
-  Status decode_status;
+  // Heads by seq, pieces by key: a record is whole only once its head and
+  // every piece the head counts are read.
+  std::map<uint64_t, Bytes> heads;
+  std::map<std::string, Bytes> pieces;
   TC_RETURN_IF_ERROR(
       store_->ScanAll([&](const std::string& key, const Bytes& value) {
-        if (!decode_status.ok() ||
-            key.compare(0, kPrefixLen, kPrefix) != 0) {
-          return;
+        if (key.compare(0, kPrefixLen, kPrefix) != 0) return;
+        if (key.size() == kPrefixLen + kSeqDigits) {
+          heads[std::stoull(key.substr(kPrefixLen), nullptr, 16)] = value;
+        } else {
+          pieces[key] = value;
         }
-        auto record = OutboxRecord::Deserialize(value);
-        if (!record.ok()) {
-          decode_status = record.status();
-          return;
-        }
-        next_seq_ = std::max(next_seq_, record->seq + 1);
-        pending_.emplace(record->seq, std::move(*record));
       }));
-  TC_RETURN_IF_ERROR(decode_status);
+  for (auto& [seq, head] : heads) {
+    uint64_t count = 0;
+    Bytes serialized;
+    TC_RETURN_IF_ERROR(Decode(head, &count, &serialized));
+    for (uint64_t i = 1; i <= count; ++i) {
+      auto piece = pieces.find(PieceKey(seq, i));
+      if (piece == pieces.end()) {
+        return Status::DataLoss("outbox record " + std::to_string(seq) +
+                                " lost piece " + std::to_string(i) + " of " +
+                                std::to_string(count));
+      }
+      serialized.insert(serialized.end(), piece->second.begin(),
+                        piece->second.end());
+      pieces.erase(piece);
+    }
+    TC_ASSIGN_OR_RETURN(OutboxRecord record,
+                        OutboxRecord::Deserialize(serialized));
+    if (record.seq != seq) {
+      return Status::Corruption("outbox record under another seq's key");
+    }
+    next_seq_ = std::max(next_seq_, seq + 1);
+    pieces_[seq] = count;
+    pending_.emplace(seq, std::move(record));
+  }
+  // Pieces of an Enqueue that crashed before its head, or of a delete that
+  // crashed after its head's tombstone: no record names them.
+  for (const auto& [key, piece] : pieces) {
+    TC_RETURN_IF_ERROR(store_->Delete(key));
+  }
   // In seq order, so each blob ends up mapped to its newest writer.
   std::vector<uint64_t> seqs;
   for (const auto& [seq, record] : pending_) {
@@ -76,7 +111,7 @@ Status Outbox::Load() {
     }
     seqs.push_back(seq);
   }
-  // An Enqueue's tombstones may have been lost to a crash after its Put.
+  // An Enqueue's tombstones may have been lost to a crash after its head.
   for (uint64_t seq : seqs) DropIfSuperseded(seq);
   return Status::OK();
 }
@@ -90,9 +125,22 @@ Status Outbox::Enqueue(const std::string& token,
   record.seq = next_seq_++;
   record.token = token;
   record.writes = std::move(writes);
-  TC_RETURN_IF_ERROR(store_->Put(Key(record.seq), record.Serialize()));
+  const Bytes serialized = record.Serialize();
+  // Room for the head's piece count and length prefix.
+  const size_t piece_size = store_->MaxValueSize() - kHeadOverhead;
+  // Pieces after the head's (the magic leads every record: never empty).
+  const uint64_t count = (serialized.size() - 1) / piece_size;
+  auto piece = [&](uint64_t i) {
+    const size_t begin = i * piece_size;
+    const size_t end = std::min(serialized.size(), begin + piece_size);
+    return Bytes(serialized.begin() + begin, serialized.begin() + end);
+  };
+  for (uint64_t i = 1; i <= count; ++i) {
+    TC_RETURN_IF_ERROR(store_->Put(PieceKey(record.seq, i), piece(i)));
+  }
+  TC_RETURN_IF_ERROR(store_->Put(Key(record.seq), Encode(count, piece(0))));
   // The journal's whole point is surviving a reboot: force the buffered
-  // page out before acknowledging the enqueue.
+  // pages out before acknowledging the enqueue.
   TC_RETURN_IF_ERROR(store_->Flush());
   std::vector<uint64_t> rewritten;
   for (const OutboxWrite& write : record.writes) {
@@ -102,8 +150,20 @@ Status Outbox::Enqueue(const std::string& token,
       it->second = record.seq;
     }
   }
+  pieces_[record.seq] = count;
   pending_.emplace(record.seq, std::move(record));
   for (uint64_t seq : rewritten) DropIfSuperseded(seq);
+  return Status::OK();
+}
+
+Status Outbox::Erase(uint64_t seq) {
+  // Head first: a crash between the deletes leaves headless pieces, which
+  // Load drops, never a head that lost a piece.
+  TC_RETURN_IF_ERROR(store_->Delete(Key(seq)));
+  for (uint64_t i = 1; i <= pieces_[seq]; ++i) {
+    TC_RETURN_IF_ERROR(store_->Delete(PieceKey(seq, i)));
+  }
+  pieces_.erase(seq);
   return Status::OK();
 }
 
@@ -114,7 +174,7 @@ void Outbox::DropIfSuperseded(uint64_t seq) {
     auto newest = newest_.find(write.blob_id);
     if (newest == newest_.end() || newest->second == seq) return;
   }
-  (void)store_->Delete(Key(seq));
+  (void)Erase(seq);
   pending_.erase(it);
 }
 
@@ -123,7 +183,7 @@ Status Outbox::MarkDone(uint64_t seq) {
   if (it == pending_.end()) {
     return Status::NotFound("no pending outbox record " + std::to_string(seq));
   }
-  TC_RETURN_IF_ERROR(store_->Delete(Key(seq)));
+  TC_RETURN_IF_ERROR(Erase(seq));
   for (const OutboxWrite& write : it->second.writes) {
     auto newest = newest_.find(write.blob_id);
     if (newest != newest_.end() && newest->second == seq) {

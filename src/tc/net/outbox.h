@@ -39,9 +39,17 @@ struct OutboxRecord {
   static Result<OutboxRecord> Deserialize(const Bytes& data);
 };
 
-/// Durable outbox journaled through the cell's encrypted LogStore under
-/// "outbox/<seq>" keys: a write the cell could not commit survives reboots
-/// and drains in seq order on reconnect (anti-entropy catch-up).
+/// Durable outbox journaled through the cell's encrypted LogStore: a write
+/// the cell could not commit survives reboots and drains in seq order on
+/// reconnect (anti-entropy catch-up).
+///
+/// A record of any size spans values: its serialized bytes are cut into
+/// pieces that each fit one LogStore value. The head, "outbox/<seq>",
+/// holds the count of further pieces and the first piece; piece i sits at
+/// "outbox/<seq>/<i>". Enqueue writes the head last and flushes it, so a
+/// crash leaves either the head and every piece or no head at all; Load
+/// drops pieces that have no head and reports a head missing a piece as
+/// kDataLoss. Deleting a record deletes its head first.
 ///
 /// Supersede rule (last-writer-wins per blob, extended to multi-write
 /// records): a pending record is dropped once newer pending records
@@ -58,9 +66,9 @@ class Outbox {
   /// Rebuilds the pending set from the store (call once after Open).
   Status Load();
 
-  /// Journals one transaction as one record — one LogStore Put, flushed
-  /// before returning, so after a crash either the whole record is pending
-  /// or none of it is — then drops the records it supersedes.
+  /// Journals one transaction as one record — its pieces, then its head,
+  /// flushed before returning, so after a crash either the whole record is
+  /// pending or none of it is — then drops the records it supersedes.
   Status Enqueue(const std::string& token, std::vector<OutboxWrite> writes);
 
   /// Drops a drained record.
@@ -79,11 +87,17 @@ class Outbox {
 
  private:
   static std::string Key(uint64_t seq);
+  /// The key of piece `piece` (1-based) of record `seq`.
+  static std::string PieceKey(uint64_t seq, uint64_t piece);
+  /// Tombstones every value of `seq`, its head first.
+  Status Erase(uint64_t seq);
   /// Tombstones and forgets `seq` if newer records rewrite all its blobs.
   void DropIfSuperseded(uint64_t seq);
 
   storage::LogStore* store_;
   std::map<uint64_t, OutboxRecord> pending_;
+  /// seq -> how many pieces follow the head.
+  std::map<uint64_t, uint64_t> pieces_;
   /// blob_id -> seq of the newest pending record that writes it.
   std::map<std::string, uint64_t> newest_;
   uint64_t next_seq_ = 1;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "tc/cell/cell.h"
 #include "tc/cell/vault_baseline.h"
@@ -189,6 +193,103 @@ TEST_F(CellTest, TruncatedManifestIsConvicted) {
   ASSERT_EQ(alice_phone_->incidents().size(), 1u);
   EXPECT_EQ(alice_phone_->incidents()[0].type,
             IncidentType::kPayloadTampered);
+}
+
+// ---- Manifest v2 (root + content-addressed segments) under attack ----
+// Each case is pulled by a sibling that holds no segment yet, so the pull
+// reads the root and every segment it names; each attack must convict
+// exactly once.
+
+/// Alice's segment blob ids at the provider.
+std::vector<std::string> SegmentIds(cloud::CloudInfrastructure& cloud,
+                                    const std::string& owner) {
+  return cloud.ListBlobs("space/" + owner + "/manifest/");
+}
+
+/// Stores `count` documents on `cell` and publishes them.
+std::vector<std::string> StoreAndPush(TrustedCell& cell,
+                                      const std::string& owner, int count) {
+  std::vector<std::string> docs;
+  for (int i = 0; i < count; ++i) {
+    auto doc = cell.StoreDocument("doc " + std::to_string(i), "common",
+                                  ToBytes("v1 " + std::to_string(i)),
+                                  MakeOwnerPolicy(owner));
+    TC_CHECK(doc.ok());
+    docs.push_back(*doc);
+  }
+  TC_CHECK(cell.SyncPush().ok());
+  return docs;
+}
+
+/// `cell`'s pull fails as tampering and records exactly one incident.
+void ExpectPullConvictsOnce(TrustedCell& cell, IncidentType type) {
+  EXPECT_TRUE(cell.SyncPull().IsIntegrityViolation());
+  ASSERT_EQ(cell.incidents().size(), 1u);
+  EXPECT_EQ(cell.incidents()[0].type, type);
+}
+
+TEST_F(CellTest, TamperedRootIsConvictedOnce) {
+  StoreAndPush(*alice_gateway_, "alice", 6);
+  const std::string root_id = "space/alice/manifest";
+  Bytes root = *cloud_.blob_store().Get(root_id);
+  root.back() ^= 0x01;  // The sealed body's tag.
+  cloud_.blob_store().Put(root_id, root);
+  ExpectPullConvictsOnce(*alice_phone_, IncidentType::kPayloadTampered);
+}
+
+TEST_F(CellTest, RootRolledBackBelowTheFloorIsConvictedOnce) {
+  StoreAndPush(*alice_gateway_, "alice", 3);
+  const std::string root_id = "space/alice/manifest";
+  const Bytes first = *cloud_.blob_store().Get(root_id);
+  ASSERT_TRUE(alice_phone_->SyncPull().ok());
+  StoreAndPush(*alice_gateway_, "alice", 3);
+  ASSERT_TRUE(alice_phone_->SyncPull().ok());
+  cloud_.blob_store().Put(root_id, first);
+  ExpectPullConvictsOnce(*alice_phone_, IncidentType::kRollbackDetected);
+}
+
+TEST_F(CellTest, TamperedSegmentIsConvictedOnce) {
+  StoreAndPush(*alice_gateway_, "alice", 6);
+  const std::vector<std::string> segments = SegmentIds(cloud_, "alice");
+  ASSERT_FALSE(segments.empty());
+  Bytes segment = *cloud_.blob_store().Get(segments[0]);
+  segment[segment.size() / 2] ^= 0x40;
+  cloud_.blob_store().Put(segments[0], segment);
+  ExpectPullConvictsOnce(*alice_phone_, IncidentType::kPayloadTampered);
+}
+
+TEST_F(CellTest, StaleSegmentUnderAFreshRootIsConvictedOnce) {
+  // Three documents share one slot, so the update replaces the one
+  // segment; the provider serves the replaced, authentic one in place of
+  // the fresh one.
+  const std::vector<std::string> docs =
+      StoreAndPush(*alice_gateway_, "alice", 3);
+  const std::vector<std::string> before = SegmentIds(cloud_, "alice");
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_TRUE(alice_gateway_->UpdateDocumentAtomic(docs[2], ToBytes("v2")).ok());
+  std::vector<std::string> after = SegmentIds(cloud_, "alice");
+  after.erase(std::find(after.begin(), after.end(), before[0]));
+  ASSERT_EQ(after.size(), 1u);
+  cloud_.blob_store().Put(after[0], *cloud_.blob_store().Get(before[0]));
+  ExpectPullConvictsOnce(*alice_phone_, IncidentType::kPayloadTampered);
+}
+
+TEST_F(CellTest, SegmentReplayedFromAnotherOwnerIsConvictedOnce) {
+  StoreAndPush(*alice_gateway_, "alice", 6);
+  StoreAndPush(*bob_phone_, "bob", 6);
+  const std::string alice_segment = SegmentIds(cloud_, "alice")[0];
+  cloud_.blob_store().Put(alice_segment,
+                          *cloud_.blob_store().Get(SegmentIds(cloud_, "bob")[0]));
+  ExpectPullConvictsOnce(*alice_phone_, IncidentType::kPayloadTampered);
+}
+
+TEST_F(CellTest, SegmentServedForAnotherSlotIsConvictedOnce) {
+  StoreAndPush(*alice_gateway_, "alice", 6);
+  const std::vector<std::string> segments = SegmentIds(cloud_, "alice");
+  ASSERT_GE(segments.size(), 2u);
+  cloud_.blob_store().Put(segments[0],
+                          *cloud_.blob_store().Get(segments[1]));
+  ExpectPullConvictsOnce(*alice_phone_, IncidentType::kPayloadTampered);
 }
 
 TEST_F(CellTest, ShareGrantFlowEndToEnd) {
@@ -642,14 +743,16 @@ TEST(CellTransportTest, NonResilientCellCrossesItsTransport) {
 
   // Every write is a commit: the store's blind one, then the push's and
   // the atomic update's, each after a snapshot and its base reads (the
-  // manifest; the document and the manifest).
+  // manifest root; the document and the root).
   EXPECT_EQ(transport.commits, 3u);
   EXPECT_EQ(transport.snapshots, 2u);
   EXPECT_EQ(transport.snapshot_gets, 3u);
-  EXPECT_EQ(transport.gets, 2u);  // Fetch + manifest pull.
+  // Fetch + root pull: the pull holds the root's one segment already.
+  EXPECT_EQ(transport.gets, 2u);
   // Every blob the provider stored or served crossed the transport.
   const cloud::CloudStats stats = cloud.stats();
-  EXPECT_EQ(stats.blob_puts, 4u);  // 1 + 1 + 2 txn writes.
+  // 1 + 2 (segment, root) + 3 (document, segment, root) txn writes.
+  EXPECT_EQ(stats.blob_puts, 6u);
   EXPECT_EQ(stats.blob_gets, transport.gets + transport.snapshot_gets);
 }
 
@@ -693,6 +796,129 @@ TEST(CellRegistryTest, AnUpdatesStoreLookupsDoNotGrowWithTheDocumentCount) {
     before = lookups();
     ASSERT_TRUE(cell.SyncPull().ok());
     EXPECT_EQ(lookups() - before, 0u);
+  }
+}
+
+/// A cell on `cloud` that crosses `transport` (null = in-process).
+std::unique_ptr<TrustedCell> MakeCellOn(const std::string& id,
+                                        cloud::CloudInfrastructure* cloud,
+                                        CellDirectory* directory,
+                                        const Clock* clock,
+                                        net::CloudTransport* transport) {
+  TrustedCell::Config config;
+  config.cell_id = id;
+  config.owner = "alice";
+  config.flash.emplace();
+  config.flash->page_size = 2048;
+  config.flash->pages_per_block = 16;
+  config.flash->block_count = 256;
+  config.transport = transport;
+  auto created = TrustedCell::Create(config, cloud, directory, clock);
+  TC_CHECK(created.ok());
+  return std::move(*created);
+}
+
+/// Runs `hook` once, right after the first read of the manifest root that
+/// crosses it.
+class RootReadHookTransport final : public net::CloudTransport {
+ public:
+  RootReadHookTransport(cloud::CloudInfrastructure* cloud,
+                        std::function<void()> hook)
+      : inner_(cloud), hook_(std::move(hook)) {}
+
+  Result<Bytes> GetBlob(const std::string& id, uint32_t* delay_us) override {
+    Result<Bytes> got = inner_.GetBlob(id, delay_us);
+    if (id == "space/alice/manifest" && hook_) {
+      auto hook = std::move(hook_);
+      hook_ = nullptr;
+      hook();
+    }
+    return got;
+  }
+  Result<cloud::SnapshotDescriptor> GetSnapshot(uint32_t* delay_us) override {
+    return inner_.GetSnapshot(delay_us);
+  }
+  Result<cloud::SnapshotRead> GetAtSnapshot(
+      const std::string& id, const cloud::SnapshotDescriptor& snap,
+      uint32_t* delay_us) override {
+    return inner_.GetAtSnapshot(id, snap, delay_us);
+  }
+  cloud::TxnOutcome CommitTxn(const cloud::TxnRequest& req) override {
+    return inner_.CommitTxn(req);
+  }
+  obs::TelemetryHub::ReportOutcome ReportTelemetry(
+      const Bytes& frame, uint32_t* delay_us) override {
+    return inner_.ReportTelemetry(frame, delay_us);
+  }
+  Result<std::string> ScrapeTelemetry(uint32_t* delay_us) override {
+    return inner_.ScrapeTelemetry(delay_us);
+  }
+  std::string name() const override { return "root-read-hook"; }
+
+ private:
+  net::InProcessTransport inner_;
+  std::function<void()> hook_;
+};
+
+TEST(ManifestSegmentTest, APublishBetweenASiblingsRootAndSegmentReadsConvictsNobody) {
+  // The sibling reads the root, then another cell of the owner publishes
+  // every slot anew before the sibling reads a segment. Segments are never
+  // rewritten, so each one the sibling's root names is still there.
+  SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  CellDirectory directory;
+  auto gateway = MakeCellOn("alice-gateway", &cloud, &directory, &clock,
+                            nullptr);
+  const std::vector<std::string> docs = StoreAndPush(*gateway, "alice", 12);
+  RootReadHookTransport transport(&cloud, [&] {
+    for (const std::string& doc : docs) {
+      TC_CHECK(gateway->UpdateDocumentAtomic(doc, ToBytes("v2")).ok());
+    }
+  });
+  auto phone = MakeCellOn("alice-phone", &cloud, &directory, &clock,
+                          &transport);
+  ASSERT_TRUE(phone->SyncPull().ok());
+  EXPECT_EQ(phone->ListDocuments().size(), docs.size());
+  // The next pull follows the publishes it raced.
+  ASSERT_TRUE(phone->SyncPull().ok());
+  EXPECT_EQ(*phone->FetchDocument(docs[5]), ToBytes("v2"));
+  EXPECT_TRUE(gateway->incidents().empty());
+  EXPECT_TRUE(phone->incidents().empty());
+}
+
+TEST(ManifestSegmentTest, AnUpdateCommitsOneSegmentAndASmallRoot) {
+  // After a push, an update commits its document, one segment and the
+  // root, not the owner's whole manifest; a sibling that pulled before
+  // fetches the root and that one segment.
+  for (int documents : {64, 512}) {
+    SCOPED_TRACE(std::to_string(documents) + " documents");
+    SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+    cloud::CloudInfrastructure cloud;
+    CellDirectory directory;
+    auto gateway = MakeCellOn("alice-gateway", &cloud, &directory, &clock,
+                              nullptr);
+    CountingTransport transport(&cloud);
+    auto phone = MakeCellOn("alice-phone", &cloud, &directory, &clock,
+                            &transport);
+    const std::vector<std::string> docs =
+        StoreAndPush(*gateway, "alice", documents);
+    ASSERT_TRUE(phone->SyncPull().ok());
+
+    const uint64_t bytes_before = cloud.stats().bytes_in;
+    const uint64_t puts_before = cloud.stats().blob_puts;
+    ASSERT_TRUE(gateway->UpdateDocumentAtomic(docs[documents / 3],
+                                              Bytes(1024, 0x5a))
+                    .ok());
+    const uint64_t committed = cloud.stats().bytes_in - bytes_before;
+    EXPECT_EQ(cloud.stats().blob_puts - puts_before, 3u);
+    EXPECT_LE(committed, documents == 64 ? 6u * 1024 : 16u * 1024);
+
+    const uint64_t gets_before = transport.gets;
+    ASSERT_TRUE(phone->SyncPull().ok());
+    EXPECT_EQ(transport.gets - gets_before, 2u);  // The root + one segment.
+    EXPECT_EQ(*phone->FetchDocument(docs[documents / 3]), Bytes(1024, 0x5a));
+    EXPECT_TRUE(gateway->incidents().empty());
+    EXPECT_TRUE(phone->incidents().empty());
   }
 }
 

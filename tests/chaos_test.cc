@@ -558,6 +558,39 @@ TEST_F(CellChaosTest, AtomicUpdateQueuesBehindAJournaledAtomicUpdate) {
   ExpectCatchUpConverges(*gateway, *doc_id, "third");
 }
 
+TEST_F(CellChaosTest, PartitionedCellJournalsAnUpdateAndAStoreOfAnySize) {
+  // A journaled record spans as many store values as it needs: an atomic
+  // update's document, segment and root at 64 documents, and a store of a
+  // document larger than one flash page.
+  auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
+  const policy::Policy policy = cell::MakeOwnerPolicy("alice");
+  std::vector<std::string> docs;
+  for (int i = 0; i < 64; ++i) {
+    auto doc = gateway->StoreDocument("doc " + std::to_string(i), "memo",
+                                      Bytes(1024, static_cast<uint8_t>(i)),
+                                      policy);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    docs.push_back(*doc);
+  }
+  ASSERT_TRUE(gateway->SyncPush().ok());
+
+  const std::string updated(1024, 'u');
+  const std::string scanned(4096, 's');
+  injector_.ForceOutage(true);
+  ASSERT_TRUE(gateway->UpdateDocumentAtomic(docs[7], ToBytes(updated)).ok());
+  auto scan = gateway->StoreDocument("scan", "scan", ToBytes(scanned), policy);
+  injector_.ForceOutage(false);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(gateway->outbox_pending(), 2u);
+  ExpectReads(*gateway, *scan, scanned);
+
+  ExpectCatchUpConverges(*gateway, docs[7], updated);
+  auto phone = MakeCell("alice-phone", /*resilient=*/false);
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ExpectReads(*phone, *scan, scanned);
+  ExpectNoIncidents(*phone);
+}
+
 TEST_F(CellChaosTest, SyncPushQueuesBehindADeferredUpdate) {
   auto gateway = MakeCell("alice-gateway", /*resilient=*/true);
   auto phone = MakeCell("alice-phone", /*resilient=*/false);

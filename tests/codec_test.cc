@@ -89,6 +89,21 @@ net::OutboxRecord FixtureOutbox() {
   return r;
 }
 
+cell::ManifestRoot FixtureManifestRoot() {
+  cell::ManifestRoot root;
+  root.bits = 2;
+  root.segments = {{1, Bytes(32, 0x11)}, {3, Bytes(32, 0x22)}};
+  return root;
+}
+
+cell::ManifestSegment FixtureManifestSegment() {
+  cell::DocumentMeta listed = FixtureMeta();
+  listed.pending_approval = false;
+  cell::ManifestSegment segment;
+  segment.entries = {Encode(uint64_t{0}, listed), Bytes{7}};
+  return segment;
+}
+
 obs::AuditRecord FixtureRecord() {
   return {.index = 42,
           .time = 1364810400,
@@ -251,6 +266,19 @@ std::vector<RecordCase> EveryRecord() {
        "6963650003000000000000000010000000000000a05a59510000000003010203"
        "1273706163652f616c6963652f646f632f643105646b2f643101",
        FieldsRoundTrip<uint64_t, cell::DocumentMeta>()},
+      // The tc.manifest.v2 bodies, pinned from this codec when they were
+      // introduced.
+      {"manifest root body", Encode(FixtureManifestRoot()),
+       "0200000002010000002011111111111111111111111111111111111111111111"
+       "1111111111111111111103000000202222222222222222222222222222222222"
+       "222222222222222222222222222222",
+       FieldsRoundTrip<cell::ManifestRoot>()},
+      {"manifest segment body", Encode(FixtureManifestSegment()),
+       "025a000000000000000002643108546178203230313208746178206269"
+       "6c6c05616c6963650003000000000000000010000000000000a05a5951"
+       "00000000030102031273706163652f616c6963652f646f632f643105646b"
+       "2f6431000107",
+       FieldsRoundTrip<cell::ManifestSegment>()},
       {"grant signed payload", grant.SignedPayload(),
        "0b74632e6772616e742e76310e616c6963652d70686f6e652f67300264311273"
        "706163652f616c6963652f646f632f643105616c696365020000000000000008"
@@ -595,15 +623,15 @@ TEST(RecordCodecTest, CellsStoreAndSendThePinnedBytes) {
       {"doc blob v2",
        "1f2ab4c2c4031535469777f6296d9dc2ffc0aaabd02348f30bd0e533ab79f4b4"},
       {"manifest v1",
-       "cd9fcfb000a4b4d43af81c1c74b820f573527fb617460dd62d9fe45f1bea3abc"},
+       "a5f0926f4747195ef8de6552d7b641a5acd9715687f47973c022f126ec3ec3dc"},
       {"bus share to bob-phone",
-       "0557d081a9ae0eb638b95c5a1cb02f4f5e75457b62ac9fb357a5d08b04a0308e"},
+       "c4f324c4a99cc2ec7bfb23b42bace6b738c7084aeab915e69f579833204e5f2e"},
       {"bus access-notification to alice-phone",
        "4c4534d0b4566a2d84bc8d035a1b59e93823fa2bcb27f953591c121bb07a3a33"},
       {"bus aggregate to bob-phone",
        "5bcfd7dc52258a0a9c76accd503790e61b39d3cc722b3c3779f37fb3191ef411"},
       {"bus guardian-share to guardian-1",
-       "aeff401f3cce3474f195394725c2a91113a423aceec2ad92134504ff80f81471"},
+       "9d04902759df2aa84aefb6346449eb6e06c21cfba5f9f835c71d15601d02ac36"},
       {"bus recovery-share to alice-phone",
        "d3d6b9635f55072223ca258ac7e3e49249bf42db1343b986d4410e8847ad2e0c"},
       {"space leaf",
@@ -611,25 +639,26 @@ TEST(RecordCodecTest, CellsStoreAndSendThePinnedBytes) {
        "34660200000000000000201f2ab4c2c4031535469777f6296d9dc2ffc0aaabd0"
        "2348f30bd0e533ab79f4b4"},
       {"space root signature",
-       "204ff7138413562ae9fd8bb21bf134f9be9bc2cf2bf02946eab4d1da296fc331"
-       "6920624c5741ddee0b6f7528481170c0220d52396354504e15af341c0a15979d"
-       "894a"},
+       "20627d762c8b959add0911e65e2747d925b789e5d418cd2137bd671a80a6d29b"
+       "632064130b2b150dda44a9f95c71853db06d4c0b41ac0abcb4b137cc08174320"
+       "adcd"},
       {"bus approval-request to bob-phone",
        "cba979960ea7c99e5c329c68ff7a8ea5f2b7b9b2dead67b624782edc3d0d9299"},
   };
   EXPECT_EQ(CellRecords(), golden);
 }
 
-// Every version of one owner's manifest over a script that reaches each
-// way a document enters, changes in or leaves it, in the same deterministic
-// setting as CellRecords: five stores, an update of the middle document in
-// doc-id order, a key rotation, two proposals (listed only once approved;
-// the rejected one forgotten), a granted document from another owner
-// (never listed), a delete-after-use read of an own document, then a
-// sibling that pulls and publishes. A manifest lists each own document's
-// entry in doc-id order, with an update's not-yet-saved meta in place. The
-// pins were taken at 59ac005, which built every manifest by reading each
-// meta back from the store.
+// Every version of one owner's manifest root, then every segment blob, over
+// a script that reaches each way a document enters, changes in or leaves
+// the manifest, in the same deterministic setting as CellRecords: five
+// stores, an update of the middle document in doc-id order, a key
+// rotation, two proposals (listed only once approved; the rejected one
+// forgotten), a granted document from another owner (never listed), a
+// delete-after-use read of an own document, then a sibling that pulls and
+// publishes. A segment lists its slot's own entries in doc-id order, with
+// an update's not-yet-saved meta in place; its id is the SHA-256 of its
+// bytes, so the ids pin the segments. The v1 pins (one sealed body per
+// version) were taken at 59ac005; these are tc.manifest.v2's.
 std::vector<std::string> ManifestVersions() {
   SimulatedClock clock(MakeTimestamp(2013, 4, 1, 10, 0, 0));
   cloud::CloudInfrastructure cloud;
@@ -692,16 +721,34 @@ std::vector<std::string> ManifestVersions() {
     if (!manifest.ok()) break;
     out.push_back(Digest(*manifest));
   }
+  for (const std::string& id : cloud.ListBlobs("space/alice/manifest/")) {
+    TC_CHECK(*cloud.LatestBlobVersion(id) == 1);  // Never rewritten.
+    TC_CHECK(Digest(*cloud.GetBlobVersion(id, 1)) ==
+             id.substr(id.rfind('/') + 1));
+    out.push_back("segment " + id.substr(id.rfind('/') + 1));
+  }
   return out;
 }
 
 TEST(RecordCodecTest, EveryManifestVersionOfAScriptIsPinned) {
   const std::vector<std::string> golden = {
-      "edbe9432b0a08a129647a6c2c24c6c2ad8b861c377ea611a581af4f5f89726b9",
-      "d6912548bfd24b1878cbff3ad01d60e6a613d3ed564ed71ca44060d747992b2c",
-      "b978862020c1c43a17d52c7e583f7a4755c981c080eb2cf2713777731eecbffb",
-      "102180cf558565d8230598f6f0476f6aca5431620c6b8aa88331e8fbc049c386",
-      "5730cd95efc7d7dfbffb5f25bff235270e1e0a76ee5d6d3b969df687539e1257",
+      "c3ec721b732c9c634e9e260d5f6f8228e0fcd888cddef1a2b2b989122f5ac88b",
+      "5c9cb0f4879f54fc54e6d8fdf40d7451d08a2721282202b1b1882eafcf95cb75",
+      "792e405cbdac8a29f527e971a3645ccec367be1cd4669938ec78c2304dcfe01f",
+      "4a70a0fcb028e75bf2e84e627021859c84b51f8db5aea46ae10a0bb028afea49",
+      "f21506f3aeb17afc4b923e8b0d52c5219ed1f92550f1353633d7df368205a3d0",
+      "segment "
+      "07781581a50167eeb5562704ca42e4a603dfc25e65657cc64480bd9247e2fd56",
+      "segment "
+      "3733eb3f314f02b87b49807cbee3a7b9a3ac2acabe9f3f7c5e64a060787ad622",
+      "segment "
+      "3babe6bd30c0adf9c1a678ceec3a2f30458f59c5e6c4a03e30d40d3cf8796e3b",
+      "segment "
+      "3ca0e846ada1ac0360d799cf8107a15a753d2ce845692e0d8f60932d40f9adf9",
+      "segment "
+      "702a55318865d4b8120a7e6713476d89aa559ae1123a05432d96e7c8740f9be9",
+      "segment "
+      "7e6614a9dd51e1b1dbf90989ca2c044d15cc7cefb7b6e9a24ab7c71f4ba3c2da",
   };
   EXPECT_EQ(ManifestVersions(), golden);
 }

@@ -571,9 +571,11 @@ TEST(FleetProtocolTest, FleetCellsSendWhatTrustedCellsSend) {
   }
   EXPECT_EQ(cell_store_fetch,
             (std::vector<std::string>{"commit 1 blind", "get_blob"}));
+  // The update commits its document, one fresh manifest segment (a blind
+  // create) and the manifest root.
   EXPECT_EQ(cell_update,
             (std::vector<std::string>{"get_snapshot", "get_at_snapshot",
-                                      "get_at_snapshot", "commit 2 based"}));
+                                      "get_at_snapshot", "commit 3 based"}));
 
   // A fleet cell's blob round with one write and one get is a store and a
   // fetch; its txn round at the default two keys is an update.

@@ -802,5 +802,74 @@ TEST(OutboxTest, FindPayloadReturnsTheNewestQueuedPayloadAcrossRecords) {
   EXPECT_EQ(*outbox.FindPayload("manifest"), ToBytes("m2"));
 }
 
+TEST(OutboxTest, RecordSpanningPagesSurvivesReopenAndLeavesNoKeyWhenDone) {
+  // A record three pages long is cut into values that each fit a page.
+  storage::FlashDevice device(OutboxGeometry());
+  storage::PlainPageTransform plain;
+  auto store =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(store.ok());
+  const Bytes big(3 * OutboxGeometry().page_size, 0x6b);
+  {
+    Outbox outbox(store->get());
+    ASSERT_TRUE(outbox.Load().ok());
+    ASSERT_TRUE(outbox
+                    .Enqueue("update", {{"doc", ToBytes("d1")},
+                                        {"segment", big},
+                                        {"manifest", ToBytes("m1")}})
+                    .ok());
+  }
+  auto outbox_keys = [](storage::LogStore& s) {
+    size_t keys = 0;
+    EXPECT_TRUE(s.ScanAll([&](const std::string& key, const Bytes&) {
+                   if (key.rfind("outbox/", 0) == 0) ++keys;
+                 }).ok());
+    return keys;
+  };
+  EXPECT_GE(outbox_keys(**store), 4u);
+
+  store->reset();
+  auto reopened =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(reopened.ok());
+  Outbox revived(reopened->get());
+  ASSERT_TRUE(revived.Load().ok());
+  EXPECT_EQ(Tokens(revived), std::vector<std::string>{"update"});
+  ASSERT_NE(revived.FindPayload("segment"), nullptr);
+  EXPECT_EQ(*revived.FindPayload("segment"), big);
+  EXPECT_EQ(*revived.FindPayload("doc"), ToBytes("d1"));
+
+  ASSERT_TRUE(revived.MarkDone(revived.pending().begin()->first).ok());
+  EXPECT_EQ(outbox_keys(**reopened), 0u);
+}
+
+TEST(OutboxTest, HeadlessPiecesAreDroppedAndAHeadMissingAPieceIsDataLoss) {
+  storage::FlashDevice device(OutboxGeometry());
+  storage::PlainPageTransform plain;
+  auto store =
+      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
+  ASSERT_TRUE(store.ok());
+  const Bytes big(2 * OutboxGeometry().page_size, 0x2c);
+  {
+    Outbox outbox(store->get());
+    ASSERT_TRUE(outbox.Load().ok());
+    ASSERT_TRUE(outbox.Enqueue("kept", {{"a", big}}).ok());
+  }
+  // An enqueue that crashed before its head: pieces only.
+  ASSERT_TRUE((*store)->Put("outbox/0000000000000009/1", ToBytes("x")).ok());
+  {
+    Outbox outbox(store->get());
+    ASSERT_TRUE(outbox.Load().ok());
+    EXPECT_EQ(Tokens(outbox), std::vector<std::string>{"kept"});
+  }
+  auto piece = (*store)->Get("outbox/0000000000000009/1");
+  EXPECT_TRUE(piece.status().IsNotFound());
+
+  // A head whose piece is gone cannot be rebuilt.
+  ASSERT_TRUE((*store)->Delete("outbox/0000000000000001/1").ok());
+  Outbox outbox(store->get());
+  EXPECT_TRUE(outbox.Load().IsDataLoss());
+}
+
 }  // namespace
 }  // namespace tc::net

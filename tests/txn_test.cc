@@ -756,17 +756,16 @@ storage::FlashGeometry OutboxGeometry() {
   return geo;
 }
 
-TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
+/// Sweeps the power-loss point across every flash write one Enqueue of a
+/// two-write transaction performs (torn last page): after reopen the
+/// journal must hold the whole transaction or none of it — never half.
+void SweepEnqueueCrashes(const Bytes& manifest_payload) {
   const Bytes doc_payload = ToBytes("sealed document payload");
-  const Bytes manifest_payload = ToBytes("sealed manifest payload");
   const std::string token = "alice-gateway|txn/space/alice/doc/1|v2";
   storage::PlainPageTransform plain;
 
   int saw_absent = 0;
   int saw_present = 0;
-  // Sweep the power-loss point across every flash write the enqueue path
-  // performs (torn last page): after reopen the journal must hold the
-  // whole two-write transaction or none of it — never half.
   for (uint64_t crash_at = 1; crash_at <= 64; ++crash_at) {
     auto dev = std::make_unique<tc::testing::FaultyFlashDevice>(
         OutboxGeometry(), tc::testing::FaultPlan{});
@@ -854,6 +853,16 @@ TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
   }
   EXPECT_GE(saw_absent, 1) << "sweep never hit the pre-durability window";
   EXPECT_GE(saw_present, 1) << "sweep never completed an enqueue";
+}
+
+TEST(OutboxTxnCrashTest, JournaledTxnFullyAppliesOrFullyAbortsAfterCrash) {
+  SweepEnqueueCrashes(ToBytes("sealed manifest payload"));
+}
+
+TEST(OutboxTxnCrashTest, MultiValueTxnFullyAppliesOrFullyAbortsAfterCrash) {
+  // Three pages of payload: the record spans several values, written
+  // piece by piece with its head last.
+  SweepEnqueueCrashes(Bytes(3 * OutboxGeometry().page_size, 0x4d));
 }
 
 TEST(OutboxTxnCrashTest, RedrainAfterCrashBeforeMarkDoneReplaysNotReapplies) {
