@@ -4,12 +4,14 @@
 # Exports each commit with `git archive` into its own directory under a
 # scratch directory (each copy builds itself: cellbench/run.py builds into
 # the copy's .bench_build/ on first use). Then, for every workload
-# BENCHMARK.json declares, it runs 10 alternating parent/change pairs
-# (seeds 1-10, BENCHMARK.json's run_seconds, --trace 0) through each
-# copy's own, unmodified cellbench/run.py, and writes BENCH_cellbench.json
-# at the repo root: both SHAs; per run the host line's nproc, compiler and
-# steal, every end-to-end metric's value, `correct` and `failed`; and per
-# workload, side and metric the median and the interquartile range.
+# BENCHMARK.json declares, it runs 10 parent/change pairs (seeds 1-10,
+# BENCHMARK.json's run_seconds, --trace 0) through each copy's own,
+# unmodified cellbench/run.py, the parent first on odd seeds and the change
+# first on even ones, and writes BENCH_cellbench.json at the repo root:
+# both SHAs; per run the host line's nproc, compiler and steal, whether it
+# ran `first` in its pair, every end-to-end metric's value, `correct` and
+# `failed`; and per workload, side and metric the median and the
+# interquartile range.
 #
 # Usage: scripts/bench.sh <parent-commit> <change-commit> [scratch-dir]
 set -eu
@@ -53,8 +55,10 @@ def run(side, workload, seed):
 for workload in [w["name"] for w in spec["workloads"]]:
     runs = {"parent": [], "change": []}
     for seed in range(1, 11):
-        for side in sides:
-            runs[side].append(run(side, workload, seed))
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        for side in order:
+            runs[side].append(dict(run(side, workload, seed),
+                                   first=side == order[0]))
             print(f"bench: {workload} seed {seed} {side} done",
                   file=sys.stderr, flush=True)
     summary = {}

@@ -40,9 +40,9 @@
 #      the benchmark while the main build still passes;
 #  11. build rpc_test, codec_test, crypto_test, tee_test, storage_test,
 #      lockfree_test, cloud_test, txn_test, cell_test,
-#      recovery_approval_test, obs_journal_test, policy_test, overload_test
-#      and fleet_test under the asan-ubsan preset into build-asan/ and run
-#      them with leak checking:
+#      recovery_approval_test, obs_journal_test, policy_test, overload_test,
+#      fleet_test, net_test and chaos_test under the asan-ubsan preset into
+#      build-asan/ and run them with leak checking:
 #      the audit journal's Verify and the audit export's VerifyAndDecrypt,
 #      which decode bytes that arrive over the bus, the wire codec's and
 #      every stored or sent record's truncation, byte-flip and
@@ -55,7 +55,9 @@
 #      which holds, replaces and erases the entry bytes every manifest is
 #      built from across store, update, forget, approval and pull, and the
 #      worker pool's queue with the server's dispatch closures, which own
-#      the connection's shared_ptr and the moved request payload, claim
+#      the connection's shared_ptr and the moved request payload, and the
+#      outbox, whose Load rebuilds records from stored pieces and whose
+#      FindPayload hands out pointers into records MarkDone erases, claim
 #      "no over-read" and "no use after free", and only AddressSanitizer
 #      enforces that (the build takes a few minutes, the runs a few seconds
 #      each);
@@ -91,10 +93,10 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" \
   --target rpc_test codec_test crypto_test tee_test storage_test lockfree_test \
   cloud_test txn_test cell_test recovery_approval_test obs_journal_test \
-  policy_test overload_test fleet_test
+  policy_test overload_test fleet_test net_test chaos_test
 for t in rpc_test codec_test crypto_test tee_test storage_test lockfree_test \
     cloud_test txn_test cell_test recovery_approval_test obs_journal_test \
-    policy_test overload_test fleet_test; do
+    policy_test overload_test fleet_test net_test chaos_test; do
   ASAN_OPTIONS=detect_leaks=1 "build-asan/tests/$t" --gtest_brief=1
 done
 scripts/check_tree_clean.sh

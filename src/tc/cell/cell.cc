@@ -326,15 +326,11 @@ Status TrustedCell::Init() {
     DocumentMeta meta;
     scan_status = Decode(value, &number, &meta);
     if (!scan_status.ok()) return;
-    Bytes entry = ManifestEntry(meta);
-    listed_ += entry.empty() ? 0 : 1;
-    docs_[meta.doc_id] = {number, std::move(entry)};
+    docs_[meta.doc_id] = {number, ManifestEntry(meta), next_entry_id_++};
     number_to_doc_[number] = meta.doc_id;
     next_doc_number_ = std::max(next_doc_number_, number + 1);
   }));
   TC_RETURN_IF_ERROR(scan_status);
-  // No segment the cell wrote or pulled survives a restart.
-  Rebucket(SlotBits(listed_));
 
   Status registered = directory_->Register(
       CellIdentity{config_.cell_id, config_.owner, tee_->signing_public_key(),
@@ -374,8 +370,6 @@ std::string TrustedCell::PushToken(const std::string& blob_id,
 }
 
 void TrustedCell::EnterDegraded() {
-  if (degraded_) return;
-  degraded_ = true;
   // +1/-1, not Set: the gauge is process-global, so with several cells in
   // one process it counts the currently-degraded ones.
   metrics_.degraded.Add(1);
@@ -383,8 +377,6 @@ void TrustedCell::EnterDegraded() {
 }
 
 void TrustedCell::ExitDegraded() {
-  if (!degraded_) return;
-  degraded_ = false;
   metrics_.degraded.Add(-1);
   metrics_.degraded_ms.Increment(degraded_timer_.ElapsedUs() / 1000);
 }
@@ -412,12 +404,10 @@ Status TrustedCell::CommitOrJournal(const cloud::TxnRequest& req,
   for (const cloud::TxnWrite& write : req.writes) {
     writes.push_back({write.id, write.data});
   }
-  const size_t depth = outbox_->size();
   TC_RETURN_IF_ERROR(outbox_->Enqueue(req.token, std::move(writes)));
-  metrics_.outbox_depth.Add(static_cast<int64_t>(outbox_->size()) -
-                            static_cast<int64_t>(depth));
+  metrics_.outbox_depth.Add(1);
   ++stats_.writes_deferred;
-  EnterDegraded();
+  if (outbox_->size() == 1) EnterDegraded();
   return Status::OK();
 }
 
@@ -434,7 +424,6 @@ Status TrustedCell::CatchUp() {
     // Nothing to drain, but the circuit may have opened on reads: catch-up
     // is the reconnection attempt, so the next call may probe.
     channel_->WaitOutBreaker();
-    ExitDegraded();
     return Status::OK();
   }
   obs::TraceSpan span("cell", "catch_up", config_.cell_id);
@@ -554,8 +543,11 @@ Status TrustedCell::SaveMeta(const DocumentMeta& meta, bool is_new) {
   TC_RETURN_IF_ERROR(store_->Put(MetaKey(meta.doc_id), Encode(number, meta)));
   Bytes entry = ManifestEntry(meta);
   RegisteredDocument& doc = docs_[meta.doc_id];
-  NoteEntryChange(meta.doc_id, doc.manifest_entry, entry);
-  doc = {number, std::move(entry)};
+  doc.number = number;
+  if (doc.manifest_entry != entry) {
+    doc.manifest_entry = std::move(entry);
+    doc.entry_id = next_entry_id_++;
+  }
   if (is_new) number_to_doc_[number] = meta.doc_id;
   return Status::OK();
 }
@@ -590,7 +582,6 @@ Status TrustedCell::ForgetDocument(const DocumentMeta& meta) {
   auto doc = docs_.find(meta.doc_id);
   if (doc == docs_.end()) return Status::OK();
   const uint64_t number = doc->second.number;
-  NoteEntryChange(meta.doc_id, doc->second.manifest_entry, {});
   number_to_doc_.erase(number);
   docs_.erase(doc);
   return db_->keywords().RemoveDocument(number, IndexedText(meta));
@@ -899,36 +890,19 @@ std::vector<DocumentMeta> TrustedCell::ListDocuments() {
 
 // ---- Sync ----
 
-void TrustedCell::NoteEntryChange(const std::string& doc_id,
-                                  const Bytes& before, const Bytes& after) {
-  if (before == after) return;
-  listed_ = listed_ + (after.empty() ? 0 : 1) - (before.empty() ? 0 : 1);
-  dirty_slots_.insert(SlotOf(doc_id, manifest_bits_));
+uint32_t TrustedCell::RegistryBits() const {
+  return SlotBits(std::count_if(docs_.begin(), docs_.end(), [](const auto& doc) {
+    return !doc.second.manifest_entry.empty();
+  }));
 }
 
-void TrustedCell::Rebucket(uint32_t bits) {
-  manifest_bits_ = bits;
-  segments_.clear();
-  dirty_slots_.clear();
-  for (const auto& [doc_id, doc] : docs_) {
-    if (!doc.manifest_entry.empty()) {
-      dirty_slots_.insert(SlotOf(doc_id, bits));
+std::map<uint32_t, std::vector<const TrustedCell::RegistryEntry*>>
+TrustedCell::ListedSlots() const {
+  std::map<uint32_t, std::vector<const RegistryEntry*>> out;
+  for (const RegistryEntry& doc : docs_) {
+    if (!doc.second.manifest_entry.empty()) {
+      out[SlotOf(doc.first, manifest_bits_)].push_back(&doc);
     }
-  }
-}
-
-std::map<uint32_t, std::vector<const Bytes*>> TrustedCell::SlotEntries(
-    const std::set<uint32_t>& slots, uint32_t bits,
-    const DocumentMeta* override_meta, const Bytes& override_entry) const {
-  std::map<uint32_t, std::vector<const Bytes*>> out;
-  for (const auto& [doc_id, doc] : docs_) {
-    const Bytes& entry =
-        override_meta != nullptr && doc_id == override_meta->doc_id
-            ? override_entry
-            : doc.manifest_entry;
-    if (entry.empty()) continue;
-    const uint32_t slot = SlotOf(doc_id, bits);
-    if (slots.count(slot) > 0) out[slot].push_back(&entry);
   }
   return out;
 }
@@ -968,37 +942,54 @@ Result<ManifestRoot> TrustedCell::OpenManifestRoot(const Bytes& blob,
 
 Status TrustedCell::PublishManifest(const DocumentMeta* meta,
                                     const Bytes& sealed) {
-  // The registry as this publish lists it: `meta`'s entry in place.
-  const Bytes meta_entry = meta != nullptr ? ManifestEntry(*meta) : Bytes();
-  std::set<uint32_t> dirty;
-  {
-    const Bytes* held = nullptr;
-    if (meta != nullptr) {
-      auto it = docs_.find(meta->doc_id);
-      if (it != docs_.end()) held = &it->second.manifest_entry;
-    }
-    const bool changed = meta != nullptr && (held == nullptr ||
-                                             *held != meta_entry);
-    const size_t listed =
-        changed ? listed_ + (meta_entry.empty() ? 0 : 1) -
-                      (held == nullptr || held->empty() ? 0 : 1)
-                : listed_;
-    const uint32_t bits = SlotBits(listed);
-    if (bits != manifest_bits_) Rebucket(bits);
-    dirty = dirty_slots_;
-    if (changed) dirty.insert(SlotOf(meta->doc_id, bits));
+  // An update or a rotation never changes whether its document is listed,
+  // so the registry's count gives the bits.
+  const uint32_t bits = RegistryBits();
+  if (bits != manifest_bits_) {
+    manifest_bits_ = bits;
+    held_.clear();
   }
-  const uint32_t bits = manifest_bits_;
+  const auto listed = ListedSlots();
+  auto entry_ids = [](const std::vector<const RegistryEntry*>& docs) {
+    std::vector<uint64_t> ids;
+    ids.reserve(docs.size());
+    for (const RegistryEntry* doc : docs) ids.push_back(doc->second.entry_id);
+    return ids;
+  };
+  // Dirty: a slot whose listed entries are not the ones its held segment
+  // lists, and `meta`'s slot when its entry changes.
+  std::set<uint32_t> dirty;
+  for (const auto& [slot, docs] : listed) {
+    auto held = held_.find(slot);
+    if (held == held_.end() || held->second.entry_ids != entry_ids(docs)) {
+      dirty.insert(slot);
+    }
+  }
+  for (const auto& [slot, held] : held_) {
+    if (listed.count(slot) == 0) dirty.insert(slot);
+  }
+  const Bytes meta_entry = meta != nullptr ? ManifestEntry(*meta) : Bytes();
+  if (meta != nullptr) {
+    auto doc = docs_.find(meta->doc_id);
+    if (doc == docs_.end() || doc->second.manifest_entry != meta_entry) {
+      dirty.insert(SlotOf(meta->doc_id, bits));
+    }
+  }
 
-  // A fresh segment for each dirty slot that lists anything, sealed once:
-  // its bytes do not depend on what the provider holds. A dirty slot that
-  // lists nothing leaves the root.
+  // A fresh segment for each dirty slot that lists anything, `meta`'s entry
+  // in place, sealed once: its bytes do not depend on what the provider
+  // holds. A dirty slot that lists nothing leaves the root.
   std::map<uint32_t, std::pair<Bytes, Bytes>> fresh;  // slot -> hash, sealed
-  for (const auto& [slot, entries] :
-       SlotEntries(dirty, bits, meta, meta_entry)) {
+  for (uint32_t slot : dirty) {
+    auto docs = listed.find(slot);
+    if (docs == listed.end()) continue;
     ManifestSegment segment;
-    segment.entries.reserve(entries.size());
-    for (const Bytes* entry : entries) segment.entries.push_back(*entry);
+    segment.entries.reserve(docs->second.size());
+    for (const RegistryEntry* doc : docs->second) {
+      segment.entries.push_back(meta != nullptr && doc->first == meta->doc_id
+                                    ? meta_entry
+                                    : doc->second.manifest_entry);
+    }
     TC_ASSIGN_OR_RETURN(Bytes sealed_segment,
                         tee_->Seal("manifest-key",
                                    SegmentAad(config_.owner, slot),
@@ -1059,8 +1050,8 @@ Status TrustedCell::PublishManifest(const DocumentMeta* meta,
       }
     }
     if (!copied) {
-      for (const auto& [slot, hash] : segments_) {
-        if (dirty.count(slot) == 0) named[slot] = hash;
+      for (const auto& [slot, held] : held_) {
+        if (dirty.count(slot) == 0) named[slot] = held.hash;
       }
     }
     for (const auto& [slot, segment] : fresh) named[slot] = segment.first;
@@ -1104,15 +1095,15 @@ Status TrustedCell::PublishManifest(const DocumentMeta* meta,
     if (meta != nullptr) {
       TC_RETURN_IF_ERROR(SaveMeta(*meta, /*is_new=*/false));
     }
-    // The registry now lists each dirty slot exactly as written.
+    // Each dirty slot is held as written, under the ids its entries carry
+    // now that SaveMeta has given `meta`'s its new one.
     for (uint32_t slot : dirty) {
       auto segment = fresh.find(slot);
-      if (segment != fresh.end()) {
-        segments_[slot] = segment->second.first;
+      if (segment == fresh.end()) {
+        held_.erase(slot);
       } else {
-        segments_.erase(slot);
+        held_[slot] = {segment->second.first, entry_ids(listed.at(slot))};
       }
-      dirty_slots_.erase(slot);
     }
     while (tee_->CounterValue("manifest-seen") < version) {
       tee_->IncrementCounter("manifest-seen");
@@ -1134,13 +1125,17 @@ Status TrustedCell::SyncPull() {
   uint64_t version = 0;
   TC_ASSIGN_OR_RETURN(ManifestRoot root, OpenManifestRoot(blob, &version));
 
-  // Only the segments whose hash the cell does not hold for their slot.
+  // Only the segments whose hash the cell does not hold for their slot;
+  // `pulled` is the root's segments as the cell would hold them.
   const bool same_bits = root.bits == manifest_bits_;
-  std::map<uint32_t, std::pair<Bytes, std::vector<Bytes>>> pulled;
+  std::map<uint32_t, HeldSegment> pulled;
   for (const auto& [slot, hash] : root.segments) {
     if (same_bits) {
-      auto held = segments_.find(slot);
-      if (held != segments_.end() && held->second == hash) continue;
+      auto held = held_.find(slot);
+      if (held != held_.end() && held->second.hash == hash) {
+        pulled[slot] = held->second;
+        continue;
+      }
     }
     const std::string segment_id = SegmentBlobId(hash);
     TC_ASSIGN_OR_RETURN(Bytes sealed, PullBlob(segment_id));
@@ -1161,63 +1156,37 @@ Status TrustedCell::SyncPull() {
     }
     ManifestSegment segment;
     TC_RETURN_IF_ERROR(Decode(*body, &segment));
+    HeldSegment& held = pulled[slot];
+    held.hash = hash;
     for (const Bytes& entry : segment.entries) {
       uint64_t number = 0;
       DocumentMeta incoming;
       TC_RETURN_IF_ERROR(Decode(entry, &number, &incoming));
       // An entry the registry holds byte for byte has that same version.
-      auto held = docs_.find(incoming.doc_id);
-      if (held != docs_.end() && held->second.manifest_entry == entry) {
-        continue;
+      auto doc = docs_.find(incoming.doc_id);
+      if (doc == docs_.end() || doc->second.manifest_entry != entry) {
+        auto existing = LoadMeta(incoming.doc_id);
+        if (!existing.ok() || existing->version < incoming.version) {
+          TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
+          TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
+          doc = docs_.find(incoming.doc_id);
+        }
       }
-      auto existing = LoadMeta(incoming.doc_id);
-      if (existing.ok() && existing->version >= incoming.version) continue;
-      TC_RETURN_IF_ERROR(EnsureDocKey(incoming.key_name));
-      TC_RETURN_IF_ERROR(SaveMeta(incoming, /*is_new=*/!existing.ok()));
+      // Its id once applied; 0 where the registry holds other bytes.
+      held.entry_ids.push_back(
+          doc != docs_.end() && doc->second.manifest_entry == entry
+              ? doc->second.entry_id
+              : 0);
     }
-    pulled[slot] = {hash, std::move(segment.entries)};
   }
 
-  // A slot the root lists exactly as the registry does is clean under the
-  // root's hash; any other slot the root or the cell lists is dirty, so
-  // the cell's next publish writes what the root lacks.
-  if (root.bits == SlotBits(listed_)) {
-    if (root.bits != manifest_bits_) Rebucket(root.bits);
-    std::set<uint32_t> slots;
-    for (const auto& [slot, hash] : root.segments) slots.insert(slot);
-    for (const auto& [slot, hash] : segments_) slots.insert(slot);
-    for (uint32_t slot : dirty_slots_) slots.insert(slot);
-    const auto held = SlotEntries(slots, root.bits, nullptr, {});
-    auto lists_as_held = [&](uint32_t slot, const std::vector<Bytes>& entries) {
-      auto it = held.find(slot);
-      const size_t count = it == held.end() ? 0 : it->second.size();
-      if (count != entries.size()) return false;
-      for (size_t i = 0; i < count; ++i) {
-        if (*it->second[i] != entries[i]) return false;
-      }
-      return true;
-    };
-    for (const auto& [slot, hash] : root.segments) {
-      auto got = pulled.find(slot);
-      if (got == pulled.end()) continue;  // Held under this hash already.
-      if (lists_as_held(slot, got->second.second)) {
-        segments_[slot] = hash;
-        dirty_slots_.erase(slot);
-      } else {
-        dirty_slots_.insert(slot);
-      }
-    }
-    std::set<uint32_t> listed_by_root;
-    for (const auto& [slot, hash] : root.segments) listed_by_root.insert(slot);
-    for (uint32_t slot : slots) {
-      if (listed_by_root.count(slot) > 0) continue;
-      segments_.erase(slot);
-      if (held.count(slot) > 0) {
-        dirty_slots_.insert(slot);
-      } else {
-        dirty_slots_.erase(slot);
-      }
-    }
+  // Under the registry's bits the cell holds what the root names and
+  // nothing else: a slot the segment lists differently from the registry,
+  // or the root omits while the registry lists it, is dirty by its ids, so
+  // the next publish writes what the root lacks.
+  if (root.bits == RegistryBits()) {
+    manifest_bits_ = root.bits;
+    held_ = std::move(pulled);
   }
   while (tee_->CounterValue("manifest-seen") < version) {
     tee_->IncrementCounter("manifest-seen");

@@ -168,9 +168,11 @@ struct CellStats {
 /// RotateDocumentKey and SyncPush commit a manifest root validated against
 /// a snapshot, with a fresh segment for each slot the cell changed and the
 /// document's new payload in the same transaction, so the owner's manifest
-/// always names every own document's current version and key. With resilient_sync, a write the provider cannot take — or any
-/// write while an older one is queued — goes to the durable outbox, which
-/// CatchUp drains in order: no write overtakes a queued one.
+/// always names every own document's current version and key. With
+/// resilient_sync, a write the provider cannot take — or any write while an
+/// older one is queued — goes to the durable outbox, and the cell is
+/// degraded while the outbox holds a record. CatchUp drains every record,
+/// in order, as its own commit: no write overtakes a queued one.
 ///
 /// Every read, FetchDocument and ReadSharedDocument, runs one step that
 /// enforces the whole sticky policy: it refuses a pending document, opens
@@ -307,7 +309,7 @@ class TrustedCell {
   /// True while the outbox holds writes: local writes succeed and queue
   /// behind them, reads of queued blobs are served locally
   /// (read-your-writes).
-  bool degraded() const { return degraded_; }
+  bool degraded() const { return outbox_pending() > 0; }
 
   /// Outbox records (whole transactions) still queued for the provider.
   size_t outbox_pending() const { return outbox_ ? outbox_->size() : 0; }
@@ -459,6 +461,23 @@ class TrustedCell {
                                         Timestamp t0, Timestamp t1);
 
  private:
+  /// A document the cell holds: what the manifest needs of it without
+  /// reading its meta back.
+  struct RegisteredDocument {
+    uint64_t number = 0;  ///< Its keyword-index number.
+    Bytes manifest_entry;  ///< ManifestEntry(meta) as last saved.
+    /// Drawn afresh whenever SaveMeta changes manifest_entry's bytes.
+    uint64_t entry_id = 0;
+  };
+  using RegistryEntry = std::pair<const std::string, RegisteredDocument>;
+  /// A manifest segment the cell wrote or pulled: its hash and, in doc-id
+  /// order, the ids of the registry entries it lists (0 for an entry the
+  /// registry did not hold byte for byte).
+  struct HeldSegment {
+    Bytes hash;
+    std::vector<uint64_t> entry_ids;
+  };
+
   /// Registry handles resolved once per cell; hot path touches only the
   /// relaxed atomics inside.
   struct Metrics {
@@ -504,20 +523,12 @@ class TrustedCell {
   /// Erases a document's meta, registry entry, keyword postings and keys;
   /// the sealed cloud blob is unreadable without them.
   Status ForgetDocument(const DocumentMeta& meta);
-  /// Records that `doc_id`'s manifest entry changes from `before` to
-  /// `after`: its slot is dirty until a publish writes it or a pull finds
-  /// it listed as the registry holds it.
-  void NoteEntryChange(const std::string& doc_id, const Bytes& before,
-                       const Bytes& after);
-  /// Moves the slot map to `bits`: every slot that lists anything is dirty
-  /// and no segment is held.
-  void Rebucket(uint32_t bits);
-  /// The registry's entries of each slot in `slots` under `bits`, in doc-id
-  /// order, with `override_meta`'s entry (when non-null) in place of its
-  /// document's. Reads nothing from the store.
-  std::map<uint32_t, std::vector<const Bytes*>> SlotEntries(
-      const std::set<uint32_t>& slots, uint32_t bits,
-      const DocumentMeta* override_meta, const Bytes& override_entry) const;
+  /// The slot bits of the registry's listed entries (SlotBits of their
+  /// count).
+  uint32_t RegistryBits() const;
+  /// The registry's listed documents by slot under manifest_bits_, in
+  /// doc-id order. Reads nothing from the store.
+  std::map<uint32_t, std::vector<const RegistryEntry*>> ListedSlots() const;
   /// Parses and opens a manifest root blob. A header it cannot parse, a
   /// version below the TEE floor or a body that fails to open is an
   /// incident.
@@ -553,19 +564,24 @@ class TrustedCell {
   Status CommitOrJournal(const cloud::TxnRequest& req,
                          const Status& observed = Status::OK());
   /// UpdateDocumentAtomic's, RotateDocumentKey's and SyncPush's loop:
-  /// seals a segment for each dirty slot (with `meta`'s entry, when
-  /// non-null, in place), observes the manifest root (and `meta`'s blob)
-  /// under one snapshot, seals a root above both the TEE floor and the
-  /// provider's version that names the fresh segments and, for every other
-  /// slot, the observed root's segment, and commits document, segments and
-  /// root validated against what it observed; an abort rebuilds the root
-  /// from a fresh snapshot (bounded). A publish that observed no root, or
-  /// queues behind the outbox, names only segments the cell wrote or
-  /// pulled. On success saves `meta` and raises the manifest floor.
+  /// seals a segment for each dirty slot — one whose listed entries are not
+  /// the ones its held segment lists, or `meta`'s (when non-null) if its
+  /// entry changes, that entry in place — observes the manifest root (and
+  /// `meta`'s blob) under one snapshot, seals a root above both the TEE
+  /// floor and the provider's version that names the fresh segments and,
+  /// for every other slot, the observed root's segment, and commits
+  /// document, segments and root validated against what it observed; an
+  /// abort rebuilds the root from a fresh snapshot (bounded). A publish
+  /// that observed no root, or queues behind the outbox, names only
+  /// segments the cell holds. On success saves `meta`, holds each dirty
+  /// slot's segment under the ids its entries then carry, and raises the
+  /// manifest floor.
   Status PublishManifest(const DocumentMeta* meta, const Bytes& sealed);
   /// Fetches a blob, serving the newest queued payload from the outbox
   /// first (read-your-writes while partitioned).
   Result<Bytes> PullBlob(const std::string& blob_id);
+  /// Degraded-mode gauge and timer: entered when an enqueue makes the
+  /// outbox non-empty (or Init finds it so), exited when CatchUp drains it.
   void EnterDegraded();
   void ExitDegraded();
 
@@ -583,28 +599,21 @@ class TrustedCell {
   net::InProcessTransport in_process_;  // Used when Config.transport is null.
   std::unique_ptr<net::ResilientChannel> channel_;
   std::unique_ptr<net::Outbox> outbox_;  // resilient_sync only.
-  bool degraded_ = false;
   obs::Stopwatch degraded_timer_;
   policy::DecisionPoint pdp_;
 
-  /// A document the cell holds: what the manifest needs of it without
-  /// reading its meta back.
-  struct RegisteredDocument {
-    uint64_t number = 0;  ///< Its keyword-index number.
-    Bytes manifest_entry;  ///< ManifestEntry(meta) as last saved.
-  };
   // Document registry, one entry per document in doc-id order: rebuilt
   // from the store at Init, then written by SaveMeta and ForgetDocument
   // only.
   std::map<std::string, RegisteredDocument> docs_;
-  size_t listed_ = 0;  ///< Registry entries the manifest lists.
-  // Manifest slots under manifest_bits_. A slot outside dirty_slots_ is
-  // listed by segments_'s hash exactly as the registry holds it, or lists
-  // nothing and has no hash. Held in RAM only: Init marks every slot that
-  // lists anything dirty.
+  uint64_t next_entry_id_ = 1;  ///< Entry ids are drawn from here; 0 is none.
+  // The segment the cell last wrote or pulled for each slot under
+  // manifest_bits_. A slot is dirty when the ids of the entries the
+  // registry lists there differ from its held ids; a slot with neither is
+  // clean. Held in RAM only, so after Init every listed slot is dirty;
+  // emptied when the bits change.
   uint32_t manifest_bits_ = 0;
-  std::map<uint32_t, Bytes> segments_;
-  std::set<uint32_t> dirty_slots_;
+  std::map<uint32_t, HeldSegment> held_;
   std::map<uint64_t, std::string> number_to_doc_;
   std::set<std::string> seen_grant_ids_;
   std::vector<cloud::Message> pending_messages_;

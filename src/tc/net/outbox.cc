@@ -60,7 +60,6 @@ std::string Outbox::PieceKey(uint64_t seq, uint64_t piece) {
 Status Outbox::Load() {
   pending_.clear();
   pieces_.clear();
-  newest_.clear();
   // Heads by seq, pieces by key: a record is whole only once its head and
   // every piece the head counts are read.
   std::map<uint64_t, Bytes> heads;
@@ -103,16 +102,6 @@ Status Outbox::Load() {
   for (const auto& [key, piece] : pieces) {
     TC_RETURN_IF_ERROR(store_->Delete(key));
   }
-  // In seq order, so each blob ends up mapped to its newest writer.
-  std::vector<uint64_t> seqs;
-  for (const auto& [seq, record] : pending_) {
-    for (const OutboxWrite& write : record.writes) {
-      newest_[write.blob_id] = seq;
-    }
-    seqs.push_back(seq);
-  }
-  // An Enqueue's tombstones may have been lost to a crash after its head.
-  for (uint64_t seq : seqs) DropIfSuperseded(seq);
   return Status::OK();
 }
 
@@ -142,40 +131,9 @@ Status Outbox::Enqueue(const std::string& token,
   // The journal's whole point is surviving a reboot: force the buffered
   // pages out before acknowledging the enqueue.
   TC_RETURN_IF_ERROR(store_->Flush());
-  std::vector<uint64_t> rewritten;
-  for (const OutboxWrite& write : record.writes) {
-    auto [it, inserted] = newest_.try_emplace(write.blob_id, record.seq);
-    if (!inserted) {
-      rewritten.push_back(it->second);
-      it->second = record.seq;
-    }
-  }
   pieces_[record.seq] = count;
   pending_.emplace(record.seq, std::move(record));
-  for (uint64_t seq : rewritten) DropIfSuperseded(seq);
   return Status::OK();
-}
-
-Status Outbox::Erase(uint64_t seq) {
-  // Head first: a crash between the deletes leaves headless pieces, which
-  // Load drops, never a head that lost a piece.
-  TC_RETURN_IF_ERROR(store_->Delete(Key(seq)));
-  for (uint64_t i = 1; i <= pieces_[seq]; ++i) {
-    TC_RETURN_IF_ERROR(store_->Delete(PieceKey(seq, i)));
-  }
-  pieces_.erase(seq);
-  return Status::OK();
-}
-
-void Outbox::DropIfSuperseded(uint64_t seq) {
-  auto it = pending_.find(seq);
-  if (it == pending_.end()) return;
-  for (const OutboxWrite& write : it->second.writes) {
-    auto newest = newest_.find(write.blob_id);
-    if (newest == newest_.end() || newest->second == seq) return;
-  }
-  (void)Erase(seq);
-  pending_.erase(it);
 }
 
 Status Outbox::MarkDone(uint64_t seq) {
@@ -183,22 +141,22 @@ Status Outbox::MarkDone(uint64_t seq) {
   if (it == pending_.end()) {
     return Status::NotFound("no pending outbox record " + std::to_string(seq));
   }
-  TC_RETURN_IF_ERROR(Erase(seq));
-  for (const OutboxWrite& write : it->second.writes) {
-    auto newest = newest_.find(write.blob_id);
-    if (newest != newest_.end() && newest->second == seq) {
-      newest_.erase(newest);
-    }
+  // Head first: a crash between the deletes leaves headless pieces, which
+  // Load drops, never a head that lost a piece.
+  TC_RETURN_IF_ERROR(store_->Delete(Key(seq)));
+  for (uint64_t i = 1; i <= pieces_[seq]; ++i) {
+    TC_RETURN_IF_ERROR(store_->Delete(PieceKey(seq, i)));
   }
+  pieces_.erase(seq);
   pending_.erase(it);
   return Status::OK();
 }
 
 const Bytes* Outbox::FindPayload(const std::string& blob_id) const {
-  auto newest = newest_.find(blob_id);
-  if (newest == newest_.end()) return nullptr;
-  for (const OutboxWrite& write : pending_.at(newest->second).writes) {
-    if (write.blob_id == blob_id) return &write.payload;
+  for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
+    for (const OutboxWrite& write : it->second.writes) {
+      if (write.blob_id == blob_id) return &write.payload;
+    }
   }
   return nullptr;
 }

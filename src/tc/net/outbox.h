@@ -40,8 +40,9 @@ struct OutboxRecord {
 };
 
 /// Durable outbox journaled through the cell's encrypted LogStore: a write
-/// the cell could not commit survives reboots and drains in seq order on
-/// reconnect (anti-entropy catch-up).
+/// the cell could not commit survives reboots, and every journaled record
+/// drains, in seq order, on reconnect (anti-entropy catch-up). Only
+/// MarkDone removes a pending record.
 ///
 /// A record of any size spans values: its serialized bytes are cut into
 /// pieces that each fit one LogStore value. The head, "outbox/<seq>",
@@ -49,14 +50,7 @@ struct OutboxRecord {
 /// "outbox/<seq>/<i>". Enqueue writes the head last and flushes it, so a
 /// crash leaves either the head and every piece or no head at all; Load
 /// drops pieces that have no head and reports a head missing a piece as
-/// kDataLoss. Deleting a record deletes its head first.
-///
-/// Supersede rule (last-writer-wins per blob, extended to multi-write
-/// records): a pending record is dropped once newer pending records
-/// rewrite every blob it writes — none of its bytes could still be the
-/// provider's final state. Enqueue applies the rule to the records the new
-/// one rewrites; Load applies it to the whole journal, so a crash between
-/// an Enqueue's Put and its tombstones leaves the same pending set.
+/// kDataLoss. MarkDone deletes the head first.
 ///
 /// Not thread-safe (per-cell, like the LogStore underneath).
 class Outbox {
@@ -68,7 +62,7 @@ class Outbox {
 
   /// Journals one transaction as one record — its pieces, then its head,
   /// flushed before returning, so after a crash either the whole record is
-  /// pending or none of it is — then drops the records it supersedes.
+  /// pending or none of it is.
   Status Enqueue(const std::string& token, std::vector<OutboxWrite> writes);
 
   /// Drops a drained record.
@@ -77,9 +71,10 @@ class Outbox {
   /// Pending records by seq (drain in this order).
   const std::map<uint64_t, OutboxRecord>& pending() const { return pending_; }
 
-  /// The newest queued payload for `blob_id` across pending records, or
-  /// null — reads are served from here while the write is queued
-  /// (read-your-writes while partitioned).
+  /// The newest queued payload for `blob_id` across pending records (they
+  /// are scanned newest first), or null — reads are served from here while
+  /// the write is queued (read-your-writes while partitioned). Valid until
+  /// the record holding it is marked done.
   const Bytes* FindPayload(const std::string& blob_id) const;
 
   size_t size() const { return pending_.size(); }
@@ -89,17 +84,11 @@ class Outbox {
   static std::string Key(uint64_t seq);
   /// The key of piece `piece` (1-based) of record `seq`.
   static std::string PieceKey(uint64_t seq, uint64_t piece);
-  /// Tombstones every value of `seq`, its head first.
-  Status Erase(uint64_t seq);
-  /// Tombstones and forgets `seq` if newer records rewrite all its blobs.
-  void DropIfSuperseded(uint64_t seq);
 
   storage::LogStore* store_;
   std::map<uint64_t, OutboxRecord> pending_;
   /// seq -> how many pieces follow the head.
   std::map<uint64_t, uint64_t> pieces_;
-  /// blob_id -> seq of the newest pending record that writes it.
-  std::map<std::string, uint64_t> newest_;
   uint64_t next_seq_ = 1;
 };
 

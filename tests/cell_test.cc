@@ -799,15 +799,17 @@ TEST(CellRegistryTest, AnUpdatesStoreLookupsDoNotGrowWithTheDocumentCount) {
   }
 }
 
-/// A cell on `cloud` that crosses `transport` (null = in-process).
+/// A cell of `owner` on `cloud` that crosses `transport` (null =
+/// in-process).
 std::unique_ptr<TrustedCell> MakeCellOn(const std::string& id,
                                         cloud::CloudInfrastructure* cloud,
                                         CellDirectory* directory,
                                         const Clock* clock,
-                                        net::CloudTransport* transport) {
+                                        net::CloudTransport* transport,
+                                        const std::string& owner = "alice") {
   TrustedCell::Config config;
   config.cell_id = id;
-  config.owner = "alice";
+  config.owner = owner;
   config.flash.emplace();
   config.flash->page_size = 2048;
   config.flash->pages_per_block = 16;
@@ -919,6 +921,129 @@ TEST(ManifestSegmentTest, AnUpdateCommitsOneSegmentAndASmallRoot) {
     EXPECT_EQ(*phone->FetchDocument(docs[documents / 3]), Bytes(1024, 0x5a));
     EXPECT_TRUE(gateway->incidents().empty());
     EXPECT_TRUE(phone->incidents().empty());
+  }
+}
+
+TEST(ManifestSegmentTest, EveryUpdateInARowCommitsOneSegment) {
+  // An update holds its slot under the id SaveMeta gives the new entry, so
+  // the next update, wherever its slot, does not rewrite that slot again.
+  SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  CellDirectory directory;
+  auto gateway = MakeCellOn("alice-gateway", &cloud, &directory, &clock,
+                            nullptr);
+  const std::vector<std::string> docs = StoreAndPush(*gateway, "alice", 64);
+  for (int i = 0; i < 8; ++i) {
+    const uint64_t puts_before = cloud.stats().blob_puts;
+    ASSERT_TRUE(
+        gateway->UpdateDocumentAtomic(docs[i * 7], ToBytes("v2")).ok());
+    // The document, its slot's segment and the root.
+    EXPECT_EQ(cloud.stats().blob_puts - puts_before, 3u) << "update " << i;
+  }
+}
+
+TEST(ManifestSegmentTest, APushAfterAProposalWritesOnlyTheRoot) {
+  // A proposal lists its document for a moment (the store) and then not
+  // (pending): the slot lists what its held segment lists, so the push
+  // writes no segment.
+  SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  CellDirectory directory;
+  auto gateway = MakeCellOn("alice-gateway", &cloud, &directory, &clock,
+                            nullptr);
+  auto bob = MakeCellOn("bob-phone", &cloud, &directory, &clock, nullptr,
+                        "bob");
+  StoreAndPush(*gateway, "alice", 3);
+  ASSERT_TRUE(gateway
+                  ->ProposeDocumentReferencing("bob-phone", "with bob",
+                                               "photo", ToBytes("jpeg"),
+                                               MakeOwnerPolicy("alice"))
+                  .ok());
+  const uint64_t puts_before = cloud.stats().blob_puts;
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  EXPECT_EQ(cloud.stats().blob_puts - puts_before, 1u);  // The root.
+  EXPECT_EQ(SegmentIds(cloud, "alice").size(), 1u);
+}
+
+TEST(ManifestSegmentTest, ASlotALaggingSiblingOverwroteIsRewrittenByTheNextPush) {
+  // Three documents share the one slot. The gateway updates docs[1]
+  // without pulling the phone's update of docs[0], so its segment names
+  // docs[0] at version 1. The phone's pull keeps its newer entry and the
+  // slot dirty; its push writes the slot back.
+  SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  CellDirectory directory;
+  auto gateway = MakeCellOn("alice-gateway", &cloud, &directory, &clock,
+                            nullptr);
+  auto phone = MakeCellOn("alice-phone", &cloud, &directory, &clock, nullptr);
+  const std::vector<std::string> docs = StoreAndPush(*gateway, "alice", 3);
+  ASSERT_EQ(SegmentIds(cloud, "alice").size(), 1u);
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ASSERT_TRUE(phone->UpdateDocumentAtomic(docs[0], ToBytes("phone v2")).ok());
+  ASSERT_TRUE(
+      gateway->UpdateDocumentAtomic(docs[1], ToBytes("gateway v2")).ok());
+
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ASSERT_TRUE(phone->SyncPush().ok());
+
+  auto tablet = MakeCellOn("alice-tablet", &cloud, &directory, &clock,
+                           nullptr);
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  ASSERT_EQ(tablet->GetDocumentMeta(docs[0])->version, 2u);
+  EXPECT_EQ(*tablet->FetchDocument(docs[0]), ToBytes("phone v2"));
+  EXPECT_EQ(*tablet->FetchDocument(docs[1]), ToBytes("gateway v2"));
+  for (const TrustedCell* cell : {gateway.get(), phone.get(), tablet.get()}) {
+    EXPECT_TRUE(cell->incidents().empty()) << cell->id();
+  }
+}
+
+TEST(ManifestSegmentTest, ASlotTheRootOmitsIsRewrittenByASiblingThatListsIt) {
+  // The gateway reads, and so forgets, every document of one slot: its
+  // push drops the slot from the root. The phone still lists them; its
+  // pull keeps the slot dirty and its push writes the slot back.
+  SimulatedClock clock(MakeTimestamp(2013, 1, 7, 9, 0, 0));
+  cloud::CloudInfrastructure cloud;
+  CellDirectory directory;
+  auto gateway = MakeCellOn("alice-gateway", &cloud, &directory, &clock,
+                            nullptr);
+  auto phone = MakeCellOn("alice-phone", &cloud, &directory, &clock, nullptr);
+  Policy burn = MakeOwnerPolicy("alice");
+  burn.rules[0].obligations = {ObligationType::kDeleteAfterUse};
+  std::vector<std::string> docs;
+  for (int i = 0; i < 8; ++i) {
+    auto doc = gateway->StoreDocument("doc " + std::to_string(i), "common",
+                                      ToBytes("v1 " + std::to_string(i)),
+                                      burn);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    docs.push_back(*doc);
+  }
+  ASSERT_TRUE(gateway->SyncPush().ok());
+  ASSERT_TRUE(phone->SyncPull().ok());
+  // Eight documents take two slots, picked by a doc id's top bit.
+  std::vector<std::string> high;
+  for (const std::string& doc : docs) {
+    if (doc[0] >= '8') high.push_back(doc);
+  }
+  ASSERT_EQ(SegmentIds(cloud, "alice").size(), 2u);
+  // Forgetting them keeps at least five listed, so the root keeps 2 slots.
+  ASSERT_GE(high.size(), 1u);
+  ASSERT_LE(high.size(), 3u);
+  for (const std::string& doc : high) {
+    ASSERT_TRUE(gateway->FetchDocument(doc).ok());
+  }
+  ASSERT_TRUE(gateway->SyncPush().ok());
+
+  ASSERT_TRUE(phone->SyncPull().ok());
+  ASSERT_TRUE(phone->SyncPush().ok());
+
+  auto tablet = MakeCellOn("alice-tablet", &cloud, &directory, &clock,
+                           nullptr);
+  ASSERT_TRUE(tablet->SyncPull().ok());
+  EXPECT_EQ(tablet->ListDocuments().size(), docs.size());
+  EXPECT_EQ(*tablet->FetchDocument(high[0]), ToBytes("v1 " + std::to_string(
+      std::find(docs.begin(), docs.end(), high[0]) - docs.begin())));
+  for (const TrustedCell* cell : {gateway.get(), phone.get(), tablet.get()}) {
+    EXPECT_TRUE(cell->incidents().empty()) << cell->id();
   }
 }
 

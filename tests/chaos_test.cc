@@ -390,8 +390,8 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(*fetched, ToBytes("the document body"));
 
-  // An update while partitioned supersedes the queued store: its record
-  // rewrites every blob the store's record writes.
+  // An update while partitioned queues behind the store: every journaled
+  // record drains as its own commit.
   ASSERT_TRUE(
       gateway->UpdateDocumentAtomic(*doc_id, ToBytes("amended body")).ok());
   EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("amended body"));
@@ -399,7 +399,7 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
   // Sync while partitioned queues the manifest too.
   ASSERT_TRUE(gateway->SyncPush().ok());
   const size_t pending_before = gateway->outbox_pending();
-  EXPECT_GE(pending_before, 2u);  // The update's record + the manifest.
+  EXPECT_EQ(pending_before, 3u);  // The store, the update and the push.
 
   // Catch-up against a dead provider reports kUnavailable and keeps the
   // queue intact.
@@ -414,7 +414,7 @@ TEST_F(CellChaosTest, PartitionedCellKeepsWorkingAndCatchesUp) {
   ASSERT_TRUE(gateway->CatchUp().ok());
   EXPECT_FALSE(gateway->degraded());
   EXPECT_EQ(gateway->outbox_pending(), 0u);
-  EXPECT_GE(gateway->stats().catchup_drained, 2u);
+  EXPECT_EQ(gateway->stats().catchup_drained, 3u);
   EXPECT_EQ(*gateway->FetchDocument(*doc_id), ToBytes("amended body"));
 
   // The drained state is real provider state: a sibling cell of the same

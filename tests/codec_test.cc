@@ -734,17 +734,13 @@ TEST(RecordCodecTest, EveryManifestVersionOfAScriptIsPinned) {
   const std::vector<std::string> golden = {
       "c3ec721b732c9c634e9e260d5f6f8228e0fcd888cddef1a2b2b989122f5ac88b",
       "5c9cb0f4879f54fc54e6d8fdf40d7451d08a2721282202b1b1882eafcf95cb75",
-      "792e405cbdac8a29f527e971a3645ccec367be1cd4669938ec78c2304dcfe01f",
-      "4a70a0fcb028e75bf2e84e627021859c84b51f8db5aea46ae10a0bb028afea49",
-      "f21506f3aeb17afc4b923e8b0d52c5219ed1f92550f1353633d7df368205a3d0",
+      "c96e7a54141d161c9ad6141d68e4bc8fb9146adf8c86f9cd206a7f2142cab774",
+      "89ca794a655451f9efd532e168883b41e4e96f1eceb5505a38f941de4012cd8b",
+      "802046c8e1eafc197c8aaada08c284206e7c4410f60253a38c29503679506798",
       "segment "
       "07781581a50167eeb5562704ca42e4a603dfc25e65657cc64480bd9247e2fd56",
       "segment "
-      "3733eb3f314f02b87b49807cbee3a7b9a3ac2acabe9f3f7c5e64a060787ad622",
-      "segment "
-      "3babe6bd30c0adf9c1a678ceec3a2f30458f59c5e6c4a03e30d40d3cf8796e3b",
-      "segment "
-      "3ca0e846ada1ac0360d799cf8107a15a753d2ce845692e0d8f60932d40f9adf9",
+      "42747e81e31e9e0d8807458c45fdb6c9f165bfe77d7eb5e08140d0f366b5bd74",
       "segment "
       "702a55318865d4b8120a7e6713476d89aa559ae1123a05432d96e7c8740f9be9",
       "segment "

@@ -664,7 +664,7 @@ TEST(OutboxTest, UnknownMagicIsCorruption) {
             StatusCode::kCorruption);
 }
 
-TEST(OutboxTest, EnqueueSupersedesAndSurvivesReopen) {
+TEST(OutboxTest, EveryRecordDrainsInSeqOrderAndSurvivesReopen) {
   storage::FlashDevice device(OutboxGeometry());
   storage::PlainPageTransform plain;
   auto store =
@@ -678,104 +678,37 @@ TEST(OutboxTest, EnqueueSupersedesAndSurvivesReopen) {
   ASSERT_TRUE(outbox.Enqueue("a|v1", {{"blob-a", ToBytes("a1")}}).ok());
   ASSERT_TRUE(outbox.Enqueue("b|v1", {{"blob-b", ToBytes("b1")}}).ok());
   ASSERT_TRUE(outbox.Enqueue("a|v2", {{"blob-a", ToBytes("a2")}}).ok());
-  // blob-a's first write was superseded: two pending, newest payload wins,
-  // and the survivors drain in the order they were made.
-  EXPECT_EQ(Tokens(outbox), (std::vector<std::string>{"b|v1", "a|v2"}));
+  // A rewrite of blob-a drops nothing: all three stay pending, in the
+  // order they were made, and reads see the newer payload.
+  const std::vector<std::string> all = {"a|v1", "b|v1", "a|v2"};
+  EXPECT_EQ(Tokens(outbox), all);
   ASSERT_NE(outbox.FindPayload("blob-a"), nullptr);
   EXPECT_EQ(*outbox.FindPayload("blob-a"), ToBytes("a2"));
 
-  // Drain one record.
-  ASSERT_TRUE(outbox.MarkDone(outbox.pending().begin()->first).ok());
-  EXPECT_EQ(outbox.size(), 1u);
-  EXPECT_EQ(outbox.FindPayload("blob-b"), nullptr);
-
   // Power-cycle: the queue is journaled through the store.
-  ASSERT_TRUE((*store)->Flush().ok());
   store->reset();
   auto reopened =
       storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
   ASSERT_TRUE(reopened.ok());
   Outbox revived(reopened->get());
   ASSERT_TRUE(revived.Load().ok());
-  EXPECT_EQ(Tokens(revived), std::vector<std::string>{"a|v2"});
+  EXPECT_EQ(Tokens(revived), all);
   ASSERT_NE(revived.FindPayload("blob-a"), nullptr);
   EXPECT_EQ(*revived.FindPayload("blob-a"), ToBytes("a2"));
   // New sequence numbers continue above the revived ones.
-  const uint64_t a_seq = revived.pending().begin()->first;
+  const uint64_t last_seq = revived.pending().rbegin()->first;
   ASSERT_TRUE(revived.Enqueue("c|v1", {{"blob-c", ToBytes("c1")}}).ok());
-  EXPECT_GT(revived.pending().rbegin()->first, a_seq);
-  EXPECT_EQ(revived.pending().rbegin()->second.token, "c|v1");
-}
+  EXPECT_GT(revived.pending().rbegin()->first, last_seq);
 
-TEST(OutboxTest, TwoWriteRecordIsSupersededOnlyWhenBothBlobsAreRewritten) {
-  storage::FlashDevice device(OutboxGeometry());
-  storage::PlainPageTransform plain;
-  auto store =
-      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
-  ASSERT_TRUE(store.ok());
-  Outbox outbox(store->get());
-  ASSERT_TRUE(outbox.Load().ok());
-
-  ASSERT_TRUE(outbox
-                  .Enqueue("update", {{"doc", ToBytes("d1")},
-                                      {"manifest", ToBytes("m1")}})
-                  .ok());
-  // A manifest-only record leaves the update's document write the newest:
-  // the update must still drain.
-  ASSERT_TRUE(outbox.Enqueue("push", {{"manifest", ToBytes("m2")}}).ok());
-  EXPECT_EQ(Tokens(outbox), (std::vector<std::string>{"update", "push"}));
-
-  // A record rewriting both of its blobs supersedes it (and the push).
-  ASSERT_TRUE(outbox
-                  .Enqueue("update2", {{"doc", ToBytes("d3")},
-                                       {"manifest", ToBytes("m3")}})
-                  .ok());
-  EXPECT_EQ(Tokens(outbox), std::vector<std::string>{"update2"});
-  EXPECT_EQ(*outbox.FindPayload("doc"), ToBytes("d3"));
-  EXPECT_EQ(*outbox.FindPayload("manifest"), ToBytes("m3"));
-}
-
-TEST(OutboxTest, LoadAfterALostTombstoneKeepsWhatEnqueueKept) {
-  storage::FlashDevice device(OutboxGeometry());
-  storage::PlainPageTransform plain;
-  auto store =
-      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
-  ASSERT_TRUE(store.ok());
-  std::vector<std::string> kept;
-  {
-    Outbox outbox(store->get());
-    ASSERT_TRUE(outbox.Load().ok());
-    ASSERT_TRUE(outbox
-                    .Enqueue("update", {{"doc", ToBytes("d1")},
-                                        {"manifest", ToBytes("m1")}})
-                    .ok());
-    ASSERT_TRUE(outbox.Enqueue("push", {{"manifest", ToBytes("m2")}}).ok());
-    // Rewrites the one blob of the update no newer record wrote: Enqueue
-    // flushes this record, then appends the update's tombstone to the
-    // page buffer.
-    ASSERT_TRUE(outbox.Enqueue("store", {{"doc", ToBytes("d3")}}).ok());
-    kept = Tokens(outbox);
+  // Each record drains in seq order, one MarkDone at a time.
+  std::vector<std::string> drained;
+  while (!revived.empty()) {
+    drained.push_back(revived.pending().begin()->second.token);
+    ASSERT_TRUE(revived.MarkDone(revived.pending().begin()->first).ok());
   }
-  EXPECT_EQ(kept, (std::vector<std::string>{"push", "store"}));
-
-  // Power loss before the buffered tombstone reached flash.
-  store->reset();
-  auto reopened =
-      storage::LogStore::Open(&device, &plain, storage::LogStoreOptions{});
-  ASSERT_TRUE(reopened.ok());
-  size_t journaled = 0;
-  ASSERT_TRUE((*reopened)
-                  ->ScanAll([&](const std::string& key, const Bytes&) {
-                    if (key.rfind("outbox/", 0) == 0) ++journaled;
-                  })
-                  .ok());
-  EXPECT_EQ(journaled, 3u);  // The superseded update survived the crash.
-
-  Outbox revived(reopened->get());
-  ASSERT_TRUE(revived.Load().ok());
-  EXPECT_EQ(Tokens(revived), kept);
-  EXPECT_EQ(*revived.FindPayload("doc"), ToBytes("d3"));
-  EXPECT_EQ(*revived.FindPayload("manifest"), ToBytes("m2"));
+  EXPECT_EQ(drained,
+            (std::vector<std::string>{"a|v1", "b|v1", "a|v2", "c|v1"}));
+  EXPECT_EQ(revived.FindPayload("blob-a"), nullptr);
 }
 
 TEST(OutboxTest, FindPayloadReturnsTheNewestQueuedPayloadAcrossRecords) {
